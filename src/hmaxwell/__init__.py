@@ -25,7 +25,7 @@ from .hmatrix import (DenseBlock, HMatrix, LowRankBlock, StorageStats,
                       spectral_error, storage_stats, to_dense, truncated_svd)
 from .inverse_lab import (DecayFit, SweepRow, block_svd, dense_inverse,
                           fit_decay, rank_sweep, theorem_transfer_check)
-from .mesh import (Mesh, build_box_mesh, conformity_report, mesh_width,
+from .mesh import (Mesh, build_box_mesh, conformity_report,
                    shape_regularity_constant, support_tets)
-from .whitney import (LOCAL_EDGES, TetElement, local_whitney,
+from .whitney import (LOCAL_EDGES, ElementTensors, TetElement, element_tensors,
                       make_polynomial_field)

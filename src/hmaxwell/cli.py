@@ -258,9 +258,9 @@ def cmd_rank_sweep(cfg: dict) -> int:
     run.phase("write")
     p1 = write_csv(run.path("sweep.csv"),
                    ["r", "abs_err", "rel_err", "max_block_sigma",
-                    "bound_value", "scalars"],
+                    "bound_value", "scalars", "converged"],
                    [(row.r, row.abs_err, row.rel_err, row.max_block_sigma,
-                     row.bound_value, row.scalars) for row in rows])
+                     row.bound_value, row.scalars, row.converged) for row in rows])
     p2 = write_json(run.path("fit.json"), {
         "fit": fit,
         "n": mesh.n,

@@ -15,9 +15,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .mesh import LOCAL_EDGES, Mesh
+from .mesh import Mesh
 from .quadrature import tet_rule
-from .whitney import TetElement
+from .whitney import ElementTensors, element_tensors, whitney_values
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class GalerkinSystem:
     K: np.ndarray  # (N, N) curl-curl part, real symmetric PSD
     M: np.ndarray  # (N, N) mass part, real symmetric PD
     A: np.ndarray  # K - kappa M
-    elements: list = field(repr=False, default=None)  # TetElement per tet
+    local: ElementTensors = field(repr=False, default=None)  # every tet, global edge signs
     _lu: tuple = field(repr=False, default=None, compare=False)
 
     @property
@@ -66,27 +66,42 @@ def assemble_system(mesh: Mesh, dofmap: DofMap = None, kappa: complex = 1.0) -> 
     if dofmap is None:
         dofmap = build_dof_map(mesh)
     n = dofmap.n_dofs
-    K = np.zeros((n, n))
-    M = np.zeros((n, n))
-    elements = []
-    for t in range(mesh.n_tets):
-        el = TetElement(mesh.vertices[mesh.tets[t]])
-        elements.append(el)
-        s = mesh.tet_edge_signs[t].astype(float)
-        dofs = dofmap.edge_to_dof[mesh.tet_edges[t]]
-        keep = dofs >= 0
-        if not keep.any():
-            continue
-        sign = np.outer(s, s)
-        d = dofs[keep]
-        ij = (d[:, None], d[None, :])
-        np.add.at(K, ij, (sign * el.curl_curl_matrix())[np.ix_(keep, keep)])
-        np.add.at(M, ij, (sign * el.mass_matrix())[np.ix_(keep, keep)])
+    local = element_tensors(mesh.vertices[mesh.tets], mesh.tet_edge_signs)
+    dofs = dofmap.edge_to_dof[mesh.tet_edges]
+    K = scatter(local.curl, dofs, n).toarray()
+    M = scatter(local.mass, dofs, n).toarray()
     kappa = complex(kappa)
     if kappa.imag == 0.0:
         kappa = kappa.real
-    A = K - kappa * M
-    return GalerkinSystem(mesh, dofmap, kappa, K, M, A, elements)
+    # K - kappa M bitwise, without a second N x N temporary
+    A = -kappa * M
+    A += K
+    return GalerkinSystem(mesh, dofmap, kappa, K, M, A, local)
+
+
+def scatter(local: np.ndarray, index: np.ndarray, n: int):
+    """Sum per-tet local vectors (T, k) into a length-n vector, or per-tet
+    local matrices (T, k, k) into an n x n sparse COO array.
+
+    index (T, k) maps each local slot to its global one; slots mapped to -1
+    are dropped. Contributions are added in tet order (also by the COO
+    array's toarray), so bitwise symmetric local matrices sum to a bitwise
+    symmetric global one.
+    """
+    keep = index >= 0
+    if local.ndim == 2:
+        out = np.zeros(n, dtype=local.dtype)
+        np.add.at(out, index[keep], local[keep])
+        return out
+    pair = keep[:, :, None] & keep[:, None, :]
+    rows = np.broadcast_to(index[:, :, None], pair.shape)[pair]
+    cols = np.broadcast_to(index[:, None, :], pair.shape)[pair]
+    return scipy.sparse.coo_array((local[pair], (rows, cols)), shape=(n, n))
+
+
+def _gather(u: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """u at the global slots index (T, k), 0 where index is -1."""
+    return np.where(index >= 0, u[np.clip(index, 0, None)], 0)
 
 
 def solve_system(system: GalerkinSystem, rhs: np.ndarray) -> np.ndarray:
@@ -109,42 +124,37 @@ class NodalSpace:
     mass: np.ndarray               # (Nv, Nv)
 
 
-def build_nodal_space(mesh: Mesh, elements=None) -> NodalSpace:
+def build_nodal_space(mesh: Mesh) -> NodalSpace:
     ids = np.flatnonzero(~mesh.boundary_vertex)
     v2d = np.full(mesh.n_vertices, -1, dtype=np.int64)
     v2d[ids] = np.arange(ids.size)
-    nv = ids.size
-    L = np.zeros((nv, nv))
-    Mn = np.zeros((nv, nv))
-    for t in range(mesh.n_tets):
-        el = elements[t] if elements else TetElement(mesh.vertices[mesh.tets[t]])
-        d = v2d[mesh.tets[t]]
-        keep = d >= 0
-        if not keep.any():
-            continue
-        ij = (d[keep][:, None], d[keep][None, :])
-        np.add.at(L, ij, el.nodal_stiffness()[np.ix_(keep, keep)])
-        np.add.at(Mn, ij, el.nodal_mass()[np.ix_(keep, keep)])
-    return NodalSpace(ids, v2d, int(nv), L, Mn)
+    local = element_tensors(mesh.vertices[mesh.tets])
+    d = v2d[mesh.tets]
+    L = scatter(local.nodal_stiffness, d, ids.size).toarray()
+    Mn = scatter(local.nodal_mass, d, ids.size).toarray()
+    return NodalSpace(ids, v2d, int(ids.size), L, Mn)
+
+
+def edge_incidence(mesh: Mesh, dofmap: DofMap):
+    """Signed edge-vertex incidence of the DOF edges, (N, V) sparse CSR.
+
+    The tangential integral of grad(p) along edge (lo, hi) is p(hi) - p(lo),
+    so row i holds -1 at the lo and +1 at the hi vertex of DOF i's edge and
+    the matrix maps nodal values to the edge coefficients of their gradient.
+    """
+    n = dofmap.n_dofs
+    return scipy.sparse.csr_array(
+        (np.tile([-1.0, 1.0], n), mesh.edges[dofmap.interior_edges].ravel(),
+         np.arange(0, 2 * n + 1, 2)), shape=(n, mesh.n_vertices))
 
 
 def discrete_gradient(mesh: Mesh, dofmap: DofMap, nodal_space: NodalSpace) -> np.ndarray:
-    """G maps interior nodal values to edge coefficients of the gradient.
-
-    The tangential integral of grad(p) along edge (lo, hi) is p(hi) - p(lo),
-    so G is a signed incidence matrix. Rows for boundary edges would vanish
-    identically (both endpoints sit on the boundary) and are not stored.
+    """G maps interior nodal values to edge coefficients of the gradient:
+    the columns of edge_incidence at the interior vertices, as a dense array.
+    Rows for boundary edges would vanish identically (both endpoints sit on
+    the boundary) and are not stored.
     """
-    G = np.zeros((dofmap.n_dofs, nodal_space.n_dofs))
-    for row, e in enumerate(dofmap.interior_edges):
-        lo, hi = mesh.edges[e]
-        j = nodal_space.vertex_to_dof[hi]
-        if j >= 0:
-            G[row, j] += 1.0
-        j = nodal_space.vertex_to_dof[lo]
-        if j >= 0:
-            G[row, j] -= 1.0
-    return G
+    return edge_incidence(mesh, dofmap)[:, nodal_space.interior_vertices].toarray()
 
 
 # projections ------------------------------------------------------------
@@ -152,19 +162,13 @@ def discrete_gradient(mesh: Mesh, dofmap: DofMap, nodal_space: NodalSpace) -> np
 def rhs_vector(system: GalerkinSystem, fld, degree: int = 4) -> np.ndarray:
     """Load vector f_i = <fld, Psi_i> by tet quadrature of the given degree."""
     bary, w = tet_rule(degree)
-    mesh, dofmap = system.mesh, system.dofmap
-    probe = np.asarray(fld(mesh.vertices[0]))
-    f = np.zeros(dofmap.n_dofs, dtype=np.result_type(probe.dtype, np.float64))
-    for t in range(mesh.n_tets):
-        el = system.elements[t]
-        pts = bary @ el.coords
-        vals = np.array([np.asarray(fld(p)) for p in pts])
-        psi = el.whitney(pts)
-        local = el.volume * np.einsum("q,qd,qkd->k", w, vals, psi)
-        dofs = dofmap.edge_to_dof[mesh.tet_edges[t]]
-        keep = dofs >= 0
-        np.add.at(f, dofs[keep], (mesh.tet_edge_signs[t] * local)[keep])
-    return f
+    mesh, local = system.mesh, system.local
+    pts = bary @ mesh.vertices[mesh.tets]  # (T, Q, 3)
+    vals = np.array([np.asarray(fld(p)) for p in pts.reshape(-1, 3)])
+    psi = whitney_values(bary, local.grads)
+    f_loc = np.einsum("q,tqd,tqkd->tk", w, vals.reshape(pts.shape), psi)
+    f_loc *= local.volume[:, None] * mesh.tet_edge_signs
+    return scatter(f_loc, system.dofmap.edge_to_dof[mesh.tet_edges], system.n_dofs)
 
 
 def l2_project(system: GalerkinSystem, fld, degree: int = 4) -> np.ndarray:
@@ -194,40 +198,24 @@ def dual_basis(mesh: Mesh, dofmap: DofMap) -> DualBasis:
     Biorthogonality to every other basis function is automatic because any
     edge overlapping the carrier tet is one of its six edges.
     """
-    n = dofmap.n_dofs
-    carrier = np.empty(n, dtype=np.int64)
-    coeffs = np.empty((n, 6))
-    for i, e in enumerate(dofmap.interior_edges):
-        t = int(mesh.edge_tets[e][0])
-        carrier[i] = t
-        el = TetElement(mesh.vertices[mesh.tets[t]])
-        s = mesh.tet_edge_signs[t].astype(float)
-        m_signed = el.mass_matrix() * np.outer(s, s)
-        k_local = int(np.flatnonzero(mesh.tet_edges[t] == e)[0])
-        rhs = np.zeros(6)
-        rhs[k_local] = 1.0
-        coeffs[i] = np.linalg.solve(m_signed, rhs)
+    # tet_edges lists every edge, tet by tet, so the first occurrence of
+    # edge e sits in its lowest-numbered tet
+    first = np.unique(mesh.tet_edges.ravel(), return_index=True)[1]
+    carrier, slot = np.divmod(first[dofmap.interior_edges], 6)
+    mass = element_tensors(mesh.vertices[mesh.tets[carrier]],
+                           mesh.tet_edge_signs[carrier]).mass
+    coeffs = np.linalg.solve(mass, np.eye(6)[slot][:, :, None])[:, :, 0]
     return DualBasis(carrier, coeffs)
 
 
 def dual_norms(system: GalerkinSystem, dual: DualBasis) -> np.ndarray:
     """L2 norms of the dual functions."""
-    out = np.empty(dual.carrier_tet.size)
-    for i in range(out.size):
-        t = int(dual.carrier_tet[i])
-        el = system.elements[t]
-        s = system.mesh.tet_edge_signs[t].astype(float)
-        m_signed = el.mass_matrix() * np.outer(s, s)
-        c = dual.coeffs[i]
-        out[i] = np.sqrt(c @ m_signed @ c)
-    return out
+    c = dual.coeffs
+    return np.sqrt(np.einsum("ti,tij,tj->t", c, system.local.mass[dual.carrier_tet], c))
 
 
-def local_dof_coeffs(system: GalerkinSystem, t: int, u: np.ndarray) -> np.ndarray:
-    """Signed local coefficients on tet t of the global DOF vector u."""
-    dofs = system.dofmap.edge_to_dof[system.mesh.tet_edges[t]]
-    vals = np.where(dofs >= 0, u[np.clip(dofs, 0, None)], 0.0)
-    return system.mesh.tet_edge_signs[t] * vals
+def _tet_dofs(system: GalerkinSystem, tets: np.ndarray) -> np.ndarray:
+    return system.dofmap.edge_to_dof[system.mesh.tet_edges[tets]]
 
 
 def apply_dual_functionals(system: GalerkinSystem, dual: DualBasis,
@@ -235,35 +223,22 @@ def apply_dual_functionals(system: GalerkinSystem, dual: DualBasis,
     """<lambda_i, E_h> for i in indices, integrated over the carrier tets.
 
     Both lambda_i and u_h are expanded in the carrier's globally signed
-    basis, whose Gram matrix is m_signed; the expansion coefficients of
-    u_h in that basis are the raw global DOF values.
+    basis, whose Gram matrix is the signed local mass matrix; the expansion
+    coefficients of u_h in that basis are the raw global DOF values.
     """
-    out = np.empty(len(indices), dtype=u.dtype)
-    for pos, i in enumerate(indices):
-        t = int(dual.carrier_tet[i])
-        el = system.elements[t]
-        s = system.mesh.tet_edge_signs[t].astype(float)
-        m_signed = el.mass_matrix() * np.outer(s, s)
-        dofs = system.dofmap.edge_to_dof[system.mesh.tet_edges[t]]
-        vals = np.where(dofs >= 0, u[np.clip(dofs, 0, None)], 0.0)
-        out[pos] = dual.coeffs[i] @ (m_signed @ vals)
-    return out
+    idx = np.asarray(indices, dtype=np.int64)
+    t = dual.carrier_tet[idx]
+    vals = _gather(u, _tet_dofs(system, t))
+    return np.einsum("pi,pij,pj->p", dual.coeffs[idx], system.local.mass[t], vals)
 
 
 def riesz_rhs(system: GalerkinSystem, dual: DualBasis, indices, b) -> np.ndarray:
     """Load vector of F_b = sum_i b_i lambda_i, i.e. f_j = <F_b, Psi_j>."""
-    b = np.asarray(b)
-    f = np.zeros(system.n_dofs, dtype=np.result_type(b.dtype, np.float64))
-    for pos, i in enumerate(indices):
-        t = int(dual.carrier_tet[i])
-        el = system.elements[t]
-        s = system.mesh.tet_edge_signs[t].astype(float)
-        m_signed = el.mass_matrix() * np.outer(s, s)
-        weights = m_signed @ dual.coeffs[i]
-        dofs = system.dofmap.edge_to_dof[system.mesh.tet_edges[t]]
-        keep = dofs >= 0
-        np.add.at(f, dofs[keep], b[pos] * weights[keep])
-    return f
+    idx = np.asarray(indices, dtype=np.int64)
+    t = dual.carrier_tet[idx]
+    weights = np.einsum("pij,pj->pi", system.local.mass[t], dual.coeffs[idx])
+    return scatter(np.asarray(b)[:, None] * weights, _tet_dofs(system, t),
+                   system.n_dofs)
 
 
 # region machinery -------------------------------------------------------
@@ -304,15 +279,8 @@ def region_nodal_space(system: GalerkinSystem, tet_ids) -> RegionNodalSpace:
         free = free[1:]
     col = np.full(mesh.n_vertices, -1, dtype=np.int64)
     col[free] = np.arange(free.size)
-    gram = np.zeros((free.size, free.size))
-    for t in tet_ids:
-        el = system.elements[int(t)]
-        d = col[mesh.tets[t]]
-        keep = d >= 0
-        if not keep.any():
-            continue
-        ij = (d[keep][:, None], d[keep][None, :])
-        np.add.at(gram, ij, el.nodal_stiffness()[np.ix_(keep, keep)])
+    gram = scatter(system.local.nodal_stiffness[tet_ids], col[mesh.tets[tet_ids]],
+                   free.size).toarray()
     return RegionNodalSpace(system, tet_ids, free, col, pinned, gram)
 
 
@@ -325,13 +293,10 @@ def pi_nabla_project(space: RegionNodalSpace, u: np.ndarray) -> np.ndarray:
     """
     system = space.system
     mesh = system.mesh
-    rhs = np.zeros(space.free_vertices.size, dtype=u.dtype)
-    for t in space.tet_ids:
-        el = system.elements[int(t)]
-        local = local_dof_coeffs(system, int(t), u) @ el.grad_mixed_matrix()
-        d = space.col_of_vertex[mesh.tets[t]]
-        keep = d >= 0
-        np.add.at(rhs, d[keep], local[keep])
+    tets = space.tet_ids
+    local = np.einsum("tk,tkv->tv", _gather(u, _tet_dofs(system, tets)),
+                      system.local.grad_mixed[tets])
+    rhs = scatter(local, space.col_of_vertex[mesh.tets[tets]], space.free_vertices.size)
     p = np.zeros(mesh.n_vertices, dtype=u.dtype)
     if space.free_vertices.size:
         if np.iscomplexobj(u):
@@ -351,32 +316,9 @@ def gradient_edge_coeffs(system: GalerkinSystem, p: np.ndarray) -> np.ndarray:
 def assemble_region_matrix(system: GalerkinSystem, tet_ids, kind: str):
     """Sparse Gram matrix over DOFs integrating only over the given tets;
     kind is 'mass' or 'curl'."""
-    mesh, dofmap = system.mesh, system.dofmap
-    rows, cols, vals = [], [], []
-    for t in np.asarray(tet_ids, dtype=np.int64):
-        el = system.elements[int(t)]
-        loc = el.mass_matrix() if kind == "mass" else el.curl_curl_matrix()
-        s = mesh.tet_edge_signs[t].astype(float)
-        loc = loc * np.outer(s, s)
-        dofs = dofmap.edge_to_dof[mesh.tet_edges[t]]
-        keep = dofs >= 0
-        d = dofs[keep]
-        loc = loc[np.ix_(keep, keep)]
-        rows.append(np.repeat(d, d.size))
-        cols.append(np.tile(d, d.size))
-        vals.append(loc.ravel())
-    n = dofmap.n_dofs
-    if not rows:
-        return scipy.sparse.csr_array((n, n))
-    return scipy.sparse.csr_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
-
-
-def region_l2_norm(system: GalerkinSystem, tet_ids, u: np.ndarray,
-                   gram=None) -> float:
-    g = assemble_region_matrix(system, tet_ids, "mass") if gram is None else gram
-    return float(np.sqrt(max(np.real(np.vdot(u, g @ u)), 0.0)))
+    tet_ids = np.asarray(tet_ids, dtype=np.int64)
+    local = system.local.mass if kind == "mass" else system.local.curl
+    return scatter(local[tet_ids], _tet_dofs(system, tet_ids), system.n_dofs).tocsr()
 
 
 # matrix dump ------------------------------------------------------------

@@ -17,10 +17,10 @@ import numpy as np
 import scipy.linalg
 
 from .fem import (GalerkinSystem, assemble_region_matrix, build_dof_map,
-                  build_nodal_space, gradient_edge_coeffs, pi_nabla_project,
-                  region_nodal_space)
-from .mesh import Mesh, vertex_tets
-from .whitney import TetElement
+                  build_nodal_space, edge_incidence, gradient_edge_coeffs,
+                  pi_nabla_project, region_nodal_space, scatter)
+from .mesh import Mesh
+from .whitney import element_tensors
 
 NULLSPACE_RTOL = 1e-10
 
@@ -154,25 +154,30 @@ class HarmonicSpace:
         return self.basis.shape[1]
 
 
+def _supported_in_box(mesh: Mesh, region: BoxRegion, tet_entities: np.ndarray,
+                      n_entities: int) -> np.ndarray:
+    """Per vertex or edge (tet_entities is mesh.tets or mesh.tet_edges),
+    whether every tet containing it lies in the closed box."""
+    outside = np.ones(mesh.n_tets, dtype=bool)
+    outside[region.inside_tets(mesh)] = False
+    ok = np.ones(n_entities, dtype=bool)
+    ok[tet_entities[outside]] = False
+    return ok
+
+
 def _edge_constraint_dofs(mesh: Mesh, dofmap, region: BoxRegion) -> np.ndarray:
     """DOFs whose basis-function support (all tets sharing the edge) lies
     in the closed box."""
-    inside = np.zeros(mesh.n_tets, dtype=bool)
-    inside[region.inside_tets(mesh)] = True
-    rows = [i for i, e in enumerate(dofmap.interior_edges)
-            if inside[mesh.edge_tets[int(e)]].all()]
-    return np.asarray(rows, dtype=np.int64)
+    ok = _supported_in_box(mesh, region, mesh.tet_edges, mesh.n_edges)
+    return np.flatnonzero(ok[dofmap.interior_edges])
 
 
 def _vertex_constraint_dofs(mesh: Mesh, nodal, region: BoxRegion) -> np.ndarray:
     """Nodal DOFs (vertices off the domain boundary) whose hat-function
     support lies in the closed box."""
-    inside = np.zeros(mesh.n_tets, dtype=bool)
-    inside[region.inside_tets(mesh)] = True
-    inc = vertex_tets(mesh)
-    rows = [int(nodal.vertex_to_dof[v]) for v in nodal.interior_vertices
-            if inside[inc[int(v)]].all()]
-    return np.asarray(sorted(rows), dtype=np.int64)
+    ok = _supported_in_box(mesh, region, mesh.tets, mesh.n_vertices)
+    verts = nodal.interior_vertices
+    return nodal.vertex_to_dof[verts[ok[verts]]]
 
 
 def harmonic_space(system: GalerkinSystem, region: BoxRegion,
@@ -191,7 +196,7 @@ def harmonic_space(system: GalerkinSystem, region: BoxRegion,
         mat = system.A
         rows = _edge_constraint_dofs(system.mesh, system.dofmap, region)
     elif variant == "grad":
-        nodal = build_nodal_space(system.mesh, system.elements)
+        nodal = build_nodal_space(system.mesh)
         mat = nodal.laplacian
         rows = _vertex_constraint_dofs(system.mesh, nodal, region)
     else:
@@ -221,20 +226,11 @@ def constraint_residual(space: HarmonicSpace) -> float:
 def nodal_region_grams(system: GalerkinSystem, nodal, tet_ids):
     """(stiffness, mass) of the hat functions over the given tets,
     restricted to the interior-vertex DOFs."""
-    mesh = system.mesh
-    nv = nodal.n_dofs
-    stiff = np.zeros((nv, nv))
-    mass = np.zeros((nv, nv))
-    for t in np.asarray(tet_ids, dtype=np.int64):
-        el = system.elements[int(t)]
-        d = nodal.vertex_to_dof[mesh.tets[t]]
-        keep = d >= 0
-        if not keep.any():
-            continue
-        ij = np.ix_(d[keep], d[keep])
-        np.add.at(stiff, ij, el.nodal_stiffness()[np.ix_(keep, keep)])
-        np.add.at(mass, ij, el.nodal_mass()[np.ix_(keep, keep)])
-    return stiff, mass
+    tet_ids = np.asarray(tet_ids, dtype=np.int64)
+    d = nodal.vertex_to_dof[system.mesh.tets[tet_ids]]
+    local = system.local
+    return (scatter(local.nodal_stiffness[tet_ids], d, nodal.n_dofs).toarray(),
+            scatter(local.nodal_mass[tet_ids], d, nodal.n_dofs).toarray())
 
 
 # Caccioppoli ratio ---------------------------------------------------------
@@ -356,20 +352,10 @@ def helmholtz_report(system: GalerkinSystem, region: BoxRegion,
 def _region_gradient_pairings(system: GalerkinSystem, rns, mass_u: np.ndarray):
     """<u, grad hat_w> over the region for every test vertex w, given the
     region mass matrix already applied to u."""
-    mesh = system.mesh
-    verts = list(rns.free_vertices)
+    verts = rns.free_vertices
     if rns.pinned_vertex >= 0:
-        verts.append(rns.pinned_vertex)
-    edges = mesh.edges[system.dofmap.interior_edges]
-    out = np.zeros(len(verts), dtype=mass_u.dtype)
-    col = {int(v): i for i, v in enumerate(verts)}
-    for e in range(edges.shape[0]):
-        lo, hi = int(edges[e, 0]), int(edges[e, 1])
-        if hi in col:
-            out[col[hi]] += mass_u[e]
-        if lo in col:
-            out[col[lo]] -= mass_u[e]
-    return out
+        verts = np.append(verts, rns.pinned_vertex)
+    return (edge_incidence(system.mesh, system.dofmap).T @ mass_u)[verts]
 
 
 def gradient_part_harmonic_check(system: GalerkinSystem, region: BoxRegion,
@@ -382,23 +368,13 @@ def gradient_part_harmonic_check(system: GalerkinSystem, region: BoxRegion,
     rns = region_nodal_space(system, tets)
     p = pi_nabla_project(rns, column)
     g = gradient_edge_coeffs(system, p)
-    inside = np.zeros(mesh.n_tets, dtype=bool)
-    inside[region.inside_tets(mesh)] = True
-    inc = vertex_tets(mesh)
-    verts = [int(v) for v in np.unique(mesh.tets[tets])
-             if not mesh.boundary_vertex[v] and inside[inc[int(v)]].all()]
-    if not verts:
+    verts = np.unique(mesh.tets[tets])
+    ok = _supported_in_box(mesh, region, mesh.tets, mesh.n_vertices)
+    verts = verts[~mesh.boundary_vertex[verts] & ok[verts]]
+    if not verts.size:
         return 0.0
     mass_g = assemble_region_matrix(system, tets, "mass") @ g
-    edges = mesh.edges[system.dofmap.interior_edges]
-    col = {v: i for i, v in enumerate(verts)}
-    out = np.zeros(len(verts), dtype=mass_g.dtype)
-    for e in range(edges.shape[0]):
-        lo, hi = int(edges[e, 0]), int(edges[e, 1])
-        if hi in col:
-            out[col[hi]] += mass_g[e]
-        if lo in col:
-            out[col[lo]] -= mass_g[e]
+    out = (edge_incidence(mesh, system.dofmap).T @ mass_g)[verts]
     return float(np.abs(out).max())
 
 
@@ -424,18 +400,9 @@ def exact_sequence_recover(mesh: Mesh, region: BoxRegion, coeffs: np.ndarray,
     v_loc = np.asarray(coeffs)[dof_rows]
     scale = float(np.linalg.norm(v_loc))
     _check_region_curl(mesh, dofmap, tets, coeffs, scale)
-    edges = mesh.edges[dofmap.interior_edges[dof_rows]]
-    vert_ids = np.unique(edges)
+    vert_ids = np.unique(mesh.edges[dofmap.interior_edges[dof_rows]])
     vert_ids = vert_ids[~mesh.boundary_vertex[vert_ids]]
-    col = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    col[vert_ids] = np.arange(vert_ids.size)
-    inc = np.zeros((dof_rows.size, vert_ids.size))
-    for r in range(dof_rows.size):
-        lo, hi = col[edges[r, 0]], col[edges[r, 1]]
-        if hi >= 0:
-            inc[r, hi] += 1.0
-        if lo >= 0:
-            inc[r, lo] -= 1.0
+    inc = edge_incidence(mesh, dofmap)[dof_rows][:, vert_ids].toarray()
     if np.iscomplexobj(v_loc):
         phi_loc = (np.linalg.lstsq(inc, v_loc.real, rcond=None)[0]
                    + 1j * np.linalg.lstsq(inc, v_loc.imag, rcond=None)[0])
@@ -452,19 +419,13 @@ def exact_sequence_recover(mesh: Mesh, region: BoxRegion, coeffs: np.ndarray,
 def _check_region_curl(mesh, dofmap, tets, coeffs, scale):
     """Curl-free pre-check: the curl-curl Gram over the region applied to
     the coefficients must vanish relative to its Frobenius norm."""
-    n = dofmap.n_dofs
-    ku = np.zeros(n, dtype=np.asarray(coeffs).dtype)
-    fro2 = 0.0
-    for t in tets:
-        el = TetElement(mesh.vertices[mesh.tets[t]])
-        s = mesh.tet_edge_signs[t].astype(float)
-        loc = el.curl_curl_matrix() * np.outer(s, s)
-        dofs = dofmap.edge_to_dof[mesh.tet_edges[t]]
-        keep = dofs >= 0
-        d = dofs[keep]
-        loc = loc[np.ix_(keep, keep)]
-        ku[d] += loc @ np.asarray(coeffs)[d]
-        fro2 += float((loc * loc).sum())
+    dofs = dofmap.edge_to_dof[mesh.tet_edges[tets]]
+    keep = dofs >= 0
+    curl = element_tensors(mesh.vertices[mesh.tets[tets]],
+                           mesh.tet_edge_signs[tets]).curl
+    curl *= keep[:, :, None] & keep[:, None, :]
+    ku = scatter(curl, dofs, dofmap.n_dofs) @ np.asarray(coeffs)
+    fro2 = float((curl * curl).sum())
     lim = 1e-10 * np.sqrt(fro2) * max(scale, 1e-300)
     if float(np.abs(ku).max()) > lim and scale > 0:
         raise ValueError("input not curl-free or region not simply connected")

@@ -19,7 +19,7 @@ Conventions
   face plane of the box, compared with tolerance 1e-12 * L
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class Mesh:
     boundary_edge: np.ndarray    # (E,) bool
     edge_tets: list              # per edge, array of incident tet ids
     h: float                     # max tet diameter
-    vertex_tets: list = field(default=None, repr=False)  # built on demand
 
     @property
     def n_vertices(self):
@@ -140,27 +139,11 @@ def build_box_mesh(n: int, length: float = 1.0) -> Mesh:
                 tet_edge_signs, boundary_vertex, boundary_edge, edge_tets, h)
 
 
-def mesh_width(mesh: Mesh) -> float:
-    """Maximum tet diameter."""
-    return mesh.h
-
-
 def support_tets(mesh: Mesh, edge_id: int) -> np.ndarray:
     """Ids of the tets sharing the given edge (the support of its basis function)."""
     if not 0 <= edge_id < mesh.n_edges:
         raise IndexError(f"edge id {edge_id} out of range")
     return mesh.edge_tets[edge_id]
-
-
-def vertex_tets(mesh: Mesh) -> list:
-    """Per vertex, array of incident tet ids (cached on the mesh)."""
-    if mesh.vertex_tets is None:
-        inc = [[] for _ in range(mesh.n_vertices)]
-        for t in range(mesh.n_tets):
-            for v in mesh.tets[t]:
-                inc[int(v)].append(t)
-        mesh.vertex_tets = [np.array(lst, dtype=np.int64) for lst in inc]
-    return mesh.vertex_tets
 
 
 def tet_volumes(mesh: Mesh) -> np.ndarray:

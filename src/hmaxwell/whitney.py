@@ -1,4 +1,5 @@
-"""Lowest-order edge elements on a single tetrahedron.
+"""Lowest-order edge elements on tetrahedra: one batched kernel for the local
+matrices of many tets, and its single-element view.
 
 The edge shape function of local edge (a, b) is
 
@@ -11,76 +12,126 @@ lowest-order face shape functions phi_f(x) = (x - x_opp) / (3 |T|), which
 carry unit outward flux through their own face and zero through the others.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .mesh import LOCAL_EDGES
-from .quadrature import segment_rule, tet_rule, tet_rule_degree2, triangle_rule
+from .quadrature import segment_rule, tet_rule_degree2, triangle_rule
 
 # local faces, each opposite the like-indexed vertex
 LOCAL_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
+# tail and head vertex of each local edge
+_EDGE_A, _EDGE_B = np.array(LOCAL_EDGES).T
+
+
+@dataclass
+class ElementTensors:
+    """Geometry and local matrices of a stack of T tetrahedra. Edge-indexed
+    entries use the edge orientations given to element_tensors."""
+    volume: np.ndarray           # (T,)
+    grads: np.ndarray            # (T, 4, 3) gradients of the barycentric coordinates
+    curls: np.ndarray            # (T, 6, 3) constant curls of the edge functions
+    curl: np.ndarray             # (T, 6, 6) curl-curl matrices
+    mass: np.ndarray             # (T, 6, 6) edge mass matrices
+    grad_mixed: np.ndarray       # (T, 6, 4) integral of psi_k . grad(lambda_v)
+    nodal_stiffness: np.ndarray  # (T, 4, 4)
+    nodal_mass: np.ndarray       # (T, 4, 4)
+
+
+def element_tensors(coords, signs=None) -> ElementTensors:
+    """Every local matrix of T tets at once, from (T, 4, 3) vertex coordinates.
+
+    signs (T, 6) of +-1 orient edge function k of tet t as signs[t, k] times
+    the local a -> b orientation (default +1). Sign flips are exact, so the
+    signed matrices equal s_e s_f times the unsigned ones bitwise, and the
+    6x6 and 4x4 symmetric matrices are bitwise symmetric.
+    """
+    coords = np.asarray(coords, dtype=float)
+    if coords.ndim != 3 or coords.shape[1:] != (4, 3):
+        raise ValueError("expected (T, 4, 3) vertex coordinates")
+    mat = np.concatenate([np.ones(coords.shape[:2] + (1,)), coords], axis=2)
+    det = np.linalg.det(mat)
+    scale = np.maximum(np.abs(coords).max(axis=(1, 2)), 1.0)
+    if np.any(np.abs(det) < 1e-14 * scale ** 3):
+        raise ValueError("degenerate tetrahedron")
+    volume = np.abs(det) / 6.0
+    vol = volume[:, None, None]
+    # column j of inv(mat) holds the affine coefficients of lambda_j
+    grads = np.ascontiguousarray(np.linalg.inv(mat)[:, 1:, :].transpose(0, 2, 1))
+    s = np.ones(coords.shape[:1] + (6,)) if signs is None else np.asarray(signs, dtype=float)
+    curls = 2.0 * s[:, :, None] * np.cross(grads[:, _EDGE_A], grads[:, _EDGE_B])
+    # the integrand is quadratic, the 4-point rule is exact for it
+    bary, w = tet_rule_degree2()
+    psi = whitney_values(bary, grads)  # (T, 4, 6, 3)
+    psi *= s[:, None, :, None]
+    mass = vol * np.einsum("q,tqed,tqfd->tef", w, psi, psi)
+    # exact closed form of the integral of psi_k . grad(lambda_v)
+    grad_mixed = (0.25 * vol * s[:, :, None]) * np.einsum(
+        "tkd,tvd->tkv", grads[:, _EDGE_B] - grads[:, _EDGE_A], grads)
+    return ElementTensors(
+        volume=volume,
+        grads=grads,
+        curls=curls,
+        curl=_mirror_upper(vol * (curls @ curls.transpose(0, 2, 1))),
+        mass=_mirror_upper(mass),
+        grad_mixed=grad_mixed,
+        nodal_stiffness=_mirror_upper(vol * (grads @ grads.transpose(0, 2, 1))),
+        nodal_mass=vol * (np.ones((4, 4)) + np.eye(4)) / 20.0,
+    )
+
+
+def whitney_values(lam, grads):
+    """Edge shape functions lambda_a grad(lambda_b) - lambda_b grad(lambda_a)
+    from barycentric coordinates lam (..., Q, 4) and gradients grads
+    (..., 4, 3): (..., Q, 6, 3)."""
+    return (lam[..., _EDGE_A, None] * grads[..., None, _EDGE_B, :]
+            - lam[..., _EDGE_B, None] * grads[..., None, _EDGE_A, :])
+
 
 class TetElement:
-    """Affine geometry and element matrices of one tetrahedron."""
+    """One tetrahedron: the single-element view of element_tensors, with
+    point evaluation, face frames and the edge and face interpolants."""
 
     def __init__(self, coords):
         coords = np.asarray(coords, dtype=float)
         if coords.shape != (4, 3):
             raise ValueError("expected 4 vertex coordinates")
-        mat = np.hstack([np.ones((4, 1)), coords])
-        det = np.linalg.det(mat)
-        scale = max(np.abs(coords).max(), 1.0)
-        if abs(det) < 1e-14 * scale ** 3:
-            raise ValueError("degenerate tetrahedron")
         self.coords = coords
-        self.volume = abs(det) / 6.0
-        # column j holds the affine coefficients of lambda_j
-        self.coef = np.linalg.inv(mat)
-        self.grads = np.ascontiguousarray(self.coef[1:, :].T)  # (4, 3)
+        self._local = element_tensors(coords[None])
+        self.volume = self._local.volume[0]
+        self.grads = self._local.grads[0]  # (4, 3)
 
     def barycentric(self, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.hstack([np.ones((points.shape[0], 1)), points]) @ self.coef
+        lam = (points - self.coords[0]) @ self.grads.T
+        lam[:, 0] += 1.0
+        return lam
 
     def whitney(self, points):
         """Edge shape functions at points: (npts, 6, 3)."""
-        lam = self.barycentric(points)  # (npts, 4)
-        out = np.empty((lam.shape[0], 6, 3))
-        for k, (a, b) in enumerate(LOCAL_EDGES):
-            out[:, k, :] = (lam[:, a, None] * self.grads[b]
-                            - lam[:, b, None] * self.grads[a])
-        return out
+        return whitney_values(self.barycentric(points), self.grads)
 
     def whitney_curls(self):
         """Constant curls of the edge shape functions: (6, 3)."""
-        out = np.empty((6, 3))
-        for k, (a, b) in enumerate(LOCAL_EDGES):
-            out[k] = 2.0 * np.cross(self.grads[a], self.grads[b])
-        return out
+        return self._local.curls[0]
 
     def curl_curl_matrix(self):
-        c = self.whitney_curls()
-        return _mirror_upper(self.volume * (c @ c.T))
+        return self._local.curl[0]
 
     def mass_matrix(self):
-        # integrand is quadratic, the 4-point rule is exact for it
-        bary, w = tet_rule_degree2()
-        psi = self.whitney(bary @ self.coords)  # (4, 6, 3)
-        m = self.volume * np.einsum("q,qed,qfd->ef", w, psi, psi)
-        return _mirror_upper(m)
+        return self._local.mass[0]
 
     def grad_mixed_matrix(self):
-        """B[k, v] = integral of psi_k . grad(lambda_v); exact closed form."""
-        b = np.empty((6, 4))
-        for k, (a, c) in enumerate(LOCAL_EDGES):
-            b[k] = (self.volume / 4.0) * (self.grads[c] - self.grads[a]) @ self.grads.T
-        return b
+        """B[k, v] = integral of psi_k . grad(lambda_v)."""
+        return self._local.grad_mixed[0]
 
     def nodal_stiffness(self):
-        return _mirror_upper(self.volume * (self.grads @ self.grads.T))
+        return self._local.nodal_stiffness[0]
 
     def nodal_mass(self):
-        return self.volume * (np.ones((4, 4)) + np.eye(4)) / 20.0
+        return self._local.nodal_mass[0]
 
     # faces -------------------------------------------------------------
     def face_frames(self):
@@ -145,16 +196,9 @@ class TetElement:
         return float(np.abs(lhs - rhs).max())
 
 
-def local_whitney(tet_coords, point):
-    """Values and curls of the six edge shape functions at one point."""
-    el = TetElement(tet_coords)
-    return el.whitney(point)[0], el.whitney_curls()
-
-
 def _mirror_upper(mat):
     # copy the upper triangle onto the lower one so symmetry is bitwise
-    out = np.triu(mat)
-    return out + np.triu(mat, 1).T
+    return np.triu(mat) + np.swapaxes(np.triu(mat, 1), -1, -2)
 
 
 def _field_dtype(field, probe_point):

@@ -119,7 +119,9 @@ def test_rank_sweep_artifacts(tmp_path):
         assert (outdir / fname).exists()
     rows = (outdir / "sweep.csv").read_text().splitlines()
     assert rows[0].split(",")[0] == "r"
+    assert rows[0].split(",")[-1] == "converged"
     assert len(rows) == 4
+    assert all(row.split(",")[-1] == "true" for row in rows[1:])
 
 
 def test_caccioppoli_and_helmholtz_run(tmp_path):

@@ -7,6 +7,8 @@ them entry by entry. The production assembler must agree to rounding.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmaxwell import (
     LOCAL_EDGES,
@@ -25,6 +27,7 @@ from hmaxwell import (
 )
 from hmaxwell.fem import (
     apply_dual_functionals,
+    assemble_region_matrix,
     build_dof_map,
     build_nodal_space,
     discrete_gradient,
@@ -83,6 +86,31 @@ def test_complex_kappa_keeps_complex_symmetry():
     assert np.abs(sysm.A - (sysm.K - (1.0 + 0.5j) * sysm.M)).max() == 0.0
 
 
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 4), kappa_re=st.floats(-20.0, 20.0).filter(bool),
+       kappa_im=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)))
+def test_curl_kills_gradients_and_a_is_symmetric(n, kappa_re, kappa_im):
+    m = build_box_mesh(n)
+    sysm = assemble_system(m, kappa=complex(kappa_re, kappa_im))
+    assert np.array_equal(sysm.A, sysm.A.T)
+    G = discrete_gradient(m, sysm.dofmap, build_nodal_space(m))
+    if G.size:
+        assert np.abs(sysm.K @ G).max() <= 1e-13 * np.abs(sysm.K).max()
+
+
+def test_region_matrices_split_the_global_ones(system_cache, rng):
+    sysm = system_cache(3)
+    tets = np.arange(sysm.mesh.n_tets)
+    part = rng.random(tets.size) < 0.5
+    for kind, full in (("curl", sysm.K), ("mass", sysm.M)):
+        scale = np.abs(full).max()
+        whole = assemble_region_matrix(sysm, tets, kind).toarray()
+        assert np.abs(whole - full).max() <= 1e-15 * scale
+        split = (assemble_region_matrix(sysm, tets[part], kind)
+                 + assemble_region_matrix(sysm, tets[~part], kind)).toarray()
+        assert np.abs(split - full).max() <= 1e-14 * scale
+
+
 def test_gradients_span_the_curl_kernel(system_cache, rng):
     sysm = system_cache(3)
     ns = build_nodal_space(sysm.mesh)
@@ -118,8 +146,9 @@ def test_nodal_laplacian_is_gram_of_gradients(system_cache):
     assert np.abs(lap - ns.laplacian).max() < 1e-13 * np.abs(lap).max()
 
 
-def locate_eval(mesh, elements, coeffs, dofmap):
+def locate_eval(mesh, coeffs, dofmap):
     """Brute-force FE evaluator used to feed projections a space member."""
+    elements = [TetElement(mesh.vertices[tet]) for tet in mesh.tets]
 
     def field(p):
         for t in range(mesh.n_tets):
@@ -140,7 +169,7 @@ def locate_eval(mesh, elements, coeffs, dofmap):
 def test_l2_projection_reproduces_space_members(system_cache, rng):
     sysm = system_cache(2)
     u0 = rng.standard_normal(sysm.n_dofs)
-    fld = locate_eval(sysm.mesh, sysm.elements, u0, sysm.dofmap)
+    fld = locate_eval(sysm.mesh, u0, sysm.dofmap)
     u = l2_project(sysm, fld)
     assert np.linalg.norm(u - u0) < 1e-10 * np.linalg.norm(u0)
 
@@ -148,7 +177,7 @@ def test_l2_projection_reproduces_space_members(system_cache, rng):
 def test_rhs_vector_is_mass_times_coeffs_for_members(system_cache, rng):
     sysm = system_cache(2)
     u0 = rng.standard_normal(sysm.n_dofs)
-    fld = locate_eval(sysm.mesh, sysm.elements, u0, sysm.dofmap)
+    fld = locate_eval(sysm.mesh, u0, sysm.dofmap)
     b = rhs_vector(sysm, fld)
     assert np.linalg.norm(b - sysm.M @ u0) < 1e-10 * np.linalg.norm(b)
 

@@ -15,7 +15,7 @@ body diagonal:
 import numpy as np
 import pytest
 
-from hmaxwell import build_box_mesh, conformity_report, mesh_width, shape_regularity_constant
+from hmaxwell import build_box_mesh, conformity_report, shape_regularity_constant
 from hmaxwell.fem import build_dof_map
 from hmaxwell.mesh import support_tets, tet_volumes
 
@@ -57,8 +57,7 @@ def test_shape_regularity_is_size_independent(n, mesh_cache):
 @pytest.mark.parametrize("n,length", [(2, 1.0), (5, 1.0), (3, 2.0)])
 def test_mesh_width_is_the_body_diagonal(n, length, mesh_cache):
     m = mesh_cache(n, length)
-    assert abs(mesh_width(m) - np.sqrt(3.0) * length / n) < 1e-13
-    assert m.h == mesh_width(m)
+    assert abs(m.h - np.sqrt(3.0) * length / n) < 1e-13
 
 
 def test_body_diagonal_edge_carries_six_tets(mesh_cache):

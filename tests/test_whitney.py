@@ -12,7 +12,7 @@ quadrature-based element routines, which take a different route.
 import numpy as np
 import pytest
 
-from hmaxwell import LOCAL_EDGES, TetElement, make_polynomial_field
+from hmaxwell import LOCAL_EDGES, TetElement, element_tensors, make_polynomial_field
 from hmaxwell.whitney import LOCAL_FACES
 
 
@@ -50,12 +50,22 @@ def curl_oracle(el):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_local_matrices_match_closed_forms(seed):
-    el = TetElement(random_tet(np.random.default_rng(seed)))
+    rng = np.random.default_rng(seed)
+    el = TetElement(random_tet(rng))
     assert np.allclose(el.mass_matrix(), mass_oracle(el), atol=1e-14)
     assert np.allclose(el.curl_curl_matrix(), curl_oracle(el), atol=1e-13)
     # bitwise symmetry, not just numeric
     assert np.array_equal(el.mass_matrix(), el.mass_matrix().T)
     assert np.array_equal(el.curl_curl_matrix(), el.curl_curl_matrix().T)
+    # one batched call on a stack of tets, slice by slice
+    stack = np.array([random_tet(rng) for _ in range(6)])
+    local = element_tensors(stack)
+    for t, coords in enumerate(stack):
+        el = TetElement(coords)
+        assert np.allclose(local.mass[t], mass_oracle(el), atol=1e-14)
+        assert np.allclose(local.curl[t], curl_oracle(el), atol=1e-13)
+    for mat in (local.mass, local.curl, local.nodal_stiffness, local.nodal_mass):
+        assert np.array_equal(mat, mat.transpose(0, 2, 1))
 
 
 def test_barycentric_partition_of_unity(rng):
