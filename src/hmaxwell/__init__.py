@@ -21,8 +21,9 @@ from .harmonic import (BoxRegion, CaccioppoliResult, ConcentricPair,
                        helmholtz_report, local_helmholtz,
                        tets_inside_box, tets_intersecting_box)
 from .hmatrix import (DenseBlock, HMatrix, LowRankBlock, StorageStats,
-                      compress_adaptive, compress_dense, matvec, rmatvec,
-                      spectral_error, storage_stats, to_dense, truncated_svd)
+                      compress_adaptive, compress_dense, far_svds, matvec,
+                      rmatvec, spectral_error, spectral_norm, storage_stats,
+                      to_dense, truncated_svd)
 from .inverse_lab import (DecayFit, SweepRow, block_svd, dense_inverse,
                           fit_decay, rank_sweep, theorem_transfer_check)
 from .mesh import (Mesh, build_box_mesh, conformity_report,

@@ -34,7 +34,7 @@ from .fem import (assemble_system, dual_basis, dual_norms,
                   matrix_to_coordinate_text)
 from .harmonic import (caccioppoli_ratio, constraint_residual, default_pairs,
                        harmonic_space, helmholtz_report)
-from .hmatrix import compress_dense, hmatrix_manifest
+from .hmatrix import compress_dense, far_svds, hmatrix_manifest
 from .inverse_lab import block_decay_report, dense_inverse, fit_decay, rank_sweep
 from .mesh import (build_box_mesh, conformity_report, mesh_to_dict,
                    shape_regularity_constant)
@@ -293,9 +293,10 @@ def cmd_block_svd(cfg: dict) -> int:
         run.finish()
         return 0
     run.phase("svd")
-    report = block_decay_report(binv, partition)
+    svds = far_svds(binv, partition)
+    report = block_decay_report(partition, svds)
     rank = max(cfg["ranks"])
-    h = compress_dense(binv, partition, rank)
+    h = compress_dense(binv, partition, rank, svds)
     run.phase("write")
     largest = max(report, key=lambda d: min(d["rows"], d["cols"]))
     p1 = write_csv(run.path("block_sigmas.csv"),

@@ -324,11 +324,12 @@ def assemble_region_matrix(system: GalerkinSystem, tet_ids, kind: str):
 # matrix dump ------------------------------------------------------------
 
 def matrix_to_coordinate_text(mat: np.ndarray) -> str:
-    """Coordinate text: one 'row col re im' line per entry, 0-based."""
+    """Coordinate text: one 'row col re im' line per nonzero entry, 0-based,
+    in row-major order, with shortest round-trip float text."""
     mat = np.asarray(mat)
-    lines = []
-    for i in range(mat.shape[0]):
-        for j in range(mat.shape[1]):
-            v = complex(mat[i, j])
-            lines.append(f"{i} {j} {v.real!r} {v.imag!r}")
-    return "\n".join(lines) + "\n"
+    i, j = np.nonzero(mat)
+    vals = mat[i, j].astype(complex)
+    line = i.astype(str)
+    for col in (j, vals.real, vals.imag):
+        line = np.char.add(np.char.add(line, " "), col.astype(str))
+    return "".join(np.char.add(line, "\n").tolist())

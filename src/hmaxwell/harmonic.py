@@ -270,9 +270,9 @@ def caccioppoli_ratio(space: HarmonicSpace, pair: ConcentricPair,
     w_curl = (system.h / r_out) ** 2
     w_mass = 1.0 / r_out ** 2
     if variant == "curl":
-        num = assemble_region_matrix(system, inner, "curl").toarray()
-        den = (w_curl * assemble_region_matrix(system, outer, "curl").toarray()
-               + w_mass * assemble_region_matrix(system, outer, "mass").toarray())
+        num = assemble_region_matrix(system, inner, "curl")
+        den = (w_curl * assemble_region_matrix(system, outer, "curl")
+               + w_mass * assemble_region_matrix(system, outer, "mass"))
     else:
         k_in, _ = nodal_region_grams(system, space.nodal_space, inner)
         k_out, m_out = nodal_region_grams(system, space.nodal_space, outer)
@@ -283,8 +283,8 @@ def caccioppoli_ratio(space: HarmonicSpace, pair: ConcentricPair,
         return CaccioppoliResult(0.0, 0.0, variant, 0, inner.size, outer.size,
                                  hyp, False, pair.eps, pair.r)
     b = space.basis
-    num_b = _hermitize(b.conj().T @ num @ b)
-    den_b = _hermitize(b.conj().T @ den @ b)
+    num_b = _hermitize(b.conj().T @ (num @ b))
+    den_b = _hermitize(b.conj().T @ (den @ b))
     regularized = False
     scale = float(np.abs(den_b).max()) or 1.0
     evals = np.linalg.eigvalsh(den_b)

@@ -3,8 +3,9 @@
 Far (admissible) blocks hold truncated-SVD factors X Y^H with orthonormal
 columns in X, which is the spectral-norm-optimal rank-r approximation of the
 block. Near blocks are stored dense and exactly. The format supports matvec,
-its conjugate transpose, storage accounting and a power-iteration estimate
-of the spectral norm of the approximation error against a dense source.
+its conjugate transpose and storage accounting. Every spectral norm in the
+package, of a dense matrix or of the approximation error against a dense
+source, comes from one Lanczos helper, spectral_norm.
 """
 
 from dataclasses import dataclass
@@ -62,37 +63,42 @@ def truncated_svd(block: np.ndarray, rank: int):
     return u[:, :r], (vh[:r].conj().T) * s[:r], s
 
 
-def compress_dense(dense: np.ndarray, partition: BlockPartition, rank: int) -> HMatrix:
+def far_svds(dense: np.ndarray, partition: BlockPartition) -> list:
+    """(U, sigma, V^H) of every far block of dense, in partition.far order:
+    the one SVD pass that compression, rank sweeps and decay reports share."""
+    out = []
+    for t, s in partition.far:
+        try:
+            out.append(np.linalg.svd(dense[np.ix_(t.indices, s.indices)],
+                                     full_matrices=False))
+        except np.linalg.LinAlgError as exc:
+            raise RuntimeError(f"SVD failed on far block ({t.id},{s.id})") from exc
+    return out
+
+
+def compress_dense(dense: np.ndarray, partition: BlockPartition, rank: int,
+                   svds: list = None) -> HMatrix:
     """Replace far blocks by rank-min(rank, dims) truncated SVDs; copy near
-    blocks verbatim."""
+    blocks verbatim. svds, when given, are far_svds(dense, partition)."""
     if rank < 0:
         raise ValueError("rank must be >= 0")
-    far, near = [], []
-    for t, s in partition.far:
-        sub = dense[np.ix_(t.indices, s.indices)]
-        try:
-            x, y, _ = truncated_svd(sub, rank)
-        except RuntimeError as exc:
-            raise RuntimeError(f"block ({t.id},{s.id}): {exc}") from exc
-        far.append(LowRankBlock(t.indices, s.indices, x, y))
-    for t, s in partition.near:
-        near.append(DenseBlock(t.indices, s.indices,
-                               dense[np.ix_(t.indices, s.indices)].copy()))
-    return HMatrix(dense.shape, far, near, partition)
+    svds = far_svds(dense, partition) if svds is None else svds
+    return _truncate(dense, partition, svds, [rank] * len(svds))
 
 
 def compress_adaptive(dense: np.ndarray, partition: BlockPartition, tol: float) -> HMatrix:
     """Per-block rank chosen as the smallest r with sigma_{r+1} <= tol*sigma_1."""
-    far, near = [], []
-    for t, s in partition.far:
-        sub = dense[np.ix_(t.indices, s.indices)]
-        u, sv, vh = np.linalg.svd(sub, full_matrices=False)
-        r = int((sv > tol * sv[0]).sum()) if sv.size and sv[0] > 0 else 0
-        far.append(LowRankBlock(t.indices, s.indices,
-                                u[:, :r], (vh[:r].conj().T) * sv[:r]))
-    for t, s in partition.near:
-        near.append(DenseBlock(t.indices, s.indices,
-                               dense[np.ix_(t.indices, s.indices)].copy()))
+    svds = far_svds(dense, partition)
+    ranks = [int((sv > tol * sv[0]).sum()) if sv.size and sv[0] > 0 else 0
+             for _, sv, _ in svds]
+    return _truncate(dense, partition, svds, ranks)
+
+
+def _truncate(dense, partition, svds, ranks) -> HMatrix:
+    far = [LowRankBlock(t.indices, s.indices, u[:, :r], (vh[:r].conj().T) * sv[:r])
+           for (t, s), (u, sv, vh), r in zip(partition.far, svds, ranks)]
+    near = [DenseBlock(t.indices, s.indices, dense[np.ix_(t.indices, s.indices)])
+            for t, s in partition.near]
     return HMatrix(dense.shape, far, near, partition)
 
 
@@ -130,47 +136,41 @@ def to_dense(h: HMatrix) -> np.ndarray:
     return out
 
 
-def spectral_error(dense: np.ndarray, h: HMatrix, tol: float = 1e-4,
-                   max_iter: int = 500, seed: int = 0):
-    """Power iteration for ||dense - h||_2 on E E^H; returns (estimate,
-    converged)."""
+def spectral_norm(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 500,
+                  seed: int = 0):
+    """||mat||_2 by Lanczos (ARPACK svds, k = 1) with BLAS matvecs on the
+    dense matrix; returns (norm, converged).
+
+    tol and max_iter are ARPACK's tol and maxiter; the start vector is drawn
+    from seed, so reruns are byte-identical. A zero matrix, and one with a
+    dimension below 2 (where svds refuses k = 1), is measured exactly
+    without ARPACK. No convergence within max_iter gives (nan, False).
+    """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    n = dense.shape[0]
-    cplx = np.iscomplexobj(dense) or any(np.iscomplexobj(b.X) for b in h.far) \
-        or any(np.iscomplexobj(b.data) for b in h.near)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    if cplx:
-        v = v + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    dense_h = dense.conj().T
-    floor = (np.finfo(float).eps * max(np.linalg.norm(dense, "fro"), 1e-300)) ** 2
+    if min(mat.shape) < 2 or not mat.any():
+        return float(np.linalg.norm(mat)), True
+    from scipy.sparse.linalg import ArpackNoConvergence, svds
 
-    def e_apply(x):
-        return dense @ x - matvec(h, x)
+    v0 = np.random.default_rng(seed).standard_normal(min(mat.shape))
+    try:
+        sv = svds(mat, k=1, tol=tol, maxiter=max_iter, v0=v0,
+                  return_singular_vectors=False)
+    except ArpackNoConvergence:
+        return float("nan"), False
+    return float(sv[0]), True
 
-    def eh_apply(x):
-        return dense_h @ x - rmatvec(h, x)
 
-    lam_prev = None
-    lam = 0.0
-    converged = False
-    for _ in range(max_iter):
-        w = eh_apply(v)
-        lam = float(np.real(np.vdot(w, w)))  # = v^H E E^H v for unit v
-        if lam <= floor:
-            return 0.0, True
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * lam:
-            converged = True
-            break
-        lam_prev = lam
-        v = e_apply(w)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0, True
-        v /= nv
-    return float(np.sqrt(lam)), converged
+def spectral_error(dense: np.ndarray, h: HMatrix, tol: float = 1e-10,
+                   max_iter: int = 500, seed: int = 0):
+    """||dense - h||_2 as spectral_norm of the explicit residual; returns
+    (norm, converged). A residual at the rounding level of forming h, with
+    Frobenius norm at most sqrt(N) eps ||dense||_F, counts as exactly zero."""
+    res = dense - to_dense(h)
+    floor = np.sqrt(res.shape[0]) * np.finfo(float).eps * np.linalg.norm(dense)
+    if np.linalg.norm(res) <= floor:
+        return 0.0, True
+    return spectral_norm(res, tol, max_iter, seed)
 
 
 def storage_stats(h: HMatrix) -> StorageStats:

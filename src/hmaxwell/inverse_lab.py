@@ -17,8 +17,7 @@ import scipy.linalg
 from .cluster import BlockPartition, sparsity_constant
 from .fem import (GalerkinSystem, apply_dual_functionals, riesz_rhs,
                   solve_system)
-from .hmatrix import (DenseBlock, HMatrix, LowRankBlock, spectral_error,
-                      truncated_svd)
+from .hmatrix import far_svds, spectral_norm
 
 
 def dense_inverse(a: np.ndarray, cond_limit: float = 1e12,
@@ -61,45 +60,42 @@ class SweepRow:
 
 
 def rank_sweep(a: np.ndarray, partition: BlockPartition, r_list,
-               tol: float = 1e-4, max_iter: int = 500, seed: int = 0,
+               tol: float = 1e-10, max_iter: int = 500, seed: int = 0,
                binv: np.ndarray = None, bound_slack: float = 1e-6):
     """One SweepRow per requested rank; asserts the block-to-global bound.
 
-    Far-block SVDs are computed once and reused across ranks. Returns
-    (rows, binv).
+    The error E_r = A^{-1} - B_H is zero on near blocks and equals
+    U[:, r:] Sigma[r:] V^H[r:] on each far block, so it is formed explicitly
+    in one N x N buffer, reused across ranks, from far-block SVDs computed
+    once. ||E_r||_2 and ||A^{-1}||_2 come from spectral_norm, whose ARPACK
+    settings are tol, max_iter and seed. Returns (rows, binv).
     """
     if binv is None:
         binv = dense_inverse(a)
-    norm_b = np.linalg.norm(binv, 2)
+    norm_b, conv_b = spectral_norm(binv, tol, max_iter, seed)
     c_sp = sparsity_constant(partition)
     depth = partition.tree.depth
-    svds = []
-    for t, s in partition.far:
-        sub = binv[np.ix_(t.indices, s.indices)]
-        u, sv, vh = np.linalg.svd(sub, full_matrices=False)
-        svds.append((t.indices, s.indices, u, sv, vh))
-    near = [DenseBlock(t.indices, s.indices,
-                       binv[np.ix_(t.indices, s.indices)].copy())
-            for t, s in partition.near]
+    svds = far_svds(binv, partition)
+    near_scalars = sum(t.size * s.size for t, s in partition.near)
+    err = np.zeros_like(binv)
     rows = []
     for r in sorted(int(r) for r in r_list):
-        far = []
         sig_next = 0.0
-        for rid, cid, u, sv, vh in svds:
+        scalars = near_scalars
+        for (t, s), (u, sv, vh) in zip(partition.far, svds):
             k = min(r, sv.size)
-            far.append(LowRankBlock(rid, cid, u[:, :k], (vh[:k].conj().T) * sv[:k]))
+            err[np.ix_(t.indices, s.indices)] = (u[:, k:] * sv[k:]) @ vh[k:]
+            scalars += k * (t.size + s.size)
             if r < sv.size:
                 sig_next = max(sig_next, float(sv[r]))
-        h = HMatrix(binv.shape, far, near, partition)
-        est, conv = spectral_error(binv, h, tol=tol, max_iter=max_iter, seed=seed)
+        est, conv = spectral_norm(err, tol, max_iter, seed)
         bound = c_sp * (depth + 1) * sig_next
         if bound_slack is not None and est > bound * (1.0 + bound_slack):
             raise RuntimeError(
                 f"rank {r}: measured error {est:.6e} exceeds the block-to-global "
                 f"bound {bound:.6e}")
-        scalars = sum(b.X.size + b.Y.size for b in far) + sum(b.data.size for b in near)
-        rows.append(SweepRow(r, float(est), float(est / norm_b), sig_next,
-                             float(bound), int(scalars), int(c_sp), int(depth), conv))
+        rows.append(SweepRow(r, est, est / norm_b, sig_next, float(bound),
+                             int(scalars), int(c_sp), int(depth), conv and conv_b))
     return rows, binv
 
 
@@ -145,11 +141,11 @@ def _lstsq_fit(design, y):
     return sol, resid
 
 
-def block_decay_report(binv: np.ndarray, partition: BlockPartition) -> list:
-    """Per far block: dims, singular values and both decay fits."""
+def block_decay_report(partition: BlockPartition, svds: list) -> list:
+    """Per far block: dims, singular values and both decay fits, from the
+    far-block SVDs (far_svds of the inverse)."""
     out = []
-    for t, s in partition.far:
-        sv = block_svd(binv, t.indices, s.indices)
+    for (t, s), (_, sv, _) in zip(partition.far, svds):
         fit = fit_decay(np.arange(1, sv.size + 1), sv)
         out.append({
             "tau": t.id, "sigma": s.id,

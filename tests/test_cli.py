@@ -9,8 +9,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from hmaxwell import assemble_system, build_box_mesh
 from hmaxwell.cli import main
 
 
@@ -54,6 +56,15 @@ def test_assemble_writes_coordinate_text(tmp_path):
     i, j, re, im = lines[0].split()
     assert (int(i), int(j)) == (0, 0)
     float(re), float(im)
+    # only the nonzeros are written, and they rebuild A bitwise
+    a = assemble_system(build_box_mesh(2)).A
+    assert len(lines) == np.count_nonzero(a)
+    back = np.zeros_like(a)
+    for ln in lines:
+        i, j, re, im = ln.split()
+        back[int(i), int(j)] = float(re)
+        assert float(im) == 0.0
+    assert np.array_equal(back, a)
 
 
 # config handling ------------------------------------------------------------

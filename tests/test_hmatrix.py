@@ -13,6 +13,7 @@ from hmaxwell import (
     matvec,
     rmatvec,
     spectral_error,
+    spectral_norm,
     storage_stats,
     to_dense,
     truncated_svd,
@@ -98,6 +99,23 @@ def test_spectral_error_zero_for_exact_representation(small_partition):
     est, converged = spectral_error(a, h)
     assert converged
     assert est == 0.0
+    # n=1: one DOF, one (admissible) 1x1 block, below ARPACK's k=1 minimum
+    mesh = build_box_mesh(1)
+    dofmap = build_dof_map(mesh)
+    part1 = build_block_partition(build_cluster_tree(mesh, dofmap), eta=2.0)
+    one = np.array([[-2.5]])
+    assert spectral_error(one, compress_dense(one, part1, rank=1)) == (0.0, True)
+    assert spectral_error(one, compress_dense(one, part1, rank=0)) == (2.5, True)
+
+
+def test_spectral_norm_reports_arpack_convergence(rng):
+    a = rng.standard_normal((60, 40)) + 1j * rng.standard_normal((60, 40))
+    est, converged = spectral_norm(a, seed=5)
+    assert converged
+    assert abs(est - np.linalg.norm(a, 2)) <= 1e-12 * est
+    assert spectral_norm(a, seed=5) == (est, converged)  # fixed start vector
+    est, converged = spectral_norm(a, max_iter=1)
+    assert not converged and np.isnan(est)
 
 
 def test_storage_counts(small_partition, rng):

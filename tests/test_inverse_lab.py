@@ -96,6 +96,21 @@ def test_rank_sweep_errors_match_exact_svd(lab3):
     assert all(a >= b for a, b in zip(errs, errs[1:]))  # nonincreasing
 
 
+@pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
+def test_rank_sweep_norm_is_exact_residual_norm(system_cache, kappa):
+    """The Lanczos norm of the explicit residual matches LAPACK's norm of
+    binv - B_H to 1e-10 relative, for real and complex kappa."""
+    sysm = system_cache(3, kappa)
+    part = build_block_partition(
+        build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16), eta=2.0)
+    binv = dense_inverse(sysm.A)
+    rows, _ = rank_sweep(sysm.A, part, [0, 1, 2, 4, 8], binv=binv)
+    for row in rows:
+        exact = np.linalg.norm(binv - to_dense(compress_dense(binv, part, row.r)), 2)
+        assert row.converged
+        assert abs(row.abs_err - exact) <= 1e-10 * exact
+
+
 def test_rank_zero_error_is_far_part_norm(lab3):
     sysm, part, binv = lab3
     rows, _ = rank_sweep(sysm.A, part, [0], tol=1e-8, max_iter=2000, binv=binv)
