@@ -58,7 +58,7 @@ print(f"  potential of the z part: {float(np.abs(p2).max()):.3e}")
 # potential is recoverable from the edge increments alone
 from hmaxwell.fem import build_nodal_space, discrete_gradient
 
-nodal = build_nodal_space(system.mesh)
+nodal = build_nodal_space(system)
 G = discrete_gradient(system.mesh, system.dofmap, nodal)
 q = rng.standard_normal(G.shape[1])
 phi = exact_sequence_recover(system.mesh, region, G @ q, system.dofmap)

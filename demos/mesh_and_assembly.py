@@ -33,7 +33,7 @@ print("K psd check, min eigenvalue:", float(np.linalg.eigvalsh(K).min()))
 print("M pd check,  min eigenvalue:", float(np.linalg.eigvalsh(M).min()))
 
 # discrete gradients span the kernel of the curl-curl part
-nodal = build_nodal_space(mesh)
+nodal = build_nodal_space(system)
 G = discrete_gradient(mesh, system.dofmap, nodal)
 rng = np.random.default_rng(0)
 p = rng.standard_normal(G.shape[1])

@@ -100,8 +100,11 @@ def scatter(local: np.ndarray, index: np.ndarray, n: int):
 
 
 def _gather(u: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """u at the global slots index (T, k), 0 where index is -1."""
-    return np.where(index >= 0, u[np.clip(index, 0, None)], 0)
+    """u at the global slots index (T, k), 0 where index is -1; a trailing
+    column axis of u, (n, m), gives (T, k, m)."""
+    vals = u[np.clip(index, 0, None)]
+    vals[index < 0] = 0
+    return vals
 
 
 def solve_system(system: GalerkinSystem, rhs: np.ndarray) -> np.ndarray:
@@ -124,11 +127,13 @@ class NodalSpace:
     mass: np.ndarray               # (Nv, Nv)
 
 
-def build_nodal_space(mesh: Mesh) -> NodalSpace:
+def build_nodal_space(system: GalerkinSystem) -> NodalSpace:
+    """Hat functions of the interior vertices, with their stiffness and mass
+    matrices scattered from the system's element tensors."""
+    mesh, local = system.mesh, system.local
     ids = np.flatnonzero(~mesh.boundary_vertex)
     v2d = np.full(mesh.n_vertices, -1, dtype=np.int64)
     v2d[ids] = np.arange(ids.size)
-    local = element_tensors(mesh.vertices[mesh.tets])
     d = v2d[mesh.tets]
     L = scatter(local.nodal_stiffness, d, ids.size).toarray()
     Mn = scatter(local.nodal_mass, d, ids.size).toarray()
@@ -290,20 +295,24 @@ def pi_nabla_project(space: RegionNodalSpace, u: np.ndarray) -> np.ndarray:
     Returns the full-length nodal vector p with p = 0 at box-boundary
     vertices and at the pinned vertex; grad(p) restricted to the region is
     the projection. The projection is a contraction in L2 of the region.
+    A block of fields u (N, m) is projected column by column in one solve,
+    giving p (V, m).
     """
     system = space.system
     mesh = system.mesh
     tets = space.tet_ids
-    local = np.einsum("tk,tkv->tv", _gather(u, _tet_dofs(system, tets)),
+    local = np.einsum("tk...,tkv->tv...", _gather(u, _tet_dofs(system, tets)),
                       system.local.grad_mixed[tets])
-    rhs = scatter(local, space.col_of_vertex[mesh.tets[tets]], space.free_vertices.size)
-    p = np.zeros(mesh.n_vertices, dtype=u.dtype)
+    # scatter's vector sum, kept here because it carries the column axis
+    index = space.col_of_vertex[mesh.tets[tets]]
+    keep = index >= 0
+    rhs = np.zeros((space.free_vertices.size,) + u.shape[1:], dtype=local.dtype)
+    np.add.at(rhs, index[keep], local[keep])
+    p = np.zeros((mesh.n_vertices,) + u.shape[1:], dtype=u.dtype)
     if space.free_vertices.size:
-        if np.iscomplexobj(u):
-            sol = space.solver()(rhs.real) + 1j * space.solver()(rhs.imag)
-        else:
-            sol = space.solver()(rhs)
-        p[space.free_vertices] = sol
+        solve = space.solver()
+        p[space.free_vertices] = (solve(rhs.real) + 1j * solve(rhs.imag)
+                                  if np.iscomplexobj(u) else solve(rhs))
     return p
 
 

@@ -19,7 +19,7 @@ import scipy.linalg
 from .fem import (GalerkinSystem, assemble_region_matrix, build_dof_map,
                   build_nodal_space, edge_incidence, gradient_edge_coeffs,
                   pi_nabla_project, region_nodal_space, scatter)
-from .mesh import Mesh
+from .mesh import LOCAL_EDGES, Mesh
 from .whitney import element_tensors
 
 NULLSPACE_RTOL = 1e-10
@@ -73,46 +73,21 @@ def default_pairs() -> dict:
 
 # tet-box intersection ----------------------------------------------------
 
-def _tet_box_overlap(verts: np.ndarray, lo, hi, tol: float) -> bool:
-    """Positive-volume intersection test for a tet and an axis-aligned box.
-
-    Separating-axis test over the 25 candidate axes of the two convex
-    bodies (3 box normals, 4 tet face normals, 18 edge cross products);
-    the projections must overlap by more than tol on every axis, so
-    touching along a face or edge does not count.
-    """
-    c = 0.5 * (np.asarray(lo) + np.asarray(hi))
-    half = 0.5 * (np.asarray(hi) - np.asarray(lo))
-    pts = verts - c
-    for ax in range(3):
-        t_lo, t_hi = pts[:, ax].min(), pts[:, ax].max()
-        if min(half[ax], t_hi) - max(-half[ax], t_lo) <= tol:
-            return False
-    edges = [pts[b] - pts[a] for a, b in
-             ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
-    # face normals of (0,1,2), (0,1,3), (0,2,3), (1,2,3)
-    axes = [np.cross(edges[0], edges[1]), np.cross(edges[0], edges[2]),
-            np.cross(edges[1], edges[2]), np.cross(edges[3], edges[4])]
-    for e in edges:
-        for k in range(3):
-            unit = np.zeros(3)
-            unit[k] = 1.0
-            axes.append(np.cross(e, unit))
-    for a in axes:
-        norm = np.linalg.norm(a)
-        if norm < 1e-14:
-            continue
-        a = a / norm
-        proj = pts @ a
-        rad = np.abs(a) @ half
-        if min(rad, proj.max()) - max(-rad, proj.min()) <= tol:
-            return False
-    return True
+# pairs of local edges whose cross products are the normals of the faces
+# (0,1,2), (0,1,3), (0,2,3), (1,2,3)
+_FACE_EDGES = ([0, 0, 1, 3], [1, 2, 2, 4])
 
 
 def tets_intersecting_box(mesh: Mesh, lo, hi, tol: float = None) -> np.ndarray:
     """Ids of tets meeting the open box in a set of positive volume (the
-    tet set of the mesh-conforming region)."""
+    tet set of the mesh-conforming region).
+
+    Separating-axis test, batched over all candidate tets, on the 25 axes
+    of each tet-box pair: 3 box normals, 4 tet face normals and the 18
+    cross products of a tet edge with a box axis. Axes shorter than 1e-14
+    are skipped; the projections must overlap by more than tol on every
+    other axis, so touching along a face or edge does not count.
+    """
     if tol is None:
         tol = 1e-12 * mesh.length
     lo = np.asarray(lo, dtype=float)
@@ -121,8 +96,23 @@ def tets_intersecting_box(mesh: Mesh, lo, hi, tol: float = None) -> np.ndarray:
     cand = np.nonzero(
         (coords.min(axis=1) < hi[None, :] - tol).all(axis=1)
         & (coords.max(axis=1) > lo[None, :] + tol).all(axis=1))[0]
-    keep = [int(t) for t in cand if _tet_box_overlap(coords[t], lo, hi, tol)]
-    return np.asarray(keep, dtype=np.int64)
+    half = 0.5 * (hi - lo)
+    pts = coords[cand] - 0.5 * (lo + hi)           # (C, 4, 3), box-centred
+    box_gap = (np.minimum(half, pts.max(axis=1))
+               - np.maximum(-half, pts.min(axis=1)))
+    edges = np.diff(pts[:, LOCAL_EDGES], axis=2)[:, :, 0]   # (C, 6, 3)
+    axes = np.concatenate(
+        [np.cross(edges[:, _FACE_EDGES[0]], edges[:, _FACE_EDGES[1]]),
+         np.cross(edges[:, :, None, :], np.eye(3)).reshape(-1, 18, 3)],
+        axis=1)                                    # (C, 22, 3)
+    norm = np.linalg.norm(axes, axis=2)
+    live = norm >= 1e-14
+    axes /= np.where(live, norm, 1.0)[:, :, None]
+    proj = axes @ pts.transpose(0, 2, 1)           # (C, 22, 4)
+    rad = np.abs(axes) @ half
+    gap = np.minimum(rad, proj.max(axis=2)) - np.maximum(-rad, proj.min(axis=2))
+    ok = (box_gap > tol).all(axis=1) & ((gap > tol) | ~live).all(axis=1)
+    return cand[ok]
 
 
 def tets_inside_box(mesh: Mesh, lo, hi, tol: float = None) -> np.ndarray:
@@ -196,7 +186,7 @@ def harmonic_space(system: GalerkinSystem, region: BoxRegion,
         mat = system.A
         rows = _edge_constraint_dofs(system.mesh, system.dofmap, region)
     elif variant == "grad":
-        nodal = build_nodal_space(system.mesh)
+        nodal = build_nodal_space(system)
         mat = nodal.laplacian
         rows = _vertex_constraint_dofs(system.mesh, nodal, region)
     else:
@@ -305,6 +295,17 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
 
 # local Helmholtz decomposition ---------------------------------------------
 
+def _gradient_split(system: GalerkinSystem, region: BoxRegion,
+                    coeffs: np.ndarray):
+    """(conforming tets, region nodal space, p, edge coefficients of
+    grad p) for the gradient part p of coeffs on the mesh-conforming
+    region; coeffs may be one field (N,) or a block of them (N, m)."""
+    tets = region.conforming_tets(system.mesh)
+    rns = region_nodal_space(system, tets)
+    p = pi_nabla_project(rns, coeffs)
+    return tets, rns, p, gradient_edge_coeffs(system, p)
+
+
 def local_helmholtz(system: GalerkinSystem, region: BoxRegion,
                     coeffs: np.ndarray):
     """Split an edge field into z + grad(p) on the mesh-conforming region.
@@ -314,24 +315,21 @@ def local_helmholtz(system: GalerkinSystem, region: BoxRegion,
     orthogonal, so the squared norms satisfy the Pythagoras identity.
     Returns (z_coeffs, p_nodal) with p a full-length nodal vector.
     """
-    tets = region.conforming_tets(system.mesh)
-    rns = region_nodal_space(system, tets)
-    p = pi_nabla_project(rns, coeffs)
-    z = coeffs - gradient_edge_coeffs(system, p)
-    return z, p
+    _, _, p, g = _gradient_split(system, region, coeffs)
+    return coeffs - g, p
 
 
 def helmholtz_report(system: GalerkinSystem, region: BoxRegion,
                      coeffs: np.ndarray) -> dict:
     """Decompose and measure: gradient-orthogonality residual of z over
     the region's nodal test space and the Pythagoras defect."""
-    tets = region.conforming_tets(system.mesh)
-    rns = region_nodal_space(system, tets)
-    p = pi_nabla_project(rns, coeffs)
-    g = gradient_edge_coeffs(system, p)
+    mesh = system.mesh
+    tets, rns, p, g = _gradient_split(system, region, coeffs)
     z = coeffs - g
     mass = assemble_region_matrix(system, tets, "mass")
-    grad = _region_gradient_pairings(system, rns, mass @ z)
+    verts = np.unique(mesh.tets[tets])
+    verts = verts[~mesh.boundary_vertex[verts]]
+    grad = (edge_incidence(mesh, system.dofmap).T @ (mass @ z))[verts]
     norm_e2 = float(np.real(np.vdot(coeffs, mass @ coeffs)))
     norm_z2 = float(np.real(np.vdot(z, mass @ z)))
     norm_g2 = float(np.real(np.vdot(g, mass @ g)))
@@ -349,28 +347,20 @@ def helmholtz_report(system: GalerkinSystem, region: BoxRegion,
     }
 
 
-def _region_gradient_pairings(system: GalerkinSystem, rns, mass_u: np.ndarray):
-    """<u, grad hat_w> over the region for every test vertex w, given the
-    region mass matrix already applied to u."""
-    verts = rns.free_vertices
-    if rns.pinned_vertex >= 0:
-        verts = np.append(verts, rns.pinned_vertex)
-    return (edge_incidence(system.mesh, system.dofmap).T @ mass_u)[verts]
-
-
 def gradient_part_harmonic_check(system: GalerkinSystem, region: BoxRegion,
-                                 column: np.ndarray) -> float:
+                                 columns: np.ndarray) -> float:
     """Max |<grad p, grad hat_w>| over interior-supported vertices w, for
     the gradient part p of a discretely L-harmonic column; small values
-    confirm that the gradient part is itself discretely harmonic."""
+    confirm that the gradient part is itself discretely harmonic.
+
+    columns is one column (N,) or a block (N, m); a block gives the max
+    over its columns, with the region built and factored once.
+    """
     mesh = system.mesh
-    tets = region.conforming_tets(mesh)
-    rns = region_nodal_space(system, tets)
-    p = pi_nabla_project(rns, column)
-    g = gradient_edge_coeffs(system, p)
-    verts = np.unique(mesh.tets[tets])
+    tets, _, _, g = _gradient_split(system, region, columns)
+    # vertices whose hat support lies in the box lie in the region too
     ok = _supported_in_box(mesh, region, mesh.tets, mesh.n_vertices)
-    verts = verts[~mesh.boundary_vertex[verts] & ok[verts]]
+    verts = np.flatnonzero(ok & ~mesh.boundary_vertex)
     if not verts.size:
         return 0.0
     mass_g = assemble_region_matrix(system, tets, "mass") @ g

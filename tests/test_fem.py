@@ -33,7 +33,9 @@ from hmaxwell.fem import (
     discrete_gradient,
     matrix_to_coordinate_text,
     riesz_rhs,
+    scatter,
 )
+from hmaxwell.whitney import element_tensors
 from test_whitney import curl_oracle, mass_oracle
 
 
@@ -93,7 +95,7 @@ def test_curl_kills_gradients_and_a_is_symmetric(n, kappa_re, kappa_im):
     m = build_box_mesh(n)
     sysm = assemble_system(m, kappa=complex(kappa_re, kappa_im))
     assert np.array_equal(sysm.A, sysm.A.T)
-    G = discrete_gradient(m, sysm.dofmap, build_nodal_space(m))
+    G = discrete_gradient(m, sysm.dofmap, build_nodal_space(sysm))
     if G.size:
         assert np.abs(sysm.K @ G).max() <= 1e-13 * np.abs(sysm.K).max()
 
@@ -113,7 +115,7 @@ def test_region_matrices_split_the_global_ones(system_cache, rng):
 
 def test_gradients_span_the_curl_kernel(system_cache, rng):
     sysm = system_cache(3)
-    ns = build_nodal_space(sysm.mesh)
+    ns = build_nodal_space(sysm)
     G = discrete_gradient(sysm.mesh, sysm.dofmap, ns)
     p = rng.standard_normal((ns.n_dofs, 5))
     gp = G @ p
@@ -125,7 +127,7 @@ def test_gradients_span_the_curl_kernel(system_cache, rng):
 
 def test_gradient_matrix_is_signed_incidence(system_cache):
     sysm = system_cache(2)
-    ns = build_nodal_space(sysm.mesh)
+    ns = build_nodal_space(sysm)
     G = discrete_gradient(sysm.mesh, sysm.dofmap, ns)
     m = sysm.mesh
     cols = np.nonzero(G)[1]
@@ -138,9 +140,23 @@ def test_gradient_matrix_is_signed_incidence(system_cache):
                 assert G[d, c] == val
 
 
+@pytest.mark.parametrize("n", [3, 8])
+def test_nodal_space_scatters_the_system_tensors(system_cache, n):
+    """The nodal matrices come from the system's element tensors, bitwise
+    equal to scattering a fresh unsigned kernel call."""
+    sysm = system_cache(n)
+    m = sysm.mesh
+    ns = build_nodal_space(sysm)
+    local = element_tensors(m.vertices[m.tets])
+    d = ns.vertex_to_dof[m.tets]
+    assert np.array_equal(ns.laplacian,
+                          scatter(local.nodal_stiffness, d, ns.n_dofs).toarray())
+    assert np.array_equal(ns.mass, scatter(local.nodal_mass, d, ns.n_dofs).toarray())
+
+
 def test_nodal_laplacian_is_gram_of_gradients(system_cache):
     sysm = system_cache(3)
-    ns = build_nodal_space(sysm.mesh)
+    ns = build_nodal_space(sysm)
     G = discrete_gradient(sysm.mesh, sysm.dofmap, ns)
     lap = G.T @ sysm.M @ G
     assert np.abs(lap - ns.laplacian).max() < 1e-13 * np.abs(lap).max()
@@ -238,7 +254,7 @@ def test_riesz_rhs_pads_the_coefficients(system_cache, rng):
 
 def test_pi_nabla_reproduces_gradients(system_cache, rng):
     sysm = system_cache(3)
-    ns = build_nodal_space(sysm.mesh)
+    ns = build_nodal_space(sysm)
     G = discrete_gradient(sysm.mesh, sysm.dofmap, ns)
     space = region_nodal_space(sysm, np.arange(sysm.mesh.n_tets))
     q = rng.standard_normal(ns.n_dofs)

@@ -3,6 +3,8 @@ local Helmholtz splits and the exact-sequence recovery."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmaxwell import (
     BoxRegion,
@@ -90,6 +92,80 @@ def test_face_touching_tet_is_not_intersecting():
         assert not (np.any(verts.max(axis=0) <= lo) or np.any(verts.min(axis=0) >= hi))
     # exactly the 6 tets of that subcube have positive-measure overlap
     assert flagged.size == 6
+    # a flat box cutting through tets has no volume to share with them
+    assert tets_intersecting_box(m, [0.3, 0.0, 0.0], [0.3, 1.0, 1.0]).size == 0
+
+
+def _tet_box_overlap(verts, lo, hi, tol):
+    """Reference separating-axis test for one tet, axis by axis: 3 box
+    normals, 4 face normals and 18 edge x unit-axis crosses; axes shorter
+    than 1e-14 are skipped, every other overlap must exceed tol."""
+    c = 0.5 * (np.asarray(lo) + np.asarray(hi))
+    half = 0.5 * (np.asarray(hi) - np.asarray(lo))
+    pts = verts - c
+    for ax in range(3):
+        t_lo, t_hi = pts[:, ax].min(), pts[:, ax].max()
+        if min(half[ax], t_hi) - max(-half[ax], t_lo) <= tol:
+            return False
+    edges = [pts[b] - pts[a] for a, b in
+             ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
+    axes = [np.cross(edges[0], edges[1]), np.cross(edges[0], edges[2]),
+            np.cross(edges[1], edges[2]), np.cross(edges[3], edges[4])]
+    for e in edges:
+        for k in range(3):
+            unit = np.zeros(3)
+            unit[k] = 1.0
+            axes.append(np.cross(e, unit))
+    for a in axes:
+        norm = np.linalg.norm(a)
+        if norm < 1e-14:
+            continue
+        a = a / norm
+        proj = pts @ a
+        rad = np.abs(a) @ half
+        if min(rad, proj.max()) - max(-rad, proj.min()) <= tol:
+            return False
+    return True
+
+
+def reference_intersecting(mesh, lo, hi):
+    """The same candidate prefilter as the batched test, then the
+    per-tet reference on each candidate."""
+    tol = 1e-12 * mesh.length
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    coords = mesh.vertices[mesh.tets]
+    cand = np.nonzero((coords.min(axis=1) < hi - tol).all(axis=1)
+                      & (coords.max(axis=1) > lo + tol).all(axis=1))[0]
+    keep = [int(t) for t in cand if _tet_box_overlap(coords[t], lo, hi, tol)]
+    return np.asarray(keep, dtype=np.int64)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 4),
+       corners=st.lists(st.floats(-0.3, 1.3), min_size=6, max_size=6),
+       snap=st.booleans())
+def test_batched_tet_box_test_matches_per_tet_reference(mesh_cache, n, corners,
+                                                        snap):
+    """Random boxes, some sticking out of the unit cube; snapped boxes have
+    their faces on mesh planes, where contact must not count."""
+    m = mesh_cache(n)
+    a, b = np.asarray(corners[:3]), np.asarray(corners[3:])
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    if snap:
+        lo, hi = np.floor(lo * n) / n, np.ceil(hi * n) / n
+        hi = np.maximum(hi, lo + 1.0 / n)
+    got = tets_intersecting_box(m, lo, hi)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, reference_intersecting(m, lo, hi))
+
+
+def test_batched_tet_box_test_on_default_pairs(mesh_cache):
+    m = mesh_cache(8)
+    for pair in default_pairs().values():
+        for box in (pair.inner, pair.outer):
+            got = tets_intersecting_box(m, box.lo, box.hi)
+            assert got.size > 0
+            assert np.array_equal(got, reference_intersecting(m, box.lo, box.hi))
 
 
 def test_conforming_region_contains_the_box(mesh_cache):
@@ -179,7 +255,7 @@ def test_gradients_contribute_nothing_to_curl_numerator(sys3, rng):
     inner = pair.inner.inside_tets(sys3.mesh)
     assert inner.size > 0
     k_inner = assemble_region_matrix(sys3, inner, "curl")
-    ns = build_nodal_space(sys3.mesh)
+    ns = build_nodal_space(sys3)
     G = discrete_gradient(sys3.mesh, sys3.dofmap, ns)
     q = rng.standard_normal(ns.n_dofs)
     v = G @ q
@@ -220,7 +296,7 @@ def test_helmholtz_on_sub_box(sys3, rng):
 
 def test_helmholtz_reproduces_pure_gradients(sys3, rng):
     region = BoxRegion((0.5, 0.5, 0.5), 1.0)
-    ns = build_nodal_space(sys3.mesh)
+    ns = build_nodal_space(sys3)
     G = discrete_gradient(sys3.mesh, sys3.dofmap, ns)
     u = G @ rng.standard_normal(ns.n_dofs)
     z, p = local_helmholtz(sys3, region, u)
@@ -239,30 +315,42 @@ def test_helmholtz_z_part_projects_to_zero(sys3, rng):
 
 # Lemma-style gradient-part check ---------------------------------------------
 
-def test_gradient_parts_of_harmonic_columns(sys4):
+def assert_block_is_max_of_columns(sysm, region, block):
+    """One call on a block of columns equals the max of per-column calls."""
+    each = [gradient_part_harmonic_check(sysm, region, block[:, j])
+            for j in range(block.shape[1])]
+    whole = gradient_part_harmonic_check(sysm, region, block)
+    assert whole == pytest.approx(max(each), rel=1e-10, abs=1e-15)
+    return whole
+
+
+def test_gradient_parts_of_harmonic_columns(system_cache):
     region = BoxRegion((0.5, 0.5, 0.5), 0.5)
-    space = harmonic_space(sys4, region, "curl")
-    for j in range(0, space.dim, max(1, space.dim // 6)):
-        resid = gradient_part_harmonic_check(sys4, region, space.basis[:, j])
-        assert resid <= 1e-9
+    for kappa in (1.0, 1.0 + 0.5j):
+        sysm = system_cache(4, kappa)
+        space = harmonic_space(sysm, region, "curl")
+        cols = space.basis[:, ::max(1, space.dim // 6)]
+        assert np.iscomplexobj(cols) == (kappa.imag != 0)
+        assert assert_block_is_max_of_columns(sysm, region, cols) <= 1e-9
 
 
-def test_gradient_part_negative_control(sys4, rng):
+def test_gradient_part_negative_control(system_cache, rng):
     """Generic fields are nowhere near discretely harmonic."""
     region = BoxRegion((0.5, 0.5, 0.5), 0.5)
-    vals = []
-    for _ in range(5):
-        u = rng.standard_normal(sys4.n_dofs)
-        u /= np.linalg.norm(u)
-        vals.append(gradient_part_harmonic_check(sys4, region, u))
-    assert max(vals) > 1e-4
+    for kappa in (1.0, 1.0 + 0.5j):
+        sysm = system_cache(4, kappa)
+        u = rng.standard_normal((sysm.n_dofs, 5))
+        if np.iscomplexobj(sysm.A):
+            u = u + 1j * rng.standard_normal(u.shape)
+        u /= np.linalg.norm(u, axis=0)
+        assert assert_block_is_max_of_columns(sysm, region, u) > 1e-4
 
 
 # exact sequence --------------------------------------------------------------
 
 def test_recover_inverts_the_gradient(sys4, rng):
     region = BoxRegion((0.45, 0.45, 0.45), 0.6)
-    ns = build_nodal_space(sys4.mesh)
+    ns = build_nodal_space(sys4)
     G = discrete_gradient(sys4.mesh, sys4.dofmap, ns)
     for _ in range(5):
         q = rng.standard_normal(ns.n_dofs)
