@@ -33,8 +33,7 @@ print(f"{len(partition.far)} admissible blocks, {len(partition.near)} "
       f"near blocks, C_sp = {sparsity_constant(partition)}")
 
 binv = dense_inverse(system.A)
-rows, _ = rank_sweep(system.A, partition, RANKS, seed=0, binv=binv,
-                     bound_slack=None)
+rows = rank_sweep(binv, partition, RANKS, seed=0)
 
 print(f"\n{'r':>3} {'rel err':>12} {'abs err':>12} {'bound':>12} "
       f"{'scalars':>9}")

@@ -20,12 +20,11 @@ from .harmonic import (BoxRegion, CaccioppoliResult, ConcentricPair,
                        gradient_part_harmonic_check, harmonic_space,
                        helmholtz_report, local_helmholtz,
                        tets_inside_box, tets_intersecting_box)
-from .hmatrix import (DenseBlock, HMatrix, LowRankBlock, StorageStats,
-                      compress_adaptive, compress_dense, far_svds, matvec,
-                      rmatvec, spectral_error, spectral_norm, storage_stats,
+from .hmatrix import (DenseBlock, HMatrix, LowRankBlock, compress_dense,
+                      far_svds, matvec, rmatvec, spectral_error, spectral_norm,
                       to_dense, truncated_svd)
-from .inverse_lab import (DecayFit, SweepRow, block_svd, dense_inverse,
-                          fit_decay, rank_sweep, theorem_transfer_check)
+from .inverse_lab import (DecayFit, SweepRow, dense_inverse, fit_decay,
+                          rank_sweep, theorem_transfer_check)
 from .mesh import (Mesh, build_box_mesh, conformity_report,
                    shape_regularity_constant, support_tets)
 from .whitney import (LOCAL_EDGES, ElementTensors, TetElement, element_tensors,

@@ -210,8 +210,8 @@ def check_bound(rows, slack: float = 1e-6) -> CheckResult:
     if not rows:
         return CheckResult("block-to-global spectral bound", True, 0.0, slack,
                            "no far blocks to bound")
-    worst = max((row.abs_err / row.bound_value if row.bound_value > 0
-                 else float(row.abs_err > 0)) for row in rows)
+    worst = max(row.abs_err / row.bound_value if row.bound_value > 0
+                else float("inf") if row.abs_err > 0 else 0.0 for row in rows)
     return CheckResult("block-to-global spectral bound", worst <= 1.0 + slack,
                        worst, 1.0 + slack, f"{len(rows)} ranks")
 

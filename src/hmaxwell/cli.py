@@ -4,7 +4,8 @@ Verbs: mesh-info, assemble, rank-sweep, block-svd, caccioppoli, helmholtz,
 commuting-check, dual-basis-check, verify. A JSON config file can set any
 option; explicit flags win over the file, the file wins over defaults.
 
-Exit codes: 0 ok, 1 check failure, 2 config error, 3 resource limit.
+Exit codes: 0 ok; 1 check failure (a failed check, or a numeric guard such
+as dense_inverse's conditioning test); 2 config error; 3 resource limit.
 
 Every run writes its artifacts into a per-experiment subdirectory of
 --out together with a manifest (config echo, timings, file checksums).
@@ -30,7 +31,7 @@ from .checks import (CheckResult, check_bound, check_commuting,
                      default_tolerances)
 from .cluster import (build_block_partition, build_cluster_tree,
                       partition_to_dict)
-from .fem import (assemble_system, dual_basis, dual_norms,
+from .fem import (assemble_system, build_dof_map, dual_basis, dual_norms,
                   matrix_to_coordinate_text)
 from .harmonic import (caccioppoli_ratio, constraint_residual, default_pairs,
                        harmonic_space, helmholtz_report)
@@ -42,10 +43,6 @@ from .report import RunManifest, svg_decay_plot, write_csv, write_json
 
 
 class ConfigError(Exception):
-    pass
-
-
-class CheckFailure(Exception):
     pass
 
 
@@ -98,18 +95,16 @@ def load_config(args) -> dict:
             if key == "tolerances":
                 if not isinstance(val, dict):
                     raise ConfigError("tolerances must be an object")
-                cfg["tolerances"].update({k: float(v) for k, v in val.items()})
+                cfg["tolerances"].update(val)
             else:
                 cfg[key] = val
     for key in ("n", "kappa_re", "kappa_im", "eta", "n_leaf", "seed",
-                "out", "name"):
+                "out", "name", "dense_limit"):
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
     if getattr(args, "ranks", None) is not None:
         cfg["ranks"] = parse_ranks(args.ranks)
-    if getattr(args, "dense_limit", None) is not None:
-        cfg["dense_limit"] = args.dense_limit
     validate_config(cfg)
     return cfg
 
@@ -125,6 +120,7 @@ def validate_config(cfg: dict):
         cfg["seed"] = int(cfg["seed"])
         cfg["dense_limit"] = int(cfg["dense_limit"])
         cfg["ranks"] = [int(r) for r in cfg["ranks"]]
+        cfg["tolerances"] = {k: float(v) for k, v in cfg["tolerances"].items()}
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad config value: {exc}")
     if cfg["n"] < 1:
@@ -181,9 +177,16 @@ class Runner:
         return out
 
 
+def build_system(cfg: dict):
+    """The assembled Galerkin system on the configured mesh."""
+    return assemble_system(build_box_mesh(cfg["n"], cfg["length"]),
+                           kappa=kappa_of(cfg))
+
+
 def build_pipeline(cfg: dict, need_inverse: bool = False):
-    mesh = build_box_mesh(cfg["n"], cfg["length"])
-    system = assemble_system(mesh, kappa=kappa_of(cfg))
+    """(mesh, system, cluster tree, block partition, dense inverse or None)."""
+    system = build_system(cfg)
+    mesh = system.mesh
     tree = build_cluster_tree(mesh, system.dofmap, n_leaf=cfg["n_leaf"])
     partition = build_block_partition(tree, eta=cfg["eta"])
     binv = None
@@ -196,13 +199,19 @@ def build_pipeline(cfg: dict, need_inverse: bool = False):
     return mesh, system, tree, partition, binv
 
 
+def verdict(results) -> int:
+    """Print every check's line; exit code 0 when all pass, 1 otherwise."""
+    for res in results:
+        print(res.line())
+    return 0 if all(res.passed for res in results) else 1
+
+
 # verbs ----------------------------------------------------------------------
 
 def cmd_mesh_info(cfg: dict) -> int:
     run = Runner("mesh-info", cfg)
     run.phase("build")
     mesh = build_box_mesh(cfg["n"], cfg["length"])
-    system = assemble_system(mesh, kappa=kappa_of(cfg))
     conf = conformity_report(mesh)
     info = {
         "n": mesh.n,
@@ -211,7 +220,7 @@ def cmd_mesh_info(cfg: dict) -> int:
         "n_vertices": mesh.n_vertices,
         "n_tets": mesh.n_tets,
         "n_edges": mesh.n_edges,
-        "n_dofs": system.n_dofs,
+        "n_dofs": build_dof_map(mesh).n_dofs,
         "n_boundary_edges": int(mesh.boundary_edge.sum()),
         "shape_regularity": shape_regularity_constant(mesh),
         "conformity": conf,
@@ -228,8 +237,7 @@ def cmd_mesh_info(cfg: dict) -> int:
 def cmd_assemble(cfg: dict) -> int:
     run = Runner("assemble", cfg)
     run.phase("assemble")
-    mesh = build_box_mesh(cfg["n"], cfg["length"])
-    system = assemble_system(mesh, kappa=kappa_of(cfg))
+    system = build_system(cfg)
     run.phase("write")
     p1 = run.path("A.txt")
     with open(p1, "w", encoding="utf-8", newline="\n") as f:
@@ -238,7 +246,7 @@ def cmd_assemble(cfg: dict) -> int:
         "N": system.n_dofs,
         "kappa": {"re": cfg["kappa_re"], "im": cfg["kappa_im"]},
         "h": system.h,
-        "n": mesh.n,
+        "n": system.mesh.n,
     }
     p2 = write_json(run.path("system.json"), meta)
     print(f"assembled N = {system.n_dofs}, h = {system.h:.6f}")
@@ -251,8 +259,7 @@ def cmd_rank_sweep(cfg: dict) -> int:
     run.phase("assemble")
     mesh, system, tree, partition, binv = build_pipeline(cfg, need_inverse=True)
     run.phase("sweep")
-    rows, binv = rank_sweep(system.A, partition, cfg["ranks"], seed=cfg["seed"],
-                            binv=binv, bound_slack=cfg["tolerances"]["bound_slack"])
+    rows = rank_sweep(binv, partition, cfg["ranks"], seed=cfg["seed"])
     run.phase("fit")
     fit = fit_decay([row.r for row in rows], [row.rel_err for row in rows])
     run.phase("write")
@@ -280,8 +287,9 @@ def cmd_rank_sweep(cfg: dict) -> int:
     if not fit.skipped:
         print(f"root-exponential fit b = {fit.b:.4f}, "
               f"exponential fit q = {fit.q:.4f}")
+    code = verdict([check_bound(rows, cfg["tolerances"]["bound_slack"])])
     run.finish(p1, p2, p3)
-    return 0
+    return code
 
 
 def cmd_block_svd(cfg: dict) -> int:
@@ -333,10 +341,9 @@ def cmd_block_svd(cfg: dict) -> int:
 def cmd_caccioppoli(cfg: dict) -> int:
     run = Runner("caccioppoli", cfg)
     run.phase("assemble")
-    mesh = build_box_mesh(cfg["n"], cfg["length"])
-    system = assemble_system(mesh, kappa=kappa_of(cfg))
+    system = build_system(cfg)
     run.phase("solve")
-    out = {"n": mesh.n, "h": mesh.h, "pairs": {}}
+    out = {"n": system.mesh.n, "h": system.mesh.h, "pairs": {}}
     for label, pair in default_pairs().items():
         entry = {}
         for variant in ("curl", "grad"):
@@ -367,14 +374,13 @@ def cmd_caccioppoli(cfg: dict) -> int:
 def cmd_helmholtz(cfg: dict) -> int:
     run = Runner("helmholtz", cfg)
     run.phase("assemble")
-    mesh = build_box_mesh(cfg["n"], cfg["length"])
-    system = assemble_system(mesh, kappa=kappa_of(cfg))
+    system = build_system(cfg)
     rng = np.random.default_rng(cfg["seed"])
     coeffs = rng.standard_normal(system.n_dofs)
     if np.iscomplexobj(system.A):
         coeffs = coeffs + 1j * rng.standard_normal(system.n_dofs)
     run.phase("solve")
-    out = {"n": mesh.n, "seed": cfg["seed"], "regions": {}}
+    out = {"n": system.mesh.n, "seed": cfg["seed"], "regions": {}}
     for label, pair in default_pairs().items():
         rep = helmholtz_report(system, pair.outer, coeffs)
         rep = {k: v for k, v in rep.items() if k not in ("z", "p")}
@@ -392,35 +398,33 @@ def cmd_commuting_check(cfg: dict) -> int:
     run = Runner("commuting-check", cfg)
     run.phase("check")
     res = check_commuting(tol=cfg["tolerances"]["commuting"], seed=cfg["seed"])
-    print(res.line())
+    code = verdict([res])
     run.phase("write")
     p1 = write_json(run.path("commuting.json"), res)
     run.finish(p1)
-    return 0 if res.passed else 1
+    return code
 
 
 def cmd_dual_basis_check(cfg: dict) -> int:
     run = Runner("dual-basis-check", cfg)
     run.phase("assemble")
-    mesh = build_box_mesh(cfg["n"], cfg["length"])
-    system = assemble_system(mesh, kappa=kappa_of(cfg))
+    system = build_system(cfg)
     run.phase("check")
     bio = check_dual_biorthogonality(system,
                                      tol=cfg["tolerances"]["biorthogonality"])
     scaling = check_dual_norm_scaling(factor=cfg["tolerances"]["dual_norm_factor"])
-    norms = dual_norms(system, dual_basis(mesh, system.dofmap))
-    print(bio.line())
-    print(scaling.line())
+    norms = dual_norms(system, dual_basis(system.mesh, system.dofmap))
+    code = verdict([bio, scaling])
     run.phase("write")
     p1 = write_json(run.path("dual_basis.json"), {
-        "n": mesh.n,
+        "n": system.mesh.n,
         "biorthogonality": bio,
         "norm_scaling": scaling,
         "max_norm": float(norms.max()),
         "min_norm": float(norms.min()),
     })
     run.finish(p1)
-    return 0 if bio.passed and scaling.passed else 1
+    return code
 
 
 def cmd_verify(cfg: dict) -> int:
@@ -440,8 +444,7 @@ def cmd_verify(cfg: dict) -> int:
     results.append(check_dual_biorthogonality(system, tol["biorthogonality"]))
     results.append(check_dual_norm_scaling(factor=tol["dual_norm_factor"]))
     run.phase("sweep")
-    rows, _ = rank_sweep(system.A, partition, cfg["ranks"], seed=cfg["seed"],
-                         binv=binv, bound_slack=None)
+    rows = rank_sweep(binv, partition, cfg["ranks"], seed=cfg["seed"])
     results.append(check_bound(rows, tol["bound_slack"]))
     run.phase("transfer")
     results.append(check_transfer(system, partition, binv, tol["transfer"],
@@ -466,8 +469,7 @@ def cmd_verify(cfg: dict) -> int:
                                         tol["exact_sequence"],
                                         seed=cfg["seed"]))
     run.phase("write")
-    for res in results:
-        print(res.line())
+    code = verdict(results)
     failures = [res.name for res in results if not res.passed]
     p1 = write_json(run.path("verify.json"), {
         "n": mesh.n,
@@ -479,9 +481,9 @@ def cmd_verify(cfg: dict) -> int:
     run.finish(p1)
     if failures:
         print(f"{len(failures)} check(s) failed: " + "; ".join(failures))
-        return 1
-    print("all checks passed")
-    return 0
+    else:
+        print("all checks passed")
+    return code
 
 
 COMMANDS = {
@@ -547,12 +549,10 @@ def main(argv=None) -> int:
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
-    except CheckFailure as exc:
+    except ValueError as exc:
+        # bad config raised ConfigError above: this is a numeric guard
         print(f"check failure: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

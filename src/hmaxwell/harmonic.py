@@ -239,8 +239,8 @@ class CaccioppoliResult:
     r: float
 
 
-def caccioppoli_ratio(space: HarmonicSpace, pair: ConcentricPair,
-                      variant: str = None) -> CaccioppoliResult:
+def caccioppoli_ratio(space: HarmonicSpace,
+                      pair: ConcentricPair) -> CaccioppoliResult:
     """Worst ratio (energy on the inner box) / (triple norm on the outer
     mesh-conforming region) over the harmonic space.
 
@@ -249,9 +249,6 @@ def caccioppoli_ratio(space: HarmonicSpace, pair: ConcentricPair,
     gradients. Solved as a generalized symmetric eigenproblem restricted
     to the basis. An empty basis or empty inner region gives ratio 0.
     """
-    variant = variant or space.variant
-    if variant != space.variant:
-        raise ValueError("variant does not match the space")
     system = space.system
     mesh = system.mesh
     inner = pair.inner.inside_tets(mesh)
@@ -259,7 +256,7 @@ def caccioppoli_ratio(space: HarmonicSpace, pair: ConcentricPair,
     r_out = (1.0 + pair.eps) * pair.r
     w_curl = (system.h / r_out) ** 2
     w_mass = 1.0 / r_out ** 2
-    if variant == "curl":
+    if space.variant == "curl":
         num = assemble_region_matrix(system, inner, "curl")
         den = (w_curl * assemble_region_matrix(system, outer, "curl")
                + w_mass * assemble_region_matrix(system, outer, "mass"))
@@ -270,8 +267,8 @@ def caccioppoli_ratio(space: HarmonicSpace, pair: ConcentricPair,
         den = w_curl * k_out + w_mass * m_out
     hyp = (system.h / pair.r) < pair.eps / 4.0
     if space.dim == 0:
-        return CaccioppoliResult(0.0, 0.0, variant, 0, inner.size, outer.size,
-                                 hyp, False, pair.eps, pair.r)
+        return CaccioppoliResult(0.0, 0.0, space.variant, 0, inner.size,
+                                 outer.size, hyp, False, pair.eps, pair.r)
     b = space.basis
     num_b = _hermitize(b.conj().T @ (num @ b))
     den_b = _hermitize(b.conj().T @ (den @ b))
@@ -284,7 +281,7 @@ def caccioppoli_ratio(space: HarmonicSpace, pair: ConcentricPair,
     w = scipy.linalg.eigh(num_b, den_b, eigvals_only=True)
     ratio = float(max(w.max(), 0.0))
     return CaccioppoliResult(ratio, ratio * pair.eps / (1.0 + pair.eps),
-                             variant, space.dim, inner.size, outer.size,
+                             space.variant, space.dim, inner.size, outer.size,
                              hyp, regularized, pair.eps, pair.r)
 
 

@@ -2,17 +2,17 @@
 
 Far (admissible) blocks hold truncated-SVD factors X Y^H with orthonormal
 columns in X, which is the spectral-norm-optimal rank-r approximation of the
-block. Near blocks are stored dense and exactly. The format supports matvec,
-its conjugate transpose and storage accounting. Every spectral norm in the
-package, of a dense matrix or of the approximation error against a dense
-source, comes from one Lanczos helper, spectral_norm.
+block. Near blocks are stored dense and exactly. The format supports matvec
+and its conjugate transpose. Every spectral norm in the package, of a dense
+matrix or of the approximation error against a dense source, comes from one
+Lanczos helper, spectral_norm.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import BlockPartition, sparsity_constant
+from .cluster import BlockPartition
 
 
 @dataclass
@@ -40,16 +40,6 @@ class HMatrix:
     far: list
     near: list
     partition: BlockPartition
-
-
-@dataclass
-class StorageStats:
-    scalars_far: int
-    scalars_near: int
-    scalar_count: int
-    bytes_far: int
-    bytes_near: int
-    bound_scalars: int  # C_sp * (depth + 1) * r_max * N
 
 
 def truncated_svd(block: np.ndarray, rank: int):
@@ -83,20 +73,9 @@ def compress_dense(dense: np.ndarray, partition: BlockPartition, rank: int,
     if rank < 0:
         raise ValueError("rank must be >= 0")
     svds = far_svds(dense, partition) if svds is None else svds
-    return _truncate(dense, partition, svds, [rank] * len(svds))
-
-
-def compress_adaptive(dense: np.ndarray, partition: BlockPartition, tol: float) -> HMatrix:
-    """Per-block rank chosen as the smallest r with sigma_{r+1} <= tol*sigma_1."""
-    svds = far_svds(dense, partition)
-    ranks = [int((sv > tol * sv[0]).sum()) if sv.size and sv[0] > 0 else 0
-             for _, sv, _ in svds]
-    return _truncate(dense, partition, svds, ranks)
-
-
-def _truncate(dense, partition, svds, ranks) -> HMatrix:
-    far = [LowRankBlock(t.indices, s.indices, u[:, :r], (vh[:r].conj().T) * sv[:r])
-           for (t, s), (u, sv, vh), r in zip(partition.far, svds, ranks)]
+    far = [LowRankBlock(t.indices, s.indices, u[:, :rank],
+                        (vh[:rank].conj().T) * sv[:rank])
+           for (t, s), (u, sv, vh) in zip(partition.far, svds)]
     near = [DenseBlock(t.indices, s.indices, dense[np.ix_(t.indices, s.indices)])
             for t, s in partition.near]
     return HMatrix(dense.shape, far, near, partition)
@@ -171,20 +150,6 @@ def spectral_error(dense: np.ndarray, h: HMatrix, tol: float = 1e-10,
     if np.linalg.norm(res) <= floor:
         return 0.0, True
     return spectral_norm(res, tol, max_iter, seed)
-
-
-def storage_stats(h: HMatrix) -> StorageStats:
-    scal_far = sum(b.X.size + b.Y.size for b in h.far)
-    scal_near = sum(b.data.size for b in h.near)
-    bytes_far = sum(b.X.nbytes + b.Y.nbytes for b in h.far)
-    bytes_near = sum(b.data.nbytes for b in h.near)
-    r_max = max((b.rank for b in h.far), default=0)
-    c_sp = sparsity_constant(h.partition)
-    depth = h.partition.tree.depth
-    n = h.shape[0]
-    return StorageStats(int(scal_far), int(scal_near), int(scal_far + scal_near),
-                        int(bytes_far), int(bytes_near),
-                        int(c_sp * (depth + 1) * r_max * n))
 
 
 def hmatrix_manifest(h: HMatrix) -> dict:

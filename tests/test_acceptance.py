@@ -50,8 +50,7 @@ def sweep5():
     tree = build_cluster_tree(mesh, system.dofmap, n_leaf=32)
     partition = build_block_partition(tree, eta=2.0)
     binv = dense_inverse(system.A)
-    rows, _ = rank_sweep(system.A, partition, RANKS, seed=0, binv=binv,
-                         bound_slack=None)
+    rows = rank_sweep(binv, partition, RANKS, seed=0)
     fit = fit_decay([r.r for r in rows], [r.rel_err for r in rows])
     elapsed = time.perf_counter() - t0
     return {"system": system, "partition": partition, "rows": rows,

@@ -8,6 +8,7 @@ import pytest
 from hmaxwell import assemble_system, build_box_mesh
 from hmaxwell.checks import (
     CheckResult,
+    check_bound,
     check_commuting,
     check_dual_biorthogonality,
     check_dual_norm_scaling,
@@ -15,6 +16,7 @@ from hmaxwell.checks import (
     check_symmetry,
     default_tolerances,
 )
+from hmaxwell.inverse_lab import SweepRow
 from hmaxwell.report import (
     RunManifest,
     jsonable,
@@ -28,6 +30,17 @@ from hmaxwell.report import (
 @pytest.fixture(scope="module")
 def sys2():
     return assemble_system(build_box_mesh(2))
+
+
+def test_check_bound_judges_every_row():
+    def row(abs_err, bound):
+        return SweepRow(1, abs_err, abs_err, bound, bound, 0, 1, 1, True)
+    assert check_bound([row(0.5, 1.0), row(1.0, 1.0)], slack=0.0).passed
+    assert not check_bound([row(0.5, 1.0), row(1.1, 1.0)], slack=0.0).passed
+    assert check_bound([row(1.1, 1.0)], slack=0.2).passed
+    assert check_bound([row(0.0, 0.0)]).passed  # exact at full rank
+    assert not check_bound([row(1e-3, 0.0)]).passed  # no bound to meet
+    assert check_bound([]).passed
 
 
 def test_check_result_line_format():

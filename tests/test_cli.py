@@ -5,15 +5,19 @@ to inspect; one test goes through `python3 -m hmaxwell` to cover the real
 entry point.
 """
 
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from hmaxwell import assemble_system, build_box_mesh
-from hmaxwell.cli import main
+from hmaxwell.cli import build_parser, build_pipeline, load_config, main
 
 
 def run_cli(*argv):
@@ -91,6 +95,14 @@ def test_bad_ranks_string_rejected(tmp_path, capsys):
     assert "ranks" in capsys.readouterr().err
 
 
+def test_non_numeric_tolerance_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerances": {"commuting": "tight"}}))
+    code = run_cli("commuting-check", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_flags_override_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 3, "seed": 5}))
@@ -117,6 +129,31 @@ def test_tampered_tolerance_fails_check(tmp_path):
                    "--out", str(tmp_path), "--name", "t") == 1
     payload = json.loads((tmp_path / "t" / "commuting.json").read_text())
     assert payload["passed"] is False
+
+
+def test_numeric_guard_is_check_failure(tmp_path, capsys):
+    """kappa at a discrete eigenvalue is a valid config whose system is
+    singular: dense_inverse's guard reports it as a check failure."""
+    sysm = assemble_system(build_box_mesh(2))
+    w = eigh(sysm.K, sysm.M, eigvals_only=True)
+    bad = float(w[np.argmax(w > 1e-8)])  # smallest nonzero pencil eigenvalue
+    code = run_cli("rank-sweep", "--n", "2", "--kappa-re", repr(bad),
+                   "--out", str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "ill-conditioned" in err
+    assert "config error" not in err
+
+
+def test_rank_sweep_bound_violation_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerances": {"bound_slack": -0.9999}}))
+    code = run_cli("rank-sweep", "--n", "2", "--n-leaf", "8", "--ranks", "1,2,4",
+                   "--config", str(cfg), "--out", str(tmp_path), "--name", "rs")
+    assert code == 1
+    assert "FAIL block-to-global spectral bound" in capsys.readouterr().out
+    for fname in ("sweep.csv", "fit.json", "manifest.json"):
+        assert (tmp_path / "rs" / fname).exists()
 
 
 # experiment verbs ------------------------------------------------------------
@@ -177,9 +214,18 @@ def test_block_svd_stores_factors(tmp_path):
 
 # determinism ------------------------------------------------------------------
 
-def test_rerun_is_byte_identical(tmp_path):
-    argv = ["rank-sweep", "--n", "2", "--n-leaf", "8", "--ranks", "1,2,4",
-            "--seed", "0", "--name", "same"]
+RERUN_ARGV = {
+    "rank-sweep": ["--n", "2", "--n-leaf", "8", "--ranks", "1,2,4"],
+    "block-svd": ["--n", "2", "--n-leaf", "8", "--ranks", "1,2,4"],
+    "caccioppoli": ["--n", "3"],
+    "helmholtz": ["--n", "3", "--kappa-im", "0.5"],
+    "verify": ["--n", "2", "--n-leaf", "8", "--ranks", "1,2,4"],
+}
+
+
+@pytest.mark.parametrize("verb", list(RERUN_ARGV))
+def test_rerun_is_byte_identical(tmp_path, verb):
+    argv = [verb, *RERUN_ARGV[verb], "--seed", "0", "--name", "same"]
     assert main(argv + ["--out", str(tmp_path / "one")]) == 0
     assert main(argv + ["--out", str(tmp_path / "two")]) == 0
     d1, d2 = tmp_path / "one" / "same", tmp_path / "two" / "same"
@@ -192,3 +238,30 @@ def test_rerun_is_byte_identical(tmp_path):
     m1 = json.loads((d1 / "manifest.json").read_text())
     m2 = json.loads((d2 / "manifest.json").read_text())
     assert m1["files"] == m2["files"]  # checksums cover every data file
+
+
+# benchmark hooks ----------------------------------------------------------------
+
+def test_benchmark_hooks_exist():
+    """bench/tracing.py wraps these names by getattr and bench/make_reference.py
+    unpacks build_pipeline's 5-tuple; deleting API must break neither."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [(module, name) for module, names in tracing.SPAN_TARGETS.values()
+               for name in names]
+    targets += [pair for pairs in tracing.GROUPED_SPANS.values() for pair in pairs]
+    for owner_path, name in targets:
+        if not owner_path.startswith("hmaxwell"):
+            continue
+        module, _, cls = owner_path.partition(":")
+        owner = importlib.import_module(module)
+        owner = getattr(owner, cls) if cls else owner
+        assert hasattr(owner, name), f"{owner_path}.{name}"
+    element = importlib.import_module("hmaxwell.whitney").TetElement
+    for methods in tracing.WHITNEY_COUNTS.values():
+        for meth in methods:
+            assert hasattr(element, meth), f"TetElement.{meth}"
+    cfg = load_config(build_parser().parse_args(["rank-sweep", "--n", "2"]))
+    assert len(build_pipeline(cfg)) == 5

@@ -8,13 +8,11 @@ from hmaxwell import (
     build_block_partition,
     build_box_mesh,
     build_cluster_tree,
-    compress_adaptive,
     compress_dense,
     matvec,
     rmatvec,
     spectral_error,
     spectral_norm,
-    storage_stats,
     to_dense,
     truncated_svd,
 )
@@ -116,36 +114,6 @@ def test_spectral_norm_reports_arpack_convergence(rng):
     assert spectral_norm(a, seed=5) == (est, converged)  # fixed start vector
     est, converged = spectral_norm(a, max_iter=1)
     assert not converged and np.isnan(est)
-
-
-def test_storage_counts(small_partition, rng):
-    part, n = small_partition
-    a = rng.standard_normal((n, n))
-    r = 5
-    h = compress_dense(a, part, rank=r)
-    stats = storage_stats(h)
-    far = sum(min(r, min(t.size, s.size)) * (t.size + s.size)
-              for t, s in part.far)
-    near = sum(t.size * s.size for t, s in part.near)
-    assert stats.scalars_far == far
-    assert stats.scalars_near == near
-    assert stats.scalar_count == far + near
-    assert stats.scalar_count <= near + stats.bound_scalars
-
-
-def test_adaptive_rank_selection(small_partition, rng):
-    part, n = small_partition
-    a = rng.standard_normal((n, n))
-    tol = 1e-2
-    h = compress_adaptive(a, part, tol)
-    for (t, s), b in zip(part.far, h.far):
-        sub = a[np.ix_(t.indices, s.indices)]
-        sv = svdvals(sub)
-        r = b.rank
-        if r < sv.size:
-            assert sv[r] <= tol * sv[0]
-        if r > 0:
-            assert sv[r - 1] > tol * sv[0]
 
 
 def test_manifest_structure(small_partition, rng):

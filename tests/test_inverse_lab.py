@@ -6,7 +6,6 @@ from scipy.linalg import eigh, svdvals
 
 from hmaxwell import (
     assemble_system,
-    block_svd,
     build_block_partition,
     build_box_mesh,
     build_cluster_tree,
@@ -59,20 +58,10 @@ def test_dense_inverse_rejects_near_singular(mesh_cache):
         dense_inverse(sick.A)
 
 
-def test_block_svd_matches_direct(lab3, rng):
-    _, part, binv = lab3
-    t, s = part.far[0] if part.far else part.near[0]
-    sv = block_svd(binv, t.indices, s.indices)
-    direct = svdvals(binv[np.ix_(t.indices, s.indices)])
-    assert np.allclose(sv, direct, atol=1e-12)
-
-
 def test_rank_sweep_errors_match_exact_svd(lab3):
-    sysm, part, binv = lab3
+    _, part, binv = lab3
     r_list = [0, 1, 2, 4, 8]
-    rows, binv_out = rank_sweep(sysm.A, part, r_list, tol=1e-8,
-                                max_iter=2000, binv=binv)
-    assert binv_out is binv
+    rows = rank_sweep(binv, part, r_list)
     assert [row.r for row in rows] == sorted(r_list)
     norm_b = np.linalg.norm(binv, 2)
     for row in rows:
@@ -104,7 +93,7 @@ def test_rank_sweep_norm_is_exact_residual_norm(system_cache, kappa):
     part = build_block_partition(
         build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16), eta=2.0)
     binv = dense_inverse(sysm.A)
-    rows, _ = rank_sweep(sysm.A, part, [0, 1, 2, 4, 8], binv=binv)
+    rows = rank_sweep(binv, part, [0, 1, 2, 4, 8])
     for row in rows:
         exact = np.linalg.norm(binv - to_dense(compress_dense(binv, part, row.r)), 2)
         assert row.converged
@@ -112,18 +101,12 @@ def test_rank_sweep_norm_is_exact_residual_norm(system_cache, kappa):
 
 
 def test_rank_zero_error_is_far_part_norm(lab3):
-    sysm, part, binv = lab3
-    rows, _ = rank_sweep(sysm.A, part, [0], tol=1e-8, max_iter=2000, binv=binv)
+    _, part, binv = lab3
+    rows = rank_sweep(binv, part, [0])
     far_part = np.zeros_like(binv)
     for t, s in part.far:
         far_part[np.ix_(t.indices, s.indices)] = binv[np.ix_(t.indices, s.indices)]
     assert abs(rows[0].abs_err - np.linalg.norm(far_part, 2)) < 1e-6
-
-
-def test_rank_sweep_without_bound_assertion(lab3):
-    sysm, part, binv = lab3
-    rows, _ = rank_sweep(sysm.A, part, [2], binv=binv, bound_slack=None)
-    assert rows[0].r == 2
 
 
 # decay fits ----------------------------------------------------------------
