@@ -95,6 +95,9 @@ def load_config(args) -> dict:
             if key == "tolerances":
                 if not isinstance(val, dict):
                     raise ConfigError("tolerances must be an object")
+                unknown = sorted(set(val) - set(cfg["tolerances"]))
+                if unknown:
+                    raise ConfigError(f"unknown tolerance key(s) {unknown}")
                 cfg["tolerances"].update(val)
             else:
                 cfg[key] = val
@@ -264,10 +267,11 @@ def cmd_rank_sweep(cfg: dict) -> int:
     fit = fit_decay([row.r for row in rows], [row.rel_err for row in rows])
     run.phase("write")
     p1 = write_csv(run.path("sweep.csv"),
-                   ["r", "abs_err", "rel_err", "max_block_sigma",
+                   ["r", "abs_err", "fro_upper", "rel_err", "max_block_sigma",
                     "bound_value", "scalars", "converged"],
-                   [(row.r, row.abs_err, row.rel_err, row.max_block_sigma,
-                     row.bound_value, row.scalars, row.converged) for row in rows])
+                   [(row.r, row.abs_err, row.fro_upper, row.rel_err,
+                     row.max_block_sigma, row.bound_value, row.scalars,
+                     row.converged) for row in rows])
     p2 = write_json(run.path("fit.json"), {
         "fit": fit,
         "n": mesh.n,
@@ -356,7 +360,6 @@ def cmd_caccioppoli(cfg: dict) -> int:
                 "n_inner_tets": res.n_inner_tets,
                 "n_outer_tets": res.n_outer_tets,
                 "hypothesis_satisfied": res.hypothesis_satisfied,
-                "regularized": res.regularized,
                 "constraint_residual": constraint_residual(space),
                 "n_constraints": int(space.constraint_rows.size),
             }

@@ -11,7 +11,7 @@ norms use the conforming set, so measured Caccioppoli ratios can only
 shrink relative to the exact box integrals and the bound stays valid.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -131,43 +131,46 @@ def tets_inside_box(mesh: Mesh, lo, hi, tol: float = None) -> np.ndarray:
 
 @dataclass
 class HarmonicSpace:
+    """The locally harmonic space on a region: null(matrix[R][:, O]) on the
+    DOFs O of the region's conforming tets, which hold every tet of a
+    constraint row's support, plus every coordinate off O."""
     system: GalerkinSystem
     region: BoxRegion
     variant: str                 # "curl" | "grad"
-    basis: np.ndarray            # (N, dim) orthonormal columns
-    constraint_rows: np.ndarray  # row indices whose residual must vanish
-    singular_values: np.ndarray = field(repr=False, default=None)
-    nodal_space: object = field(repr=False, default=None)  # grad variant
+    matrix: np.ndarray           # A (curl) or the nodal Laplacian (grad)
+    tets: np.ndarray             # the region's conforming tets
+    dofs: np.ndarray             # O, ascending
+    tet_cols: np.ndarray         # (T, k) position in O of each tet's DOFs, or -1
+    local_basis: np.ndarray      # (|O|, d_O) orthonormal columns on O
+    constraint_rows: np.ndarray  # R: row indices whose residual must vanish
+    dim: int                     # N - rank(matrix[R][:, O])
 
     @property
-    def dim(self):
-        return self.basis.shape[1]
+    def basis(self) -> np.ndarray:
+        """(N, dim) orthonormal embedding: the local columns on O first,
+        then one unit vector per DOF off O."""
+        return _with_unit_columns(self.local_basis, self.matrix.shape[0],
+                                  self.dofs)
+
+
+def _with_unit_columns(cols: np.ndarray, n: int, on: np.ndarray) -> np.ndarray:
+    """cols on rows `on` of an n-row array, then unit columns off `on`."""
+    m = cols.shape[1]
+    out = np.zeros((n, m + n - on.size), dtype=cols.dtype)
+    out[on, :m] = cols
+    out[np.setdiff1d(np.arange(n), on), m:] = np.eye(n - on.size)
+    return out
 
 
 def _supported_in_box(mesh: Mesh, region: BoxRegion, tet_entities: np.ndarray,
                       n_entities: int) -> np.ndarray:
-    """Per vertex or edge (tet_entities is mesh.tets or mesh.tet_edges),
-    whether every tet containing it lies in the closed box."""
+    """Per entity (tet_entities (T, k) lists each tet's vertices, edges or
+    DOFs), whether every tet containing it lies in the closed box."""
     outside = np.ones(mesh.n_tets, dtype=bool)
     outside[region.inside_tets(mesh)] = False
     ok = np.ones(n_entities, dtype=bool)
     ok[tet_entities[outside]] = False
     return ok
-
-
-def _edge_constraint_dofs(mesh: Mesh, dofmap, region: BoxRegion) -> np.ndarray:
-    """DOFs whose basis-function support (all tets sharing the edge) lies
-    in the closed box."""
-    ok = _supported_in_box(mesh, region, mesh.tet_edges, mesh.n_edges)
-    return np.flatnonzero(ok[dofmap.interior_edges])
-
-
-def _vertex_constraint_dofs(mesh: Mesh, nodal, region: BoxRegion) -> np.ndarray:
-    """Nodal DOFs (vertices off the domain boundary) whose hat-function
-    support lies in the closed box."""
-    ok = _supported_in_box(mesh, region, mesh.tets, mesh.n_vertices)
-    verts = nodal.interior_vertices
-    return nodal.vertex_to_dof[verts[ok[verts]]]
 
 
 def harmonic_space(system: GalerkinSystem, region: BoxRegion,
@@ -177,50 +180,46 @@ def harmonic_space(system: GalerkinSystem, region: BoxRegion,
     variant "curl": coefficient vectors u with (A u)_i = 0 for every DOF i
     whose basis function is supported in the closed box (discretely
     L-harmonic). variant "grad": nodal vectors with vanishing Laplacian
-    rows at interior-supported vertices (discretely harmonic). The basis
-    is the SVD nullspace of the constraint rows; singular values within
-    NULLSPACE_RTOL of the largest count as rank.
+    rows at interior-supported vertices (discretely harmonic). The local
+    basis is the SVD nullspace of mat[R][:, O], taken over the columns the
+    rows touch, plus the untouched columns of O as unit vectors; singular
+    values within NULLSPACE_RTOL of the largest count as rank.
     """
-    nodal = None
+    mesh = system.mesh
     if variant == "curl":
-        mat = system.A
-        rows = _edge_constraint_dofs(system.mesh, system.dofmap, region)
+        mat, tet_dofs = system.A, system.dofmap.edge_to_dof[mesh.tet_edges]
     elif variant == "grad":
         nodal = build_nodal_space(system)
-        mat = nodal.laplacian
-        rows = _vertex_constraint_dofs(system.mesh, nodal, region)
+        mat, tet_dofs = nodal.laplacian, nodal.vertex_to_dof[mesh.tets]
     else:
         raise ValueError(f"unknown variant {variant!r}")
     n = mat.shape[0]
-    if rows.size == 0:
-        basis = np.eye(n)
-        sv = np.empty(0)
+    # length-(n + 1) arrays: the last slot absorbs the -1 entries of tet_dofs
+    rows = np.flatnonzero(_supported_in_box(mesh, region, tet_dofs, n + 1)[:n])
+    tets = region.conforming_tets(mesh)
+    dofs = np.unique(tet_dofs[tets])
+    dofs = dofs[dofs >= 0]
+    col = np.full(n + 1, -1, dtype=np.int64)
+    col[dofs] = np.arange(dofs.size)
+    if rows.size:
+        sub = mat[np.ix_(rows, dofs)]
+        # the columns of O that no constraint row touches are free
+        hit = np.flatnonzero(sub.any(axis=0))
+        _, sv, vh = np.linalg.svd(sub[:, hit], full_matrices=True)
+        rank = int(np.sum(sv > NULLSPACE_RTOL * sv[0]))
+        z = _with_unit_columns(vh[rank:].conj().T, dofs.size, hit)
     else:
-        sub = mat[rows, :]
-        _, sv, vh = np.linalg.svd(sub, full_matrices=True)
-        rank = int(np.sum(sv > NULLSPACE_RTOL * sv[0])) if sv.size else 0
-        basis = vh[rank:].conj().T
-    return HarmonicSpace(system, region, variant, basis, rows, sv, nodal)
+        rank, z = 0, np.eye(dofs.size)
+    return HarmonicSpace(system, region, variant, mat, tets, dofs,
+                         col[tet_dofs], z, rows, n - rank)
 
 
 def constraint_residual(space: HarmonicSpace) -> float:
-    """Max |(row-restricted matrix @ basis column)| over all columns."""
-    if space.constraint_rows.size == 0 or space.dim == 0:
-        return 0.0
-    mat = space.system.A if space.variant == "curl" else space.nodal_space.laplacian
-    return float(np.abs(mat[space.constraint_rows, :] @ space.basis).max())
-
-
-# region Grams for the nodal (grad) variant --------------------------------
-
-def nodal_region_grams(system: GalerkinSystem, nodal, tet_ids):
-    """(stiffness, mass) of the hat functions over the given tets,
-    restricted to the interior-vertex DOFs."""
-    tet_ids = np.asarray(tet_ids, dtype=np.int64)
-    d = nodal.vertex_to_dof[system.mesh.tets[tet_ids]]
-    local = system.local
-    return (scatter(local.nodal_stiffness[tet_ids], d, nodal.n_dofs).toarray(),
-            scatter(local.nodal_mass[tet_ids], d, nodal.n_dofs).toarray())
+    """Max |(row-restricted matrix @ basis column)| over all columns; the
+    unit columns off O meet only zeros in the constraint rows."""
+    res = (space.matrix[np.ix_(space.constraint_rows, space.dofs)]
+           @ space.local_basis)
+    return float(np.abs(res).max()) if res.size else 0.0
 
 
 # Caccioppoli ratio ---------------------------------------------------------
@@ -234,7 +233,6 @@ class CaccioppoliResult:
     n_inner_tets: int
     n_outer_tets: int
     hypothesis_satisfied: bool   # h / R < eps / 4
-    regularized: bool            # outer Gram needed a shift on the space
     eps: float
     r: float
 
@@ -242,52 +240,47 @@ class CaccioppoliResult:
 def caccioppoli_ratio(space: HarmonicSpace,
                       pair: ConcentricPair) -> CaccioppoliResult:
     """Worst ratio (energy on the inner box) / (triple norm on the outer
-    mesh-conforming region) over the harmonic space.
+    mesh-conforming region) over the harmonic space. The space's region is
+    the outer region; a measurement of the pair builds it on pair.outer.
 
     curl variant: |curl u|^2_inner over (h^2/R'^2)|curl u|^2 + (1/R'^2)
     |u|^2 on the outer region, R' = (1+eps)R; grad variant uses nodal
-    gradients. Solved as a generalized symmetric eigenproblem restricted
-    to the basis. An empty basis or empty inner region gives ratio 0.
+    gradients. Both Grams vanish off O, so this is the top eigenvalue of a
+    pencil on the local basis. Its outer Gram holds the region mass matrix
+    on O and has a Cholesky factor (else LinAlgError); the inner Gram lives
+    on the inner DOFs I, so the problem reduces to |I| x |I|. An empty
+    local basis or empty inner region gives ratio 0.
     """
     system = space.system
-    mesh = system.mesh
-    inner = pair.inner.inside_tets(mesh)
-    outer = pair.outer.conforming_tets(mesh)
+    inner = pair.inner.inside_tets(system.mesh)
+    outer = space.tets
     r_out = (1.0 + pair.eps) * pair.r
     w_curl = (system.h / r_out) ** 2
     w_mass = 1.0 / r_out ** 2
-    if space.variant == "curl":
-        num = assemble_region_matrix(system, inner, "curl")
-        den = (w_curl * assemble_region_matrix(system, outer, "curl")
-               + w_mass * assemble_region_matrix(system, outer, "mass"))
-    else:
-        k_in, _ = nodal_region_grams(system, space.nodal_space, inner)
-        k_out, m_out = nodal_region_grams(system, space.nodal_space, outer)
-        num = k_in
-        den = w_curl * k_out + w_mass * m_out
-    hyp = (system.h / pair.r) < pair.eps / 4.0
-    if space.dim == 0:
-        return CaccioppoliResult(0.0, 0.0, space.variant, 0, inner.size,
-                                 outer.size, hyp, False, pair.eps, pair.r)
-    b = space.basis
-    num_b = _hermitize(b.conj().T @ (num @ b))
-    den_b = _hermitize(b.conj().T @ (den @ b))
-    regularized = False
-    scale = float(np.abs(den_b).max()) or 1.0
-    evals = np.linalg.eigvalsh(den_b)
-    if evals.min() <= 1e-14 * scale:
-        den_b = den_b + (1e-14 * scale) * np.eye(den_b.shape[0])
-        regularized = True
-    w = scipy.linalg.eigh(num_b, den_b, eigvals_only=True)
-    ratio = float(max(w.max(), 0.0))
+    local = system.local
+    stiff, mass = ((local.curl, local.mass) if space.variant == "curl"
+                   else (local.nodal_stiffness, local.nodal_mass))
+    z, cols, n_o = space.local_basis, space.tet_cols, space.dofs.size
+    rows = np.unique(cols[inner])
+    rows = rows[rows >= 0]                 # I: the inner DOFs, numbered in O
+    ratio = 0.0
+    if z.shape[1] and rows.size:
+        den = (w_curl * scatter(stiff[outer], cols[outer], n_o)
+               + w_mass * scatter(mass[outer], cols[outer], n_o))
+        chol = scipy.linalg.cholesky(z.conj().T @ (den @ z), lower=True)
+        # num lives on I, so with L^-1 Z[I]^H = Q R the nonzero eigenvalues
+        # of the pencil (Z^H num Z, L L^H) are those of R num[I, I] R^H
+        r = np.linalg.qr(scipy.linalg.solve_triangular(
+            chol, z[rows].conj().T, lower=True), mode="r")
+        num = scatter(stiff[inner], cols[inner], n_o).tocsr()[rows][:, rows]
+        top = r @ (num @ r.conj().T)
+        w = scipy.linalg.eigh(top, eigvals_only=True,
+                              subset_by_index=[len(top) - 1] * 2)
+        ratio = float(max(w[0], 0.0))
     return CaccioppoliResult(ratio, ratio * pair.eps / (1.0 + pair.eps),
                              space.variant, space.dim, inner.size, outer.size,
-                             hyp, regularized, pair.eps, pair.r)
-
-
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    m = 0.5 * (m + m.conj().T)
-    return m.real if not np.iscomplexobj(m) else m
+                             (system.h / pair.r) < pair.eps / 4.0, pair.eps,
+                             pair.r)
 
 
 # local Helmholtz decomposition ---------------------------------------------

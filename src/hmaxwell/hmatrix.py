@@ -48,7 +48,7 @@ def truncated_svd(block: np.ndarray, rank: int):
     try:
         u, s, vh = np.linalg.svd(block, full_matrices=False)
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"SVD failed on a {block.shape} block") from exc
+        raise ValueError(f"SVD failed on a {block.shape} block") from exc
     r = min(rank, s.size)
     return u[:, :r], (vh[:r].conj().T) * s[:r], s
 
@@ -62,7 +62,7 @@ def far_svds(dense: np.ndarray, partition: BlockPartition) -> list:
             out.append(np.linalg.svd(dense[np.ix_(t.indices, s.indices)],
                                      full_matrices=False))
         except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"SVD failed on far block ({t.id},{s.id})") from exc
+            raise ValueError(f"SVD failed on far block ({t.id},{s.id})") from exc
     return out
 
 

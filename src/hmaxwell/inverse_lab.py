@@ -43,7 +43,8 @@ def dense_inverse(a: np.ndarray, cond_limit: float = 1e12,
 @dataclass
 class SweepRow:
     r: int
-    abs_err: float
+    abs_err: float           # Lanczos estimate of ||E_r||_2, never above it
+    fro_upper: float         # ||E_r||_F from the far-block sigmas, never below it
     rel_err: float
     max_block_sigma: float   # max over far blocks of sigma_{r+1}
     bound_value: float       # C_sp * (depth + 1) * max_block_sigma
@@ -72,18 +73,20 @@ def rank_sweep(binv: np.ndarray, partition: BlockPartition, r_list,
     err = np.zeros_like(binv)
     rows = []
     for r in sorted(int(r) for r in r_list):
-        sig_next = 0.0
+        sig_next = fro2 = 0.0
         scalars = near_scalars
         for (t, s), (u, sv, vh) in zip(partition.far, svds):
             k = min(r, sv.size)
             err[np.ix_(t.indices, s.indices)] = (u[:, k:] * sv[k:]) @ vh[k:]
             scalars += k * (t.size + s.size)
+            fro2 += float(np.sum(sv[k:] ** 2))
             if r < sv.size:
                 sig_next = max(sig_next, float(sv[r]))
         est, conv = spectral_norm(err, seed=seed)
         bound = c_sp * (depth + 1) * sig_next
-        rows.append(SweepRow(r, est, est / norm_b, sig_next, float(bound),
-                             int(scalars), int(c_sp), int(depth), conv and conv_b))
+        rows.append(SweepRow(r, est, float(np.sqrt(fro2)), est / norm_b,
+                             sig_next, float(bound), int(scalars), int(c_sp),
+                             int(depth), conv and conv_b))
     return rows
 
 

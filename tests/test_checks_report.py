@@ -34,7 +34,8 @@ def sys2():
 
 def test_check_bound_judges_every_row():
     def row(abs_err, bound):
-        return SweepRow(1, abs_err, abs_err, bound, bound, 0, 1, 1, True)
+        return SweepRow(1, abs_err, abs_err, abs_err, bound, bound, 0, 1, 1,
+                        True)
     assert check_bound([row(0.5, 1.0), row(1.0, 1.0)], slack=0.0).passed
     assert not check_bound([row(0.5, 1.0), row(1.1, 1.0)], slack=0.0).passed
     assert check_bound([row(1.1, 1.0)], slack=0.2).passed

@@ -103,6 +103,15 @@ def test_non_numeric_tolerance_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_misspelt_tolerance_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerances": {"comuting": 1e-30}}))
+    code = run_cli("commuting-check", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "comuting" in err
+
+
 def test_flags_override_config_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 3, "seed": 5}))
@@ -156,6 +165,18 @@ def test_rank_sweep_bound_violation_exits_1(tmp_path, capsys):
         assert (tmp_path / "rs" / fname).exists()
 
 
+def test_svd_failure_is_check_failure(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", broken)
+    code = run_cli("rank-sweep", "--n", "2", "--n-leaf", "8", "--ranks", "1,2,4",
+                   "--out", str(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "check failure: SVD failed on far block (" in err
+
+
 # experiment verbs ------------------------------------------------------------
 
 def test_rank_sweep_artifacts(tmp_path):
@@ -166,10 +187,13 @@ def test_rank_sweep_artifacts(tmp_path):
     for fname in ("sweep.csv", "fit.json", "decay.svg", "manifest.json"):
         assert (outdir / fname).exists()
     rows = (outdir / "sweep.csv").read_text().splitlines()
-    assert rows[0].split(",")[0] == "r"
+    assert rows[0].split(",")[:3] == ["r", "abs_err", "fro_upper"]
     assert rows[0].split(",")[-1] == "converged"
     assert len(rows) == 4
     assert all(row.split(",")[-1] == "true" for row in rows[1:])
+    for row in rows[1:]:
+        abs_err, fro_upper = map(float, row.split(",")[1:3])
+        assert abs_err <= fro_upper
 
 
 def test_caccioppoli_and_helmholtz_run(tmp_path):

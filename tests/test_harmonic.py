@@ -3,6 +3,7 @@ local Helmholtz splits and the exact-sequence recovery."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,7 @@ from hmaxwell.fem import (
     assemble_region_matrix,
     build_nodal_space,
     discrete_gradient,
+    scatter,
     solve_system,
 )
 
@@ -273,6 +275,86 @@ def test_caccioppoli_positive_on_fine_mesh():
     # quotient by (R'/h)^2
     rprime = (1.0 + pair.eps) * pair.r
     assert res.ratio <= (rprime / sysm.mesh.h) ** 2 * (1.0 + 1e-9)
+
+
+def reference_caccioppoli(system, pair, variant):
+    """(rows, dim, normalized) from the full-N construction: the constraint
+    rows recomputed per edge or vertex, the nullspace of those rows over
+    all N columns from a full SVD, dense region Grams, and a generalized
+    eigh over the whole basis with the outer Gram shifted by 1e-14 * scale
+    whenever it is singular there (as it is for every column supported
+    off O)."""
+    mesh = system.mesh
+    outside = np.ones(mesh.n_tets, dtype=bool)
+    outside[pair.outer.inside_tets(mesh)] = False
+    inner = pair.inner.inside_tets(mesh)
+    outer = pair.outer.conforming_tets(mesh)
+    if variant == "curl":
+        mat = system.A
+        ok = np.ones(mesh.n_edges, dtype=bool)
+        ok[mesh.tet_edges[outside]] = False
+        rows = np.flatnonzero(ok[system.dofmap.interior_edges])
+
+        def gram(tets, kind):
+            return assemble_region_matrix(system, tets, kind).toarray()
+    else:
+        nodal = build_nodal_space(system)
+        mat = nodal.laplacian
+        ok = np.ones(mesh.n_vertices, dtype=bool)
+        ok[mesh.tets[outside]] = False
+        verts = nodal.interior_vertices
+        rows = nodal.vertex_to_dof[verts[ok[verts]]]
+
+        def gram(tets, kind):
+            local = (system.local.nodal_stiffness if kind == "curl"
+                     else system.local.nodal_mass)
+            return scatter(local[tets], nodal.vertex_to_dof[mesh.tets[tets]],
+                           nodal.n_dofs).toarray()
+    if rows.size:
+        _, sv, vh = np.linalg.svd(mat[rows, :], full_matrices=True)
+        b = vh[int(np.sum(sv > 1e-10 * sv[0])):].conj().T
+    else:
+        b = np.eye(mat.shape[0])
+    if b.shape[1] == 0:
+        return rows, 0, 0.0
+    r_out = (1.0 + pair.eps) * pair.r
+    num = gram(inner, "curl")
+    den = ((system.h / r_out) ** 2 * gram(outer, "curl")
+           + gram(outer, "mass") / r_out ** 2)
+    num_b = b.conj().T @ num @ b
+    den_b = b.conj().T @ den @ b
+    num_b = 0.5 * (num_b + num_b.conj().T)
+    den_b = 0.5 * (den_b + den_b.conj().T)
+    scale = float(np.abs(den_b).max()) or 1.0
+    if np.linalg.eigvalsh(den_b).min() <= 1e-14 * scale:
+        den_b = den_b + 1e-14 * scale * np.eye(b.shape[1])
+    ratio = max(float(scipy.linalg.eigh(num_b, den_b, eigvals_only=True).max()),
+                0.0)
+    return rows, b.shape[1], ratio * pair.eps / (1.0 + pair.eps)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_local_space_matches_full_n_reference(system_cache, n, kappa):
+    """The space on O and its eigenproblem reproduce the full-N
+    construction: exact dims and normalized ratios to 1e-10 relative, on
+    both default pairs and both variants. The constraint rows vanish off
+    O, and the embedded basis is orthonormal."""
+    sysm = system_cache(n, kappa)
+    for pair in default_pairs().values():
+        for variant in ("curl", "grad"):
+            space = harmonic_space(sysm, pair.outer, variant)
+            rows, dim, normalized = reference_caccioppoli(sysm, pair, variant)
+            res = caccioppoli_ratio(space, pair)
+            assert np.array_equal(space.constraint_rows, rows)
+            assert res.dim == space.dim == dim
+            assert res.normalized == pytest.approx(normalized, rel=1e-10,
+                                                   abs=1e-300)
+            off = np.setdiff1d(np.arange(space.matrix.shape[0]), space.dofs)
+            assert not space.matrix[np.ix_(space.constraint_rows, off)].any()
+            b = space.basis
+            assert b.shape == (space.matrix.shape[0], dim)
+            assert np.abs(b.conj().T @ b - np.eye(dim)).max() < 1e-10
 
 
 # local Helmholtz -------------------------------------------------------------

@@ -88,16 +88,22 @@ def test_rank_sweep_errors_match_exact_svd(lab3):
 @pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
 def test_rank_sweep_norm_is_exact_residual_norm(system_cache, kappa):
     """The Lanczos norm of the explicit residual matches LAPACK's norm of
-    binv - B_H to 1e-10 relative, for real and complex kappa."""
+    binv - B_H to 1e-10 relative, for real and complex kappa, and the row's
+    bracket [abs_err, fro_upper] holds that norm to rounding."""
     sysm = system_cache(3, kappa)
     part = build_block_partition(
         build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16), eta=2.0)
     binv = dense_inverse(sysm.A)
     rows = rank_sweep(binv, part, [0, 1, 2, 4, 8])
     for row in rows:
-        exact = np.linalg.norm(binv - to_dense(compress_dense(binv, part, row.r)), 2)
+        res = binv - to_dense(compress_dense(binv, part, row.r))
+        exact = np.linalg.norm(res, 2)
         assert row.converged
         assert abs(row.abs_err - exact) <= 1e-10 * exact
+        assert row.abs_err <= exact * (1.0 + 1e-12)
+        assert exact <= row.fro_upper * (1.0 + 1e-12)
+        assert row.fro_upper == pytest.approx(np.linalg.norm(res), rel=1e-12,
+                                              abs=0.0)
 
 
 def test_rank_zero_error_is_far_part_norm(lab3):
