@@ -61,7 +61,7 @@ from hmaxwell.fem import build_nodal_space, discrete_gradient
 nodal = build_nodal_space(system)
 G = discrete_gradient(system.mesh, system.dofmap, nodal)
 q = rng.standard_normal(G.shape[1])
-phi = exact_sequence_recover(system.mesh, region, G @ q, system.dofmap)
+phi = exact_sequence_recover(system, region, G @ q)
 
 tets = region.conforming_tets(system.mesh)
 rows = np.unique(system.dofmap.edge_to_dof[system.mesh.tet_edges[tets]])

@@ -13,7 +13,7 @@ from hmaxwell.inverse_lab import dense_inverse, theorem_transfer_check
 # BIORTHOGONALITY
 # <lambda_i, psi_j> = delta_ij across all interior edges
 system = assemble_system(build_box_mesh(3), kappa=1.0)
-dual = dual_basis(system.mesh, system.dofmap)
+dual = dual_basis(system)
 idx = np.arange(system.n_dofs)
 worst = 0.0
 for j in range(system.n_dofs):
@@ -29,7 +29,7 @@ print(f"n=3: max |<lambda_i, psi_j> - delta_ij| = {worst:.3e}")
 print(f"\n{'n':>3} {'h':>10} {'max norm':>12} {'max norm * h^1/2':>18}")
 for n in (2, 3, 4, 6):
     sysn = assemble_system(build_box_mesh(n), kappa=1.0)
-    norms = dual_norms(sysn, dual_basis(sysn.mesh, sysn.dofmap))
+    norms = dual_norms(sysn, dual_basis(sysn))
     print(f"{n:>3} {sysn.h:>10.5f} {norms.max():>12.5f} "
           f"{norms.max() * sysn.h ** 0.5:>18.5f}")
 
@@ -40,7 +40,7 @@ system = assemble_system(build_box_mesh(4), kappa=1.0)
 tree = build_cluster_tree(system.mesh, system.dofmap, n_leaf=32)
 partition = build_block_partition(tree, eta=2.0)
 binv = dense_inverse(system.A)
-dual = dual_basis(system.mesh, system.dofmap)
+dual = dual_basis(system)
 
 tau, sigma = max(partition.far, key=lambda p: p[0].size * p[1].size)
 print(f"\nn=4: largest admissible pair is {tau.size} x {sigma.size} "

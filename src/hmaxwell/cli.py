@@ -416,7 +416,7 @@ def cmd_dual_basis_check(cfg: dict) -> int:
     bio = check_dual_biorthogonality(system,
                                      tol=cfg["tolerances"]["biorthogonality"])
     scaling = check_dual_norm_scaling(factor=cfg["tolerances"]["dual_norm_factor"])
-    norms = dual_norms(system, dual_basis(system.mesh, system.dofmap))
+    norms = dual_norms(system, dual_basis(system))
     code = verdict([bio, scaling])
     run.phase("write")
     p1 = write_json(run.path("dual_basis.json"), {

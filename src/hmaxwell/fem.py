@@ -88,15 +88,22 @@ def scatter(local: np.ndarray, index: np.ndarray, n: int):
     array's toarray), so bitwise symmetric local matrices sum to a bitwise
     symmetric global one.
     """
-    keep = index >= 0
     if local.ndim == 2:
-        out = np.zeros(n, dtype=local.dtype)
-        np.add.at(out, index[keep], local[keep])
-        return out
+        return _scatter_rows(local, index, n)
+    keep = index >= 0
     pair = keep[:, :, None] & keep[:, None, :]
     rows = np.broadcast_to(index[:, :, None], pair.shape)[pair]
     cols = np.broadcast_to(index[:, None, :], pair.shape)[pair]
     return scipy.sparse.coo_array((local[pair], (rows, cols)), shape=(n, n))
+
+
+def _scatter_rows(local: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
+    """scatter's vector sum with trailing axes kept: local (T, k, ...) gives
+    (n, ...), each column summed in tet order like a single vector."""
+    keep = index >= 0
+    out = np.zeros((n,) + local.shape[2:], dtype=local.dtype)
+    np.add.at(out, index[keep], local[keep])
+    return out
 
 
 def _gather(u: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -165,13 +172,13 @@ def discrete_gradient(mesh: Mesh, dofmap: DofMap, nodal_space: NodalSpace) -> np
 # projections ------------------------------------------------------------
 
 def rhs_vector(system: GalerkinSystem, fld, degree: int = 4) -> np.ndarray:
-    """Load vector f_i = <fld, Psi_i> by tet quadrature of the given degree."""
+    """Load vector f_i = <fld, Psi_i> by tet quadrature of the given degree;
+    fld maps points (..., 3) to values (..., 3)."""
     bary, w = tet_rule(degree)
     mesh, local = system.mesh, system.local
-    pts = bary @ mesh.vertices[mesh.tets]  # (T, Q, 3)
-    vals = np.array([np.asarray(fld(p)) for p in pts.reshape(-1, 3)])
+    vals = fld(bary @ mesh.vertices[mesh.tets])  # (T, Q, 3)
     psi = whitney_values(bary, local.grads)
-    f_loc = np.einsum("q,tqd,tqkd->tk", w, vals.reshape(pts.shape), psi)
+    f_loc = np.einsum("q,tqd,tqkd->tk", w, vals, psi)
     f_loc *= local.volume[:, None] * mesh.tet_edge_signs
     return scatter(f_loc, system.dofmap.edge_to_dof[mesh.tet_edges], system.n_dofs)
 
@@ -194,7 +201,7 @@ class DualBasis:
     coeffs: np.ndarray       # (N, 6) coefficients in the carrier's signed basis
 
 
-def dual_basis(mesh: Mesh, dofmap: DofMap) -> DualBasis:
+def dual_basis(system: GalerkinSystem) -> DualBasis:
     """Single-tet dual functions lambda_i with <lambda_i, Psi_j> = delta_ij.
 
     For DOF i on edge e, the carrier is the first tet sharing e; the local
@@ -205,11 +212,10 @@ def dual_basis(mesh: Mesh, dofmap: DofMap) -> DualBasis:
     """
     # tet_edges lists every edge, tet by tet, so the first occurrence of
     # edge e sits in its lowest-numbered tet
-    first = np.unique(mesh.tet_edges.ravel(), return_index=True)[1]
-    carrier, slot = np.divmod(first[dofmap.interior_edges], 6)
-    mass = element_tensors(mesh.vertices[mesh.tets[carrier]],
-                           mesh.tet_edge_signs[carrier]).mass
-    coeffs = np.linalg.solve(mass, np.eye(6)[slot][:, :, None])[:, :, 0]
+    first = np.unique(system.mesh.tet_edges.ravel(), return_index=True)[1]
+    carrier, slot = np.divmod(first[system.dofmap.interior_edges], 6)
+    coeffs = np.linalg.solve(system.local.mass[carrier],
+                             np.eye(6)[slot][:, :, None])[:, :, 0]
     return DualBasis(carrier, coeffs)
 
 
@@ -229,21 +235,24 @@ def apply_dual_functionals(system: GalerkinSystem, dual: DualBasis,
 
     Both lambda_i and u_h are expanded in the carrier's globally signed
     basis, whose Gram matrix is the signed local mass matrix; the expansion
-    coefficients of u_h in that basis are the raw global DOF values.
+    coefficients of u_h in that basis are the raw global DOF values. A block
+    of fields u (N, m) gives one column of functionals per field, (|idx|, m).
     """
     idx = np.asarray(indices, dtype=np.int64)
     t = dual.carrier_tet[idx]
     vals = _gather(u, _tet_dofs(system, t))
-    return np.einsum("pi,pij,pj->p", dual.coeffs[idx], system.local.mass[t], vals)
+    return np.einsum("pi,pij,pj...->p...", dual.coeffs[idx],
+                     system.local.mass[t], vals)
 
 
 def riesz_rhs(system: GalerkinSystem, dual: DualBasis, indices, b) -> np.ndarray:
-    """Load vector of F_b = sum_i b_i lambda_i, i.e. f_j = <F_b, Psi_j>."""
+    """Load vector of F_b = sum_i b_i lambda_i, i.e. f_j = <F_b, Psi_j>.
+    A block b (|idx|, m) gives one load vector per column, (N, m)."""
     idx = np.asarray(indices, dtype=np.int64)
     t = dual.carrier_tet[idx]
     weights = np.einsum("pij,pj->pi", system.local.mass[t], dual.coeffs[idx])
-    return scatter(np.asarray(b)[:, None] * weights, _tet_dofs(system, t),
-                   system.n_dofs)
+    local = np.einsum("pi,p...->pi...", weights, np.asarray(b))
+    return _scatter_rows(local, _tet_dofs(system, t), system.n_dofs)
 
 
 # region machinery -------------------------------------------------------
@@ -303,11 +312,8 @@ def pi_nabla_project(space: RegionNodalSpace, u: np.ndarray) -> np.ndarray:
     tets = space.tet_ids
     local = np.einsum("tk...,tkv->tv...", _gather(u, _tet_dofs(system, tets)),
                       system.local.grad_mixed[tets])
-    # scatter's vector sum, kept here because it carries the column axis
-    index = space.col_of_vertex[mesh.tets[tets]]
-    keep = index >= 0
-    rhs = np.zeros((space.free_vertices.size,) + u.shape[1:], dtype=local.dtype)
-    np.add.at(rhs, index[keep], local[keep])
+    rhs = _scatter_rows(local, space.col_of_vertex[mesh.tets[tets]],
+                        space.free_vertices.size)
     p = np.zeros((mesh.n_vertices,) + u.shape[1:], dtype=u.dtype)
     if space.free_vertices.size:
         solve = space.solver()

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fem import (GalerkinSystem, assemble_region_matrix, build_dof_map,
-                  build_nodal_space, edge_incidence, gradient_edge_coeffs,
-                  pi_nabla_project, region_nodal_space, scatter)
+from .fem import (GalerkinSystem, assemble_region_matrix, build_nodal_space,
+                  edge_incidence, gradient_edge_coeffs, pi_nabla_project,
+                  region_nodal_space, scatter)
 from .mesh import LOCAL_EDGES, Mesh
-from .whitney import element_tensors
 
 NULLSPACE_RTOL = 1e-10
 
@@ -360,52 +359,49 @@ def gradient_part_harmonic_check(system: GalerkinSystem, region: BoxRegion,
 
 # local exact sequence -------------------------------------------------------
 
-def exact_sequence_recover(mesh: Mesh, region: BoxRegion, coeffs: np.ndarray,
-                           dofmap=None) -> np.ndarray:
+def exact_sequence_recover(system: GalerkinSystem, region: BoxRegion,
+                           coeffs: np.ndarray) -> np.ndarray:
     """Nodal potential phi with grad(phi) = coeffs on the region's edges.
 
     The input must be discretely curl-free on the region; the region (a
     box clipped to the domain) is simply connected, so a potential exists
     by the local exact-sequence property and is found by least squares on
     the edge-vertex incidence. Returns a full-length nodal vector that is
-    zero at domain-boundary vertices and off the region.
+    zero at domain-boundary vertices and off the region. A block of fields
+    coeffs (N, m) is recovered in one least-squares solve, giving phi
+    (V, m); both curl-free guards hold each column to its own norm.
     """
-    if dofmap is None:
-        dofmap = build_dof_map(mesh)
+    mesh, dofmap = system.mesh, system.dofmap
     tets = region.conforming_tets(mesh)
     if tets.size == 0:
         raise ValueError("region contains no tets")
-    dof_rows = np.unique(dofmap.edge_to_dof[mesh.tet_edges[tets]])
+    coeffs = np.asarray(coeffs)
+    v = coeffs.reshape(coeffs.shape[0], -1)
+    dofs = dofmap.edge_to_dof[mesh.tet_edges[tets]]
+    dof_rows = np.unique(dofs)
     dof_rows = dof_rows[dof_rows >= 0]
-    v_loc = np.asarray(coeffs)[dof_rows]
-    scale = float(np.linalg.norm(v_loc))
-    _check_region_curl(mesh, dofmap, tets, coeffs, scale)
+    v_loc = v[dof_rows]
+    scale = np.linalg.norm(v_loc, axis=0)
+    # curl-free pre-check: the curl-curl Gram over the region applied to the
+    # coefficients must vanish relative to its Frobenius norm
+    keep = dofs >= 0
+    curl = system.local.curl[tets] * (keep[:, :, None] & keep[:, None, :])
+    ku = scatter(curl, dofs, dofmap.n_dofs) @ v
+    lim = 1e-10 * np.sqrt(float((curl * curl).sum()))
+    _require_curl_free(np.abs(ku).max(axis=0) > lim * np.maximum(scale, 1e-300),
+                       scale)
     vert_ids = np.unique(mesh.edges[dofmap.interior_edges[dof_rows]])
     vert_ids = vert_ids[~mesh.boundary_vertex[vert_ids]]
     inc = edge_incidence(mesh, dofmap)[dof_rows][:, vert_ids].toarray()
-    if np.iscomplexobj(v_loc):
-        phi_loc = (np.linalg.lstsq(inc, v_loc.real, rcond=None)[0]
-                   + 1j * np.linalg.lstsq(inc, v_loc.imag, rcond=None)[0])
-    else:
-        phi_loc = np.linalg.lstsq(inc, v_loc, rcond=None)[0]
-    resid = float(np.linalg.norm(inc @ phi_loc - v_loc))
-    if resid > 1e-9 * max(scale, 1e-300) and scale > 0:
-        raise ValueError("input not curl-free or region not simply connected")
-    phi = np.zeros(mesh.n_vertices, dtype=phi_loc.dtype)
+    phi_loc = np.linalg.lstsq(inc, v_loc, rcond=None)[0]
+    resid = np.linalg.norm(inc @ phi_loc - v_loc, axis=0)
+    _require_curl_free(resid > 1e-9 * np.maximum(scale, 1e-300), scale)
+    phi = np.zeros((mesh.n_vertices, v.shape[1]), dtype=phi_loc.dtype)
     phi[vert_ids] = phi_loc
-    return phi
+    return phi.reshape((mesh.n_vertices,) + coeffs.shape[1:])
 
 
-def _check_region_curl(mesh, dofmap, tets, coeffs, scale):
-    """Curl-free pre-check: the curl-curl Gram over the region applied to
-    the coefficients must vanish relative to its Frobenius norm."""
-    dofs = dofmap.edge_to_dof[mesh.tet_edges[tets]]
-    keep = dofs >= 0
-    curl = element_tensors(mesh.vertices[mesh.tets[tets]],
-                           mesh.tet_edge_signs[tets]).curl
-    curl *= keep[:, :, None] & keep[:, None, :]
-    ku = scatter(curl, dofs, dofmap.n_dofs) @ np.asarray(coeffs)
-    fro2 = float((curl * curl).sum())
-    lim = 1e-10 * np.sqrt(fro2) * max(scale, 1e-300)
-    if float(np.abs(ku).max()) > lim and scale > 0:
+def _require_curl_free(failed: np.ndarray, scale: np.ndarray):
+    """Raise if a nonzero column failed its curl-free test."""
+    if np.any(failed & (scale > 0)):
         raise ValueError("input not curl-free or region not simply connected")

@@ -10,6 +10,9 @@ and 0 along every other edge, and whose curl is the constant vector
 2 grad(lambda_a) x grad(lambda_b). The face-flux interpolant uses the four
 lowest-order face shape functions phi_f(x) = (x - x_opp) / (3 |T|), which
 carry unit outward flux through their own face and zero through the others.
+
+A field is a callable on a point array: it maps points (..., 3) to values
+(..., 3), and the interpolants call it once on all their quadrature points.
 """
 
 from dataclasses import dataclass
@@ -24,6 +27,7 @@ LOCAL_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
 # tail and head vertex of each local edge
 _EDGE_A, _EDGE_B = np.array(LOCAL_EDGES).T
+_FACE_VERTS = np.array(LOCAL_FACES)
 
 
 @dataclass
@@ -153,12 +157,10 @@ class TetElement:
     def nedelec_interpolant(self, field, degree: int = 5):
         """Tangential edge integrals of the field: (6,) coefficients."""
         t, w = segment_rule(degree)
-        coeffs = np.empty(6, dtype=_field_dtype(field, self.coords[0]))
-        for k, (a, b) in enumerate(LOCAL_EDGES):
-            xa, xb = self.coords[a], self.coords[b]
-            vals = np.array([np.asarray(field(xa + ti * (xb - xa))) for ti in t])
-            coeffs[k] = np.einsum("q,qd,d->", w, vals, xb - xa)
-        return coeffs
+        xa = self.coords[_EDGE_A]
+        d = self.coords[_EDGE_B] - xa                     # (6, 3)
+        vals = field(xa[:, None] + t[:, None] * d[:, None])  # (6, Q, 3)
+        return np.einsum("q,kqd,kd->k", w, vals, d)
 
     def nedelec_eval(self, coeffs, points):
         return np.einsum("k,qkd->qd", coeffs, self.whitney(points))
@@ -167,12 +169,8 @@ class TetElement:
         """Outward face fluxes of the field: (4,) coefficients."""
         bary, w = triangle_rule(degree)
         normals, areas = self.face_frames()
-        fluxes = np.empty(4, dtype=_field_dtype(field, self.coords[0]))
-        for f, idx in enumerate(LOCAL_FACES):
-            pts = bary @ self.coords[list(idx)]
-            vals = np.array([np.asarray(field(p)) for p in pts])
-            fluxes[f] = areas[f] * np.einsum("q,qd,d->", w, vals, normals[f])
-        return fluxes
+        vals = field(bary @ self.coords[_FACE_VERTS])     # (4, Q, 3)
+        return areas * np.einsum("q,fqd,fd->f", w, vals, normals)
 
     def rt_eval(self, fluxes, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -201,38 +199,32 @@ def _mirror_upper(mat):
     return np.triu(mat) + np.swapaxes(np.triu(mat, 1), -1, -2)
 
 
-def _field_dtype(field, probe_point):
-    return np.result_type(np.asarray(field(probe_point)).dtype, np.float64)
-
-
 def make_polynomial_field(coeff_x, coeff_y, coeff_z):
     """Vector field with polynomial components given as {(i,j,k): c} dicts;
-    returns (field, curl_field) callables."""
+    returns (field, curl_field), each mapping points (..., 3) to (..., 3)."""
     comps = (dict(coeff_x), dict(coeff_y), dict(coeff_z))
+    exps = np.array(sorted(set().union(*comps)), dtype=np.int64).reshape(-1, 3)
+    coef = np.array([[c.get(tuple(e), 0.0) for e in exps.tolist()]
+                     for c in comps]).reshape(3, -1)       # (3, M)
+    # d/dx_a of x^e is e_a x^(e - unit_a): per axis, lowered exponents and
+    # scaled coefficients (monomials constant in x_a get 0)
+    dexps = np.maximum(exps[None] - np.eye(3, dtype=np.int64)[:, None], 0)
+    dcoef = coef[None] * exps.T[:, None]                   # (axis, 3, M)
 
-    def mono(p, i, j, k):
-        return p[0] ** i * p[1] ** j * p[2] ** k
+    def field(x):
+        return _monomial_sum(x, exps, coef)
 
-    def dmono(p, i, j, k, axis):
-        e = [i, j, k]
-        if e[axis] == 0:
-            return 0.0
-        c = e[axis]
-        e[axis] -= 1
-        return c * mono(p, *e)
-
-    def field(p):
-        return np.array([sum(c * mono(p, *m) for m, c in comp.items())
-                         for comp in comps])
-
-    def partial(comp_idx, axis, p):
-        return sum(c * dmono(p, *m, axis) for m, c in comps[comp_idx].items())
-
-    def curl_field(p):
-        return np.array([
-            partial(2, 1, p) - partial(1, 2, p),
-            partial(0, 2, p) - partial(2, 0, p),
-            partial(1, 0, p) - partial(0, 1, p),
-        ])
+    def curl_field(x):
+        # d[a][..., c] = d F_c / d x_a
+        d = [_monomial_sum(x, dexps[a], dcoef[a]) for a in range(3)]
+        return np.stack([d[1][..., 2] - d[2][..., 1],
+                         d[2][..., 0] - d[0][..., 2],
+                         d[0][..., 1] - d[1][..., 0]], axis=-1)
 
     return field, curl_field
+
+
+def _monomial_sum(x, exps, coef):
+    """sum_m coef[:, m] x^exps[m] at points x (..., 3): (..., 3)."""
+    x = np.asarray(x, dtype=float)
+    return np.prod(x[..., None, :] ** exps, axis=-1) @ coef.T

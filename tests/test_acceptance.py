@@ -137,7 +137,7 @@ def test_criterion_5_dual_basis():
         if n in (2, 3, 4):
             res = check_dual_biorthogonality(system, tol=1e-12)
             worst_bio = max(worst_bio, res.measured)
-        norms = dual_norms(system, dual_basis(system.mesh, system.dofmap))
+        norms = dual_norms(system, dual_basis(system))
         scaled[n] = float(norms.max()) * system.h ** 0.5
     factor = max(scaled.values()) / min(scaled.values())
     passed = worst_bio <= 1e-12 and factor <= 2.0

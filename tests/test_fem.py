@@ -163,10 +163,15 @@ def test_nodal_laplacian_is_gram_of_gradients(system_cache):
 
 
 def locate_eval(mesh, coeffs, dofmap):
-    """Brute-force FE evaluator used to feed projections a space member."""
+    """Brute-force FE evaluator used to feed projections a space member;
+    the field maps points (..., 3) to values (..., 3), point by point."""
     elements = [TetElement(mesh.vertices[tet]) for tet in mesh.tets]
 
-    def field(p):
+    def field(x):
+        x = np.asarray(x)
+        return np.array([at(p) for p in x.reshape(-1, 3)]).reshape(x.shape)
+
+    def at(p):
         for t in range(mesh.n_tets):
             el = elements[t]
             lam = el.barycentric(p)[0]
@@ -217,7 +222,7 @@ def test_hcurl_norm_matches_quadratic_form(system_cache, rng):
 def test_dual_basis_biorthogonality(system_cache):
     for n in (2, 3):
         sysm = system_cache(n)
-        dual = dual_basis(sysm.mesh, sysm.dofmap)
+        dual = dual_basis(sysm)
         idx = np.arange(sysm.n_dofs)
         eye = np.empty((sysm.n_dofs, sysm.n_dofs))
         for j in range(sysm.n_dofs):
@@ -227,13 +232,57 @@ def test_dual_basis_biorthogonality(system_cache):
         assert np.abs(eye - np.eye(sysm.n_dofs)).max() < 1e-12
 
 
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 5))
+def test_dual_biorthogonality_property(n):
+    """<lambda_i, Psi_j> = delta_ij on every mesh size: all N functionals
+    applied to all N unit fields at once."""
+    sysm = assemble_system(build_box_mesh(n))
+    dual = dual_basis(sysm)
+    eye = apply_dual_functionals(sysm, dual, np.arange(sysm.n_dofs),
+                                 np.eye(sysm.n_dofs))
+    assert np.abs(eye - np.eye(sysm.n_dofs)).max() < 1e-12
+
+
+def test_dual_basis_reads_the_assembled_mass_bitwise(system_cache):
+    """The carrier mass matrices come from system.local; recomputing them
+    with element_tensors on the carrier tets alone gives the same bits."""
+    for n in (2, 3, 5, 8):
+        sysm = system_cache(n)
+        m, dual = sysm.mesh, dual_basis(sysm)
+        t = dual.carrier_tet
+        mass = element_tensors(m.vertices[m.tets[t]], m.tet_edge_signs[t]).mass
+        slot = np.argmax(m.tet_edges[t] == sysm.dofmap.interior_edges[:, None],
+                         axis=1)
+        coeffs = np.linalg.solve(mass, np.eye(6)[slot][:, :, None])[:, :, 0]
+        assert np.array_equal(dual.coeffs, coeffs)
+
+
+def test_dual_functionals_take_a_column_block(system_cache, rng):
+    """riesz_rhs and apply_dual_functionals on a block (., m) equal their
+    column-by-column calls bitwise."""
+    sysm = system_cache(3, 1.0 + 0.5j)
+    dual = dual_basis(sysm)
+    idx = np.array([3, 8, 21, 40, 41])
+    b = rng.standard_normal((idx.size, 4)) + 1j * rng.standard_normal((idx.size, 4))
+    f = riesz_rhs(sysm, dual, idx, b)
+    assert f.shape == (sysm.n_dofs, 4)
+    u = rng.standard_normal((sysm.n_dofs, 4))
+    lam = apply_dual_functionals(sysm, dual, idx, u)
+    assert lam.shape == (idx.size, 4)
+    for j in range(4):
+        assert np.array_equal(f[:, j], riesz_rhs(sysm, dual, idx, b[:, j]))
+        assert np.array_equal(lam[:, j],
+                              apply_dual_functionals(sysm, dual, idx, u[:, j]))
+
+
 def test_dual_norm_scaling(mesh_cache):
     """max_i ||lambda_i|| h^{1/2} stays within a fixed band as h shrinks."""
     vals = []
     for n in (2, 3, 4, 6):
         m = mesh_cache(n)
         sysm = assemble_system(m)
-        dual = dual_basis(m, sysm.dofmap)
+        dual = dual_basis(sysm)
         vals.append(dual_norms(sysm, dual).max() * np.sqrt(m.h))
     assert max(vals) / min(vals) < 2.0
 
@@ -241,7 +290,7 @@ def test_dual_norm_scaling(mesh_cache):
 def test_riesz_rhs_pads_the_coefficients(system_cache, rng):
     """<sum b_i lambda_i, psi_j> = b_j on the chosen rows, 0 elsewhere."""
     sysm = system_cache(3)
-    dual = dual_basis(sysm.mesh, sysm.dofmap)
+    dual = dual_basis(sysm)
     idx = np.array([0, 5, 17, 42])
     b = rng.standard_normal(idx.size)
     f = riesz_rhs(sysm, dual, idx, b)

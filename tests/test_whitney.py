@@ -101,14 +101,12 @@ def test_interpolant_reproduces_nedelec_fields(rng):
     # sample strictly inside the tet via random barycentric weights
     pts = rng.dirichlet(np.ones(4), size=10) @ el.coords
     vals = el.nedelec_eval(coeffs, pts)
-    expect = np.array([fld(p) for p in pts])
-    assert np.allclose(vals, expect, atol=1e-12)
+    assert np.allclose(vals, fld(pts), atol=1e-12)
 
-    sym = lambda x: np.array([x[1], x[2], x[0]])  # has a symmetric part
+    sym = lambda x: x[..., [1, 2, 0]]  # has a symmetric part
     coeffs2 = el.nedelec_interpolant(sym)
     vals2 = el.nedelec_eval(coeffs2, pts)
-    expect2 = np.array([sym(p) for p in pts])
-    assert np.linalg.norm(vals2 - expect2) > 1e-3
+    assert np.linalg.norm(vals2 - sym(pts)) > 1e-3
 
 
 def test_whitney_curls_match_finite_differences(rng):
@@ -142,8 +140,7 @@ def test_rt_fluxes_are_kronecker_and_divergence_is_constant(rng):
     assert abs(fluxes.sum() - div * el.volume) < 1e-10
     # RT0 contains a + b x, so evaluation reproduces the field pointwise
     pts = rng.dirichlet(np.ones(4), size=8) @ el.coords
-    assert np.allclose(el.rt_eval(fluxes, pts), np.array([fld(p) for p in pts]),
-                       atol=1e-11)
+    assert np.allclose(el.rt_eval(fluxes, pts), fld(pts), atol=1e-11)
 
 
 def test_face_frames_outward_unit_normals(rng):
@@ -163,6 +160,55 @@ def random_poly_coeffs(rng, degree=3):
              for k in range(degree + 1)
              if i + j + k <= degree]
     return {m: rng.standard_normal() for m in monos}
+
+
+def dict_polynomial_field(comps):
+    """Per-point evaluation of the {(i,j,k): c} components and their curl,
+    monomial by monomial: the reference for make_polynomial_field."""
+    def mono(p, e):
+        return p[0] ** e[0] * p[1] ** e[1] * p[2] ** e[2]
+
+    def partial(comp, axis, p):
+        out = 0.0
+        for e, c in comps[comp].items():
+            if e[axis]:
+                low = list(e)
+                low[axis] -= 1
+                out += c * e[axis] * mono(p, low)
+        return out
+
+    def field(p):
+        return np.array([sum(c * mono(p, e) for e, c in comp.items())
+                         for comp in comps])
+
+    def curl(p):
+        return np.array([partial(2, 1, p) - partial(1, 2, p),
+                         partial(0, 2, p) - partial(2, 0, p),
+                         partial(1, 0, p) - partial(0, 1, p)])
+
+    return field, curl
+
+
+def test_polynomial_field_matches_dict_evaluation(rng):
+    """The array evaluation equals the monomial-by-monomial one on single
+    points and on batches of any leading shape, for the field and its curl."""
+    for degree in (0, 1, 3):
+        comps = [random_poly_coeffs(rng, degree) for _ in range(3)]
+        del comps[1][(0, 0, 0)]  # components need not share monomials
+        fld, curl = make_polynomial_field(*comps)
+        ref_fld, ref_curl = dict_polynomial_field(comps)
+        pts = rng.uniform(-1.5, 1.5, size=(4, 5, 3))
+        for got, ref in ((fld, ref_fld), (curl, ref_curl)):
+            batch = got(pts)
+            assert batch.shape == pts.shape
+            expect = np.array([ref(p) for p in pts.reshape(-1, 3)]).reshape(pts.shape)
+            scale = max(np.abs(expect).max(), 1.0)
+            assert np.abs(batch - expect).max() <= 1e-13 * scale
+            for p in pts[0]:
+                assert np.abs(got(p) - ref(p)).max() <= 1e-13 * scale
+    zero, zero_curl = make_polynomial_field({}, {}, {})
+    assert np.array_equal(zero(pts), np.zeros_like(pts))
+    assert np.array_equal(zero_curl(pts[0, 0]), np.zeros(3))
 
 
 def test_commuting_diagram_on_polynomials(rng):
