@@ -61,9 +61,9 @@ from hmaxwell.fem import build_nodal_space, discrete_gradient
 nodal = build_nodal_space(system)
 G = discrete_gradient(system.mesh, system.dofmap, nodal)
 q = rng.standard_normal(G.shape[1])
-phi = exact_sequence_recover(system, region, G @ q)
-
 tets = region.conforming_tets(system.mesh)
+phi = exact_sequence_recover(system, tets, G @ q)
+
 rows = np.unique(system.dofmap.edge_to_dof[system.mesh.tet_edges[tets]])
 rows = rows[rows >= 0]
 dev = float(np.abs((G @ q - G @ phi[~system.mesh.boundary_vertex])[rows]).max())

@@ -159,7 +159,8 @@ def check_gradient_part(system: GalerkinSystem, region: BoxRegion,
     local = space.local_basis
     cols = np.zeros((system.n_dofs, local.shape[1]), dtype=local.dtype)
     cols[space.dofs] = local
-    worst = gradient_part_harmonic_check(system, region, cols) if cols.size else 0.0
+    worst = (gradient_part_harmonic_check(system, region, space.tets, cols)
+             if cols.size else 0.0)
     return CheckResult("gradient parts of harmonic columns are harmonic",
                        worst <= tol, worst, tol,
                        f"{local.shape[1]} columns, dim {space.dim}")
@@ -179,7 +180,7 @@ def check_exact_sequence(system: GalerkinSystem, region: BoxRegion,
     edges = mesh.edges[dofmap.interior_edges[rows]]
     q = np.random.default_rng(seed).standard_normal((n_instances, nodal.n_dofs))
     v = g @ q.T
-    phi = exact_sequence_recover(system, region, v)
+    phi = exact_sequence_recover(system, tets, v)
     recon = phi[edges[:, 1]] - phi[edges[:, 0]]
     worst = float((np.linalg.norm(recon - v[rows], axis=0)
                    / np.linalg.norm(v[rows], axis=0)).max(initial=0.0))

@@ -14,6 +14,13 @@ meshes leaves no admissible pair at all (min diam stays above eta times
 any achievable gap) and would empty the far field. Splitting bisects the
 midpoint box at the midpoint of its longest axis (ties go to the lower
 child), which guarantees strictly shrinking point sets.
+
+The tree also fixes the leaf order: the preorder concatenation of the leaf
+index sets, a permutation of 0..N-1. Every cluster is the range
+[start, stop) of that order, so in leaf order every block of the partition
+is a product of two intervals and a contiguous slice of a dense matrix.
+Cluster.indices stays in ascending DOF order, so the artifacts keep the
+original numbering.
 """
 
 from dataclasses import dataclass, field
@@ -34,6 +41,8 @@ class Cluster:
     level: int
     children: tuple = ()
     id: int = -1
+    start: int = -1       # [start, stop): the cluster's range in leaf order
+    stop: int = -1
 
     @property
     def size(self):
@@ -61,6 +70,7 @@ class ClusterTree:
     n_leaf: int
     clusters: list          # preorder
     depth: int
+    perm: np.ndarray        # leaf order: perm[c.start:c.stop] holds c's DOFs
 
 
 def box_distance(lo1, hi1, lo2, hi2) -> float:
@@ -108,15 +118,19 @@ def build_cluster_tree(mesh: Mesh, dofmap: DofMap, n_leaf: int = 32) -> ClusterT
     root = build(np.arange(n, dtype=np.int64), 0)
     clusters = []
 
-    def register(c):
+    def register(c, start):
         c.id = len(clusters)
         clusters.append(c)
+        # the children split c's indices, so their ranges tile c's range
+        c.start, c.stop = start, start + c.size
         for k in c.children:
-            register(k)
+            register(k, start)
+            start = k.stop
 
-    register(root)
+    register(root, 0)
+    perm = np.concatenate([c.indices for c in clusters if c.is_leaf])
     depth = max(c.level for c in clusters)
-    return ClusterTree(root, int(n_leaf), clusters, int(depth))
+    return ClusterTree(root, int(n_leaf), clusters, int(depth), perm)
 
 
 @dataclass
@@ -160,12 +174,27 @@ def sparsity_constant(partition: BlockPartition) -> int:
 
 
 def tiling_defect(partition: BlockPartition) -> int:
-    """Number of (i, j) pairs not covered exactly once; 0 for a partition."""
+    """Number of (i, j) pairs not covered exactly once; 0 for a partition.
+
+    In leaf order every block is a rectangle of ranges, so the cover count
+    is constant on the cells of the grid cut at the block edges; it comes
+    from a 2-D difference array on that grid, weighted by cell areas.
+    """
     n = partition.n_dofs
-    cover = np.zeros((n, n), dtype=np.int16)
-    for t, s in partition.far + partition.near:
-        cover[np.ix_(t.indices, s.indices)] += 1
-    return int((cover != 1).sum())
+    spans = np.array([(t.start, t.stop, s.start, s.stop)
+                      for t, s in partition.far + partition.near],
+                     dtype=np.int64).reshape(-1, 4)
+    rcut = np.unique(np.concatenate([[0, n], spans[:, 0], spans[:, 1]]))
+    ccut = np.unique(np.concatenate([[0, n], spans[:, 2], spans[:, 3]]))
+    r0, r1 = np.searchsorted(rcut, spans[:, :2]).T
+    c0, c1 = np.searchsorted(ccut, spans[:, 2:]).T
+    diff = np.zeros((rcut.size, ccut.size), dtype=np.int64)
+    for rows, cols, sign in ((r0, c0, 1), (r1, c0, -1), (r0, c1, -1),
+                             (r1, c1, 1)):
+        np.add.at(diff, (rows, cols), sign)
+    cover = diff.cumsum(axis=0).cumsum(axis=1)[:-1, :-1]
+    area = np.outer(np.diff(rcut), np.diff(ccut))
+    return int(area[cover != 1].sum())
 
 
 def partition_to_dict(partition: BlockPartition) -> dict:

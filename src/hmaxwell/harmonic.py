@@ -284,15 +284,14 @@ def caccioppoli_ratio(space: HarmonicSpace,
 
 # local Helmholtz decomposition ---------------------------------------------
 
-def _gradient_split(system: GalerkinSystem, region: BoxRegion,
+def _gradient_split(system: GalerkinSystem, tets: np.ndarray,
                     coeffs: np.ndarray):
-    """(conforming tets, region nodal space, p, edge coefficients of
-    grad p) for the gradient part p of coeffs on the mesh-conforming
-    region; coeffs may be one field (N,) or a block of them (N, m)."""
-    tets = region.conforming_tets(system.mesh)
+    """(region nodal space, p, edge coefficients of grad p) for the
+    gradient part p of coeffs on the mesh-conforming region with tet set
+    tets; coeffs may be one field (N,) or a block of them (N, m)."""
     rns = region_nodal_space(system, tets)
     p = pi_nabla_project(rns, coeffs)
-    return tets, rns, p, gradient_edge_coeffs(system, p)
+    return rns, p, gradient_edge_coeffs(system, p)
 
 
 def local_helmholtz(system: GalerkinSystem, region: BoxRegion,
@@ -304,7 +303,8 @@ def local_helmholtz(system: GalerkinSystem, region: BoxRegion,
     orthogonal, so the squared norms satisfy the Pythagoras identity.
     Returns (z_coeffs, p_nodal) with p a full-length nodal vector.
     """
-    _, _, p, g = _gradient_split(system, region, coeffs)
+    _, p, g = _gradient_split(system, region.conforming_tets(system.mesh),
+                              coeffs)
     return coeffs - g, p
 
 
@@ -313,7 +313,8 @@ def helmholtz_report(system: GalerkinSystem, region: BoxRegion,
     """Decompose and measure: gradient-orthogonality residual of z over
     the region's nodal test space and the Pythagoras defect."""
     mesh = system.mesh
-    tets, rns, p, g = _gradient_split(system, region, coeffs)
+    tets = region.conforming_tets(mesh)
+    rns, p, g = _gradient_split(system, tets, coeffs)
     z = coeffs - g
     mass = assemble_region_matrix(system, tets, "mass")
     verts = np.unique(mesh.tets[tets])
@@ -337,16 +338,19 @@ def helmholtz_report(system: GalerkinSystem, region: BoxRegion,
 
 
 def gradient_part_harmonic_check(system: GalerkinSystem, region: BoxRegion,
+                                 tets: np.ndarray,
                                  columns: np.ndarray) -> float:
     """Max |<grad p, grad hat_w>| over interior-supported vertices w, for
     the gradient part p of a discretely L-harmonic column; small values
     confirm that the gradient part is itself discretely harmonic.
 
-    columns is one column (N,) or a block (N, m); a block gives the max
-    over its columns, with the region built and factored once.
+    tets is the region's conforming tet set (region.conforming_tets, or
+    the tets of a harmonic space on the region). columns is one column
+    (N,) or a block (N, m); a block gives the max over its columns, with
+    the region built and factored once.
     """
     mesh = system.mesh
-    tets, _, _, g = _gradient_split(system, region, columns)
+    _, _, g = _gradient_split(system, tets, columns)
     # vertices whose hat support lies in the box lie in the region too
     ok = _supported_in_box(mesh, region, mesh.tets, mesh.n_vertices)
     verts = np.flatnonzero(ok & ~mesh.boundary_vertex)
@@ -359,11 +363,12 @@ def gradient_part_harmonic_check(system: GalerkinSystem, region: BoxRegion,
 
 # local exact sequence -------------------------------------------------------
 
-def exact_sequence_recover(system: GalerkinSystem, region: BoxRegion,
+def exact_sequence_recover(system: GalerkinSystem, tets: np.ndarray,
                            coeffs: np.ndarray) -> np.ndarray:
     """Nodal potential phi with grad(phi) = coeffs on the region's edges.
 
-    The input must be discretely curl-free on the region; the region (a
+    tets is the region's conforming tet set (region.conforming_tets). The
+    input must be discretely curl-free on the region; the region (a
     box clipped to the domain) is simply connected, so a potential exists
     by the local exact-sequence property and is found by least squares on
     the edge-vertex incidence. Returns a full-length nodal vector that is
@@ -372,7 +377,6 @@ def exact_sequence_recover(system: GalerkinSystem, region: BoxRegion,
     (V, m); both curl-free guards hold each column to its own norm.
     """
     mesh, dofmap = system.mesh, system.dofmap
-    tets = region.conforming_tets(mesh)
     if tets.size == 0:
         raise ValueError("region contains no tets")
     coeffs = np.asarray(coeffs)

@@ -5,8 +5,12 @@ recomputed here from scratch with independent loops and compared against
 the library's answers.
 """
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hmaxwell import (
     box_distance,
@@ -16,7 +20,7 @@ from hmaxwell import (
     sparsity_constant,
     tiling_defect,
 )
-from hmaxwell.cluster import Cluster
+from hmaxwell.cluster import BlockPartition, Cluster
 from hmaxwell.fem import build_dof_map
 
 
@@ -120,16 +124,72 @@ def test_partition_far_and_near_fields(n, eta, tree_and_partition):
         assert not scratch_admissible(t, s, eta)
 
 
+def cover_defect(blocks, n_dofs):
+    """Pairs (i, j) not covered exactly once, counted on an N x N cover
+    array in the original numbering."""
+    cover = np.zeros((n_dofs, n_dofs), dtype=np.int32)
+    for t, s in blocks:
+        cover[np.ix_(t.indices, s.indices)] += 1
+    return int((cover != 1).sum())
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_partition_tiles_exactly(n, tree_and_partition):
     _, dofmap, tree, part = tree_and_partition(n)
     assert tiling_defect(part) == 0
-    # independent cover count
+    assert cover_defect(part.far + part.near, dofmap.n_dofs) == 0
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_tiling_defect_counts_missing_and_duplicate_blocks(n, tree_and_partition):
+    """A dropped far block leaves its area uncovered; a duplicated near
+    block covers its area twice."""
+    _, dofmap, tree, part = tree_and_partition(n, n_leaf=8)
     N = dofmap.n_dofs
-    cover = np.zeros((N, N), dtype=np.int32)
-    for t, s in list(part.far) + list(part.near):
-        cover[np.ix_(t.indices, s.indices)] += 1
-    assert np.all(cover == 1)
+    k = len(part.far) // 2
+    t, s = part.far[k]
+    dropped = BlockPartition(part.far[:k] + part.far[k + 1:], part.near,
+                             part.eta, tree)
+    assert tiling_defect(dropped) == t.size * s.size
+    assert tiling_defect(dropped) == cover_defect(dropped.far + dropped.near, N)
+    u, v = part.near[len(part.near) // 3]
+    doubled = BlockPartition(part.far, part.near + [(u, v)], part.eta, tree)
+    assert tiling_defect(doubled) == u.size * v.size
+    assert tiling_defect(doubled) == cover_defect(doubled.far + doubled.near, N)
+
+
+@functools.lru_cache(maxsize=None)
+def leaf_order_tree(n, n_leaf):
+    from hmaxwell import build_box_mesh
+
+    mesh = build_box_mesh(n)
+    dofmap = build_dof_map(mesh)
+    return mesh, dofmap, build_cluster_tree(mesh, dofmap, n_leaf=n_leaf)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)),
+                max_size=12))
+def test_tiling_defect_matches_cover_count_on_any_blocks(picks):
+    """Any list of cluster pairs, overlapping or not, gives the cover
+    count of the N x N oracle."""
+    _, dofmap, tree = leaf_order_tree(3, 6)
+    cs = tree.clusters
+    blocks = [(cs[i % len(cs)], cs[j % len(cs)]) for i, j in picks]
+    part = BlockPartition(blocks, [], 2.0, tree)
+    assert tiling_defect(part) == cover_defect(blocks, dofmap.n_dofs)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5), st.integers(1, 40))
+def test_leaf_order_makes_every_cluster_a_range(n, n_leaf):
+    """The leaf order is a permutation of 0..N-1 and every cluster's DOFs
+    are its [start, stop) range of it."""
+    _, dofmap, tree = leaf_order_tree(n, n_leaf)
+    perm = tree.perm
+    assert np.array_equal(np.sort(perm), np.arange(dofmap.n_dofs))
+    for c in tree.clusters:
+        assert np.array_equal(np.sort(perm[c.start:c.stop]), c.indices)
 
 
 def test_sparsity_constant_recount(tree_and_partition):

@@ -399,9 +399,10 @@ def test_helmholtz_z_part_projects_to_zero(sys3, rng):
 
 def assert_block_is_max_of_columns(sysm, region, block):
     """One call on a block of columns equals the max of per-column calls."""
-    each = [gradient_part_harmonic_check(sysm, region, block[:, j])
+    tets = region.conforming_tets(sysm.mesh)
+    each = [gradient_part_harmonic_check(sysm, region, tets, block[:, j])
             for j in range(block.shape[1])]
-    whole = gradient_part_harmonic_check(sysm, region, block)
+    whole = gradient_part_harmonic_check(sysm, region, tets, block)
     assert whole == pytest.approx(max(each), rel=1e-10, abs=1e-15)
     return whole
 
@@ -432,12 +433,13 @@ def test_gradient_part_negative_control(system_cache, rng):
 
 def test_recover_inverts_the_gradient(sys4, rng):
     region = BoxRegion((0.45, 0.45, 0.45), 0.6)
+    tets = region.conforming_tets(sys4.mesh)
     ns = build_nodal_space(sys4)
     G = discrete_gradient(sys4.mesh, sys4.dofmap, ns)
     for _ in range(5):
         q = rng.standard_normal(ns.n_dofs)
         v = G @ q
-        phi = exact_sequence_recover(sys4, region, v)
+        phi = exact_sequence_recover(sys4, tets, v)
         # gradients agree on the region's interior edges
         g = np.zeros(sys4.n_dofs)
         m = sys4.mesh
@@ -456,7 +458,8 @@ def region_edge_dofs(sysm, region):
 
 def test_recover_zero_field(sys3):
     region = BoxRegion((0.5, 0.5, 0.5), 0.8)
-    phi = exact_sequence_recover(sys3, region, np.zeros(sys3.n_dofs))
+    tets = region.conforming_tets(sys3.mesh)
+    phi = exact_sequence_recover(sys3, tets, np.zeros(sys3.n_dofs))
     g = phi[sys3.mesh.edges[sys3.dofmap.interior_edges, 1]] \
         - phi[sys3.mesh.edges[sys3.dofmap.interior_edges, 0]]
     assert np.abs(g[region_edge_dofs(sys3, region)]).max() < 1e-14
@@ -464,9 +467,10 @@ def test_recover_zero_field(sys3):
 
 def test_recover_rejects_rotational_input(sys3, rng):
     region = BoxRegion((0.5, 0.5, 0.5), 0.8)
+    tets = region.conforming_tets(sys3.mesh)
     u = rng.standard_normal(sys3.n_dofs)
     with pytest.raises(ValueError, match="not curl-free"):
-        exact_sequence_recover(sys3, region, u)
+        exact_sequence_recover(sys3, tets, u)
 
 
 def test_recover_block_equals_columns(rng):
@@ -475,15 +479,16 @@ def test_recover_block_equals_columns(rng):
     region = BoxRegion((0.45, 0.45, 0.45), 0.6)
     for kappa in (1.0, 1.0 + 0.5j):
         sysm = assemble_system(build_box_mesh(4), kappa=kappa)
+        tets = region.conforming_tets(sysm.mesh)
         G = discrete_gradient(sysm.mesh, sysm.dofmap, build_nodal_space(sysm))
         v = G @ rng.standard_normal((G.shape[1], 4))
         v[:, 2] = 0.0
         if np.iscomplexobj(sysm.A):
             v = v + 1j * (G @ rng.standard_normal((G.shape[1], 4)))
-        phi = exact_sequence_recover(sysm, region, v)
+        phi = exact_sequence_recover(sysm, tets, v)
         assert phi.shape == (sysm.mesh.n_vertices, 4) and phi.dtype == v.dtype
         for j in range(4):
-            col = exact_sequence_recover(sysm, region, v[:, j])
+            col = exact_sequence_recover(sysm, tets, v[:, j])
             assert np.abs(phi[:, j] - col).max() <= 1e-12 * max(np.abs(col).max(), 1.0)
 
 
@@ -491,12 +496,13 @@ def test_recover_block_rejects_one_rotational_column(sys3, rng):
     """Each column is held to its own norm: one rotational column among
     gradients, even a tiny one, fails the block."""
     region = BoxRegion((0.5, 0.5, 0.5), 0.8)
+    tets = region.conforming_tets(sys3.mesh)
     G = discrete_gradient(sys3.mesh, sys3.dofmap, build_nodal_space(sys3))
     v = G @ rng.standard_normal((G.shape[1], 5))
     v[:, 3] = 1e-12 * rng.standard_normal(sys3.n_dofs)
-    exact_sequence_recover(sys3, region, v[:, [0, 1, 2, 4]])
+    exact_sequence_recover(sys3, tets, v[:, [0, 1, 2, 4]])
     with pytest.raises(ValueError, match="not curl-free"):
-        exact_sequence_recover(sys3, region, v)
+        exact_sequence_recover(sys3, tets, v)
 
 
 def test_recover_harmonic_gradient_component(sys4):
@@ -506,7 +512,7 @@ def test_recover_harmonic_gradient_component(sys4):
     space = harmonic_space(sys4, region, "curl")
     _, p = local_helmholtz(sys4, region, space.basis[:, 0])
     v = gradient_edge_coeffs(sys4, p)
-    phi = exact_sequence_recover(sys4, region, v)
+    phi = exact_sequence_recover(sys4, space.tets, v)
     g = phi[sys4.mesh.edges[sys4.dofmap.interior_edges, 1]] \
         - phi[sys4.mesh.edges[sys4.dofmap.interior_edges, 0]]
     dofs = region_edge_dofs(sys4, region)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import eigh, svdvals
 
 from hmaxwell import (
@@ -18,7 +19,7 @@ from hmaxwell import (
 from hmaxwell.cluster import sparsity_constant
 from hmaxwell.fem import (apply_dual_functionals, build_dof_map, riesz_rhs,
                           solve_system)
-from hmaxwell.hmatrix import compress_dense, to_dense
+from hmaxwell.hmatrix import compress_dense, far_svds, to_dense
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +47,31 @@ def test_dense_inverse_identity_and_symmetry(lab3):
     assert np.abs(sysm.A @ binv - np.eye(n)).max() < 1e-8
     # A symmetric implies A^{-1} symmetric, up to solver roundoff
     assert np.abs(binv - binv.T).max() < 1e-8 * np.abs(binv).max()
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
+def test_dense_inverse_residual_guard(system_cache, kappa, monkeypatch):
+    """The sparse residual check rejects rounding-level residuals under an
+    impossible limit, and at the default limit it catches a corrupted
+    solve, reporting the dense residual max |A B - I|."""
+    a = system_cache(3, kappa).A
+    with pytest.raises(ValueError, match="inverse residual"):
+        dense_inverse(a, residual_limit=1e-30)
+
+    solve = scipy.linalg.lu_solve
+
+    def corrupted(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        out[5, 7] += 1e-5
+        return out
+
+    monkeypatch.setattr(scipy.linalg, "lu_solve", corrupted)
+    with pytest.raises(ValueError, match="inverse residual") as info:
+        dense_inverse(a)
+    bad = corrupted(scipy.linalg.lu_factor(a), np.eye(a.shape[0], dtype=a.dtype))
+    dense = np.abs(a @ bad - np.eye(a.shape[0])).max()
+    reported = float(str(info.value).split()[2])
+    assert reported == pytest.approx(dense, rel=1e-3)
 
 
 def test_dense_inverse_rejects_near_singular(mesh_cache):
@@ -105,6 +131,49 @@ def test_rank_sweep_norm_is_exact_residual_norm(system_cache, kappa):
         assert exact <= row.fro_upper * (1.0 + 1e-12)
         assert row.fro_upper == pytest.approx(np.linalg.norm(res), rel=1e-12,
                                               abs=0.0)
+
+
+def reference_sweep_row(binv, part, svds, r):
+    """E_r scattered into an N x N array with np.ix_ in the original
+    numbering, and the row's scalars, from the far-block SVDs."""
+    err = np.zeros_like(binv)
+    sig = fro2 = 0.0
+    scalars = sum(t.size * s.size for t, s in part.near)
+    for (t, s), (u, sv, vh) in zip(part.far, svds):
+        k = min(r, sv.size)
+        err[np.ix_(t.indices, s.indices)] = (u[:, k:] * sv[k:]) @ vh[k:]
+        scalars += k * (t.size + s.size)
+        fro2 += float(np.sum(sv[k:] ** 2))
+        if r < sv.size:
+            sig = max(sig, float(sv[r]))
+    bound = sparsity_constant(part) * (part.tree.depth + 1) * sig
+    return err, sig, bound, scalars, float(np.sqrt(fro2))
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
+@pytest.mark.parametrize("n", [3, 4])
+def test_incremental_sweep_matches_scattered_residual(system_cache, n, kappa):
+    """The in-place leaf-order updates give the error of the explicit
+    scatter at every rank, for an unsorted rank list with a duplicate, 0,
+    and a rank above the smallest far block's size."""
+    sysm = system_cache(n, kappa)
+    part = build_block_partition(
+        build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16), eta=2.0)
+    binv = dense_inverse(sysm.A)
+    svds = far_svds(binv, part)
+    r_list = [8, 0, 2, 2, 40]
+    assert min(sv.size for _, sv, _ in svds) < 40
+    rows = rank_sweep(binv, part, r_list)
+    assert [row.r for row in rows] == sorted(r_list)
+    for row in rows:
+        err, sig, bound, scalars, fro = reference_sweep_row(binv, part, svds,
+                                                            row.r)
+        exact = np.linalg.norm(err, 2)
+        assert row.abs_err == pytest.approx(exact, rel=1e-10, abs=0.0)
+        assert row.max_block_sigma == sig
+        assert row.bound_value == bound
+        assert row.scalars == scalars
+        assert row.fro_upper == pytest.approx(fro, rel=1e-14, abs=0.0)
 
 
 def test_rank_zero_error_is_far_part_norm(lab3):
