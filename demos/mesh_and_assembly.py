@@ -26,11 +26,12 @@ print("\nconformity at n=3:", conf)
 
 # SYSTEM STRUCTURE
 system = assemble_system(mesh, kappa=1.0)
-A, K, M = system.A, system.K, system.M
+A, K, M = system.A, system.K, system.M  # A dense; K and M sparse CSR
 print("\nA = K - kappa*M with kappa = 1")
 print("bitwise symmetric:", np.array_equal(A, A.T))
-print("K psd check, min eigenvalue:", float(np.linalg.eigvalsh(K).min()))
-print("M pd check,  min eigenvalue:", float(np.linalg.eigvalsh(M).min()))
+print(f"K and M: {K.nnz} stored entries of {K.shape[0] ** 2}")
+print("K psd check, min eigenvalue:", float(np.linalg.eigvalsh(K.toarray()).min()))
+print("M pd check,  min eigenvalue:", float(np.linalg.eigvalsh(M.toarray()).min()))
 
 # discrete gradients span the kernel of the curl-curl part
 nodal = build_nodal_space(system)

@@ -65,7 +65,7 @@ def check_gradient_kernel(system: GalerkinSystem, tol: float = 1e-12,
     """curl(grad p) = 0: K annihilates every discrete gradient."""
     nodal = build_nodal_space(system)
     g = discrete_gradient(system.mesh, system.dofmap, nodal)
-    k_fro = float(np.linalg.norm(system.K))
+    k_fro = float(np.linalg.norm(system.K.data))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_trials):

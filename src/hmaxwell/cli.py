@@ -8,7 +8,8 @@ Exit codes: 0 ok; 1 check failure (a failed check, or a numeric guard such
 as dense_inverse's conditioning test); 2 config error; 3 resource limit.
 
 Every run writes its artifacts into a per-experiment subdirectory of
---out together with a manifest (config echo, timings, file checksums).
+--out together with a manifest (config echo, timings, size counters, peak
+RSS, file checksums).
 Data files contain no wall-clock state, so a rerun with the same config
 and seed reproduces them byte for byte.
 """
@@ -16,6 +17,7 @@ and seed reproduces them byte for byte.
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 from datetime import datetime, timezone
@@ -149,7 +151,7 @@ def kappa_of(cfg: dict):
 
 
 class Runner:
-    """Shared plumbing: output directory, phase timings, manifest."""
+    """Shared plumbing: output directory, phase timings, counters, manifest."""
 
     def __init__(self, verb: str, cfg: dict):
         self.cfg = cfg
@@ -171,8 +173,19 @@ class Runner:
     def path(self, filename: str) -> str:
         return os.path.join(self.outdir, filename)
 
-    def finish(self, *paths) -> str:
+    def finish(self, *paths, system=None, partition=None) -> str:
+        """Write the manifest, with counters: tets, N and nonzeros of the dense
+        A, far and near blocks, and the process's peak RSS so far."""
         self.phase(None)
+        counters = self.manifest.counters
+        if system is not None:
+            counters.update(n_tets=system.mesh.n_tets, N=system.n_dofs,
+                            nnz_A=int(np.count_nonzero(system.A)))
+        if partition is not None:
+            counters.update(n_far=len(partition.far), n_near=len(partition.near))
+        # ru_maxrss is in kilobytes on Linux
+        counters["peak_rss_mb"] = round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
         for p in paths:
             self.manifest.add_file(p, self.outdir)
         out = self.manifest.write(self.outdir)
@@ -253,7 +266,7 @@ def cmd_assemble(cfg: dict) -> int:
     }
     p2 = write_json(run.path("system.json"), meta)
     print(f"assembled N = {system.n_dofs}, h = {system.h:.6f}")
-    run.finish(p1, p2)
+    run.finish(p1, p2, system=system)
     return 0
 
 
@@ -292,7 +305,7 @@ def cmd_rank_sweep(cfg: dict) -> int:
         print(f"root-exponential fit b = {fit.b:.4f}, "
               f"exponential fit q = {fit.q:.4f}")
     code = verdict([check_bound(rows, cfg["tolerances"]["bound_slack"])])
-    run.finish(p1, p2, p3)
+    run.finish(p1, p2, p3, system=system, partition=partition)
     return code
 
 
@@ -302,12 +315,12 @@ def cmd_block_svd(cfg: dict) -> int:
     mesh, system, tree, partition, binv = build_pipeline(cfg, need_inverse=True)
     if not partition.far:
         print("no admissible blocks at this size; nothing to decompose")
-        run.finish()
+        run.finish(system=system, partition=partition)
         return 0
     run.phase("svd")
-    svds = far_svds(binv, partition)
-    report = block_decay_report(partition, svds)
     rank = max(cfg["ranks"])
+    svds = far_svds(binv, partition, rank)
+    report = block_decay_report(partition, svds)
     h = compress_dense(binv, partition, rank, svds)
     run.phase("write")
     largest = max(report, key=lambda d: min(d["rows"], d["cols"]))
@@ -338,7 +351,7 @@ def cmd_block_svd(cfg: dict) -> int:
         paths.extend([px, py])
     print(f"{len(report)} admissible blocks, largest "
           f"{largest['rows']}x{largest['cols']}, factors stored at rank {rank}")
-    run.finish(*paths)
+    run.finish(*paths, system=system, partition=partition)
     return 0
 
 
@@ -370,7 +383,7 @@ def cmd_caccioppoli(cfg: dict) -> int:
         out["pairs"][label] = entry
     run.phase("write")
     p1 = write_json(run.path("caccioppoli.json"), out)
-    run.finish(p1)
+    run.finish(p1, system=system)
     return 0
 
 
@@ -393,7 +406,7 @@ def cmd_helmholtz(cfg: dict) -> int:
               f"{rep['pythagoras_defect']:.3e}")
     run.phase("write")
     p1 = write_json(run.path("helmholtz.json"), out)
-    run.finish(p1)
+    run.finish(p1, system=system)
     return 0
 
 
@@ -426,7 +439,7 @@ def cmd_dual_basis_check(cfg: dict) -> int:
         "max_norm": float(norms.max()),
         "min_norm": float(norms.min()),
     })
-    run.finish(p1)
+    run.finish(p1, system=system)
     return code
 
 
@@ -481,7 +494,7 @@ def cmd_verify(cfg: dict) -> int:
         "failures": failures,
         "passed": not failures,
     })
-    run.finish(p1)
+    run.finish(p1, system=system, partition=partition)
     if failures:
         print(f"{len(failures)} check(s) failed: " + "; ".join(failures))
     else:

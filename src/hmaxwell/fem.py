@@ -36,12 +36,15 @@ def build_dof_map(mesh: Mesh) -> DofMap:
 
 @dataclass
 class GalerkinSystem:
+    """K and M are CSR arrays on one shared pattern; A is the one dense
+    N x N matrix, since the LU, the dense inverse and the harmonic spaces
+    read it densely."""
     mesh: Mesh
     dofmap: DofMap
     kappa: complex
-    K: np.ndarray  # (N, N) curl-curl part, real symmetric PSD
-    M: np.ndarray  # (N, N) mass part, real symmetric PD
-    A: np.ndarray  # K - kappa M
+    K: scipy.sparse.csr_array  # (N, N) curl-curl part, real symmetric PSD
+    M: scipy.sparse.csr_array  # (N, N) mass part, real symmetric PD, K's pattern
+    A: np.ndarray  # (N, N) dense K - kappa M
     local: ElementTensors = field(repr=False, default=None)  # every tet, global edge signs
     _lu: tuple = field(repr=False, default=None, compare=False)
 
@@ -60,7 +63,8 @@ class GalerkinSystem:
 
 
 def assemble_system(mesh: Mesh, dofmap: DofMap = None, kappa: complex = 1.0) -> GalerkinSystem:
-    """Assemble K, M and A = K - kappa M over the interior-edge DOFs."""
+    """Assemble sparse K and M and dense A = K - kappa M over the
+    interior-edge DOFs."""
     if kappa == 0:
         raise ValueError("kappa must be nonzero (gradients lie in the curl kernel)")
     if dofmap is None:
@@ -68,25 +72,26 @@ def assemble_system(mesh: Mesh, dofmap: DofMap = None, kappa: complex = 1.0) -> 
     n = dofmap.n_dofs
     local = element_tensors(mesh.vertices[mesh.tets], mesh.tet_edge_signs)
     dofs = dofmap.edge_to_dof[mesh.tet_edges]
-    K = scatter(local.curl, dofs, n).toarray()
-    M = scatter(local.mass, dofs, n).toarray()
+    K = scatter(local.curl, dofs, n)
+    M = scatter(local.mass, dofs, n)
     kappa = complex(kappa)
     if kappa.imag == 0.0:
         kappa = kappa.real
-    # K - kappa M bitwise, without a second N x N temporary
-    A = -kappa * M
-    A += K
+    # K and M share one pattern: K - kappa M on it, then one dense array
+    vals = -kappa * M.data
+    vals += K.data
+    A = scipy.sparse.csr_array((vals, M.indices, M.indptr), shape=M.shape).toarray()
     return GalerkinSystem(mesh, dofmap, kappa, K, M, A, local)
 
 
 def scatter(local: np.ndarray, index: np.ndarray, n: int):
-    """Sum per-tet local vectors (T, k) into a length-n vector, or per-tet
-    local matrices (T, k, k) into an n x n sparse COO array.
+    """Sum per-tet local vectors (T, k) into a length-n vector, or real
+    per-tet local matrices (T, k, k) into an n x n CSR array.
 
     index (T, k) maps each local slot to its global one; slots mapped to -1
-    are dropped. Contributions are added in tet order (also by the COO
-    array's toarray), so bitwise symmetric local matrices sum to a bitwise
-    symmetric global one.
+    are dropped. Each entry is 0.0 plus its contributions in tet order, so
+    bitwise symmetric local matrices sum to a bitwise symmetric global one,
+    and two calls with the same index give the same pattern.
     """
     if local.ndim == 2:
         return _scatter_rows(local, index, n)
@@ -94,7 +99,10 @@ def scatter(local: np.ndarray, index: np.ndarray, n: int):
     pair = keep[:, :, None] & keep[:, None, :]
     rows = np.broadcast_to(index[:, :, None], pair.shape)[pair]
     cols = np.broadcast_to(index[:, None, :], pair.shape)[pair]
-    return scipy.sparse.coo_array((local[pair], (rows, cols)), shape=(n, n))
+    keys, slot = np.unique(rows * n + cols, return_inverse=True)
+    data = np.bincount(slot, weights=local[pair], minlength=keys.size)
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)  # keys ascend
+    return scipy.sparse.csr_array((data, keys % n, indptr), shape=(n, n))
 
 
 def _scatter_rows(local: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
@@ -160,13 +168,13 @@ def edge_incidence(mesh: Mesh, dofmap: DofMap):
          np.arange(0, 2 * n + 1, 2)), shape=(n, mesh.n_vertices))
 
 
-def discrete_gradient(mesh: Mesh, dofmap: DofMap, nodal_space: NodalSpace) -> np.ndarray:
+def discrete_gradient(mesh: Mesh, dofmap: DofMap, nodal_space: NodalSpace):
     """G maps interior nodal values to edge coefficients of the gradient:
-    the columns of edge_incidence at the interior vertices, as a dense array.
+    the columns of edge_incidence at the interior vertices, (N, Nv) CSR.
     Rows for boundary edges would vanish identically (both endpoints sit on
     the boundary) and are not stored.
     """
-    return edge_incidence(mesh, dofmap)[:, nodal_space.interior_vertices].toarray()
+    return edge_incidence(mesh, dofmap)[:, nodal_space.interior_vertices]
 
 
 # projections ------------------------------------------------------------
@@ -185,8 +193,10 @@ def rhs_vector(system: GalerkinSystem, fld, degree: int = 4) -> np.ndarray:
 
 def l2_project(system: GalerkinSystem, fld, degree: int = 4) -> np.ndarray:
     """Coefficients of the L2 projection of a callable field onto the space."""
+    from scipy.sparse.linalg import spsolve  # imported on use: slow to load
+
     f = rhs_vector(system, fld, degree)
-    u = scipy.linalg.solve(system.M, f, assume_a="pos")
+    u = spsolve(system.M.tocsc(), f)
     resid = np.linalg.norm(system.M @ u - f)
     if resid > 1e-10 * max(np.linalg.norm(f), 1e-300):
         raise RuntimeError(f"mass solve residual {resid:.3e} too large")
@@ -333,7 +343,7 @@ def assemble_region_matrix(system: GalerkinSystem, tet_ids, kind: str):
     kind is 'mass' or 'curl'."""
     tet_ids = np.asarray(tet_ids, dtype=np.int64)
     local = system.local.mass if kind == "mass" else system.local.curl
-    return scatter(local[tet_ids], _tet_dofs(system, tet_ids), system.n_dofs).tocsr()
+    return scatter(local[tet_ids], _tet_dofs(system, tet_ids), system.n_dofs)
 
 
 # matrix dump ------------------------------------------------------------

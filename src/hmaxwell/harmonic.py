@@ -264,14 +264,14 @@ def caccioppoli_ratio(space: HarmonicSpace,
     rows = rows[rows >= 0]                 # I: the inner DOFs, numbered in O
     ratio = 0.0
     if z.shape[1] and rows.size:
-        den = (w_curl * scatter(stiff[outer], cols[outer], n_o)
-               + w_mass * scatter(mass[outer], cols[outer], n_o))
+        den = scatter(w_curl * stiff[outer] + w_mass * mass[outer],
+                      cols[outer], n_o)
         chol = scipy.linalg.cholesky(z.conj().T @ (den @ z), lower=True)
         # num lives on I, so with L^-1 Z[I]^H = Q R the nonzero eigenvalues
         # of the pencil (Z^H num Z, L L^H) are those of R num[I, I] R^H
         r = np.linalg.qr(scipy.linalg.solve_triangular(
             chol, z[rows].conj().T, lower=True), mode="r")
-        num = scatter(stiff[inner], cols[inner], n_o).tocsr()[rows][:, rows]
+        num = scatter(stiff[inner], cols[inner], n_o)[rows][:, rows]
         top = r @ (num @ r.conj().T)
         w = scipy.linalg.eigh(top, eigvals_only=True,
                               subset_by_index=[len(top) - 1] * 2)

@@ -53,26 +53,29 @@ def truncated_svd(block: np.ndarray, rank: int):
     return u[:, :r], (vh[:r].conj().T) * s[:r], s
 
 
-def far_svds(dense: np.ndarray, partition: BlockPartition) -> list:
-    """(U, sigma, V^H) of every far block of dense, in partition.far order:
-    the one SVD pass that compression, rank sweeps and decay reports share."""
+def far_svds(dense: np.ndarray, partition: BlockPartition, rank: int) -> list:
+    """(U[:, :rank], every sigma, V^H[:rank]) of each far block of dense, in
+    partition.far order, the factors as owned copies: the one SVD pass that
+    compression, rank sweeps and decay reports share."""
     out = []
     for t, s in partition.far:
         try:
-            out.append(np.linalg.svd(dense[np.ix_(t.indices, s.indices)],
-                                     full_matrices=False))
+            u, sv, vh = np.linalg.svd(dense[np.ix_(t.indices, s.indices)],
+                                      full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"SVD failed on far block ({t.id},{s.id})") from exc
+        out.append((u[:, :rank].copy(), sv, vh[:rank].copy()))
     return out
 
 
 def compress_dense(dense: np.ndarray, partition: BlockPartition, rank: int,
                    svds: list = None) -> HMatrix:
     """Replace far blocks by rank-min(rank, dims) truncated SVDs; copy near
-    blocks verbatim. svds, when given, are far_svds(dense, partition)."""
+    blocks verbatim. svds, when given, are far_svds(dense, partition, r)
+    with r >= rank."""
     if rank < 0:
         raise ValueError("rank must be >= 0")
-    svds = far_svds(dense, partition) if svds is None else svds
+    svds = far_svds(dense, partition, rank) if svds is None else svds
     far = [LowRankBlock(t.indices, s.indices, u[:, :rank],
                         (vh[:rank].conj().T) * sv[:rank])
            for (t, s), (u, sv, vh) in zip(partition.far, svds)]

@@ -84,9 +84,9 @@ def rank_sweep(binv: np.ndarray, partition: BlockPartition, r_list,
     norm_b, conv_b = spectral_norm(binv, seed=seed)
     c_sp = sparsity_constant(partition)
     depth = partition.tree.depth
-    svds = far_svds(binv, partition)
     ranks = sorted(int(r) for r in r_list)
     r_max = ranks[-1] if ranks else 0
+    svds = far_svds(binv, partition, r_max)
     perm = partition.tree.perm
     # per far block, in place so that one copy is alive at a time: the
     # leading r_max triplets of U Sigma and V^H in leaf order, and the tail
@@ -95,8 +95,7 @@ def rank_sweep(binv: np.ndarray, partition: BlockPartition, r_list,
         rows_t = np.searchsorted(t.indices, perm[t.start:t.stop])
         cols_s = np.searchsorted(s.indices, perm[s.start:s.stop])
         tail = np.append(np.cumsum(sv[::-1] ** 2)[::-1], 0.0)
-        svds[i] = ((u[:, :r_max] * sv[:r_max])[rows_t], vh[:r_max, cols_s],
-                   sv, tail)
+        svds[i] = ((u * sv[:r_max])[rows_t], vh[:, cols_s], sv, tail)
     err = binv[np.ix_(perm, perm)]
     for t, s in partition.near:
         err[t.start:t.stop, s.start:s.stop] = 0.0
@@ -170,7 +169,7 @@ def _lstsq_fit(design, y):
 
 def block_decay_report(partition: BlockPartition, svds: list) -> list:
     """Per far block: dims, singular values and both decay fits, from the
-    far-block SVDs (far_svds of the inverse)."""
+    far-block SVDs (far_svds of the inverse, at any rank)."""
     out = []
     for (t, s), (_, sv, _) in zip(partition.far, svds):
         fit = fit_decay(np.arange(1, sv.size + 1), sv)

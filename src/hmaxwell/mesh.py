@@ -74,48 +74,30 @@ def build_box_mesh(n: int, length: float = 1.0) -> Mesh:
 
     m = n + 1
     grid = np.arange(m) * (length / n)
-    ix, iy, iz = np.meshgrid(np.arange(m), np.arange(m), np.arange(m), indexing="ij")
-    vertices = np.column_stack([grid[ix.ravel()], grid[iy.ravel()], grid[iz.ravel()]])
+    lattice = np.stack(np.meshgrid(np.arange(m), np.arange(m), np.arange(m),
+                                   indexing="ij"), axis=-1).reshape(-1, 3)
+    vertices = grid[lattice]
 
-    def vid(i, j, k):
-        return (i * m + j) * m + k
-
-    tets = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lo = np.array([i, j, k])
-                hi = lo + 1
-                v0 = vid(*lo)
-                v3 = vid(*hi)
-                for order in _AXIS_ORDERS:
-                    p1 = lo.copy()
-                    p1[order[0]] += 1
-                    p2 = p1.copy()
-                    p2[order[1]] += 1
-                    tet = [v0, vid(*p1), vid(*p2), v3]
-                    a, b, c, d = (vertices[t] for t in tet)
-                    if np.linalg.det(np.column_stack([b - a, c - a, d - a])) < 0:
-                        tet[2], tet[3] = tet[3], tet[2]
-                    tets.append(tet)
-    tets = np.array(tets, dtype=np.int64)
+    # lattice corners (n^3, 6, 4, 3) of each subcube's six paths, subcubes
+    # in (i, j, k) order: lower corner, one step, two steps, upper corner
+    lo = lattice[(lattice < n).all(axis=1)].reshape(-1, 1, 1, 3)
+    steps = np.eye(3, dtype=np.int64)[np.array(_AXIS_ORDERS)]  # (6, 3 steps, 3)
+    path = np.pad(np.cumsum(steps, axis=1), ((0, 0), (1, 0), (0, 0)))  # (6, 4, 3)
+    corner = lo + path
+    tets = ((corner[..., 0] * m + corner[..., 1]) * m + corner[..., 2]).reshape(-1, 4)
+    coords = vertices[tets]  # the flip below permutes edges, so h reads it too
+    flip = np.linalg.det(coords[:, 1:] - coords[:, :1]) < 0  # rows b-a, c-a, d-a
+    tets[flip, 2:] = tets[flip, :1:-1]
 
     # global edge set: unique sorted vertex pairs over all local edges
     le = np.array(LOCAL_EDGES)
-    pairs = np.sort(tets[:, le], axis=2).reshape(-1, 2)  # (T*6, 2)
+    ends = tets[:, le]  # (T, 6, 2) in local direction
+    pairs = np.sort(ends, axis=2).reshape(-1, 2)  # (T*6, 2)
     keys = pairs[:, 0] * (m ** 3) + pairs[:, 1]
-    _, first = np.unique(keys, return_index=True)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     edges = pairs[first]  # unique keys ascend, so edges are lexicographic in (lo, hi)
-    key_to_id = {int(k): i for i, k in enumerate(edges[:, 0] * (m ** 3) + edges[:, 1])}
-
-    tet_edges = np.empty((tets.shape[0], 6), dtype=np.int64)
-    tet_edge_signs = np.empty((tets.shape[0], 6), dtype=np.int64)
-    for t in range(tets.shape[0]):
-        for k, (a, b) in enumerate(LOCAL_EDGES):
-            va, vb = int(tets[t, a]), int(tets[t, b])
-            lo2, hi2 = (va, vb) if va < vb else (vb, va)
-            tet_edges[t, k] = key_to_id[lo2 * (m ** 3) + hi2]
-            tet_edge_signs[t, k] = 1 if va < vb else -1
+    tet_edges = inverse.reshape(-1, 6)
+    tet_edge_signs = np.where(ends[:, :, 0] < ends[:, :, 1], 1, -1)
 
     tol = 1e-12 * length
     # the six face planes kept separate: x=0 and x=L are different planes
@@ -125,13 +107,11 @@ def build_box_mesh(n: int, length: float = 1.0) -> Mesh:
     # an edge is boundary iff both endpoints lie in one common face plane
     boundary_edge = (on_face[edges[:, 0]] & on_face[edges[:, 1]]).any(axis=1)
 
-    edge_tets = [[] for _ in range(edges.shape[0])]
-    for t in range(tets.shape[0]):
-        for e in tet_edges[t]:
-            edge_tets[int(e)].append(t)
-    edge_tets = [np.array(lst, dtype=np.int64) for lst in edge_tets]
+    # tets of each edge in ascending order: a stable sort of the slots by edge
+    flat = tet_edges.ravel()
+    counts = np.bincount(flat, minlength=edges.shape[0])
+    edge_tets = np.split(np.argsort(flat, kind="stable") // 6, np.cumsum(counts)[:-1])
 
-    coords = vertices[tets]  # (T, 4, 3)
     diffs = coords[:, le[:, 0], :] - coords[:, le[:, 1], :]
     h = float(np.sqrt((diffs ** 2).sum(axis=2)).max())
 
@@ -167,27 +147,20 @@ def conformity_report(mesh: Mesh) -> dict:
     Every interior triangular face must be shared by exactly two tets and
     every boundary face by exactly one.
     """
-    faces = {}
-    for t in range(mesh.n_tets):
-        vs = mesh.tets[t]
-        for drop in range(4):
-            face = tuple(sorted(int(vs[i]) for i in range(4) if i != drop))
-            faces[face] = faces.get(face, 0) + 1
+    tri = np.sort(mesh.tets[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]], axis=2)
+    faces, count = np.unique(tri.reshape(-1, 3), axis=0, return_counts=True)
+    pts = mesh.vertices[faces]  # (F, 3 vertices, 3 coords)
     tol = 1e-12 * mesh.length
-    n_int = n_bnd = 0
-    for face, count in faces.items():
-        pts = mesh.vertices[list(face)]
-        on_plane = np.hstack([np.abs(pts) <= tol,
-                              np.abs(pts - mesh.length) <= tol]).all(axis=0)
-        if on_plane.any():
-            if count != 1:
-                raise ValueError(f"boundary face {face} shared by {count} tets")
-            n_bnd += 1
-        else:
-            if count != 2:
-                raise ValueError(f"interior face {face} shared by {count} tets")
-            n_int += 1
-    return {"interior_faces": n_int, "boundary_faces": n_bnd}
+    # a face is boundary when all three vertices lie in one face plane
+    boundary = ((np.abs(pts) <= tol).all(axis=1)
+                | (np.abs(pts - mesh.length) <= tol).all(axis=1)).any(axis=1)
+    for kind, on, want in (("boundary", boundary, 1), ("interior", ~boundary, 2)):
+        bad = np.flatnonzero(on & (count != want))
+        if bad.size:
+            face = tuple(faces[bad[0]].tolist())
+            raise ValueError(f"{kind} face {face} shared by {count[bad[0]]} tets")
+    return {"interior_faces": int((~boundary).sum()),
+            "boundary_faces": int(boundary.sum())}
 
 
 def mesh_to_dict(mesh: Mesh) -> dict:

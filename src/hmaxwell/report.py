@@ -1,8 +1,8 @@
 """Artifact emission: CSV/JSON/SVG writers and the run manifest.
 
 Everything written here is deterministic for a fixed config and seed;
-wall-clock data (timestamp, phase timings) goes only into the manifest so
-data files can be compared byte for byte across reruns.
+wall-clock and process data (timestamp, timings, peak RSS) go only into
+the manifest so data files can be compared byte for byte across reruns.
 """
 
 import csv
@@ -81,6 +81,7 @@ class RunManifest:
     config: dict
     timestamp: str
     timings: dict = field(default_factory=dict)
+    counters: dict = field(default_factory=dict)
     files: list = field(default_factory=list)
 
     def add_file(self, path: str, outdir: str):
@@ -98,6 +99,7 @@ class RunManifest:
             "config": jsonable(self.config),
             "timestamp": self.timestamp,
             "timings_seconds": jsonable(self.timings),
+            "counters": jsonable(self.counters),
             "files": sorted(self.files, key=lambda d: d["path"]),
         }
         with open(path, "w", encoding="utf-8", newline="\n") as f:

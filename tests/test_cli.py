@@ -144,7 +144,7 @@ def test_numeric_guard_is_check_failure(tmp_path, capsys):
     """kappa at a discrete eigenvalue is a valid config whose system is
     singular: dense_inverse's guard reports it as a check failure."""
     sysm = assemble_system(build_box_mesh(2))
-    w = eigh(sysm.K, sysm.M, eigvals_only=True)
+    w = eigh(sysm.K.toarray(), sysm.M.toarray(), eigvals_only=True)
     bad = float(w[np.argmax(w > 1e-8)])  # smallest nonzero pencil eigenvalue
     code = run_cli("rank-sweep", "--n", "2", "--kappa-re", repr(bad),
                    "--out", str(tmp_path))
@@ -262,6 +262,28 @@ def test_rerun_is_byte_identical(tmp_path, verb):
     m1 = json.loads((d1 / "manifest.json").read_text())
     m2 = json.loads((d2 / "manifest.json").read_text())
     assert m1["files"] == m2["files"]  # checksums cover every data file
+
+
+def test_manifest_counters(tmp_path):
+    """Next to the phase timings: N, nnz(A) as numerically nonzero entries
+    of the dense A, tets, far and near blocks, and the peak RSS."""
+    argv = ["rank-sweep", "--n", "2", "--n-leaf", "8", "--ranks", "1,2,4",
+            "--out", str(tmp_path), "--name", "c"]
+    assert main(argv) == 0
+    man = json.loads((tmp_path / "c" / "manifest.json").read_text())
+    cfg = load_config(build_parser().parse_args(argv))
+    _, system, _, partition, _ = build_pipeline(cfg)
+    counters = man["counters"]
+    assert set(counters) == {"N", "nnz_A", "n_tets", "n_far", "n_near", "peak_rss_mb"}
+    assert counters["N"] == system.n_dofs == 26
+    assert counters["nnz_A"] == np.count_nonzero(system.A)
+    assert counters["n_tets"] == 48
+    assert (counters["n_far"], counters["n_near"]) == (len(partition.far),
+                                                       len(partition.near))
+    assert counters["peak_rss_mb"] > 0
+    assert main(["mesh-info", "--n", "2", "--out", str(tmp_path), "--name", "m"]) == 0
+    man = json.loads((tmp_path / "m" / "manifest.json").read_text())
+    assert set(man["counters"]) == {"peak_rss_mb"}  # no system was built
 
 
 # benchmark hooks ----------------------------------------------------------------

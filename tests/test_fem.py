@@ -5,8 +5,11 @@ matrices (see test_whitney) with its own sign handling, then scatters
 them entry by entry. The production assembler must agree to rounding.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +39,7 @@ from hmaxwell.fem import (
     scatter,
 )
 from hmaxwell.whitney import element_tensors
+from test_mesh import same_bits
 from test_whitney import curl_oracle, mass_oracle
 
 
@@ -67,8 +71,8 @@ def test_assembly_matches_reference(n, kappa, mesh_cache):
     sysm = assemble_system(m, kappa=kappa)
     K, M, A = reference_assembly(m, sysm.dofmap, kappa)
     scale = np.abs(A).max()
-    assert np.abs(sysm.K - K).max() < 1e-13 * scale
-    assert np.abs(sysm.M - M).max() < 1e-13 * scale
+    assert np.abs(sysm.K.toarray() - K).max() < 1e-13 * scale
+    assert np.abs(sysm.M.toarray() - M).max() < 1e-13 * scale
     assert np.abs(sysm.A - A).max() < 1e-13 * scale
 
 
@@ -76,8 +80,55 @@ def test_system_is_bitwise_symmetric(system_cache):
     for n in (2, 3):
         sysm = system_cache(n)
         assert np.array_equal(sysm.A, sysm.A.T)
-        assert np.array_equal(sysm.K, sysm.K.T)
-        assert np.array_equal(sysm.M, sysm.M.T)
+        assert (sysm.K != sysm.K.T).nnz == 0
+        assert (sysm.M != sysm.M.T).nnz == 0
+
+
+def coo_scatter(local, index, n):
+    """Dense sum of per-tet local matrices through a COO array, whose
+    toarray adds the contributions into zeros in tet order."""
+    keep = index >= 0
+    pair = keep[:, :, None] & keep[:, None, :]
+    rows = np.broadcast_to(index[:, :, None], pair.shape)[pair]
+    cols = np.broadcast_to(index[:, None, :], pair.shape)[pair]
+    return scipy.sparse.coo_array((local[pair], (rows, cols)), shape=(n, n)).toarray()
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 5), kappa_re=st.floats(-20.0, 20.0).filter(bool),
+       kappa_im=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)))
+def test_csr_scatter_is_the_dense_coo_sum_bitwise(n, kappa_re, kappa_im):
+    """Sparse K and M hold the dense COO sums bit for bit, are symmetric by
+    construction, and A is the dense K - kappa M computed as before."""
+    m = build_box_mesh(n)
+    sysm = assemble_system(m, kappa=complex(kappa_re, kappa_im))
+    local = element_tensors(m.vertices[m.tets], m.tet_edge_signs)
+    dofs = sysm.dofmap.edge_to_dof[m.tet_edges]
+    k_old = coo_scatter(local.curl, dofs, sysm.n_dofs)
+    m_old = coo_scatter(local.mass, dofs, sysm.n_dofs)
+    assert isinstance(sysm.K, scipy.sparse.csr_array)
+    assert isinstance(sysm.M, scipy.sparse.csr_array)
+    assert same_bits(sysm.K.toarray(), k_old)
+    assert same_bits(sysm.M.toarray(), m_old)
+    assert (sysm.K != sysm.K.T).nnz == 0
+    assert (sysm.M != sysm.M.T).nnz == 0
+    a_old = -sysm.kappa * m_old
+    a_old += k_old
+    assert same_bits(sysm.A, a_old)
+    assert np.array_equal(sysm.A, sysm.K.toarray() - sysm.kappa * sysm.M.toarray())
+
+
+def test_assembly_holds_one_dense_matrix(mesh_cache):
+    """A is the only N x N array assemble_system allocates."""
+    m = mesh_cache(6)
+    tracemalloc.start()
+    try:
+        sysm = assemble_system(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sysm.A.shape == (1206, 1206)
+    assert peak < 1.5 * sysm.A.nbytes
 
 
 def test_complex_kappa_keeps_complex_symmetry():
@@ -85,7 +136,7 @@ def test_complex_kappa_keeps_complex_symmetry():
     sysm = assemble_system(m, kappa=1.0 + 0.5j)
     assert sysm.A.dtype == np.complex128
     assert np.array_equal(sysm.A, sysm.A.T)  # symmetric, not hermitian
-    assert np.abs(sysm.A - (sysm.K - (1.0 + 0.5j) * sysm.M)).max() == 0.0
+    assert np.abs(sysm.A - (sysm.K.toarray() - (1.0 + 0.5j) * sysm.M.toarray())).max() == 0.0
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -96,15 +147,16 @@ def test_curl_kills_gradients_and_a_is_symmetric(n, kappa_re, kappa_im):
     sysm = assemble_system(m, kappa=complex(kappa_re, kappa_im))
     assert np.array_equal(sysm.A, sysm.A.T)
     G = discrete_gradient(m, sysm.dofmap, build_nodal_space(sysm))
-    if G.size:
-        assert np.abs(sysm.K @ G).max() <= 1e-13 * np.abs(sysm.K).max()
+    if G.shape[1]:
+        assert (np.abs((sysm.K @ G).toarray()).max()
+                <= 1e-13 * np.abs(sysm.K.toarray()).max())
 
 
 def test_region_matrices_split_the_global_ones(system_cache, rng):
     sysm = system_cache(3)
     tets = np.arange(sysm.mesh.n_tets)
     part = rng.random(tets.size) < 0.5
-    for kind, full in (("curl", sysm.K), ("mass", sysm.M)):
+    for kind, full in (("curl", sysm.K.toarray()), ("mass", sysm.M.toarray())):
         scale = np.abs(full).max()
         whole = assemble_region_matrix(sysm, tets, kind).toarray()
         assert np.abs(whole - full).max() <= 1e-15 * scale
@@ -120,7 +172,7 @@ def test_gradients_span_the_curl_kernel(system_cache, rng):
     p = rng.standard_normal((ns.n_dofs, 5))
     gp = G @ p
     resid = np.abs(sysm.K @ gp).max()
-    assert resid < 1e-12 * np.linalg.norm(sysm.K) * np.abs(gp).max()
+    assert resid < 1e-12 * np.linalg.norm(sysm.K.toarray()) * np.abs(gp).max()
     # on gradients the operator acts through the mass matrix alone
     assert np.allclose(sysm.A @ gp, -sysm.kappa * (sysm.M @ gp), atol=1e-12)
 
@@ -128,7 +180,7 @@ def test_gradients_span_the_curl_kernel(system_cache, rng):
 def test_gradient_matrix_is_signed_incidence(system_cache):
     sysm = system_cache(2)
     ns = build_nodal_space(sysm)
-    G = discrete_gradient(sysm.mesh, sysm.dofmap, ns)
+    G = discrete_gradient(sysm.mesh, sysm.dofmap, ns).toarray()
     m = sysm.mesh
     cols = np.nonzero(G)[1]
     assert set(np.unique(G)) <= {-1.0, 0.0, 1.0}
@@ -158,7 +210,7 @@ def test_nodal_laplacian_is_gram_of_gradients(system_cache):
     sysm = system_cache(3)
     ns = build_nodal_space(sysm)
     G = discrete_gradient(sysm.mesh, sysm.dofmap, ns)
-    lap = G.T @ sysm.M @ G
+    lap = (G.T @ sysm.M @ G).toarray()
     assert np.abs(lap - ns.laplacian).max() < 1e-13 * np.abs(lap).max()
 
 
@@ -213,7 +265,7 @@ def test_solve_system_residual(system_cache, rng):
 def test_hcurl_norm_matches_quadratic_form(system_cache, rng):
     sysm = system_cache(2)
     u = rng.standard_normal(sysm.n_dofs)
-    expect = np.sqrt(u @ sysm.K @ u + u @ sysm.M @ u)
+    expect = np.sqrt(u @ (sysm.K @ u) + u @ (sysm.M @ u))
     assert abs(hcurl_norm(sysm, u) - expect) < 1e-12 * expect
 
 

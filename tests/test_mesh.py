@@ -12,12 +12,105 @@ body diagonal:
     interior faces  (24 n^3 - 12 n^2) / 2
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hmaxwell import build_box_mesh, conformity_report, shape_regularity_constant
 from hmaxwell.fem import build_dof_map
-from hmaxwell.mesh import support_tets, tet_volumes
+from hmaxwell.mesh import (_AXIS_ORDERS, LOCAL_EDGES, Mesh, mesh_to_dict,
+                           support_tets, tet_volumes)
+from hmaxwell.report import write_json
+
+
+def loop_box_mesh(n, length=1.0):
+    """Tet by tet construction of the Kuhn box mesh, with a dict from
+    vertex-pair keys to edge ids: the oracle for build_box_mesh."""
+    m = n + 1
+    grid = np.arange(m) * (length / n)
+    ix, iy, iz = np.meshgrid(np.arange(m), np.arange(m), np.arange(m), indexing="ij")
+    vertices = np.column_stack([grid[ix.ravel()], grid[iy.ravel()], grid[iz.ravel()]])
+
+    def vid(i, j, k):
+        return (i * m + j) * m + k
+
+    tets = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lo = np.array([i, j, k])
+                hi = lo + 1
+                v0 = vid(*lo)
+                v3 = vid(*hi)
+                for order in _AXIS_ORDERS:
+                    p1 = lo.copy()
+                    p1[order[0]] += 1
+                    p2 = p1.copy()
+                    p2[order[1]] += 1
+                    tet = [v0, vid(*p1), vid(*p2), v3]
+                    a, b, c, d = (vertices[t] for t in tet)
+                    if np.linalg.det(np.column_stack([b - a, c - a, d - a])) < 0:
+                        tet[2], tet[3] = tet[3], tet[2]
+                    tets.append(tet)
+    tets = np.array(tets, dtype=np.int64)
+
+    le = np.array(LOCAL_EDGES)
+    pairs = np.sort(tets[:, le], axis=2).reshape(-1, 2)
+    keys = pairs[:, 0] * (m ** 3) + pairs[:, 1]
+    _, first = np.unique(keys, return_index=True)
+    edges = pairs[first]
+    key_to_id = {int(k): i for i, k in enumerate(edges[:, 0] * (m ** 3) + edges[:, 1])}
+
+    tet_edges = np.empty((tets.shape[0], 6), dtype=np.int64)
+    tet_edge_signs = np.empty((tets.shape[0], 6), dtype=np.int64)
+    for t in range(tets.shape[0]):
+        for k, (a, b) in enumerate(LOCAL_EDGES):
+            va, vb = int(tets[t, a]), int(tets[t, b])
+            lo2, hi2 = (va, vb) if va < vb else (vb, va)
+            tet_edges[t, k] = key_to_id[lo2 * (m ** 3) + hi2]
+            tet_edge_signs[t, k] = 1 if va < vb else -1
+
+    tol = 1e-12 * length
+    on_face = np.hstack([np.abs(vertices) <= tol,
+                         np.abs(vertices - length) <= tol])
+    boundary_vertex = on_face.any(axis=1)
+    boundary_edge = (on_face[edges[:, 0]] & on_face[edges[:, 1]]).any(axis=1)
+
+    edge_tets = [[] for _ in range(edges.shape[0])]
+    for t in range(tets.shape[0]):
+        for e in tet_edges[t]:
+            edge_tets[int(e)].append(t)
+    edge_tets = [np.array(lst, dtype=np.int64) for lst in edge_tets]
+
+    coords = vertices[tets]
+    diffs = coords[:, le[:, 0], :] - coords[:, le[:, 1], :]
+    h = float(np.sqrt((diffs ** 2).sum(axis=2)).max())
+    return Mesh(n, float(length), vertices, tets, edges, tet_edges,
+                tet_edge_signs, boundary_vertex, boundary_edge, edge_tets, h)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("length", [1.0, 2.5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_batched_mesh_matches_the_loop_oracle(n, length, tmp_path):
+    """Every field bitwise equal to the tet-by-tet construction, and the
+    written mesh.json byte for byte."""
+    got, want = build_box_mesh(n, length), loop_box_mesh(n, length)
+    for f in dataclasses.fields(Mesh):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "edge_tets":
+            assert len(a) == len(b)
+            assert all(same_bits(x, y) for x, y in zip(a, b))
+        else:
+            assert type(a) is type(b) and same_bits(a, b), f.name
+    paths = [write_json(str(tmp_path / f"{tag}.json"), mesh_to_dict(mesh))
+             for tag, mesh in (("got", got), ("want", want))]
+    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -36,6 +129,18 @@ def test_faces_conform(n, mesh_cache):
     rep = conformity_report(mesh_cache(n))
     assert rep["boundary_faces"] == 12 * n**2
     assert rep["interior_faces"] == (24 * n**3 - 12 * n**2) // 2
+
+
+def test_nonconforming_faces_rejected():
+    """A repeated tet shares each of its faces once too often."""
+    m = build_box_mesh(3)
+    # subcube (1, 1, 1), tets 78-83, is the only one off the box faces
+    interior = dataclasses.replace(m, tets=np.vstack([m.tets, m.tets[78:79]]))
+    with pytest.raises(ValueError, match="interior face .* shared by 3 tets"):
+        conformity_report(interior)
+    corner = dataclasses.replace(m, tets=np.vstack([m.tets, m.tets[:1]]))
+    with pytest.raises(ValueError, match="boundary face .* shared by 2 tets"):
+        conformity_report(corner)
 
 
 @pytest.mark.parametrize("n,length", [(1, 1.0), (2, 1.0), (3, 2.5), (4, 1.0)])
@@ -84,8 +189,6 @@ def test_edges_are_sorted_and_unique(mesh_cache):
 
 def test_tet_edges_index_back_to_vertices(mesh_cache):
     """tet_edges/tet_edge_signs must reproduce each tet's vertex pairs."""
-    from hmaxwell.mesh import LOCAL_EDGES
-
     m = mesh_cache(2)
     for t in range(m.n_tets):
         for k, (a, b) in enumerate(LOCAL_EDGES):
