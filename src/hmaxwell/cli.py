@@ -1,8 +1,11 @@
 """Command-line experiment runner.
 
 Verbs: mesh-info, assemble, rank-sweep, block-svd, caccioppoli, helmholtz,
-commuting-check, dual-basis-check, verify. A JSON config file can set any
-option; explicit flags win over the file, the file wins over defaults.
+commuting-check, dual-basis-check, verify. OPTIONS declares every option
+once: parser, default and flag help. A JSON config file can set any option
+(length and tolerances only there); flags win over the file, the file over
+defaults, and one parser reads both, so a non-integral integer or a
+non-finite number is a config error from either.
 
 Exit codes: 0 ok; 1 check failure (a failed check, or a numeric guard such
 as dense_inverse's conditioning test); 2 config error; 3 resource limit.
@@ -30,7 +33,7 @@ from .checks import (CheckResult, check_bound, check_commuting,
                      check_exact_sequence, check_gradient_kernel,
                      check_gradient_part, check_helmholtz,
                      check_partition_tiles, check_symmetry, check_transfer,
-                     default_tolerances)
+                     default_tolerances, random_field)
 from .cluster import (build_block_partition, build_cluster_tree,
                       partition_to_dict)
 from .fem import (assemble_system, build_dof_map, dual_basis, dual_norms,
@@ -52,35 +55,70 @@ class ResourceLimit(Exception):
     pass
 
 
-DEFAULTS = {
-    "n": 3,
-    "length": 1.0,
-    "kappa_re": 1.0,
-    "kappa_im": 0.0,
-    "eta": 2.0,
-    "n_leaf": 32,
-    "ranks": [1, 2, 4, 8, 12, 16, 20],
-    "seed": 0,
-    "out": "runs",
-    "name": None,
-    "dense_limit": 8000,
-    "tolerances": {},
+def _int(value) -> int:
+    """A decimal string, an int or an integral float; never a bool."""
+    if isinstance(value, str):
+        return int(value)
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
+def _float(value) -> float:
+    """A finite number, or a string that parses as one; never a bool."""
+    if isinstance(value, bool) or not np.isfinite(value := float(value)):
+        raise ValueError("not a finite number")
+    return value
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("not a string")
+    return value
+
+
+def _ranks(value) -> list:
+    """"1,2,4" or a list of integers."""
+    if isinstance(value, str):
+        value = [tok for tok in value.split(",") if tok.strip()]
+    if not isinstance(value, list) or not value:
+        raise ValueError("not a nonempty list or comma-separated string")
+    return [_int(r) for r in value]
+
+
+def _tolerances(value) -> dict:
+    """Overrides of checks.default_tolerances, merged into them."""
+    tol = default_tolerances()
+    if not isinstance(value, dict):
+        raise TypeError("not an object")
+    if unknown := sorted(set(value) - set(tol)):
+        raise ValueError(f"unknown tolerance key(s) {unknown}")
+    return {**tol, **{key: _float(v) for key, v in value.items()}}
+
+
+# name -> (parser, default, flag help); a help of None means the option is
+# set only from the config file. Defaults go through the parser as well.
+OPTIONS = {
+    "n": (_int, 3, "subdivisions per axis"),
+    "length": (_float, 1.0, None),
+    "kappa_re": (_float, 1.0, "Re(kappa)"),
+    "kappa_im": (_float, 0.0, "Im(kappa)"),
+    "eta": (_float, 2.0, "admissibility parameter"),
+    "n_leaf": (_int, 32, "cluster leaf size"),
+    "ranks": (_ranks, "1,2,4,8,12,16,20", "comma-separated ranks"),
+    "seed": (_int, 0, "RNG seed"),
+    "out": (_text, "runs", "output root directory"),
+    "name": (lambda v: v if v is None else _text(v), None,
+             "experiment subdirectory name"),
+    "dense_limit": (_int, 8000, "max N for dense inversion"),
+    "tolerances": (_tolerances, {}, None),
 }
 
 
-def parse_ranks(text):
-    try:
-        ranks = [int(tok) for tok in str(text).split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"bad --ranks value {text!r}: {exc}") from None
-    if not ranks:
-        raise ConfigError("--ranks must list at least one rank")
-    return ranks
-
-
 def load_config(args) -> dict:
-    cfg = dict(DEFAULTS)
-    cfg["tolerances"] = dict(default_tolerances())
+    """Defaults, then the config file, then the flags, each value through
+    its option's parser; then the range checks."""
+    values = {key: default for key, (_, default, _) in OPTIONS.items()}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as f:
@@ -89,65 +127,29 @@ def load_config(args) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {exc}")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-        for key, val in file_cfg.items():
-            if key not in DEFAULTS:
-                raise ConfigError(f"unknown config key {key!r}")
-            if key == "ranks" and isinstance(val, str):
-                val = parse_ranks(val)
-            if key == "tolerances":
-                if not isinstance(val, dict):
-                    raise ConfigError("tolerances must be an object")
-                unknown = sorted(set(val) - set(cfg["tolerances"]))
-                if unknown:
-                    raise ConfigError(f"unknown tolerance key(s) {unknown}")
-                cfg["tolerances"].update(val)
-            else:
-                cfg[key] = val
-    for key in ("n", "kappa_re", "kappa_im", "eta", "n_leaf", "seed",
-                "out", "name", "dense_limit"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-    if getattr(args, "ranks", None) is not None:
-        cfg["ranks"] = parse_ranks(args.ranks)
-    validate_config(cfg)
+        values.update(file_cfg)
+    values.update({key: flag for key in OPTIONS
+                   if (flag := getattr(args, key, None)) is not None})
+    cfg = {}
+    for key, value in values.items():
+        if key not in OPTIONS:
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            cfg[key] = OPTIONS[key][0](value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad {key} value {value!r}: {exc}") from None
+    for bad, message in (
+            (cfg["n"] < 1, "n must be >= 1"),
+            (cfg["length"] <= 0, "length must be positive"),
+            (cfg["kappa_re"] == 0.0 and cfg["kappa_im"] == 0.0,
+             "kappa must be nonzero"),
+            (cfg["eta"] <= 0, "eta must be positive"),
+            (cfg["n_leaf"] < 1, "n-leaf must be >= 1"),
+            (any(r < 0 for r in cfg["ranks"]), "ranks must be nonnegative"),
+            (cfg["dense_limit"] < 1, "dense limit must be >= 1")):
+        if bad:
+            raise ConfigError(message)
     return cfg
-
-
-def validate_config(cfg: dict):
-    try:
-        cfg["n"] = int(cfg["n"])
-        cfg["length"] = float(cfg["length"])
-        cfg["kappa_re"] = float(cfg["kappa_re"])
-        cfg["kappa_im"] = float(cfg["kappa_im"])
-        cfg["eta"] = float(cfg["eta"])
-        cfg["n_leaf"] = int(cfg["n_leaf"])
-        cfg["seed"] = int(cfg["seed"])
-        cfg["dense_limit"] = int(cfg["dense_limit"])
-        cfg["ranks"] = [int(r) for r in cfg["ranks"]]
-        cfg["tolerances"] = {k: float(v) for k, v in cfg["tolerances"].items()}
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config value: {exc}")
-    if cfg["n"] < 1:
-        raise ConfigError("n must be >= 1")
-    if cfg["length"] <= 0:
-        raise ConfigError("length must be positive")
-    if cfg["kappa_re"] == 0.0 and cfg["kappa_im"] == 0.0:
-        raise ConfigError("kappa must be nonzero")
-    if cfg["eta"] <= 0:
-        raise ConfigError("eta must be positive")
-    if cfg["n_leaf"] < 1:
-        raise ConfigError("n-leaf must be >= 1")
-    if any(r < 0 for r in cfg["ranks"]):
-        raise ConfigError("ranks must be nonnegative")
-    if cfg["dense_limit"] < 1:
-        raise ConfigError("dense limit must be >= 1")
-
-
-def kappa_of(cfg: dict):
-    if cfg["kappa_im"] == 0.0:
-        return cfg["kappa_re"]
-    return complex(cfg["kappa_re"], cfg["kappa_im"])
 
 
 class Runner:
@@ -194,9 +196,10 @@ class Runner:
 
 
 def build_system(cfg: dict):
-    """The assembled Galerkin system on the configured mesh."""
-    return assemble_system(build_box_mesh(cfg["n"], cfg["length"]),
-                           kappa=kappa_of(cfg))
+    """The Galerkin system on the configured mesh; real when Im(kappa) = 0."""
+    kappa = (complex(cfg["kappa_re"], cfg["kappa_im"]) if cfg["kappa_im"]
+             else cfg["kappa_re"])
+    return assemble_system(build_box_mesh(cfg["n"], cfg["length"]), kappa=kappa)
 
 
 def build_pipeline(cfg: dict, need_inverse: bool = False):
@@ -391,10 +394,7 @@ def cmd_helmholtz(cfg: dict) -> int:
     run = Runner("helmholtz", cfg)
     run.phase("assemble")
     system = build_system(cfg)
-    rng = np.random.default_rng(cfg["seed"])
-    coeffs = rng.standard_normal(system.n_dofs)
-    if np.iscomplexobj(system.A):
-        coeffs = coeffs + 1j * rng.standard_normal(system.n_dofs)
+    coeffs = random_field(system, cfg["seed"])
     run.phase("solve")
     out = {"n": system.mesh.n, "seed": cfg["seed"], "regions": {}}
     for label, pair in default_pairs().items():
@@ -426,10 +426,11 @@ def cmd_dual_basis_check(cfg: dict) -> int:
     run.phase("assemble")
     system = build_system(cfg)
     run.phase("check")
-    bio = check_dual_biorthogonality(system,
-                                     tol=cfg["tolerances"]["biorthogonality"])
+    dual = dual_basis(system)
+    bio = check_dual_biorthogonality(system, dual,
+                                     cfg["tolerances"]["biorthogonality"])
     scaling = check_dual_norm_scaling(factor=cfg["tolerances"]["dual_norm_factor"])
-    norms = dual_norms(system, dual_basis(system))
+    norms = dual_norms(system, dual)
     code = verdict([bio, scaling])
     run.phase("write")
     p1 = write_json(run.path("dual_basis.json"), {
@@ -457,32 +458,33 @@ def cmd_verify(cfg: dict) -> int:
     run.phase("commuting")
     results.append(check_commuting(tol["commuting"], seed=cfg["seed"]))
     run.phase("dual basis")
-    results.append(check_dual_biorthogonality(system, tol["biorthogonality"]))
+    dual = dual_basis(system)
+    results.append(check_dual_biorthogonality(system, dual, tol["biorthogonality"]))
     results.append(check_dual_norm_scaling(factor=tol["dual_norm_factor"]))
     run.phase("sweep")
     rows = rank_sweep(binv, partition, cfg["ranks"], seed=cfg["seed"])
     results.append(check_bound(rows, tol["bound_slack"]))
     run.phase("transfer")
-    results.append(check_transfer(system, partition, binv, tol["transfer"],
-                                  seed=cfg["seed"]))
+    results.append(check_transfer(system, partition, binv, dual,
+                                  tol["transfer"], seed=cfg["seed"]))
     run.phase("harmonic")
     pairs = default_pairs()
     interior = pairs["interior"].outer
-    ortho, pyth = check_helmholtz(system, interior, tol["pythagoras"],
-                                  tol["helmholtz_orthogonality"],
-                                  seed=cfg["seed"])
-    results.extend([ortho, pyth])
-    results.append(check_gradient_part(system, interior, tol["gradient_part"]))
-    for label, pair in pairs.items():
-        space = harmonic_space(system, pair.outer, "curl")
-        res = caccioppoli_ratio(space, pair)
+    results.extend(check_helmholtz(system, interior, tol["pythagoras"],
+                                   tol["helmholtz_orthogonality"],
+                                   seed=cfg["seed"]))
+    spaces = {label: harmonic_space(system, pair.outer, "curl")
+              for label, pair in pairs.items()}
+    results.append(check_gradient_part(system, spaces["interior"],
+                                       tol["gradient_part"]))
+    for label, space in spaces.items():
+        res = caccioppoli_ratio(space, pairs[label])
         cres = constraint_residual(space)
         results.append(CheckResult(
             f"harmonic space constraints ({label})", cres <= 1e-10, cres,
             1e-10, f"dim {space.dim}, ratio {res.ratio:.3e}"))
     run.phase("exact sequence")
-    results.append(check_exact_sequence(system, interior,
-                                        tol["exact_sequence"],
+    results.append(check_exact_sequence(system, interior, tol["exact_sequence"],
                                         seed=cfg["seed"]))
     run.phase("write")
     code = verdict(results)
@@ -524,29 +526,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", metavar="verb")
     for verb in COMMANDS:
         p = sub.add_parser(verb)
-        p.add_argument("--n", type=int, default=None,
-                       help=f"subdivisions per axis (default {DEFAULTS['n']})")
-        p.add_argument("--kappa-re", dest="kappa_re", type=float, default=None,
-                       help="Re(kappa) (default 1.0)")
-        p.add_argument("--kappa-im", dest="kappa_im", type=float, default=None,
-                       help="Im(kappa) (default 0.0)")
-        p.add_argument("--eta", type=float, default=None,
-                       help="admissibility parameter (default 2.0)")
-        p.add_argument("--n-leaf", dest="n_leaf", type=int, default=None,
-                       help="cluster leaf size (default 32)")
-        p.add_argument("--ranks", type=str, default=None,
-                       help="comma-separated ranks (default 1,2,4,8,12,16,20)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (default 0)")
-        p.add_argument("--out", type=str, default=None,
-                       help="output root directory (default runs)")
-        p.add_argument("--name", type=str, default=None,
-                       help="experiment subdirectory name")
-        p.add_argument("--config", type=str, default=None,
-                       help="JSON config file; flags override it")
-        p.add_argument("--dense-limit", dest="dense_limit", type=int,
-                       default=None,
-                       help="max N for dense inversion (default 8000)")
+        for key, (_, default, text) in OPTIONS.items():
+            if text is not None:
+                if default is not None:
+                    text += f" (default {default})"
+                p.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
+        p.add_argument("--config", help="JSON config file; flags override it")
     return parser
 
 

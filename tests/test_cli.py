@@ -8,16 +8,23 @@ entry point.
 import importlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh
 
 from hmaxwell import assemble_system, build_box_mesh
-from hmaxwell.cli import build_parser, build_pipeline, load_config, main
+from hmaxwell.cli import OPTIONS, build_parser, build_pipeline, load_config, main
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def run_cli(*argv):
@@ -110,6 +117,40 @@ def test_misspelt_tolerance_is_config_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err and "comuting" in err
+
+
+BAD_VALUES = [
+    ("mesh-info", {"n": 2.7}),
+    ("mesh-info", {"n": True}),
+    ("rank-sweep", {"ranks": [1.5, 2]}),
+    ("mesh-info", {"name": 5}),
+    ("mesh-info", {"out": 3}),
+    ("mesh-info", {"length": "nan"}),
+    ("commuting-check", {"tolerances": {"commuting": "nan"}}),
+    ("assemble", ["--kappa-re", "nan"]),
+    ("rank-sweep", ["--kappa-re", "inf"]),
+    ("rank-sweep", ["--eta", "nan"]),
+]
+
+
+@pytest.mark.parametrize("verb, value", BAD_VALUES,
+                         ids=[json.dumps(v) for _, v in BAD_VALUES])
+def test_bad_value_is_config_error(tmp_path, monkeypatch, capsys, verb, value):
+    """File values and flag values go through one parser: a non-integral or
+    bool integer, a non-string name and a non-finite number all exit 2
+    before anything is written."""
+    monkeypatch.chdir(tmp_path)
+    argv = [verb, "--n", "2"]
+    if isinstance(value, dict):
+        (tmp_path / "cfg.json").write_text(json.dumps(value))
+        argv = [verb, "--config", "cfg.json"]
+    else:
+        argv += value
+    before = sorted(os.listdir(tmp_path))
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_flags_override_config_file(tmp_path):
@@ -225,6 +266,26 @@ def test_verify_passes_end_to_end(tmp_path, capsys):
     assert payload["failures"] == []
 
 
+def test_verify_without_interior_vertex(tmp_path):
+    """At n = 1 no vertex is interior, so there is no discrete gradient: the
+    checks that need one measure 0.0 and say so, with no 0/0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("verify", "--n", "1", "--out", str(tmp_path),
+                       "--name", "v1") == 0
+    assert run_cli("verify", "--n", "2", "--n-leaf", "8", "--ranks", "1,2",
+                   "--out", str(tmp_path), "--name", "v2") == 0
+    checks = json.loads((tmp_path / "v1" / "verify.json").read_text())["checks"]
+    ref = json.loads((tmp_path / "v2" / "verify.json").read_text())["checks"]
+    assert [c["name"] for c in checks] == [c["name"] for c in ref]
+    assert len(checks) == 14
+    assert all(np.isfinite(c["measured"]) for c in checks)
+    empty = [c["name"] for c in checks
+             if c["detail"] == "no discrete gradient to test"]
+    assert empty == ["discrete gradients lie in the curl kernel",
+                     "local exact sequence recovery"]
+
+
 def test_block_svd_stores_factors(tmp_path):
     assert run_cli("block-svd", "--n", "3", "--n-leaf", "16",
                    "--ranks", "1,2,4", "--out", str(tmp_path),
@@ -264,6 +325,40 @@ def test_rerun_is_byte_identical(tmp_path, verb):
     assert m1["files"] == m2["files"]  # checksums cover every data file
 
 
+def _data_files(outdir):
+    return {p.name: p.read_bytes() for p in Path(outdir).iterdir()
+            if p.name != "manifest.json"}
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3), kappa_re=st.floats(0.1, 4.0),
+       kappa_im=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+       eta=st.floats(0.5, 4.0), n_leaf=st.integers(1, 40),
+       ranks=st.lists(st.integers(0, 12), min_size=1, max_size=4),
+       seed=st.integers(0, 2**31))
+def test_flags_and_file_agree_and_reruns_repeat(n, kappa_re, kappa_im, eta,
+                                                n_leaf, ranks, seed):
+    """One config as flags and as a --config file: same exit code and
+    byte-identical data files; a rerun of the flags repeats them too."""
+    cfg = {"n": n, "kappa_re": kappa_re, "kappa_im": kappa_im, "eta": eta,
+           "n_leaf": n_leaf, "ranks": ranks, "seed": seed}
+    # "--kappa-im=-1e-05": argparse takes a separate "-1e-05" for a flag
+    flags = [f"--{key.replace('_', '-')}="
+             + (",".join(map(str, val)) if key == "ranks" else repr(val))
+             for key, val in cfg.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(cfg, f)
+        for verb in ("rank-sweep", "helmholtz"):
+            runs = {name: (main([verb, *extra, "--out", tmp, "--name", name]),
+                           _data_files(os.path.join(tmp, name)))
+                    for name, extra in (("flags", flags),
+                                        ("file", ["--config", path]),
+                                        ("rerun", flags))}
+            assert runs["flags"] == runs["file"] == runs["rerun"], verb
+
+
 def test_manifest_counters(tmp_path):
     """Next to the phase timings: N, nnz(A) as numerically nonzero entries
     of the dense A, tets, far and near blocks, and the peak RSS."""
@@ -288,13 +383,19 @@ def test_manifest_counters(tmp_path):
 
 # benchmark hooks ----------------------------------------------------------------
 
-def test_benchmark_hooks_exist():
-    """bench/tracing.py wraps these names by getattr and bench/make_reference.py
-    unpacks build_pipeline's 5-tuple; deleting API must break neither."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("bench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_hooks_exist(tmp_path, capsys):
+    """bench/tracing.py wraps these names by getattr, bench/make_reference.py
+    unpacks build_pipeline's 5-tuple and every workload's argv must parse;
+    deleting API or a flag must break none of them."""
+    tracing = _bench_module("tracing")
     targets = [(module, name) for module, names in tracing.SPAN_TARGETS.values()
                for name in names]
     targets += [pair for pairs in tracing.GROUPED_SPANS.values() for pair in pairs]
@@ -311,3 +412,24 @@ def test_benchmark_hooks_exist():
             assert hasattr(element, meth), f"TetElement.{meth}"
     cfg = load_config(build_parser().parse_args(["rank-sweep", "--n", "2"]))
     assert len(build_pipeline(cfg)) == 5
+    workloads = _bench_module("workloads")
+    argvs = [["rank-sweep", *workloads.SWEEP_ARGS]]
+    for workload in workloads.WORKLOADS.values():
+        extra = ["--seed", "1", "--out", "runs", "--name", "x"]
+        if workload.config is not None:  # as bench/worker.py passes it
+            (tmp_path / "config.json").write_text(json.dumps(workload.config))
+            extra += ["--config", str(tmp_path / "config.json")]
+        argvs += [[*step, *extra] for step in workload.steps]
+    for argv in argvs:
+        load_config(build_parser().parse_args(argv))
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["rank-sweep", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert {tok for tok in text.split() if tok.startswith("--")} == {
+        "--help", "--n", "--kappa-re", "--kappa-im", "--eta", "--n-leaf",
+        "--ranks", "--seed", "--out", "--name", "--dense-limit", "--config"}
+    for key, (_, default, flag_help) in OPTIONS.items():
+        if flag_help is not None:
+            if default is not None:
+                flag_help += f" (default {default})"
+            assert f"--{key.replace('_', '-')} {key.upper()} {flag_help}" in text
