@@ -59,7 +59,7 @@ print(f"  potential of the z part: {float(np.abs(p2).max()):.3e}")
 from hmaxwell.fem import build_nodal_space, discrete_gradient
 
 nodal = build_nodal_space(system)
-G = discrete_gradient(system.mesh, system.dofmap, nodal)
+G = discrete_gradient(nodal)
 q = rng.standard_normal(G.shape[1])
 tets = region.conforming_tets(system.mesh)
 phi = exact_sequence_recover(system, tets, G @ q)

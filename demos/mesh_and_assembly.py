@@ -35,7 +35,7 @@ print("M pd check,  min eigenvalue:", float(np.linalg.eigvalsh(M.toarray()).min(
 
 # discrete gradients span the kernel of the curl-curl part
 nodal = build_nodal_space(system)
-G = discrete_gradient(mesh, system.dofmap, nodal)
+G = discrete_gradient(nodal)
 rng = np.random.default_rng(0)
 p = rng.standard_normal(G.shape[1])
 print("||K (G p)||_inf for a random nodal p:",

@@ -9,8 +9,8 @@ from .cluster import (BlockPartition, Cluster, ClusterTree, box_distance,
                       build_block_partition, build_cluster_tree, is_admissible,
                       sparsity_constant, tiling_defect)
 from .fem import (DofMap, DualBasis, GalerkinSystem, NodalSpace,
-                  RegionNodalSpace, assemble_system, build_dof_map,
-                  build_nodal_space, discrete_gradient, dual_basis, dual_norms,
+                  assemble_system, build_dof_map, build_nodal_space,
+                  discrete_gradient, dual_basis, dual_norms,
                   gradient_edge_coeffs, hcurl_norm, l2_project,
                   pi_nabla_project, region_nodal_space, rhs_vector,
                   solve_system)

@@ -20,6 +20,7 @@ and seed reproduces them byte for byte.
 import argparse
 import json
 import os
+import re
 import resource
 import sys
 import time
@@ -36,7 +37,8 @@ from .checks import (CheckResult, check_bound, check_commuting,
                      default_tolerances, random_field)
 from .cluster import (build_block_partition, build_cluster_tree,
                       partition_to_dict)
-from .fem import (assemble_system, build_dof_map, dual_basis, dual_norms,
+from .fem import (assemble_system, build_dof_map, build_nodal_space,
+                  discrete_gradient, dual_basis, dual_norms,
                   matrix_to_coordinate_text)
 from .harmonic import (caccioppoli_ratio, constraint_residual, default_pairs,
                        harmonic_space, helmholtz_report)
@@ -77,6 +79,14 @@ def _text(value) -> str:
     return value
 
 
+def _name(value):
+    """None, or one path component: no separator, and not . or .."""
+    if value is not None and (os.path.basename(_text(value)) != value
+                              or value in (".", "..")):
+        raise ValueError("not a single path component")
+    return value
+
+
 def _ranks(value) -> list:
     """"1,2,4" or a list of integers."""
     if isinstance(value, str):
@@ -108,8 +118,7 @@ OPTIONS = {
     "ranks": (_ranks, "1,2,4,8,12,16,20", "comma-separated ranks"),
     "seed": (_int, 0, "RNG seed"),
     "out": (_text, "runs", "output root directory"),
-    "name": (lambda v: v if v is None else _text(v), None,
-             "experiment subdirectory name"),
+    "name": (_name, None, "experiment subdirectory name"),
     "dense_limit": (_int, 8000, "max N for dense inversion"),
     "tolerances": (_tolerances, {}, None),
 }
@@ -146,6 +155,7 @@ def load_config(args) -> dict:
             (cfg["eta"] <= 0, "eta must be positive"),
             (cfg["n_leaf"] < 1, "n-leaf must be >= 1"),
             (any(r < 0 for r in cfg["ranks"]), "ranks must be nonnegative"),
+            (cfg["seed"] < 0, "seed must be >= 0"),
             (cfg["dense_limit"] < 1, "dense limit must be >= 1")):
         if bad:
             raise ConfigError(message)
@@ -451,8 +461,9 @@ def cmd_verify(cfg: dict) -> int:
     run.phase("assemble")
     mesh, system, tree, partition, binv = build_pipeline(cfg, need_inverse=True)
     run.phase("structure")
+    grad = discrete_gradient(build_nodal_space(system))
     results.append(check_symmetry(system))
-    results.append(check_gradient_kernel(system, tol["gradient_kernel"],
+    results.append(check_gradient_kernel(system, grad, tol["gradient_kernel"],
                                          seed=cfg["seed"]))
     results.append(check_partition_tiles(partition))
     run.phase("commuting")
@@ -484,8 +495,8 @@ def cmd_verify(cfg: dict) -> int:
             f"harmonic space constraints ({label})", cres <= 1e-10, cres,
             1e-10, f"dim {space.dim}, ratio {res.ratio:.3e}"))
     run.phase("exact sequence")
-    results.append(check_exact_sequence(system, interior, tol["exact_sequence"],
-                                        seed=cfg["seed"]))
+    results.append(check_exact_sequence(system, grad, interior,
+                                        tol["exact_sequence"], seed=cfg["seed"]))
     run.phase("write")
     code = verdict(results)
     failures = [res.name for res in results if not res.passed]
@@ -532,6 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
                     text += f" (default {default})"
                 p.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
         p.add_argument("--config", help="JSON config file; flags override it")
+        # a separate "-1e-05" is a value; argparse's pattern misses exponents
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

@@ -1,4 +1,6 @@
-"""Global edge-element spaces and the Maxwell bilinear form on a box mesh.
+"""Global edge-element spaces and the Maxwell bilinear form on a box mesh,
+and one nodal (P1 hat) space type for the whole mesh and for tet unions,
+mapped into the edge space by its discrete gradient.
 
 The Galerkin system uses the bilinear (not sesquitilinear) form
 
@@ -135,24 +137,52 @@ def hcurl_norm(system: GalerkinSystem, u: np.ndarray) -> float:
 
 @dataclass
 class NodalSpace:
-    interior_vertices: np.ndarray  # (Nv,) vertex ids
-    vertex_to_dof: np.ndarray      # (V,) column or -1
-    n_dofs: int
-    laplacian: np.ndarray          # (Nv, Nv) stiffness of the hat functions
-    mass: np.ndarray               # (Nv, Nv)
+    """Hat functions of the vertices of a union of tets, less those on the
+    box boundary and, when the tets do not touch it, less one grounded
+    vertex (the constants would lie in the space). Over every tet, no vertex
+    is grounded and the columns number the interior vertices in order."""
+    system: GalerkinSystem
+    tet_ids: np.ndarray
+    free_vertices: np.ndarray   # (nf,) vertex ids carrying unknowns, ascending
+    col_of_vertex: np.ndarray   # (V,) column or -1
+    pinned_vertex: int          # grounded vertex id, or -1 when none needed
+    gram: np.ndarray            # (nf, nf) gradient Gram: stiffness of the hats
+    _solve: object = field(repr=False, default=None, compare=False)
+
+    def solver(self):
+        if self._solve is None:
+            try:
+                c = scipy.linalg.cho_factor(self.gram)
+                self._solve = lambda r: scipy.linalg.cho_solve(c, r)
+            except np.linalg.LinAlgError:
+                g = self.gram
+                self._solve = lambda r: np.linalg.lstsq(g, r, rcond=None)[0]
+        return self._solve
+
+
+def region_nodal_space(system: GalerkinSystem, tet_ids) -> NodalSpace:
+    """The nodal space of the given tets, its Gram scattered from the
+    system's element tensors."""
+    mesh = system.mesh
+    tet_ids = np.asarray(tet_ids, dtype=np.int64)
+    verts = np.unique(mesh.tets[tet_ids])
+    free = verts[~mesh.boundary_vertex[verts]]
+    pinned = -1
+    if free.size == verts.size and free.size > 0:
+        # region does not touch the box boundary: constants are in the
+        # space, ground the lowest vertex (the gradient is unaffected)
+        pinned = int(free[0])
+        free = free[1:]
+    col = np.full(mesh.n_vertices, -1, dtype=np.int64)
+    col[free] = np.arange(free.size)
+    gram = scatter(system.local.nodal_stiffness[tet_ids], col[mesh.tets[tet_ids]],
+                   free.size).toarray()
+    return NodalSpace(system, tet_ids, free, col, pinned, gram)
 
 
 def build_nodal_space(system: GalerkinSystem) -> NodalSpace:
-    """Hat functions of the interior vertices, with their stiffness and mass
-    matrices scattered from the system's element tensors."""
-    mesh, local = system.mesh, system.local
-    ids = np.flatnonzero(~mesh.boundary_vertex)
-    v2d = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    v2d[ids] = np.arange(ids.size)
-    d = v2d[mesh.tets]
-    L = scatter(local.nodal_stiffness, d, ids.size).toarray()
-    Mn = scatter(local.nodal_mass, d, ids.size).toarray()
-    return NodalSpace(ids, v2d, int(ids.size), L, Mn)
+    """The nodal space of the whole mesh: hats of the interior vertices."""
+    return region_nodal_space(system, np.arange(system.mesh.n_tets))
 
 
 def edge_incidence(mesh: Mesh, dofmap: DofMap):
@@ -168,13 +198,12 @@ def edge_incidence(mesh: Mesh, dofmap: DofMap):
          np.arange(0, 2 * n + 1, 2)), shape=(n, mesh.n_vertices))
 
 
-def discrete_gradient(mesh: Mesh, dofmap: DofMap, nodal_space: NodalSpace):
-    """G maps interior nodal values to edge coefficients of the gradient:
-    the columns of edge_incidence at the interior vertices, (N, Nv) CSR.
-    Rows for boundary edges would vanish identically (both endpoints sit on
-    the boundary) and are not stored.
+def discrete_gradient(nodal: NodalSpace):
+    """G maps the space's nodal values to edge coefficients of the gradient:
+    the columns of edge_incidence at its free vertices, (N, nf) CSR.
     """
-    return edge_incidence(mesh, dofmap)[:, nodal_space.interior_vertices]
+    system = nodal.system
+    return edge_incidence(system.mesh, system.dofmap)[:, nodal.free_vertices]
 
 
 # projections ------------------------------------------------------------
@@ -267,48 +296,7 @@ def riesz_rhs(system: GalerkinSystem, dual: DualBasis, indices, b) -> np.ndarray
 
 # region machinery -------------------------------------------------------
 
-@dataclass
-class RegionNodalSpace:
-    """Nodal space of a union of tets, with boundary vertices of the box
-    excluded; used for gradient projections on mesh-conforming regions."""
-    system: GalerkinSystem
-    tet_ids: np.ndarray
-    free_vertices: np.ndarray   # (nf,) vertex ids carrying unknowns
-    col_of_vertex: np.ndarray   # (V,) column or -1
-    pinned_vertex: int          # grounded vertex id, or -1 when none needed
-    gram: np.ndarray            # (nf, nf) gradient Gram matrix
-    _solve: object = field(repr=False, default=None, compare=False)
-
-    def solver(self):
-        if self._solve is None:
-            try:
-                c = scipy.linalg.cho_factor(self.gram)
-                self._solve = lambda r: scipy.linalg.cho_solve(c, r)
-            except np.linalg.LinAlgError:
-                g = self.gram
-                self._solve = lambda r: np.linalg.lstsq(g, r, rcond=None)[0]
-        return self._solve
-
-
-def region_nodal_space(system: GalerkinSystem, tet_ids) -> RegionNodalSpace:
-    mesh = system.mesh
-    tet_ids = np.asarray(tet_ids, dtype=np.int64)
-    verts = np.unique(mesh.tets[tet_ids])
-    free = verts[~mesh.boundary_vertex[verts]]
-    pinned = -1
-    if free.size == verts.size and free.size > 0:
-        # region does not touch the box boundary: constants are in the
-        # space, ground the lowest vertex (the gradient is unaffected)
-        pinned = int(free[0])
-        free = free[1:]
-    col = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    col[free] = np.arange(free.size)
-    gram = scatter(system.local.nodal_stiffness[tet_ids], col[mesh.tets[tet_ids]],
-                   free.size).toarray()
-    return RegionNodalSpace(system, tet_ids, free, col, pinned, gram)
-
-
-def pi_nabla_project(space: RegionNodalSpace, u: np.ndarray) -> np.ndarray:
+def pi_nabla_project(space: NodalSpace, u: np.ndarray) -> np.ndarray:
     """L2(region) projection of the edge field u onto discrete gradients.
 
     Returns the full-length nodal vector p with p = 0 at box-boundary

@@ -136,7 +136,7 @@ class HarmonicSpace:
     system: GalerkinSystem
     region: BoxRegion
     variant: str                 # "curl" | "grad"
-    matrix: np.ndarray           # A (curl) or the nodal Laplacian (grad)
+    matrix: np.ndarray           # A (curl) or the nodal gradient Gram (grad)
     tets: np.ndarray             # the region's conforming tets
     dofs: np.ndarray             # O, ascending
     tet_cols: np.ndarray         # (T, k) position in O of each tet's DOFs, or -1
@@ -189,7 +189,7 @@ def harmonic_space(system: GalerkinSystem, region: BoxRegion,
         mat, tet_dofs = system.A, system.dofmap.edge_to_dof[mesh.tet_edges]
     elif variant == "grad":
         nodal = build_nodal_space(system)
-        mat, tet_dofs = nodal.laplacian, nodal.vertex_to_dof[mesh.tets]
+        mat, tet_dofs = nodal.gram, nodal.col_of_vertex[mesh.tets]
     else:
         raise ValueError(f"unknown variant {variant!r}")
     n = mat.shape[0]

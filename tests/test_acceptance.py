@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from hmaxwell import (assemble_system, build_block_partition, build_box_mesh,
-                      build_cluster_tree, fit_decay)
+                      build_cluster_tree, build_nodal_space, discrete_gradient,
+                      fit_decay)
 from hmaxwell.checks import (check_commuting, check_dual_biorthogonality,
                              check_exact_sequence, check_gradient_kernel,
                              check_gradient_part, check_helmholtz,
@@ -179,7 +180,8 @@ def test_criterion_7_exact_sequence():
     worst = 0.0
     for n in (3, 4):
         system = assemble_system(build_box_mesh(n), kappa=1.0)
-        res = check_exact_sequence(system, region, tol=1e-10,
+        grad = discrete_gradient(build_nodal_space(system))
+        res = check_exact_sequence(system, grad, region, tol=1e-10,
                                    n_instances=10, seed=n)
         worst = max(worst, res.measured)
     report(7, worst <= 1e-10,
@@ -217,7 +219,8 @@ def test_criterion_9_transfer_identity(lab4):
 def test_criterion_10_structural_invariants(lab4, tmp_path):
     system = lab4["system"]
     sym_exact = bool(np.array_equal(system.A, system.A.T))
-    kernel = check_gradient_kernel(system, tol=1e-12, seed=9)
+    kernel = check_gradient_kernel(system, discrete_gradient(build_nodal_space(system)),
+                                   tol=1e-12, seed=9)
     defect = tiling_defect(lab4["partition"])
 
     from hmaxwell.cli import main

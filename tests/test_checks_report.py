@@ -16,7 +16,7 @@ from hmaxwell.checks import (
     check_symmetry,
     default_tolerances,
 )
-from hmaxwell.fem import dual_basis
+from hmaxwell.fem import build_nodal_space, discrete_gradient, dual_basis
 from hmaxwell.inverse_lab import SweepRow
 from hmaxwell.report import (
     RunManifest,
@@ -55,7 +55,7 @@ def test_check_result_line_format():
 
 def test_structure_checks_pass(sys2):
     assert check_symmetry(sys2).passed
-    assert check_gradient_kernel(sys2).passed
+    assert check_gradient_kernel(sys2, discrete_gradient(build_nodal_space(sys2))).passed
     assert check_dual_biorthogonality(sys2, dual_basis(sys2)).passed
 
 

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 
-from hmaxwell import assemble_system, build_box_mesh
+from hmaxwell import assemble_system, build_box_mesh, checks, cli, fem, harmonic
 from hmaxwell.cli import OPTIONS, build_parser, build_pipeline, load_config, main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -130,6 +131,10 @@ BAD_VALUES = [
     ("assemble", ["--kappa-re", "nan"]),
     ("rank-sweep", ["--kappa-re", "inf"]),
     ("rank-sweep", ["--eta", "nan"]),
+    ("verify", {"seed": -1}),
+    ("rank-sweep", ["--seed", "-1"]),
+    ("assemble", ["--name", "../x"]),
+    ("mesh-info", {"name": ".."}),
 ]
 
 
@@ -137,8 +142,9 @@ BAD_VALUES = [
                          ids=[json.dumps(v) for _, v in BAD_VALUES])
 def test_bad_value_is_config_error(tmp_path, monkeypatch, capsys, verb, value):
     """File values and flag values go through one parser: a non-integral or
-    bool integer, a non-string name and a non-finite number all exit 2
-    before anything is written."""
+    bool integer, a non-string name or one that is not a single path
+    component, a non-finite number and a negative seed all exit 2 before
+    anything is written."""
     monkeypatch.chdir(tmp_path)
     argv = [verb, "--n", "2"]
     if isinstance(value, dict):
@@ -151,6 +157,14 @@ def test_bad_value_is_config_error(tmp_path, monkeypatch, capsys, verb, value):
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_negative_exponent_value_is_a_value(tmp_path):
+    """A separate "-1e-05" after a flag is its value, not a flag."""
+    assert run_cli("assemble", "--n", "1", "--kappa-im", "-1e-05",
+                   "--out", str(tmp_path), "--name", "neg") == 0
+    meta = json.loads((tmp_path / "neg" / "system.json").read_text())
+    assert meta["kappa"]["im"] == -1e-05
 
 
 def test_flags_override_config_file(tmp_path):
@@ -266,6 +280,21 @@ def test_verify_passes_end_to_end(tmp_path, capsys):
     assert payload["failures"] == []
 
 
+def test_verify_builds_the_gradient_once(tmp_path, monkeypatch):
+    """verify builds the whole-mesh nodal space and its gradient once and
+    hands G to both checks that use it."""
+    calls = Counter()
+    for name in ("build_nodal_space", "discrete_gradient"):
+        def counted(*args, _fn=getattr(fem, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        for module in (fem, checks, cli, harmonic):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    assert run_cli("verify", "--n", "2", "--out", str(tmp_path)) == 0
+    assert calls == {"build_nodal_space": 1, "discrete_gradient": 1}
+
+
 def test_verify_without_interior_vertex(tmp_path):
     """At n = 1 no vertex is interior, so there is no discrete gradient: the
     checks that need one measure 0.0 and say so, with no 0/0."""
@@ -342,10 +371,9 @@ def test_flags_and_file_agree_and_reruns_repeat(n, kappa_re, kappa_im, eta,
     byte-identical data files; a rerun of the flags repeats them too."""
     cfg = {"n": n, "kappa_re": kappa_re, "kappa_im": kappa_im, "eta": eta,
            "n_leaf": n_leaf, "ranks": ranks, "seed": seed}
-    # "--kappa-im=-1e-05": argparse takes a separate "-1e-05" for a flag
-    flags = [f"--{key.replace('_', '-')}="
-             + (",".join(map(str, val)) if key == "ranks" else repr(val))
-             for key, val in cfg.items()]
+    flags = [tok for key, val in cfg.items()
+             for tok in (f"--{key.replace('_', '-')}",
+                         ",".join(map(str, val)) if key == "ranks" else repr(val))]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w", encoding="utf-8") as f:

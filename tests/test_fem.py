@@ -146,7 +146,7 @@ def test_curl_kills_gradients_and_a_is_symmetric(n, kappa_re, kappa_im):
     m = build_box_mesh(n)
     sysm = assemble_system(m, kappa=complex(kappa_re, kappa_im))
     assert np.array_equal(sysm.A, sysm.A.T)
-    G = discrete_gradient(m, sysm.dofmap, build_nodal_space(sysm))
+    G = discrete_gradient(build_nodal_space(sysm))
     if G.shape[1]:
         assert (np.abs((sysm.K @ G).toarray()).max()
                 <= 1e-13 * np.abs(sysm.K.toarray()).max())
@@ -168,8 +168,8 @@ def test_region_matrices_split_the_global_ones(system_cache, rng):
 def test_gradients_span_the_curl_kernel(system_cache, rng):
     sysm = system_cache(3)
     ns = build_nodal_space(sysm)
-    G = discrete_gradient(sysm.mesh, sysm.dofmap, ns)
-    p = rng.standard_normal((ns.n_dofs, 5))
+    G = discrete_gradient(ns)
+    p = rng.standard_normal((ns.free_vertices.size, 5))
     gp = G @ p
     resid = np.abs(sysm.K @ gp).max()
     assert resid < 1e-12 * np.linalg.norm(sysm.K.toarray()) * np.abs(gp).max()
@@ -180,38 +180,40 @@ def test_gradients_span_the_curl_kernel(system_cache, rng):
 def test_gradient_matrix_is_signed_incidence(system_cache):
     sysm = system_cache(2)
     ns = build_nodal_space(sysm)
-    G = discrete_gradient(sysm.mesh, sysm.dofmap, ns).toarray()
+    G = discrete_gradient(ns).toarray()
     m = sysm.mesh
     cols = np.nonzero(G)[1]
     assert set(np.unique(G)) <= {-1.0, 0.0, 1.0}
     for d, e in enumerate(sysm.dofmap.interior_edges):
         lo, hi = m.edges[e]
         for v, val in zip((lo, hi), (-1.0, 1.0)):
-            c = ns.vertex_to_dof[v]
+            c = ns.col_of_vertex[v]
             if c >= 0:
                 assert G[d, c] == val
 
 
-@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
 def test_nodal_space_scatters_the_system_tensors(system_cache, n):
-    """The nodal matrices come from the system's element tensors, bitwise
-    equal to scattering a fresh unsigned kernel call."""
+    """The whole-mesh nodal space holds every interior vertex, in order and
+    ungrounded, and its Gram comes from the system's element tensors,
+    bitwise equal to scattering a fresh unsigned kernel call."""
     sysm = system_cache(n)
     m = sysm.mesh
     ns = build_nodal_space(sysm)
+    assert ns.pinned_vertex == -1
+    assert np.array_equal(ns.free_vertices, np.flatnonzero(~m.boundary_vertex))
     local = element_tensors(m.vertices[m.tets])
-    d = ns.vertex_to_dof[m.tets]
-    assert np.array_equal(ns.laplacian,
-                          scatter(local.nodal_stiffness, d, ns.n_dofs).toarray())
-    assert np.array_equal(ns.mass, scatter(local.nodal_mass, d, ns.n_dofs).toarray())
+    d = ns.col_of_vertex[m.tets]
+    assert np.array_equal(ns.gram,
+                          scatter(local.nodal_stiffness, d, ns.free_vertices.size).toarray())
 
 
 def test_nodal_laplacian_is_gram_of_gradients(system_cache):
     sysm = system_cache(3)
     ns = build_nodal_space(sysm)
-    G = discrete_gradient(sysm.mesh, sysm.dofmap, ns)
+    G = discrete_gradient(ns)
     lap = (G.T @ sysm.M @ G).toarray()
-    assert np.abs(lap - ns.laplacian).max() < 1e-13 * np.abs(lap).max()
+    assert np.abs(lap - ns.gram).max() < 1e-13 * np.abs(lap).max()
 
 
 def locate_eval(mesh, coeffs, dofmap):
@@ -356,9 +358,9 @@ def test_riesz_rhs_pads_the_coefficients(system_cache, rng):
 def test_pi_nabla_reproduces_gradients(system_cache, rng):
     sysm = system_cache(3)
     ns = build_nodal_space(sysm)
-    G = discrete_gradient(sysm.mesh, sysm.dofmap, ns)
+    G = discrete_gradient(ns)
     space = region_nodal_space(sysm, np.arange(sysm.mesh.n_tets))
-    q = rng.standard_normal(ns.n_dofs)
+    q = rng.standard_normal(ns.free_vertices.size)
     u = G @ q
     p = pi_nabla_project(space, u)
     assert np.linalg.norm(gradient_edge_coeffs(sysm, p) - u) < 1e-10 * np.linalg.norm(u)

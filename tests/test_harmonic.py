@@ -258,8 +258,8 @@ def test_gradients_contribute_nothing_to_curl_numerator(sys3, rng):
     assert inner.size > 0
     k_inner = assemble_region_matrix(sys3, inner, "curl")
     ns = build_nodal_space(sys3)
-    G = discrete_gradient(sys3.mesh, sys3.dofmap, ns)
-    q = rng.standard_normal(ns.n_dofs)
+    G = discrete_gradient(ns)
+    q = rng.standard_normal(ns.free_vertices.size)
     v = G @ q
     assert abs(v @ (k_inner @ v)) < 1e-12 * max(1.0, v @ v)
 
@@ -299,17 +299,17 @@ def reference_caccioppoli(system, pair, variant):
             return assemble_region_matrix(system, tets, kind).toarray()
     else:
         nodal = build_nodal_space(system)
-        mat = nodal.laplacian
+        mat = nodal.gram
         ok = np.ones(mesh.n_vertices, dtype=bool)
         ok[mesh.tets[outside]] = False
-        verts = nodal.interior_vertices
-        rows = nodal.vertex_to_dof[verts[ok[verts]]]
+        verts = nodal.free_vertices
+        rows = nodal.col_of_vertex[verts[ok[verts]]]
 
         def gram(tets, kind):
             local = (system.local.nodal_stiffness if kind == "curl"
                      else system.local.nodal_mass)
-            return scatter(local[tets], nodal.vertex_to_dof[mesh.tets[tets]],
-                           nodal.n_dofs).toarray()
+            return scatter(local[tets], nodal.col_of_vertex[mesh.tets[tets]],
+                           nodal.free_vertices.size).toarray()
     if rows.size:
         _, sv, vh = np.linalg.svd(mat[rows, :], full_matrices=True)
         b = vh[int(np.sum(sv > 1e-10 * sv[0])):].conj().T
@@ -379,8 +379,8 @@ def test_helmholtz_on_sub_box(sys3, rng):
 def test_helmholtz_reproduces_pure_gradients(sys3, rng):
     region = BoxRegion((0.5, 0.5, 0.5), 1.0)
     ns = build_nodal_space(sys3)
-    G = discrete_gradient(sys3.mesh, sys3.dofmap, ns)
-    u = G @ rng.standard_normal(ns.n_dofs)
+    G = discrete_gradient(ns)
+    u = G @ rng.standard_normal(ns.free_vertices.size)
     z, p = local_helmholtz(sys3, region, u)
     assert np.linalg.norm(z) < 1e-10 * np.linalg.norm(u)
     assert np.linalg.norm(gradient_edge_coeffs(sys3, p) - u) < 1e-10 * np.linalg.norm(u)
@@ -435,9 +435,9 @@ def test_recover_inverts_the_gradient(sys4, rng):
     region = BoxRegion((0.45, 0.45, 0.45), 0.6)
     tets = region.conforming_tets(sys4.mesh)
     ns = build_nodal_space(sys4)
-    G = discrete_gradient(sys4.mesh, sys4.dofmap, ns)
+    G = discrete_gradient(ns)
     for _ in range(5):
-        q = rng.standard_normal(ns.n_dofs)
+        q = rng.standard_normal(ns.free_vertices.size)
         v = G @ q
         phi = exact_sequence_recover(sys4, tets, v)
         # gradients agree on the region's interior edges
@@ -480,7 +480,7 @@ def test_recover_block_equals_columns(rng):
     for kappa in (1.0, 1.0 + 0.5j):
         sysm = assemble_system(build_box_mesh(4), kappa=kappa)
         tets = region.conforming_tets(sysm.mesh)
-        G = discrete_gradient(sysm.mesh, sysm.dofmap, build_nodal_space(sysm))
+        G = discrete_gradient(build_nodal_space(sysm))
         v = G @ rng.standard_normal((G.shape[1], 4))
         v[:, 2] = 0.0
         if np.iscomplexobj(sysm.A):
@@ -497,7 +497,7 @@ def test_recover_block_rejects_one_rotational_column(sys3, rng):
     gradients, even a tiny one, fails the block."""
     region = BoxRegion((0.5, 0.5, 0.5), 0.8)
     tets = region.conforming_tets(sys3.mesh)
-    G = discrete_gradient(sys3.mesh, sys3.dofmap, build_nodal_space(sys3))
+    G = discrete_gradient(build_nodal_space(sys3))
     v = G @ rng.standard_normal((G.shape[1], 5))
     v[:, 3] = 1e-12 * rng.standard_normal(sys3.n_dofs)
     exact_sequence_recover(sys3, tets, v[:, [0, 1, 2, 4]])
