@@ -18,14 +18,14 @@ from .harmonic import (BoxRegion, CaccioppoliResult, ConcentricPair,
                        HarmonicSpace, caccioppoli_ratio, constraint_residual,
                        default_pairs, exact_sequence_recover,
                        gradient_part_harmonic_check, harmonic_space,
-                       helmholtz_report, local_helmholtz,
-                       tets_inside_box, tets_intersecting_box)
+                       helmholtz_report, tets_inside_box,
+                       tets_intersecting_box)
 from .hmatrix import (DenseBlock, HMatrix, LowRankBlock, compress_dense,
                       far_svds, matvec, rmatvec, spectral_error, spectral_norm,
                       to_dense, truncated_svd)
 from .inverse_lab import (DecayFit, SweepRow, dense_inverse, fit_decay,
                           rank_sweep, theorem_transfer_check)
 from .mesh import (Mesh, build_box_mesh, conformity_report,
-                   shape_regularity_constant, support_tets)
+                   shape_regularity_constant)
 from .whitney import (LOCAL_EDGES, ElementTensors, TetElement, element_tensors,
                       make_polynomial_field)

@@ -206,10 +206,9 @@ class Runner:
 
 
 def build_system(cfg: dict):
-    """The Galerkin system on the configured mesh; real when Im(kappa) = 0."""
-    kappa = (complex(cfg["kappa_re"], cfg["kappa_im"]) if cfg["kappa_im"]
-             else cfg["kappa_re"])
-    return assemble_system(build_box_mesh(cfg["n"], cfg["length"]), kappa=kappa)
+    """The Galerkin system on the configured mesh."""
+    return assemble_system(build_box_mesh(cfg["n"], cfg["length"]),
+                           kappa=complex(cfg["kappa_re"], cfg["kappa_im"]))
 
 
 def build_pipeline(cfg: dict, need_inverse: bool = False):
@@ -374,7 +373,7 @@ def cmd_caccioppoli(cfg: dict) -> int:
     system = build_system(cfg)
     run.phase("solve")
     out = {"n": system.mesh.n, "h": system.mesh.h, "pairs": {}}
-    for label, pair in default_pairs().items():
+    for label, pair in default_pairs(system.mesh.length).items():
         entry = {}
         for variant in ("curl", "grad"):
             space = harmonic_space(system, pair.outer, variant)
@@ -407,7 +406,7 @@ def cmd_helmholtz(cfg: dict) -> int:
     coeffs = random_field(system, cfg["seed"])
     run.phase("solve")
     out = {"n": system.mesh.n, "seed": cfg["seed"], "regions": {}}
-    for label, pair in default_pairs().items():
+    for label, pair in default_pairs(system.mesh.length).items():
         rep = helmholtz_report(system, pair.outer, coeffs)
         rep = {k: v for k, v in rep.items() if k not in ("z", "p")}
         out["regions"][label] = rep
@@ -479,7 +478,7 @@ def cmd_verify(cfg: dict) -> int:
     results.append(check_transfer(system, partition, binv, dual,
                                   tol["transfer"], seed=cfg["seed"]))
     run.phase("harmonic")
-    pairs = default_pairs()
+    pairs = default_pairs(system.mesh.length)
     interior = pairs["interior"].outer
     results.extend(check_helmholtz(system, interior, tol["pythagoras"],
                                    tol["helmholtz_orthogonality"],

@@ -56,9 +56,6 @@ class Cluster:
         """Euclidean diameter of the midpoint box (admissibility metric)."""
         return float(np.linalg.norm(self.mid_hi - self.mid_lo))
 
-    def support_diameter(self):
-        return float(np.linalg.norm(self.bbox_hi - self.bbox_lo))
-
     def cube_side(self):
         """Side of the smallest cube enclosing the support box."""
         return float((self.bbox_hi - self.bbox_lo).max())
@@ -87,15 +84,14 @@ def build_cluster_tree(mesh: Mesh, dofmap: DofMap, n_leaf: int = 32) -> ClusterT
     if n_leaf < 1:
         raise ValueError("n_leaf must be >= 1")
     n = dofmap.n_dofs
-    mids = np.empty((n, 3))
-    sup_lo = np.empty((n, 3))
-    sup_hi = np.empty((n, 3))
-    for i, e in enumerate(dofmap.interior_edges):
-        ends = mesh.vertices[mesh.edges[e]]
-        mids[i] = ends.mean(axis=0)
-        pts = mesh.vertices[mesh.tets[mesh.edge_tets[e]].ravel()]
-        sup_lo[i] = pts.min(axis=0)
-        sup_hi[i] = pts.max(axis=0)
+    mids = mesh.vertices[mesh.edges[dofmap.interior_edges]].mean(axis=1)
+    # each DOF's support box: the min/max over the vertex boxes of its tets
+    coords = mesh.vertices[mesh.tets]
+    dofs = dofmap.edge_to_dof[mesh.tet_edges]
+    tet, slot = np.nonzero(dofs >= 0)
+    sup_lo, sup_hi = np.full((n, 3), np.inf), np.full((n, 3), -np.inf)
+    np.minimum.at(sup_lo, dofs[tet, slot], coords.min(axis=1)[tet])
+    np.maximum.at(sup_hi, dofs[tet, slot], coords.max(axis=1)[tet])
 
     def build(idx, level):
         lo = sup_lo[idx].min(axis=0)

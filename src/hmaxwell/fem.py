@@ -66,7 +66,7 @@ class GalerkinSystem:
 
 def assemble_system(mesh: Mesh, dofmap: DofMap = None, kappa: complex = 1.0) -> GalerkinSystem:
     """Assemble sparse K and M and dense A = K - kappa M over the
-    interior-edge DOFs."""
+    interior-edge DOFs; A is real when Im(kappa) = 0."""
     if kappa == 0:
         raise ValueError("kappa must be nonzero (gradients lie in the curl kernel)")
     if dofmap is None:
@@ -321,9 +321,9 @@ def pi_nabla_project(space: NodalSpace, u: np.ndarray) -> np.ndarray:
 
 
 def gradient_edge_coeffs(system: GalerkinSystem, p: np.ndarray) -> np.ndarray:
-    """Edge DOF coefficients of grad(p) for a full-length nodal vector p."""
-    edges = system.mesh.edges[system.dofmap.interior_edges]
-    return p[edges[:, 1]] - p[edges[:, 0]]
+    """Edge DOF coefficients of grad(p) for a full-length nodal vector p
+    (V,) or a block of them (V, m)."""
+    return edge_incidence(system.mesh, system.dofmap) @ p
 
 
 def assemble_region_matrix(system: GalerkinSystem, tet_ids, kind: str):

@@ -61,12 +61,14 @@ class ConcentricPair:
         return BoxRegion(self.center, (1.0 + self.eps) * self.r)
 
 
-def default_pairs() -> dict:
-    """The two standard experiment geometries: an interior pair and a
-    boundary-touching pair (inner box sticking out of the unit cube)."""
+def default_pairs(length: float) -> dict:
+    """The two standard experiment geometries on the box [0, length]^3: an
+    interior pair and a boundary-touching pair (boxes sticking out of the
+    domain). Centres and sides scale with length, eps does not."""
     return {
-        "interior": ConcentricPair((0.5, 0.5, 0.5), 0.4, 0.5),
-        "boundary": ConcentricPair((0.1, 0.5, 0.5), 0.4, 0.5),
+        "interior": ConcentricPair((0.5 * length,) * 3, 0.4 * length, 0.5),
+        "boundary": ConcentricPair((0.1 * length, 0.5 * length, 0.5 * length),
+                                   0.4 * length, 0.5),
     }
 
 
@@ -294,24 +296,12 @@ def _gradient_split(system: GalerkinSystem, tets: np.ndarray,
     return rns, p, gradient_edge_coeffs(system, p)
 
 
-def local_helmholtz(system: GalerkinSystem, region: BoxRegion,
-                    coeffs: np.ndarray):
-    """Split an edge field into z + grad(p) on the mesh-conforming region.
-
-    grad(p) is the L2(region) projection of the field onto gradients of
-    the region nodal space, z the remainder; the pair is L2(region)
-    orthogonal, so the squared norms satisfy the Pythagoras identity.
-    Returns (z_coeffs, p_nodal) with p a full-length nodal vector.
-    """
-    _, p, g = _gradient_split(system, region.conforming_tets(system.mesh),
-                              coeffs)
-    return coeffs - g, p
-
-
 def helmholtz_report(system: GalerkinSystem, region: BoxRegion,
                      coeffs: np.ndarray) -> dict:
-    """Decompose and measure: gradient-orthogonality residual of z over
-    the region's nodal test space and the Pythagoras defect."""
+    """Split an edge field into z + grad(p) on the mesh-conforming region:
+    grad(p) is its L2(region) projection onto the region's nodal gradients,
+    z the remainder. Returns z, the full-length nodal vector p, the squared
+    norms, the Pythagoras defect and the orthogonality residual of z."""
     mesh = system.mesh
     tets = region.conforming_tets(mesh)
     rns, p, g = _gradient_split(system, tets, coeffs)

@@ -41,7 +41,6 @@ class Mesh:
     tet_edge_signs: np.ndarray  # (T, 6) int, +1 or -1
     boundary_vertex: np.ndarray  # (V,) bool
     boundary_edge: np.ndarray    # (E,) bool
-    edge_tets: list              # per edge, array of incident tet ids
     h: float                     # max tet diameter
 
     @property
@@ -107,23 +106,11 @@ def build_box_mesh(n: int, length: float = 1.0) -> Mesh:
     # an edge is boundary iff both endpoints lie in one common face plane
     boundary_edge = (on_face[edges[:, 0]] & on_face[edges[:, 1]]).any(axis=1)
 
-    # tets of each edge in ascending order: a stable sort of the slots by edge
-    flat = tet_edges.ravel()
-    counts = np.bincount(flat, minlength=edges.shape[0])
-    edge_tets = np.split(np.argsort(flat, kind="stable") // 6, np.cumsum(counts)[:-1])
-
     diffs = coords[:, le[:, 0], :] - coords[:, le[:, 1], :]
     h = float(np.sqrt((diffs ** 2).sum(axis=2)).max())
 
     return Mesh(n, float(length), vertices, tets, edges, tet_edges,
-                tet_edge_signs, boundary_vertex, boundary_edge, edge_tets, h)
-
-
-def support_tets(mesh: Mesh, edge_id: int) -> np.ndarray:
-    """Ids of the tets sharing the given edge (the support of its basis function)."""
-    if not 0 <= edge_id < mesh.n_edges:
-        raise IndexError(f"edge id {edge_id} out of range")
-    return mesh.edge_tets[edge_id]
+                tet_edge_signs, boundary_vertex, boundary_edge, h)
 
 
 def tet_volumes(mesh: Mesh) -> np.ndarray:

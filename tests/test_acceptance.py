@@ -150,7 +150,7 @@ def test_criterion_5_dual_basis():
 
 
 def test_criterion_6_caccioppoli_constants(baselines):
-    pair = default_pairs()["interior"]
+    pair = default_pairs(1.0)["interior"]
     measured = {"curl": {}, "grad": {}}
     for n in (4, 6, 8):
         system = assemble_system(build_box_mesh(n), kappa=1.0)
@@ -176,7 +176,7 @@ def test_criterion_6_caccioppoli_constants(baselines):
 
 
 def test_criterion_7_exact_sequence():
-    region = default_pairs()["interior"].outer
+    region = default_pairs(1.0)["interior"].outer
     worst = 0.0
     for n in (3, 4):
         system = assemble_system(build_box_mesh(n), kappa=1.0)
@@ -192,7 +192,7 @@ def test_criterion_7_exact_sequence():
 def test_criterion_8_helmholtz_and_gradient_parts():
     system = assemble_system(build_box_mesh(4), kappa=1.0)
     worst_pyth = worst_grad = 0.0
-    for label, pair in default_pairs().items():
+    for label, pair in default_pairs(1.0).items():
         ortho, pyth = check_helmholtz(system, pair.outer,
                                       pythagoras_tol=1e-10,
                                       orthogonality_tol=1e-10, seed=11)

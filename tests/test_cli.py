@@ -461,3 +461,60 @@ def test_benchmark_hooks_exist(tmp_path, capsys):
             if default is not None:
                 flag_help += f" (default {default})"
             assert f"--{key.replace('_', '-')} {key.upper()} {flag_help}" in text
+
+
+def test_traced_benchmark_worker_runs(tmp_path):
+    """bench/worker.py with a trace path, in its own interpreter, on a tiny
+    spec: the tracer's wrappers and observers (which run only when traced)
+    must work on what the package returns."""
+    spec = {"name": "tiny", "config": None, "check": None, "cli_seed": 1,
+            "steps": [["rank-sweep", "--n", "3", "--n-leaf", "16"],
+                      ["verify", "--n", "2", "--n-leaf", "8", "--kappa-im", "0.5"],
+                      ["caccioppoli", "--n", "3"],
+                      ["helmholtz", "--n", "2"]]}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    (tmp_path / "work").mkdir()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "worker.py"), str(tmp_path / "spec.json"),
+         str(tmp_path / "work"), str(tmp_path / "result.json"),
+         str(tmp_path / "trace.json")], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "result.json").read_text())["failure"] is None
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    names = {span[1] for span in trace["spans"]}
+    assert {"fem.assemble_system", "inverse_lab.rank_sweep",
+            "harmonic.caccioppoli_ratio"} <= names
+    assert trace["counts"]["fem.nnz_A"] > 0
+
+
+@pytest.mark.parametrize("verb", ["caccioppoli", "helmholtz"])
+def test_default_pairs_follow_the_configured_length(tmp_path, verb):
+    """The local experiments' boxes scale with the domain: on [0, 0.05]^3
+    they hold the same tets as on the unit cube, and no outer box is empty."""
+    counts = {}
+    for length in (1.0, 0.05):
+        (tmp_path / "cfg.json").write_text(json.dumps({"length": length}))
+        assert run_cli(verb, "--n", "3", "--config", str(tmp_path / "cfg.json"),
+                       "--out", str(tmp_path), "--name", str(length)) == 0
+        out = json.loads((tmp_path / str(length) / f"{verb}.json").read_text())
+        if verb == "caccioppoli":
+            counts[length] = {label: (e["curl"]["n_outer_tets"],
+                                      e["curl"]["n_inner_tets"])
+                              for label, e in out["pairs"].items()}
+        else:
+            counts[length] = {label: (rep["n_tets"],)
+                              for label, rep in out["regions"].items()}
+    assert counts[0.05] == counts[1.0]
+    assert all(c[0] > 0 for c in counts[1.0].values())
+
+
+@pytest.mark.parametrize("kappa_im", [0.0, -0.0, 0.5])
+def test_system_is_real_exactly_when_kappa_is(kappa_im):
+    cfg = load_config(build_parser().parse_args(
+        ["assemble", "--n", "2", f"--kappa-im={kappa_im!r}"]))
+    system = cli.build_system(cfg)
+    assert np.iscomplexobj(system.A) == (kappa_im != 0.0)
+    assert isinstance(system.kappa, complex) == (kappa_im != 0.0)

@@ -63,9 +63,19 @@ def test_leaves_partition_the_index_set(tree_and_partition):
             assert a.level == b.level == c.level + 1
 
 
+def support_tets_by_loop(mesh):
+    """Per edge, the tets listing it in tet_edges, found tet by tet."""
+    tets = [[] for _ in range(mesh.n_edges)]
+    for t, row in enumerate(mesh.tet_edges):
+        for e in row:
+            tets[int(e)].append(t)
+    return tets
+
+
 def test_boxes_cover_their_members(tree_and_partition):
     mesh, dofmap, tree, _ = tree_and_partition(3)
     mids = edge_midpoints(mesh, dofmap)
+    edge_tets = support_tets_by_loop(mesh)
     for c in tree.clusters:
         pts = mids[c.indices]
         assert np.all(pts >= c.mid_lo - 1e-12) and np.all(pts <= c.mid_hi + 1e-12)
@@ -74,10 +84,37 @@ def test_boxes_cover_their_members(tree_and_partition):
         # support box covers every tet touching a member edge
         for d in c.indices[:: max(1, c.size // 8)]:
             e = dofmap.interior_edges[d]
-            for t in mesh.edge_tets[e]:
+            for t in edge_tets[e]:
                 verts = mesh.vertices[mesh.tets[t]]
                 assert np.all(verts >= c.bbox_lo - 1e-12)
                 assert np.all(verts <= c.bbox_hi + 1e-12)
+
+
+@pytest.mark.parametrize("length", [1.0, 2.5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_support_boxes_match_a_per_edge_oracle(n, length):
+    """With one DOF per leaf, each leaf's support box is bitwise the min/max
+    over the vertices of the tets of its edge, and each cluster's box is
+    bitwise the min/max over its members' boxes."""
+    from hmaxwell import build_box_mesh
+
+    mesh = build_box_mesh(n, length)
+    dofmap = build_dof_map(mesh)
+    edge_tets = support_tets_by_loop(mesh)
+    lo = np.empty((dofmap.n_dofs, 3))
+    hi = np.empty((dofmap.n_dofs, 3))
+    for d, e in enumerate(dofmap.interior_edges):
+        pts = mesh.vertices[mesh.tets[edge_tets[e]]].reshape(-1, 3)
+        lo[d], hi[d] = pts.min(axis=0), pts.max(axis=0)
+    mids = edge_midpoints(mesh, dofmap)
+    tree = build_cluster_tree(mesh, dofmap, n_leaf=1)
+    for c in tree.clusters:
+        if c.is_leaf:
+            assert c.size == 1
+            (d,) = c.indices
+            assert c.mid_lo.tobytes() == c.mid_hi.tobytes() == mids[d].tobytes()
+        assert c.bbox_lo.tobytes() == lo[c.indices].min(axis=0).tobytes()
+        assert c.bbox_hi.tobytes() == hi[c.indices].max(axis=0).tobytes()
 
 
 def scratch_distance(lo1, hi1, lo2, hi2):

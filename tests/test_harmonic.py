@@ -20,7 +20,6 @@ from hmaxwell import (
     gradient_part_harmonic_check,
     harmonic_space,
     helmholtz_report,
-    local_helmholtz,
     tets_inside_box,
     tets_intersecting_box,
 )
@@ -45,12 +44,30 @@ def test_box_region_bounds():
 
 
 def test_default_pairs_fit_in_the_cube():
-    pairs = default_pairs()
+    pairs = default_pairs(1.0)
     assert set(pairs) == {"interior", "boundary"}
     inner = pairs["interior"]
     assert np.all(inner.outer.lo >= 0.0) and np.all(inner.outer.hi <= 1.0)
     # the boundary pair pokes out of the domain on purpose
     assert np.any(pairs["boundary"].outer.lo < 0.0)
+    assert pairs["interior"] == ConcentricPair((0.5, 0.5, 0.5), 0.4, 0.5)
+    assert pairs["boundary"] == ConcentricPair((0.1, 0.5, 0.5), 0.4, 0.5)
+
+
+@pytest.mark.parametrize("length", [0.05, 1.0 / 3.0, 2.5, 100.0])
+def test_default_pairs_scale_with_the_box(mesh_cache, length):
+    """On [0, length]^3 the default boxes hold the same tets as on the
+    unit cube, box faces on mesh planes included."""
+    pairs = default_pairs(length)
+    for n in (1, 2, 3, 4, 5, 8, 10):
+        unit, scaled = mesh_cache(n), mesh_cache(n, length)
+        for label, pair in default_pairs(1.0).items():
+            for box, want in ((pairs[label].inner, pair.inner),
+                              (pairs[label].outer, pair.outer)):
+                assert np.array_equal(box.conforming_tets(scaled),
+                                      want.conforming_tets(unit))
+                assert np.array_equal(box.inside_tets(scaled),
+                                      want.inside_tets(unit))
 
 
 def test_inside_tets_by_vertex_membership(mesh_cache):
@@ -163,7 +180,7 @@ def test_batched_tet_box_test_matches_per_tet_reference(mesh_cache, n, corners,
 
 def test_batched_tet_box_test_on_default_pairs(mesh_cache):
     m = mesh_cache(8)
-    for pair in default_pairs().values():
+    for pair in default_pairs(m.length).values():
         for box in (pair.inner, pair.outer):
             got = tets_intersecting_box(m, box.lo, box.hi)
             assert got.size > 0
@@ -224,7 +241,7 @@ def test_constraint_rows_match_support_inclusion(sys4):
     rows = set(space.constraint_rows.tolist())
     for d, e in enumerate(sys4.dofmap.interior_edges):
         ok = True
-        for t in m.edge_tets[e]:
+        for t in np.flatnonzero((m.tet_edges == e).any(axis=1)):
             verts = m.vertices[m.tets[t]]
             if np.any(verts < region.lo - 1e-12) or np.any(verts > region.hi + 1e-12):
                 ok = False
@@ -237,13 +254,13 @@ def test_constraint_rows_match_support_inclusion(sys4):
 def test_caccioppoli_empty_basis_ratio_zero(sys3):
     region = BoxRegion((0.5, 0.5, 0.5), 1.0)
     space = harmonic_space(sys3, region, "curl")  # dim 0
-    res = caccioppoli_ratio(space, default_pairs()["interior"])
+    res = caccioppoli_ratio(space, default_pairs(sys3.mesh.length)["interior"])
     assert res.ratio == 0.0 and res.normalized == 0.0
     assert res.dim == 0
 
 
 def test_caccioppoli_n4_inner_box_is_empty(sys4):
-    pair = default_pairs()["interior"]
+    pair = default_pairs(sys4.mesh.length)["interior"]
     assert tets_inside_box(sys4.mesh, pair.inner.lo, pair.inner.hi).size == 0
     space = harmonic_space(sys4, pair.outer, "curl")
     res = caccioppoli_ratio(space, pair)
@@ -265,7 +282,7 @@ def test_gradients_contribute_nothing_to_curl_numerator(sys3, rng):
 
 
 def test_caccioppoli_positive_on_fine_mesh():
-    pair = default_pairs()["interior"]
+    pair = default_pairs(1.0)["interior"]
     sysm = assemble_system(build_box_mesh(6))
     space = harmonic_space(sysm, pair.outer, "curl")
     res = caccioppoli_ratio(space, pair)
@@ -341,7 +358,7 @@ def test_local_space_matches_full_n_reference(system_cache, n, kappa):
     both default pairs and both variants. The constraint rows vanish off
     O, and the embedded basis is orthonormal."""
     sysm = system_cache(n, kappa)
-    for pair in default_pairs().values():
+    for pair in default_pairs(sysm.mesh.length).values():
         for variant in ("curl", "grad"):
             space = harmonic_space(sysm, pair.outer, variant)
             rows, dim, normalized = reference_caccioppoli(sysm, pair, variant)
@@ -381,7 +398,8 @@ def test_helmholtz_reproduces_pure_gradients(sys3, rng):
     ns = build_nodal_space(sys3)
     G = discrete_gradient(ns)
     u = G @ rng.standard_normal(ns.free_vertices.size)
-    z, p = local_helmholtz(sys3, region, u)
+    rep = helmholtz_report(sys3, region, u)
+    z, p = rep["z"], rep["p"]
     assert np.linalg.norm(z) < 1e-10 * np.linalg.norm(u)
     assert np.linalg.norm(gradient_edge_coeffs(sys3, p) - u) < 1e-10 * np.linalg.norm(u)
 
@@ -389,8 +407,9 @@ def test_helmholtz_reproduces_pure_gradients(sys3, rng):
 def test_helmholtz_z_part_projects_to_zero(sys3, rng):
     region = BoxRegion((0.5, 0.5, 0.5), 1.0)
     u = rng.standard_normal(sys3.n_dofs)
-    z, _ = local_helmholtz(sys3, region, u)
-    z2, p2 = local_helmholtz(sys3, region, z)
+    z = helmholtz_report(sys3, region, u)["z"]
+    rep = helmholtz_report(sys3, region, z)
+    z2, p2 = rep["z"], rep["p"]
     assert np.linalg.norm(gradient_edge_coeffs(sys3, p2)) < 1e-10 * np.linalg.norm(z)
     assert np.linalg.norm(z2 - z) < 1e-10 * np.linalg.norm(z)
 
@@ -510,7 +529,7 @@ def test_recover_harmonic_gradient_component(sys4):
     potential recovery applies to it on the region."""
     region = BoxRegion((0.5, 0.5, 0.5), 0.5)
     space = harmonic_space(sys4, region, "curl")
-    _, p = local_helmholtz(sys4, region, space.basis[:, 0])
+    p = helmholtz_report(sys4, region, space.basis[:, 0])["p"]
     v = gradient_edge_coeffs(sys4, p)
     phi = exact_sequence_recover(sys4, space.tets, v)
     g = phi[sys4.mesh.edges[sys4.dofmap.interior_edges, 1]] \

@@ -20,7 +20,7 @@ import pytest
 from hmaxwell import build_box_mesh, conformity_report, shape_regularity_constant
 from hmaxwell.fem import build_dof_map
 from hmaxwell.mesh import (_AXIS_ORDERS, LOCAL_EDGES, Mesh, mesh_to_dict,
-                           support_tets, tet_volumes)
+                           tet_volumes)
 from hmaxwell.report import write_json
 
 
@@ -77,17 +77,11 @@ def loop_box_mesh(n, length=1.0):
     boundary_vertex = on_face.any(axis=1)
     boundary_edge = (on_face[edges[:, 0]] & on_face[edges[:, 1]]).any(axis=1)
 
-    edge_tets = [[] for _ in range(edges.shape[0])]
-    for t in range(tets.shape[0]):
-        for e in tet_edges[t]:
-            edge_tets[int(e)].append(t)
-    edge_tets = [np.array(lst, dtype=np.int64) for lst in edge_tets]
-
     coords = vertices[tets]
     diffs = coords[:, le[:, 0], :] - coords[:, le[:, 1], :]
     h = float(np.sqrt((diffs ** 2).sum(axis=2)).max())
     return Mesh(n, float(length), vertices, tets, edges, tet_edges,
-                tet_edge_signs, boundary_vertex, boundary_edge, edge_tets, h)
+                tet_edge_signs, boundary_vertex, boundary_edge, h)
 
 
 def same_bits(a, b):
@@ -103,11 +97,7 @@ def test_batched_mesh_matches_the_loop_oracle(n, length, tmp_path):
     got, want = build_box_mesh(n, length), loop_box_mesh(n, length)
     for f in dataclasses.fields(Mesh):
         a, b = getattr(got, f.name), getattr(want, f.name)
-        if f.name == "edge_tets":
-            assert len(a) == len(b)
-            assert all(same_bits(x, y) for x, y in zip(a, b))
-        else:
-            assert type(a) is type(b) and same_bits(a, b), f.name
+        assert type(a) is type(b) and same_bits(a, b), f.name
     paths = [write_json(str(tmp_path / f"{tag}.json"), mesh_to_dict(mesh))
              for tag, mesh in (("got", got), ("want", want))]
     assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
@@ -168,7 +158,7 @@ def test_mesh_width_is_the_body_diagonal(n, length, mesh_cache):
 def test_body_diagonal_edge_carries_six_tets(mesh_cache):
     """Inside every subcube the diagonal edge belongs to all 6 tets."""
     m = mesh_cache(2)
-    counts = np.array([len(support_tets(m, e)) for e in range(m.n_edges)])
+    counts = np.bincount(m.tet_edges.ravel(), minlength=m.n_edges)
     assert counts.max() == 6
     assert counts.min() >= 1
     # every diagonal edge (endpoints one grid step apart in all axes)
