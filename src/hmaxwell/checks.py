@@ -20,6 +20,9 @@ from .inverse_lab import theorem_transfer_check
 from .mesh import build_box_mesh
 from .whitney import TetElement, make_polynomial_field
 
+COMMUTING_TETS = 50      # random tets per commuting-diagram check
+COMMUTING_DEGREE = 3     # total degree of the random polynomial fields
+
 
 def default_tolerances() -> dict:
     return {
@@ -60,27 +63,28 @@ def check_symmetry(system: GalerkinSystem) -> CheckResult:
 
 
 def check_gradient_kernel(system: GalerkinSystem, grad, tol: float = 1e-12,
-                          n_trials: int = 5, seed: int = 0) -> CheckResult:
-    """curl(grad p) = 0: K annihilates every discrete gradient; grad is the
-    whole-mesh discrete gradient."""
+                          seed: int = 0) -> CheckResult:
+    """curl(grad p) = 0: K annihilates five random discrete gradients; grad
+    is the whole-mesh discrete gradient."""
     name = "discrete gradients lie in the curl kernel"
     if grad.shape[1] == 0:
         return CheckResult(name, True, 0.0, tol, "no discrete gradient to test")
     k_fro = float(np.linalg.norm(system.K.data))
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_trials):
+    for _ in range(5):
         gp = grad @ rng.standard_normal(grad.shape[1])
         worst = max(worst, float(np.linalg.norm(system.K @ gp)
                                  / (k_fro * np.linalg.norm(gp))))
     return CheckResult(name, worst <= tol, worst, tol)
 
 
-def random_tet(rng, min_det: float = 0.05) -> np.ndarray:
-    """Four random points in the unit cube, rejected until well-shaped."""
+def random_tet(rng) -> np.ndarray:
+    """Four random points in the unit cube, rejected until well-shaped
+    (|det| of the edge vectors at least 0.05)."""
     while True:
         pts = rng.random((4, 3))
-        if abs(np.linalg.det(pts[1:] - pts[0])) >= min_det:
+        if abs(np.linalg.det(pts[1:] - pts[0])) >= 0.05:
             return pts
 
 
@@ -92,17 +96,17 @@ def random_poly_field(rng, degree: int = 3):
     return make_polynomial_field(*comps)
 
 
-def check_commuting(tol: float = 1e-12, n_tets: int = 50, degree: int = 3,
-                    seed: int = 0) -> CheckResult:
+def check_commuting(tol: float = 1e-12, seed: int = 0) -> CheckResult:
     """Face interpolant of the curl vs curl of the edge interpolant."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_tets):
+    for _ in range(COMMUTING_TETS):
         el = TetElement(random_tet(rng))
-        field, curl_field = random_poly_field(rng, degree)
+        field, curl_field = random_poly_field(rng, COMMUTING_DEGREE)
         worst = max(worst, el.commuting_residual(field, curl_field))
     return CheckResult("commuting diagram on random tets", worst <= tol,
-                       worst, tol, f"{n_tets} tets, degree {degree}")
+                       worst, tol,
+                       f"{COMMUTING_TETS} tets, degree {COMMUTING_DEGREE}")
 
 
 def check_dual_biorthogonality(system: GalerkinSystem, dual: DualBasis,
@@ -194,24 +198,24 @@ def check_transfer(system: GalerkinSystem, partition: BlockPartition,
                    binv: np.ndarray, dual: DualBasis, tol: float = 1e-8,
                    n_rhs: int = 10, seed: int = 0) -> CheckResult:
     """Coefficient-transfer identity on every admissible pair."""
-    worst = 0.0
-    for t, s in partition.far:
-        rep = theorem_transfer_check(system, dual, t, s, binv,
-                                     n_rhs=n_rhs, seed=seed, tol=tol)
-        worst = max(worst, rep["max_mismatch"])
+    # np.max, unlike max, keeps a NaN mismatch, which then fails the check
+    worst = float(np.max([theorem_transfer_check(system, dual, t, s, binv,
+                                                 n_rhs=n_rhs, seed=seed)
+                          for t, s in partition.far], initial=0.0))
     return CheckResult("dual-basis transfer identity", worst <= tol, worst,
                        tol, f"{len(partition.far)} admissible pairs")
 
 
-def check_bound(rows, slack: float = 1e-6) -> CheckResult:
-    """Measured global error against C_sp*(depth+1)*sigma_{r+1} per rank."""
-    if not rows:
-        return CheckResult("block-to-global spectral bound", True, 0.0, slack,
-                           "no far blocks to bound")
+def check_bound(rows, n_far: int, slack: float = 1e-6) -> CheckResult:
+    """Measured global error against C_sp*(depth+1)*sigma_{r+1} per rank;
+    n_far is the partition's far-block count. With no far block every
+    block is kept whole and there is nothing to bound."""
+    name, tol = "block-to-global spectral bound", 1.0 + slack
+    if not rows or not n_far:
+        return CheckResult(name, True, 0.0, tol, "no far blocks to bound")
     worst = max(row.abs_err / row.bound_value if row.bound_value > 0
                 else float("inf") if row.abs_err > 0 else 0.0 for row in rows)
-    return CheckResult("block-to-global spectral bound", worst <= 1.0 + slack,
-                       worst, 1.0 + slack, f"{len(rows)} ranks")
+    return CheckResult(name, worst <= tol, worst, tol, f"{len(rows)} ranks")
 
 
 def check_partition_tiles(partition: BlockPartition) -> CheckResult:

@@ -24,6 +24,7 @@ import re
 import resource
 import sys
 import time
+from dataclasses import asdict, astuple, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -36,14 +37,14 @@ from .checks import (CheckResult, check_bound, check_commuting,
                      check_partition_tiles, check_symmetry, check_transfer,
                      default_tolerances, random_field)
 from .cluster import (build_block_partition, build_cluster_tree,
-                      partition_to_dict)
+                      partition_to_dict, sparsity_constant)
 from .fem import (assemble_system, build_dof_map, build_nodal_space,
                   discrete_gradient, dual_basis, dual_norms,
                   matrix_to_coordinate_text)
 from .harmonic import (caccioppoli_ratio, constraint_residual, default_pairs,
                        harmonic_space, helmholtz_report)
 from .hmatrix import compress_dense, far_svds, hmatrix_manifest
-from .inverse_lab import block_decay_report, dense_inverse, fit_decay, rank_sweep
+from .inverse_lab import SweepRow, dense_inverse, fit_decay, rank_sweep
 from .mesh import (build_box_mesh, conformity_report, mesh_to_dict,
                    shape_regularity_constant)
 from .report import RunManifest, svg_decay_plot, write_csv, write_json
@@ -236,8 +237,7 @@ def verdict(results) -> int:
 
 # verbs ----------------------------------------------------------------------
 
-def cmd_mesh_info(cfg: dict) -> int:
-    run = Runner("mesh-info", cfg)
+def cmd_mesh_info(run: Runner, cfg: dict) -> int:
     run.phase("build")
     mesh = build_box_mesh(cfg["n"], cfg["length"])
     conf = conformity_report(mesh)
@@ -262,8 +262,7 @@ def cmd_mesh_info(cfg: dict) -> int:
     return 0
 
 
-def cmd_assemble(cfg: dict) -> int:
-    run = Runner("assemble", cfg)
+def cmd_assemble(run: Runner, cfg: dict) -> int:
     run.phase("assemble")
     system = build_system(cfg)
     run.phase("write")
@@ -282,8 +281,7 @@ def cmd_assemble(cfg: dict) -> int:
     return 0
 
 
-def cmd_rank_sweep(cfg: dict) -> int:
-    run = Runner("rank-sweep", cfg)
+def cmd_rank_sweep(run: Runner, cfg: dict) -> int:
     run.phase("assemble")
     mesh, system, tree, partition, binv = build_pipeline(cfg, need_inverse=True)
     run.phase("sweep")
@@ -291,12 +289,8 @@ def cmd_rank_sweep(cfg: dict) -> int:
     run.phase("fit")
     fit = fit_decay([row.r for row in rows], [row.rel_err for row in rows])
     run.phase("write")
-    p1 = write_csv(run.path("sweep.csv"),
-                   ["r", "abs_err", "fro_upper", "rel_err", "max_block_sigma",
-                    "bound_value", "scalars", "converged"],
-                   [(row.r, row.abs_err, row.fro_upper, row.rel_err,
-                     row.max_block_sigma, row.bound_value, row.scalars,
-                     row.converged) for row in rows])
+    p1 = write_csv(run.path("sweep.csv"), [f.name for f in fields(SweepRow)],
+                   [astuple(row) for row in rows])
     p2 = write_json(run.path("fit.json"), {
         "fit": fit,
         "n": mesh.n,
@@ -305,8 +299,8 @@ def cmd_rank_sweep(cfg: dict) -> int:
         "eta": cfg["eta"],
         "n_leaf": cfg["n_leaf"],
         "seed": cfg["seed"],
-        "c_sp": rows[0].c_sp if rows else 0,
-        "depth": rows[0].depth if rows else 0,
+        "c_sp": sparsity_constant(partition),
+        "depth": partition.tree.depth,
     })
     p3 = svg_decay_plot(run.path("decay.svg"), [row.r for row in rows],
                         [row.rel_err for row in rows], fit)
@@ -316,13 +310,13 @@ def cmd_rank_sweep(cfg: dict) -> int:
     if not fit.skipped:
         print(f"root-exponential fit b = {fit.b:.4f}, "
               f"exponential fit q = {fit.q:.4f}")
-    code = verdict([check_bound(rows, cfg["tolerances"]["bound_slack"])])
+    code = verdict([check_bound(rows, len(partition.far),
+                                cfg["tolerances"]["bound_slack"])])
     run.finish(p1, p2, p3, system=system, partition=partition)
     return code
 
 
-def cmd_block_svd(cfg: dict) -> int:
-    run = Runner("block-svd", cfg)
+def cmd_block_svd(run: Runner, cfg: dict) -> int:
     run.phase("assemble")
     mesh, system, tree, partition, binv = build_pipeline(cfg, need_inverse=True)
     if not partition.far:
@@ -332,26 +326,24 @@ def cmd_block_svd(cfg: dict) -> int:
     run.phase("svd")
     rank = max(cfg["ranks"])
     svds = far_svds(binv, partition, rank)
-    report = block_decay_report(partition, svds)
+    blocks = [{"tau": t.id, "sigma": s.id, "rows": t.size, "cols": s.size,
+               "sigma_head": sv[:8],
+               "fit": fit_decay(np.arange(1, sv.size + 1), sv)}
+              for (t, s), (_, sv, _) in zip(partition.far, svds)]
     h = compress_dense(binv, partition, rank, svds)
     run.phase("write")
-    largest = max(report, key=lambda d: min(d["rows"], d["cols"]))
-    p1 = write_csv(run.path("block_sigmas.csv"),
-                   ["k", "sigma"],
-                   list(enumerate(largest["singular_values"])))
+    big = max(range(len(blocks)),
+              key=lambda i: min(blocks[i]["rows"], blocks[i]["cols"]))
+    largest = {key: blocks[big][key] for key in ("tau", "sigma", "rows", "cols")}
+    p1 = write_csv(run.path("block_sigmas.csv"), ["k", "sigma"],
+                   list(enumerate(svds[big][1])))
     p2 = write_json(run.path("blocks.json"), {
         "n": mesh.n,
         "N": system.n_dofs,
         "eta": cfg["eta"],
         "n_leaf": cfg["n_leaf"],
-        "largest_block": {"tau": largest["tau"], "sigma": largest["sigma"],
-                          "rows": largest["rows"], "cols": largest["cols"]},
-        "blocks": [{
-            "tau": d["tau"], "sigma": d["sigma"],
-            "rows": d["rows"], "cols": d["cols"],
-            "sigma_head": d["singular_values"][:8],
-            "fit": d["fit"],
-        } for d in report],
+        "largest_block": largest,
+        "blocks": blocks,
     })
     p3 = write_json(run.path("hmatrix.json"), hmatrix_manifest(h))
     p4 = write_json(run.path("partition.json"), partition_to_dict(partition))
@@ -361,14 +353,13 @@ def cmd_block_svd(cfg: dict) -> int:
         np.save(px, blk.X)
         np.save(py, blk.Y)
         paths.extend([px, py])
-    print(f"{len(report)} admissible blocks, largest "
+    print(f"{len(blocks)} admissible blocks, largest "
           f"{largest['rows']}x{largest['cols']}, factors stored at rank {rank}")
     run.finish(*paths, system=system, partition=partition)
     return 0
 
 
-def cmd_caccioppoli(cfg: dict) -> int:
-    run = Runner("caccioppoli", cfg)
+def cmd_caccioppoli(run: Runner, cfg: dict) -> int:
     run.phase("assemble")
     system = build_system(cfg)
     run.phase("solve")
@@ -378,20 +369,12 @@ def cmd_caccioppoli(cfg: dict) -> int:
         for variant in ("curl", "grad"):
             space = harmonic_space(system, pair.outer, variant)
             res = caccioppoli_ratio(space, pair)
-            entry[variant] = {
-                "ratio": res.ratio,
-                "normalized": res.normalized,
-                "dim": res.dim,
-                "n_inner_tets": res.n_inner_tets,
-                "n_outer_tets": res.n_outer_tets,
-                "hypothesis_satisfied": res.hypothesis_satisfied,
-                "constraint_residual": constraint_residual(space),
-                "n_constraints": int(space.constraint_rows.size),
-            }
+            entry[variant] = {**asdict(res),
+                              "constraint_residual": constraint_residual(space),
+                              "n_constraints": int(space.constraint_rows.size)}
             print(f"{label}/{variant}: ratio = {res.ratio:.6e}, "
                   f"normalized = {res.normalized:.6e}, dim = {res.dim}")
-        entry["geometry"] = {"center": list(pair.center), "r": pair.r,
-                             "eps": pair.eps}
+        entry["geometry"] = asdict(pair)
         out["pairs"][label] = entry
     run.phase("write")
     p1 = write_json(run.path("caccioppoli.json"), out)
@@ -399,8 +382,7 @@ def cmd_caccioppoli(cfg: dict) -> int:
     return 0
 
 
-def cmd_helmholtz(cfg: dict) -> int:
-    run = Runner("helmholtz", cfg)
+def cmd_helmholtz(run: Runner, cfg: dict) -> int:
     run.phase("assemble")
     system = build_system(cfg)
     coeffs = random_field(system, cfg["seed"])
@@ -419,8 +401,7 @@ def cmd_helmholtz(cfg: dict) -> int:
     return 0
 
 
-def cmd_commuting_check(cfg: dict) -> int:
-    run = Runner("commuting-check", cfg)
+def cmd_commuting_check(run: Runner, cfg: dict) -> int:
     run.phase("check")
     res = check_commuting(tol=cfg["tolerances"]["commuting"], seed=cfg["seed"])
     code = verdict([res])
@@ -430,8 +411,7 @@ def cmd_commuting_check(cfg: dict) -> int:
     return code
 
 
-def cmd_dual_basis_check(cfg: dict) -> int:
-    run = Runner("dual-basis-check", cfg)
+def cmd_dual_basis_check(run: Runner, cfg: dict) -> int:
     run.phase("assemble")
     system = build_system(cfg)
     run.phase("check")
@@ -453,8 +433,7 @@ def cmd_dual_basis_check(cfg: dict) -> int:
     return code
 
 
-def cmd_verify(cfg: dict) -> int:
-    run = Runner("verify", cfg)
+def cmd_verify(run: Runner, cfg: dict) -> int:
     tol = cfg["tolerances"]
     results = []
     run.phase("assemble")
@@ -473,7 +452,7 @@ def cmd_verify(cfg: dict) -> int:
     results.append(check_dual_norm_scaling(factor=tol["dual_norm_factor"]))
     run.phase("sweep")
     rows = rank_sweep(binv, partition, cfg["ranks"], seed=cfg["seed"])
-    results.append(check_bound(rows, tol["bound_slack"]))
+    results.append(check_bound(rows, len(partition.far), tol["bound_slack"]))
     run.phase("transfer")
     results.append(check_transfer(system, partition, binv, dual,
                                   tol["transfer"], seed=cfg["seed"]))
@@ -555,7 +534,7 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = load_config(args)
-        return COMMANDS[args.verb](cfg)
+        return COMMANDS[args.verb](Runner(args.verb, cfg), cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -64,13 +64,12 @@ class GalerkinSystem:
         return self._lu
 
 
-def assemble_system(mesh: Mesh, dofmap: DofMap = None, kappa: complex = 1.0) -> GalerkinSystem:
+def assemble_system(mesh: Mesh, kappa: complex = 1.0) -> GalerkinSystem:
     """Assemble sparse K and M and dense A = K - kappa M over the
     interior-edge DOFs; A is real when Im(kappa) = 0."""
     if kappa == 0:
         raise ValueError("kappa must be nonzero (gradients lie in the curl kernel)")
-    if dofmap is None:
-        dofmap = build_dof_map(mesh)
+    dofmap = build_dof_map(mesh)
     n = dofmap.n_dofs
     local = element_tensors(mesh.vertices[mesh.tets], mesh.tet_edge_signs)
     dofs = dofmap.edge_to_dof[mesh.tet_edges]
@@ -208,10 +207,10 @@ def discrete_gradient(nodal: NodalSpace):
 
 # projections ------------------------------------------------------------
 
-def rhs_vector(system: GalerkinSystem, fld, degree: int = 4) -> np.ndarray:
-    """Load vector f_i = <fld, Psi_i> by tet quadrature of the given degree;
-    fld maps points (..., 3) to values (..., 3)."""
-    bary, w = tet_rule(degree)
+def rhs_vector(system: GalerkinSystem, fld) -> np.ndarray:
+    """Load vector f_i = <fld, Psi_i> by degree-4 tet quadrature; fld maps
+    points (..., 3) to values (..., 3)."""
+    bary, w = tet_rule(4)
     mesh, local = system.mesh, system.local
     vals = fld(bary @ mesh.vertices[mesh.tets])  # (T, Q, 3)
     psi = whitney_values(bary, local.grads)
@@ -220,11 +219,11 @@ def rhs_vector(system: GalerkinSystem, fld, degree: int = 4) -> np.ndarray:
     return scatter(f_loc, system.dofmap.edge_to_dof[mesh.tet_edges], system.n_dofs)
 
 
-def l2_project(system: GalerkinSystem, fld, degree: int = 4) -> np.ndarray:
+def l2_project(system: GalerkinSystem, fld) -> np.ndarray:
     """Coefficients of the L2 projection of a callable field onto the space."""
     from scipy.sparse.linalg import spsolve  # imported on use: slow to load
 
-    f = rhs_vector(system, fld, degree)
+    f = rhs_vector(system, fld)
     u = spsolve(system.M.tocsc(), f)
     resid = np.linalg.norm(system.M @ u - f)
     if resid > 1e-10 * max(np.linalg.norm(f), 1e-300):

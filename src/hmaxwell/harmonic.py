@@ -79,18 +79,17 @@ def default_pairs(length: float) -> dict:
 _FACE_EDGES = ([0, 0, 1, 3], [1, 2, 2, 4])
 
 
-def tets_intersecting_box(mesh: Mesh, lo, hi, tol: float = None) -> np.ndarray:
+def tets_intersecting_box(mesh: Mesh, lo, hi) -> np.ndarray:
     """Ids of tets meeting the open box in a set of positive volume (the
     tet set of the mesh-conforming region).
 
     Separating-axis test, batched over all candidate tets, on the 25 axes
     of each tet-box pair: 3 box normals, 4 tet face normals and the 18
     cross products of a tet edge with a box axis. Axes shorter than 1e-14
-    are skipped; the projections must overlap by more than tol on every
+    are skipped; the projections must overlap by more than 1e-12 L on every
     other axis, so touching along a face or edge does not count.
     """
-    if tol is None:
-        tol = 1e-12 * mesh.length
+    tol = 1e-12 * mesh.length
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     coords = mesh.vertices[mesh.tets]              # (T, 4, 3)
@@ -116,10 +115,9 @@ def tets_intersecting_box(mesh: Mesh, lo, hi, tol: float = None) -> np.ndarray:
     return cand[ok]
 
 
-def tets_inside_box(mesh: Mesh, lo, hi, tol: float = None) -> np.ndarray:
-    """Ids of tets whose closure lies in the closed box."""
-    if tol is None:
-        tol = 1e-12 * mesh.length
+def tets_inside_box(mesh: Mesh, lo, hi) -> np.ndarray:
+    """Ids of tets whose closure lies in the closed box (to 1e-12 L)."""
+    tol = 1e-12 * mesh.length
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     coords = mesh.vertices[mesh.tets]
@@ -229,13 +227,10 @@ def constraint_residual(space: HarmonicSpace) -> float:
 class CaccioppoliResult:
     ratio: float            # max Rayleigh quotient over the space
     normalized: float       # ratio * eps / (1 + eps)
-    variant: str
     dim: int
     n_inner_tets: int
     n_outer_tets: int
     hypothesis_satisfied: bool   # h / R < eps / 4
-    eps: float
-    r: float
 
 
 def caccioppoli_ratio(space: HarmonicSpace,
@@ -279,9 +274,8 @@ def caccioppoli_ratio(space: HarmonicSpace,
                               subset_by_index=[len(top) - 1] * 2)
         ratio = float(max(w[0], 0.0))
     return CaccioppoliResult(ratio, ratio * pair.eps / (1.0 + pair.eps),
-                             space.variant, space.dim, inner.size, outer.size,
-                             (system.h / pair.r) < pair.eps / 4.0, pair.eps,
-                             pair.r)
+                             space.dim, inner.size, outer.size,
+                             (system.h / pair.r) < pair.eps / 4.0)
 
 
 # local Helmholtz decomposition ---------------------------------------------

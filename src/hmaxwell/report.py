@@ -117,12 +117,12 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def svg_decay_plot(path: str, rs, rel_errs, fit=None, floor: float = 1e-16,
-                   title: str = "relative spectral error vs block rank") -> str:
-    """Self-contained SVG 1.1 plot: measured points on a log10 y axis with
-    the two fitted decay curves overlaid when a fit is available."""
+def svg_decay_plot(path: str, rs, rel_errs, fit=None) -> str:
+    """Self-contained SVG 1.1 plot: measured points (floored at 1e-16) on a
+    log10 y axis with the two fitted decay curves overlaid when a fit is
+    available."""
     rs = np.asarray(list(rs), dtype=float)
-    errs = np.maximum(np.asarray(list(rel_errs), dtype=float), floor)
+    errs = np.maximum(np.asarray(list(rel_errs), dtype=float), 1e-16)
     ys = np.log10(errs)
     y_lo = float(np.floor(ys.min())) - 0.5
     y_hi = float(np.ceil(ys.max())) + 0.5
@@ -142,7 +142,7 @@ def svg_decay_plot(path: str, rs, rel_errs, fit=None, floor: float = 1e-16,
         f'width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
         f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W / 2:.0f}" y="14" font-size="13" text-anchor="middle" '
-        f'font-family="sans-serif">{title}</text>',
+        'font-family="sans-serif">relative spectral error vs block rank</text>',
     ]
     ax = (f'M {_fmt(_ML)} {_fmt(_MT)} L {_fmt(_ML)} {_fmt(_H - _MB)} '
           f'L {_fmt(_W - _MR)} {_fmt(_H - _MB)}')

@@ -154,9 +154,10 @@ class TetElement:
         return normals, areas
 
     # interpolants -------------------------------------------------------
-    def nedelec_interpolant(self, field, degree: int = 5):
-        """Tangential edge integrals of the field: (6,) coefficients."""
-        t, w = segment_rule(degree)
+    def nedelec_interpolant(self, field):
+        """Tangential edge integrals of the field by degree-5 quadrature:
+        (6,) coefficients."""
+        t, w = segment_rule(5)
         xa = self.coords[_EDGE_A]
         d = self.coords[_EDGE_B] - xa                     # (6, 3)
         vals = field(xa[:, None] + t[:, None] * d[:, None])  # (6, Q, 3)
@@ -165,9 +166,10 @@ class TetElement:
     def nedelec_eval(self, coeffs, points):
         return np.einsum("k,qkd->qd", coeffs, self.whitney(points))
 
-    def rt_face_interpolant(self, field, degree: int = 5):
-        """Outward face fluxes of the field: (4,) coefficients."""
-        bary, w = triangle_rule(degree)
+    def rt_face_interpolant(self, field):
+        """Outward face fluxes of the field by degree-5 quadrature: (4,)
+        coefficients."""
+        bary, w = triangle_rule(5)
         normals, areas = self.face_frames()
         vals = field(bary @ self.coords[_FACE_VERTS])     # (4, Q, 3)
         return areas * np.einsum("q,fqd,fd->f", w, vals, normals)
@@ -183,14 +185,14 @@ class TetElement:
         # each face function has constant divergence 1/|T|
         return np.sum(fluxes) / self.volume
 
-    def commuting_residual(self, field, curl_field, degree: int = 5):
+    def commuting_residual(self, field, curl_field):
         """max over faces of |flux of curl(interpolated field) - flux of
         interpolated curl|; zero for smooth fields by Stokes' theorem."""
-        coeffs = self.nedelec_interpolant(field, degree)
+        coeffs = self.nedelec_interpolant(field)
         cvec = coeffs @ self.whitney_curls()
         normals, areas = self.face_frames()
         lhs = areas * (normals @ cvec)
-        rhs = self.rt_face_interpolant(curl_field, degree)
+        rhs = self.rt_face_interpolant(curl_field)
         return float(np.abs(lhs - rhs).max())
 
 

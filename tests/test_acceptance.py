@@ -98,11 +98,12 @@ def test_criterion_1_root_exponential_sweep(sweep5, baselines):
 
 
 def test_criterion_2_block_to_global_bound(sweep5):
-    rows = sweep5["rows"]
+    rows, partition = sweep5["rows"], sweep5["partition"]
     worst = max(row.abs_err / (row.bound_value * 1.000001) for row in rows)
     report(2, worst <= 1.0,
            f"max error/bound ratio {worst:.6f} over {len(rows)} ranks "
-           f"(C_sp {rows[0].c_sp}, depth {rows[0].depth})")
+           f"(C_sp {sparsity_constant(partition)}, "
+           f"depth {partition.tree.depth})")
     assert worst <= 1.0, f"bound violated, ratio {worst}"
 
 

@@ -35,14 +35,17 @@ def sys2():
 
 def test_check_bound_judges_every_row():
     def row(abs_err, bound):
-        return SweepRow(1, abs_err, abs_err, abs_err, bound, bound, 0, 1, 1,
-                        True)
-    assert check_bound([row(0.5, 1.0), row(1.0, 1.0)], slack=0.0).passed
-    assert not check_bound([row(0.5, 1.0), row(1.1, 1.0)], slack=0.0).passed
-    assert check_bound([row(1.1, 1.0)], slack=0.2).passed
-    assert check_bound([row(0.0, 0.0)]).passed  # exact at full rank
-    assert not check_bound([row(1e-3, 0.0)]).passed  # no bound to meet
-    assert check_bound([]).passed
+        return SweepRow(1, abs_err, abs_err, abs_err, bound, bound, 0, True)
+    assert check_bound([row(0.5, 1.0), row(1.0, 1.0)], 3, slack=0.0).passed
+    assert not check_bound([row(0.5, 1.0), row(1.1, 1.0)], 3, slack=0.0).passed
+    assert check_bound([row(1.1, 1.0)], 3, slack=0.2).passed
+    assert check_bound([row(0.0, 0.0)], 3).passed  # exact at full rank
+    assert not check_bound([row(1e-3, 0.0)], 3).passed  # no bound to meet
+    assert check_bound([row(0.5, 1.0)], 3).detail == "1 ranks"
+    for rows, n_far in (([], 3), ([row(0.0, 0.0)] * 7, 0)):
+        res = check_bound(rows, n_far)
+        assert res.passed and res.detail == "no far blocks to bound"
+        assert res.measured == 0.0 and res.tolerance == 1.0 + 1e-6
 
 
 def test_check_result_line_format():

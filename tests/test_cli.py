@@ -22,7 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 
-from hmaxwell import assemble_system, build_box_mesh, checks, cli, fem, harmonic
+from hmaxwell import (assemble_system, build_block_partition, build_box_mesh,
+                      build_cluster_tree, checks, cli, fem, harmonic,
+                      sparsity_constant)
 from hmaxwell.cli import OPTIONS, build_parser, build_pipeline, load_config, main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -242,9 +244,16 @@ def test_rank_sweep_artifacts(tmp_path):
     for fname in ("sweep.csv", "fit.json", "decay.svg", "manifest.json"):
         assert (outdir / fname).exists()
     rows = (outdir / "sweep.csv").read_text().splitlines()
-    assert rows[0].split(",")[:3] == ["r", "abs_err", "fro_upper"]
-    assert rows[0].split(",")[-1] == "converged"
+    assert rows[0] == ("r,abs_err,fro_upper,rel_err,max_block_sigma,"
+                       "bound_value,scalars,converged")
     assert len(rows) == 4
+    system = assemble_system(build_box_mesh(2))
+    partition = build_block_partition(
+        build_cluster_tree(system.mesh, system.dofmap, n_leaf=8), eta=2.0)
+    fit = json.loads((outdir / "fit.json").read_text())
+    assert partition.far
+    assert fit["c_sp"] == sparsity_constant(partition)
+    assert fit["depth"] == partition.tree.depth
     assert all(row.split(",")[-1] == "true" for row in rows[1:])
     for row in rows[1:]:
         abs_err, fro_upper = map(float, row.split(",")[1:3])
@@ -257,6 +266,14 @@ def test_caccioppoli_and_helmholtz_run(tmp_path):
     cac = json.loads((tmp_path / "c" / "caccioppoli.json").read_text())
     assert set(cac["pairs"]) == {"interior", "boundary"}
     assert set(cac["pairs"]["interior"]) == {"curl", "grad", "geometry"}
+    for entry in cac["pairs"].values():
+        for variant in ("curl", "grad"):
+            assert set(entry[variant]) == {
+                "ratio", "normalized", "dim", "n_inner_tets", "n_outer_tets",
+                "hypothesis_satisfied", "constraint_residual", "n_constraints"}
+        assert set(entry["geometry"]) == {"center", "r", "eps"}
+    assert cac["pairs"]["interior"]["geometry"] == {
+        "center": [0.5, 0.5, 0.5], "r": 0.4, "eps": 0.5}
     assert run_cli("helmholtz", "--n", "3", "--out", str(tmp_path),
                    "--name", "h") == 0
     hel = json.loads((tmp_path / "h" / "helmholtz.json").read_text())
@@ -324,6 +341,44 @@ def test_block_svd_stores_factors(tmp_path):
     assert blocks["blocks"], "expected admissible blocks at this size"
     assert (outdir / "block000_X.npy").exists()
     assert (outdir / "block000_Y.npy").exists()
+    for blk in blocks["blocks"]:
+        assert set(blk) == {"tau", "sigma", "rows", "cols", "sigma_head", "fit"}
+        assert len(blk["sigma_head"]) == min(8, blk["rows"], blk["cols"])
+    # the first block with the largest min(rows, cols)
+    sizes = [min(blk["rows"], blk["cols"]) for blk in blocks["blocks"]]
+    first = blocks["blocks"][sizes.index(max(sizes))]
+    assert blocks["largest_block"] == {key: first[key]
+                                       for key in ("tau", "sigma", "rows", "cols")}
+    system = assemble_system(build_box_mesh(3))
+    tree = build_cluster_tree(system.mesh, system.dofmap, n_leaf=16)
+    tau, sigma = (tree.clusters[first[key]].indices for key in ("tau", "sigma"))
+    want = np.linalg.svd(np.linalg.inv(system.A)[np.ix_(tau, sigma)],
+                         compute_uv=False)
+    table = (outdir / "block_sigmas.csv").read_text().splitlines()
+    assert table[0] == "k,sigma"
+    got = np.array([float(line.split(",")[1]) for line in table[1:]])
+    assert [int(line.split(",")[0]) for line in table[1:]] == list(range(want.size))
+    assert np.abs(got - want).max() <= 1e-12 * want[0]
+
+
+def test_no_far_blocks_is_reported_as_such(tmp_path, capsys):
+    """At n = 3 and the default leaf size no block is admissible: the bound
+    check says it had nothing to bound, and verify still writes 14 checks."""
+    assert run_cli("rank-sweep", "--n", "3", "--out", str(tmp_path)) == 0
+    assert ("PASS block-to-global spectral bound: measured 0.000e+00, "
+            "tolerance 1.000e+00 (no far blocks to bound)"
+            in capsys.readouterr().out.splitlines())
+    assert run_cli("verify", "--n", "3", "--out", str(tmp_path),
+                   "--name", "v") == 0
+    checks = json.loads((tmp_path / "v" / "verify.json").read_text())["checks"]
+    assert len(checks) == 14
+    bound = [c for c in checks if c["name"] == "block-to-global spectral bound"]
+    assert [c["detail"] for c in bound] == ["no far blocks to bound"]
+    assert run_cli("rank-sweep", "--n", "2", "--n-leaf", "8", "--ranks",
+                   "1,2,4", "--out", str(tmp_path)) == 0
+    assert any(line.startswith("PASS block-to-global spectral bound")
+               and line.endswith("(3 ranks)")
+               for line in capsys.readouterr().out.splitlines())
 
 
 # determinism ------------------------------------------------------------------

@@ -178,6 +178,64 @@ def test_batched_tet_box_test_matches_per_tet_reference(mesh_cache, n, corners,
     assert np.array_equal(got, reference_intersecting(m, lo, hi))
 
 
+def inscribed_radius(verts, lo, hi):
+    """Radius r* of the largest ball in tet ∩ box: one LP over the 4 face
+    and 6 box halfspaces u.x <= c with unit normals u, maximizing r subject
+    to u.x + r <= c. r* > 0 exactly when the open tet meets the open box,
+    and r* < 0 when the closed sets are disjoint."""
+    from scipy.optimize import linprog
+
+    u, c = [], []
+    for f in range(4):
+        face = np.delete(verts, f, axis=0)
+        nrm = np.cross(face[1] - face[0], face[2] - face[0])
+        nrm *= -np.sign(nrm @ (verts[f] - face[0]))  # away from vertex f
+        u.append(nrm / np.linalg.norm(nrm))
+        c.append(u[-1] @ face[0])
+    u = np.vstack(u + [np.eye(3), -np.eye(3)])
+    c = np.concatenate([c, hi, -lo])
+    res = linprog([0.0, 0.0, 0.0, -1.0], A_ub=np.column_stack([u, np.ones(10)]),
+                  b_ub=c, bounds=[(None, None)] * 4, method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tet_box_test_against_inscribed_ball_lp(mesh_cache, n):
+    """An oracle independent of the separating axes: a tet meets the open
+    box in positive volume exactly when tet ∩ box holds a ball of positive
+    radius. Random boxes, some sticking out of the cube; every other one is
+    snapped to mesh planes: to the grid planes, or with one box edge on a
+    diagonal face plane x_j - x_i = m/n, so that tets on the far side of
+    that plane touch the box along a line. A radius between 1e-10 L and
+    1e-7 L would be too close to call and must not occur."""
+    m = mesh_cache(n)
+    length = m.length
+    coords = m.vertices[m.tets]
+    rng = np.random.default_rng(100 + n)
+    ambiguous = 0
+    for k in range(8):
+        a, b = rng.uniform(-0.3, 1.3, size=(2, 3))
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        if k % 4 == 1:
+            lo, hi = np.floor(lo * n) / n, np.ceil(hi * n) / n
+            hi = np.maximum(hi, lo + 1.0 / n)
+        elif k % 4 == 3:
+            i, j = rng.choice(3, size=2, replace=False)
+            lo[j] = hi[i] + np.round((lo[j] - hi[i]) * n) / n
+            hi[j] = max(hi[j], lo[j] + 0.25)
+        flagged = np.zeros(m.n_tets, dtype=bool)
+        flagged[tets_intersecting_box(m, lo, hi)] = True
+        misses = ((coords.min(axis=1) > hi).any(axis=1)
+                  | (coords.max(axis=1) < lo).any(axis=1))
+        assert not flagged[misses].any()
+        for t in np.flatnonzero(~misses):
+            r = inscribed_radius(coords[t], lo, hi)
+            ambiguous += bool(1e-10 * length < r < 1e-7 * length)
+            assert flagged[t] == (r >= 1e-7 * length), (lo, hi, t, r)
+    assert ambiguous == 0
+
+
 def test_batched_tet_box_test_on_default_pairs(mesh_cache):
     m = mesh_cache(8)
     for pair in default_pairs(m.length).values():

@@ -16,6 +16,7 @@ from hmaxwell import (
     rank_sweep,
     theorem_transfer_check,
 )
+from hmaxwell.checks import check_transfer
 from hmaxwell.cluster import sparsity_constant
 from hmaxwell.fem import (apply_dual_functionals, build_dof_map, riesz_rhs,
                           solve_system)
@@ -236,10 +237,9 @@ def test_transfer_identity_on_one_pair(lab3):
     assert part.far, "partition should have admissible pairs at n=3"
     dual = dual_basis(sysm)
     t, s = max(part.far, key=lambda p: p[0].size * p[1].size)
-    rep = theorem_transfer_check(sysm, dual, t, s, binv, n_rhs=5)
-    assert rep["passed"]
-    assert rep["max_mismatch"] <= 1e-10
-    assert rep["rows"] == t.size and rep["cols"] == s.size
+    worst = theorem_transfer_check(sysm, dual, t, s, binv, n_rhs=5)
+    assert isinstance(worst, float)
+    assert 0.0 <= worst <= 1e-10
 
 
 def reference_transfer_mismatch(sysm, dual, t, s, binv, n_rhs, seed):
@@ -266,19 +266,25 @@ def test_blocked_transfer_matches_per_rhs_loop(lab3, scale):
     for t, s in part.far[:6]:
         bad = binv.copy()
         bad[np.ix_(t.indices, s.indices)] *= scale
-        rep = theorem_transfer_check(sysm, dual, t, s, bad, n_rhs=7, seed=3)
+        worst = theorem_transfer_check(sysm, dual, t, s, bad, n_rhs=7, seed=3)
         ref = reference_transfer_mismatch(sysm, dual, t, s, bad, 7, 3)
-        assert abs(rep["max_mismatch"] - ref) <= 1e-12 * max(ref, 1.0)
-        assert "singular_values" not in rep
+        assert abs(worst - ref) <= 1e-12 * max(ref, 1.0)
 
 
 def test_transfer_negative_control(lab3):
-    """A corrupted inverse block must be caught."""
+    """A corrupted inverse block must be caught, and check_transfer, the
+    judge of the mismatch, must fail on it."""
     sysm, part, binv = lab3
     dual = dual_basis(sysm)
     t, s = part.far[0]
     bad = binv.copy()
     bad[np.ix_(t.indices, s.indices)] *= 1.5
-    rep = theorem_transfer_check(sysm, dual, t, s, bad, n_rhs=3)
-    assert not rep["passed"]
-    assert rep["max_mismatch"] > 1e-4
+    assert theorem_transfer_check(sysm, dual, t, s, bad, n_rhs=3) > 1e-4
+    res = check_transfer(sysm, part, bad, dual, n_rhs=3)
+    assert not res.passed and res.measured > 1e-4
+    assert check_transfer(sysm, part, binv, dual, n_rhs=3).passed
+    # a NaN mismatch on any pair, not only the first, fails the check
+    nan = binv.copy()
+    t, s = part.far[1]
+    nan[np.ix_(t.indices, s.indices)] = np.nan
+    assert not check_transfer(sysm, part, nan, dual, n_rhs=3).passed
