@@ -2,9 +2,10 @@
 
 Each check returns a CheckResult carrying the measured quantity and the
 tolerance it was held against, so reports can show margins instead of
-bare booleans. Tolerances arrive as a dict (see default_tolerances) and
-can be overridden from a config file, which is also the hook used to
-exercise the failure paths deliberately.
+bare booleans; worst values are taken with np.max, which, unlike max,
+keeps a NaN and so fails the check. Tolerances arrive as a dict (see
+default_tolerances) and can be overridden from a config file, which is
+also the hook used to exercise the failure paths deliberately.
 """
 
 from dataclasses import dataclass
@@ -71,11 +72,9 @@ def check_gradient_kernel(system: GalerkinSystem, grad, tol: float = 1e-12,
         return CheckResult(name, True, 0.0, tol, "no discrete gradient to test")
     k_fro = float(np.linalg.norm(system.K.data))
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(5):
-        gp = grad @ rng.standard_normal(grad.shape[1])
-        worst = max(worst, float(np.linalg.norm(system.K @ gp)
-                                 / (k_fro * np.linalg.norm(gp))))
+    gps = [grad @ rng.standard_normal(grad.shape[1]) for _ in range(5)]
+    worst = float(np.max([np.linalg.norm(system.K @ gp)
+                          / (k_fro * np.linalg.norm(gp)) for gp in gps]))
     return CheckResult(name, worst <= tol, worst, tol)
 
 
@@ -99,11 +98,12 @@ def random_poly_field(rng, degree: int = 3):
 def check_commuting(tol: float = 1e-12, seed: int = 0) -> CheckResult:
     """Face interpolant of the curl vs curl of the edge interpolant."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    res = []
     for _ in range(COMMUTING_TETS):
         el = TetElement(random_tet(rng))
         field, curl_field = random_poly_field(rng, COMMUTING_DEGREE)
-        worst = max(worst, el.commuting_residual(field, curl_field))
+        res.append(el.commuting_residual(field, curl_field))
+    worst = float(np.max(res))
     return CheckResult("commuting diagram on random tets", worst <= tol,
                        worst, tol,
                        f"{COMMUTING_TETS} tets, degree {COMMUTING_DEGREE}")
@@ -130,16 +130,16 @@ def dual_norm_scale(n: int) -> float:
 def check_dual_norm_scaling(ns=(2, 3, 4, 6), factor: float = 2.0) -> CheckResult:
     """||lambda_i|| ~ h^(-1/2): the scaled max varies little across n."""
     vals = [dual_norm_scale(n) for n in ns]
-    ratio = max(vals) / min(vals)
+    ratio = float(np.max(vals) / np.min(vals))
     return CheckResult("dual norm h^(-1/2) scaling", ratio <= factor, ratio,
                        factor, "scaled maxima " + ", ".join(f"{v:.4f}" for v in vals))
 
 
 def random_field(system: GalerkinSystem, seed: int = 0) -> np.ndarray:
-    """Random coefficients, complex when A is."""
+    """Random coefficients, complex when kappa is."""
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(system.n_dofs)
-    if np.iscomplexobj(system.A):
+    if np.iscomplexobj(system.kappa):
         coeffs = coeffs + 1j * rng.standard_normal(system.n_dofs)
     return coeffs
 
@@ -198,7 +198,6 @@ def check_transfer(system: GalerkinSystem, partition: BlockPartition,
                    binv: np.ndarray, dual: DualBasis, tol: float = 1e-8,
                    n_rhs: int = 10, seed: int = 0) -> CheckResult:
     """Coefficient-transfer identity on every admissible pair."""
-    # np.max, unlike max, keeps a NaN mismatch, which then fails the check
     worst = float(np.max([theorem_transfer_check(system, dual, t, s, binv,
                                                  n_rhs=n_rhs, seed=seed)
                           for t, s in partition.far], initial=0.0))
@@ -213,8 +212,8 @@ def check_bound(rows, n_far: int, slack: float = 1e-6) -> CheckResult:
     name, tol = "block-to-global spectral bound", 1.0 + slack
     if not rows or not n_far:
         return CheckResult(name, True, 0.0, tol, "no far blocks to bound")
-    worst = max(row.abs_err / row.bound_value if row.bound_value > 0
-                else float("inf") if row.abs_err > 0 else 0.0 for row in rows)
+    worst = float(np.max([row.abs_err / row.bound_value if row.bound_value > 0
+                          else np.inf if row.abs_err > 0 else 0.0 for row in rows]))
     return CheckResult(name, worst <= tol, worst, tol, f"{len(rows)} ranks")
 
 

@@ -40,7 +40,7 @@ from .cluster import (build_block_partition, build_cluster_tree,
                       partition_to_dict, sparsity_constant)
 from .fem import (assemble_system, build_dof_map, build_nodal_space,
                   discrete_gradient, dual_basis, dual_norms,
-                  matrix_to_coordinate_text)
+                  matrix_to_coordinate_text, sparse_operator)
 from .harmonic import (caccioppoli_ratio, constraint_residual, default_pairs,
                        harmonic_space, helmholtz_report)
 from .hmatrix import compress_dense, far_svds, hmatrix_manifest
@@ -187,13 +187,13 @@ class Runner:
         return os.path.join(self.outdir, filename)
 
     def finish(self, *paths, system=None, partition=None) -> str:
-        """Write the manifest, with counters: tets, N and nonzeros of the dense
-        A, far and near blocks, and the process's peak RSS so far."""
+        """Write the manifest, with counters: tets, N and nonzeros of A, far
+        and near blocks, and the process's peak RSS so far."""
         self.phase(None)
         counters = self.manifest.counters
         if system is not None:
-            counters.update(n_tets=system.mesh.n_tets, N=system.n_dofs,
-                            nnz_A=int(np.count_nonzero(system.A)))
+            nnz = int(np.count_nonzero(sparse_operator(system).data))
+            counters.update(n_tets=system.mesh.n_tets, N=system.n_dofs, nnz_A=nnz)
         if partition is not None:
             counters.update(n_far=len(partition.far), n_near=len(partition.near))
         # ru_maxrss is in kilobytes on Linux

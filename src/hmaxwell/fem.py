@@ -12,6 +12,7 @@ its transpose without conjugation; it is kept real when kappa is real.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -38,17 +39,14 @@ def build_dof_map(mesh: Mesh) -> DofMap:
 
 @dataclass
 class GalerkinSystem:
-    """K and M are CSR arrays on one shared pattern; A is the one dense
-    N x N matrix, since the LU, the dense inverse and the harmonic spaces
-    read it densely."""
+    """K and M are CSR arrays on one shared pattern. The dense A = K - kappa M
+    and its LU are formed on first read, for the dense solvers."""
     mesh: Mesh
     dofmap: DofMap
     kappa: complex
     K: scipy.sparse.csr_array  # (N, N) curl-curl part, real symmetric PSD
     M: scipy.sparse.csr_array  # (N, N) mass part, real symmetric PD, K's pattern
-    A: np.ndarray  # (N, N) dense K - kappa M
     local: ElementTensors = field(repr=False, default=None)  # every tet, global edge signs
-    _lu: tuple = field(repr=False, default=None, compare=False)
 
     @property
     def n_dofs(self):
@@ -58,31 +56,37 @@ class GalerkinSystem:
     def h(self):
         return self.mesh.h
 
+    @cached_property
+    def A(self) -> np.ndarray:
+        return sparse_operator(self).toarray()
+
+    @cached_property
     def lu(self):
-        if self._lu is None:
-            self._lu = scipy.linalg.lu_factor(self.A)
-        return self._lu
+        return scipy.linalg.lu_factor(self.A)
 
 
 def assemble_system(mesh: Mesh, kappa: complex = 1.0) -> GalerkinSystem:
-    """Assemble sparse K and M and dense A = K - kappa M over the
-    interior-edge DOFs; A is real when Im(kappa) = 0."""
+    """Assemble sparse K and M over the interior-edge DOFs; kappa, and so
+    A = K - kappa M, is real when Im(kappa) = 0."""
     if kappa == 0:
         raise ValueError("kappa must be nonzero (gradients lie in the curl kernel)")
     dofmap = build_dof_map(mesh)
     n = dofmap.n_dofs
     local = element_tensors(mesh.vertices[mesh.tets], mesh.tet_edge_signs)
     dofs = dofmap.edge_to_dof[mesh.tet_edges]
-    K = scatter(local.curl, dofs, n)
-    M = scatter(local.mass, dofs, n)
     kappa = complex(kappa)
     if kappa.imag == 0.0:
         kappa = kappa.real
-    # K and M share one pattern: K - kappa M on it, then one dense array
-    vals = -kappa * M.data
-    vals += K.data
-    A = scipy.sparse.csr_array((vals, M.indices, M.indptr), shape=M.shape).toarray()
-    return GalerkinSystem(mesh, dofmap, kappa, K, M, A, local)
+    return GalerkinSystem(mesh, dofmap, kappa, scatter(local.curl, dofs, n),
+                          scatter(local.mass, dofs, n), local)
+
+
+def sparse_operator(system: GalerkinSystem) -> scipy.sparse.csr_array:
+    """K - kappa M as a CSR array on the pattern K and M share."""
+    vals = -system.kappa * system.M.data
+    vals += system.K.data
+    return scipy.sparse.csr_array((vals, system.M.indices, system.M.indptr),
+                                  shape=system.M.shape)
 
 
 def scatter(local: np.ndarray, index: np.ndarray, n: int):
@@ -124,7 +128,7 @@ def _gather(u: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 def solve_system(system: GalerkinSystem, rhs: np.ndarray) -> np.ndarray:
-    return scipy.linalg.lu_solve(system.lu(), rhs)
+    return scipy.linalg.lu_solve(system.lu, rhs)
 
 
 def hcurl_norm(system: GalerkinSystem, u: np.ndarray) -> float:
@@ -146,17 +150,15 @@ class NodalSpace:
     col_of_vertex: np.ndarray   # (V,) column or -1
     pinned_vertex: int          # grounded vertex id, or -1 when none needed
     gram: np.ndarray            # (nf, nf) gradient Gram: stiffness of the hats
-    _solve: object = field(repr=False, default=None, compare=False)
 
-    def solver(self):
-        if self._solve is None:
-            try:
-                c = scipy.linalg.cho_factor(self.gram)
-                self._solve = lambda r: scipy.linalg.cho_solve(c, r)
-            except np.linalg.LinAlgError:
-                g = self.gram
-                self._solve = lambda r: np.linalg.lstsq(g, r, rcond=None)[0]
-        return self._solve
+    @cached_property
+    def solve(self):
+        """r -> gram^-1 r: Cholesky, or least squares if the Gram is singular."""
+        try:
+            c = scipy.linalg.cho_factor(self.gram)
+        except np.linalg.LinAlgError:
+            return lambda r: np.linalg.lstsq(self.gram, r, rcond=None)[0]
+        return lambda r: scipy.linalg.cho_solve(c, r)
 
 
 def region_nodal_space(system: GalerkinSystem, tet_ids) -> NodalSpace:
@@ -313,7 +315,7 @@ def pi_nabla_project(space: NodalSpace, u: np.ndarray) -> np.ndarray:
                         space.free_vertices.size)
     p = np.zeros((mesh.n_vertices,) + u.shape[1:], dtype=u.dtype)
     if space.free_vertices.size:
-        solve = space.solver()
+        solve = space.solve
         p[space.free_vertices] = (solve(rhs.real) + 1j * solve(rhs.imag)
                                   if np.iscomplexobj(u) else solve(rhs))
     return p

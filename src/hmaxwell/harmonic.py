@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .fem import (GalerkinSystem, assemble_region_matrix, build_nodal_space,
                   edge_incidence, gradient_edge_coeffs, pi_nabla_project,
-                  region_nodal_space, scatter)
+                  region_nodal_space, scatter, sparse_operator)
 from .mesh import LOCAL_EDGES, Mesh
 
 NULLSPACE_RTOL = 1e-10
@@ -130,26 +131,19 @@ def tets_inside_box(mesh: Mesh, lo, hi) -> np.ndarray:
 
 @dataclass
 class HarmonicSpace:
-    """The locally harmonic space on a region: null(matrix[R][:, O]) on the
-    DOFs O of the region's conforming tets, which hold every tet of a
-    constraint row's support, plus every coordinate off O."""
+    """The locally harmonic space on a region: null(constraints) on the DOFs
+    O of the region's conforming tets, which hold every tet of a constraint
+    row's support, plus every coordinate off O."""
     system: GalerkinSystem
     region: BoxRegion
     variant: str                 # "curl" | "grad"
-    matrix: np.ndarray           # A (curl) or the nodal gradient Gram (grad)
     tets: np.ndarray             # the region's conforming tets
     dofs: np.ndarray             # O, ascending
     tet_cols: np.ndarray         # (T, k) position in O of each tet's DOFs, or -1
     local_basis: np.ndarray      # (|O|, d_O) orthonormal columns on O
     constraint_rows: np.ndarray  # R: row indices whose residual must vanish
-    dim: int                     # N - rank(matrix[R][:, O])
-
-    @property
-    def basis(self) -> np.ndarray:
-        """(N, dim) orthonormal embedding: the local columns on O first,
-        then one unit vector per DOF off O."""
-        return _with_unit_columns(self.local_basis, self.matrix.shape[0],
-                                  self.dofs)
+    constraints: np.ndarray      # rows R, columns O of A (curl) or nodal Gram
+    dim: int                     # N - rank(constraints)
 
 
 def _with_unit_columns(cols: np.ndarray, n: int, on: np.ndarray) -> np.ndarray:
@@ -180,13 +174,15 @@ def harmonic_space(system: GalerkinSystem, region: BoxRegion,
     whose basis function is supported in the closed box (discretely
     L-harmonic). variant "grad": nodal vectors with vanishing Laplacian
     rows at interior-supported vertices (discretely harmonic). The local
-    basis is the SVD nullspace of mat[R][:, O], taken over the columns the
-    rows touch, plus the untouched columns of O as unit vectors; singular
-    values within NULLSPACE_RTOL of the largest count as rank.
+    basis is the SVD nullspace of the constraint block (rows R, columns O
+    of A or of the nodal Gram), taken over the columns the rows touch,
+    plus the untouched columns of O as unit vectors; singular values
+    within NULLSPACE_RTOL of the largest count as rank.
     """
     mesh = system.mesh
     if variant == "curl":
-        mat, tet_dofs = system.A, system.dofmap.edge_to_dof[mesh.tet_edges]
+        mat = sparse_operator(system)
+        tet_dofs = system.dofmap.edge_to_dof[mesh.tet_edges]
     elif variant == "grad":
         nodal = build_nodal_space(system)
         mat, tet_dofs = nodal.gram, nodal.col_of_vertex[mesh.tets]
@@ -200,8 +196,10 @@ def harmonic_space(system: GalerkinSystem, region: BoxRegion,
     dofs = dofs[dofs >= 0]
     col = np.full(n + 1, -1, dtype=np.int64)
     col[dofs] = np.arange(dofs.size)
+    sub = mat[np.ix_(rows, dofs)]
+    if scipy.sparse.issparse(sub):
+        sub = sub.toarray()
     if rows.size:
-        sub = mat[np.ix_(rows, dofs)]
         # the columns of O that no constraint row touches are free
         hit = np.flatnonzero(sub.any(axis=0))
         _, sv, vh = np.linalg.svd(sub[:, hit], full_matrices=True)
@@ -209,15 +207,14 @@ def harmonic_space(system: GalerkinSystem, region: BoxRegion,
         z = _with_unit_columns(vh[rank:].conj().T, dofs.size, hit)
     else:
         rank, z = 0, np.eye(dofs.size)
-    return HarmonicSpace(system, region, variant, mat, tets, dofs,
-                         col[tet_dofs], z, rows, n - rank)
+    return HarmonicSpace(system, region, variant, tets, dofs, col[tet_dofs], z,
+                         rows, sub, n - rank)
 
 
 def constraint_residual(space: HarmonicSpace) -> float:
-    """Max |(row-restricted matrix @ basis column)| over all columns; the
-    unit columns off O meet only zeros in the constraint rows."""
-    res = (space.matrix[np.ix_(space.constraint_rows, space.dofs)]
-           @ space.local_basis)
+    """Max |constraints @ local basis column| over all columns; the unit
+    columns off O meet only zeros in the constraint rows."""
+    res = space.constraints @ space.local_basis
     return float(np.abs(res).max()) if res.size else 0.0
 
 

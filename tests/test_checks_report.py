@@ -1,11 +1,12 @@
 """Check harness behavior and deterministic report emission."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from hmaxwell import assemble_system, build_box_mesh
+from hmaxwell import assemble_system, build_box_mesh, checks
 from hmaxwell.checks import (
     CheckResult,
     check_bound,
@@ -46,6 +47,36 @@ def test_check_bound_judges_every_row():
         res = check_bound(rows, n_far)
         assert res.passed and res.detail == "no far blocks to bound"
         assert res.measured == 0.0 and res.tolerance == 1.0 + 1e-6
+
+
+def test_a_nan_measurement_fails_its_check(sys2, monkeypatch):
+    """A NaN that is not the first value a check reduces still fails it,
+    and is reported as the measurement."""
+    def row(abs_err, bound):
+        return SweepRow(1, abs_err, abs_err, abs_err, bound, bound, 0, True)
+    results = [check_bound([row(0.5, 1.0), row(np.nan, 1.0)], 3)]
+
+    grad = discrete_gradient(build_nodal_space(sys2))
+
+    class SecondGradientIsNan:
+        shape = grad.shape
+        calls = 0
+
+        def __matmul__(self, q):
+            self.calls += 1
+            return (grad @ q) * (np.nan if self.calls == 2 else 1.0)
+
+    results.append(check_gradient_kernel(sys2, SecondGradientIsNan()))
+    nan_k = dataclasses.replace(sys2, K=sys2.K * np.nan)
+    results.append(check_gradient_kernel(nan_k, grad))
+    residuals = iter([0.0, np.nan] + [0.0] * 48)
+    monkeypatch.setattr(checks.TetElement, "commuting_residual",
+                        lambda self, field, curl_field: next(residuals))
+    results.append(check_commuting())
+    monkeypatch.setattr(checks, "dual_norm_scale", {2: 1.0, 3: np.nan}.get)
+    results.append(check_dual_norm_scaling(ns=(2, 3)))
+    for res in results:
+        assert not res.passed and np.isnan(res.measured), res.line()
 
 
 def test_check_result_line_format():

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -283,6 +284,25 @@ def test_caccioppoli_and_helmholtz_run(tmp_path):
 def test_dual_basis_check_passes(tmp_path):
     assert run_cli("dual-basis-check", "--n", "2", "--out", str(tmp_path),
                    "--name", "d") == 0
+
+
+def test_runs_that_never_invert_never_form_a(tmp_path, monkeypatch):
+    """The local-theory verbs read K, M and kappa only, and a rank sweep
+    over the dense limit (n = 12, N = 10,836) is refused before the 940 MB
+    dense A exists: no read of A, and a small traced peak."""
+    def refuse(system):
+        raise AssertionError("dense A formed")
+    monkeypatch.setattr(fem.GalerkinSystem, "A", property(refuse))
+    for verb in ("caccioppoli", "helmholtz", "dual-basis-check"):
+        assert run_cli(verb, "--n", "3", "--out", str(tmp_path)) == 0, verb
+    tracemalloc.start()
+    try:
+        code = run_cli("rank-sweep", "--n", "12", "--out", str(tmp_path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 200e6
 
 
 def test_verify_passes_end_to_end(tmp_path, capsys):
@@ -572,4 +592,5 @@ def test_system_is_real_exactly_when_kappa_is(kappa_im):
         ["assemble", "--n", "2", f"--kappa-im={kappa_im!r}"]))
     system = cli.build_system(cfg)
     assert np.iscomplexobj(system.A) == (kappa_im != 0.0)
+    assert np.iscomplexobj(checks.random_field(system)) == (kappa_im != 0.0)
     assert isinstance(system.kappa, complex) == (kappa_im != 0.0)

@@ -5,6 +5,7 @@ matrices (see test_whitney) with its own sign handling, then scatters
 them entry by entry. The production assembler must agree to rounding.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -119,16 +120,23 @@ def test_csr_scatter_is_the_dense_coo_sum_bitwise(n, kappa_re, kappa_im):
 
 
 def test_assembly_holds_one_dense_matrix(mesh_cache):
-    """A is the only N x N array assemble_system allocates."""
+    """assemble_system allocates no N x N array; the first read of A forms
+    the one dense copy, and later reads return that same array."""
     m = mesh_cache(6)
     tracemalloc.start()
     try:
         sysm = assemble_system(m)
-        _, peak = tracemalloc.get_traced_memory()
+        _, assembly_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        a = sysm.A
+        _, read_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sysm.A.shape == (1206, 1206)
-    assert peak < 1.5 * sysm.A.nbytes
+    n = sysm.n_dofs
+    assert a.shape == (n, n) == (1206, 1206)
+    assert assembly_peak < 0.5 * n * n * 8
+    assert read_peak < 1.5 * a.nbytes
+    assert sysm.A is a
 
 
 def test_complex_kappa_keeps_complex_symmetry():
@@ -208,6 +216,18 @@ def test_nodal_space_scatters_the_system_tensors(system_cache, n):
                           scatter(local.nodal_stiffness, d, ns.free_vertices.size).toarray())
 
 
+def test_nodal_solve_falls_back_to_least_squares(system_cache, rng):
+    """The Gram's solver is Cholesky, built once; a singular Gram is solved
+    by least squares instead."""
+    ns = build_nodal_space(system_cache(3))
+    r = rng.standard_normal(ns.gram.shape[0])
+    assert ns.solve is ns.solve
+    assert np.abs(ns.gram @ ns.solve(r) - r).max() < 1e-10 * np.abs(r).max()
+    singular = dataclasses.replace(ns, gram=np.diag(np.arange(r.size, dtype=float)))
+    assert np.array_equal(singular.solve(r),
+                          np.linalg.lstsq(singular.gram, r, rcond=None)[0])
+
+
 def test_nodal_laplacian_is_gram_of_gradients(system_cache):
     sysm = system_cache(3)
     ns = build_nodal_space(sysm)
@@ -262,6 +282,7 @@ def test_solve_system_residual(system_cache, rng):
     b = rng.standard_normal(sysm.n_dofs)
     x = solve_system(sysm, b)
     assert np.linalg.norm(sysm.A @ x - b) < 1e-10 * np.linalg.norm(b)
+    assert sysm.lu is sysm.lu  # factored once
 
 
 def test_hcurl_norm_matches_quadratic_form(system_cache, rng):

@@ -30,6 +30,7 @@ from hmaxwell.fem import (
     scatter,
     solve_system,
 )
+from test_mesh import same_bits
 
 
 # region geometry -----------------------------------------------------------
@@ -266,15 +267,29 @@ def sys4():
     return assemble_system(build_box_mesh(4))
 
 
+def embedded_basis(space, n):
+    """(n, dim) embedding of a space with n coordinates: the local columns
+    on O first, then one unit vector per coordinate off O."""
+    z = space.local_basis
+    off = np.setdiff1d(np.arange(n), space.dofs)
+    out = np.zeros((n, z.shape[1] + off.size), dtype=z.dtype)
+    out[space.dofs, :z.shape[1]] = z
+    out[off, z.shape[1]:] = np.eye(off.size)
+    assert out.shape[1] == space.dim
+    return out
+
+
 def test_harmonic_space_constraints(sys4):
     region = BoxRegion((0.5, 0.5, 0.5), 0.5)
+    sizes = {"curl": sys4.n_dofs,
+             "grad": build_nodal_space(sys4).free_vertices.size}
     for variant in ("curl", "grad"):
         space = harmonic_space(sys4, region, variant)
         assert space.dim > 0
         assert constraint_residual(space) <= 1e-10
         # columns are orthonormal
-        g = space.basis.conj().T @ space.basis
-        assert np.abs(g - np.eye(space.dim)).max() < 1e-10
+        b = embedded_basis(space, sizes[variant])
+        assert np.abs(b.conj().T @ b - np.eye(space.dim)).max() < 1e-10
 
 
 def test_harmonic_space_without_constraints_is_everything(sys3):
@@ -353,12 +368,12 @@ def test_caccioppoli_positive_on_fine_mesh():
 
 
 def reference_caccioppoli(system, pair, variant):
-    """(rows, dim, normalized) from the full-N construction: the constraint
-    rows recomputed per edge or vertex, the nullspace of those rows over
-    all N columns from a full SVD, dense region Grams, and a generalized
-    eigh over the whole basis with the outer Gram shifted by 1e-14 * scale
-    whenever it is singular there (as it is for every column supported
-    off O)."""
+    """(mat, rows, dim, normalized) from the full-N construction: the dense
+    A or nodal Gram, the constraint rows recomputed per edge or vertex, the
+    nullspace of those rows over all N columns from a full SVD, dense
+    region Grams, and a generalized eigh over the whole basis with the
+    outer Gram shifted by 1e-14 * scale whenever it is singular there (as
+    it is for every column supported off O)."""
     mesh = system.mesh
     outside = np.ones(mesh.n_tets, dtype=bool)
     outside[pair.outer.inside_tets(mesh)] = False
@@ -391,7 +406,7 @@ def reference_caccioppoli(system, pair, variant):
     else:
         b = np.eye(mat.shape[0])
     if b.shape[1] == 0:
-        return rows, 0, 0.0
+        return mat, rows, 0, 0.0
     r_out = (1.0 + pair.eps) * pair.r
     num = gram(inner, "curl")
     den = ((system.h / r_out) ** 2 * gram(outer, "curl")
@@ -405,7 +420,7 @@ def reference_caccioppoli(system, pair, variant):
         den_b = den_b + 1e-14 * scale * np.eye(b.shape[1])
     ratio = max(float(scipy.linalg.eigh(num_b, den_b, eigvals_only=True).max()),
                 0.0)
-    return rows, b.shape[1], ratio * pair.eps / (1.0 + pair.eps)
+    return mat, rows, b.shape[1], ratio * pair.eps / (1.0 + pair.eps)
 
 
 @pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
@@ -413,22 +428,25 @@ def reference_caccioppoli(system, pair, variant):
 def test_local_space_matches_full_n_reference(system_cache, n, kappa):
     """The space on O and its eigenproblem reproduce the full-N
     construction: exact dims and normalized ratios to 1e-10 relative, on
-    both default pairs and both variants. The constraint rows vanish off
-    O, and the embedded basis is orthonormal."""
+    both default pairs and both variants. The constraint block is rows R,
+    columns O of A or the nodal Gram bitwise, those rows vanish off O, and
+    the embedded basis is orthonormal."""
     sysm = system_cache(n, kappa)
     for pair in default_pairs(sysm.mesh.length).values():
         for variant in ("curl", "grad"):
             space = harmonic_space(sysm, pair.outer, variant)
-            rows, dim, normalized = reference_caccioppoli(sysm, pair, variant)
+            mat, rows, dim, normalized = reference_caccioppoli(sysm, pair,
+                                                               variant)
             res = caccioppoli_ratio(space, pair)
             assert np.array_equal(space.constraint_rows, rows)
             assert res.dim == space.dim == dim
             assert res.normalized == pytest.approx(normalized, rel=1e-10,
                                                    abs=1e-300)
-            off = np.setdiff1d(np.arange(space.matrix.shape[0]), space.dofs)
-            assert not space.matrix[np.ix_(space.constraint_rows, off)].any()
-            b = space.basis
-            assert b.shape == (space.matrix.shape[0], dim)
+            block = mat[np.ix_(rows, space.dofs)]
+            assert same_bits(space.constraints, block)
+            off = np.setdiff1d(np.arange(mat.shape[0]), space.dofs)
+            assert not mat[np.ix_(rows, off)].any()
+            b = embedded_basis(space, mat.shape[0])
             assert np.abs(b.conj().T @ b - np.eye(dim)).max() < 1e-10
 
 
@@ -489,7 +507,7 @@ def test_gradient_parts_of_harmonic_columns(system_cache):
     for kappa in (1.0, 1.0 + 0.5j):
         sysm = system_cache(4, kappa)
         space = harmonic_space(sysm, region, "curl")
-        cols = space.basis[:, ::max(1, space.dim // 6)]
+        cols = embedded_basis(space, sysm.n_dofs)[:, ::max(1, space.dim // 6)]
         assert np.iscomplexobj(cols) == (kappa.imag != 0)
         assert assert_block_is_max_of_columns(sysm, region, cols) <= 1e-9
 
@@ -587,7 +605,7 @@ def test_recover_harmonic_gradient_component(sys4):
     potential recovery applies to it on the region."""
     region = BoxRegion((0.5, 0.5, 0.5), 0.5)
     space = harmonic_space(sys4, region, "curl")
-    p = helmholtz_report(sys4, region, space.basis[:, 0])["p"]
+    p = helmholtz_report(sys4, region, embedded_basis(space, sys4.n_dofs)[:, 0])["p"]
     v = gradient_edge_coeffs(sys4, p)
     phi = exact_sequence_recover(sys4, space.tets, v)
     g = phi[sys4.mesh.edges[sys4.dofmap.interior_edges, 1]] \
