@@ -7,7 +7,7 @@ import numpy as np
 
 from hmaxwell import assemble_system, build_block_partition, build_box_mesh, build_cluster_tree
 from hmaxwell.fem import (apply_dual_functionals, dual_basis, dual_norms,
-                          riesz_rhs, solve_system)
+                          riesz_rhs, solve_system, sparse_operator)
 from hmaxwell.inverse_lab import dense_inverse, theorem_transfer_check
 
 # BIORTHOGONALITY
@@ -39,7 +39,7 @@ for n in (2, 3, 4, 6):
 system = assemble_system(build_box_mesh(4), kappa=1.0)
 tree = build_cluster_tree(system.mesh, system.dofmap, n_leaf=32)
 partition = build_block_partition(tree, eta=2.0)
-binv = dense_inverse(system.A)
+binv = dense_inverse(sparse_operator(system), tree.perm)  # in leaf order
 dual = dual_basis(system)
 
 tau, sigma = max(partition.far, key=lambda p: p[0].size * p[1].size)
@@ -51,11 +51,12 @@ print(f"max mismatch over 10 random rhs: {worst:.3e} "
 
 # the identity is what makes blockwise compression of A^-1 meaningful:
 # a low-rank approximant of the block is a low-rank approximant of the
-# solution operator restricted to the far pair
+# solution operator restricted to the far pair; in leaf order the block is
+# a slice, whose rows and columns are tau's and sigma's DOFs in order
 b = np.zeros(system.n_dofs)
 b[sigma.indices] = np.random.default_rng(1).standard_normal(sigma.size)
 u = solve_system(system, riesz_rhs(system, dual, sigma.indices,
                                    b[sigma.indices]))
 lhs = apply_dual_functionals(system, dual, tau.indices, u)
-rhs = binv[np.ix_(tau.indices, sigma.indices)] @ b[sigma.indices]
+rhs = binv[tau.span, sigma.span] @ b[sigma.indices]
 print(f"spelled out on one rhs: {float(np.abs(lhs - rhs).max()):.3e}")

@@ -188,14 +188,16 @@ class Runner:
 
     def finish(self, *paths, system=None, partition=None) -> str:
         """Write the manifest, with counters: tets, N and nonzeros of A, far
-        and near blocks, and the process's peak RSS so far."""
+        and near blocks, C_sp, depth, and the process's peak RSS so far."""
         self.phase(None)
         counters = self.manifest.counters
         if system is not None:
             nnz = int(np.count_nonzero(sparse_operator(system).data))
             counters.update(n_tets=system.mesh.n_tets, N=system.n_dofs, nnz_A=nnz)
         if partition is not None:
-            counters.update(n_far=len(partition.far), n_near=len(partition.near))
+            counters.update(n_far=len(partition.far), n_near=len(partition.near),
+                            c_sp=sparsity_constant(partition),
+                            depth=partition.tree.depth)
         # ru_maxrss is in kilobytes on Linux
         counters["peak_rss_mb"] = round(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
@@ -224,7 +226,7 @@ def build_pipeline(cfg: dict, need_inverse: bool = False):
             raise ResourceLimit(
                 f"N = {system.n_dofs} exceeds the dense limit "
                 f"{cfg['dense_limit']}; raise dense_limit or lower n")
-        binv = dense_inverse(system.A)
+        binv = dense_inverse(sparse_operator(system), tree.perm)
     return mesh, system, tree, partition, binv
 
 

@@ -19,8 +19,8 @@ The tree also fixes the leaf order: the preorder concatenation of the leaf
 index sets, a permutation of 0..N-1. Every cluster is the range
 [start, stop) of that order, so in leaf order every block of the partition
 is a product of two intervals and a contiguous slice of a dense matrix.
-Cluster.indices stays in ascending DOF order, so the artifacts keep the
-original numbering.
+Cluster.indices is the view perm[start:stop], so a block's DOFs are listed
+in the order of its rows and columns in leaf order.
 """
 
 from dataclasses import dataclass, field
@@ -33,7 +33,7 @@ from .mesh import Mesh
 
 @dataclass
 class Cluster:
-    indices: np.ndarray   # sorted DOF ids
+    indices: np.ndarray   # DOF ids in leaf order, a view of ClusterTree.perm
     bbox_lo: np.ndarray   # (3,) support box: covers every member support tet
     bbox_hi: np.ndarray
     mid_lo: np.ndarray    # (3,) tight box of the member edge midpoints
@@ -47,6 +47,10 @@ class Cluster:
     @property
     def size(self):
         return int(self.indices.size)
+
+    @property
+    def span(self):  # the cluster's rows or columns of a leaf-order matrix
+        return slice(self.start, self.stop)
 
     @property
     def is_leaf(self):
@@ -125,6 +129,8 @@ def build_cluster_tree(mesh: Mesh, dofmap: DofMap, n_leaf: int = 32) -> ClusterT
 
     register(root, 0)
     perm = np.concatenate([c.indices for c in clusters if c.is_leaf])
+    for c in clusters:
+        c.indices = perm[c.span]
     depth = max(c.level for c in clusters)
     return ClusterTree(root, int(n_leaf), clusters, int(depth), perm)
 

@@ -40,7 +40,8 @@ def build_dof_map(mesh: Mesh) -> DofMap:
 @dataclass
 class GalerkinSystem:
     """K and M are CSR arrays on one shared pattern. The dense A = K - kappa M
-    and its LU are formed on first read, for the dense solvers."""
+    and its LU are formed on first read: A is read by checks.check_symmetry,
+    the assemble verb's coordinate dump and the LU that solve_system uses."""
     mesh: Mesh
     dofmap: DofMap
     kappa: complex

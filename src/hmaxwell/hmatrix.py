@@ -6,6 +6,9 @@ block. Near blocks are stored dense and exactly. The format supports matvec
 and its conjugate transpose. Every spectral norm in the package, of a dense
 matrix or of the approximation error against a dense source, comes from one
 Lanczos helper, spectral_norm.
+
+Every dense matrix this module takes or returns is in the cluster tree's
+leaf order, where each block is the slice of its clusters' spans.
 """
 
 from dataclasses import dataclass
@@ -17,20 +20,16 @@ from .cluster import BlockPartition
 
 @dataclass
 class LowRankBlock:
-    rows: np.ndarray
-    cols: np.ndarray
+    rows: slice
+    cols: slice
     X: np.ndarray  # (|rows|, r), orthonormal columns
     Y: np.ndarray  # (|cols|, r); the block is X @ Y^H
-
-    @property
-    def rank(self):
-        return int(self.X.shape[1])
 
 
 @dataclass
 class DenseBlock:
-    rows: np.ndarray
-    cols: np.ndarray
+    rows: slice
+    cols: slice
     data: np.ndarray
 
 
@@ -60,8 +59,7 @@ def far_svds(dense: np.ndarray, partition: BlockPartition, rank: int) -> list:
     out = []
     for t, s in partition.far:
         try:
-            u, sv, vh = np.linalg.svd(dense[np.ix_(t.indices, s.indices)],
-                                      full_matrices=False)
+            u, sv, vh = np.linalg.svd(dense[t.span, s.span], full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"SVD failed on far block ({t.id},{s.id})") from exc
         out.append((u[:, :rank].copy(), sv, vh[:rank].copy()))
@@ -76,10 +74,10 @@ def compress_dense(dense: np.ndarray, partition: BlockPartition, rank: int,
     if rank < 0:
         raise ValueError("rank must be >= 0")
     svds = far_svds(dense, partition, rank) if svds is None else svds
-    far = [LowRankBlock(t.indices, s.indices, u[:, :rank],
+    far = [LowRankBlock(t.span, s.span, u[:, :rank],
                         (vh[:rank].conj().T) * sv[:rank])
            for (t, s), (u, sv, vh) in zip(partition.far, svds)]
-    near = [DenseBlock(t.indices, s.indices, dense[np.ix_(t.indices, s.indices)])
+    near = [DenseBlock(t.span, s.span, dense[t.span, s.span].copy())
             for t, s in partition.near]
     return HMatrix(dense.shape, far, near, partition)
 
@@ -112,9 +110,9 @@ def to_dense(h: HMatrix) -> np.ndarray:
                         *(b.X.dtype for b in h.far), np.float64)
     out = np.zeros(h.shape, dtype=dt)
     for b in h.far:
-        out[np.ix_(b.rows, b.cols)] = b.X @ b.Y.conj().T
+        out[b.rows, b.cols] = b.X @ b.Y.conj().T
     for b in h.near:
-        out[np.ix_(b.rows, b.cols)] = b.data
+        out[b.rows, b.cols] = b.data
     return out
 
 
@@ -161,7 +159,7 @@ def hmatrix_manifest(h: HMatrix) -> dict:
         "shape": list(h.shape),
         "eta": h.partition.eta,
         "far": [{
-            "tau": t.id, "sigma": s.id, "rank": b.rank,
+            "tau": t.id, "sigma": s.id, "rank": int(b.X.shape[1]),
             "rows": int(b.X.shape[0]), "cols": int(b.Y.shape[0]),
         } for (t, s), b in zip(h.partition.far, h.far)],
         "near": [{

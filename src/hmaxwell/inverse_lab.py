@@ -8,17 +8,15 @@ truncation B_H of the dense inverse. Per block the truncation error is the
 block error into the global bound C_sp * (depth + 1) * max sigma_{r+1},
 which every sweep row is asserted against.
 
-The sweep works in the cluster tree's leaf order, where every block is a
-contiguous slice: the error matrix is formed once from the permuted inverse
-and each rank step subtracts only the new singular triplets of each far
-block, in place. Norms do not change under the symmetric permutation.
+Every dense matrix this module takes or returns is in the cluster tree's
+leaf order, where the block (tau, sigma) is the slice [tau.span, sigma.span].
+Norms do not change under the symmetric permutation.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .cluster import BlockPartition, sparsity_constant
 from .fem import (GalerkinSystem, apply_dual_functionals, riesz_rhs,
@@ -26,29 +24,33 @@ from .fem import (GalerkinSystem, apply_dual_functionals, riesz_rhs,
 from .hmatrix import far_svds, spectral_norm
 
 
-def dense_inverse(a: np.ndarray, residual_limit: float = 1e-8) -> np.ndarray:
-    """A^{-1} by LU with partial pivoting, with conditioning guardrails:
-    the LAPACK 1-norm condition estimate must not exceed 1e12.
-
-    The residual guard takes max |A A^{-1} - I| with A as a sparse matrix,
-    so the check costs nnz(A) N flops rather than a dense product.
-    """
-    a = np.asarray(a)
-    n = a.shape[0]
-    lu, piv = scipy.linalg.lu_factor(a)
-    gecon = scipy.linalg.get_lapack_funcs("gecon", (a,))
-    anorm = np.linalg.norm(a, 1)
+def dense_inverse(op, perm: np.ndarray,
+                  residual_limit: float = 1e-8) -> np.ndarray:
+    """P A^{-1} P^T for the CSR A = op and the leaf order perm, by LU with
+    partial pivoting; the LAPACK 1-norm condition estimate must not exceed
+    1e12. The dense P A P^T is factored in place and the inverse overwrites
+    the identity, so two N x N arrays are alive at the peak. The residual
+    guard max |A A^{-1} - I| multiplies the CSR P A P^T by 256 columns at a
+    time: nnz(A) N flops and no N x N temporary."""
+    a = op[perm][:, perm]
+    anorm = abs(a).sum(axis=0).max()
+    lu, piv = scipy.linalg.lu_factor(a.toarray(order="F"), overwrite_a=True)
+    gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
     rcond = gecon(lu, anorm, norm="1")[0]
     if not np.isfinite(rcond) or rcond <= 0 or 1.0 / rcond > 1e12:
         raise ValueError(
             f"matrix too ill-conditioned (estimate {1.0 / max(rcond, 1e-300):.3e}); "
             "kappa may be too close to a discrete eigenvalue, try another kappa or n")
-    binv = scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=a.dtype))
-    del lu  # free the factor before the N x N residual product
-    res = scipy.sparse.csr_array(a) @ binv
-    res.flat[:: n + 1] -= 1.0
-    resid = np.abs(res).max()
-    if resid > residual_limit:
+    n = perm.size
+    binv = scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=lu.dtype, order="F"),
+                                 overwrite_b=True)
+    del lu  # free the factor before the residual check
+    resid = 0.0
+    for j in range(0, n, 256):
+        res = a @ binv[:, j:j + 256]
+        res -= np.eye(n, res.shape[1], -j)
+        resid = np.maximum(resid, np.abs(res).max())  # keeps a NaN
+    if not resid <= residual_limit:
         raise ValueError(f"inverse residual {resid:.3e} exceeds {residual_limit:.1e}")
     return binv
 
@@ -71,32 +73,26 @@ def rank_sweep(binv: np.ndarray, partition: BlockPartition, r_list,
 
     The error E_r = A^{-1} - B_H is zero on near blocks and equals
     U[:, r:] Sigma[r:] V^H[r:] on each far block. It lives in one N x N
-    buffer in the tree's leaf order, where each block is a slice: E_0 is
-    the permuted A^{-1} with its near blocks zeroed, and the step from rank
-    r' to r subtracts U[:, r':r] Sigma V^H[r':r] per far block (a block
-    whose rank reaches its size is zeroed). The far-block SVDs are computed
-    once, in the original numbering. ||E_r||_2 and ||A^{-1}||_2 come from
-    spectral_norm, whose start vector is drawn from seed. Each row carries
-    its bound value; checks.check_bound judges it.
+    buffer: E_0 is a copy of A^{-1} with its near blocks zeroed, and the
+    step from rank r' to r subtracts U[:, r':r] Sigma V^H[r':r] from each
+    far block's slice (a block whose rank reaches its size is zeroed);
+    binv itself is not changed. The far-block SVDs are computed once.
+    ||E_r||_2 and ||A^{-1}||_2 come from spectral_norm, whose start vector
+    is drawn from seed. Each row carries its bound value;
+    checks.check_bound judges it.
     """
     norm_b, conv_b = spectral_norm(binv, seed=seed)
-    c_sp = sparsity_constant(partition)
-    depth = partition.tree.depth
+    scale = sparsity_constant(partition) * (partition.tree.depth + 1)
     ranks = sorted(int(r) for r in r_list)
     r_max = ranks[-1] if ranks else 0
     svds = far_svds(binv, partition, r_max)
-    perm = partition.tree.perm
-    # per far block, in place so that one copy is alive at a time: the
-    # leading r_max triplets of U Sigma and V^H in leaf order, and the tail
-    # sums of sigma^2, tail[k] = sum_{j >= k} sigma_j^2
-    for i, ((t, s), (u, sv, vh)) in enumerate(zip(partition.far, svds)):
-        rows_t = np.searchsorted(t.indices, perm[t.start:t.stop])
-        cols_s = np.searchsorted(s.indices, perm[s.start:s.stop])
-        tail = np.append(np.cumsum(sv[::-1] ** 2)[::-1], 0.0)
-        svds[i] = ((u * sv[:r_max])[rows_t], vh[:, cols_s], sv, tail)
-    err = binv[np.ix_(perm, perm)]
+    # per far block U Sigma, in place, and tail[k] = sum_{j >= k} sigma_j^2
+    for i, (u, sv, vh) in enumerate(svds):
+        u *= sv[:r_max]
+        svds[i] = (u, vh, sv, np.append(np.cumsum(sv[::-1] ** 2)[::-1], 0.0))
+    err = binv.copy()
     for t, s in partition.near:
-        err[t.start:t.stop, s.start:s.stop] = 0.0
+        err[t.span, s.span] = 0.0
     near_scalars = sum(t.size * s.size for t, s in partition.near)
     rows, r_prev = [], 0
     for r in ranks:
@@ -105,7 +101,7 @@ def rank_sweep(binv: np.ndarray, partition: BlockPartition, r_list,
         for (t, s), (us, vh, sv, tail) in zip(partition.far, svds):
             k, k_prev = min(r, sv.size), min(r_prev, sv.size)
             if k > k_prev:
-                block = err[t.start:t.stop, s.start:s.stop]
+                block = err[t.span, s.span]
                 if k == sv.size:
                     block[...] = 0.0
                 else:
@@ -116,9 +112,8 @@ def rank_sweep(binv: np.ndarray, partition: BlockPartition, r_list,
                 sig_next = max(sig_next, float(sv[r]))
         r_prev = r
         est, conv = spectral_norm(err, seed=seed)
-        bound = c_sp * (depth + 1) * sig_next
         rows.append(SweepRow(r, est, float(np.sqrt(fro2)), est / norm_b,
-                             sig_next, float(bound), int(scalars),
+                             sig_next, float(scale * sig_next), int(scalars),
                              conv and conv_b))
     return rows
 
@@ -150,16 +145,14 @@ def fit_decay(rs, errs) -> DecayFit:
         return DecayFit(0.0, 0.0, 0.0, 1.0, 0.0, 0.0, int(keep.sum()), True,
                         "fewer than 4 points above the error floor; fit skipped")
     r, e = rs[keep], np.log(errs[keep])
-    x_root = r ** 0.25 / np.log(r + 2.0)
-    design = np.column_stack([np.ones_like(r), -x_root])
-    (c_root, b), res_root = _lstsq_fit(design, e)
-    design = np.column_stack([np.ones_like(r), r])
-    (c_exp, slope), res_exp = _lstsq_fit(design, e)
+    (c_root, b), res_root = _lstsq_fit(-r ** 0.25 / np.log(r + 2.0), e)
+    (c_exp, slope), res_exp = _lstsq_fit(r, e)
     return DecayFit(float(b), float(c_root), res_root,
                     float(np.exp(slope)), float(c_exp), res_exp, int(keep.sum()))
 
 
-def _lstsq_fit(design, y):
+def _lstsq_fit(x, y):
+    design = np.column_stack([np.ones_like(x), x])
     sol, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = float(np.sqrt(np.mean((design @ sol - y) ** 2)))
     return sol, resid
@@ -173,16 +166,16 @@ def theorem_transfer_check(system: GalerkinSystem, dual, tau, sigma,
     For n_rhs random complex b supported on sigma, drawn as one
     (n_rhs, 2, |sigma|) array of real and imaginary parts, the load vectors
     of F_b = sum b_i lambda_i are solved as one block and the dual
-    functionals over tau are compared with the dense-inverse block acting
-    on b. Integrals on both ends are done honestly over the carrier tets
-    rather than read off the construction. Returns the worst relative
-    mismatch over the right-hand sides, which checks.check_transfer
-    judges; no SVD is taken.
+    functionals over tau are compared with the inverse's block, the slice
+    whose rows and columns are tau.indices and sigma.indices, acting on b.
+    Integrals on both ends are done honestly over the carrier tets rather
+    than read off the construction. Returns the worst relative mismatch over
+    the right-hand sides, which checks.check_transfer judges; no SVD is taken.
     """
     parts = np.random.default_rng(seed).standard_normal((n_rhs, 2, sigma.size))
     b = (parts[:, 0] + 1j * parts[:, 1]).T                # (|sigma|, n_rhs)
     e_h = solve_system(system, riesz_rhs(system, dual, sigma.indices, b))
     lam = apply_dual_functionals(system, dual, tau.indices, e_h)
-    ref = binv[np.ix_(tau.indices, sigma.indices)] @ b
+    ref = binv[tau.span, sigma.span] @ b
     return float((np.abs(lam - ref).max(axis=0)
                   / np.abs(b).max(axis=0)).max(initial=0.0))

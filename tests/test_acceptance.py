@@ -23,7 +23,7 @@ from hmaxwell.checks import (check_commuting, check_dual_biorthogonality,
                              check_gradient_part, check_helmholtz,
                              check_transfer)
 from hmaxwell.cluster import sparsity_constant, tiling_defect
-from hmaxwell.fem import dual_basis, dual_norms
+from hmaxwell.fem import dual_basis, dual_norms, sparse_operator
 from hmaxwell.harmonic import caccioppoli_ratio, default_pairs, harmonic_space
 from hmaxwell.hmatrix import truncated_svd
 from hmaxwell.inverse_lab import dense_inverse, rank_sweep
@@ -50,7 +50,7 @@ def sweep5():
     system = assemble_system(mesh, kappa=1.0)
     tree = build_cluster_tree(mesh, system.dofmap, n_leaf=32)
     partition = build_block_partition(tree, eta=2.0)
-    binv = dense_inverse(system.A)
+    binv = dense_inverse(sparse_operator(system), tree.perm)
     rows = rank_sweep(binv, partition, RANKS, seed=0)
     fit = fit_decay([r.r for r in rows], [r.rel_err for r in rows])
     elapsed = time.perf_counter() - t0
@@ -64,7 +64,7 @@ def lab4():
     system = assemble_system(mesh, kappa=1.0)
     tree = build_cluster_tree(mesh, system.dofmap, n_leaf=32)
     partition = build_block_partition(tree, eta=2.0)
-    binv = dense_inverse(system.A)
+    binv = dense_inverse(sparse_operator(system), tree.perm)
     return {"system": system, "partition": partition, "binv": binv}
 
 

@@ -305,6 +305,16 @@ def test_runs_that_never_invert_never_form_a(tmp_path, monkeypatch):
     assert peak < 200e6
 
 
+@pytest.mark.parametrize("verb", ["rank-sweep", "block-svd"])
+def test_inverting_runs_never_form_a(tmp_path, monkeypatch, verb):
+    """The dense inverse is formed from the sparse K - kappa M in leaf
+    order, so the verbs that invert never read the dense A either."""
+    def refuse(system):
+        raise AssertionError("dense A formed")
+    monkeypatch.setattr(fem.GalerkinSystem, "A", property(refuse))
+    assert run_cli(verb, "--n", "4", "--out", str(tmp_path)) == 0
+
+
 def test_verify_passes_end_to_end(tmp_path, capsys):
     assert run_cli("verify", "--n", "3", "--n-leaf", "16",
                    "--ranks", "1,2,4", "--out", str(tmp_path),
@@ -464,7 +474,8 @@ def test_flags_and_file_agree_and_reruns_repeat(n, kappa_re, kappa_im, eta,
 
 def test_manifest_counters(tmp_path):
     """Next to the phase timings: N, nnz(A) as numerically nonzero entries
-    of the dense A, tets, far and near blocks, and the peak RSS."""
+    of the dense A, tets, far and near blocks, C_sp, tree depth and the
+    peak RSS."""
     argv = ["rank-sweep", "--n", "2", "--n-leaf", "8", "--ranks", "1,2,4",
             "--out", str(tmp_path), "--name", "c"]
     assert main(argv) == 0
@@ -472,16 +483,29 @@ def test_manifest_counters(tmp_path):
     cfg = load_config(build_parser().parse_args(argv))
     _, system, _, partition, _ = build_pipeline(cfg)
     counters = man["counters"]
-    assert set(counters) == {"N", "nnz_A", "n_tets", "n_far", "n_near", "peak_rss_mb"}
+    assert set(counters) == {"N", "nnz_A", "n_tets", "n_far", "n_near", "c_sp",
+                             "depth", "peak_rss_mb"}
     assert counters["N"] == system.n_dofs == 26
     assert counters["nnz_A"] == np.count_nonzero(system.A)
     assert counters["n_tets"] == 48
     assert (counters["n_far"], counters["n_near"]) == (len(partition.far),
                                                        len(partition.near))
+    assert (counters["c_sp"], counters["depth"]) == (sparsity_constant(partition),
+                                                     partition.tree.depth)
     assert counters["peak_rss_mb"] > 0
     assert main(["mesh-info", "--n", "2", "--out", str(tmp_path), "--name", "m"]) == 0
     man = json.loads((tmp_path / "m" / "manifest.json").read_text())
     assert set(man["counters"]) == {"peak_rss_mb"}  # no system was built
+
+
+def test_manifest_partition_counters_match_fit(tmp_path):
+    """The manifest's C_sp and depth are the values fit.json reports."""
+    assert run_cli("rank-sweep", "--n", "5", "--out", str(tmp_path),
+                   "--name", "s") == 0
+    counters = json.loads((tmp_path / "s" / "manifest.json").read_text())["counters"]
+    fit = json.loads((tmp_path / "s" / "fit.json").read_text())
+    assert fit["c_sp"] > 0
+    assert (counters["c_sp"], counters["depth"]) == (fit["c_sp"], fit["depth"])
 
 
 # benchmark hooks ----------------------------------------------------------------

@@ -58,7 +58,7 @@ def test_leaves_partition_the_index_set(tree_and_partition):
             assert c.size <= tree.n_leaf
         else:
             a, b = c.children
-            assert np.array_equal(np.sort(np.concatenate([a.indices, b.indices])),
+            assert np.array_equal(np.concatenate([a.indices, b.indices]),
                                   c.indices)
             assert a.level == b.level == c.level + 1
 
@@ -221,12 +221,28 @@ def test_tiling_defect_matches_cover_count_on_any_blocks(picks):
 @given(st.integers(1, 5), st.integers(1, 40))
 def test_leaf_order_makes_every_cluster_a_range(n, n_leaf):
     """The leaf order is a permutation of 0..N-1 and every cluster's DOFs
-    are its [start, stop) range of it."""
+    are its [start, stop) range of it, held as a view of the order."""
     _, dofmap, tree = leaf_order_tree(n, n_leaf)
     perm = tree.perm
     assert np.array_equal(np.sort(perm), np.arange(dofmap.n_dofs))
     for c in tree.clusters:
-        assert np.array_equal(np.sort(perm[c.start:c.stop]), c.indices)
+        assert np.shares_memory(c.indices, perm)
+        assert np.array_equal(c.indices, perm[c.start:c.stop])
+        assert np.array_equal(c.indices, perm[c.span])
+
+
+def test_gathered_blocks_are_leaf_order_slices(tree_and_partition):
+    """On a DOF-order matrix, gathering a block by its clusters' indices
+    gives bitwise the block's slice of the leaf-order matrix."""
+    _, dofmap, tree, part = tree_and_partition(4)
+    n = dofmap.n_dofs
+    dense = np.random.default_rng(4).standard_normal((n, n))
+    perm = tree.perm
+    leaf = dense[perm][:, perm]
+    assert part.far and part.near
+    for t, s in part.far + part.near:
+        gathered = dense[np.ix_(t.indices, s.indices)]
+        assert gathered.tobytes() == leaf[t.start:t.stop, s.start:s.stop].tobytes()
 
 
 def test_sparsity_constant_recount(tree_and_partition):

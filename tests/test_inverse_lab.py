@@ -1,5 +1,7 @@
 """Inverse compression experiments against direct linear-algebra oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -19,7 +21,7 @@ from hmaxwell import (
 from hmaxwell.checks import check_transfer
 from hmaxwell.cluster import sparsity_constant
 from hmaxwell.fem import (apply_dual_functionals, build_dof_map, riesz_rhs,
-                          solve_system)
+                          solve_system, sparse_operator)
 from hmaxwell.hmatrix import compress_dense, far_svds, to_dense
 
 
@@ -29,7 +31,7 @@ def lab3():
     sysm = assemble_system(mesh)
     tree = build_cluster_tree(mesh, sysm.dofmap, n_leaf=16)
     part = build_block_partition(tree, eta=2.0)
-    binv = dense_inverse(sysm.A)
+    binv = dense_inverse(sparse_operator(sysm), tree.perm)
     return sysm, part, binv
 
 
@@ -38,26 +40,62 @@ def test_single_dof_inverse(mesh_cache):
     reciprocal."""
     sysm = assemble_system(mesh_cache(1))
     assert sysm.A.shape == (1, 1)
-    binv = dense_inverse(sysm.A)
+    binv = dense_inverse(sparse_operator(sysm), np.arange(1))
     assert abs(binv[0, 0] - 1.0 / sysm.A[0, 0]) < 1e-14 * abs(1.0 / sysm.A[0, 0])
 
 
 def test_dense_inverse_identity_and_symmetry(lab3):
-    sysm, _, binv = lab3
+    sysm, part, binv = lab3
     n = sysm.n_dofs
-    assert np.abs(sysm.A @ binv - np.eye(n)).max() < 1e-8
+    perm = part.tree.perm
+    assert np.abs(sysm.A[perm][:, perm] @ binv - np.eye(n)).max() < 1e-8
     # A symmetric implies A^{-1} symmetric, up to solver roundoff
     assert np.abs(binv - binv.T).max() < 1e-8 * np.abs(binv).max()
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
+def test_dense_inverse_matches_numpy_inverse(system_cache, kappa):
+    """The leaf-order inverse is numpy's inverse of the dense A permuted
+    by the tree's order, and the identity order gives the DOF-order
+    inverse."""
+    sysm = system_cache(3, kappa)
+    perm = build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16).perm
+    assert not np.array_equal(perm, np.arange(perm.size))
+    want = np.linalg.inv(sysm.A)
+    scale = np.abs(want).max()
+    op = sparse_operator(sysm)
+    got = dense_inverse(op, perm)
+    assert np.abs(got - want[np.ix_(perm, perm)]).max() <= 1e-10 * scale
+    got = dense_inverse(op, np.arange(perm.size))
+    assert np.abs(got - want).max() <= 1e-10 * scale
+
+
+def test_dense_inverse_holds_two_dense_arrays(system_cache):
+    """The factor overwrites the densified A and the inverse overwrites
+    the identity: the traced peak stays near two N x N arrays."""
+    sysm = system_cache(5)
+    op = sparse_operator(sysm)
+    perm = build_cluster_tree(sysm.mesh, sysm.dofmap).perm
+    tracemalloc.start()
+    try:
+        binv = dense_inverse(op, perm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * binv.nbytes
 
 
 @pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
 def test_dense_inverse_residual_guard(system_cache, kappa, monkeypatch):
     """The sparse residual check rejects rounding-level residuals under an
     impossible limit, and at the default limit it catches a corrupted
-    solve, reporting the dense residual max |A B - I|."""
-    a = system_cache(3, kappa).A
+    solve, reporting the dense residual max |A B - I| of the permuted A."""
+    sysm = system_cache(3, kappa)
+    op = sparse_operator(sysm)
+    perm = build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16).perm
+    a = sysm.A[perm][:, perm]
     with pytest.raises(ValueError, match="inverse residual"):
-        dense_inverse(a, residual_limit=1e-30)
+        dense_inverse(op, perm, residual_limit=1e-30)
 
     solve = scipy.linalg.lu_solve
 
@@ -68,7 +106,7 @@ def test_dense_inverse_residual_guard(system_cache, kappa, monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "lu_solve", corrupted)
     with pytest.raises(ValueError, match="inverse residual") as info:
-        dense_inverse(a)
+        dense_inverse(op, perm)
     bad = corrupted(scipy.linalg.lu_factor(a), np.eye(a.shape[0], dtype=a.dtype))
     dense = np.abs(a @ bad - np.eye(a.shape[0])).max()
     reported = float(str(info.value).split()[2])
@@ -83,13 +121,15 @@ def test_dense_inverse_rejects_near_singular(mesh_cache):
     bad = float(w[np.argmax(w > 1e-8)])  # smallest nonzero pencil eigenvalue
     sick = assemble_system(m, kappa=bad)
     with pytest.raises(ValueError, match="kappa"):
-        dense_inverse(sick.A)
+        dense_inverse(sparse_operator(sick), np.arange(sick.n_dofs))
 
 
 def test_rank_sweep_errors_match_exact_svd(lab3):
     _, part, binv = lab3
     r_list = [0, 1, 2, 4, 8]
+    before = binv.copy()
     rows = rank_sweep(binv, part, r_list)
+    assert np.array_equal(binv, before)  # the sweep works on a copy
     assert [row.r for row in rows] == sorted(r_list)
     norm_b = np.linalg.norm(binv, 2)
     for row in rows:
@@ -101,7 +141,7 @@ def test_rank_sweep_errors_match_exact_svd(lab3):
         # block-to-global bound, recomputed from scratch
         sig = 0.0
         for t, s in part.far:
-            sv = svdvals(binv[np.ix_(t.indices, s.indices)])
+            sv = svdvals(binv[t.span, s.span])
             if row.r < sv.size:
                 sig = max(sig, sv[row.r])
         assert abs(row.max_block_sigma - sig) < 1e-12
@@ -121,7 +161,7 @@ def test_rank_sweep_norm_is_exact_residual_norm(system_cache, kappa):
     sysm = system_cache(3, kappa)
     part = build_block_partition(
         build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16), eta=2.0)
-    binv = dense_inverse(sysm.A)
+    binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
     rows = rank_sweep(binv, part, [0, 1, 2, 4, 8])
     for row in rows:
         res = binv - to_dense(compress_dense(binv, part, row.r))
@@ -135,14 +175,14 @@ def test_rank_sweep_norm_is_exact_residual_norm(system_cache, kappa):
 
 
 def reference_sweep_row(binv, part, svds, r):
-    """E_r scattered into an N x N array with np.ix_ in the original
-    numbering, and the row's scalars, from the far-block SVDs."""
+    """E_r written block by block into a zero N x N leaf-order array, and
+    the row's scalars, from the far-block SVDs."""
     err = np.zeros_like(binv)
     sig = fro2 = 0.0
     scalars = sum(t.size * s.size for t, s in part.near)
     for (t, s), (u, sv, vh) in zip(part.far, svds):
         k = min(r, sv.size)
-        err[np.ix_(t.indices, s.indices)] = (u[:, k:] * sv[k:]) @ vh[k:]
+        err[t.span, s.span] = (u[:, k:] * sv[k:]) @ vh[k:]
         scalars += k * (t.size + s.size)
         fro2 += float(np.sum(sv[k:] ** 2))
         if r < sv.size:
@@ -160,7 +200,7 @@ def test_incremental_sweep_matches_scattered_residual(system_cache, n, kappa):
     sysm = system_cache(n, kappa)
     part = build_block_partition(
         build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16), eta=2.0)
-    binv = dense_inverse(sysm.A)
+    binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
     svds = far_svds(binv, part, binv.shape[0])  # every factor column
     r_list = [8, 0, 2, 2, 40]
     assert min(sv.size for _, sv, _ in svds) < 40
@@ -182,7 +222,7 @@ def test_rank_zero_error_is_far_part_norm(lab3):
     rows = rank_sweep(binv, part, [0])
     far_part = np.zeros_like(binv)
     for t, s in part.far:
-        far_part[np.ix_(t.indices, s.indices)] = binv[np.ix_(t.indices, s.indices)]
+        far_part[t.span, s.span] = binv[t.span, s.span]
     assert abs(rows[0].abs_err - np.linalg.norm(far_part, 2)) < 1e-6
 
 
@@ -247,7 +287,7 @@ def reference_transfer_mismatch(sysm, dual, t, s, binv, n_rhs, seed):
     draw of Re b then Im b, one load vector, one solve, one functional
     sweep."""
     rng = np.random.default_rng(seed)
-    block = binv[np.ix_(t.indices, s.indices)]
+    block = binv[t.span, s.span]
     worst = 0.0
     for _ in range(n_rhs):
         b = rng.standard_normal(s.size) + 1j * rng.standard_normal(s.size)
@@ -265,7 +305,7 @@ def test_blocked_transfer_matches_per_rhs_loop(lab3, scale):
     dual = dual_basis(sysm)
     for t, s in part.far[:6]:
         bad = binv.copy()
-        bad[np.ix_(t.indices, s.indices)] *= scale
+        bad[t.span, s.span] *= scale
         worst = theorem_transfer_check(sysm, dual, t, s, bad, n_rhs=7, seed=3)
         ref = reference_transfer_mismatch(sysm, dual, t, s, bad, 7, 3)
         assert abs(worst - ref) <= 1e-12 * max(ref, 1.0)
@@ -278,7 +318,7 @@ def test_transfer_negative_control(lab3):
     dual = dual_basis(sysm)
     t, s = part.far[0]
     bad = binv.copy()
-    bad[np.ix_(t.indices, s.indices)] *= 1.5
+    bad[t.span, s.span] *= 1.5
     assert theorem_transfer_check(sysm, dual, t, s, bad, n_rhs=3) > 1e-4
     res = check_transfer(sysm, part, bad, dual, n_rhs=3)
     assert not res.passed and res.measured > 1e-4
@@ -286,5 +326,5 @@ def test_transfer_negative_control(lab3):
     # a NaN mismatch on any pair, not only the first, fails the check
     nan = binv.copy()
     t, s = part.far[1]
-    nan[np.ix_(t.indices, s.indices)] = np.nan
+    nan[t.span, s.span] = np.nan
     assert not check_transfer(sysm, part, nan, dual, n_rhs=3).passed
