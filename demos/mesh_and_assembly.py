@@ -5,7 +5,7 @@
 import numpy as np
 
 from hmaxwell import assemble_system, build_box_mesh
-from hmaxwell.fem import build_nodal_space, discrete_gradient
+from hmaxwell.fem import build_nodal_space, discrete_gradient, sparse_operator
 from hmaxwell.mesh import conformity_report, shape_regularity_constant
 
 print("mesh family on the unit cube")
@@ -26,7 +26,9 @@ print("\nconformity at n=3:", conf)
 
 # SYSTEM STRUCTURE
 system = assemble_system(mesh, kappa=1.0)
-A, K, M = system.A, system.K, system.M  # A dense; K and M sparse CSR
+K, M = system.K, system.M  # sparse CSR on one shared pattern
+# the package keeps A = K - kappa*M as a CSR array; densify it here to look
+A = sparse_operator(system).toarray()
 print("\nA = K - kappa*M with kappa = 1")
 print("bitwise symmetric:", np.array_equal(A, A.T))
 print(f"K and M: {K.nnz} stored entries of {K.shape[0] ** 2}")

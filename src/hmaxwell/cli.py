@@ -270,7 +270,7 @@ def cmd_assemble(run: Runner, cfg: dict) -> int:
     run.phase("write")
     p1 = run.path("A.txt")
     with open(p1, "w", encoding="utf-8", newline="\n") as f:
-        f.write(matrix_to_coordinate_text(system.A))
+        f.write(matrix_to_coordinate_text(sparse_operator(system)))
     meta = {
         "N": system.n_dofs,
         "kappa": {"re": cfg["kappa_re"], "im": cfg["kappa_im"]},

@@ -39,9 +39,9 @@ def build_dof_map(mesh: Mesh) -> DofMap:
 
 @dataclass
 class GalerkinSystem:
-    """K and M are CSR arrays on one shared pattern. The dense A = K - kappa M
-    and its LU are formed on first read: A is read by checks.check_symmetry,
-    the assemble verb's coordinate dump and the LU that solve_system uses."""
+    """K and M are CSR arrays on one shared pattern; the package reads A only as
+    sparse_operator(self) and lu, its SuperLU factor, formed on first solve. The
+    cached dense A is read only by the benchmark's tracer and reference builder."""
     mesh: Mesh
     dofmap: DofMap
     kappa: complex
@@ -63,7 +63,8 @@ class GalerkinSystem:
 
     @cached_property
     def lu(self):
-        return scipy.linalg.lu_factor(self.A)
+        from scipy.sparse.linalg import splu  # imported on use: slow to load
+        return splu(sparse_operator(self).tocsc())
 
 
 def assemble_system(mesh: Mesh, kappa: complex = 1.0) -> GalerkinSystem:
@@ -129,7 +130,11 @@ def _gather(u: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 
 def solve_system(system: GalerkinSystem, rhs: np.ndarray) -> np.ndarray:
-    return scipy.linalg.lu_solve(system.lu, rhs)
+    """A^-1 rhs by the SuperLU factor, which keeps A's dtype: a complex rhs
+    against a real A is solved as its real and imaginary parts."""
+    if np.iscomplexobj(rhs) and not np.iscomplexobj(system.kappa):
+        return system.lu.solve(rhs.real) + 1j * system.lu.solve(rhs.imag)
+    return system.lu.solve(rhs)
 
 
 def hcurl_norm(system: GalerkinSystem, u: np.ndarray) -> float:
@@ -150,15 +155,16 @@ class NodalSpace:
     free_vertices: np.ndarray   # (nf,) vertex ids carrying unknowns, ascending
     col_of_vertex: np.ndarray   # (V,) column or -1
     pinned_vertex: int          # grounded vertex id, or -1 when none needed
-    gram: np.ndarray            # (nf, nf) gradient Gram: stiffness of the hats
+    gram: scipy.sparse.csr_array  # (nf, nf) gradient Gram: stiffness of the hats
 
     @cached_property
     def solve(self):
         """r -> gram^-1 r: Cholesky, or least squares if the Gram is singular."""
+        gram = self.gram.toarray()
         try:
-            c = scipy.linalg.cho_factor(self.gram)
+            c = scipy.linalg.cho_factor(gram)
         except np.linalg.LinAlgError:
-            return lambda r: np.linalg.lstsq(self.gram, r, rcond=None)[0]
+            return lambda r: np.linalg.lstsq(gram, r, rcond=None)[0]
         return lambda r: scipy.linalg.cho_solve(c, r)
 
 
@@ -177,9 +183,8 @@ def region_nodal_space(system: GalerkinSystem, tet_ids) -> NodalSpace:
         free = free[1:]
     col = np.full(mesh.n_vertices, -1, dtype=np.int64)
     col[free] = np.arange(free.size)
-    gram = scatter(system.local.nodal_stiffness[tet_ids], col[mesh.tets[tet_ids]],
-                   free.size).toarray()
-    return NodalSpace(system, tet_ids, free, col, pinned, gram)
+    return NodalSpace(system, tet_ids, free, col, pinned, scatter(
+        system.local.nodal_stiffness[tet_ids], col[mesh.tets[tet_ids]], free.size))
 
 
 def build_nodal_space(system: GalerkinSystem) -> NodalSpace:
@@ -338,12 +343,12 @@ def assemble_region_matrix(system: GalerkinSystem, tet_ids, kind: str):
 
 # matrix dump ------------------------------------------------------------
 
-def matrix_to_coordinate_text(mat: np.ndarray) -> str:
-    """Coordinate text: one 'row col re im' line per nonzero entry, 0-based,
-    in row-major order, with shortest round-trip float text."""
-    mat = np.asarray(mat)
-    i, j = np.nonzero(mat)
-    vals = mat[i, j].astype(complex)
+def matrix_to_coordinate_text(mat: scipy.sparse.csr_array) -> str:
+    """Coordinate text of a CSR array: a 'row col re im' line per stored nonzero,
+    0-based, in row-major order, with shortest round-trip float text."""
+    mat = mat.sorted_indices()
+    i, j = mat.nonzero()
+    vals = mat.data[mat.data != 0].astype(complex)
     line = i.astype(str)
     for col in (j, vals.real, vals.imag):
         line = np.char.add(np.char.add(line, " "), col.astype(str))

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .fem import (GalerkinSystem, assemble_region_matrix, build_nodal_space,
                   edge_incidence, gradient_edge_coeffs, pi_nabla_project,
@@ -196,9 +195,7 @@ def harmonic_space(system: GalerkinSystem, region: BoxRegion,
     dofs = dofs[dofs >= 0]
     col = np.full(n + 1, -1, dtype=np.int64)
     col[dofs] = np.arange(dofs.size)
-    sub = mat[np.ix_(rows, dofs)]
-    if scipy.sparse.issparse(sub):
-        sub = sub.toarray()
+    sub = mat[np.ix_(rows, dofs)].toarray()
     if rows.size:
         # the columns of O that no constraint row touches are free
         hit = np.flatnonzero(sub.any(axis=0))

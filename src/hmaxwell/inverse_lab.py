@@ -19,8 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .cluster import BlockPartition, sparsity_constant
-from .fem import (GalerkinSystem, apply_dual_functionals, riesz_rhs,
-                  solve_system)
+from .fem import GalerkinSystem, apply_dual_functionals, riesz_rhs, solve_system
 from .hmatrix import far_svds, spectral_norm
 
 

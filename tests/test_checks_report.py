@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from hmaxwell import assemble_system, build_box_mesh, checks
+from hmaxwell import assemble_system, build_box_mesh, checks, fem
 from hmaxwell.checks import (
     CheckResult,
     check_bound,
@@ -93,6 +93,26 @@ def test_structure_checks_pass(sys2):
     assert check_dual_biorthogonality(sys2, dual_basis(sys2)).passed
 
 
+def test_symmetry_check_catches_one_ulp_and_nan(sys2):
+    """One off-diagonal entry of K moved by one ulp, its mirror left alone,
+    fails the exact check with the A-entry difference as measured; so does
+    a NaN on the diagonal, though it sits on its own mirror."""
+    k = sys2.K.copy()
+    row = np.repeat(np.arange(k.shape[0]), np.diff(k.indptr))
+    slot = np.flatnonzero(row != k.indices)[0]
+    i, j = row[slot], k.indices[slot]
+    k.data[slot] = np.nextafter(k.data[slot], np.inf)
+    bent = dataclasses.replace(sys2, K=k)
+    a = fem.sparse_operator(bent).toarray()
+    res = check_symmetry(bent)
+    assert a[i, j] != a[j, i]
+    assert not res.passed
+    assert res.measured == abs(a[i, j] - a[j, i])
+    k = sys2.K.copy()
+    k.data[np.flatnonzero(row == k.indices)[0]] = np.nan
+    assert not check_symmetry(dataclasses.replace(sys2, K=k)).passed
+
+
 def test_commuting_check_runs_fifty_tets():
     res = check_commuting(seed=0)
     assert res.passed
@@ -107,8 +127,8 @@ def test_dual_scaling_band():
 
 def test_tolerances_are_fresh_copies():
     a = default_tolerances()
-    a["symmetry"] = 99.0
-    assert default_tolerances()["symmetry"] != 99.0
+    a["transfer"] = 99.0
+    assert default_tolerances()["transfer"] != 99.0
 
 
 # report emission -------------------------------------------------------------

@@ -29,6 +29,7 @@ from hmaxwell import (assemble_system, build_block_partition, build_box_mesh,
 from hmaxwell.cli import OPTIONS, build_parser, build_pipeline, load_config, main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
 
 
 def run_cli(*argv):
@@ -41,14 +42,18 @@ def test_no_verb_prints_help_and_exits_2(capsys):
 
 
 def test_module_entry_point(tmp_path):
+    """`python -m hmaxwell` runs with the imported package first on the
+    path, whether or not PYTHONPATH is set."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "hmaxwell", "mesh-info", "--n", "1",
          "--out", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "n_dofs = 1" in proc.stdout
     proc = subprocess.run([sys.executable, "-m", "hmaxwell", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
 
 
@@ -121,6 +126,18 @@ def test_misspelt_tolerance_is_config_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err and "comuting" in err
+
+
+def test_symmetry_tolerance_is_unknown(tmp_path, capsys):
+    """The symmetry check is exact and reads no tolerance, so a config
+    that sets one is refused rather than silently ignored."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerances": {"symmetry": 1.0}}))
+    code = run_cli("verify", "--n", "2", "--config", str(cfg),
+                   "--out", str(tmp_path))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unknown tolerance key" in err and "symmetry" in err
 
 
 BAD_VALUES = [
@@ -305,14 +322,29 @@ def test_runs_that_never_invert_never_form_a(tmp_path, monkeypatch):
     assert peak < 200e6
 
 
-@pytest.mark.parametrize("verb", ["rank-sweep", "block-svd"])
-def test_inverting_runs_never_form_a(tmp_path, monkeypatch, verb):
-    """The dense inverse is formed from the sparse K - kappa M in leaf
-    order, so the verbs that invert never read the dense A either."""
+@pytest.mark.parametrize("argv", [
+    pytest.param(["rank-sweep", "--n", "4"], id="rank-sweep"),
+    pytest.param(["block-svd", "--n", "4"], id="block-svd"),
+    pytest.param(["mesh-info", "--n", "3"], id="mesh-info"),
+    pytest.param(["assemble", "--n", "3"], id="assemble"),
+    pytest.param(["assemble", "--n", "3", "--kappa-im", "0.5"],
+                 id="assemble-complex"),
+    pytest.param(["caccioppoli", "--n", "3"], id="caccioppoli"),
+    pytest.param(["helmholtz", "--n", "3"], id="helmholtz"),
+    pytest.param(["commuting-check", "--n", "3"], id="commuting-check"),
+    pytest.param(["dual-basis-check", "--n", "3"], id="dual-basis-check"),
+    pytest.param(["verify", "--n", "3", "--n-leaf", "16"], id="verify"),
+    pytest.param(["verify", "--n", "3", "--n-leaf", "16", "--kappa-im", "0.5"],
+                 id="verify-complex"),
+])
+def test_inverting_runs_never_form_a(tmp_path, monkeypatch, argv):
+    """No verb reads the dense A: the inverse is formed from the sparse
+    K - kappa M in leaf order, and the symmetry check, the coordinate dump
+    and the transfer solves all work on that CSR operator."""
     def refuse(system):
         raise AssertionError("dense A formed")
     monkeypatch.setattr(fem.GalerkinSystem, "A", property(refuse))
-    assert run_cli(verb, "--n", "4", "--out", str(tmp_path)) == 0
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
 
 
 def test_verify_passes_end_to_end(tmp_path, capsys):

@@ -38,6 +38,7 @@ from hmaxwell.fem import (
     matrix_to_coordinate_text,
     riesz_rhs,
     scatter,
+    sparse_operator,
 )
 from hmaxwell.whitney import element_tensors
 from test_mesh import same_bits
@@ -212,7 +213,8 @@ def test_nodal_space_scatters_the_system_tensors(system_cache, n):
     assert np.array_equal(ns.free_vertices, np.flatnonzero(~m.boundary_vertex))
     local = element_tensors(m.vertices[m.tets])
     d = ns.col_of_vertex[m.tets]
-    assert np.array_equal(ns.gram,
+    assert isinstance(ns.gram, scipy.sparse.csr_array)
+    assert np.array_equal(ns.gram.toarray(),
                           scatter(local.nodal_stiffness, d, ns.free_vertices.size).toarray())
 
 
@@ -223,9 +225,10 @@ def test_nodal_solve_falls_back_to_least_squares(system_cache, rng):
     r = rng.standard_normal(ns.gram.shape[0])
     assert ns.solve is ns.solve
     assert np.abs(ns.gram @ ns.solve(r) - r).max() < 1e-10 * np.abs(r).max()
-    singular = dataclasses.replace(ns, gram=np.diag(np.arange(r.size, dtype=float)))
+    singular = dataclasses.replace(ns, gram=scipy.sparse.csr_array(
+        np.diag(np.arange(r.size, dtype=float))))
     assert np.array_equal(singular.solve(r),
-                          np.linalg.lstsq(singular.gram, r, rcond=None)[0])
+                          np.linalg.lstsq(singular.gram.toarray(), r, rcond=None)[0])
 
 
 def test_nodal_laplacian_is_gram_of_gradients(system_cache):
@@ -283,6 +286,22 @@ def test_solve_system_residual(system_cache, rng):
     x = solve_system(sysm, b)
     assert np.linalg.norm(sysm.A @ x - b) < 1e-10 * np.linalg.norm(b)
     assert sysm.lu is sysm.lu  # factored once
+
+
+@pytest.mark.parametrize("kappa, complex_rhs", [
+    (1.0, True), (1.0 + 0.5j, False), (1.0, False)])
+def test_solve_system_matches_dense_solve(system_cache, rng, kappa, complex_rhs):
+    """The sparse LU solves a block of right-hand sides as the dense solve
+    of K - kappa M does, also for a complex block against a real A."""
+    sysm = system_cache(3, kappa)
+    b = rng.standard_normal((sysm.n_dofs, 4))
+    if complex_rhs:
+        b = b + 1j * rng.standard_normal(b.shape)
+    x = solve_system(sysm, b)
+    want = np.linalg.solve(sparse_operator(sysm).toarray(), b)
+    assert x.dtype == want.dtype
+    assert np.abs(x - want).max() < 1e-12 * np.abs(want).max()
+    assert sysm.lu is sysm.lu
 
 
 def test_hcurl_norm_matches_quadratic_form(system_cache, rng):
@@ -398,12 +417,33 @@ def test_pi_nabla_is_idempotent(system_cache, rng):
     assert np.linalg.norm(g2 - g1) < 1e-10 * max(np.linalg.norm(g1), 1e-30)
 
 
+def dense_coordinate_text(a):
+    """The coordinate text of a dense matrix, from np.nonzero."""
+    i, j = np.nonzero(a)
+    vals = a[i, j].astype(complex)
+    return "".join(f"{r} {c} {float(v.real)!r} {float(v.imag)!r}\n"
+                   for r, c, v in zip(i, j, vals))
+
+
 def test_matrix_coordinate_text_roundtrip(rng):
     a = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-    lines = matrix_to_coordinate_text(a).strip().splitlines()
-    assert len(lines) == a.size
+    a[1, 2] = 0.0
+    mat = scipy.sparse.csr_array(a)
+    mat.data[mat.indptr[2]] = 0.0  # an explicit zero, stored at (2, 0)
+    a[2, 0] = 0.0
+    assert mat.nnz == a.size - 1
+    lines = matrix_to_coordinate_text(mat).strip().splitlines()
+    assert len(lines) == a.size - 2
     back = np.zeros_like(a)
     for ln in lines:
         i, j, re, im = ln.split()
         back[int(i), int(j)] = float(re) + 1j * float(im)
     assert np.array_equal(back, a)  # repr round-trips exactly
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
+def test_coordinate_text_of_the_operator_matches_dense(system_cache, kappa):
+    """The dump of the CSR operator lists the nonzeros of the dense
+    K - kappa M in row-major order, with the same float text."""
+    op = sparse_operator(system_cache(3, kappa))
+    assert matrix_to_coordinate_text(op) == dense_coordinate_text(op.toarray())

@@ -389,7 +389,7 @@ def reference_caccioppoli(system, pair, variant):
             return assemble_region_matrix(system, tets, kind).toarray()
     else:
         nodal = build_nodal_space(system)
-        mat = nodal.gram
+        mat = nodal.gram.toarray()
         ok = np.ones(mesh.n_vertices, dtype=bool)
         ok[mesh.tets[outside]] = False
         verts = nodal.free_vertices
