@@ -45,7 +45,8 @@ dual = dual_basis(system)
 tau, sigma = max(partition.far, key=lambda p: p[0].size * p[1].size)
 print(f"\nn=4: largest admissible pair is {tau.size} x {sigma.size} "
       f"of {len(partition.far)} pairs")
-worst = theorem_transfer_check(system, dual, tau, sigma, binv, n_rhs=10, seed=0)
+(worst,) = theorem_transfer_check(system, dual, [tau], sigma, binv, n_rhs=10,
+                                  seed=0)
 print(f"max mismatch over 10 random rhs: {worst:.3e} "
       f"-> {'ok' if worst <= 1e-8 else 'BROKEN'}")
 

@@ -327,7 +327,7 @@ def cmd_block_svd(run: Runner, cfg: dict) -> int:
         return 0
     run.phase("svd")
     rank = max(cfg["ranks"])
-    svds = far_svds(binv, partition, rank)
+    svds, _ = far_svds(binv, partition, rank)
     blocks = [{"tau": t.id, "sigma": s.id, "rows": t.size, "cols": s.size,
                "sigma_head": sv[:8],
                "fit": fit_decay(np.arange(1, sv.size + 1), sv)}

@@ -3,9 +3,14 @@
 Far (admissible) blocks hold truncated-SVD factors X Y^H with orthonormal
 columns in X, which is the spectral-norm-optimal rank-r approximation of the
 block. Near blocks are stored dense and exactly. The format supports matvec
-and its conjugate transpose. Every spectral norm in the package, of a dense
-matrix or of the approximation error against a dense source, comes from one
-Lanczos helper, spectral_norm.
+and its conjugate transpose. The far-block SVDs come from one pass,
+far_svds, with one SVD per mirrored pair: a block that is the bitwise
+transpose of its partner takes the partner's transposed factors. Every
+spectral norm in the package, of a dense matrix or of the approximation
+error against a dense source, comes from one Lanczos helper, spectral_norm:
+eigsh on a bitwise-symmetric matrix (through the real symmetric Takagi map
+when it is complex), svds on any other, and in both cases a Ritz value that
+never exceeds the true norm.
 
 Every dense matrix this module takes or returns is in the cluster tree's
 leaf order, where each block is the slice of its clusters' spans.
@@ -16,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import BlockPartition
+
+TILE = 256  # side of the square tiles that symmetric passes work on
 
 
 @dataclass
@@ -52,28 +59,59 @@ def truncated_svd(block: np.ndarray, rank: int):
     return u[:, :r], (vh[:r].conj().T) * s[:r], s
 
 
-def far_svds(dense: np.ndarray, partition: BlockPartition, rank: int) -> list:
-    """(U[:, :rank], every sigma, V^H[:rank]) of each far block of dense, in
-    partition.far order, the factors as owned copies: the one SVD pass that
-    compression, rank sweeps and decay reports share."""
+def far_svds(dense: np.ndarray, partition: BlockPartition, rank: int):
+    """(svds, mirror): svds holds (U[:, :rank], every sigma, V^H[:rank]) of
+    each far block of dense, in partition.far order, the factors as owned
+    copies: the one SVD pass that compression, rank sweeps and decay reports
+    share.
+
+    One SVD per mirrored pair: mirror[i] is the index of the far block whose
+    slice is the bitwise transpose of block i, for the block with the larger
+    tau.id of each such pair, and None for every other block. A mirror takes
+    the transposed factors U' = (V^H)^T and V'^H = U^T of its partner's SVD.
+    Every other block, as in a non-symmetric dense, is factored on its own."""
+    mirror = _mirror_index(dense, partition)
+    out = [None if j is not None else _svd(dense, ts, rank)
+           for ts, j in zip(partition.far, mirror)]
+    for i, j in enumerate(mirror):
+        if j is not None:
+            u, sv, vh = out[j]
+            out[i] = (vh.T.copy(), sv, u.T.copy())
+    return out, mirror
+
+
+def _mirror_index(dense: np.ndarray, partition: BlockPartition) -> list:
+    """For each far block (tau, sigma) with tau.id > sigma.id whose slice is
+    the bitwise transpose of the far block (sigma, tau), that block's index
+    in partition.far; None for every other far block."""
+    where = {(t.id, s.id): i for i, (t, s) in enumerate(partition.far)}
     out = []
     for t, s in partition.far:
-        try:
-            u, sv, vh = np.linalg.svd(dense[t.span, s.span], full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"SVD failed on far block ({t.id},{s.id})") from exc
-        out.append((u[:, :rank].copy(), sv, vh[:rank].copy()))
+        j = where.get((s.id, t.id)) if t.id > s.id else None
+        if j is not None and not np.array_equal(dense[t.span, s.span],
+                                                dense[s.span, t.span].T):
+            j = None
+        out.append(j)
     return out
+
+
+def _svd(dense: np.ndarray, pair, rank: int):
+    t, s = pair
+    try:
+        u, sv, vh = np.linalg.svd(dense[t.span, s.span], full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"SVD failed on far block ({t.id},{s.id})") from exc
+    return u[:, :rank].copy(), sv, vh[:rank].copy()
 
 
 def compress_dense(dense: np.ndarray, partition: BlockPartition, rank: int,
                    svds: list = None) -> HMatrix:
     """Replace far blocks by rank-min(rank, dims) truncated SVDs; copy near
-    blocks verbatim. svds, when given, are far_svds(dense, partition, r)
+    blocks verbatim. svds, when given, are far_svds(dense, partition, r)[0]
     with r >= rank."""
     if rank < 0:
         raise ValueError("rank must be >= 0")
-    svds = far_svds(dense, partition, rank) if svds is None else svds
+    svds = far_svds(dense, partition, rank)[0] if svds is None else svds
     far = [LowRankBlock(t.span, s.span, u[:, :rank],
                         (vh[:rank].conj().T) * sv[:rank])
            for (t, s), (u, sv, vh) in zip(partition.far, svds)]
@@ -118,27 +156,80 @@ def to_dense(h: HMatrix) -> np.ndarray:
 
 def spectral_norm(mat: np.ndarray, tol: float = 1e-10, max_iter: int = 500,
                   seed: int = 0):
-    """||mat||_2 by Lanczos (ARPACK svds, k = 1) with BLAS matvecs on the
-    dense matrix; returns (norm, converged).
+    """||mat||_2 by Lanczos with BLAS matvecs on the dense matrix; returns
+    (norm, converged, products), products being how many times ARPACK
+    applied its operator.
 
-    tol and max_iter are ARPACK's tol and maxiter; the start vector is drawn
-    from seed, so reruns are byte-identical. A zero matrix, and one with a
-    dimension below 2 (where svds refuses k = 1), is measured exactly
-    without ARPACK. No convergence within max_iter gives (nan, False).
+    A bitwise-symmetric square mat (mat == mat.T, no conjugate) goes to
+    ARPACK eigsh (k = 1, largest magnitude), one product with mat per step:
+    for real mat the operator is mat itself, and for complex mat it is the
+    real symmetric Takagi map [[Re E, Im E], [Im E, -Re E]], whose
+    eigenvalues are +-sigma_i(E) (Horn & Johnson, Matrix Analysis, 4.4),
+    applied as one complex product E (x - iy). Any other mat goes to ARPACK
+    svds (k = 1), which applies mat and mat^H. Either way the Ritz value
+    never exceeds ||mat||_2. tol and max_iter are ARPACK's tol and maxiter;
+    the start vector is drawn from seed, so reruns are byte-identical. A
+    zero matrix, and one with a dimension below 2 (where ARPACK refuses
+    k = 1), is measured exactly without ARPACK. No convergence within
+    max_iter gives (nan, False, products).
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if min(mat.shape) < 2 or not mat.any():
-        return float(np.linalg.norm(mat)), True
-    from scipy.sparse.linalg import ArpackNoConvergence, svds
+        return float(np.linalg.norm(mat)), True, 0
+    from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator,
+                                     eigsh, svds)
 
-    v0 = np.random.default_rng(seed).standard_normal(min(mat.shape))
+    rng = np.random.default_rng(seed)
+    products = 0
+
+    def count(f):
+        def counted(x):
+            nonlocal products
+            products += 1
+            return f(x)
+        return counted
+
+    dim = mat.shape[0]
     try:
-        sv = svds(mat, k=1, tol=tol, maxiter=max_iter, v0=v0,
-                  return_singular_vectors=False)
+        if not _is_symmetric(mat):
+            op = LinearOperator(mat.shape, matvec=count(lambda x: mat @ x),
+                                rmatvec=count(lambda x: (x.conj() @ mat).conj()),
+                                dtype=mat.dtype)
+            val = svds(op, k=1, tol=tol, maxiter=max_iter,
+                       v0=rng.standard_normal(min(mat.shape)),
+                       return_singular_vectors=False)
+        else:
+            takagi = np.iscomplexobj(mat)
+            size = 2 * dim if takagi else dim
+
+            def apply(v):
+                if not takagi:
+                    return mat @ v
+                w = mat @ (v[:dim] - 1j * v[dim:])  # z = x - iy
+                return np.concatenate([w.real, w.imag])
+            op = LinearOperator((size, size), matvec=count(apply),
+                                dtype=np.float64)
+            val = eigsh(op, k=1, which="LM", tol=tol, maxiter=max_iter,
+                        v0=rng.standard_normal(size), return_eigenvectors=False)
     except ArpackNoConvergence:
-        return float("nan"), False
-    return float(sv[0]), True
+        return float("nan"), False, products
+    return float(abs(val[0])), True, products
+
+
+def tile_pairs(n: int):
+    """(rows, cols) slices of the TILE x TILE tiles of an n x n matrix on
+    and above the diagonal; [cols, rows] is each one's mirror."""
+    for i in range(0, n, TILE):
+        for j in range(i, n, TILE):
+            yield slice(i, i + TILE), slice(j, j + TILE)
+
+
+def _is_symmetric(mat: np.ndarray) -> bool:
+    """mat == mat.T bitwise, compared one tile pair at a time."""
+    n = mat.shape[0]
+    return mat.shape == (n, n) and all(
+        np.array_equal(mat[r, c], mat[c, r].T) for r, c in tile_pairs(n))
 
 
 def spectral_error(dense: np.ndarray, h: HMatrix, tol: float = 1e-10,
@@ -150,7 +241,7 @@ def spectral_error(dense: np.ndarray, h: HMatrix, tol: float = 1e-10,
     floor = np.sqrt(res.shape[0]) * np.finfo(float).eps * np.linalg.norm(dense)
     if np.linalg.norm(res) <= floor:
         return 0.0, True
-    return spectral_norm(res, tol, max_iter, seed)
+    return spectral_norm(res, tol, max_iter, seed)[:2]
 
 
 def hmatrix_manifest(h: HMatrix) -> dict:

@@ -8,6 +8,13 @@ truncation B_H of the dense inverse. Per block the truncation error is the
 block error into the global bound C_sp * (depth + 1) * max sigma_{r+1},
 which every sweep row is asserted against.
 
+A = A^T with no conjugate, for real and complex kappa, and the sweep uses
+it end to end: dense_inverse returns a bitwise-symmetric A^{-1}, the far
+blocks take one SVD per mirrored pair, each E_r is updated on one block of
+a pair and copied transposed into the other, so it is bitwise symmetric
+(and B_H = B_H^T), and its norm is a symmetric Lanczos norm (eigsh, on the
+Takagi map for complex kappa) whose Ritz value stays <= ||E_r||_2.
+
 Every dense matrix this module takes or returns is in the cluster tree's
 leaf order, where the block (tau, sigma) is the slice [tau.span, sigma.span].
 Norms do not change under the symmetric permutation.
@@ -20,7 +27,7 @@ import scipy.linalg
 
 from .cluster import BlockPartition, sparsity_constant
 from .fem import GalerkinSystem, apply_dual_functionals, riesz_rhs, solve_system
-from .hmatrix import far_svds, spectral_norm
+from .hmatrix import TILE, far_svds, spectral_norm, tile_pairs
 
 
 def dense_inverse(op, perm: np.ndarray,
@@ -28,9 +35,12 @@ def dense_inverse(op, perm: np.ndarray,
     """P A^{-1} P^T for the CSR A = op and the leaf order perm, by LU with
     partial pivoting; the LAPACK 1-norm condition estimate must not exceed
     1e12. The dense P A P^T is factored in place and the inverse overwrites
-    the identity, so two N x N arrays are alive at the peak. The residual
-    guard max |A A^{-1} - I| multiplies the CSR P A P^T by 256 columns at a
-    time: nnz(A) N flops and no N x N temporary."""
+    the identity, so two N x N arrays are alive at the peak. A = A^T, so
+    the solve B is replaced in place by (B + B^T)/2, TILE x TILE tiles at
+    a time, and the returned inverse equals its transpose bitwise. The
+    residual guard max |A A^{-1} - I| runs on that matrix and multiplies
+    the CSR P A P^T by TILE columns at a time: nnz(A) N flops and no N x N
+    temporary."""
     a = op[perm][:, perm]
     anorm = abs(a).sum(axis=0).max()
     lu, piv = scipy.linalg.lu_factor(a.toarray(order="F"), overwrite_a=True)
@@ -44,9 +54,13 @@ def dense_inverse(op, perm: np.ndarray,
     binv = scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=lu.dtype, order="F"),
                                  overwrite_b=True)
     del lu  # free the factor before the residual check
+    for r, c in tile_pairs(n):  # (B + B^T)/2 in place, one tile pair at a time
+        avg = (binv[r, c] + binv[c, r].T) * 0.5  # addition commutes: bitwise
+        binv[r, c] = avg
+        binv[c, r] = avg.T
     resid = 0.0
-    for j in range(0, n, 256):
-        res = a @ binv[:, j:j + 256]
+    for j in range(0, n, TILE):
+        res = a @ binv[:, j:j + TILE]
         res -= np.eye(n, res.shape[1], -j)
         resid = np.maximum(resid, np.abs(res).max())  # keeps a NaN
     if not resid <= residual_limit:
@@ -64,6 +78,7 @@ class SweepRow:
     bound_value: float       # C_sp * (depth + 1) * max_block_sigma
     scalars: int
     converged: bool
+    products: int            # operator applications of this rank's norm
 
 
 def rank_sweep(binv: np.ndarray, partition: BlockPartition, r_list,
@@ -75,19 +90,27 @@ def rank_sweep(binv: np.ndarray, partition: BlockPartition, r_list,
     buffer: E_0 is a copy of A^{-1} with its near blocks zeroed, and the
     step from rank r' to r subtracts U[:, r':r] Sigma V^H[r':r] from each
     far block's slice (a block whose rank reaches its size is zeroed);
-    binv itself is not changed. The far-block SVDs are computed once.
-    ||E_r||_2 and ||A^{-1}||_2 come from spectral_norm, whose start vector
-    is drawn from seed. Each row carries its bound value;
-    checks.check_bound judges it.
+    binv itself is not changed. The far-block SVDs are computed once, one
+    per mirrored pair (hmatrix.far_svds). A block that mirrors its partner
+    bitwise is not updated on its own: it receives the transpose of the
+    partner's updated slice, so for the bitwise-symmetric inverse of
+    dense_inverse every E_r is bitwise symmetric, and B_H picks the same
+    subspace in both blocks of a tie. ||E_r||_2 and ||A^{-1}||_2 come from
+    spectral_norm (a symmetric Lanczos norm on such input, never above the
+    true norm), whose start vector is drawn from seed. Each row carries its
+    bound value; checks.check_bound judges it.
     """
-    norm_b, conv_b = spectral_norm(binv, seed=seed)
+    norm_b, conv_b, _ = spectral_norm(binv, seed=seed)
     scale = sparsity_constant(partition) * (partition.tree.depth + 1)
     ranks = sorted(int(r) for r in r_list)
     r_max = ranks[-1] if ranks else 0
-    svds = far_svds(binv, partition, r_max)
-    # per far block U Sigma, in place, and tail[k] = sum_{j >= k} sigma_j^2
+    svds, mirror = far_svds(binv, partition, r_max)
+    mirrored = {j for j in mirror if j is not None}
+    # per far block U Sigma, in place (a mirror's factors are never read),
+    # and tail[k] = sum_{j >= k} sigma_j^2
     for i, (u, sv, vh) in enumerate(svds):
-        u *= sv[:r_max]
+        if mirror[i] is None:
+            u *= sv[:r_max]
         svds[i] = (u, vh, sv, np.append(np.cumsum(sv[::-1] ** 2)[::-1], 0.0))
     err = binv.copy()
     for t, s in partition.near:
@@ -97,23 +120,26 @@ def rank_sweep(binv: np.ndarray, partition: BlockPartition, r_list,
     for r in ranks:
         sig_next = fro2 = 0.0
         scalars = near_scalars
-        for (t, s), (us, vh, sv, tail) in zip(partition.far, svds):
+        for i, ((t, s), (us, vh, sv, tail)) in enumerate(zip(partition.far,
+                                                              svds)):
             k, k_prev = min(r, sv.size), min(r_prev, sv.size)
-            if k > k_prev:
+            if k > k_prev and mirror[i] is None:
                 block = err[t.span, s.span]
                 if k == sv.size:
                     block[...] = 0.0
                 else:
                     block -= us[:, k_prev:k] @ vh[k_prev:k]
+                if i in mirrored:
+                    err[s.span, t.span] = block.T
             scalars += k * (t.size + s.size)
             fro2 += tail[k]
             if r < sv.size:
                 sig_next = max(sig_next, float(sv[r]))
         r_prev = r
-        est, conv = spectral_norm(err, seed=seed)
+        est, conv, products = spectral_norm(err, seed=seed)
         rows.append(SweepRow(r, est, float(np.sqrt(fro2)), est / norm_b,
                              sig_next, float(scale * sig_next), int(scalars),
-                             conv and conv_b))
+                             conv and conv_b, products))
     return rows
 
 
@@ -157,24 +183,29 @@ def _lstsq_fit(x, y):
     return sol, resid
 
 
-def theorem_transfer_check(system: GalerkinSystem, dual, tau, sigma,
+def theorem_transfer_check(system: GalerkinSystem, dual, taus, sigma,
                            binv: np.ndarray, n_rhs: int = 10,
-                           seed: int = 0) -> float:
-    """Coefficient-transfer identity on an admissible pair (tau, sigma).
+                           seed: int = 0) -> list:
+    """Coefficient-transfer identity on the admissible pairs (tau, sigma),
+    tau in taus, which share the column cluster sigma.
 
     For n_rhs random complex b supported on sigma, drawn as one
     (n_rhs, 2, |sigma|) array of real and imaginary parts, the load vectors
-    of F_b = sum b_i lambda_i are solved as one block and the dual
-    functionals over tau are compared with the inverse's block, the slice
-    whose rows and columns are tau.indices and sigma.indices, acting on b.
-    Integrals on both ends are done honestly over the carrier tets rather
-    than read off the construction. Returns the worst relative mismatch over
-    the right-hand sides, which checks.check_transfer judges; no SVD is taken.
+    of F_b = sum b_i lambda_i are solved as one block, once for all taus,
+    and for each tau the dual functionals over tau are compared with the
+    inverse's block, the slice whose rows and columns are tau.indices and
+    sigma.indices, acting on b. Integrals on both ends are done honestly
+    over the carrier tets rather than read off the construction. Returns,
+    per tau, the worst relative mismatch over the right-hand sides, which
+    checks.check_transfer judges; no SVD is taken.
     """
     parts = np.random.default_rng(seed).standard_normal((n_rhs, 2, sigma.size))
     b = (parts[:, 0] + 1j * parts[:, 1]).T                # (|sigma|, n_rhs)
     e_h = solve_system(system, riesz_rhs(system, dual, sigma.indices, b))
-    lam = apply_dual_functionals(system, dual, tau.indices, e_h)
-    ref = binv[tau.span, sigma.span] @ b
-    return float((np.abs(lam - ref).max(axis=0)
-                  / np.abs(b).max(axis=0)).max(initial=0.0))
+    scale = np.abs(b).max(axis=0)
+    out = []
+    for tau in taus:
+        lam = apply_dual_functionals(system, dual, tau.indices, e_h)
+        ref = binv[tau.span, sigma.span] @ b
+        out.append(float((np.abs(lam - ref).max(axis=0) / scale).max(initial=0.0)))
+    return out

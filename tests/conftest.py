@@ -36,3 +36,24 @@ def system_cache(mesh_cache):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def truncation_residual():
+    """A^{-1} - B_H for a leaf-order inverse, built without hmatrix: each far
+    block (tau, sigma) with tau.id <= sigma.id is truncated to rank r by its
+    own LAPACK SVD, and its mirror (sigma, tau) takes the transpose, so that
+    B_H = B_H^T as the sweep defines it. Truncating the mirror on its own
+    would pick another subspace wherever sigma_r = sigma_{r+1} (at n = 3,
+    n_leaf 16 the block (3, 20) has such a tie at r = 2)."""
+    def get(binv, partition, r):
+        res = np.zeros_like(binv)
+        for t, s in partition.far:
+            if t.id <= s.id:
+                u, sv, vh = np.linalg.svd(binv[t.span, s.span],
+                                          full_matrices=False)
+                res[t.span, s.span] = (u[:, r:] * sv[r:]) @ vh[r:]
+                res[s.span, t.span] = res[t.span, s.span].T
+        return res
+
+    return get

@@ -36,7 +36,7 @@ def sys2():
 
 def test_check_bound_judges_every_row():
     def row(abs_err, bound):
-        return SweepRow(1, abs_err, abs_err, abs_err, bound, bound, 0, True)
+        return SweepRow(1, abs_err, abs_err, abs_err, bound, bound, 0, True, 0)
     assert check_bound([row(0.5, 1.0), row(1.0, 1.0)], 3, slack=0.0).passed
     assert not check_bound([row(0.5, 1.0), row(1.1, 1.0)], 3, slack=0.0).passed
     assert check_bound([row(1.1, 1.0)], 3, slack=0.2).passed
@@ -53,7 +53,7 @@ def test_a_nan_measurement_fails_its_check(sys2, monkeypatch):
     """A NaN that is not the first value a check reduces still fails it,
     and is reported as the measurement."""
     def row(abs_err, bound):
-        return SweepRow(1, abs_err, abs_err, abs_err, bound, bound, 0, True)
+        return SweepRow(1, abs_err, abs_err, abs_err, bound, bound, 0, True, 0)
     results = [check_bound([row(0.5, 1.0), row(np.nan, 1.0)], 3)]
 
     grad = discrete_gradient(build_nodal_space(sys2))

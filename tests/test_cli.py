@@ -5,6 +5,7 @@ to inspect; one test goes through `python3 -m hmaxwell` to cover the real
 entry point.
 """
 
+import csv
 import importlib
 import importlib.util
 import json
@@ -24,8 +25,8 @@ from hypothesis import strategies as st
 from scipy.linalg import eigh
 
 from hmaxwell import (assemble_system, build_block_partition, build_box_mesh,
-                      build_cluster_tree, checks, cli, fem, harmonic,
-                      sparsity_constant)
+                      build_cluster_tree, checks, cli, dense_inverse, fem,
+                      harmonic, sparsity_constant)
 from hmaxwell.cli import OPTIONS, build_parser, build_pipeline, load_config, main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -263,7 +264,7 @@ def test_rank_sweep_artifacts(tmp_path):
         assert (outdir / fname).exists()
     rows = (outdir / "sweep.csv").read_text().splitlines()
     assert rows[0] == ("r,abs_err,fro_upper,rel_err,max_block_sigma,"
-                       "bound_value,scalars,converged")
+                       "bound_value,scalars,converged,products")
     assert len(rows) == 4
     system = assemble_system(build_box_mesh(2))
     partition = build_block_partition(
@@ -272,10 +273,36 @@ def test_rank_sweep_artifacts(tmp_path):
     assert partition.far
     assert fit["c_sp"] == sparsity_constant(partition)
     assert fit["depth"] == partition.tree.depth
-    assert all(row.split(",")[-1] == "true" for row in rows[1:])
+    assert all(row.split(",")[7] == "true" for row in rows[1:])
+    assert all(int(row.split(",")[8]) > 0 for row in rows[1:])
     for row in rows[1:]:
         abs_err, fro_upper = map(float, row.split(",")[1:3])
         assert abs_err <= fro_upper
+
+
+def test_rank_sweep_complex_kappa_matches_lapack(tmp_path, truncation_residual):
+    """rank-sweep at complex kappa, whose norms go through the Takagi map:
+    every rank's rel_err is LAPACK's ||A^{-1} - B_H||_2 / ||A^{-1}||_2 to
+    1e-10 relative or eps, the rounding level of A^{-1} itself (r = 20
+    reads 1.2e-11, where forming E_r two ways differs by 3e-9 of it), and
+    every norm converged."""
+    assert run_cli("rank-sweep", "--n", "4", "--kappa-im", "0.5",
+                   "--out", str(tmp_path), "--name", "c") == 0
+    with open(tmp_path / "c" / "sweep.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    system = assemble_system(build_box_mesh(4), kappa=1.0 + 0.5j)
+    partition = build_block_partition(
+        build_cluster_tree(system.mesh, system.dofmap, n_leaf=32), eta=2.0)
+    assert partition.far
+    binv = dense_inverse(fem.sparse_operator(system), partition.tree.perm)
+    norm_b = np.linalg.norm(binv, 2)
+    assert [int(row["r"]) for row in rows] == [1, 2, 4, 8, 12, 16, 20]
+    for row in rows:
+        exact = np.linalg.norm(truncation_residual(binv, partition,
+                                                   int(row["r"])), 2) / norm_b
+        assert row["converged"] == "true"
+        assert abs(float(row["rel_err"]) - exact) <= (
+            1e-10 * exact + np.finfo(float).eps)
 
 
 def test_caccioppoli_and_helmholtz_run(tmp_path):

@@ -109,12 +109,38 @@ def test_spectral_error_zero_for_exact_representation(small_partition):
 
 def test_spectral_norm_reports_arpack_convergence(rng):
     a = rng.standard_normal((60, 40)) + 1j * rng.standard_normal((60, 40))
-    est, converged = spectral_norm(a, seed=5)
-    assert converged
+    est, converged, products = spectral_norm(a, seed=5)
+    assert converged and products > 0
     assert abs(est - np.linalg.norm(a, 2)) <= 1e-12 * est
-    assert spectral_norm(a, seed=5) == (est, converged)  # fixed start vector
-    est, converged = spectral_norm(a, max_iter=1)
+    # fixed start vector
+    assert spectral_norm(a, seed=5) == (est, converged, products)
+    est, converged, _ = spectral_norm(a, max_iter=1)
     assert not converged and np.isnan(est)
+
+
+def test_spectral_norm_picks_lanczos_by_symmetry(rng, monkeypatch):
+    """A bitwise-symmetric square input goes to eigsh (through the Takagi
+    map when complex); any other input, one ulp off symmetric included,
+    goes to svds. Every path matches the LAPACK 2-norm to 1e-12."""
+    import scipy.sparse.linalg as sla
+
+    used = []
+    for name in ("eigsh", "svds"):
+        monkeypatch.setattr(sla, name, lambda *a, _f=getattr(sla, name),
+                            _name=name, **k: used.append(_name) or _f(*a, **k))
+    n = 300  # more than one 256 x 256 tile
+    g = rng.standard_normal((n, n))
+    c = g + 1j * rng.standard_normal((n, n))
+    off = g + g.T
+    off[3, 290] = np.nextafter(off[3, 290], np.inf)
+    cases = [(g + g.T, "eigsh"), (c + c.T, "eigsh"), (off, "svds"),
+             (g, "svds"), (c + c.conj().T, "svds"), (g[:, :250], "svds")]
+    for mat, path in cases:
+        used.clear()
+        est, converged, products = spectral_norm(mat, seed=2)
+        assert used == [path]
+        assert converged and products > 0
+        assert abs(est - np.linalg.norm(mat, 2)) <= 1e-12 * est
 
 
 def test_manifest_structure(small_partition, rng):

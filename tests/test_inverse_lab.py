@@ -18,11 +18,12 @@ from hmaxwell import (
     rank_sweep,
     theorem_transfer_check,
 )
+from hmaxwell import inverse_lab
 from hmaxwell.checks import check_transfer
 from hmaxwell.cluster import sparsity_constant
 from hmaxwell.fem import (apply_dual_functionals, build_dof_map, riesz_rhs,
                           solve_system, sparse_operator)
-from hmaxwell.hmatrix import compress_dense, far_svds, to_dense
+from hmaxwell.hmatrix import compress_dense, far_svds, spectral_norm, to_dense
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +71,17 @@ def test_dense_inverse_matches_numpy_inverse(system_cache, kappa):
     assert np.abs(got - want).max() <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
+def test_dense_inverse_is_bitwise_symmetric(system_cache, kappa):
+    """A = A^T, and the inverse returned equals its transpose bitwise; at
+    n = 4, N = 316 spans two 256 x 256 tiles."""
+    sysm = system_cache(4, kappa)
+    perm = build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16).perm
+    b = dense_inverse(sparse_operator(sysm), perm)
+    assert b.shape[0] > 256
+    assert (b == b.T).all()
+
+
 def test_dense_inverse_holds_two_dense_arrays(system_cache):
     """The factor overwrites the densified A and the inverse overwrites
     the identity: the traced peak stays near two N x N arrays."""
@@ -89,7 +101,8 @@ def test_dense_inverse_holds_two_dense_arrays(system_cache):
 def test_dense_inverse_residual_guard(system_cache, kappa, monkeypatch):
     """The sparse residual check rejects rounding-level residuals under an
     impossible limit, and at the default limit it catches a corrupted
-    solve, reporting the dense residual max |A B - I| of the permuted A."""
+    solve, reporting the dense residual max |A sym(B) - I| of the permuted
+    A and the matrix returned, sym(B) = (B + B^T)/2."""
     sysm = system_cache(3, kappa)
     op = sparse_operator(sysm)
     perm = build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16).perm
@@ -108,7 +121,7 @@ def test_dense_inverse_residual_guard(system_cache, kappa, monkeypatch):
     with pytest.raises(ValueError, match="inverse residual") as info:
         dense_inverse(op, perm)
     bad = corrupted(scipy.linalg.lu_factor(a), np.eye(a.shape[0], dtype=a.dtype))
-    dense = np.abs(a @ bad - np.eye(a.shape[0])).max()
+    dense = np.abs(a @ ((bad + bad.T) / 2) - np.eye(a.shape[0])).max()
     reported = float(str(info.value).split()[2])
     assert reported == pytest.approx(dense, rel=1e-3)
 
@@ -154,24 +167,27 @@ def test_rank_sweep_errors_match_exact_svd(lab3):
 
 
 @pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
-def test_rank_sweep_norm_is_exact_residual_norm(system_cache, kappa):
-    """The Lanczos norm of the explicit residual matches LAPACK's norm of
-    binv - B_H to 1e-10 relative, for real and complex kappa, and the row's
-    bracket [abs_err, fro_upper] holds that norm to rounding."""
-    sysm = system_cache(3, kappa)
-    part = build_block_partition(
-        build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16), eta=2.0)
-    binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
-    rows = rank_sweep(binv, part, [0, 1, 2, 4, 8])
-    for row in rows:
-        res = binv - to_dense(compress_dense(binv, part, row.r))
-        exact = np.linalg.norm(res, 2)
-        assert row.converged
-        assert abs(row.abs_err - exact) <= 1e-10 * exact
-        assert row.abs_err <= exact * (1.0 + 1e-12)
-        assert exact <= row.fro_upper * (1.0 + 1e-12)
-        assert row.fro_upper == pytest.approx(np.linalg.norm(res), rel=1e-12,
-                                              abs=0.0)
+def test_rank_sweep_norm_is_exact_residual_norm(system_cache, kappa,
+                                                truncation_residual):
+    """At n = 3 and 4, the Lanczos norm of the explicit residual matches
+    LAPACK's norm of binv - B_H, each mirrored pair of far blocks truncated
+    by one LAPACK SVD, to 1e-10 relative, for real and complex kappa, and
+    the row's bracket [abs_err, fro_upper] holds that norm to rounding."""
+    for n in (3, 4):
+        sysm = system_cache(n, kappa)
+        part = build_block_partition(
+            build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16), eta=2.0)
+        binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
+        rows = rank_sweep(binv, part, [0, 1, 2, 4, 8])
+        for row in rows:
+            res = truncation_residual(binv, part, row.r)
+            exact = np.linalg.norm(res, 2)
+            assert row.converged
+            assert abs(row.abs_err - exact) <= 1e-10 * exact
+            assert row.abs_err <= exact * (1.0 + 1e-12)
+            assert exact <= row.fro_upper * (1.0 + 1e-12)
+            assert row.fro_upper == pytest.approx(np.linalg.norm(res),
+                                                  rel=1e-12, abs=0.0)
 
 
 def reference_sweep_row(binv, part, svds, r):
@@ -201,7 +217,7 @@ def test_incremental_sweep_matches_scattered_residual(system_cache, n, kappa):
     part = build_block_partition(
         build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16), eta=2.0)
     binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
-    svds = far_svds(binv, part, binv.shape[0])  # every factor column
+    svds = far_svds(binv, part, binv.shape[0])[0]  # every factor column
     r_list = [8, 0, 2, 2, 40]
     assert min(sv.size for _, sv, _ in svds) < 40
     rows = rank_sweep(binv, part, r_list)
@@ -215,6 +231,80 @@ def test_incremental_sweep_matches_scattered_residual(system_cache, n, kappa):
         assert row.bound_value == bound
         assert row.scalars == scalars
         assert row.fro_upper == pytest.approx(fro, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
+def test_every_sweep_error_is_bitwise_symmetric(system_cache, kappa,
+                                                monkeypatch):
+    """Each E_r whose norm the sweep takes equals its transpose bitwise and
+    is the error scattered from the mirrored far_svds to rounding, for an
+    unsorted rank list with a duplicate, 0, and a rank above the smallest
+    far block's size."""
+    sysm = system_cache(4, kappa)
+    part = build_block_partition(
+        build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16), eta=2.0)
+    binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
+    seen = []
+
+    def spy(mat, *args, **kwargs):
+        seen.append(mat.copy())
+        return spectral_norm(mat, *args, **kwargs)
+
+    monkeypatch.setattr(inverse_lab, "spectral_norm", spy)
+    rows = rank_sweep(binv, part, [8, 0, 2, 2, 40])
+    assert np.array_equal(seen[0], binv) and len(seen) == len(rows) + 1
+    svds = far_svds(binv, part, binv.shape[0])[0]
+    scale = np.abs(binv).max()
+    for row, err in zip(rows, seen[1:]):
+        assert (err == err.T).all()
+        ref = reference_sweep_row(binv, part, svds, row.r)[0]
+        assert np.abs(err - ref).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
+def test_mirrored_far_svds_truncate_every_block(system_cache, kappa,
+                                                monkeypatch):
+    """One LAPACK SVD per mirrored pair, and every block's factors, the
+    mirrors' transposed ones included, give orthonormal U, the block's
+    singular values and LAPACK's rank-r truncation error to 1e-12."""
+    sysm = system_cache(4, kappa)
+    part = build_block_partition(
+        build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16), eta=2.0)
+    binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
+    rank, calls, svd = 4, [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: calls.append(1) or svd(*a, **k))
+    svds, mirror = far_svds(binv, part, rank)
+    monkeypatch.undo()
+    assert len(calls) == sum(t.id <= s.id for t, s in part.far) < len(part.far)
+    assert [(t.id, s.id) for (t, s), j in zip(part.far, mirror)
+            if j is not None] == [(t.id, s.id) for t, s in part.far
+                                  if t.id > s.id]
+    for (t, s), j in zip(part.far, mirror):
+        if j is not None:
+            assert (part.far[j][0].id, part.far[j][1].id) == (s.id, t.id)
+    for (t, s), (u, sv, vh) in zip(part.far, svds):
+        block = binv[t.span, s.span]
+        want = svdvals(block)
+        assert np.abs(sv - want).max() <= 1e-12 * want[0]
+        assert np.abs(u.conj().T @ u - np.eye(u.shape[1])).max() <= 1e-12
+        err = np.linalg.norm(block - (u * sv[:rank]) @ vh, 2)
+        expect = want[rank] if rank < want.size else 0.0
+        assert abs(err - expect) <= 1e-12 * want[0]
+
+
+def test_single_far_block_on_the_diagonal(mesh_cache):
+    """At n = 1 the only far block is (root, root): it has no mirror, is
+    factored on its own, and the sweep measures it exactly."""
+    sysm = assemble_system(mesh_cache(1))
+    part = build_block_partition(
+        build_cluster_tree(sysm.mesh, sysm.dofmap), eta=2.0)
+    assert [(t.id, s.id) for t, s in part.far] == [(0, 0)]
+    binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
+    assert far_svds(binv, part, 1)[1] == [None]
+    rows = rank_sweep(binv, part, [0, 1])
+    assert rows[0].abs_err == abs(binv[0, 0]) and rows[1].abs_err == 0.0
+    assert all(row.converged and row.products == 0 for row in rows)
 
 
 def test_rank_zero_error_is_far_part_norm(lab3):
@@ -277,7 +367,7 @@ def test_transfer_identity_on_one_pair(lab3):
     assert part.far, "partition should have admissible pairs at n=3"
     dual = dual_basis(sysm)
     t, s = max(part.far, key=lambda p: p[0].size * p[1].size)
-    worst = theorem_transfer_check(sysm, dual, t, s, binv, n_rhs=5)
+    (worst,) = theorem_transfer_check(sysm, dual, [t], s, binv, n_rhs=5)
     assert isinstance(worst, float)
     assert 0.0 <= worst <= 1e-10
 
@@ -306,9 +396,32 @@ def test_blocked_transfer_matches_per_rhs_loop(lab3, scale):
     for t, s in part.far[:6]:
         bad = binv.copy()
         bad[t.span, s.span] *= scale
-        worst = theorem_transfer_check(sysm, dual, t, s, bad, n_rhs=7, seed=3)
+        (worst,) = theorem_transfer_check(sysm, dual, [t], s, bad, n_rhs=7,
+                                          seed=3)
         ref = reference_transfer_mismatch(sysm, dual, t, s, bad, 7, 3)
         assert abs(worst - ref) <= 1e-12 * max(ref, 1.0)
+
+
+def test_transfer_check_solves_once_per_column_cluster(lab3, monkeypatch):
+    """check_transfer runs one solve per distinct sigma of partition.far,
+    and each pair's mismatch, and so the measured worst, is bitwise the
+    one-pair value."""
+    sysm, part, binv = lab3
+    dual = dual_basis(sysm)
+    per_pair = [theorem_transfer_check(sysm, dual, [t], s, binv, n_rhs=3)[0]
+                for t, s in part.far]
+    calls, solve = [], inverse_lab.solve_system
+    monkeypatch.setattr(inverse_lab, "solve_system",
+                        lambda *a: calls.append(1) or solve(*a))
+    res = check_transfer(sysm, part, binv, dual, n_rhs=3)
+    assert len(calls) == len({s.id for _, s in part.far}) == 18
+    assert res.measured == max(per_pair)
+    sigma = part.far[0][1]
+    pairs = [i for i, (_, s) in enumerate(part.far) if s.id == sigma.id]
+    assert len(pairs) > 1
+    assert theorem_transfer_check(sysm, dual, [part.far[i][0] for i in pairs],
+                                  sigma, binv, n_rhs=3) == [per_pair[i]
+                                                            for i in pairs]
 
 
 def test_transfer_negative_control(lab3):
@@ -319,7 +432,7 @@ def test_transfer_negative_control(lab3):
     t, s = part.far[0]
     bad = binv.copy()
     bad[t.span, s.span] *= 1.5
-    assert theorem_transfer_check(sysm, dual, t, s, bad, n_rhs=3) > 1e-4
+    assert theorem_transfer_check(sysm, dual, [t], s, bad, n_rhs=3)[0] > 1e-4
     res = check_transfer(sysm, part, bad, dual, n_rhs=3)
     assert not res.passed and res.measured > 1e-4
     assert check_transfer(sysm, part, binv, dual, n_rhs=3).passed
