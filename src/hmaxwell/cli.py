@@ -452,12 +452,13 @@ def cmd_verify(run: Runner, cfg: dict) -> int:
     dual = dual_basis(system)
     results.append(check_dual_biorthogonality(system, dual, tol["biorthogonality"]))
     results.append(check_dual_norm_scaling(factor=tol["dual_norm_factor"]))
+    run.phase("transfer")  # reads A^{-1}, which the sweep then consumes
+    transfer = check_transfer(system, partition, binv, dual, tol["transfer"],
+                              seed=cfg["seed"])
     run.phase("sweep")
     rows = rank_sweep(binv, partition, cfg["ranks"], seed=cfg["seed"])
-    results.append(check_bound(rows, len(partition.far), tol["bound_slack"]))
-    run.phase("transfer")
-    results.append(check_transfer(system, partition, binv, dual,
-                                  tol["transfer"], seed=cfg["seed"]))
+    results += [check_bound(rows, len(partition.far), tol["bound_slack"]),
+                transfer]
     run.phase("harmonic")
     pairs = default_pairs(system.mesh.length)
     interior = pairs["interior"].outer

@@ -15,6 +15,10 @@ a pair and copied transposed into the other, so it is bitwise symmetric
 (and B_H = B_H^T), and its norm is a symmetric Lanczos norm (eigsh, on the
 Takagi map for complex kappa) whose Ritz value stays <= ||E_r||_2.
 
+One N x N array serves from factorization to the last norm: dense_inverse
+inverts the LU factor in place, and rank_sweep overwrites that inverse
+with E_r.
+
 Every dense matrix this module takes or returns is in the cluster tree's
 leaf order, where the block (tau, sigma) is the slice [tau.span, sigma.span].
 Norms do not change under the symmetric permutation.
@@ -33,27 +37,29 @@ from .hmatrix import TILE, far_svds, spectral_norm, tile_pairs
 def dense_inverse(op, perm: np.ndarray,
                   residual_limit: float = 1e-8) -> np.ndarray:
     """P A^{-1} P^T for the CSR A = op and the leaf order perm, by LU with
-    partial pivoting; the LAPACK 1-norm condition estimate must not exceed
-    1e12. The dense P A P^T is factored in place and the inverse overwrites
-    the identity, so two N x N arrays are alive at the peak. A = A^T, so
-    the solve B is replaced in place by (B + B^T)/2, TILE x TILE tiles at
-    a time, and the returned inverse equals its transpose bitwise. The
-    residual guard max |A A^{-1} - I| runs on that matrix and multiplies
-    the CSR P A P^T by TILE columns at a time: nnz(A) N flops and no N x N
-    temporary."""
+    partial pivoting; the LAPACK 1-norm condition estimate of the factor
+    must not exceed 1e12. The dense P A P^T is factored in place and LAPACK
+    getri inverts the factor in place (4/3 N^3 flops), so one N x N array
+    is alive from the factorization on. A = A^T, so the inverse B is
+    replaced in place by (B + B^T)/2, TILE x TILE tiles at a time, and the
+    returned inverse equals its transpose bitwise. The residual guard
+    max |A A^{-1} - I| runs on that matrix and multiplies the CSR P A P^T
+    by TILE columns at a time: nnz(A) N flops and no N x N temporary."""
     a = op[perm][:, perm]
     anorm = abs(a).sum(axis=0).max()
     lu, piv = scipy.linalg.lu_factor(a.toarray(order="F"), overwrite_a=True)
-    gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
+    gecon, getri, getri_lwork = scipy.linalg.get_lapack_funcs(
+        ("gecon", "getri", "getri_lwork"), (lu,))
     rcond = gecon(lu, anorm, norm="1")[0]
     if not np.isfinite(rcond) or rcond <= 0 or 1.0 / rcond > 1e12:
         raise ValueError(
             f"matrix too ill-conditioned (estimate {1.0 / max(rcond, 1e-300):.3e}); "
             "kappa may be too close to a discrete eigenvalue, try another kappa or n")
     n = perm.size
-    binv = scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=lu.dtype, order="F"),
-                                 overwrite_b=True)
-    del lu  # free the factor before the residual check
+    lwork = int(getri_lwork(n)[0].real)
+    binv, info = getri(lu, piv, lwork=lwork, overwrite_lu=1)  # lu's storage
+    if info != 0:
+        raise ValueError(f"LAPACK getri failed (info {info})")
     for r, c in tile_pairs(n):  # (B + B^T)/2 in place, one tile pair at a time
         avg = (binv[r, c] + binv[c, r].T) * 0.5  # addition commutes: bitwise
         binv[r, c] = avg
@@ -61,7 +67,8 @@ def dense_inverse(op, perm: np.ndarray,
     resid = 0.0
     for j in range(0, n, TILE):
         res = a @ binv[:, j:j + TILE]
-        res -= np.eye(n, res.shape[1], -j)
+        diag = np.arange(res.shape[1])
+        res[j + diag, diag] -= 1.0
         resid = np.maximum(resid, np.abs(res).max())  # keeps a NaN
     if not resid <= residual_limit:
         raise ValueError(f"inverse residual {resid:.3e} exceeds {residual_limit:.1e}")
@@ -83,17 +90,19 @@ class SweepRow:
 
 def rank_sweep(binv: np.ndarray, partition: BlockPartition, r_list,
                seed: int = 0) -> list:
-    """One SweepRow per requested rank, in increasing rank order.
+    """One SweepRow per requested rank, in increasing rank order. The sweep
+    consumes binv: on return it holds E_{r_max} for the largest rank swept.
+    A caller that needs A^{-1} afterwards passes a copy.
 
     The error E_r = A^{-1} - B_H is zero on near blocks and equals
-    U[:, r:] Sigma[r:] V^H[r:] on each far block. It lives in one N x N
-    buffer: E_0 is a copy of A^{-1} with its near blocks zeroed, and the
+    U[:, r:] Sigma[r:] V^H[r:] on each far block. ||A^{-1}||_2 and the
+    far-block SVDs, one per mirrored pair (hmatrix.far_svds), are taken
+    first; then binv itself becomes E_0 by zeroing its near blocks, and the
     step from rank r' to r subtracts U[:, r':r] Sigma V^H[r':r] from each
-    far block's slice (a block whose rank reaches its size is zeroed);
-    binv itself is not changed. The far-block SVDs are computed once, one
-    per mirrored pair (hmatrix.far_svds). A block that mirrors its partner
-    bitwise is not updated on its own: it receives the transpose of the
-    partner's updated slice, so for the bitwise-symmetric inverse of
+    far block's slice in place (a block whose rank reaches its size is
+    zeroed), so the sweep adds no N x N array. A block that mirrors its
+    partner bitwise is not updated on its own: it receives the transpose of
+    the partner's updated slice, so for the bitwise-symmetric inverse of
     dense_inverse every E_r is bitwise symmetric, and B_H picks the same
     subspace in both blocks of a tie. ||E_r||_2 and ||A^{-1}||_2 come from
     spectral_norm (a symmetric Lanczos norm on such input, never above the
@@ -112,7 +121,7 @@ def rank_sweep(binv: np.ndarray, partition: BlockPartition, r_list,
         if mirror[i] is None:
             u *= sv[:r_max]
         svds[i] = (u, vh, sv, np.append(np.cumsum(sv[::-1] ** 2)[::-1], 0.0))
-    err = binv.copy()
+    err = binv  # E_0 overwrites the inverse
     for t, s in partition.near:
         err[t.span, s.span] = 0.0
     near_scalars = sum(t.size * s.size for t, s in partition.near)

@@ -3,6 +3,7 @@ n >= 4 that the suite builds each size once per session."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hmaxwell import assemble_system, build_box_mesh
 
@@ -57,3 +58,20 @@ def truncation_residual():
         return res
 
     return get
+
+
+@pytest.fixture()
+def patch_getri(monkeypatch):
+    """patch_getri(wrap) makes scipy.linalg.get_lapack_funcs hand out
+    wrap(getri) in place of LAPACK's getri, for the rest of the test."""
+    get = scipy.linalg.get_lapack_funcs
+
+    def patch(wrap):
+        def patched(names, *args, **kwargs):
+            funcs = get(names, *args, **kwargs)
+            return tuple(wrap(f) if name == "getri" else f
+                         for name, f in zip(names, funcs))
+
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", patched)
+
+    return patch

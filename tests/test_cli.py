@@ -230,6 +230,14 @@ def test_numeric_guard_is_check_failure(tmp_path, capsys):
     assert "config error" not in err
 
 
+def test_getri_failure_is_check_failure(tmp_path, capsys, patch_getri):
+    """A nonzero getri info ends the run with exit 1, not a matrix."""
+    patch_getri(lambda getri: lambda *a, **k: (getri(*a, **k)[0], 1))
+    code = run_cli("rank-sweep", "--n", "2", "--out", str(tmp_path))
+    assert code == 1
+    assert "check failure: LAPACK getri failed (info 1)" in capsys.readouterr().err
+
+
 def test_rank_sweep_bound_violation_exits_1(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tolerances": {"bound_slack": -0.9999}}))
@@ -384,6 +392,33 @@ def test_verify_passes_end_to_end(tmp_path, capsys):
     payload = json.loads((tmp_path / "v" / "verify.json").read_text())
     assert payload["passed"] is True
     assert payload["failures"] == []
+
+
+def test_verify_check_order_and_pristine_transfer(tmp_path):
+    """verify.json lists its 14 checks in a fixed order, the bound before
+    the transfer identity, although the transfer check runs first: the
+    sweep consumes A^{-1}, and the transfer identity, which holds to
+    rounding only on the pristine inverse, reads 1e-14 at complex kappa."""
+    assert run_cli("verify", "--n", "3", "--n-leaf", "16", "--kappa-im", "0.5",
+                   "--out", str(tmp_path), "--name", "v") == 0
+    checks = json.loads((tmp_path / "v" / "verify.json").read_text())["checks"]
+    assert [c["name"] for c in checks] == [
+        "system matrix symmetric (exact)",
+        "discrete gradients lie in the curl kernel",
+        "partition tiles the index set exactly",
+        "commuting diagram on random tets",
+        "dual basis biorthogonality",
+        "dual norm h^(-1/2) scaling",
+        "block-to-global spectral bound",
+        "dual-basis transfer identity",
+        "local Helmholtz gradient orthogonality",
+        "local Helmholtz Pythagoras identity",
+        "gradient parts of harmonic columns are harmonic",
+        "harmonic space constraints (interior)",
+        "harmonic space constraints (boundary)",
+        "local exact sequence recovery"]
+    (transfer,) = [c for c in checks if c["name"] == "dual-basis transfer identity"]
+    assert transfer["measured"] <= 1e-12
 
 
 def test_verify_builds_the_gradient_once(tmp_path, monkeypatch):

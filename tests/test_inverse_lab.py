@@ -82,10 +82,12 @@ def test_dense_inverse_is_bitwise_symmetric(system_cache, kappa):
     assert (b == b.T).all()
 
 
-def test_dense_inverse_holds_two_dense_arrays(system_cache):
-    """The factor overwrites the densified A and the inverse overwrites
-    the identity: the traced peak stays near two N x N arrays."""
-    sysm = system_cache(5)
+def test_dense_inverse_holds_one_dense_array(system_cache):
+    """The factor overwrites the densified A and getri inverts the factor
+    in place: the traced peak stays near one N x N array. At n = 7
+    (N = 1,981) the residual guard's TILE-column chunks are small next to
+    it; solving into a separate identity peaks above two."""
+    sysm = system_cache(7)
     op = sparse_operator(sysm)
     perm = build_cluster_tree(sysm.mesh, sysm.dofmap).perm
     tracemalloc.start()
@@ -94,14 +96,24 @@ def test_dense_inverse_holds_two_dense_arrays(system_cache):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * binv.nbytes
+    assert binv.shape[0] == 1981
+    assert peak < 1.6 * binv.nbytes
+
+
+def corrupted(getri):
+    """getri whose inverse has one entry off by 1e-5."""
+    def bad(*args, **kwargs):
+        out, info = getri(*args, **kwargs)
+        out[5, 7] += 1e-5
+        return out, info
+    return bad
 
 
 @pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
-def test_dense_inverse_residual_guard(system_cache, kappa, monkeypatch):
+def test_dense_inverse_residual_guard(system_cache, kappa, patch_getri):
     """The sparse residual check rejects rounding-level residuals under an
     impossible limit, and at the default limit it catches a corrupted
-    solve, reporting the dense residual max |A sym(B) - I| of the permuted
+    getri, reporting the dense residual max |A sym(B) - I| of the permuted
     A and the matrix returned, sym(B) = (B + B^T)/2."""
     sysm = system_cache(3, kappa)
     op = sparse_operator(sysm)
@@ -110,20 +122,24 @@ def test_dense_inverse_residual_guard(system_cache, kappa, monkeypatch):
     with pytest.raises(ValueError, match="inverse residual"):
         dense_inverse(op, perm, residual_limit=1e-30)
 
-    solve = scipy.linalg.lu_solve
-
-    def corrupted(*args, **kwargs):
-        out = solve(*args, **kwargs)
-        out[5, 7] += 1e-5
-        return out
-
-    monkeypatch.setattr(scipy.linalg, "lu_solve", corrupted)
+    lu, piv = scipy.linalg.lu_factor(a)
+    (getri,) = scipy.linalg.get_lapack_funcs(("getri",), (lu,))
+    bad = corrupted(getri)(lu, piv)[0]
+    patch_getri(corrupted)
     with pytest.raises(ValueError, match="inverse residual") as info:
         dense_inverse(op, perm)
-    bad = corrupted(scipy.linalg.lu_factor(a), np.eye(a.shape[0], dtype=a.dtype))
     dense = np.abs(a @ ((bad + bad.T) / 2) - np.eye(a.shape[0])).max()
     reported = float(str(info.value).split()[2])
     assert reported == pytest.approx(dense, rel=1e-3)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
+def test_dense_inverse_rejects_getri_failure(system_cache, kappa, patch_getri):
+    """A nonzero getri info is an error, never a returned matrix."""
+    sysm = system_cache(3, kappa)
+    patch_getri(lambda getri: lambda *a, **k: (getri(*a, **k)[0], 1))
+    with pytest.raises(ValueError, match=r"getri failed \(info 1\)"):
+        dense_inverse(sparse_operator(sysm), np.arange(sysm.n_dofs))
 
 
 def test_dense_inverse_rejects_near_singular(mesh_cache):
@@ -137,12 +153,25 @@ def test_dense_inverse_rejects_near_singular(mesh_cache):
         dense_inverse(sparse_operator(sick), np.arange(sick.n_dofs))
 
 
-def test_rank_sweep_errors_match_exact_svd(lab3):
+def test_rank_sweep_errors_match_exact_svd(lab3, monkeypatch):
+    """The rows match LAPACK, and the sweep consumes its input: on return
+    it is the last matrix whose norm was taken, E_{r_max}, zero on every
+    near block and bitwise symmetric."""
     _, part, binv = lab3
     r_list = [0, 1, 2, 4, 8]
-    before = binv.copy()
-    rows = rank_sweep(binv, part, r_list)
-    assert np.array_equal(binv, before)  # the sweep works on a copy
+    seen = []
+
+    def spy(mat, *args, **kwargs):
+        seen.append(mat.copy())
+        return spectral_norm(mat, *args, **kwargs)
+
+    monkeypatch.setattr(inverse_lab, "spectral_norm", spy)
+    work = binv.copy()
+    rows = rank_sweep(work, part, r_list)
+    monkeypatch.undo()
+    assert np.array_equal(work, seen[-1])
+    assert all((work[t.span, s.span] == 0).all() for t, s in part.near)
+    assert (work == work.T).all()
     assert [row.r for row in rows] == sorted(r_list)
     norm_b = np.linalg.norm(binv, 2)
     for row in rows:
@@ -178,7 +207,7 @@ def test_rank_sweep_norm_is_exact_residual_norm(system_cache, kappa,
         part = build_block_partition(
             build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16), eta=2.0)
         binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
-        rows = rank_sweep(binv, part, [0, 1, 2, 4, 8])
+        rows = rank_sweep(binv.copy(), part, [0, 1, 2, 4, 8])
         for row in rows:
             res = truncation_residual(binv, part, row.r)
             exact = np.linalg.norm(res, 2)
@@ -220,7 +249,7 @@ def test_incremental_sweep_matches_scattered_residual(system_cache, n, kappa):
     svds = far_svds(binv, part, binv.shape[0])[0]  # every factor column
     r_list = [8, 0, 2, 2, 40]
     assert min(sv.size for _, sv, _ in svds) < 40
-    rows = rank_sweep(binv, part, r_list)
+    rows = rank_sweep(binv.copy(), part, r_list)
     assert [row.r for row in rows] == sorted(r_list)
     for row in rows:
         err, sig, bound, scalars, fro = reference_sweep_row(binv, part, svds,
@@ -251,7 +280,7 @@ def test_every_sweep_error_is_bitwise_symmetric(system_cache, kappa,
         return spectral_norm(mat, *args, **kwargs)
 
     monkeypatch.setattr(inverse_lab, "spectral_norm", spy)
-    rows = rank_sweep(binv, part, [8, 0, 2, 2, 40])
+    rows = rank_sweep(binv.copy(), part, [8, 0, 2, 2, 40])
     assert np.array_equal(seen[0], binv) and len(seen) == len(rows) + 1
     svds = far_svds(binv, part, binv.shape[0])[0]
     scale = np.abs(binv).max()
@@ -302,14 +331,35 @@ def test_single_far_block_on_the_diagonal(mesh_cache):
     assert [(t.id, s.id) for t, s in part.far] == [(0, 0)]
     binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
     assert far_svds(binv, part, 1)[1] == [None]
-    rows = rank_sweep(binv, part, [0, 1])
+    rows = rank_sweep(binv.copy(), part, [0, 1])
     assert rows[0].abs_err == abs(binv[0, 0]) and rows[1].abs_err == 0.0
     assert all(row.converged and row.products == 0 for row in rows)
 
 
+def test_rank_sweep_adds_no_dense_array(system_cache):
+    """The sweep works in its input's storage: at n = 6 (N = 1,206) its
+    traced peak above the input stays below the far-block factors plus half
+    an inverse; a copy of the input would add a whole one."""
+    sysm = system_cache(6)
+    part = build_block_partition(
+        build_cluster_tree(sysm.mesh, sysm.dofmap), eta=2.0)
+    binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
+    ranks = [1, 2, 4, 8, 12, 16, 20]
+    factors = sum(u.nbytes + sv.nbytes + vh.nbytes
+                  for u, sv, vh in far_svds(binv, part, max(ranks))[0])
+    tracemalloc.start()
+    try:
+        rank_sweep(binv, part, ranks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert binv.shape[0] == 1206
+    assert peak < factors + 0.5 * binv.nbytes
+
+
 def test_rank_zero_error_is_far_part_norm(lab3):
     _, part, binv = lab3
-    rows = rank_sweep(binv, part, [0])
+    rows = rank_sweep(binv.copy(), part, [0])
     far_part = np.zeros_like(binv)
     for t, s in part.far:
         far_part[t.span, s.span] = binv[t.span, s.span]
