@@ -350,10 +350,10 @@ def cmd_block_svd(run: Runner, cfg: dict) -> int:
     p3 = write_json(run.path("hmatrix.json"), hmatrix_manifest(h))
     p4 = write_json(run.path("partition.json"), partition_to_dict(partition))
     paths = [p1, p2, p3, p4]
-    for i, blk in enumerate(h.far):
+    for i, blk in enumerate(h.far):  # C-order X, Fortran-order Y, views or not
         px, py = run.path(f"block{i:03d}_X.npy"), run.path(f"block{i:03d}_Y.npy")
-        np.save(px, blk.X)
-        np.save(py, blk.Y)
+        np.save(px, np.ascontiguousarray(blk.X))
+        np.save(py, np.asfortranarray(blk.Y))
         paths.extend([px, py])
     print(f"{len(blocks)} admissible blocks, largest "
           f"{largest['rows']}x{largest['cols']}, factors stored at rank {rank}")
@@ -457,6 +457,7 @@ def cmd_verify(run: Runner, cfg: dict) -> int:
                               seed=cfg["seed"])
     run.phase("sweep")
     rows = rank_sweep(binv, partition, cfg["ranks"], seed=cfg["seed"])
+    del binv  # now E_{r_max}, which no later phase reads: free it
     results += [check_bound(rows, len(partition.far), tol["bound_slack"]),
                 transfer]
     run.phase("harmonic")

@@ -4,8 +4,8 @@ Far (admissible) blocks hold truncated-SVD factors X Y^H with orthonormal
 columns in X, which is the spectral-norm-optimal rank-r approximation of the
 block. Near blocks are stored dense and exactly. The format supports matvec
 and its conjugate transpose. The far-block SVDs come from one pass,
-far_svds, with one SVD per mirrored pair: a block that is the bitwise
-transpose of its partner takes the partner's transposed factors. Every
+far_svds, with one SVD and one factor copy per mirrored pair: the mirror
+block views its partner's factors through transposes. Every
 spectral norm in the package, of a dense matrix or of the approximation
 error against a dense source, comes from one Lanczos helper, spectral_norm:
 eigsh on a bitwise-symmetric matrix (through the real symmetric Takagi map
@@ -61,22 +61,22 @@ def truncated_svd(block: np.ndarray, rank: int):
 
 def far_svds(dense: np.ndarray, partition: BlockPartition, rank: int):
     """(svds, mirror): svds holds (U[:, :rank], every sigma, V^H[:rank]) of
-    each far block of dense, in partition.far order, the factors as owned
-    copies: the one SVD pass that compression, rank sweeps and decay reports
-    share.
+    each far block of dense, in partition.far order: the one SVD pass that
+    compression, rank sweeps and decay reports share.
 
-    One SVD per mirrored pair: mirror[i] is the index of the far block whose
-    slice is the bitwise transpose of block i, for the block with the larger
-    tau.id of each such pair, and None for every other block. A mirror takes
-    the transposed factors U' = (V^H)^T and V'^H = U^T of its partner's SVD.
+    One SVD and one copy of the factors per mirrored pair: mirror[i] is the
+    index of the far block whose slice is the bitwise transpose of block i,
+    for the block with the larger tau.id of each such pair, and None for
+    every other block. A mirror's U' = (V^H)^T and V'^H = U^T are views of
+    its partner's arrays, so a write to the partner's reaches the mirror.
     Every other block, as in a non-symmetric dense, is factored on its own."""
     mirror = _mirror_index(dense, partition)
-    out = [None if j is not None else _svd(dense, ts, rank)
-           for ts, j in zip(partition.far, mirror)]
+    out = [None if j is not None else _svd(dense, t, s, rank)
+           for (t, s), j in zip(partition.far, mirror)]
     for i, j in enumerate(mirror):
         if j is not None:
             u, sv, vh = out[j]
-            out[i] = (vh.T.copy(), sv, u.T.copy())
+            out[i] = (vh.T, sv, u.T)
     return out, mirror
 
 
@@ -95,8 +95,7 @@ def _mirror_index(dense: np.ndarray, partition: BlockPartition) -> list:
     return out
 
 
-def _svd(dense: np.ndarray, pair, rank: int):
-    t, s = pair
+def _svd(dense: np.ndarray, t, s, rank: int):
     try:
         u, sv, vh = np.linalg.svd(dense[t.span, s.span], full_matrices=False)
     except np.linalg.LinAlgError as exc:

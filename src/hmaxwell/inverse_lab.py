@@ -94,20 +94,20 @@ def rank_sweep(binv: np.ndarray, partition: BlockPartition, r_list,
     consumes binv: on return it holds E_{r_max} for the largest rank swept.
     A caller that needs A^{-1} afterwards passes a copy.
 
-    The error E_r = A^{-1} - B_H is zero on near blocks and equals
-    U[:, r:] Sigma[r:] V^H[r:] on each far block. ||A^{-1}||_2 and the
-    far-block SVDs, one per mirrored pair (hmatrix.far_svds), are taken
-    first; then binv itself becomes E_0 by zeroing its near blocks, and the
-    step from rank r' to r subtracts U[:, r':r] Sigma V^H[r':r] from each
-    far block's slice in place (a block whose rank reaches its size is
-    zeroed), so the sweep adds no N x N array. A block that mirrors its
-    partner bitwise is not updated on its own: it receives the transpose of
-    the partner's updated slice, so for the bitwise-symmetric inverse of
+    E_r = A^{-1} - B_H is zero on near blocks and U[:, r:] Sigma[r:] V^H[r:]
+    on each far block. ||A^{-1}||_2 and the far-block SVDs, one per mirrored
+    pair (hmatrix.far_svds), come first. Sigma is folded into each owned U
+    in place; a mirror's V^H is a view of its partner's U, so the scaling
+    reaches it too, and no mirror factor is read after it. Then binv becomes
+    E_0 by zeroing its near blocks, and the step from rank r' to r subtracts
+    U[:, r':r] Sigma V^H[r':r] from each far block's slice in place (zeroing
+    a block whose rank reaches its size), so the sweep adds no N x N array.
+    A mirror is not updated on its own: it receives the transpose of its
+    partner's updated slice, so for the bitwise-symmetric inverse of
     dense_inverse every E_r is bitwise symmetric, and B_H picks the same
-    subspace in both blocks of a tie. ||E_r||_2 and ||A^{-1}||_2 come from
-    spectral_norm (a symmetric Lanczos norm on such input, never above the
-    true norm), whose start vector is drawn from seed. Each row carries its
-    bound value; checks.check_bound judges it.
+    subspace in both blocks of a tie. Both norms come from spectral_norm
+    (symmetric Lanczos on such input, never above the true norm, started
+    from seed). checks.check_bound judges each row's bound value.
     """
     norm_b, conv_b, _ = spectral_norm(binv, seed=seed)
     scale = sparsity_constant(partition) * (partition.tree.depth + 1)
@@ -115,8 +115,8 @@ def rank_sweep(binv: np.ndarray, partition: BlockPartition, r_list,
     r_max = ranks[-1] if ranks else 0
     svds, mirror = far_svds(binv, partition, r_max)
     mirrored = {j for j in mirror if j is not None}
-    # per far block U Sigma, in place (a mirror's factors are never read),
-    # and tail[k] = sum_{j >= k} sigma_j^2
+    # U Sigma in place on each owned U (a mirror's V^H views it, and no
+    # mirror factor is read), and tail[k] = sum_{j >= k} sigma_j^2
     for i, (u, sv, vh) in enumerate(svds):
         if mirror[i] is None:
             u *= sv[:r_max]

@@ -6,6 +6,7 @@ entry point.
 """
 
 import csv
+import gc
 import importlib
 import importlib.util
 import json
@@ -15,6 +16,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -421,6 +423,27 @@ def test_verify_check_order_and_pristine_transfer(tmp_path):
     assert transfer["measured"] <= 1e-12
 
 
+def test_verify_frees_the_swept_inverse(tmp_path, monkeypatch):
+    """The sweep leaves E_{r_max} in the inverse's storage, and no later
+    phase reads it: verify lets go of it before the harmonic phase."""
+    refs = []
+
+    def spy(binv, *args, _fn=cli.rank_sweep, **kwargs):
+        refs.append(weakref.ref(binv))
+        return _fn(binv, *args, **kwargs)
+
+    def harmonic_phase(*args, _fn=cli.check_helmholtz, **kwargs):
+        gc.collect()
+        assert refs and refs[0]() is None, "the swept inverse is still held"
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "rank_sweep", spy)
+    monkeypatch.setattr(cli, "check_helmholtz", harmonic_phase)
+    assert run_cli("verify", "--n", "3", "--n-leaf", "16", "--ranks", "1,2",
+                   "--out", str(tmp_path)) == 0
+    assert len(refs) == 1
+
+
 def test_verify_builds_the_gradient_once(tmp_path, monkeypatch):
     """verify builds the whole-mesh nodal space and its gradient once and
     hands G to both checks that use it."""
@@ -483,6 +506,26 @@ def test_block_svd_stores_factors(tmp_path):
     got = np.array([float(line.split(",")[1]) for line in table[1:]])
     assert [int(line.split(",")[0]) for line in table[1:]] == list(range(want.size))
     assert np.abs(got - want).max() <= 1e-12 * want[0]
+    # the file format: X in C order with orthonormal columns, Y in Fortran
+    # order, and a mirror's X Y^H is its partner's transposed
+    products = []
+    for i in range(len(blocks["blocks"])):
+        x, y = (np.load(outdir / f"block{i:03d}_{key}.npy") for key in "XY")
+        for key, want_order in (("X", False), ("Y", True)):
+            with open(outdir / f"block{i:03d}_{key}.npy", "rb") as f:
+                assert np.lib.format.read_magic(f) == (1, 0)
+                _, order, _ = np.lib.format.read_array_header_1_0(f)
+            assert order is want_order
+        assert np.abs(x.conj().T @ x - np.eye(x.shape[1])).max() <= 1e-12
+        products.append(x @ y.conj().T)
+    where = {(blk["tau"], blk["sigma"]): i
+             for i, blk in enumerate(blocks["blocks"])}
+    pairs = [(i, where[s, t]) for (t, s), i in where.items()
+             if t > s and (s, t) in where]
+    assert pairs
+    for i, j in pairs:
+        scale = np.abs(products[j]).max()
+        assert np.abs(products[i] - products[j].T).max() <= 1e-12 * scale
 
 
 def test_no_far_blocks_is_reported_as_such(tmp_path, capsys):

@@ -295,7 +295,8 @@ def test_mirrored_far_svds_truncate_every_block(system_cache, kappa,
                                                 monkeypatch):
     """One LAPACK SVD per mirrored pair, and every block's factors, the
     mirrors' transposed ones included, give orthonormal U, the block's
-    singular values and LAPACK's rank-r truncation error to 1e-12."""
+    singular values and LAPACK's rank-r truncation error to 1e-12. A
+    mirror's U' and V'^H are views of its partner's V^H and U, no copies."""
     sysm = system_cache(4, kappa)
     part = build_block_partition(
         build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16), eta=2.0)
@@ -309,9 +310,12 @@ def test_mirrored_far_svds_truncate_every_block(system_cache, kappa,
     assert [(t.id, s.id) for (t, s), j in zip(part.far, mirror)
             if j is not None] == [(t.id, s.id) for t, s in part.far
                                   if t.id > s.id]
-    for (t, s), j in zip(part.far, mirror):
+    for (t, s), j, (u, sv, vh) in zip(part.far, mirror, svds):
         if j is not None:
             assert (part.far[j][0].id, part.far[j][1].id) == (s.id, t.id)
+            pu, psv, pvh = svds[j]
+            assert np.shares_memory(u, pvh) and np.shares_memory(vh, pu)
+            assert sv is psv
     for (t, s), (u, sv, vh) in zip(part.far, svds):
         block = binv[t.span, s.span]
         want = svdvals(block)
@@ -336,17 +340,40 @@ def test_single_far_block_on_the_diagonal(mesh_cache):
     assert all(row.converged and row.products == 0 for row in rows)
 
 
+def test_far_svds_hold_one_copy_per_mirrored_pair(system_cache):
+    """far_svds keeps one copy of each mirrored pair's factors: at n = 6 the
+    memory it still holds on return stays within 1.25 x the bytes of the
+    owned entries' factors (sigmas included); transposed copies for the
+    mirrors would roughly double it."""
+    sysm = system_cache(6)
+    part = build_block_partition(
+        build_cluster_tree(sysm.mesh, sysm.dofmap), eta=2.0)
+    binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
+    tracemalloc.start()
+    try:
+        svds, mirror = far_svds(binv, part, 20)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert any(j is not None for j in mirror)
+    owned = sum(u.nbytes + sv.nbytes + vh.nbytes
+                for (u, sv, vh), j in zip(svds, mirror) if j is None)
+    assert held <= 1.25 * owned
+
+
 def test_rank_sweep_adds_no_dense_array(system_cache):
     """The sweep works in its input's storage: at n = 6 (N = 1,206) its
     traced peak above the input stays below the far-block factors plus half
-    an inverse; a copy of the input would add a whole one."""
+    an inverse; a copy of the input would add a whole one. Each factor
+    array counts once: a mirror's factors are views of its partner's."""
     sysm = system_cache(6)
     part = build_block_partition(
         build_cluster_tree(sysm.mesh, sysm.dofmap), eta=2.0)
     binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
     ranks = [1, 2, 4, 8, 12, 16, 20]
+    svds, mirror = far_svds(binv, part, max(ranks))
     factors = sum(u.nbytes + sv.nbytes + vh.nbytes
-                  for u, sv, vh in far_svds(binv, part, max(ranks))[0])
+                  for (u, sv, vh), j in zip(svds, mirror) if j is None)
     tracemalloc.start()
     try:
         rank_sweep(binv, part, ranks)
