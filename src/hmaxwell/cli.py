@@ -327,18 +327,18 @@ def cmd_block_svd(run: Runner, cfg: dict) -> int:
         return 0
     run.phase("svd")
     rank = max(cfg["ranks"])
-    svds, _ = far_svds(binv, partition, rank)
+    factors, _ = far_svds(binv, partition, rank)
     blocks = [{"tau": t.id, "sigma": s.id, "rows": t.size, "cols": s.size,
                "sigma_head": sv[:8],
                "fit": fit_decay(np.arange(1, sv.size + 1), sv)}
-              for (t, s), (_, sv, _) in zip(partition.far, svds)]
-    h = compress_dense(binv, partition, rank, svds)
+              for (t, s), (_, sv, _) in zip(partition.far, factors)]
+    h = compress_dense(binv, partition, rank, factors)
     run.phase("write")
     big = max(range(len(blocks)),
               key=lambda i: min(blocks[i]["rows"], blocks[i]["cols"]))
     largest = {key: blocks[big][key] for key in ("tau", "sigma", "rows", "cols")}
     p1 = write_csv(run.path("block_sigmas.csv"), ["k", "sigma"],
-                   list(enumerate(svds[big][1])))
+                   list(enumerate(factors[big][1])))
     p2 = write_json(run.path("blocks.json"), {
         "n": mesh.n,
         "N": system.n_dofs,
@@ -350,7 +350,7 @@ def cmd_block_svd(run: Runner, cfg: dict) -> int:
     p3 = write_json(run.path("hmatrix.json"), hmatrix_manifest(h))
     p4 = write_json(run.path("partition.json"), partition_to_dict(partition))
     paths = [p1, p2, p3, p4]
-    for i, blk in enumerate(h.far):  # C-order X, Fortran-order Y, views or not
+    for i, blk in enumerate(h.far):  # files in C-order X, Fortran-order Y
         px, py = run.path(f"block{i:03d}_X.npy"), run.path(f"block{i:03d}_Y.npy")
         np.save(px, np.ascontiguousarray(blk.X))
         np.save(py, np.asfortranarray(blk.Y))

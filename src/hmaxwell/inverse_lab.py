@@ -12,8 +12,8 @@ A = A^T with no conjugate, for real and complex kappa, and the sweep uses
 it end to end: dense_inverse returns a bitwise-symmetric A^{-1}, the far
 blocks take one SVD per mirrored pair, each E_r is updated on one block of
 a pair and copied transposed into the other, so it is bitwise symmetric
-(and B_H = B_H^T), and its norm is a symmetric Lanczos norm (eigsh, on the
-Takagi map for complex kappa) whose Ritz value stays <= ||E_r||_2.
+(and B_H = B_H^T), and its norm is hmatrix.spectral_norm, a symmetric
+Lanczos norm whose Ritz value stays <= ||E_r||_2.
 
 One N x N array serves from factorization to the last norm: dense_inverse
 inverts the LU factor in place, and rank_sweep overwrites that inverse
@@ -96,31 +96,26 @@ def rank_sweep(binv: np.ndarray, partition: BlockPartition, r_list,
 
     E_r = A^{-1} - B_H is zero on near blocks and U[:, r:] Sigma[r:] V^H[r:]
     on each far block. ||A^{-1}||_2 and the far-block SVDs, one per mirrored
-    pair (hmatrix.far_svds), come first. Sigma is folded into each owned U
-    in place; a mirror's V^H is a view of its partner's U, so the scaling
-    reaches it too, and no mirror factor is read after it. Then binv becomes
-    E_0 by zeroing its near blocks, and the step from rank r' to r subtracts
-    U[:, r':r] Sigma V^H[r':r] from each far block's slice in place (zeroing
-    a block whose rank reaches its size), so the sweep adds no N x N array.
-    A mirror is not updated on its own: it receives the transpose of its
-    partner's updated slice, so for the bitwise-symmetric inverse of
-    dense_inverse every E_r is bitwise symmetric, and B_H picks the same
-    subspace in both blocks of a tie. Both norms come from spectral_norm
-    (symmetric Lanczos on such input, never above the true norm, started
-    from seed). checks.check_bound judges each row's bound value.
+    pair (hmatrix.far_svds), come first, and the factors are only read.
+    Then binv becomes E_0 by zeroing its near blocks, and the step from rank
+    r' to r subtracts (U[:, r':r] Sigma[r':r]) V^H[r':r] from each far
+    block's slice in place (zeroing a block whose rank reaches its size), so
+    the sweep adds no N x N array. A mirror is not updated on its own: it
+    receives the transpose of its partner's updated slice, so for the
+    bitwise-symmetric inverse of dense_inverse every E_r is bitwise
+    symmetric, and B_H picks the same subspace in both blocks of a tie. Both
+    norms come from spectral_norm (symmetric Lanczos, never above the true
+    norm, started from seed). checks.check_bound judges each row's bound
+    value.
     """
     norm_b, conv_b, _ = spectral_norm(binv, seed=seed)
     scale = sparsity_constant(partition) * (partition.tree.depth + 1)
     ranks = sorted(int(r) for r in r_list)
     r_max = ranks[-1] if ranks else 0
-    svds, mirror = far_svds(binv, partition, r_max)
+    factors, mirror = far_svds(binv, partition, r_max)
     mirrored = {j for j in mirror if j is not None}
-    # U Sigma in place on each owned U (a mirror's V^H views it, and no
-    # mirror factor is read), and tail[k] = sum_{j >= k} sigma_j^2
-    for i, (u, sv, vh) in enumerate(svds):
-        if mirror[i] is None:
-            u *= sv[:r_max]
-        svds[i] = (u, vh, sv, np.append(np.cumsum(sv[::-1] ** 2)[::-1], 0.0))
+    # tails[i][k] = sum_{j >= k} sigma_j^2 of far block i
+    tails = [np.append(np.cumsum(sv[::-1] ** 2)[::-1], 0.0) for _, sv, _ in factors]
     err = binv  # E_0 overwrites the inverse
     for t, s in partition.near:
         err[t.span, s.span] = 0.0
@@ -129,15 +124,15 @@ def rank_sweep(binv: np.ndarray, partition: BlockPartition, r_list,
     for r in ranks:
         sig_next = fro2 = 0.0
         scalars = near_scalars
-        for i, ((t, s), (us, vh, sv, tail)) in enumerate(zip(partition.far,
-                                                              svds)):
+        for i, ((t, s), (u, sv, vh), tail) in enumerate(zip(partition.far,
+                                                             factors, tails)):
             k, k_prev = min(r, sv.size), min(r_prev, sv.size)
             if k > k_prev and mirror[i] is None:
                 block = err[t.span, s.span]
                 if k == sv.size:
                     block[...] = 0.0
                 else:
-                    block -= us[:, k_prev:k] @ vh[k_prev:k]
+                    block -= (u[:, k_prev:k] * sv[k_prev:k]) @ vh[k_prev:k]
                 if i in mirrored:
                     err[s.span, t.span] = block.T
             scalars += k * (t.size + s.size)

@@ -116,8 +116,8 @@ def test_criterion_3_eckart_young():
         if trial % 3 == 0:
             a = a + 1j * rng.standard_normal((m, n))
         r = int(rng.integers(0, min(m, n)))
-        x, y, s = truncated_svd(a, r)
-        err = np.linalg.norm(a - x @ y.conj().T, 2)
+        u, s, vh = truncated_svd(a, r)
+        err = np.linalg.norm(a - (u * s[:r]) @ vh, 2)
         sigma = s[r] if r < len(s) else 0.0
         worst = max(worst, abs(err - sigma))
     report(3, worst <= 1e-10, f"max |error - sigma_(r+1)| = {worst:.3e} "

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,14 @@ from hmaxwell.checks import (
     check_dual_biorthogonality,
     check_dual_norm_scaling,
     check_gradient_kernel,
+    check_gradient_part,
     check_symmetry,
     default_tolerances,
 )
 from hmaxwell.fem import build_nodal_space, discrete_gradient, dual_basis
+from hmaxwell.harmonic import (default_pairs, gradient_part_harmonic_check,
+                               harmonic_space)
+from hmaxwell.hmatrix import TILE
 from hmaxwell.inverse_lab import SweepRow
 from hmaxwell.report import (
     RunManifest,
@@ -212,3 +217,26 @@ def test_svg_plot_with_fit_overlay(tmp_path):
     svg_decay_plot(path, rs, errs, fit=fit)
     body = path.read_text()
     assert "exp" in body  # legend mentions the exponential fit
+
+
+def test_gradient_part_check_works_tile_columns_at_a_time(system_cache):
+    """check_gradient_part scatters and checks the harmonic columns TILE at
+    a time: at n = 7 (N = 1,981 and 998 columns, four tiles) its traced peak
+    stays below two N x m blocks, where one block of all columns peaks near
+    five, and its worst equals the one-block check's bitwise."""
+    sysm = system_cache(7)
+    space = harmonic_space(sysm, default_pairs(sysm.mesh.length)["interior"].outer,
+                           "curl")
+    m = space.local_basis.shape[1]
+    assert m > 2 * TILE
+    block = np.zeros((sysm.n_dofs, m), dtype=space.local_basis.dtype)
+    block[space.dofs] = space.local_basis
+    want = gradient_part_harmonic_check(sysm, space.region, space.tets, block)
+    tracemalloc.start()
+    try:
+        res = check_gradient_part(sysm, space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.passed and res.measured == want
+    assert peak < 2 * block.nbytes

@@ -16,6 +16,7 @@ from hmaxwell import (
     to_dense,
     truncated_svd,
 )
+from hmaxwell import hmatrix
 from hmaxwell.fem import build_dof_map
 from hmaxwell.hmatrix import hmatrix_manifest
 
@@ -39,14 +40,14 @@ def test_truncated_svd_is_eckart_young():
             a = a + 1j * rng.standard_normal((m, n))
         sv = svdvals(a)
         for r in (0, 1, 3, min(m, n)):
-            x, y, s = truncated_svd(a, r)
+            u, s, vh = truncated_svd(a, r)
             assert np.allclose(s, sv, atol=1e-12)
-            err = np.linalg.norm(a - x @ y.conj().T, 2)
+            err = np.linalg.norm(a - (u * s[:r]) @ vh, 2)
             expect = sv[r] if r < sv.size else 0.0
             assert abs(err - expect) < 1e-10
-            # X has orthonormal columns
-            k = x.shape[1]
-            assert np.allclose(x.conj().T @ x, np.eye(k), atol=1e-12)
+            # U has orthonormal columns
+            k = u.shape[1]
+            assert np.allclose(u.conj().T @ u, np.eye(k), atol=1e-12)
 
 
 def test_compress_far_blocks_optimal_near_blocks_verbatim(small_partition, rng):
@@ -85,10 +86,10 @@ def test_spectral_error_matches_exact_norm(small_partition, rng):
     a = rng.standard_normal((n, n))
     for r in (1, 4):
         h = compress_dense(a, part, rank=r)
-        est, converged = spectral_error(a, h, tol=1e-8, max_iter=2000)
+        est, converged = spectral_error(a, h)
         exact = np.linalg.norm(a - to_dense(h), 2)
         assert converged
-        assert abs(est - exact) < 1e-6 * exact
+        assert abs(est - exact) <= 1e-12 * exact
 
 
 def test_spectral_error_zero_for_exact_representation(small_partition):
@@ -107,40 +108,46 @@ def test_spectral_error_zero_for_exact_representation(small_partition):
     assert spectral_error(one, compress_dense(one, part1, rank=0)) == (2.5, True)
 
 
-def test_spectral_norm_reports_arpack_convergence(rng):
-    a = rng.standard_normal((60, 40)) + 1j * rng.standard_normal((60, 40))
+def test_spectral_norm_reports_arpack_convergence(rng, monkeypatch):
+    g = rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60))
+    a = g + g.T  # complex symmetric: the Takagi path
     est, converged, products = spectral_norm(a, seed=5)
     assert converged and products > 0
     assert abs(est - np.linalg.norm(a, 2)) <= 1e-12 * est
     # fixed start vector
     assert spectral_norm(a, seed=5) == (est, converged, products)
-    est, converged, _ = spectral_norm(a, max_iter=1)
+    monkeypatch.setattr(hmatrix, "ARPACK_MAX_ITER", 1)
+    est, converged, _ = spectral_norm(a, seed=5)
     assert not converged and np.isnan(est)
 
 
 def test_spectral_norm_picks_lanczos_by_symmetry(rng, monkeypatch):
-    """A bitwise-symmetric square input goes to eigsh (through the Takagi
-    map when complex); any other input, one ulp off symmetric included,
-    goes to svds. Every path matches the LAPACK 2-norm to 1e-12."""
+    """A bitwise-symmetric square input goes to eigsh, through the Takagi
+    map when complex, and matches the LAPACK 2-norm to 1e-12. Any other
+    input raises ValueError: one ulp off symmetric, a general matrix, a
+    Hermitian one and a non-square one."""
     import scipy.sparse.linalg as sla
 
     used = []
-    for name in ("eigsh", "svds"):
-        monkeypatch.setattr(sla, name, lambda *a, _f=getattr(sla, name),
-                            _name=name, **k: used.append(_name) or _f(*a, **k))
+    eigsh = sla.eigsh
+    monkeypatch.setattr(sla, "eigsh",
+                        lambda *a, **k: used.append("eigsh") or eigsh(*a, **k))
     n = 300  # more than one 256 x 256 tile
     g = rng.standard_normal((n, n))
     c = g + 1j * rng.standard_normal((n, n))
-    off = g + g.T
-    off[3, 290] = np.nextafter(off[3, 290], np.inf)
-    cases = [(g + g.T, "eigsh"), (c + c.T, "eigsh"), (off, "svds"),
-             (g, "svds"), (c + c.conj().T, "svds"), (g[:, :250], "svds")]
-    for mat, path in cases:
+    for mat in (g + g.T, c + c.T):
         used.clear()
         est, converged, products = spectral_norm(mat, seed=2)
-        assert used == [path]
+        assert used == ["eigsh"]
         assert converged and products > 0
         assert abs(est - np.linalg.norm(mat, 2)) <= 1e-12 * est
+    off = g + g.T
+    off[3, 290] = np.nextafter(off[3, 290], np.inf)
+    used.clear()
+    for mat in (off, g, c + c.conj().T, g[:, :250]):
+        with pytest.raises(ValueError, match="symmetric"):
+            spectral_norm(mat, seed=2)
+    assert used == []
 
 
 def test_manifest_structure(small_partition, rng):

@@ -384,6 +384,28 @@ def test_rank_sweep_adds_no_dense_array(system_cache):
     assert peak < factors + 0.5 * binv.nbytes
 
 
+@pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
+def test_rank_sweep_only_reads_the_far_factors(system_cache, kappa,
+                                               monkeypatch):
+    """Every array far_svds hands the sweep, a mirror's views included, is
+    bitwise the same after the sweep as when far_svds returned it."""
+    sysm = system_cache(4, kappa)
+    part = build_block_partition(
+        build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16), eta=2.0)
+    binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
+    handed = []
+
+    def spy(*args, **kwargs):
+        svds, mirror = far_svds(*args, **kwargs)
+        handed.extend((arr, arr.copy()) for entry in svds for arr in entry)
+        return svds, mirror
+
+    monkeypatch.setattr(inverse_lab, "far_svds", spy)
+    rank_sweep(binv, part, [1, 2, 4, 8])
+    assert len(handed) == 3 * len(part.far)
+    assert all(np.array_equal(arr, before) for arr, before in handed)
+
+
 def test_rank_zero_error_is_far_part_norm(lab3):
     _, part, binv = lab3
     rows = rank_sweep(binv.copy(), part, [0])

@@ -1,6 +1,6 @@
 """Source hygiene of the package, read with ast: every top-level import is
-used by its module, and every module-level private name is used somewhere
-in src/."""
+used by its module, every module-level private name is used somewhere in
+src/, and every public name of the lab modules is read outside tests."""
 
 import ast
 from pathlib import Path
@@ -54,8 +54,8 @@ def test_every_top_level_import_is_used():
     assert not unused, unused
 
 
-def private_definitions(tree):
-    """Module-level _names bound by def, class or assignment (no dunders)."""
+def definitions(tree):
+    """(name, line) per module-level name bound by def, class or assignment."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -66,8 +66,7 @@ def private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node.lineno
+            yield name, node.lineno
 
 
 def test_every_private_module_name_is_used():
@@ -81,5 +80,38 @@ def test_every_private_module_name_is_used():
             elif isinstance(node, ast.ImportFrom):
                 reads.update(alias.name for alias in node.names)
     dead = [f"{name}:{line} {priv}" for name, tree in MODULES.items()
-            for priv, line in private_definitions(tree) if priv not in reads]
+            for priv, line in definitions(tree)
+            if priv.startswith("_") and not priv.startswith("__")
+            and priv not in reads]
     assert not dead, dead
+
+
+def read_names(tree):
+    """Every bare name and attribute name the module reads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_public_name_of_the_lab_modules_is_read():
+    """A public module-level name of hmatrix or inverse_lab is read in src/
+    (re-exports in __init__.py do not count), in demos/, or is a function
+    bench/tracing.py wraps; anything else is API that only tests call."""
+    root = SRC.parents[1]
+    reads = set()
+    for name, tree in MODULES.items():
+        if name != "__init__.py":
+            reads |= read_names(tree)
+    for path in sorted((root / "demos").glob("*.py")):
+        reads |= read_names(ast.parse(path.read_text(encoding="utf-8")))
+    tracing = ast.parse((root / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    targets = next(ast.literal_eval(node.value) for node in tracing.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["SPAN_TARGETS"])
+    reads.update(fn for _, names in targets.values() for fn in names)
+    unread = [f"{module}:{line} {name}"
+              for module in ("hmatrix.py", "inverse_lab.py")
+              for name, line in definitions(MODULES[module])
+              if not name.startswith("_") and name not in reads]
+    assert not unread, unread
