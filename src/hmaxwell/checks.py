@@ -20,7 +20,7 @@ from .harmonic import (BoxRegion, HarmonicSpace, exact_sequence_recover,
 from .hmatrix import TILE
 from .inverse_lab import theorem_transfer_check
 from .mesh import build_box_mesh
-from .whitney import TetElement, make_polynomial_field
+from .whitney import commuting_residual, polynomial_field
 
 COMMUTING_TETS = 50      # random tets per commuting-diagram check
 COMMUTING_DEGREE = 3     # total degree of the random polynomial fields
@@ -78,35 +78,31 @@ def check_gradient_kernel(system: GalerkinSystem, grad, tol: float = 1e-12,
     return CheckResult(name, worst <= tol, worst, tol)
 
 
-def random_tet(rng) -> np.ndarray:
-    """Four random points in the unit cube, rejected until well-shaped
-    (|det| of the edge vectors at least 0.05)."""
-    while True:
+def commuting_sample(seed: int = 0):
+    """check_commuting's (coords (T, 4, 3), exps (M, 3), coef (T, 3, M)),
+    monomials of degree <= COMMUTING_DEGREE sorted. Per tet: 4 points in the
+    unit cube until |det(edges)| >= 0.05, then the 3 x M coefficients."""
+    exps = np.array([e for e in np.ndindex((COMMUTING_DEGREE + 1,) * 3)
+                     if sum(e) <= COMMUTING_DEGREE])
+    rng = np.random.default_rng(seed)
+    coords, coef = [], []
+    for _ in range(COMMUTING_TETS):
         pts = rng.random((4, 3))
-        if abs(np.linalg.det(pts[1:] - pts[0])) >= 0.05:
-            return pts
-
-
-def random_poly_field(rng, degree: int = 3):
-    """Random vector polynomial of total degree <= degree, with its curl."""
-    monos = [(i, j, k) for i in range(degree + 1) for j in range(degree + 1)
-             for k in range(degree + 1) if i + j + k <= degree]
-    comps = [{m: float(rng.standard_normal()) for m in monos} for _ in range(3)]
-    return make_polynomial_field(*comps)
+        while abs(np.linalg.det(pts[1:] - pts[0])) < 0.05:
+            pts = rng.random((4, 3))
+        coords.append(pts)
+        coef.append(rng.standard_normal((3, len(exps))))
+    return np.array(coords), exps, np.array(coef)
 
 
 def check_commuting(tol: float = 1e-12, seed: int = 0) -> CheckResult:
-    """Face interpolant of the curl vs curl of the edge interpolant."""
-    rng = np.random.default_rng(seed)
-    res = []
-    for _ in range(COMMUTING_TETS):
-        el = TetElement(random_tet(rng))
-        field, curl_field = random_poly_field(rng, COMMUTING_DEGREE)
-        res.append(el.commuting_residual(field, curl_field))
-    worst = float(np.max(res))
-    return CheckResult("commuting diagram on random tets", worst <= tol,
-                       worst, tol,
-                       f"{COMMUTING_TETS} tets, degree {COMMUTING_DEGREE}")
+    """Face interpolant of the curl vs curl of the edge interpolant, on all
+    random tets of commuting_sample at once, each with its own field."""
+    coords, exps, coef = commuting_sample(seed)
+    field, curl_field = polynomial_field(exps, coef)
+    worst = float(np.max(commuting_residual(coords, field, curl_field)))
+    return CheckResult("commuting diagram on random tets", worst <= tol, worst,
+                       tol, f"{COMMUTING_TETS} tets, degree {COMMUTING_DEGREE}")
 
 
 def check_dual_biorthogonality(system: GalerkinSystem, dual: DualBasis,
@@ -163,17 +159,18 @@ def check_gradient_part(system: GalerkinSystem, space: HarmonicSpace,
                         tol: float = 1e-9) -> CheckResult:
     """Gradient parts of the columns of a curl harmonic space are harmonic
     on its region; the unit columns off O vanish there and are skipped. The
-    columns are scattered to full length and checked TILE at a time, so no
-    N x m block is formed."""
+    columns are scattered to full length and checked TILE at a time on one
+    region build, so no N x m block is formed."""
     local = space.local_basis
     m = local.shape[1]
 
-    def worst_of(j):
-        cols = np.zeros((system.n_dofs, min(TILE, m - j)), dtype=local.dtype)
-        cols[space.dofs] = local[:, j:j + TILE]
-        return gradient_part_harmonic_check(system, space.region, space.tets, cols)
+    def tiles():
+        for j in range(0, m, TILE):
+            cols = np.zeros((system.n_dofs, min(TILE, m - j)), dtype=local.dtype)
+            cols[space.dofs] = local[:, j:j + TILE]
+            yield cols
 
-    worst = float(np.max([worst_of(j) for j in range(0, m, TILE)], initial=0.0))
+    worst = gradient_part_harmonic_check(system, space.region, space.tets, tiles())
     return CheckResult("gradient parts of harmonic columns are harmonic",
                        worst <= tol, worst, tol, f"{m} columns, dim {space.dim}")
 

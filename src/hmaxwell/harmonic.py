@@ -274,16 +274,6 @@ def caccioppoli_ratio(space: HarmonicSpace,
 
 # local Helmholtz decomposition ---------------------------------------------
 
-def _gradient_split(system: GalerkinSystem, tets: np.ndarray,
-                    coeffs: np.ndarray):
-    """(region nodal space, p, edge coefficients of grad p) for the
-    gradient part p of coeffs on the mesh-conforming region with tet set
-    tets; coeffs may be one field (N,) or a block of them (N, m)."""
-    rns = region_nodal_space(system, tets)
-    p = pi_nabla_project(rns, coeffs)
-    return rns, p, gradient_edge_coeffs(system, p)
-
-
 def helmholtz_report(system: GalerkinSystem, region: BoxRegion,
                      coeffs: np.ndarray) -> dict:
     """Split an edge field into z + grad(p) on the mesh-conforming region:
@@ -292,7 +282,9 @@ def helmholtz_report(system: GalerkinSystem, region: BoxRegion,
     norms, the Pythagoras defect and the orthogonality residual of z."""
     mesh = system.mesh
     tets = region.conforming_tets(mesh)
-    rns, p, g = _gradient_split(system, tets, coeffs)
+    rns = region_nodal_space(system, tets)
+    p = pi_nabla_project(rns, coeffs)
+    g = gradient_edge_coeffs(system, p)
     z = coeffs - g
     mass = assemble_region_matrix(system, tets, "mass")
     verts = np.unique(mesh.tets[tets])
@@ -316,27 +308,31 @@ def helmholtz_report(system: GalerkinSystem, region: BoxRegion,
 
 
 def gradient_part_harmonic_check(system: GalerkinSystem, region: BoxRegion,
-                                 tets: np.ndarray,
-                                 columns: np.ndarray) -> float:
+                                 tets: np.ndarray, columns) -> float:
     """Max |<grad p, grad hat_w>| over interior-supported vertices w, for
     the gradient part p of a discretely L-harmonic column; small values
     confirm that the gradient part is itself discretely harmonic.
 
     tets is the region's conforming tet set (region.conforming_tets, or
     the tets of a harmonic space on the region). columns is one column
-    (N,) or a block (N, m); a block gives the max over its columns, with
-    the region built and factored once.
+    (N,), a block (N, m), or an iterable of such blocks, checked one at a
+    time; the result is the max over every column, with the region built
+    and factored once.
     """
     mesh = system.mesh
-    _, _, g = _gradient_split(system, tets, columns)
+    rns = region_nodal_space(system, tets)
     # vertices whose hat support lies in the box lie in the region too
     ok = _supported_in_box(mesh, region, mesh.tets, mesh.n_vertices)
     verts = np.flatnonzero(ok & ~mesh.boundary_vertex)
     if not verts.size:
         return 0.0
-    mass_g = assemble_region_matrix(system, tets, "mass") @ g
-    out = (edge_incidence(mesh, system.dofmap).T @ mass_g)[verts]
-    return float(np.abs(out).max())
+    mass = assemble_region_matrix(system, tets, "mass")
+    inc = edge_incidence(mesh, system.dofmap)  # grad p = inc @ p
+    worst = 0.0
+    for block in [columns] if isinstance(columns, np.ndarray) else columns:
+        grad_p = inc @ pi_nabla_project(rns, block)
+        worst = np.maximum(worst, np.abs((inc.T @ (mass @ grad_p))[verts]).max())
+    return float(worst)  # np.maximum keeps a NaN
 
 
 # local exact sequence -------------------------------------------------------

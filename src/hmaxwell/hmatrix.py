@@ -138,31 +138,36 @@ def spectral_norm(mat: np.ndarray, seed: int = 0):
     """||mat||_2 of a bitwise-symmetric square mat (mat == mat.T, no
     conjugate; any other mat is a ValueError) by ARPACK eigsh (k = 1,
     largest magnitude) with one BLAS product per step; returns (norm,
-    converged, products). The operator is mat itself when real, and when
-    complex the real symmetric Takagi map [[Re E, Im E], [Im E, -Re E]],
-    whose eigenvalues are +-sigma_i(E) (Horn & Johnson, Matrix Analysis,
-    4.4), applied as one complex product E (x - iy). The Ritz value never
-    exceeds ||mat||_2. The start vector is drawn from seed, so reruns are
-    byte-identical. A zero or 1 x 1 mat (where ARPACK refuses k = 1) is
-    measured exactly; no convergence within ARPACK_MAX_ITER steps gives
-    (nan, False, products).
+    converged, products). The operator is mat itself when real, by BLAS
+    symv on one triangle of mat, or of the bitwise-equal Fortran-ordered
+    mat.T when mat is C-ordered, and when complex the real symmetric Takagi
+    map [[Re E, Im E], [Im E, -Re E]], whose eigenvalues are +-sigma_i(E)
+    (Horn & Johnson, Matrix Analysis, 4.4), applied as one complex product
+    E (x - iy). The Ritz value never exceeds ||mat||_2. The start vector is
+    drawn from seed, so reruns are byte-identical. A zero or 1 x 1 mat
+    (where ARPACK refuses k = 1) is measured exactly; no convergence within
+    ARPACK_MAX_ITER steps gives (nan, False, products).
     """
     if not _is_symmetric(mat):
         raise ValueError("spectral_norm needs a bitwise-symmetric square matrix")
     if mat.shape[0] < 2 or not mat.any():
         return float(np.linalg.norm(mat)), True, 0
+    from scipy.linalg import get_blas_funcs
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     dim = mat.shape[0]
     takagi = np.iscomplexobj(mat)
     size = 2 * dim if takagi else dim
     products = 0
+    if not takagi:  # f2py would copy a non-Fortran array on every product
+        fmat = np.asfortranarray(mat.T if mat.flags.c_contiguous else mat, float)
+        symv = get_blas_funcs("symv", (fmat,))
 
     def apply(v):
         nonlocal products
         products += 1
         if not takagi:
-            return mat @ v
+            return symv(1.0, fmat, v)
         w = mat @ (v[:dim] - 1j * v[dim:])  # z = x - iy
         return np.concatenate([w.real, w.imag])
 

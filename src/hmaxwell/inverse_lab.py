@@ -43,8 +43,9 @@ def dense_inverse(op, perm: np.ndarray,
     is alive from the factorization on. A = A^T, so the inverse B is
     replaced in place by (B + B^T)/2, TILE x TILE tiles at a time, and the
     returned inverse equals its transpose bitwise. The residual guard
-    max |A A^{-1} - I| runs on that matrix and multiplies the CSR P A P^T
-    by TILE columns at a time: nnz(A) N flops and no N x N temporary."""
+    max |A A^{-1} - I| runs on that matrix, TILE rows of the CSR P A P^T
+    at a time: nnz(A) N flops, and one TILE x N product alive at a time,
+    reduced in place."""
     a = op[perm][:, perm]
     anorm = abs(a).sum(axis=0).max()
     lu, piv = scipy.linalg.lu_factor(a.toarray(order="F"), overwrite_a=True)
@@ -66,10 +67,12 @@ def dense_inverse(op, perm: np.ndarray,
         binv[c, r] = avg.T
     resid = 0.0
     for j in range(0, n, TILE):
-        res = a @ binv[:, j:j + TILE]
-        diag = np.arange(res.shape[1])
-        res[j + diag, diag] -= 1.0
-        resid = np.maximum(resid, np.abs(res).max())  # keeps a NaN
+        res = a[j:j + TILE] @ binv.T  # binv.T: C-ordered, bitwise binv, no copy
+        diag = np.arange(res.shape[0])
+        res[diag, j + diag] -= 1.0
+        np.abs(res, out=res)  # in place; a complex res keeps |.| in .real
+        resid = np.maximum(resid, res.real.max())  # keeps a NaN
+        del res  # one chunk alive at a time
     if not resid <= residual_limit:
         raise ValueError(f"inverse residual {resid:.3e} exceeds {residual_limit:.1e}")
     return binv

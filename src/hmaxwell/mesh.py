@@ -57,15 +57,8 @@ class Mesh:
 
 
 def build_box_mesh(n: int, length: float = 1.0) -> Mesh:
-    """Mesh [0, length]^3 with n subdivisions per axis, 6 tets per subcube.
-
-    Parameters
-    ----------
-    n : int
-        Subdivisions per axis, n >= 1.
-    length : float
-        Box side length, > 0.
-    """
+    """Mesh [0, length]^3, length > 0, with n >= 1 subdivisions per axis and
+    6 tets per subcube."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not length > 0:

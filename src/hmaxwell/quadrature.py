@@ -16,12 +16,7 @@ import numpy as np
 
 def _compositions(total, parts):
     # nonnegative integer tuples of given length summing to total, lexicographic
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+    return [b for b in np.ndindex((total + 1,) * parts) if sum(b) == total]
 
 
 @lru_cache(maxsize=None)

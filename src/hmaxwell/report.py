@@ -102,9 +102,7 @@ class RunManifest:
             "counters": jsonable(self.counters),
             "files": sorted(self.files, key=lambda d: d["path"]),
         }
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        return path
+        return write_json(path, payload)
 
 
 # SVG decay plot --------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Lowest-order edge elements on tetrahedra: one batched kernel for the local
-matrices of many tets, and its single-element view.
+"""Lowest-order edge elements on tetrahedra: batched kernels for the local
+matrices, face frames and interpolants of T tets, and their T = 1 view.
 
 The edge shape function of local edge (a, b) is
 
@@ -11,8 +11,8 @@ and 0 along every other edge, and whose curl is the constant vector
 lowest-order face shape functions phi_f(x) = (x - x_opp) / (3 |T|), which
 carry unit outward flux through their own face and zero through the others.
 
-A field is a callable on a point array: it maps points (..., 3) to values
-(..., 3), and the interpolants call it once on all their quadrature points.
+A field is a callable on a point array, (..., 3) -> (..., 3); the batched
+interpolants call it once on all their quadrature points, shaped (T, ..., 3).
 """
 
 from dataclasses import dataclass
@@ -95,15 +95,12 @@ def whitney_values(lam, grads):
 
 
 class TetElement:
-    """One tetrahedron: the single-element view of element_tensors, with
-    point evaluation, face frames and the edge and face interpolants."""
+    """One tetrahedron: the T = 1 view of element_tensors, face_frames and
+    the interpolants, with point evaluation."""
 
     def __init__(self, coords):
-        coords = np.asarray(coords, dtype=float)
-        if coords.shape != (4, 3):
-            raise ValueError("expected 4 vertex coordinates")
-        self.coords = coords
-        self._local = element_tensors(coords[None])
+        self.coords = np.asarray(coords, dtype=float)
+        self._local = element_tensors(self.coords[None])  # checks the shape
         self.volume = self._local.volume[0]
         self.grads = self._local.grads[0]  # (4, 3)
 
@@ -137,63 +134,68 @@ class TetElement:
     def nodal_mass(self):
         return self._local.nodal_mass[0]
 
-    # faces -------------------------------------------------------------
+    # faces and interpolants: T = 1 views of the batched functions ---------
     def face_frames(self):
         """Per face: (unit outward normal, area)."""
-        normals = np.empty((4, 3))
-        areas = np.empty(4)
-        for f, (i, j, k) in enumerate(LOCAL_FACES):
-            a, b, c = self.coords[i], self.coords[j], self.coords[k]
-            nvec = np.cross(b - a, c - a) / 2.0
-            area = np.linalg.norm(nvec)
-            nhat = nvec / area
-            if nhat @ ((a + b + c) / 3.0 - self.coords[f]) < 0:
-                nhat = -nhat
-            normals[f] = nhat
-            areas[f] = area
-        return normals, areas
+        return tuple(x[0] for x in face_frames(self.coords[None]))
 
-    # interpolants -------------------------------------------------------
     def nedelec_interpolant(self, field):
-        """Tangential edge integrals of the field by degree-5 quadrature:
-        (6,) coefficients."""
-        t, w = segment_rule(5)
-        xa = self.coords[_EDGE_A]
-        d = self.coords[_EDGE_B] - xa                     # (6, 3)
-        vals = field(xa[:, None] + t[:, None] * d[:, None])  # (6, Q, 3)
-        return np.einsum("q,kqd,kd->k", w, vals, d)
+        return nedelec_interpolant(self.coords[None], field)[0]
 
     def nedelec_eval(self, coeffs, points):
         return np.einsum("k,qkd->qd", coeffs, self.whitney(points))
 
     def rt_face_interpolant(self, field):
-        """Outward face fluxes of the field by degree-5 quadrature: (4,)
-        coefficients."""
-        bary, w = triangle_rule(5)
-        normals, areas = self.face_frames()
-        vals = field(bary @ self.coords[_FACE_VERTS])     # (4, Q, 3)
-        return areas * np.einsum("q,fqd,fd->f", w, vals, normals)
+        return rt_face_interpolant(self.coords[None], field)[0]
 
     def rt_eval(self, fluxes, points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros((points.shape[0], 3), dtype=np.asarray(fluxes).dtype)
-        for f in range(4):
-            out += fluxes[f] * (points - self.coords[f]) / (3.0 * self.volume)
-        return out
+        return np.einsum("f,qfd->qd", fluxes, points[:, None] - self.coords) / (
+            3.0 * self.volume)
 
     def rt_divergence(self, fluxes):
         # each face function has constant divergence 1/|T|
         return np.sum(fluxes) / self.volume
 
     def commuting_residual(self, field, curl_field):
-        """max over faces of |flux of curl(interpolated field) - flux of
-        interpolated curl|; zero for smooth fields by Stokes' theorem."""
-        coeffs = self.nedelec_interpolant(field)
-        cvec = coeffs @ self.whitney_curls()
-        normals, areas = self.face_frames()
-        lhs = areas * (normals @ cvec)
-        rhs = self.rt_face_interpolant(curl_field)
-        return float(np.abs(lhs - rhs).max())
+        return float(commuting_residual(self.coords[None], field, curl_field)[0])
+
+
+def face_frames(coords):
+    """Unit outward normals (T, 4, 3) and areas (T, 4) of the faces of T
+    tets (T, 4, 3); face f is opposite vertex f."""
+    a, b, c = np.moveaxis(coords[:, _FACE_VERTS], 2, 0)  # corners, (T, 4, 3)
+    nvec = np.cross(b - a, c - a) / 2.0
+    areas = np.linalg.norm(nvec, axis=-1)
+    inward = np.einsum("tfd,tfd->tf", nvec, (a + b + c) / 3.0 - coords) < 0
+    return np.where(inward[..., None], -nvec, nvec) / areas[..., None], areas
+
+
+def nedelec_interpolant(coords, field):
+    """(T, 6) tangential edge integrals of the field on T tets, degree 5."""
+    t, w = segment_rule(5)
+    xa = coords[:, _EDGE_A]
+    d = coords[:, _EDGE_B] - xa                               # (T, 6, 3)
+    vals = field(xa[:, :, None] + t[:, None] * d[:, :, None])  # (T, 6, Q, 3)
+    return np.einsum("q,tkqd,tkd->tk", w, vals, d)
+
+
+def rt_face_interpolant(coords, field):
+    """(T, 4) outward face fluxes of the field on T tets, degree 5."""
+    bary, w = triangle_rule(5)
+    normals, areas = face_frames(coords)
+    vals = field(bary @ coords[:, _FACE_VERTS])               # (T, 4, Q, 3)
+    return areas * np.einsum("q,tfqd,tfd->tf", w, vals, normals)
+
+
+def commuting_residual(coords, field, curl_field):
+    """(T,) max over faces of |flux of curl(interpolated field) - flux of
+    interpolated curl| of T tets; zero for smooth fields (Stokes)."""
+    coeffs = nedelec_interpolant(coords, field)
+    cvec = np.einsum("tk,tkd->td", coeffs, element_tensors(coords).curls)
+    normals, areas = face_frames(coords)
+    lhs = areas * np.einsum("tfd,td->tf", normals, cvec)
+    return np.abs(lhs - rt_face_interpolant(coords, curl_field)).max(axis=1)
 
 
 def _mirror_upper(mat):
@@ -202,31 +204,40 @@ def _mirror_upper(mat):
 
 
 def make_polynomial_field(coeff_x, coeff_y, coeff_z):
-    """Vector field with polynomial components given as {(i,j,k): c} dicts;
-    returns (field, curl_field), each mapping points (..., 3) to (..., 3)."""
+    """polynomial_field of components given as {(i,j,k): c} dicts, on the
+    sorted union of their monomials."""
     comps = (dict(coeff_x), dict(coeff_y), dict(coeff_z))
-    exps = np.array(sorted(set().union(*comps)), dtype=np.int64).reshape(-1, 3)
-    coef = np.array([[c.get(tuple(e), 0.0) for e in exps.tolist()]
-                     for c in comps]).reshape(3, -1)       # (3, M)
+    exps = sorted(set().union(*comps))
+    coef = np.array([[c.get(e, 0.0) for e in exps] for c in comps]).reshape(3, -1)
+    return polynomial_field(np.array(exps, dtype=np.int64).reshape(-1, 3), coef)
+
+
+def polynomial_field(exps, coef):
+    """(field, curl_field) with components sum_m coef[..., c, m] x^exps[m]:
+    coef (3, M) on points (..., 3), or (T, 3, M), a field per tet, on (T, ..., 3)."""
     # d/dx_a of x^e is e_a x^(e - unit_a): per axis, lowered exponents and
-    # scaled coefficients (monomials constant in x_a get 0)
+    # scaled coefficients (axis, ..., 3, M); monomials constant in x_a get 0
     dexps = np.maximum(exps[None] - np.eye(3, dtype=np.int64)[:, None], 0)
-    dcoef = coef[None] * exps.T[:, None]                   # (axis, 3, M)
+    dcoef = np.moveaxis(coef[..., None, :, :] * exps.T[:, None], -3, 0)
 
     def field(x):
         return _monomial_sum(x, exps, coef)
 
-    def curl_field(x):
-        # d[a][..., c] = d F_c / d x_a
-        d = [_monomial_sum(x, dexps[a], dcoef[a]) for a in range(3)]
-        return np.stack([d[1][..., 2] - d[2][..., 1],
-                         d[2][..., 0] - d[0][..., 2],
-                         d[0][..., 1] - d[1][..., 0]], axis=-1)
+    def curl_field(x):  # curl F = sum_a unit_a x dF/dx_a
+        return sum(np.cross(unit, _monomial_sum(x, e, c))
+                   for unit, e, c in zip(np.eye(3), dexps, dcoef))
 
     return field, curl_field
 
 
 def _monomial_sum(x, exps, coef):
-    """sum_m coef[:, m] x^exps[m] at points x (..., 3): (..., 3)."""
+    """sum_m coef[..., :, m] x^exps[m] at points x (..., 3), or (T, ..., 3)
+    for coef (T, 3, M): one monomial at a time, no (..., M) tensor."""
     x = np.asarray(x, dtype=float)
-    return np.prod(x[..., None, :] ** exps, axis=-1) @ coef.T
+    shape = coef.shape[:-2] + (1,) * (x.ndim - coef.ndim + 1) + (3,)
+    pw = x[..., None, :] ** np.arange(exps.max(initial=0) + 1)[:, None]  # x_a^p
+    out = np.zeros(x.shape)
+    for (i, j, k), c in zip(exps, np.moveaxis(coef, -1, 0)):
+        mono = pw[..., i, 0] * pw[..., j, 1] * pw[..., k, 2]
+        out += mono[..., None] * c.reshape(shape)
+    return out

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hmaxwell import assemble_system, build_box_mesh, checks, fem
+from hmaxwell import assemble_system, build_box_mesh, checks, fem, harmonic
 from hmaxwell.checks import (
     CheckResult,
     check_bound,
@@ -32,6 +32,7 @@ from hmaxwell.report import (
     write_csv,
     write_json,
 )
+from hmaxwell.whitney import TetElement, make_polynomial_field
 
 
 @pytest.fixture(scope="module")
@@ -74,14 +75,64 @@ def test_a_nan_measurement_fails_its_check(sys2, monkeypatch):
     results.append(check_gradient_kernel(sys2, SecondGradientIsNan()))
     nan_k = dataclasses.replace(sys2, K=sys2.K * np.nan)
     results.append(check_gradient_kernel(nan_k, grad))
-    residuals = iter([0.0, np.nan] + [0.0] * 48)
-    monkeypatch.setattr(checks.TetElement, "commuting_residual",
-                        lambda self, field, curl_field: next(residuals))
+    monkeypatch.setattr(checks, "commuting_residual",
+                        lambda coords, field, curl_field: np.where(
+                            np.arange(len(coords)) == 1, np.nan, 0.0))
     results.append(check_commuting())
     monkeypatch.setattr(checks, "dual_norm_scale", {2: 1.0, 3: np.nan}.get)
     results.append(check_dual_norm_scaling(ns=(2, 3)))
     for res in results:
         assert not res.passed and np.isnan(res.measured), res.line()
+
+
+def scalar_draw_sample(seed):
+    """The commuting check's tets and fields drawn one scalar at a time, as
+    a per-tet loop would: a tet (rejected until |det| >= 0.05), then each
+    component's coefficient per monomial of degree <= 3, monomials in
+    (i, j, k) loop order."""
+    rng = np.random.default_rng(seed)
+    monos = [(i, j, k) for i in range(4) for j in range(4) for k in range(4)
+             if i + j + k <= 3]
+    tets, comps = [], []
+    for _ in range(50):
+        while True:
+            pts = rng.random((4, 3))
+            if abs(np.linalg.det(pts[1:] - pts[0])) >= 0.05:
+                break
+        tets.append(pts)
+        comps.append([{m: float(rng.standard_normal()) for m in monos}
+                      for _ in range(3)])
+    return tets, comps
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_commuting_check_draws_the_per_tet_sample(seed):
+    """check_commuting tests the tets and coefficients of the scalar-draw
+    loop bitwise, monomials sorted as make_polynomial_field sorts them, and
+    its worst residual is the max of the per-tet TetElement residuals."""
+    coords, exps, coef = checks.commuting_sample(seed)
+    tets, comps = scalar_draw_sample(seed)
+    keys = sorted(comps[0][0])
+    assert exps.tolist() == [list(k) for k in keys]
+    assert np.array_equal(coords, np.array(tets))
+    want = np.array([[[c[k] for k in keys] for c in per_tet] for per_tet in comps])
+    assert np.array_equal(coef, want)
+    each = [TetElement(x).commuting_residual(*make_polynomial_field(*c))
+            for x, c in zip(tets, comps)]
+    res = check_commuting(seed=seed)
+    assert res.passed and abs(res.measured - max(each)) <= 1e-15
+
+
+def test_commuting_check_stays_small():
+    """One batched pass, one monomial at a time: the traced peak of the
+    50-tet check stays below 1 MiB."""
+    tracemalloc.start()
+    try:
+        assert check_commuting(seed=0).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_check_result_line_format():
@@ -240,3 +291,29 @@ def test_gradient_part_check_works_tile_columns_at_a_time(system_cache):
         tracemalloc.stop()
     assert res.passed and res.measured == want
     assert peak < 2 * block.nbytes
+
+
+def test_gradient_part_check_builds_its_region_once(system_cache, monkeypatch):
+    """At n = 6 the interior space has 578 columns, three TILE chunks: the
+    region nodal space and the region mass matrix are built once for all
+    of them, and the worst equals the max of one call per chunk bitwise."""
+    sysm = system_cache(6)
+    space = harmonic_space(sysm, default_pairs(sysm.mesh.length)["interior"].outer,
+                           "curl")
+    local = space.local_basis
+    m = local.shape[1]
+    assert m > 2 * TILE
+    each = []
+    for j in range(0, m, TILE):
+        cols = np.zeros((sysm.n_dofs, min(TILE, m - j)), dtype=local.dtype)
+        cols[space.dofs] = local[:, j:j + TILE]
+        each.append(gradient_part_harmonic_check(sysm, space.region, space.tets, cols))
+    calls = {"region_nodal_space": 0, "assemble_region_matrix": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(harmonic, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(harmonic, name, counted)
+    res = check_gradient_part(sysm, space)
+    assert calls == {"region_nodal_space": 1, "assemble_region_matrix": 1}
+    assert res.passed and res.measured == max(each)

@@ -150,6 +150,32 @@ def test_spectral_norm_picks_lanczos_by_symmetry(rng, monkeypatch):
     assert used == []
 
 
+def test_spectral_norm_reads_every_real_layout_alike(rng):
+    """A real matrix is applied by BLAS symv on a Fortran-ordered array: F-
+    and C-ordered copies and a strided view of one symmetric matrix give
+    bitwise-equal (norm, converged, products), and a C-ordered input is
+    read through its transpose, not copied."""
+    import tracemalloc
+
+    g = rng.standard_normal((400, 400))
+    sym = g + g.T
+    big = np.zeros((800, 800))
+    big[::2, ::2] = sym
+    layouts = (np.asfortranarray(sym), np.ascontiguousarray(sym), big[::2, ::2])
+    results = [spectral_norm(mat, seed=3) for mat in layouts]
+    assert results[0][1] and results[0][2] > 0
+    assert abs(results[0][0] - np.linalg.norm(sym, 2)) <= 1e-12 * results[0][0]
+    assert results[1] == results[0] and results[2] == results[0]
+    mat = layouts[1]
+    tracemalloc.start()
+    try:
+        spectral_norm(mat, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < mat.nbytes / 2
+
+
 def test_manifest_structure(small_partition, rng):
     import json
 

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from hmaxwell import LOCAL_EDGES, TetElement, element_tensors, make_polynomial_field
-from hmaxwell.whitney import LOCAL_FACES
+from hmaxwell.whitney import (LOCAL_FACES, commuting_residual, face_frames,
+                              nedelec_interpolant, polynomial_field,
+                              rt_face_interpolant)
 
 
 def random_tet(rng, min_det=0.05):
@@ -219,6 +221,31 @@ def test_commuting_diagram_on_polynomials(rng):
                                           random_poly_coeffs(rng),
                                           random_poly_coeffs(rng))
         assert el.commuting_residual(fld, curl) < 1e-12
+
+
+def test_batched_interpolants_match_each_tet(rng):
+    """On a stack of 6 tets, each with its own field, the batched frames,
+    interpolants and residuals equal each tet's T = 1 view (TetElement on a
+    one-tet field) to 1e-15."""
+    stack = np.array([random_tet(rng) for _ in range(6)])
+    exps = np.array(sorted(random_poly_coeffs(rng)))
+    coef = rng.standard_normal((6, 3, len(exps)))
+    field, curl = polynomial_field(exps, coef)
+    normals, areas = face_frames(stack)
+    edges = nedelec_interpolant(stack, field)
+    fluxes = rt_face_interpolant(stack, curl)
+    res = commuting_residual(stack, field, curl)
+    assert res.shape == (6,) and res.max() < 1e-12
+    for t, coords in enumerate(stack):
+        el = TetElement(coords)
+        fld_t, curl_t = polynomial_field(exps, coef[t])
+        n_t, a_t = el.face_frames()
+        assert np.abs(normals[t] - n_t).max() <= 1e-15
+        assert np.abs(areas[t] - a_t).max() <= 1e-15
+        scale = max(np.abs(edges[t]).max(), np.abs(fluxes[t]).max(), 1.0)
+        assert np.abs(edges[t] - el.nedelec_interpolant(fld_t)).max() <= 1e-15 * scale
+        assert np.abs(fluxes[t] - el.rt_face_interpolant(curl_t)).max() <= 1e-15 * scale
+        assert abs(res[t] - el.commuting_residual(fld_t, curl_t)) <= 1e-15
 
 
 def test_grad_mixed_matrix_against_quadrature(rng):
