@@ -11,9 +11,8 @@ from .cluster import (BlockPartition, Cluster, ClusterTree, box_distance,
 from .fem import (DofMap, DualBasis, GalerkinSystem, NodalSpace,
                   assemble_system, build_dof_map, build_nodal_space,
                   discrete_gradient, dual_basis, dual_norms,
-                  gradient_edge_coeffs, hcurl_norm, l2_project,
-                  pi_nabla_project, region_nodal_space, rhs_vector,
-                  solve_system)
+                  gradient_edge_coeffs, pi_nabla_project,
+                  region_nodal_space, solve_system)
 from .harmonic import (BoxRegion, CaccioppoliResult, ConcentricPair,
                        HarmonicSpace, caccioppoli_ratio, constraint_residual,
                        default_pairs, exact_sequence_recover,
@@ -27,5 +26,4 @@ from .inverse_lab import (DecayFit, SweepRow, dense_inverse, fit_decay,
                           rank_sweep, theorem_transfer_check)
 from .mesh import (Mesh, build_box_mesh, conformity_report,
                    shape_regularity_constant)
-from .whitney import (LOCAL_EDGES, ElementTensors, TetElement, element_tensors,
-                      make_polynomial_field)
+from .whitney import LOCAL_EDGES, ElementTensors, TetElement, element_tensors

@@ -24,21 +24,25 @@ from .whitney import commuting_residual, polynomial_field
 
 COMMUTING_TETS = 50      # random tets per commuting-diagram check
 COMMUTING_DEGREE = 3     # total degree of the random polynomial fields
+DUAL_NORM_NS = (2, 3, 4, 6)  # mesh sizes of the dual-norm scaling check
+
+# every check's default tolerance, factor or slack, by config key
+TOLERANCES = {
+    "gradient_kernel": 1e-12,
+    "commuting": 1e-12,
+    "biorthogonality": 1e-12,
+    "dual_norm_factor": 2.0,
+    "pythagoras": 1e-10,
+    "helmholtz_orthogonality": 1e-10,
+    "gradient_part": 1e-9,
+    "exact_sequence": 1e-10,
+    "transfer": 1e-8,
+    "bound_slack": 1e-6,
+}
 
 
 def default_tolerances() -> dict:
-    return {
-        "gradient_kernel": 1e-12,
-        "commuting": 1e-12,
-        "biorthogonality": 1e-12,
-        "dual_norm_factor": 2.0,
-        "pythagoras": 1e-10,
-        "helmholtz_orthogonality": 1e-10,
-        "gradient_part": 1e-9,
-        "exact_sequence": 1e-10,
-        "transfer": 1e-8,
-        "bound_slack": 1e-6,
-    }
+    return dict(TOLERANCES)
 
 
 @dataclass
@@ -63,7 +67,8 @@ def check_symmetry(system: GalerkinSystem) -> CheckResult:
                        float(abs(a - a.T).max()), 0.0)
 
 
-def check_gradient_kernel(system: GalerkinSystem, grad, tol: float = 1e-12,
+def check_gradient_kernel(system: GalerkinSystem, grad,
+                          tol: float = TOLERANCES["gradient_kernel"],
                           seed: int = 0) -> CheckResult:
     """curl(grad p) = 0: K annihilates five random discrete gradients; grad
     is the whole-mesh discrete gradient."""
@@ -95,7 +100,8 @@ def commuting_sample(seed: int = 0):
     return np.array(coords), exps, np.array(coef)
 
 
-def check_commuting(tol: float = 1e-12, seed: int = 0) -> CheckResult:
+def check_commuting(tol: float = TOLERANCES["commuting"],
+                    seed: int = 0) -> CheckResult:
     """Face interpolant of the curl vs curl of the edge interpolant, on all
     random tets of commuting_sample at once, each with its own field."""
     coords, exps, coef = commuting_sample(seed)
@@ -106,7 +112,8 @@ def check_commuting(tol: float = 1e-12, seed: int = 0) -> CheckResult:
 
 
 def check_dual_biorthogonality(system: GalerkinSystem, dual: DualBasis,
-                               tol: float = 1e-12) -> CheckResult:
+                               tol: float = TOLERANCES["biorthogonality"]
+                               ) -> CheckResult:
     """<lambda_i, Psi_j> = delta_ij, integrated over the carrier tets."""
     mesh, dofmap = system.mesh, system.dofmap
     t = dual.carrier_tet
@@ -123,9 +130,11 @@ def dual_norm_scale(n: int) -> float:
     return float(dual_norms(system, dual_basis(system)).max() * np.sqrt(system.h))
 
 
-def check_dual_norm_scaling(ns=(2, 3, 4, 6), factor: float = 2.0) -> CheckResult:
-    """||lambda_i|| ~ h^(-1/2): the scaled max varies little across n."""
-    vals = [dual_norm_scale(n) for n in ns]
+def check_dual_norm_scaling(factor: float = TOLERANCES["dual_norm_factor"]
+                            ) -> CheckResult:
+    """||lambda_i|| ~ h^(-1/2): the scaled max varies little across the n
+    of DUAL_NORM_NS."""
+    vals = [dual_norm_scale(n) for n in DUAL_NORM_NS]
     ratio = float(np.max(vals) / np.min(vals))
     return CheckResult("dual norm h^(-1/2) scaling", ratio <= factor, ratio,
                        factor, "scaled maxima " + ", ".join(f"{v:.4f}" for v in vals))
@@ -141,8 +150,8 @@ def random_field(system: GalerkinSystem, seed: int = 0) -> np.ndarray:
 
 
 def check_helmholtz(system: GalerkinSystem, region: BoxRegion,
-                    pythagoras_tol: float = 1e-10,
-                    orthogonality_tol: float = 1e-10,
+                    pythagoras_tol: float = TOLERANCES["pythagoras"],
+                    orthogonality_tol: float = TOLERANCES["helmholtz_orthogonality"],
                     seed: int = 0) -> tuple:
     """Pythagoras identity and gradient orthogonality of the local split."""
     rep = helmholtz_report(system, region, random_field(system, seed))
@@ -156,7 +165,7 @@ def check_helmholtz(system: GalerkinSystem, region: BoxRegion,
 
 
 def check_gradient_part(system: GalerkinSystem, space: HarmonicSpace,
-                        tol: float = 1e-9) -> CheckResult:
+                        tol: float = TOLERANCES["gradient_part"]) -> CheckResult:
     """Gradient parts of the columns of a curl harmonic space are harmonic
     on its region; the unit columns off O vanish there and are skipped. The
     columns are scattered to full length and checked TILE at a time on one
@@ -176,7 +185,8 @@ def check_gradient_part(system: GalerkinSystem, space: HarmonicSpace,
 
 
 def check_exact_sequence(system: GalerkinSystem, grad, region: BoxRegion,
-                         tol: float = 1e-10, n_instances: int = 10,
+                         tol: float = TOLERANCES["exact_sequence"],
+                         n_instances: int = 10,
                          seed: int = 0) -> CheckResult:
     """Potentials of discrete gradients are recovered on the region, all
     instances in one block; grad is the whole-mesh discrete gradient."""
@@ -197,8 +207,9 @@ def check_exact_sequence(system: GalerkinSystem, grad, region: BoxRegion,
 
 
 def check_transfer(system: GalerkinSystem, partition: BlockPartition,
-                   binv: np.ndarray, dual: DualBasis, tol: float = 1e-8,
-                   n_rhs: int = 10, seed: int = 0) -> CheckResult:
+                   binv: np.ndarray, dual: DualBasis,
+                   tol: float = TOLERANCES["transfer"], n_rhs: int = 10,
+                   seed: int = 0) -> CheckResult:
     """Coefficient-transfer identity on every admissible pair, with one
     solve per column cluster."""
     groups = {}
@@ -212,7 +223,8 @@ def check_transfer(system: GalerkinSystem, partition: BlockPartition,
                        tol, f"{len(partition.far)} admissible pairs")
 
 
-def check_bound(rows, n_far: int, slack: float = 1e-6) -> CheckResult:
+def check_bound(rows, n_far: int,
+                slack: float = TOLERANCES["bound_slack"]) -> CheckResult:
     """Measured global error against C_sp*(depth+1)*sigma_{r+1} per rank;
     n_far is the partition's far-block count. With no far block every
     block is kept whole and there is nothing to bound."""

@@ -8,7 +8,9 @@ defaults, and one parser reads both, so a non-integral integer or a
 non-finite number is a config error from either.
 
 Exit codes: 0 ok; 1 check failure (a failed check, or a numeric guard such
-as dense_inverse's conditioning test); 2 config error; 3 resource limit.
+as dense_inverse's conditioning test); 2 config error (also an output
+directory that cannot be created); 3 resource limit (also a failed
+allocation).
 
 Every run writes its artifacts into a per-experiment subdirectory of
 --out together with a manifest (config echo, timings, size counters, peak
@@ -170,7 +172,10 @@ class Runner:
         self.cfg = cfg
         name = cfg["name"] or f"{verb.replace('-', '_')}-n{cfg['n']}"
         self.outdir = os.path.join(cfg["out"], name)
-        os.makedirs(self.outdir, exist_ok=True)
+        try:
+            os.makedirs(self.outdir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {self.outdir}: {exc}")
         self.manifest = RunManifest(
             command=verb, version=__version__, config=cfg,
             timestamp=datetime.now(timezone.utc).isoformat())
@@ -542,8 +547,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ResourceLimit as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
+    except (ResourceLimit, MemoryError) as exc:
+        print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except ValueError as exc:
         # bad config raised ConfigError above: this is a numeric guard

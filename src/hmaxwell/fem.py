@@ -19,8 +19,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .mesh import Mesh
-from .quadrature import tet_rule
-from .whitney import ElementTensors, element_tensors, whitney_values
+from .whitney import ElementTensors, element_tensors
 
 
 @dataclass(frozen=True)
@@ -92,16 +91,13 @@ def sparse_operator(system: GalerkinSystem) -> scipy.sparse.csr_array:
 
 
 def scatter(local: np.ndarray, index: np.ndarray, n: int):
-    """Sum per-tet local vectors (T, k) into a length-n vector, or real
-    per-tet local matrices (T, k, k) into an n x n CSR array.
+    """Sum real per-tet local matrices (T, k, k) into an n x n CSR array.
 
     index (T, k) maps each local slot to its global one; slots mapped to -1
     are dropped. Each entry is 0.0 plus its contributions in tet order, so
     bitwise symmetric local matrices sum to a bitwise symmetric global one,
     and two calls with the same index give the same pattern.
     """
-    if local.ndim == 2:
-        return _scatter_rows(local, index, n)
     keep = index >= 0
     pair = keep[:, :, None] & keep[:, None, :]
     rows = np.broadcast_to(index[:, :, None], pair.shape)[pair]
@@ -113,8 +109,8 @@ def scatter(local: np.ndarray, index: np.ndarray, n: int):
 
 
 def _scatter_rows(local: np.ndarray, index: np.ndarray, n: int) -> np.ndarray:
-    """scatter's vector sum with trailing axes kept: local (T, k, ...) gives
-    (n, ...), each column summed in tet order like a single vector."""
+    """Sum per-tet local rows (T, k, ...) into (n, ...) with index as in
+    scatter, each column summed in tet order."""
     keep = index >= 0
     out = np.zeros((n,) + local.shape[2:], dtype=local.dtype)
     np.add.at(out, index[keep], local[keep])
@@ -137,11 +133,6 @@ def solve_system(system: GalerkinSystem, rhs: np.ndarray) -> np.ndarray:
     return system.lu.solve(rhs)
 
 
-def hcurl_norm(system: GalerkinSystem, u: np.ndarray) -> float:
-    """Norm with square <curl u, curl u> + <u, u>."""
-    return float(np.sqrt(np.real(np.vdot(u, (system.K + system.M) @ u))))
-
-
 # nodal space ------------------------------------------------------------
 
 @dataclass
@@ -154,7 +145,6 @@ class NodalSpace:
     tet_ids: np.ndarray
     free_vertices: np.ndarray   # (nf,) vertex ids carrying unknowns, ascending
     col_of_vertex: np.ndarray   # (V,) column or -1
-    pinned_vertex: int          # grounded vertex id, or -1 when none needed
     gram: scipy.sparse.csr_array  # (nf, nf) gradient Gram: stiffness of the hats
 
     @cached_property
@@ -175,15 +165,13 @@ def region_nodal_space(system: GalerkinSystem, tet_ids) -> NodalSpace:
     tet_ids = np.asarray(tet_ids, dtype=np.int64)
     verts = np.unique(mesh.tets[tet_ids])
     free = verts[~mesh.boundary_vertex[verts]]
-    pinned = -1
     if free.size == verts.size and free.size > 0:
         # region does not touch the box boundary: constants are in the
         # space, ground the lowest vertex (the gradient is unaffected)
-        pinned = int(free[0])
         free = free[1:]
     col = np.full(mesh.n_vertices, -1, dtype=np.int64)
     col[free] = np.arange(free.size)
-    return NodalSpace(system, tet_ids, free, col, pinned, scatter(
+    return NodalSpace(system, tet_ids, free, col, scatter(
         system.local.nodal_stiffness[tet_ids], col[mesh.tets[tet_ids]], free.size))
 
 
@@ -211,32 +199,6 @@ def discrete_gradient(nodal: NodalSpace):
     """
     system = nodal.system
     return edge_incidence(system.mesh, system.dofmap)[:, nodal.free_vertices]
-
-
-# projections ------------------------------------------------------------
-
-def rhs_vector(system: GalerkinSystem, fld) -> np.ndarray:
-    """Load vector f_i = <fld, Psi_i> by degree-4 tet quadrature; fld maps
-    points (..., 3) to values (..., 3)."""
-    bary, w = tet_rule(4)
-    mesh, local = system.mesh, system.local
-    vals = fld(bary @ mesh.vertices[mesh.tets])  # (T, Q, 3)
-    psi = whitney_values(bary, local.grads)
-    f_loc = np.einsum("q,tqd,tqkd->tk", w, vals, psi)
-    f_loc *= local.volume[:, None] * mesh.tet_edge_signs
-    return scatter(f_loc, system.dofmap.edge_to_dof[mesh.tet_edges], system.n_dofs)
-
-
-def l2_project(system: GalerkinSystem, fld) -> np.ndarray:
-    """Coefficients of the L2 projection of a callable field onto the space."""
-    from scipy.sparse.linalg import spsolve  # imported on use: slow to load
-
-    f = rhs_vector(system, fld)
-    u = spsolve(system.M.tocsc(), f)
-    resid = np.linalg.norm(system.M @ u - f)
-    if resid > 1e-10 * max(np.linalg.norm(f), 1e-300):
-        raise RuntimeError(f"mass solve residual {resid:.3e} too large")
-    return u
 
 
 # dual basis -------------------------------------------------------------
@@ -307,7 +269,7 @@ def pi_nabla_project(space: NodalSpace, u: np.ndarray) -> np.ndarray:
     """L2(region) projection of the edge field u onto discrete gradients.
 
     Returns the full-length nodal vector p with p = 0 at box-boundary
-    vertices and at the pinned vertex; grad(p) restricted to the region is
+    vertices and at the grounded vertex; grad(p) restricted to the region is
     the projection. The projection is a contraction in L2 of the region.
     A block of fields u (N, m) is projected column by column in one solve,
     giving p (V, m).

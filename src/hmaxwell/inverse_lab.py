@@ -33,9 +33,10 @@ from .cluster import BlockPartition, sparsity_constant
 from .fem import GalerkinSystem, apply_dual_functionals, riesz_rhs, solve_system
 from .hmatrix import TILE, far_svds, spectral_norm, tile_pairs
 
+RESIDUAL_LIMIT = 1e-8  # dense_inverse's bound on max |A A^{-1} - I|
 
-def dense_inverse(op, perm: np.ndarray,
-                  residual_limit: float = 1e-8) -> np.ndarray:
+
+def dense_inverse(op, perm: np.ndarray) -> np.ndarray:
     """P A^{-1} P^T for the CSR A = op and the leaf order perm, by LU with
     partial pivoting; the LAPACK 1-norm condition estimate of the factor
     must not exceed 1e12. The dense P A P^T is factored in place and LAPACK
@@ -45,7 +46,7 @@ def dense_inverse(op, perm: np.ndarray,
     returned inverse equals its transpose bitwise. The residual guard
     max |A A^{-1} - I| runs on that matrix, TILE rows of the CSR P A P^T
     at a time: nnz(A) N flops, and one TILE x N product alive at a time,
-    reduced in place."""
+    reduced in place; it must not exceed RESIDUAL_LIMIT."""
     a = op[perm][:, perm]
     anorm = abs(a).sum(axis=0).max()
     lu, piv = scipy.linalg.lu_factor(a.toarray(order="F"), overwrite_a=True)
@@ -73,8 +74,8 @@ def dense_inverse(op, perm: np.ndarray,
         np.abs(res, out=res)  # in place; a complex res keeps |.| in .real
         resid = np.maximum(resid, res.real.max())  # keeps a NaN
         del res  # one chunk alive at a time
-    if not resid <= residual_limit:
-        raise ValueError(f"inverse residual {resid:.3e} exceeds {residual_limit:.1e}")
+    if not resid <= RESIDUAL_LIMIT:
+        raise ValueError(f"inverse residual {resid:.3e} exceeds {RESIDUAL_LIMIT:.1e}")
     return binv
 
 

@@ -47,14 +47,6 @@ def tet_rule_degree2():
     return pts, np.full(4, 0.25)
 
 
-def tet_rule(degree: int):
-    """Barycentric rule on the tetrahedron exact for the given total degree."""
-    if degree <= 2:
-        return tet_rule_degree2()
-    s = (degree - 1 + 1) // 2  # smallest s with 2s+1 >= degree
-    return grundmann_moeller(3, s)
-
-
 def triangle_rule(degree: int):
     s = max(0, (degree - 1 + 1) // 2)
     return grundmann_moeller(2, s)

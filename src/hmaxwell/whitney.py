@@ -1,5 +1,5 @@
 """Lowest-order edge elements on tetrahedra: batched kernels for the local
-matrices, face frames and interpolants of T tets, and their T = 1 view.
+matrices, face frames and interpolants of T tets.
 
 The edge shape function of local edge (a, b) is
 
@@ -95,28 +95,14 @@ def whitney_values(lam, grads):
 
 
 class TetElement:
-    """One tetrahedron: the T = 1 view of element_tensors, face_frames and
-    the interpolants, with point evaluation."""
+    """One tetrahedron: the T = 1 view of element_tensors's local matrices,
+    whose construction and matrix calls bench/tracing.py counts."""
 
     def __init__(self, coords):
         self.coords = np.asarray(coords, dtype=float)
         self._local = element_tensors(self.coords[None])  # checks the shape
         self.volume = self._local.volume[0]
         self.grads = self._local.grads[0]  # (4, 3)
-
-    def barycentric(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        lam = (points - self.coords[0]) @ self.grads.T
-        lam[:, 0] += 1.0
-        return lam
-
-    def whitney(self, points):
-        """Edge shape functions at points: (npts, 6, 3)."""
-        return whitney_values(self.barycentric(points), self.grads)
-
-    def whitney_curls(self):
-        """Constant curls of the edge shape functions: (6, 3)."""
-        return self._local.curls[0]
 
     def curl_curl_matrix(self):
         return self._local.curl[0]
@@ -133,32 +119,6 @@ class TetElement:
 
     def nodal_mass(self):
         return self._local.nodal_mass[0]
-
-    # faces and interpolants: T = 1 views of the batched functions ---------
-    def face_frames(self):
-        """Per face: (unit outward normal, area)."""
-        return tuple(x[0] for x in face_frames(self.coords[None]))
-
-    def nedelec_interpolant(self, field):
-        return nedelec_interpolant(self.coords[None], field)[0]
-
-    def nedelec_eval(self, coeffs, points):
-        return np.einsum("k,qkd->qd", coeffs, self.whitney(points))
-
-    def rt_face_interpolant(self, field):
-        return rt_face_interpolant(self.coords[None], field)[0]
-
-    def rt_eval(self, fluxes, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.einsum("f,qfd->qd", fluxes, points[:, None] - self.coords) / (
-            3.0 * self.volume)
-
-    def rt_divergence(self, fluxes):
-        # each face function has constant divergence 1/|T|
-        return np.sum(fluxes) / self.volume
-
-    def commuting_residual(self, field, curl_field):
-        return float(commuting_residual(self.coords[None], field, curl_field)[0])
 
 
 def face_frames(coords):
@@ -201,15 +161,6 @@ def commuting_residual(coords, field, curl_field):
 def _mirror_upper(mat):
     # copy the upper triangle onto the lower one so symmetry is bitwise
     return np.triu(mat) + np.swapaxes(np.triu(mat, 1), -1, -2)
-
-
-def make_polynomial_field(coeff_x, coeff_y, coeff_z):
-    """polynomial_field of components given as {(i,j,k): c} dicts, on the
-    sorted union of their monomials."""
-    comps = (dict(coeff_x), dict(coeff_y), dict(coeff_z))
-    exps = sorted(set().union(*comps))
-    coef = np.array([[c.get(e, 0.0) for e in exps] for c in comps]).reshape(3, -1)
-    return polynomial_field(np.array(exps, dtype=np.int64).reshape(-1, 3), coef)
 
 
 def polynomial_field(exps, coef):

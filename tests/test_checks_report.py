@@ -1,6 +1,7 @@
 """Check harness behavior and deterministic report emission."""
 
 import dataclasses
+import inspect
 import json
 import tracemalloc
 
@@ -14,9 +15,12 @@ from hmaxwell.checks import (
     check_commuting,
     check_dual_biorthogonality,
     check_dual_norm_scaling,
+    check_exact_sequence,
     check_gradient_kernel,
     check_gradient_part,
+    check_helmholtz,
     check_symmetry,
+    check_transfer,
     default_tolerances,
 )
 from hmaxwell.fem import build_nodal_space, discrete_gradient, dual_basis
@@ -32,7 +36,8 @@ from hmaxwell.report import (
     write_csv,
     write_json,
 )
-from hmaxwell.whitney import TetElement, make_polynomial_field
+from hmaxwell.whitney import commuting_residual
+from test_whitney import make_polynomial_field
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +85,8 @@ def test_a_nan_measurement_fails_its_check(sys2, monkeypatch):
                             np.arange(len(coords)) == 1, np.nan, 0.0))
     results.append(check_commuting())
     monkeypatch.setattr(checks, "dual_norm_scale", {2: 1.0, 3: np.nan}.get)
-    results.append(check_dual_norm_scaling(ns=(2, 3)))
+    monkeypatch.setattr(checks, "DUAL_NORM_NS", (2, 3))
+    results.append(check_dual_norm_scaling())
     for res in results:
         assert not res.passed and np.isnan(res.measured), res.line()
 
@@ -109,7 +115,7 @@ def scalar_draw_sample(seed):
 def test_commuting_check_draws_the_per_tet_sample(seed):
     """check_commuting tests the tets and coefficients of the scalar-draw
     loop bitwise, monomials sorted as make_polynomial_field sorts them, and
-    its worst residual is the max of the per-tet TetElement residuals."""
+    its worst residual is the max of the residuals of one tet at a time."""
     coords, exps, coef = checks.commuting_sample(seed)
     tets, comps = scalar_draw_sample(seed)
     keys = sorted(comps[0][0])
@@ -117,7 +123,7 @@ def test_commuting_check_draws_the_per_tet_sample(seed):
     assert np.array_equal(coords, np.array(tets))
     want = np.array([[[c[k] for k in keys] for c in per_tet] for per_tet in comps])
     assert np.array_equal(coef, want)
-    each = [TetElement(x).commuting_residual(*make_polynomial_field(*c))
+    each = [commuting_residual(x[None], *make_polynomial_field(*c))[0]
             for x, c in zip(tets, comps)]
     res = check_commuting(seed=seed)
     assert res.passed and abs(res.measured - max(each)) <= 1e-15
@@ -175,10 +181,30 @@ def test_commuting_check_runs_fifty_tets():
     assert "50" in res.detail
 
 
-def test_dual_scaling_band():
-    res = check_dual_norm_scaling(ns=(2, 3))
+def test_dual_scaling_band(monkeypatch):
+    monkeypatch.setattr(checks, "DUAL_NORM_NS", (2, 3))
+    res = check_dual_norm_scaling()
     assert res.passed
     assert res.measured < 2.0
+
+
+def test_check_defaults_are_the_tolerance_table():
+    """Each check's default tolerance, factor or slack is its entry of
+    default_tolerances(), and every entry is some check's default."""
+    defaults = {key: inspect.signature(check).parameters[param].default
+                for check, param, key in [
+                    (check_gradient_kernel, "tol", "gradient_kernel"),
+                    (check_commuting, "tol", "commuting"),
+                    (check_dual_biorthogonality, "tol", "biorthogonality"),
+                    (check_dual_norm_scaling, "factor", "dual_norm_factor"),
+                    (check_helmholtz, "pythagoras_tol", "pythagoras"),
+                    (check_helmholtz, "orthogonality_tol",
+                     "helmholtz_orthogonality"),
+                    (check_gradient_part, "tol", "gradient_part"),
+                    (check_exact_sequence, "tol", "exact_sequence"),
+                    (check_transfer, "tol", "transfer"),
+                    (check_bound, "slack", "bound_slack")]}
+    assert defaults == default_tolerances()
 
 
 def test_tolerances_are_fresh_copies():

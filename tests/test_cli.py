@@ -208,6 +208,26 @@ def test_dense_limit_exceeded_exits_3(tmp_path, capsys):
     assert "limit" in capsys.readouterr().err
 
 
+def test_uncreatable_output_directory_is_config_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = run_cli("mesh-info", "--n", "1", "--out", str(blocker))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: cannot create output directory")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_failed_allocation_is_resource_limit(tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "build_box_mesh", no_memory)
+    code = run_cli("mesh-info", "--n", "1", "--out", str(tmp_path))
+    assert code == 3
+    assert capsys.readouterr().err == "resource limit: out of memory\n"
+
+
 def test_tampered_tolerance_fails_check(tmp_path):
     # an impossible tolerance from the config file must surface as exit 1
     cfg = tmp_path / "cfg.json"

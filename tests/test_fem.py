@@ -15,24 +15,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmaxwell import (
-    LOCAL_EDGES,
     TetElement,
     assemble_system,
     build_box_mesh,
     dual_basis,
     dual_norms,
     gradient_edge_coeffs,
-    hcurl_norm,
-    l2_project,
     pi_nabla_project,
     region_nodal_space,
-    rhs_vector,
     solve_system,
 )
 from hmaxwell.fem import (
     apply_dual_functionals,
     assemble_region_matrix,
-    build_dof_map,
     build_nodal_space,
     discrete_gradient,
     matrix_to_coordinate_text,
@@ -209,7 +204,6 @@ def test_nodal_space_scatters_the_system_tensors(system_cache, n):
     sysm = system_cache(n)
     m = sysm.mesh
     ns = build_nodal_space(sysm)
-    assert ns.pinned_vertex == -1
     assert np.array_equal(ns.free_vertices, np.flatnonzero(~m.boundary_vertex))
     local = element_tensors(m.vertices[m.tets])
     d = ns.col_of_vertex[m.tets]
@@ -239,47 +233,6 @@ def test_nodal_laplacian_is_gram_of_gradients(system_cache):
     assert np.abs(lap - ns.gram).max() < 1e-13 * np.abs(lap).max()
 
 
-def locate_eval(mesh, coeffs, dofmap):
-    """Brute-force FE evaluator used to feed projections a space member;
-    the field maps points (..., 3) to values (..., 3), point by point."""
-    elements = [TetElement(mesh.vertices[tet]) for tet in mesh.tets]
-
-    def field(x):
-        x = np.asarray(x)
-        return np.array([at(p) for p in x.reshape(-1, 3)]).reshape(x.shape)
-
-    def at(p):
-        for t in range(mesh.n_tets):
-            el = elements[t]
-            lam = el.barycentric(p)[0]
-            if np.all(lam > -1e-10):
-                local = np.zeros(6)
-                for k in range(6):
-                    d = dofmap.edge_to_dof[mesh.tet_edges[t, k]]
-                    if d >= 0:
-                        local[k] = mesh.tet_edge_signs[t, k] * coeffs[d]
-                return el.nedelec_eval(local, p[None, :])[0]
-        raise ValueError("point outside mesh")
-
-    return field
-
-
-def test_l2_projection_reproduces_space_members(system_cache, rng):
-    sysm = system_cache(2)
-    u0 = rng.standard_normal(sysm.n_dofs)
-    fld = locate_eval(sysm.mesh, u0, sysm.dofmap)
-    u = l2_project(sysm, fld)
-    assert np.linalg.norm(u - u0) < 1e-10 * np.linalg.norm(u0)
-
-
-def test_rhs_vector_is_mass_times_coeffs_for_members(system_cache, rng):
-    sysm = system_cache(2)
-    u0 = rng.standard_normal(sysm.n_dofs)
-    fld = locate_eval(sysm.mesh, u0, sysm.dofmap)
-    b = rhs_vector(sysm, fld)
-    assert np.linalg.norm(b - sysm.M @ u0) < 1e-10 * np.linalg.norm(b)
-
-
 def test_solve_system_residual(system_cache, rng):
     sysm = system_cache(3)
     b = rng.standard_normal(sysm.n_dofs)
@@ -302,13 +255,6 @@ def test_solve_system_matches_dense_solve(system_cache, rng, kappa, complex_rhs)
     assert x.dtype == want.dtype
     assert np.abs(x - want).max() < 1e-12 * np.abs(want).max()
     assert sysm.lu is sysm.lu
-
-
-def test_hcurl_norm_matches_quadratic_form(system_cache, rng):
-    sysm = system_cache(2)
-    u = rng.standard_normal(sysm.n_dofs)
-    expect = np.sqrt(u @ (sysm.K @ u) + u @ (sysm.M @ u))
-    assert abs(hcurl_norm(sysm, u) - expect) < 1e-12 * expect
 
 
 # dual basis ---------------------------------------------------------------

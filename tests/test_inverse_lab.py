@@ -111,7 +111,8 @@ def corrupted(getri):
 
 
 @pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
-def test_dense_inverse_residual_guard(system_cache, kappa, patch_getri):
+def test_dense_inverse_residual_guard(system_cache, kappa, patch_getri,
+                                      monkeypatch):
     """The sparse residual check rejects rounding-level residuals under an
     impossible limit, and at the default limit it catches a corrupted
     getri, reporting the dense residual max |A sym(B) - I| of the permuted
@@ -120,8 +121,10 @@ def test_dense_inverse_residual_guard(system_cache, kappa, patch_getri):
     op = sparse_operator(sysm)
     perm = build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16).perm
     a = sysm.A[perm][:, perm]
-    with pytest.raises(ValueError, match="inverse residual"):
-        dense_inverse(op, perm, residual_limit=1e-30)
+    with monkeypatch.context() as patch:
+        patch.setattr(inverse_lab, "RESIDUAL_LIMIT", 1e-30)
+        with pytest.raises(ValueError, match="inverse residual"):
+            dense_inverse(op, perm)
 
     lu, piv = scipy.linalg.lu_factor(a)
     (getri,) = scipy.linalg.get_lapack_funcs(("getri",), (lu,))

@@ -13,7 +13,6 @@ import numpy as np
 from hmaxwell.quadrature import (
     grundmann_moeller,
     segment_rule,
-    tet_rule,
     tet_rule_degree2,
     triangle_rule,
 )
@@ -28,18 +27,6 @@ def bary_moment(alpha, dim):
 def rule_moment(bary, w, alpha, volume):
     vals = np.prod(bary ** np.asarray(alpha), axis=1)
     return volume * float(w @ vals)
-
-
-def test_tet_rules_integrate_barycentric_monomials_exactly():
-    for degree in range(1, 8):
-        bary, w = tet_rule(degree)
-        assert abs(w.sum() - 1.0) < 1e-13
-        for alpha in product(range(degree + 1), repeat=4):
-            if sum(alpha) > degree:
-                continue
-            exact = bary_moment(alpha, 3)
-            got = rule_moment(bary, w, alpha, 1.0)
-            assert abs(got - exact) < 1e-13, (degree, alpha)
 
 
 def test_degree2_shortcut_matches_generic_rule():

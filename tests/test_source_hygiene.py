@@ -1,8 +1,10 @@
 """Source hygiene of the package, read with ast: every top-level import is
 used by its module, every module-level private name is used somewhere in
-src/, and every public name of the lab modules is read outside tests."""
+src/, every public name of the lab modules is read outside tests, and every
+public function is named outside tests."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hmaxwell"
@@ -115,3 +117,34 @@ def test_every_public_name_of_the_lab_modules_is_read():
               for name, line in definitions(MODULES[module])
               if not name.startswith("_") and name not in reads]
     assert not unread, unread
+
+
+def named(tree):
+    """Count of each name the tree reads, or spells as a whole string
+    constant (bench/tracing.py names its targets as strings)."""
+    return Counter(
+        node.id if isinstance(node, ast.Name)
+        else node.attr if isinstance(node, ast.Attribute) else node.value
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Constant) and isinstance(node.value, str))
+
+
+def test_every_public_function_is_named_outside_tests():
+    """A public top-level function of any module is named, outside its own
+    body, in src/ (re-exports in __init__.py do not count), in demos/ or in
+    bench/*.py; anything else is API that only tests call."""
+    root = SRC.parents[1]
+    trees = [tree for name, tree in MODULES.items() if name != "__init__.py"]
+    trees += [ast.parse(path.read_text(encoding="utf-8"))
+              for folder in ("demos", "bench")
+              for path in sorted((root / folder).glob("*.py"))]
+    counts = sum(map(named, trees), Counter())
+    unnamed = [f"{module}:{node.lineno} {node.name}"
+               for module, tree in MODULES.items() if module != "__init__.py"
+               for node in tree.body
+               if isinstance(node, ast.FunctionDef)
+               and not node.name.startswith("_")
+               and counts[node.name] <= named(node)[node.name]]
+    assert not unnamed, unnamed

@@ -12,10 +12,11 @@ quadrature-based element routines, which take a different route.
 import numpy as np
 import pytest
 
-from hmaxwell import LOCAL_EDGES, TetElement, element_tensors, make_polynomial_field
+from hmaxwell import LOCAL_EDGES, TetElement, element_tensors
+from hmaxwell.quadrature import tet_rule_degree2
 from hmaxwell.whitney import (LOCAL_FACES, commuting_residual, face_frames,
                               nedelec_interpolant, polynomial_field,
-                              rt_face_interpolant)
+                              rt_face_interpolant, whitney_values)
 
 
 def random_tet(rng, min_det=0.05):
@@ -28,6 +29,35 @@ def random_tet(rng, min_det=0.05):
 
 REFERENCE = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                       [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+# point evaluation on one tet, the oracle side of the batched kernels -------
+
+def barycentric(el, points):
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    lam = (points - el.coords[0]) @ el.grads.T
+    lam[:, 0] += 1.0
+    return lam
+
+
+def whitney(el, points):
+    """Edge shape functions at points: (npts, 6, 3)."""
+    return whitney_values(barycentric(el, points), el.grads)
+
+
+def nedelec_eval(el, coeffs, points):
+    return np.einsum("k,qkd->qd", coeffs, whitney(el, points))
+
+
+def rt_eval(el, fluxes, points):
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    return np.einsum("f,qfd->qd", fluxes, points[:, None] - el.coords) / (
+        3.0 * el.volume)
+
+
+def rt_divergence(el, fluxes):
+    # each face function has constant divergence 1/|T|
+    return np.sum(fluxes) / el.volume
 
 
 def mass_oracle(el):
@@ -73,7 +103,7 @@ def test_local_matrices_match_closed_forms(seed):
 def test_barycentric_partition_of_unity(rng):
     el = TetElement(random_tet(rng))
     pts = rng.random((20, 3))
-    lam = el.barycentric(pts)
+    lam = barycentric(el, pts)
     assert np.allclose(lam.sum(axis=1), 1.0)
     assert np.allclose(lam @ el.coords, pts)
 
@@ -87,7 +117,7 @@ def test_edge_integrals_are_kronecker(rng):
     for i, (a, b) in enumerate(LOCAL_EDGES):
         xa, xb = el.coords[a], el.coords[b]
         pts = xa[None, :] + t[:, None] * (xb - xa)[None, :]
-        psi = el.whitney(pts)  # (q, 6, 3)
+        psi = whitney(el, pts)  # (q, 6, 3)
         ints = np.einsum("q,qfd,d->f", w, psi, xb - xa)
         expect = np.zeros(6)
         expect[i] = 1.0
@@ -99,26 +129,26 @@ def test_interpolant_reproduces_nedelec_fields(rng):
     el = TetElement(random_tet(rng))
     a, b = rng.standard_normal(3), rng.standard_normal(3)
     fld = lambda x: a + np.cross(b, x)
-    coeffs = el.nedelec_interpolant(fld)
+    coeffs = nedelec_interpolant(el.coords[None], fld)[0]
     # sample strictly inside the tet via random barycentric weights
     pts = rng.dirichlet(np.ones(4), size=10) @ el.coords
-    vals = el.nedelec_eval(coeffs, pts)
+    vals = nedelec_eval(el, coeffs, pts)
     assert np.allclose(vals, fld(pts), atol=1e-12)
 
     sym = lambda x: x[..., [1, 2, 0]]  # has a symmetric part
-    coeffs2 = el.nedelec_interpolant(sym)
-    vals2 = el.nedelec_eval(coeffs2, pts)
+    coeffs2 = nedelec_interpolant(el.coords[None], sym)[0]
+    vals2 = nedelec_eval(el, coeffs2, pts)
     assert np.linalg.norm(vals2 - sym(pts)) > 1e-3
 
 
 def test_whitney_curls_match_finite_differences(rng):
     el = TetElement(random_tet(rng))
-    curls = el.whitney_curls()
+    curls = element_tensors(el.coords[None]).curls[0]
     x0 = (el.coords.mean(axis=0))
     eps = 1e-6
 
     def field_k(k, x):
-        return el.whitney(np.asarray(x)[None, :])[0, k, :]
+        return whitney(el, np.asarray(x)[None, :])[0, k, :]
 
     for k in range(6):
         num = np.zeros(3)
@@ -135,23 +165,23 @@ def test_rt_fluxes_are_kronecker_and_divergence_is_constant(rng):
     el = TetElement(random_tet(rng))
     a, b = rng.standard_normal(3), rng.standard_normal()
     fld = lambda x: a + b * np.asarray(x)  # divergence 3b
-    fluxes = el.rt_face_interpolant(fld)
-    div = el.rt_divergence(fluxes)
+    fluxes = rt_face_interpolant(el.coords[None], fld)[0]
+    div = rt_divergence(el, fluxes)
     assert abs(div - 3.0 * b) < 1e-10
     # divergence theorem: total outward flux equals volume integral
     assert abs(fluxes.sum() - div * el.volume) < 1e-10
     # RT0 contains a + b x, so evaluation reproduces the field pointwise
     pts = rng.dirichlet(np.ones(4), size=8) @ el.coords
-    assert np.allclose(el.rt_eval(fluxes, pts), fld(pts), atol=1e-11)
+    assert np.allclose(rt_eval(el, fluxes, pts), fld(pts), atol=1e-11)
 
 
 def test_face_frames_outward_unit_normals(rng):
-    el = TetElement(random_tet(rng))
-    normals, areas = el.face_frames()
+    coords = random_tet(rng)
+    normals = face_frames(coords[None])[0][0]
     assert np.allclose(np.linalg.norm(normals, axis=1), 1.0)
-    centroid = el.coords.mean(axis=0)
+    centroid = coords.mean(axis=0)
     for f, idx in enumerate(LOCAL_FACES):
-        mid = el.coords[list(idx)].mean(axis=0)
+        mid = coords[list(idx)].mean(axis=0)
         assert normals[f] @ (mid - centroid) > 0
 
 
@@ -162,6 +192,15 @@ def random_poly_coeffs(rng, degree=3):
              for k in range(degree + 1)
              if i + j + k <= degree]
     return {m: rng.standard_normal() for m in monos}
+
+
+def make_polynomial_field(coeff_x, coeff_y, coeff_z):
+    """polynomial_field of components given as {(i,j,k): c} dicts, on the
+    sorted union of their monomials."""
+    comps = (dict(coeff_x), dict(coeff_y), dict(coeff_z))
+    exps = sorted(set().union(*comps))
+    coef = np.array([[c.get(e, 0.0) for e in exps] for c in comps]).reshape(3, -1)
+    return polynomial_field(np.array(exps, dtype=np.int64).reshape(-1, 3), coef)
 
 
 def dict_polynomial_field(comps):
@@ -216,17 +255,17 @@ def test_polynomial_field_matches_dict_evaluation(rng):
 def test_commuting_diagram_on_polynomials(rng):
     """RT interpolant of the curl equals the curl of the edge interpolant."""
     for _ in range(5):
-        el = TetElement(random_tet(rng))
+        coords = random_tet(rng)
         fld, curl = make_polynomial_field(random_poly_coeffs(rng),
                                           random_poly_coeffs(rng),
                                           random_poly_coeffs(rng))
-        assert el.commuting_residual(fld, curl) < 1e-12
+        assert commuting_residual(coords[None], fld, curl)[0] < 1e-12
 
 
 def test_batched_interpolants_match_each_tet(rng):
     """On a stack of 6 tets, each with its own field, the batched frames,
-    interpolants and residuals equal each tet's T = 1 view (TetElement on a
-    one-tet field) to 1e-15."""
+    interpolants and residuals equal each tet's T = 1 call (its coordinates
+    as a one-tet stack, with a one-tet field) to 1e-15."""
     stack = np.array([random_tet(rng) for _ in range(6)])
     exps = np.array(sorted(random_poly_coeffs(rng)))
     coef = rng.standard_normal((6, 3, len(exps)))
@@ -236,25 +275,24 @@ def test_batched_interpolants_match_each_tet(rng):
     fluxes = rt_face_interpolant(stack, curl)
     res = commuting_residual(stack, field, curl)
     assert res.shape == (6,) and res.max() < 1e-12
-    for t, coords in enumerate(stack):
-        el = TetElement(coords)
+    for t, coords in enumerate(stack[:, None]):
         fld_t, curl_t = polynomial_field(exps, coef[t])
-        n_t, a_t = el.face_frames()
-        assert np.abs(normals[t] - n_t).max() <= 1e-15
-        assert np.abs(areas[t] - a_t).max() <= 1e-15
+        n_t, a_t = face_frames(coords)
+        assert np.abs(normals[t] - n_t[0]).max() <= 1e-15
+        assert np.abs(areas[t] - a_t[0]).max() <= 1e-15
+        edges_t = nedelec_interpolant(coords, fld_t)[0]
+        fluxes_t = rt_face_interpolant(coords, curl_t)[0]
         scale = max(np.abs(edges[t]).max(), np.abs(fluxes[t]).max(), 1.0)
-        assert np.abs(edges[t] - el.nedelec_interpolant(fld_t)).max() <= 1e-15 * scale
-        assert np.abs(fluxes[t] - el.rt_face_interpolant(curl_t)).max() <= 1e-15 * scale
-        assert abs(res[t] - el.commuting_residual(fld_t, curl_t)) <= 1e-15
+        assert np.abs(edges[t] - edges_t).max() <= 1e-15 * scale
+        assert np.abs(fluxes[t] - fluxes_t).max() <= 1e-15 * scale
+        assert abs(res[t] - commuting_residual(coords, fld_t, curl_t)[0]) <= 1e-15
 
 
 def test_grad_mixed_matrix_against_quadrature(rng):
-    from hmaxwell.quadrature import tet_rule
-
     el = TetElement(random_tet(rng))
-    bary, w = tet_rule(2)
+    bary, w = tet_rule_degree2()
     pts = bary @ el.coords
-    psi = el.whitney(pts)
+    psi = whitney(el, pts)
     got = el.grad_mixed_matrix()
     for v in range(4):
         col = el.volume * np.einsum("q,qkd,d->k", w, psi, el.grads[v])
