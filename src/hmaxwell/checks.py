@@ -40,6 +40,10 @@ TOLERANCES = {
     "bound_slack": 1e-6,
 }
 
+# max |constraint row . local basis column| of a harmonic space: the
+# nullspace's own accuracy, so it has no config key
+HARMONIC_CONSTRAINT_TOL = 1e-10
+
 
 def default_tolerances() -> dict:
     return dict(TOLERANCES)

@@ -32,17 +32,17 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .checks import (CheckResult, check_bound, check_commuting,
-                     check_dual_biorthogonality, check_dual_norm_scaling,
-                     check_exact_sequence, check_gradient_kernel,
-                     check_gradient_part, check_helmholtz,
-                     check_partition_tiles, check_symmetry, check_transfer,
-                     default_tolerances, random_field)
+from .checks import (HARMONIC_CONSTRAINT_TOL, CheckResult, check_bound,
+                     check_commuting, check_dual_biorthogonality,
+                     check_dual_norm_scaling, check_exact_sequence,
+                     check_gradient_kernel, check_gradient_part,
+                     check_helmholtz, check_partition_tiles, check_symmetry,
+                     check_transfer, default_tolerances, random_field)
 from .cluster import (build_block_partition, build_cluster_tree,
                       partition_to_dict, sparsity_constant)
-from .fem import (assemble_system, build_dof_map, build_nodal_space,
-                  discrete_gradient, dual_basis, dual_norms,
-                  matrix_to_coordinate_text, sparse_operator)
+from .fem import (assemble_system, build_dof_map, discrete_gradient,
+                  dual_basis, dual_norms, matrix_to_coordinate_text,
+                  sparse_operator)
 from .harmonic import (caccioppoli_ratio, constraint_residual, default_pairs,
                        harmonic_space, helmholtz_report)
 from .hmatrix import compress_dense, far_svds, hmatrix_manifest
@@ -446,7 +446,7 @@ def cmd_verify(run: Runner, cfg: dict) -> int:
     run.phase("assemble")
     mesh, system, tree, partition, binv = build_pipeline(cfg, need_inverse=True)
     run.phase("structure")
-    grad = discrete_gradient(build_nodal_space(system))
+    grad = discrete_gradient(system.nodal)
     results.append(check_symmetry(system))
     results.append(check_gradient_kernel(system, grad, tol["gradient_kernel"],
                                          seed=cfg["seed"]))
@@ -479,8 +479,9 @@ def cmd_verify(run: Runner, cfg: dict) -> int:
         res = caccioppoli_ratio(space, pairs[label])
         cres = constraint_residual(space)
         results.append(CheckResult(
-            f"harmonic space constraints ({label})", cres <= 1e-10, cres,
-            1e-10, f"dim {space.dim}, ratio {res.ratio:.3e}"))
+            f"harmonic space constraints ({label})",
+            cres <= HARMONIC_CONSTRAINT_TOL, cres, HARMONIC_CONSTRAINT_TOL,
+            f"dim {space.dim}, ratio {res.ratio:.3e}"))
     run.phase("exact sequence")
     results.append(check_exact_sequence(system, grad, interior,
                                         tol["exact_sequence"], seed=cfg["seed"]))

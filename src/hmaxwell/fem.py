@@ -40,7 +40,8 @@ def build_dof_map(mesh: Mesh) -> DofMap:
 class GalerkinSystem:
     """K and M are CSR arrays on one shared pattern; the package reads A only as
     sparse_operator(self) and lu, its SuperLU factor, formed on first solve. The
-    cached dense A is read only by the benchmark's tracer and reference builder."""
+    cached dense A is read only by the benchmark's tracer and reference builder.
+    nodal is the whole-mesh nodal space, built on first use."""
     mesh: Mesh
     dofmap: DofMap
     kappa: complex
@@ -64,6 +65,10 @@ class GalerkinSystem:
     def lu(self):
         from scipy.sparse.linalg import splu  # imported on use: slow to load
         return splu(sparse_operator(self).tocsc())
+
+    @cached_property
+    def nodal(self) -> "NodalSpace":
+        return build_nodal_space(self)
 
 
 def assemble_system(mesh: Mesh, kappa: complex = 1.0) -> GalerkinSystem:

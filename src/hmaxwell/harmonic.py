@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fem import (GalerkinSystem, assemble_region_matrix, build_nodal_space,
-                  edge_incidence, gradient_edge_coeffs, pi_nabla_project,
-                  region_nodal_space, scatter, sparse_operator)
+from .fem import (GalerkinSystem, assemble_region_matrix, edge_incidence,
+                  gradient_edge_coeffs, pi_nabla_project, region_nodal_space,
+                  scatter, sparse_operator)
 from .mesh import LOCAL_EDGES, Mesh
 
 NULLSPACE_RTOL = 1e-10
@@ -132,13 +132,18 @@ def tets_inside_box(mesh: Mesh, lo, hi) -> np.ndarray:
 class HarmonicSpace:
     """The locally harmonic space on a region: null(constraints) on the DOFs
     O of the region's conforming tets, which hold every tet of a constraint
-    row's support, plus every coordinate off O."""
+    row's support, plus every coordinate off O.
+
+    local_basis is [N, unit columns]: its first m columns vanish off hit, the
+    positions in O that the constraint rows touch, and the other columns are
+    the unit vectors of O minus hit, in ascending order."""
     system: GalerkinSystem
     region: BoxRegion
     variant: str                 # "curl" | "grad"
     tets: np.ndarray             # the region's conforming tets
     dofs: np.ndarray             # O, ascending
     tet_cols: np.ndarray         # (T, k) position in O of each tet's DOFs, or -1
+    hit: np.ndarray              # positions in O the constraint rows touch, ascending
     local_basis: np.ndarray      # (|O|, d_O) orthonormal columns on O
     constraint_rows: np.ndarray  # R: row indices whose residual must vanish
     constraints: np.ndarray      # rows R, columns O of A (curl) or nodal Gram
@@ -148,9 +153,10 @@ class HarmonicSpace:
 def _with_unit_columns(cols: np.ndarray, n: int, on: np.ndarray) -> np.ndarray:
     """cols on rows `on` of an n-row array, then unit columns off `on`."""
     m = cols.shape[1]
-    out = np.zeros((n, m + n - on.size), dtype=cols.dtype)
+    free = np.setdiff1d(np.arange(n), on)
+    out = np.zeros((n, m + free.size), dtype=cols.dtype)
     out[on, :m] = cols
-    out[np.setdiff1d(np.arange(n), on), m:] = np.eye(n - on.size)
+    out[free, m + np.arange(free.size)] = 1
     return out
 
 
@@ -183,7 +189,7 @@ def harmonic_space(system: GalerkinSystem, region: BoxRegion,
         mat = sparse_operator(system)
         tet_dofs = system.dofmap.edge_to_dof[mesh.tet_edges]
     elif variant == "grad":
-        nodal = build_nodal_space(system)
+        nodal = system.nodal
         mat, tet_dofs = nodal.gram, nodal.col_of_vertex[mesh.tets]
     else:
         raise ValueError(f"unknown variant {variant!r}")
@@ -196,22 +202,30 @@ def harmonic_space(system: GalerkinSystem, region: BoxRegion,
     col = np.full(n + 1, -1, dtype=np.int64)
     col[dofs] = np.arange(dofs.size)
     sub = mat[np.ix_(rows, dofs)].toarray()
-    if rows.size:
-        # the columns of O that no constraint row touches are free
-        hit = np.flatnonzero(sub.any(axis=0))
+    # the columns of O that no constraint row touches are free
+    hit = np.flatnonzero(sub.any(axis=0))
+    rank, null = 0, np.zeros((0, 0))
+    if hit.size:
         _, sv, vh = np.linalg.svd(sub[:, hit], full_matrices=True)
         rank = int(np.sum(sv > NULLSPACE_RTOL * sv[0]))
-        z = _with_unit_columns(vh[rank:].conj().T, dofs.size, hit)
-    else:
-        rank, z = 0, np.eye(dofs.size)
-    return HarmonicSpace(system, region, variant, tets, dofs, col[tet_dofs], z,
-                         rows, sub, n - rank)
+        null = vh[rank:].conj().T
+    return HarmonicSpace(system, region, variant, tets, dofs, col[tet_dofs], hit,
+                         _with_unit_columns(null, dofs.size, hit), rows, sub,
+                         n - rank)
+
+
+def _null_block(space: HarmonicSpace) -> np.ndarray:
+    """N: rows hit of the local basis's first m columns, the only nonzeros
+    those columns have."""
+    m = space.local_basis.shape[1] - (space.dofs.size - space.hit.size)
+    return space.local_basis[space.hit, :m]
 
 
 def constraint_residual(space: HarmonicSpace) -> float:
-    """Max |constraints @ local basis column| over all columns; the unit
-    columns off O meet only zeros in the constraint rows."""
-    res = space.constraints @ space.local_basis
+    """Max |constraints @ local basis column| over all columns. Only the
+    columns hit meet the constraint rows, and the unit columns vanish there,
+    so this is the max of |constraints[:, hit] @ N|."""
+    res = space.constraints[:, space.hit] @ _null_block(space)
     return float(np.abs(res).max()) if res.size else 0.0
 
 
@@ -240,6 +254,12 @@ def caccioppoli_ratio(space: HarmonicSpace,
     on O and has a Cholesky factor (else LinAlgError); the inner Gram lives
     on the inner DOFs I, so the problem reduces to |I| x |I|. An empty
     local basis or empty inner region gives ratio 0.
+
+    The outer Gram on the basis [N, unit columns on free = O minus hit] is
+    built by blocks from the region Gram D: N^H D[hit, hit] N, then
+    D[free, hit] N below it and D[free, free] in the corner. The block
+    above the diagonal blocks stays zero: the in-place Cholesky reads only
+    the lower triangle.
     """
     system = space.system
     inner = pair.inner.inside_tets(system.mesh)
@@ -257,7 +277,8 @@ def caccioppoli_ratio(space: HarmonicSpace,
     if z.shape[1] and rows.size:
         den = scatter(w_curl * stiff[outer] + w_mass * mass[outer],
                       cols[outer], n_o)
-        chol = scipy.linalg.cholesky(z.conj().T @ (den @ z), lower=True)
+        chol = scipy.linalg.cholesky(_outer_gram(space, den), lower=True,
+                                     overwrite_a=True)
         # num lives on I, so with L^-1 Z[I]^H = Q R the nonzero eigenvalues
         # of the pencil (Z^H num Z, L L^H) are those of R num[I, I] R^H
         r = np.linalg.qr(scipy.linalg.solve_triangular(
@@ -270,6 +291,24 @@ def caccioppoli_ratio(space: HarmonicSpace,
     return CaccioppoliResult(ratio, ratio * pair.eps / (1.0 + pair.eps),
                              space.dim, inner.size, outer.size,
                              (system.h / pair.r) < pair.eps / 4.0)
+
+
+def _outer_gram(space: HarmonicSpace, den) -> np.ndarray:
+    """Z^H den Z less its upper off-diagonal block, as a Fortran-ordered
+    d x d array, from the block structure of the local basis
+    Z = [N, unit columns on free]."""
+    hit, null = space.hit, _null_block(space)
+    free = np.setdiff1d(np.arange(space.dofs.size), hit)
+    m = null.shape[1]
+    gram = np.zeros((m + free.size,) * 2, dtype=np.result_type(null, den.dtype),
+                    order="F")
+    cross = den[:, hit] @ null                           # D[:, hit] N
+    gram[:m, :m] = null.conj().T @ cross[hit]
+    gram[m:, :m] = cross[free]
+    # scatter's CSR holds each entry once, so no write below is lost
+    corner = den[free][:, free].tocoo()
+    gram[m + corner.row, m + corner.col] = corner.data
+    return gram
 
 
 # local Helmholtz decomposition ---------------------------------------------

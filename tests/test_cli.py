@@ -479,6 +479,20 @@ def test_verify_builds_the_gradient_once(tmp_path, monkeypatch):
     assert calls == {"build_nodal_space": 1, "discrete_gradient": 1}
 
 
+def test_caccioppoli_builds_the_nodal_space_once(tmp_path, monkeypatch):
+    """Both grad-variant harmonic spaces of a caccioppoli run read the
+    system's one whole-mesh nodal space."""
+    calls = Counter()
+
+    def counted(*args, _fn=fem.build_nodal_space, **kwargs):
+        calls["build_nodal_space"] += 1
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "build_nodal_space", counted)
+    assert run_cli("caccioppoli", "--n", "4", "--out", str(tmp_path)) == 0
+    assert calls == {"build_nodal_space": 1}
+
+
 def test_verify_without_interior_vertex(tmp_path):
     """At n = 1 no vertex is interior, so there is no discrete gradient: the
     checks that need one measure 0.0 and say so, with no 0/0."""

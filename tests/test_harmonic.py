@@ -1,6 +1,8 @@
 """Region machinery, discrete harmonic spaces, Caccioppoli quotients,
 local Helmholtz splits and the exact-sequence recovery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -30,6 +32,7 @@ from hmaxwell.fem import (
     scatter,
     solve_system,
 )
+from hmaxwell.harmonic import _outer_gram
 from test_mesh import same_bits
 
 
@@ -448,6 +451,156 @@ def test_local_space_matches_full_n_reference(system_cache, n, kappa):
             assert not mat[np.ix_(rows, off)].any()
             b = embedded_basis(space, mat.shape[0])
             assert np.abs(b.conj().T @ b - np.eye(dim)).max() < 1e-10
+
+
+def split_local_basis(space):
+    """(m, free): the number of nullspace columns of the local basis and
+    the positions of O that no constraint row touches."""
+    free = np.setdiff1d(np.arange(space.dofs.size), space.hit)
+    return space.local_basis.shape[1] - free.size, free
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_local_basis_layout(system_cache, n, kappa):
+    """The layout the blockwise Gram and residual rely on, bitwise: hit is
+    the set of columns of O the constraint block touches, the first m
+    columns of the local basis vanish off hit, and the rest are exact unit
+    vectors on O minus hit, in ascending order."""
+    sysm = system_cache(n, kappa)
+    for pair in default_pairs(sysm.mesh.length).values():
+        for variant in ("curl", "grad"):
+            space = harmonic_space(sysm, pair.outer, variant)
+            z = space.local_basis
+            m, free = split_local_basis(space)
+            assert np.array_equal(space.hit,
+                                  np.flatnonzero(space.constraints.any(axis=0)))
+            assert 0 <= m <= space.hit.size
+            assert not z[free, :m].any()
+            assert np.array_equal(z[:, m:], np.eye(space.dofs.size)[:, free])
+
+
+def region_grams(space, pair):
+    """(num on I x I, D on O, I): the inner curl Gram and the weighted outer
+    Gram of the pair, numbered in O, and the inner DOFs I."""
+    system = space.system
+    inner = pair.inner.inside_tets(system.mesh)
+    r_out = (1.0 + pair.eps) * pair.r
+    local = system.local
+    stiff, mass = ((local.curl, local.mass) if space.variant == "curl"
+                   else (local.nodal_stiffness, local.nodal_mass))
+    cols, n_o = space.tet_cols, space.dofs.size
+    rows = np.unique(cols[inner])
+    rows = rows[rows >= 0]
+    den = scatter((system.h / r_out) ** 2 * stiff[space.tets]
+                  + mass[space.tets] / r_out ** 2, cols[space.tets], n_o)
+    return scatter(stiff[inner], cols[inner], n_o)[rows][:, rows], den, rows
+
+
+def dense_gram_caccioppoli(space, pair):
+    """The ratio from the dense outer Gram Z^H (D Z) on the whole local
+    basis Z, factored by a copying Cholesky."""
+    num, den, rows = region_grams(space, pair)
+    z = space.local_basis
+    chol = scipy.linalg.cholesky(z.conj().T @ (den @ z), lower=True)
+    r = np.linalg.qr(scipy.linalg.solve_triangular(
+        chol, z[rows].conj().T, lower=True), mode="r")
+    return max(float(scipy.linalg.eigh(r @ (num @ r.conj().T),
+                                       eigvals_only=True)[-1]), 0.0)
+
+
+def test_outer_gram_blocks(system_cache):
+    """The blockwise outer Gram against the dense Z^H (D Z), on a box that
+    constrains nothing (m = 0), a box whose constraint rows touch all of O
+    (no unit column) and the n = 8 interior pair: a Fortran-ordered array
+    whose cross and corner blocks are bitwise the dense ones, whose N^H D N
+    block agrees to 1e-13 of its largest entry, and whose block above the
+    diagonal blocks is zero."""
+    cases = [(system_cache(3), ConcentricPair((0.3, 0.5, 0.5), 0.1, 1.0)),
+             (system_cache(6), ConcentricPair((1 / 3,) * 3, 1 / 3, 1.0)),
+             (system_cache(8), default_pairs(1.0)["interior"])]
+    seen = set()
+    for sysm, pair in cases:
+        for variant in ("curl", "grad"):
+            space = harmonic_space(sysm, pair.outer, variant)
+            m, free = split_local_basis(space)
+            seen |= {"m = 0"} if m == 0 else set()
+            seen |= {"no unit column"} if free.size == 0 else set()
+            _, den, _ = region_grams(space, pair)
+            z = space.local_basis
+            dense = z.conj().T @ (den @ z)
+            gram = _outer_gram(space, den)
+            assert gram.flags.f_contiguous and gram.dtype == dense.dtype
+            assert same_bits(gram[m:], dense[m:])
+            assert np.abs(gram[:m, :m] - dense[:m, :m]).max(initial=0.0) <= (
+                1e-13 * np.abs(dense).max())
+            assert not gram[:m, m:].any()
+    assert seen == {"m = 0", "no unit column"}
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
+def test_blockwise_gram_matches_dense_gram_n8(system_cache, kappa):
+    """At n = 8 the ratio from the blockwise outer Gram matches the dense
+    Z^H (D Z) formula to 1e-12 relative, and the residual of N alone
+    matches the max of the dense product with every column, whose unit
+    columns meet only zeros."""
+    sysm = system_cache(8, kappa)
+    for pair in default_pairs(sysm.mesh.length).values():
+        for variant in ("curl", "grad"):
+            space = harmonic_space(sysm, pair.outer, variant)
+            res = caccioppoli_ratio(space, pair)
+            assert res.ratio > 0.0
+            assert res.ratio == pytest.approx(
+                dense_gram_caccioppoli(space, pair), rel=1e-12)
+            m, _ = split_local_basis(space)
+            dense = space.constraints @ space.local_basis
+            assert not dense[:, m:].any()
+            # the same entries summed over |O| or over |hit| terms: they
+            # differ by rounding, at most 2 |O| eps |C| |Z| entrywise
+            slack = (2 * space.dofs.size * np.finfo(float).eps
+                     * (np.abs(space.constraints) @ np.abs(space.local_basis)).max())
+            assert abs(constraint_residual(space) - np.abs(dense).max()) <= slack
+            assert constraint_residual(space) <= 1e-10
+
+
+def test_caccioppoli_gram_is_factored_in_place(system_cache):
+    """At n = 8 on the interior curl pair, caccioppoli_ratio allocates less
+    than two d x d real arrays above what it is handed: the outer Gram is
+    built once and factored in place."""
+    sysm = system_cache(8)
+    pair = default_pairs(sysm.mesh.length)["interior"]
+    space = harmonic_space(sysm, pair.outer, "curl")
+    d = space.local_basis.shape[1]
+    assert d == 1370
+    tracemalloc.start()
+    try:
+        caccioppoli_ratio(space, pair)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * d * d * 8
+
+
+def test_caccioppoli_without_constraints_or_unit_columns(system_cache):
+    """The corner cases of the block layout. A box that constrains no row
+    has m = 0: no residual, and its inner box holds no whole tet. The
+    mesh-aligned box [0, 2/3]^3 at n = 6 has constraint rows touching all
+    of O, so the basis is N alone, and the ratio matches the dense Gram's."""
+    tiny = ConcentricPair((0.3, 0.5, 0.5), 0.1, 1.0)
+    space = harmonic_space(system_cache(3), tiny.outer, "curl")
+    assert space.hit.size == 0 and space.constraint_rows.size == 0
+    assert constraint_residual(space) == 0.0
+    assert caccioppoli_ratio(space, tiny).ratio == 0.0
+    aligned = ConcentricPair((1 / 3,) * 3, 1 / 3, 1.0)
+    for variant in ("curl", "grad"):
+        space = harmonic_space(system_cache(6), aligned.outer, variant)
+        m, free = split_local_basis(space)
+        assert free.size == 0 and m == space.local_basis.shape[1] > 0
+        res = caccioppoli_ratio(space, aligned)
+        assert res.ratio > 0.0
+        assert res.ratio == pytest.approx(dense_gram_caccioppoli(space, aligned),
+                                          rel=1e-12)
+        assert constraint_residual(space) <= 1e-10
 
 
 # local Helmholtz -------------------------------------------------------------
