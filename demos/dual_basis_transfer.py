@@ -8,7 +8,8 @@ import numpy as np
 from hmaxwell import assemble_system, build_block_partition, build_box_mesh, build_cluster_tree
 from hmaxwell.fem import (apply_dual_functionals, dual_basis, dual_norms,
                           riesz_rhs, solve_system, sparse_operator)
-from hmaxwell.inverse_lab import dense_inverse, theorem_transfer_check
+from hmaxwell.inverse_lab import (TRANSFER_RHS, dense_inverse,
+                                  theorem_transfer_check)
 
 # BIORTHOGONALITY
 # <lambda_i, psi_j> = delta_ij across all interior edges
@@ -45,9 +46,8 @@ dual = dual_basis(system)
 tau, sigma = max(partition.far, key=lambda p: p[0].size * p[1].size)
 print(f"\nn=4: largest admissible pair is {tau.size} x {sigma.size} "
       f"of {len(partition.far)} pairs")
-(worst,) = theorem_transfer_check(system, dual, [tau], sigma, binv, n_rhs=10,
-                                  seed=0)
-print(f"max mismatch over 10 random rhs: {worst:.3e} "
+(worst,) = theorem_transfer_check(system, dual, [tau], sigma, binv, seed=0)
+print(f"max mismatch over {TRANSFER_RHS} random rhs: {worst:.3e} "
       f"-> {'ok' if worst <= 1e-8 else 'BROKEN'}")
 
 # the identity is what makes blockwise compression of A^-1 meaningful:

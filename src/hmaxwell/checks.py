@@ -25,6 +25,7 @@ from .whitney import commuting_residual, polynomial_field
 COMMUTING_TETS = 50      # random tets per commuting-diagram check
 COMMUTING_DEGREE = 3     # total degree of the random polynomial fields
 DUAL_NORM_NS = (2, 3, 4, 6)  # mesh sizes of the dual-norm scaling check
+EXACT_SEQUENCE_INSTANCES = 10  # random discrete gradients recovered per check
 
 # every check's default tolerance, factor or slack, by config key
 TOLERANCES = {
@@ -172,25 +173,28 @@ def check_gradient_part(system: GalerkinSystem, space: HarmonicSpace,
                         tol: float = TOLERANCES["gradient_part"]) -> CheckResult:
     """Gradient parts of the columns of a curl harmonic space are harmonic
     on its region; the unit columns off O vanish there and are skipped. The
-    columns are scattered to full length and checked TILE at a time on one
-    region build, so no N x m block is formed."""
-    local = space.local_basis
-    m = local.shape[1]
+    local basis columns, N's on O[hit] and then the unit vectors of O[free],
+    are built at full length and checked TILE at a time on one region
+    build, so no N x d block is formed."""
+    null, m = space.null, space.null.shape[1]
+    on_hit, on_free = space.dofs[space.hit], space.dofs[space.free]
+    d = m + on_free.size
 
     def tiles():
-        for j in range(0, m, TILE):
-            cols = np.zeros((system.n_dofs, min(TILE, m - j)), dtype=local.dtype)
-            cols[space.dofs] = local[:, j:j + TILE]
+        for j in range(0, d, TILE):
+            cols = np.zeros((system.n_dofs, min(TILE, d - j)), dtype=null.dtype)
+            cols[on_hit, :max(m - j, 0)] = null[:, j:j + TILE]
+            k = np.arange(max(m, j), min(d, j + TILE))
+            cols[on_free[k - m], k - j] = 1
             yield cols
 
     worst = gradient_part_harmonic_check(system, space.region, space.tets, tiles())
     return CheckResult("gradient parts of harmonic columns are harmonic",
-                       worst <= tol, worst, tol, f"{m} columns, dim {space.dim}")
+                       worst <= tol, worst, tol, f"{d} columns, dim {space.dim}")
 
 
 def check_exact_sequence(system: GalerkinSystem, grad, region: BoxRegion,
                          tol: float = TOLERANCES["exact_sequence"],
-                         n_instances: int = 10,
                          seed: int = 0) -> CheckResult:
     """Potentials of discrete gradients are recovered on the region, all
     instances in one block; grad is the whole-mesh discrete gradient."""
@@ -199,7 +203,8 @@ def check_exact_sequence(system: GalerkinSystem, grad, region: BoxRegion,
     tets = region.conforming_tets(mesh)
     rows = np.unique(system.dofmap.edge_to_dof[mesh.tet_edges[tets]])
     rows = rows[rows >= 0]
-    q = np.random.default_rng(seed).standard_normal((n_instances, grad.shape[1]))
+    q = np.random.default_rng(seed).standard_normal(
+        (EXACT_SEQUENCE_INSTANCES, grad.shape[1]))
     v = grad @ q.T
     if not v[rows].any():
         return CheckResult(name, True, 0.0, tol, "no discrete gradient to test")
@@ -207,12 +212,13 @@ def check_exact_sequence(system: GalerkinSystem, grad, region: BoxRegion,
     recon = gradient_edge_coeffs(system, phi)[rows]
     worst = float((np.linalg.norm(recon - v[rows], axis=0)
                    / np.linalg.norm(v[rows], axis=0)).max(initial=0.0))
-    return CheckResult(name, worst <= tol, worst, tol, f"{n_instances} instances")
+    return CheckResult(name, worst <= tol, worst, tol,
+                       f"{EXACT_SEQUENCE_INSTANCES} instances")
 
 
 def check_transfer(system: GalerkinSystem, partition: BlockPartition,
                    binv: np.ndarray, dual: DualBasis,
-                   tol: float = TOLERANCES["transfer"], n_rhs: int = 10,
+                   tol: float = TOLERANCES["transfer"],
                    seed: int = 0) -> CheckResult:
     """Coefficient-transfer identity on every admissible pair, with one
     solve per column cluster."""
@@ -221,7 +227,7 @@ def check_transfer(system: GalerkinSystem, partition: BlockPartition,
         groups.setdefault(s.id, (s, []))[1].append(t)
     worst = float(np.max([v for s, taus in groups.values()
                           for v in theorem_transfer_check(
-                              system, dual, taus, s, binv, n_rhs, seed)],
+                              system, dual, taus, s, binv, seed)],
                          initial=0.0))
     return CheckResult("dual-basis transfer identity", worst <= tol, worst,
                        tol, f"{len(partition.far)} admissible pairs")

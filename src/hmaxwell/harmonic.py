@@ -134,9 +134,10 @@ class HarmonicSpace:
     O of the region's conforming tets, which hold every tet of a constraint
     row's support, plus every coordinate off O.
 
-    local_basis is [N, unit columns]: its first m columns vanish off hit, the
-    positions in O that the constraint rows touch, and the other columns are
-    the unit vectors of O minus hit, in ascending order."""
+    Its local basis on O, Z = [N, unit columns], is not stored: its first m
+    columns are N on hit, the positions in O the constraint rows touch, and
+    zero off hit; the others are the unit vectors of free = O minus hit, in
+    ascending order. Readers build the rows or columns of Z they need."""
     system: GalerkinSystem
     region: BoxRegion
     variant: str                 # "curl" | "grad"
@@ -144,20 +145,15 @@ class HarmonicSpace:
     dofs: np.ndarray             # O, ascending
     tet_cols: np.ndarray         # (T, k) position in O of each tet's DOFs, or -1
     hit: np.ndarray              # positions in O the constraint rows touch, ascending
-    local_basis: np.ndarray      # (|O|, d_O) orthonormal columns on O
+    null: np.ndarray             # N (|hit|, m): orthonormal nullspace on rows hit
     constraint_rows: np.ndarray  # R: row indices whose residual must vanish
-    constraints: np.ndarray      # rows R, columns O of A (curl) or nodal Gram
+    constraints: np.ndarray      # rows R, columns O[hit] of A (curl) or nodal Gram
     dim: int                     # N - rank(constraints)
 
-
-def _with_unit_columns(cols: np.ndarray, n: int, on: np.ndarray) -> np.ndarray:
-    """cols on rows `on` of an n-row array, then unit columns off `on`."""
-    m = cols.shape[1]
-    free = np.setdiff1d(np.arange(n), on)
-    out = np.zeros((n, m + free.size), dtype=cols.dtype)
-    out[on, :m] = cols
-    out[free, m + np.arange(free.size)] = 1
-    return out
+    @property
+    def free(self) -> np.ndarray:
+        """Positions in O that no constraint row touches, ascending."""
+        return np.setdiff1d(np.arange(self.dofs.size), self.hit)
 
 
 def _supported_in_box(mesh: Mesh, region: BoxRegion, tet_entities: np.ndarray,
@@ -173,7 +169,7 @@ def _supported_in_box(mesh: Mesh, region: BoxRegion, tet_entities: np.ndarray,
 
 def harmonic_space(system: GalerkinSystem, region: BoxRegion,
                    variant: str = "curl") -> HarmonicSpace:
-    """Orthonormal basis of the locally harmonic space on the region.
+    """The locally harmonic space on the region, held as in HarmonicSpace.
 
     variant "curl": coefficient vectors u with (A u)_i = 0 for every DOF i
     whose basis function is supported in the closed box (discretely
@@ -204,28 +200,21 @@ def harmonic_space(system: GalerkinSystem, region: BoxRegion,
     sub = mat[np.ix_(rows, dofs)].toarray()
     # the columns of O that no constraint row touches are free
     hit = np.flatnonzero(sub.any(axis=0))
+    sub = sub[:, hit]
     rank, null = 0, np.zeros((0, 0))
     if hit.size:
-        _, sv, vh = np.linalg.svd(sub[:, hit], full_matrices=True)
+        _, sv, vh = np.linalg.svd(sub, full_matrices=True)
         rank = int(np.sum(sv > NULLSPACE_RTOL * sv[0]))
-        null = vh[rank:].conj().T
+        null = vh[rank:].conj().T.copy()  # its own array, not a view of vh
     return HarmonicSpace(system, region, variant, tets, dofs, col[tet_dofs], hit,
-                         _with_unit_columns(null, dofs.size, hit), rows, sub,
-                         n - rank)
-
-
-def _null_block(space: HarmonicSpace) -> np.ndarray:
-    """N: rows hit of the local basis's first m columns, the only nonzeros
-    those columns have."""
-    m = space.local_basis.shape[1] - (space.dofs.size - space.hit.size)
-    return space.local_basis[space.hit, :m]
+                         null, rows, sub, n - rank)
 
 
 def constraint_residual(space: HarmonicSpace) -> float:
-    """Max |constraints @ local basis column| over all columns. Only the
-    columns hit meet the constraint rows, and the unit columns vanish there,
-    so this is the max of |constraints[:, hit] @ N|."""
-    res = space.constraints[:, space.hit] @ _null_block(space)
+    """Max |constraint row . local basis column| over all columns. The unit
+    columns on free meet only zeros, so this is the max of
+    |constraints @ N|."""
+    res = space.constraints @ space.null
     return float(np.abs(res).max()) if res.size else 0.0
 
 
@@ -270,19 +259,25 @@ def caccioppoli_ratio(space: HarmonicSpace,
     local = system.local
     stiff, mass = ((local.curl, local.mass) if space.variant == "curl"
                    else (local.nodal_stiffness, local.nodal_mass))
-    z, cols, n_o = space.local_basis, space.tet_cols, space.dofs.size
+    cols, n_o, null, free = space.tet_cols, space.dofs.size, space.null, space.free
     rows = np.unique(cols[inner])
     rows = rows[rows >= 0]                 # I: the inner DOFs, numbered in O
+    m, d = null.shape[1], null.shape[1] + free.size   # Z is |O| x d
     ratio = 0.0
-    if z.shape[1] and rows.size:
+    if d and rows.size:
         den = scatter(w_curl * stiff[outer] + w_mass * mass[outer],
                       cols[outer], n_o)
         chol = scipy.linalg.cholesky(_outer_gram(space, den), lower=True,
                                      overwrite_a=True)
+        # Z[I]: N's rows on I and hit, unit entries at m + position in free
+        on = np.isin(rows, space.hit)
+        z_rows = np.zeros((rows.size, d), dtype=null.dtype)
+        z_rows[on, :m] = null[np.searchsorted(space.hit, rows[on])]
+        z_rows[~on, m + np.searchsorted(free, rows[~on])] = 1
         # num lives on I, so with L^-1 Z[I]^H = Q R the nonzero eigenvalues
         # of the pencil (Z^H num Z, L L^H) are those of R num[I, I] R^H
         r = np.linalg.qr(scipy.linalg.solve_triangular(
-            chol, z[rows].conj().T, lower=True), mode="r")
+            chol, z_rows.conj().T, lower=True), mode="r")
         num = scatter(stiff[inner], cols[inner], n_o)[rows][:, rows]
         top = r @ (num @ r.conj().T)
         w = scipy.linalg.eigh(top, eigvals_only=True,
@@ -297,8 +292,7 @@ def _outer_gram(space: HarmonicSpace, den) -> np.ndarray:
     """Z^H den Z less its upper off-diagonal block, as a Fortran-ordered
     d x d array, from the block structure of the local basis
     Z = [N, unit columns on free]."""
-    hit, null = space.hit, _null_block(space)
-    free = np.setdiff1d(np.arange(space.dofs.size), hit)
+    hit, null, free = space.hit, space.null, space.free
     m = null.shape[1]
     gram = np.zeros((m + free.size,) * 2, dtype=np.result_type(null, den.dtype),
                     order="F")

@@ -34,6 +34,7 @@ from .fem import GalerkinSystem, apply_dual_functionals, riesz_rhs, solve_system
 from .hmatrix import TILE, far_svds, spectral_norm, tile_pairs
 
 RESIDUAL_LIMIT = 1e-8  # dense_inverse's bound on max |A A^{-1} - I|
+TRANSFER_RHS = 10      # random right-hand sides per transfer-check column cluster
 
 
 def dense_inverse(op, perm: np.ndarray) -> np.ndarray:
@@ -192,14 +193,13 @@ def _lstsq_fit(x, y):
 
 
 def theorem_transfer_check(system: GalerkinSystem, dual, taus, sigma,
-                           binv: np.ndarray, n_rhs: int = 10,
-                           seed: int = 0) -> list:
+                           binv: np.ndarray, seed: int = 0) -> list:
     """Coefficient-transfer identity on the admissible pairs (tau, sigma),
     tau in taus, which share the column cluster sigma.
 
-    For n_rhs random complex b supported on sigma, drawn as one
-    (n_rhs, 2, |sigma|) array of real and imaginary parts, the load vectors
-    of F_b = sum b_i lambda_i are solved as one block, once for all taus,
+    For TRANSFER_RHS random complex b supported on sigma, drawn as one
+    (TRANSFER_RHS, 2, |sigma|) array of real and imaginary parts, the load
+    vectors of F_b = sum b_i lambda_i are solved as one block, once for all taus,
     and for each tau the dual functionals over tau are compared with the
     inverse's block, the slice whose rows and columns are tau.indices and
     sigma.indices, acting on b. Integrals on both ends are done honestly
@@ -207,8 +207,8 @@ def theorem_transfer_check(system: GalerkinSystem, dual, taus, sigma,
     per tau, the worst relative mismatch over the right-hand sides, which
     checks.check_transfer judges; no SVD is taken.
     """
-    parts = np.random.default_rng(seed).standard_normal((n_rhs, 2, sigma.size))
-    b = (parts[:, 0] + 1j * parts[:, 1]).T                # (|sigma|, n_rhs)
+    parts = np.random.default_rng(seed).standard_normal((TRANSFER_RHS, 2, sigma.size))
+    b = (parts[:, 0] + 1j * parts[:, 1]).T      # (|sigma|, TRANSFER_RHS)
     e_h = solve_system(system, riesz_rhs(system, dual, sigma.indices, b))
     scale = np.abs(b).max(axis=0)
     out = []

@@ -270,10 +270,31 @@ def sys4():
     return assemble_system(build_box_mesh(4))
 
 
+def local_basis(space):
+    """The dense (|O|, d) local basis Z = [N, unit columns] the space
+    defines, rebuilt from hit and N: N on rows hit, zeros below it, then the
+    unit vectors of O minus hit in ascending order."""
+    null, free = space.null, space.free
+    m = null.shape[1]
+    z = np.zeros((space.dofs.size, m + free.size), dtype=null.dtype)
+    z[space.hit, :m] = null
+    z[free, m + np.arange(free.size)] = 1
+    return z
+
+
+def constraint_block(space):
+    """The dense constraint block, rows R and columns O, rebuilt from its
+    columns hit; every other column of O is zero."""
+    block = np.zeros((space.constraint_rows.size, space.dofs.size),
+                     dtype=space.constraints.dtype)
+    block[:, space.hit] = space.constraints
+    return block
+
+
 def embedded_basis(space, n):
     """(n, dim) embedding of a space with n coordinates: the local columns
     on O first, then one unit vector per coordinate off O."""
-    z = space.local_basis
+    z = local_basis(space)
     off = np.setdiff1d(np.arange(n), space.dofs)
     out = np.zeros((n, z.shape[1] + off.size), dtype=z.dtype)
     out[space.dofs, :z.shape[1]] = z
@@ -446,7 +467,7 @@ def test_local_space_matches_full_n_reference(system_cache, n, kappa):
             assert res.normalized == pytest.approx(normalized, rel=1e-10,
                                                    abs=1e-300)
             block = mat[np.ix_(rows, space.dofs)]
-            assert same_bits(space.constraints, block)
+            assert same_bits(constraint_block(space), block)
             off = np.setdiff1d(np.arange(mat.shape[0]), space.dofs)
             assert not mat[np.ix_(rows, off)].any()
             b = embedded_basis(space, mat.shape[0])
@@ -456,8 +477,7 @@ def test_local_space_matches_full_n_reference(system_cache, n, kappa):
 def split_local_basis(space):
     """(m, free): the number of nullspace columns of the local basis and
     the positions of O that no constraint row touches."""
-    free = np.setdiff1d(np.arange(space.dofs.size), space.hit)
-    return space.local_basis.shape[1] - free.size, free
+    return space.null.shape[1], space.free
 
 
 @pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
@@ -466,18 +486,41 @@ def test_local_basis_layout(system_cache, n, kappa):
     """The layout the blockwise Gram and residual rely on, bitwise: hit is
     the set of columns of O the constraint block touches, the first m
     columns of the local basis vanish off hit, and the rest are exact unit
-    vectors on O minus hit, in ascending order."""
+    vectors on O minus hit, in ascending order. The space holds N as its
+    own C-ordered (|hit|, m) array and only the constraint columns hit."""
     sysm = system_cache(n, kappa)
     for pair in default_pairs(sysm.mesh.length).values():
         for variant in ("curl", "grad"):
             space = harmonic_space(sysm, pair.outer, variant)
-            z = space.local_basis
+            z = local_basis(space)
             m, free = split_local_basis(space)
-            assert np.array_equal(space.hit,
-                                  np.flatnonzero(space.constraints.any(axis=0)))
+            assert np.array_equal(space.hit, np.flatnonzero(
+                constraint_block(space).any(axis=0)))
             assert 0 <= m <= space.hit.size
+            assert space.null.shape == (space.hit.size, m)
+            assert space.null.flags.c_contiguous and space.null.flags.owndata
+            assert space.constraints.shape == (space.constraint_rows.size,
+                                               space.hit.size)
             assert not z[free, :m].any()
             assert np.array_equal(z[:, m:], np.eye(space.dofs.size)[:, free])
+
+
+@pytest.mark.parametrize("kappa, limit", [(1.0, 4e6), (1.0 + 0.5j, 8e6)])
+def test_harmonic_space_holds_only_its_definition(system_cache, kappa, limit):
+    """At n = 8 on the interior curl pair the space holds what defines it:
+    hit, N and the constraint columns hit, about 3.1 MB real and 6.0 MB
+    complex. The dense |O| x d basis and |R| x |O| block held 22.9 and
+    45.7 MB."""
+    sysm = system_cache(8, kappa)
+    pair = default_pairs(sysm.mesh.length)["interior"]
+    tracemalloc.start()
+    try:
+        space = harmonic_space(sysm, pair.outer, "curl")
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert space.dofs.size == 1686 and space.null.shape == (604, 288)
+    assert held < limit
 
 
 def region_grams(space, pair):
@@ -501,7 +544,7 @@ def dense_gram_caccioppoli(space, pair):
     """The ratio from the dense outer Gram Z^H (D Z) on the whole local
     basis Z, factored by a copying Cholesky."""
     num, den, rows = region_grams(space, pair)
-    z = space.local_basis
+    z = local_basis(space)
     chol = scipy.linalg.cholesky(z.conj().T @ (den @ z), lower=True)
     r = np.linalg.qr(scipy.linalg.solve_triangular(
         chol, z[rows].conj().T, lower=True), mode="r")
@@ -527,7 +570,7 @@ def test_outer_gram_blocks(system_cache):
             seen |= {"m = 0"} if m == 0 else set()
             seen |= {"no unit column"} if free.size == 0 else set()
             _, den, _ = region_grams(space, pair)
-            z = space.local_basis
+            z = local_basis(space)
             dense = z.conj().T @ (den @ z)
             gram = _outer_gram(space, den)
             assert gram.flags.f_contiguous and gram.dtype == dense.dtype
@@ -553,12 +596,13 @@ def test_blockwise_gram_matches_dense_gram_n8(system_cache, kappa):
             assert res.ratio == pytest.approx(
                 dense_gram_caccioppoli(space, pair), rel=1e-12)
             m, _ = split_local_basis(space)
-            dense = space.constraints @ space.local_basis
+            constraints, z = constraint_block(space), local_basis(space)
+            dense = constraints @ z
             assert not dense[:, m:].any()
             # the same entries summed over |O| or over |hit| terms: they
             # differ by rounding, at most 2 |O| eps |C| |Z| entrywise
             slack = (2 * space.dofs.size * np.finfo(float).eps
-                     * (np.abs(space.constraints) @ np.abs(space.local_basis)).max())
+                     * (np.abs(constraints) @ np.abs(z)).max())
             assert abs(constraint_residual(space) - np.abs(dense).max()) <= slack
             assert constraint_residual(space) <= 1e-10
 
@@ -570,7 +614,7 @@ def test_caccioppoli_gram_is_factored_in_place(system_cache):
     sysm = system_cache(8)
     pair = default_pairs(sysm.mesh.length)["interior"]
     space = harmonic_space(sysm, pair.outer, "curl")
-    d = space.local_basis.shape[1]
+    d = local_basis(space).shape[1]
     assert d == 1370
     tracemalloc.start()
     try:
@@ -595,7 +639,7 @@ def test_caccioppoli_without_constraints_or_unit_columns(system_cache):
     for variant in ("curl", "grad"):
         space = harmonic_space(system_cache(6), aligned.outer, variant)
         m, free = split_local_basis(space)
-        assert free.size == 0 and m == space.local_basis.shape[1] > 0
+        assert free.size == 0 and m == local_basis(space).shape[1] > 0
         res = caccioppoli_ratio(space, aligned)
         assert res.ratio > 0.0
         assert res.ratio == pytest.approx(dense_gram_caccioppoli(space, aligned),

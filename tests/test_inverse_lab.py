@@ -470,19 +470,19 @@ def test_transfer_identity_on_one_pair(lab3):
     assert part.far, "partition should have admissible pairs at n=3"
     dual = dual_basis(sysm)
     t, s = max(part.far, key=lambda p: p[0].size * p[1].size)
-    (worst,) = theorem_transfer_check(sysm, dual, [t], s, binv, n_rhs=5)
+    (worst,) = theorem_transfer_check(sysm, dual, [t], s, binv)
     assert isinstance(worst, float)
     assert 0.0 <= worst <= 1e-10
 
 
-def reference_transfer_mismatch(sysm, dual, t, s, binv, n_rhs, seed):
+def reference_transfer_mismatch(sysm, dual, t, s, binv, seed):
     """The transfer check one right-hand side at a time: per rhs a fresh
     draw of Re b then Im b, one load vector, one solve, one functional
     sweep."""
     rng = np.random.default_rng(seed)
     block = binv[t.span, s.span]
     worst = 0.0
-    for _ in range(n_rhs):
+    for _ in range(inverse_lab.TRANSFER_RHS):
         b = rng.standard_normal(s.size) + 1j * rng.standard_normal(s.size)
         e_h = solve_system(sysm, riesz_rhs(sysm, dual, s.indices, b))
         lam = apply_dual_functionals(sysm, dual, t.indices, e_h)
@@ -499,9 +499,8 @@ def test_blocked_transfer_matches_per_rhs_loop(lab3, scale):
     for t, s in part.far[:6]:
         bad = binv.copy()
         bad[t.span, s.span] *= scale
-        (worst,) = theorem_transfer_check(sysm, dual, [t], s, bad, n_rhs=7,
-                                          seed=3)
-        ref = reference_transfer_mismatch(sysm, dual, t, s, bad, 7, 3)
+        (worst,) = theorem_transfer_check(sysm, dual, [t], s, bad, seed=3)
+        ref = reference_transfer_mismatch(sysm, dual, t, s, bad, 3)
         assert abs(worst - ref) <= 1e-12 * max(ref, 1.0)
 
 
@@ -511,19 +510,19 @@ def test_transfer_check_solves_once_per_column_cluster(lab3, monkeypatch):
     one-pair value."""
     sysm, part, binv = lab3
     dual = dual_basis(sysm)
-    per_pair = [theorem_transfer_check(sysm, dual, [t], s, binv, n_rhs=3)[0]
+    per_pair = [theorem_transfer_check(sysm, dual, [t], s, binv)[0]
                 for t, s in part.far]
     calls, solve = [], inverse_lab.solve_system
     monkeypatch.setattr(inverse_lab, "solve_system",
                         lambda *a: calls.append(1) or solve(*a))
-    res = check_transfer(sysm, part, binv, dual, n_rhs=3)
+    res = check_transfer(sysm, part, binv, dual)
     assert len(calls) == len({s.id for _, s in part.far}) == 18
     assert res.measured == max(per_pair)
     sigma = part.far[0][1]
     pairs = [i for i, (_, s) in enumerate(part.far) if s.id == sigma.id]
     assert len(pairs) > 1
     assert theorem_transfer_check(sysm, dual, [part.far[i][0] for i in pairs],
-                                  sigma, binv, n_rhs=3) == [per_pair[i]
+                                  sigma, binv) == [per_pair[i]
                                                             for i in pairs]
 
 
@@ -535,12 +534,12 @@ def test_transfer_negative_control(lab3):
     t, s = part.far[0]
     bad = binv.copy()
     bad[t.span, s.span] *= 1.5
-    assert theorem_transfer_check(sysm, dual, [t], s, bad, n_rhs=3)[0] > 1e-4
-    res = check_transfer(sysm, part, bad, dual, n_rhs=3)
+    assert theorem_transfer_check(sysm, dual, [t], s, bad)[0] > 1e-4
+    res = check_transfer(sysm, part, bad, dual)
     assert not res.passed and res.measured > 1e-4
-    assert check_transfer(sysm, part, binv, dual, n_rhs=3).passed
+    assert check_transfer(sysm, part, binv, dual).passed
     # a NaN mismatch on any pair, not only the first, fails the check
     nan = binv.copy()
     t, s = part.far[1]
     nan[t.span, s.span] = np.nan
-    assert not check_transfer(sysm, part, nan, dual, n_rhs=3).passed
+    assert not check_transfer(sysm, part, nan, dual).passed

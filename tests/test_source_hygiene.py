@@ -148,3 +148,50 @@ def test_every_public_function_is_named_outside_tests():
                and not node.name.startswith("_")
                and counts[node.name] <= named(node)[node.name]]
     assert not unnamed, unnamed
+
+
+def test_every_keyword_default_is_set_outside_tests():
+    """A parameter with a default, of any function in src/, is set by some
+    call in src/, demos/ or bench/*.py, by name or by position; a call
+    through *args or **kwargs sets every parameter. A default that only
+    tests override is a fixed value, and belongs in a module constant."""
+    root = SRC.parents[1]
+    trees = list(MODULES.values())
+    trees += [ast.parse(path.read_text(encoding="utf-8"))
+              for folder in ("demos", "bench")
+              for path in sorted((root / folder).glob("*.py"))]
+    set_by = {}       # function name -> positions and keywords some call sets
+    for tree in trees:
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                seen = set_by.setdefault(name, set())
+                if (any(isinstance(arg, ast.Starred) for arg in call.args)
+                        or any(kw.arg is None for kw in call.keywords)):
+                    seen.add("*")
+                seen.update(range(len(call.args)))
+                seen.update(kw.arg for kw in call.keywords)
+    unset = []
+    for module, tree in MODULES.items():
+        methods = {id(fn) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                   and "staticmethod" not in map(dotted, fn.decorator_list)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            seen = set_by.get(fn.name, set())
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            skip = 1 if id(fn) in methods else 0  # self is not passed
+            defaulted = [(arg, i - skip) for i, arg in enumerate(positional)
+                         if i >= len(positional) - len(args.defaults)]
+            defaulted += [(arg, None) for arg, default
+                          in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+            unset += [f"{module}:{fn.lineno} {fn.name}({arg.arg}=)"
+                      for arg, pos in defaulted
+                      if "*" not in seen and pos not in seen
+                      and arg.arg not in seen]
+    assert not unset, unset
