@@ -137,7 +137,8 @@ class HarmonicSpace:
     Its local basis on O, Z = [N, unit columns], is not stored: its first m
     columns are N on hit, the positions in O the constraint rows touch, and
     zero off hit; the others are the unit vectors of free = O minus hit, in
-    ascending order. Readers build the rows or columns of Z they need."""
+    ascending order. Readers build the rows or columns of Z they need, or
+    work on its blocks, as the Caccioppoli ratio does."""
     system: GalerkinSystem
     region: BoxRegion
     variant: str                 # "curl" | "grad"
@@ -244,11 +245,10 @@ def caccioppoli_ratio(space: HarmonicSpace,
     on the inner DOFs I, so the problem reduces to |I| x |I|. An empty
     local basis or empty inner region gives ratio 0.
 
-    The outer Gram on the basis [N, unit columns on free = O minus hit] is
-    built by blocks from the region Gram D: N^H D[hit, hit] N, then
-    D[free, hit] N below it and D[free, free] in the corner. The block
-    above the diagonal blocks stays zero: the in-place Cholesky reads only
-    the lower triangle.
+    The d x d outer Gram is never formed: the unit columns on free = O
+    minus hit are eliminated through a banded Cholesky factor of the
+    sparse region Gram D[free, free] (_whitened_inner_rows), which leaves
+    an m x m Schur complement and the d x |I| block the pencil needs.
     """
     system = space.system
     inner = pair.inner.inside_tets(system.mesh)
@@ -259,25 +259,17 @@ def caccioppoli_ratio(space: HarmonicSpace,
     local = system.local
     stiff, mass = ((local.curl, local.mass) if space.variant == "curl"
                    else (local.nodal_stiffness, local.nodal_mass))
-    cols, n_o, null, free = space.tet_cols, space.dofs.size, space.null, space.free
+    cols, n_o = space.tet_cols, space.dofs.size
     rows = np.unique(cols[inner])
     rows = rows[rows >= 0]                 # I: the inner DOFs, numbered in O
-    m, d = null.shape[1], null.shape[1] + free.size   # Z is |O| x d
     ratio = 0.0
-    if d and rows.size:
+    if space.null.shape[1] + space.free.size and rows.size:
         den = scatter(w_curl * stiff[outer] + w_mass * mass[outer],
                       cols[outer], n_o)
-        chol = scipy.linalg.cholesky(_outer_gram(space, den), lower=True,
-                                     overwrite_a=True)
-        # Z[I]: N's rows on I and hit, unit entries at m + position in free
-        on = np.isin(rows, space.hit)
-        z_rows = np.zeros((rows.size, d), dtype=null.dtype)
-        z_rows[on, :m] = null[np.searchsorted(space.hit, rows[on])]
-        z_rows[~on, m + np.searchsorted(free, rows[~on])] = 1
-        # num lives on I, so with L^-1 Z[I]^H = Q R the nonzero eigenvalues
-        # of the pencil (Z^H num Z, L L^H) are those of R num[I, I] R^H
-        r = np.linalg.qr(scipy.linalg.solve_triangular(
-            chol, z_rows.conj().T, lower=True), mode="r")
+        # num lives on I, so with W = L^-1 Z[I]^H = Q R the nonzero
+        # eigenvalues of the pencil (Z^H num Z, L L^H) are those of
+        # R num[I, I] R^H
+        r = np.linalg.qr(_whitened_inner_rows(space, den, rows), mode="r")
         num = scatter(stiff[inner], cols[inner], n_o)[rows][:, rows]
         top = r @ (num @ r.conj().T)
         w = scipy.linalg.eigh(top, eigvals_only=True,
@@ -288,21 +280,50 @@ def caccioppoli_ratio(space: HarmonicSpace,
                              (system.h / pair.r) < pair.eps / 4.0)
 
 
-def _outer_gram(space: HarmonicSpace, den) -> np.ndarray:
-    """Z^H den Z less its upper off-diagonal block, as a Fortran-ordered
-    d x d array, from the block structure of the local basis
-    Z = [N, unit columns on free]."""
+def _whitened_inner_rows(space: HarmonicSpace, den, rows) -> np.ndarray:
+    """W = L^-1 Z[I]^H (d x |I|) for a Cholesky factor L L^H of the outer
+    Gram Z^H D Z on Z = [N, unit columns on free], by block elimination.
+
+    With A = N^H D[hit, hit] N, B = D[free, hit] N and the sparse
+    F = D[free, free], factored banded in reverse Cuthill-McKee order:
+    F = L_F L_F^H, V = L_F^-1 B and S = A - V^H V = L_S L_S^H, so that
+    L = [[L_S, V^H], [0, L_F]]. Then W[:m] = L_S^-1 B1^H, where B1 holds
+    N's rows on I and hit and -(L_F^-H V)'s rows on I and free, and
+    W[m:] = L_F^-1 (unit columns of I and free). The Gram is positive
+    definite iff F and S are, so else LinAlgError."""
+    from scipy.sparse.csgraph import reverse_cuthill_mckee  # slow to load
     hit, null, free = space.hit, space.null, space.free
     m = null.shape[1]
-    gram = np.zeros((m + free.size,) * 2, dtype=np.result_type(null, den.dtype),
-                    order="F")
-    cross = den[:, hit] @ null                           # D[:, hit] N
-    gram[:m, :m] = null.conj().T @ cross[hit]
-    gram[m:, :m] = cross[free]
-    # scatter's CSR holds each entry once, so no write below is lost
-    corner = den[free][:, free].tocoo()
-    gram[m + corner.row, m + corner.col] = corner.data
-    return gram
+    corner = den[free][:, free]
+    order = reverse_cuthill_mckee(corner, True) if free.size else free
+    band = scipy.sparse.tril(corner[order][:, order]).tocoo()
+    diag = band.row - band.col
+    ab = np.zeros((diag.max(initial=0) + 1, free.size), order="F")
+    ab[diag, band.col] = band.data
+    lf = scipy.linalg.cholesky_banded(ab, lower=True, overwrite_ab=True)
+    # picked by both dtypes, as a real one would drop a complex B's
+    # imaginary part; an empty block must not reach it (heap corruption)
+    tbtrs, = scipy.linalg.get_lapack_funcs(("tbtrs",), (lf, null))
+
+    def solve(rhs, trans="N"):             # L_F^-1 rhs, or L_F^-H rhs
+        return (tbtrs(lf, rhs, uplo="L", trans=trans, overwrite_b=True)[0]
+                if rhs.size else rhs)
+
+    v = solve(den[free[order]][:, hit] @ null)
+    ls = scipy.linalg.cholesky(
+        null.conj().T @ (den[hit][:, hit] @ null) - v.conj().T @ v,
+        lower=True, overwrite_a=True)
+    on = np.isin(rows, hit)
+    pos = np.argsort(order)[np.searchsorted(free, rows[~on])]  # rows of F
+    b1 = np.empty((rows.size, m), dtype=v.dtype)
+    b1[on] = null[np.searchsorted(hit, rows[on])]
+    b1[~on] = -solve(v, "C")[pos]           # Y = L_F^-H V, in place of V
+    units = np.zeros((free.size, pos.size), order="F")
+    units[pos, np.arange(pos.size)] = 1
+    w = np.zeros((m + free.size, rows.size), dtype=v.dtype)
+    w[:m] = scipy.linalg.solve_triangular(ls, b1.conj().T, lower=True)
+    w[m:, ~on] = solve(units)
+    return w
 
 
 # local Helmholtz decomposition ---------------------------------------------

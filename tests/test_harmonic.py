@@ -32,7 +32,7 @@ from hmaxwell.fem import (
     scatter,
     solve_system,
 )
-from hmaxwell.harmonic import _outer_gram
+from hmaxwell.harmonic import _whitened_inner_rows
 from test_mesh import same_bits
 
 
@@ -552,33 +552,79 @@ def dense_gram_caccioppoli(space, pair):
                                        eigvals_only=True)[-1]), 0.0)
 
 
-def test_outer_gram_blocks(system_cache):
-    """The blockwise outer Gram against the dense Z^H (D Z), on a box that
-    constrains nothing (m = 0), a box whose constraint rows touch all of O
-    (no unit column) and the n = 8 interior pair: a Fortran-ordered array
-    whose cross and corner blocks are bitwise the dense ones, whose N^H D N
-    block agrees to 1e-13 of its largest entry, and whose block above the
-    diagonal blocks is zero."""
-    cases = [(system_cache(3), ConcentricPair((0.3, 0.5, 0.5), 0.1, 1.0)),
-             (system_cache(6), ConcentricPair((1 / 3,) * 3, 1 / 3, 1.0)),
-             (system_cache(8), default_pairs(1.0)["interior"])]
+def gram_cases(system_cache, kappa):
+    """(system, pair) on a box that constrains nothing (m = 0), a box whose
+    constraint rows touch all of O (no unit column) and the n = 8 interior
+    pair."""
+    return [(system_cache(3, kappa), ConcentricPair((0.3, 0.5, 0.5), 0.1, 1.0)),
+            (system_cache(6, kappa), ConcentricPair((1 / 3,) * 3, 1 / 3, 1.0)),
+            (system_cache(8, kappa), default_pairs(1.0)["interior"])]
+
+
+def test_whitened_inner_rows_match_dense_gram(system_cache):
+    """W = L^-1 Z[I]^H from the block elimination against the dense outer
+    Gram G = Z^H (D Z): W^H W = Z[I] G^-1 Z[I]^H to 1e-12 of its largest
+    entry, on the three layout cases, both variants and kappa = 1, 1+0.5i.
+    I is the inner DOFs, and also the inner DOFs plus every seventh
+    position in free, so the rows of -L_F^-H V and the unit columns on
+    I and free are read too."""
     seen = set()
-    for sysm, pair in cases:
+    for kappa in (1.0, 1.0 + 0.5j):
+        for sysm, pair in gram_cases(system_cache, kappa):
+            for variant in ("curl", "grad"):
+                space = harmonic_space(sysm, pair.outer, variant)
+                m, free = split_local_basis(space)
+                seen |= {"m = 0"} if m == 0 else set()
+                seen |= {"no unit column"} if free.size == 0 else set()
+                _, den, inner = region_grams(space, pair)
+                z = local_basis(space)
+                chol = scipy.linalg.cholesky(z.conj().T @ (den @ z), lower=True)
+                for rows in (inner, np.union1d(inner, free[::7])):
+                    if not rows.size:
+                        continue
+                    seen |= {"I and free"} if np.isin(rows, free).any() else set()
+                    w = _whitened_inner_rows(space, den, rows)
+                    assert w.shape == (z.shape[1], rows.size)
+                    dense = scipy.linalg.solve_triangular(
+                        chol, z[rows].conj().T, lower=True)
+                    want = dense.conj().T @ dense
+                    assert np.abs(w.conj().T @ w - want).max() <= (
+                        1e-12 * np.abs(want).max())
+    assert seen == {"m = 0", "no unit column", "I and free"}
+
+
+def test_outer_gram_that_is_not_positive_definite_raises(system_cache,
+                                                         monkeypatch):
+    """A failed factorization stays a check failure. With the region Gram D
+    negated, the banded factor of D[free, free] raises LinAlgError at n = 8;
+    on the n = 6 mesh-aligned box, which has no unit column, the Schur
+    factor of N^H D N does."""
+    raised = []
+
+    def spy(name):
+        real = getattr(scipy.linalg, name)
+
+        def call(*args, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            except np.linalg.LinAlgError:
+                raised.append(name)
+                raise
+        monkeypatch.setattr(scipy.linalg, name, call)
+    spy("cholesky_banded")
+    spy("cholesky")
+    _, aligned, interior = gram_cases(system_cache, 1.0)
+    for (sysm, pair), factor in ((interior, "cholesky_banded"),
+                                 (aligned, "cholesky")):
         for variant in ("curl", "grad"):
             space = harmonic_space(sysm, pair.outer, variant)
-            m, free = split_local_basis(space)
-            seen |= {"m = 0"} if m == 0 else set()
-            seen |= {"no unit column"} if free.size == 0 else set()
-            _, den, _ = region_grams(space, pair)
-            z = local_basis(space)
-            dense = z.conj().T @ (den @ z)
-            gram = _outer_gram(space, den)
-            assert gram.flags.f_contiguous and gram.dtype == dense.dtype
-            assert same_bits(gram[m:], dense[m:])
-            assert np.abs(gram[:m, :m] - dense[:m, :m]).max(initial=0.0) <= (
-                1e-13 * np.abs(dense).max())
-            assert not gram[:m, m:].any()
-    assert seen == {"m = 0", "no unit column"}
+            _, den, rows = region_grams(space, pair)
+            assert (space.free.size == 0) == (factor == "cholesky")
+            _whitened_inner_rows(space, den, rows)
+            raised.clear()
+            with pytest.raises(np.linalg.LinAlgError):
+                _whitened_inner_rows(space, -den, rows)
+            assert raised == [factor]
 
 
 @pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
@@ -607,10 +653,11 @@ def test_blockwise_gram_matches_dense_gram_n8(system_cache, kappa):
             assert constraint_residual(space) <= 1e-10
 
 
-def test_caccioppoli_gram_is_factored_in_place(system_cache):
+def test_caccioppoli_forms_no_d_by_d_array(system_cache):
     """At n = 8 on the interior curl pair, caccioppoli_ratio allocates less
-    than two d x d real arrays above what it is handed: the outer Gram is
-    built once and factored in place."""
+    than one d x d real array above what it is handed: the outer Gram is
+    never formed, only its banded corner factor and blocks of m or |I|
+    columns."""
     sysm = system_cache(8)
     pair = default_pairs(sysm.mesh.length)["interior"]
     space = harmonic_space(sysm, pair.outer, "curl")
@@ -622,7 +669,7 @@ def test_caccioppoli_gram_is_factored_in_place(system_cache):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * d * d * 8
+    assert peak < d * d * 8
 
 
 def test_caccioppoli_without_constraints_or_unit_columns(system_cache):
