@@ -11,8 +11,7 @@ from .cluster import (BlockPartition, Cluster, ClusterTree, box_distance,
 from .fem import (DofMap, DualBasis, GalerkinSystem, NodalSpace,
                   assemble_system, build_dof_map, build_nodal_space,
                   discrete_gradient, dual_basis, dual_norms,
-                  gradient_edge_coeffs, pi_nabla_project,
-                  region_nodal_space, solve_system)
+                  pi_nabla_project, region_nodal_space, solve_system)
 from .harmonic import (BoxRegion, CaccioppoliResult, ConcentricPair,
                        HarmonicSpace, caccioppoli_ratio, constraint_residual,
                        default_pairs, exact_sequence_recover,

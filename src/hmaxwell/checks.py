@@ -14,7 +14,7 @@ import numpy as np
 
 from .cluster import BlockPartition, sparsity_constant, tiling_defect
 from .fem import (DualBasis, GalerkinSystem, assemble_system, dual_basis,
-                  dual_norms, gradient_edge_coeffs, sparse_operator)
+                  dual_norms, sparse_operator)
 from .harmonic import (BoxRegion, HarmonicSpace, exact_sequence_recover,
                        gradient_part_harmonic_check, helmholtz_report)
 from .hmatrix import TILE
@@ -209,7 +209,7 @@ def check_exact_sequence(system: GalerkinSystem, grad, region: BoxRegion,
     if not v[rows].any():
         return CheckResult(name, True, 0.0, tol, "no discrete gradient to test")
     phi = exact_sequence_recover(system, tets, v)
-    recon = gradient_edge_coeffs(system, phi)[rows]
+    recon = (system.incidence @ phi)[rows]
     worst = float((np.linalg.norm(recon - v[rows], axis=0)
                    / np.linalg.norm(v[rows], axis=0)).max(initial=0.0))
     return CheckResult(name, worst <= tol, worst, tol,

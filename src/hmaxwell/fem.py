@@ -1,6 +1,6 @@
 """Global edge-element spaces and the Maxwell bilinear form on a box mesh,
 and one nodal (P1 hat) space type for the whole mesh and for tet unions,
-mapped into the edge space by its discrete gradient.
+mapped into the edge space by the system's signed edge-vertex incidence.
 
 The Galerkin system uses the bilinear (not sesquitilinear) form
 
@@ -41,7 +41,7 @@ class GalerkinSystem:
     """K and M are CSR arrays on one shared pattern; the package reads A only as
     sparse_operator(self) and lu, its SuperLU factor, formed on first solve. The
     cached dense A is read only by the benchmark's tracer and reference builder.
-    nodal is the whole-mesh nodal space, built on first use."""
+    nodal, the whole-mesh nodal space, and incidence are built on first use."""
     mesh: Mesh
     dofmap: DofMap
     kappa: complex
@@ -69,6 +69,17 @@ class GalerkinSystem:
     @cached_property
     def nodal(self) -> "NodalSpace":
         return build_nodal_space(self)
+
+    @cached_property
+    def incidence(self) -> scipy.sparse.csr_array:
+        """Signed edge-vertex incidence of the DOF edges, (N, V) CSR, the one
+        gradient operator: grad(p) integrates to p(hi) - p(lo) along edge (lo,
+        hi), so row i holds -1 at the lo and +1 at the hi vertex of DOF i's edge
+        and maps nodal values (V,) or (V, m) to their gradient's edge coefficients."""
+        n, mesh = self.n_dofs, self.mesh
+        return scipy.sparse.csr_array(
+            (np.tile([-1.0, 1.0], n), mesh.edges[self.dofmap.interior_edges].ravel(),
+             np.arange(0, 2 * n + 1, 2)), shape=(n, mesh.n_vertices))
 
 
 def assemble_system(mesh: Mesh, kappa: complex = 1.0) -> GalerkinSystem:
@@ -185,25 +196,11 @@ def build_nodal_space(system: GalerkinSystem) -> NodalSpace:
     return region_nodal_space(system, np.arange(system.mesh.n_tets))
 
 
-def edge_incidence(mesh: Mesh, dofmap: DofMap):
-    """Signed edge-vertex incidence of the DOF edges, (N, V) sparse CSR.
-
-    The tangential integral of grad(p) along edge (lo, hi) is p(hi) - p(lo),
-    so row i holds -1 at the lo and +1 at the hi vertex of DOF i's edge and
-    the matrix maps nodal values to the edge coefficients of their gradient.
-    """
-    n = dofmap.n_dofs
-    return scipy.sparse.csr_array(
-        (np.tile([-1.0, 1.0], n), mesh.edges[dofmap.interior_edges].ravel(),
-         np.arange(0, 2 * n + 1, 2)), shape=(n, mesh.n_vertices))
-
-
 def discrete_gradient(nodal: NodalSpace):
     """G maps the space's nodal values to edge coefficients of the gradient:
-    the columns of edge_incidence at its free vertices, (N, nf) CSR.
+    the columns of the system's incidence at its free vertices, (N, nf) CSR.
     """
-    system = nodal.system
-    return edge_incidence(system.mesh, system.dofmap)[:, nodal.free_vertices]
+    return nodal.system.incidence[:, nodal.free_vertices]
 
 
 # dual basis -------------------------------------------------------------
@@ -292,12 +289,6 @@ def pi_nabla_project(space: NodalSpace, u: np.ndarray) -> np.ndarray:
         p[space.free_vertices] = (solve(rhs.real) + 1j * solve(rhs.imag)
                                   if np.iscomplexobj(u) else solve(rhs))
     return p
-
-
-def gradient_edge_coeffs(system: GalerkinSystem, p: np.ndarray) -> np.ndarray:
-    """Edge DOF coefficients of grad(p) for a full-length nodal vector p
-    (V,) or a block of them (V, m)."""
-    return edge_incidence(system.mesh, system.dofmap) @ p
 
 
 def assemble_region_matrix(system: GalerkinSystem, tet_ids, kind: str):

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .fem import (GalerkinSystem, assemble_region_matrix, edge_incidence,
-                  gradient_edge_coeffs, pi_nabla_project, region_nodal_space,
-                  scatter, sparse_operator)
+from .fem import (GalerkinSystem, assemble_region_matrix, pi_nabla_project,
+                  region_nodal_space, scatter, sparse_operator)
 from .mesh import LOCAL_EDGES, Mesh
 
 NULLSPACE_RTOL = 1e-10
@@ -338,12 +337,12 @@ def helmholtz_report(system: GalerkinSystem, region: BoxRegion,
     tets = region.conforming_tets(mesh)
     rns = region_nodal_space(system, tets)
     p = pi_nabla_project(rns, coeffs)
-    g = gradient_edge_coeffs(system, p)
+    g = system.incidence @ p
     z = coeffs - g
     mass = assemble_region_matrix(system, tets, "mass")
     verts = np.unique(mesh.tets[tets])
     verts = verts[~mesh.boundary_vertex[verts]]
-    grad = (edge_incidence(mesh, system.dofmap).T @ (mass @ z))[verts]
+    grad = (system.incidence.T @ (mass @ z))[verts]
     norm_e2 = float(np.real(np.vdot(coeffs, mass @ coeffs)))
     norm_z2 = float(np.real(np.vdot(z, mass @ z)))
     norm_g2 = float(np.real(np.vdot(g, mass @ g)))
@@ -368,10 +367,9 @@ def gradient_part_harmonic_check(system: GalerkinSystem, region: BoxRegion,
     confirm that the gradient part is itself discretely harmonic.
 
     tets is the region's conforming tet set (region.conforming_tets, or
-    the tets of a harmonic space on the region). columns is one column
-    (N,), a block (N, m), or an iterable of such blocks, checked one at a
-    time; the result is the max over every column, with the region built
-    and factored once.
+    the tets of a harmonic space on the region). columns is an iterable of
+    (N, m) blocks, checked one at a time; the result is the max over every
+    column, with the region built and factored once.
     """
     mesh = system.mesh
     rns = region_nodal_space(system, tets)
@@ -381,9 +379,9 @@ def gradient_part_harmonic_check(system: GalerkinSystem, region: BoxRegion,
     if not verts.size:
         return 0.0
     mass = assemble_region_matrix(system, tets, "mass")
-    inc = edge_incidence(mesh, system.dofmap)  # grad p = inc @ p
+    inc = system.incidence  # grad p = inc @ p
     worst = 0.0
-    for block in [columns] if isinstance(columns, np.ndarray) else columns:
+    for block in columns:
         grad_p = inc @ pi_nabla_project(rns, block)
         worst = np.maximum(worst, np.abs((inc.T @ (mass @ grad_p))[verts]).max())
     return float(worst)  # np.maximum keeps a NaN
@@ -398,11 +396,14 @@ def exact_sequence_recover(system: GalerkinSystem, tets: np.ndarray,
     tets is the region's conforming tet set (region.conforming_tets). The
     input must be discretely curl-free on the region; the region (a
     box clipped to the domain) is simply connected, so a potential exists
-    by the local exact-sequence property and is found by least squares on
-    the edge-vertex incidence. Returns a full-length nodal vector that is
-    zero at domain-boundary vertices and off the region. A block of fields
-    coeffs (N, m) is recovered in one least-squares solve, giving phi
-    (V, m); both curl-free guards hold each column to its own norm.
+    by the local exact-sequence property: phi is the region's L2 gradient
+    projection of coeffs (pi_nabla_project). It is a full-length nodal
+    vector, zero at domain-boundary vertices, off the region and at the
+    region's grounded vertex, if any (a region that does not touch the
+    domain boundary has one, so phi differs from the minimum-norm potential
+    by a constant). A block of fields coeffs (N, m) is recovered in one
+    solve, giving phi (V, m); both curl-free guards hold each column to its
+    own norm.
     """
     mesh, dofmap = system.mesh, system.dofmap
     if tets.size == 0:
@@ -410,10 +411,9 @@ def exact_sequence_recover(system: GalerkinSystem, tets: np.ndarray,
     coeffs = np.asarray(coeffs)
     v = coeffs.reshape(coeffs.shape[0], -1)
     dofs = dofmap.edge_to_dof[mesh.tet_edges[tets]]
-    dof_rows = np.unique(dofs)
-    dof_rows = dof_rows[dof_rows >= 0]
-    v_loc = v[dof_rows]
-    scale = np.linalg.norm(v_loc, axis=0)
+    rows = np.unique(dofs)
+    rows = rows[rows >= 0]
+    scale = np.linalg.norm(v[rows], axis=0)
     # curl-free pre-check: the curl-curl Gram over the region applied to the
     # coefficients must vanish relative to its Frobenius norm
     keep = dofs >= 0
@@ -422,14 +422,9 @@ def exact_sequence_recover(system: GalerkinSystem, tets: np.ndarray,
     lim = 1e-10 * np.sqrt(float((curl * curl).sum()))
     _require_curl_free(np.abs(ku).max(axis=0) > lim * np.maximum(scale, 1e-300),
                        scale)
-    vert_ids = np.unique(mesh.edges[dofmap.interior_edges[dof_rows]])
-    vert_ids = vert_ids[~mesh.boundary_vertex[vert_ids]]
-    inc = edge_incidence(mesh, dofmap)[dof_rows][:, vert_ids].toarray()
-    phi_loc = np.linalg.lstsq(inc, v_loc, rcond=None)[0]
-    resid = np.linalg.norm(inc @ phi_loc - v_loc, axis=0)
+    phi = pi_nabla_project(region_nodal_space(system, tets), v)
+    resid = np.linalg.norm((system.incidence @ phi)[rows] - v[rows], axis=0)
     _require_curl_free(resid > 1e-9 * np.maximum(scale, 1e-300), scale)
-    phi = np.zeros((mesh.n_vertices, v.shape[1]), dtype=phi_loc.dtype)
-    phi[vert_ids] = phi_loc
     return phi.reshape((mesh.n_vertices,) + coeffs.shape[1:])
 
 

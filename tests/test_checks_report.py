@@ -310,7 +310,7 @@ def test_gradient_part_check_works_tile_columns_at_a_time(system_cache):
     assert m > 2 * TILE
     block = np.zeros((sysm.n_dofs, m), dtype=local.dtype)
     block[space.dofs] = local
-    want = gradient_part_harmonic_check(sysm, space.region, space.tets, block)
+    want = gradient_part_harmonic_check(sysm, space.region, space.tets, [block])
     tracemalloc.start()
     try:
         res = check_gradient_part(sysm, space)
@@ -335,7 +335,7 @@ def test_gradient_part_check_builds_its_region_once(system_cache, monkeypatch):
     for j in range(0, m, TILE):
         cols = np.zeros((sysm.n_dofs, min(TILE, m - j)), dtype=local.dtype)
         cols[space.dofs] = local[:, j:j + TILE]
-        each.append(gradient_part_harmonic_check(sysm, space.region, space.tets, cols))
+        each.append(gradient_part_harmonic_check(sysm, space.region, space.tets, [cols]))
     calls = {"region_nodal_space": 0, "assemble_region_matrix": 0}
     for name in calls:
         def counted(*args, _name=name, _real=getattr(harmonic, name)):

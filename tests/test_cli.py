@@ -6,6 +6,7 @@ entry point.
 """
 
 import csv
+import functools
 import gc
 import importlib
 import importlib.util
@@ -491,6 +492,22 @@ def test_caccioppoli_builds_the_nodal_space_once(tmp_path, monkeypatch):
     monkeypatch.setattr(fem, "build_nodal_space", counted)
     assert run_cli("caccioppoli", "--n", "4", "--out", str(tmp_path)) == 0
     assert calls == {"build_nodal_space": 1}
+
+
+def test_verify_builds_the_incidence_once(tmp_path, monkeypatch):
+    """Every gradient and potential of a verify run reads the system's one
+    edge-vertex incidence, built once."""
+    calls = Counter()
+
+    def counted(system, _fn=fem.GalerkinSystem.incidence.func):
+        calls["incidence"] += 1
+        return _fn(system)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(fem.GalerkinSystem, "incidence")
+    monkeypatch.setattr(fem.GalerkinSystem, "incidence", prop)
+    assert run_cli("verify", "--n", "3", "--out", str(tmp_path)) == 0
+    assert calls == {"incidence": 1}
 
 
 def test_verify_without_interior_vertex(tmp_path):

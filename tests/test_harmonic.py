@@ -18,7 +18,6 @@ from hmaxwell import (
     constraint_residual,
     default_pairs,
     exact_sequence_recover,
-    gradient_edge_coeffs,
     gradient_part_harmonic_check,
     harmonic_space,
     helmholtz_report,
@@ -721,7 +720,7 @@ def test_helmholtz_reproduces_pure_gradients(sys3, rng):
     rep = helmholtz_report(sys3, region, u)
     z, p = rep["z"], rep["p"]
     assert np.linalg.norm(z) < 1e-10 * np.linalg.norm(u)
-    assert np.linalg.norm(gradient_edge_coeffs(sys3, p) - u) < 1e-10 * np.linalg.norm(u)
+    assert np.linalg.norm(sys3.incidence @ p - u) < 1e-10 * np.linalg.norm(u)
 
 
 def test_helmholtz_z_part_projects_to_zero(sys3, rng):
@@ -730,7 +729,7 @@ def test_helmholtz_z_part_projects_to_zero(sys3, rng):
     z = helmholtz_report(sys3, region, u)["z"]
     rep = helmholtz_report(sys3, region, z)
     z2, p2 = rep["z"], rep["p"]
-    assert np.linalg.norm(gradient_edge_coeffs(sys3, p2)) < 1e-10 * np.linalg.norm(z)
+    assert np.linalg.norm(sys3.incidence @ p2) < 1e-10 * np.linalg.norm(z)
     assert np.linalg.norm(z2 - z) < 1e-10 * np.linalg.norm(z)
 
 
@@ -739,9 +738,9 @@ def test_helmholtz_z_part_projects_to_zero(sys3, rng):
 def assert_block_is_max_of_columns(sysm, region, block):
     """One call on a block of columns equals the max of per-column calls."""
     tets = region.conforming_tets(sysm.mesh)
-    each = [gradient_part_harmonic_check(sysm, region, tets, block[:, j])
+    each = [gradient_part_harmonic_check(sysm, region, tets, [block[:, [j]]])
             for j in range(block.shape[1])]
-    whole = gradient_part_harmonic_check(sysm, region, tets, block)
+    whole = gradient_part_harmonic_check(sysm, region, tets, [block])
     assert whole == pytest.approx(max(each), rel=1e-10, abs=1e-15)
     return whole
 
@@ -844,13 +843,81 @@ def test_recover_block_rejects_one_rotational_column(sys3, rng):
         exact_sequence_recover(sys3, tets, v)
 
 
+@pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j], ids=["κ=1", "κ=1+0.5i"])
+@pytest.mark.parametrize("n", [3, 5])
+def test_recover_guard_band(system_cache, n, kappa):
+    """On the interior outer box, a discrete gradient perturbed by a random
+    field of 1e-8 of its norm on the region is rejected as not curl-free,
+    one perturbed by 1e-11 is accepted, and the recovered potential's edge
+    differences match the gradient on the region's DOF edges to 1e-12."""
+    sysm = system_cache(n, kappa)
+    region = default_pairs(sysm.mesh.length)["interior"].outer
+    tets = region.conforming_tets(sysm.mesh)
+    rows = region_edge_dofs(sysm, region)
+    rng = np.random.default_rng(7)
+    G = discrete_gradient(build_nodal_space(sysm))
+    q = rng.standard_normal((G.shape[1], 4))
+    if np.iscomplexobj(sysm.kappa):
+        q = q + 1j * rng.standard_normal(q.shape)
+    v = G @ q
+    w = rng.standard_normal(v.shape)
+    w *= np.linalg.norm(v[rows], axis=0) / np.linalg.norm(w[rows], axis=0)
+    with pytest.raises(ValueError, match="not curl-free"):
+        exact_sequence_recover(sysm, tets, v + 1e-8 * w)
+    exact_sequence_recover(sysm, tets, v + 1e-11 * w)
+    phi = exact_sequence_recover(sysm, tets, v)
+    lo, hi = sysm.mesh.edges[sysm.dofmap.interior_edges].T
+    err = np.linalg.norm((phi[hi] - phi[lo] - v)[rows], axis=0)
+    assert np.all(err <= 1e-12 * np.linalg.norm(v[rows], axis=0))
+
+
+def test_recover_rejects_circulation_around_a_hole(system_cache):
+    """On a ring of tets around the axis x = y = 0.5 (n = 5, one cell layer
+    thick), the wrapped angle differences are curl-free on every tet, so
+    they pass the curl pre-check, but circulate 2 pi around the hole: only
+    the residual guard rejects them. A gradient on the same ring passes."""
+    for kappa in (1.0, 1.0 + 0.5j):
+        sysm = system_cache(5, kappa)
+        mesh = sysm.mesh
+        c = mesh.vertices[mesh.tets].mean(axis=1)
+        r = np.abs(c[:, :2] - 0.5).max(axis=1)
+        tets = np.flatnonzero((r > 0.1) & (r < 0.3) & (np.abs(c[:, 2] - 0.5) < 0.1))
+        lo, hi = mesh.edges[sysm.dofmap.interior_edges].T
+        theta = np.arctan2(mesh.vertices[:, 1] - 0.5, mesh.vertices[:, 0] - 0.5)
+        v = np.zeros(sysm.n_dofs)
+        rows = np.unique(sysm.dofmap.edge_to_dof[mesh.tet_edges[tets]])
+        v[rows] = np.angle(np.exp(1j * (theta[hi] - theta[lo])))[rows]
+        with pytest.raises(ValueError, match="not simply connected"):
+            exact_sequence_recover(sysm, tets, v)
+        p = np.where(mesh.boundary_vertex, 0.0, theta)
+        exact_sequence_recover(sysm, tets, p[hi] - p[lo])
+
+
+def test_recover_reuses_the_nodal_solve(system_cache, monkeypatch):
+    """Recovery solves through the region's nodal space, with no least
+    squares, and the discrete gradient is the column slice of the system's
+    one incidence, bitwise."""
+    sysm = system_cache(3)
+    tets = BoxRegion((0.5, 0.5, 0.5), 0.8).conforming_tets(sysm.mesh)
+    G = discrete_gradient(sysm.nodal)
+    calls, lstsq = [], np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *a, **k: calls.append(a) or lstsq(*a, **k))
+    exact_sequence_recover(sysm, tets, G @ np.ones(G.shape[1]))
+    assert calls == []
+    want = sysm.incidence[:, sysm.nodal.free_vertices]
+    assert G.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert same_bits(getattr(G, name), getattr(want, name))
+
+
 def test_recover_harmonic_gradient_component(sys4):
     """The gradient part of a harmonic column is itself curl-free, so the
     potential recovery applies to it on the region."""
     region = BoxRegion((0.5, 0.5, 0.5), 0.5)
     space = harmonic_space(sys4, region, "curl")
     p = helmholtz_report(sys4, region, embedded_basis(space, sys4.n_dofs)[:, 0])["p"]
-    v = gradient_edge_coeffs(sys4, p)
+    v = sys4.incidence @ p
     phi = exact_sequence_recover(sys4, space.tets, v)
     g = phi[sys4.mesh.edges[sys4.dofmap.interior_edges, 1]] \
         - phi[sys4.mesh.edges[sys4.dofmap.interior_edges, 0]]
