@@ -2,10 +2,12 @@
 
 Far (admissible) blocks hold truncated-SVD factors X Y^H with orthonormal
 columns in X, the spectral-norm-optimal rank-r approximation of the block;
-near blocks are stored dense. far_svds is the one SVD pass over the far
-blocks, with one SVD per mirrored pair of a symmetric matrix. spectral_norm
-is the package's one Lanczos norm, for bitwise-symmetric input only, and
-spectral_error the exact norm of an approximation's error.
+near blocks are stored dense. owned_svds is the one SVD loop over the far
+blocks, with one SVD per mirrored pair of a symmetric matrix (far_mirrors);
+far_svds collects both factor sides of every block from it, and the rank
+sweep keeps one side. spectral_norm is the package's one Lanczos norm, for
+bitwise-symmetric input only, and spectral_error the exact norm of an
+approximation's error.
 
 Every dense matrix this module takes or returns is in the cluster tree's
 leaf order, where each block is the slice of its clusters' spans.
@@ -53,21 +55,14 @@ def truncated_svd(block: np.ndarray, rank: int):
 
 def far_svds(dense: np.ndarray, partition: BlockPartition, rank: int):
     """(factors, mirror): truncated_svd(block, rank) of each far block of
-    dense, in partition.far order, the one SVD pass that compression, rank
-    sweeps and decay reports share. For a bitwise-symmetric dense,
-    mirror[i] is the index of (sigma, tau) for each far block i = (tau,
-    sigma) with tau.id > sigma.id, which is not factored: its U' = (V^H)^T
-    and V'^H = U^T are views of its partner's factors, so callers only read
-    factors. Every other mirror[i] is None. A LAPACK failure is a
-    ValueError naming the block."""
-    mirror = _mirror_index(dense, partition)
-    out = []
-    for (t, s), j in zip(partition.far, mirror):
-        try:
-            out.append(None if j is not None else
-                       truncated_svd(dense[t.span, s.span], rank))
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"SVD failed on far block ({t.id},{s.id})") from exc
+    dense, in partition.far order, for the callers that need both sides of
+    each block (compression and block-svd). mirror is far_mirrors(dense,
+    partition); a mirror is not factored: its U' = (V^H)^T and V'^H = U^T
+    are views of its partner's factors, so callers only read factors."""
+    mirror = far_mirrors(dense, partition)
+    out = [None] * len(mirror)
+    for i, factors in owned_svds(dense, partition, mirror, rank):
+        out[i] = factors
     for i, j in enumerate(mirror):
         if j is not None:
             u, sv, vh = out[j]
@@ -75,13 +70,32 @@ def far_svds(dense: np.ndarray, partition: BlockPartition, rank: int):
     return out, mirror
 
 
-def _mirror_index(dense: np.ndarray, partition: BlockPartition) -> list:
-    """far_svds' mirror list."""
+def far_mirrors(dense: np.ndarray, partition: BlockPartition) -> list:
+    """For a bitwise-symmetric dense, the index of the partner (sigma, tau)
+    in partition.far of each far block (tau, sigma) with tau.id > sigma.id,
+    a mirror, whose slice is its partner's transpose. Every other entry,
+    and every entry for any other dense, is None: the block is owned."""
     if not _is_symmetric(dense):
         return [None] * len(partition.far)
     where = {(t.id, s.id): i for i, (t, s) in enumerate(partition.far)}
     return [where.get((s.id, t.id)) if t.id > s.id else None
             for t, s in partition.far]
+
+
+def owned_svds(dense: np.ndarray, partition: BlockPartition, mirror: list,
+               rank: int):
+    """(i, truncated_svd(block, rank)) for each far block i of dense with
+    mirror[i] None, in partition.far order: the package's one SVD loop over
+    far blocks, one SVD per mirrored pair. A LAPACK failure is a ValueError
+    naming the block."""
+    for i, ((t, s), j) in enumerate(zip(partition.far, mirror)):
+        if j is not None:
+            continue
+        try:
+            factors = truncated_svd(dense[t.span, s.span], rank)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"SVD failed on far block ({t.id},{s.id})") from exc
+        yield i, factors
 
 
 def compress_dense(dense: np.ndarray, partition: BlockPartition, rank: int,

@@ -17,7 +17,9 @@ Lanczos norm whose Ritz value stays <= ||E_r||_2.
 
 One N x N array serves from factorization to the last norm: dense_inverse
 inverts the LU factor in place, and rank_sweep overwrites that inverse
-with E_r.
+with E_r. Beside it the sweep holds, per mirrored pair, the sigmas and the
+shorter side's leading singular vectors, which are all it needs to project
+a block's leading singular triplets out of E_r.
 
 Every dense matrix this module takes or returns is in the cluster tree's
 leaf order, where the block (tau, sigma) is the slice [tau.span, sigma.span].
@@ -31,7 +33,7 @@ import scipy.linalg
 
 from .cluster import BlockPartition, sparsity_constant
 from .fem import GalerkinSystem, apply_dual_functionals, riesz_rhs, solve_system
-from .hmatrix import TILE, far_svds, spectral_norm, tile_pairs
+from .hmatrix import TILE, far_mirrors, owned_svds, spectral_norm, tile_pairs
 
 RESIDUAL_LIMIT = 1e-8  # dense_inverse's bound on max |A A^{-1} - I|
 TRANSFER_RHS = 10      # random right-hand sides per transfer-check column cluster
@@ -101,26 +103,40 @@ def rank_sweep(binv: np.ndarray, partition: BlockPartition, r_list,
 
     E_r = A^{-1} - B_H is zero on near blocks and U[:, r:] Sigma[r:] V^H[r:]
     on each far block. ||A^{-1}||_2 and the far-block SVDs, one per mirrored
-    pair (hmatrix.far_svds), come first, and the factors are only read.
-    Then binv becomes E_0 by zeroing its near blocks, and the step from rank
-    r' to r subtracts (U[:, r':r] Sigma[r':r]) V^H[r':r] from each far
-    block's slice in place (zeroing a block whose rank reaches its size), so
-    the sweep adds no N x N array. A mirror is not updated on its own: it
-    receives the transpose of its partner's updated slice, so for the
-    bitwise-symmetric inverse of dense_inverse every E_r is bitwise
-    symmetric, and B_H picks the same subspace in both blocks of a tie. Both
-    norms come from spectral_norm (symmetric Lanczos, never above the true
-    norm, started from seed). checks.check_bound judges each row's bound
-    value.
+    pair (hmatrix.owned_svds), come first. Of each owned block the sweep
+    keeps every sigma and only the shorter side's first r_max singular
+    vectors, Q = U[:, :r_max] when |tau| <= |sigma|, else V^H[:r_max], and
+    only reads them. Then binv becomes E_0 by zeroing its near blocks, and
+    the step from rank r' to r projects slice r':r of Q out of each far
+    block in place: E -= Q (Q^H E) on the left, E -= (E Q^H) Q on the
+    right, which is the subtraction of (U Sigma V^H)[r':r] because E_{r'} =
+    sum_{j >= r'} sigma_j u_j v_j^H. A block whose rank reaches its size is
+    zeroed, and the sweep adds no N x N array. A mirror is not updated on
+    its own: it receives the transpose of its partner's updated slice, and
+    shares its partner's sigmas, so for the bitwise-symmetric inverse of
+    dense_inverse every E_r is bitwise symmetric, and B_H picks the same
+    subspace in both blocks of a tie. Both norms come from spectral_norm
+    (symmetric Lanczos, never above the true norm, started from seed).
+    checks.check_bound judges each row's bound value.
     """
     norm_b, conv_b, _ = spectral_norm(binv, seed=seed)
     scale = sparsity_constant(partition) * (partition.tree.depth + 1)
     ranks = sorted(int(r) for r in r_list)
     r_max = ranks[-1] if ranks else 0
-    factors, mirror = far_svds(binv, partition, r_max)
+    far = partition.far
+    mirror = far_mirrors(binv, partition)
+    # per far block: the kept side Q, the sigmas, and
+    # tails[i][k] = sum_{j >= k} sigma_j^2; a mirror shares its partner's
+    sides, sigmas, tails = ([None] * len(far) for _ in range(3))
+    for i, (u, sv, vh) in owned_svds(binv, partition, mirror, r_max):
+        t, s = far[i]
+        sides[i] = u if t.size <= s.size else vh  # the shorter side
+        sigmas[i] = sv
+        tails[i] = np.append(np.cumsum(sv[::-1] ** 2)[::-1], 0.0)
+    for i, j in enumerate(mirror):
+        if j is not None:
+            sigmas[i], tails[i] = sigmas[j], tails[j]
     mirrored = {j for j in mirror if j is not None}
-    # tails[i][k] = sum_{j >= k} sigma_j^2 of far block i
-    tails = [np.append(np.cumsum(sv[::-1] ** 2)[::-1], 0.0) for _, sv, _ in factors]
     err = binv  # E_0 overwrites the inverse
     for t, s in partition.near:
         err[t.span, s.span] = 0.0
@@ -129,15 +145,18 @@ def rank_sweep(binv: np.ndarray, partition: BlockPartition, r_list,
     for r in ranks:
         sig_next = fro2 = 0.0
         scalars = near_scalars
-        for i, ((t, s), (u, sv, vh), tail) in enumerate(zip(partition.far,
-                                                             factors, tails)):
+        for i, ((t, s), sv, tail) in enumerate(zip(far, sigmas, tails)):
             k, k_prev = min(r, sv.size), min(r_prev, sv.size)
             if k > k_prev and mirror[i] is None:
                 block = err[t.span, s.span]
                 if k == sv.size:
                     block[...] = 0.0
-                else:
-                    block -= (u[:, k_prev:k] * sv[k_prev:k]) @ vh[k_prev:k]
+                elif t.size <= s.size:  # Q = U[:, k':k]
+                    q = sides[i][:, k_prev:k]
+                    block -= q @ (q.conj().T @ block)
+                else:  # Q = V^H[k':k]
+                    q = sides[i][k_prev:k]
+                    block -= (block @ q.conj().T) @ q
                 if i in mirrored:
                     err[s.span, t.span] = block.T
             scalars += k * (t.size + s.size)

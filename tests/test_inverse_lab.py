@@ -23,7 +23,8 @@ from hmaxwell.checks import check_transfer
 from hmaxwell.cluster import sparsity_constant
 from hmaxwell.fem import (apply_dual_functionals, build_dof_map, riesz_rhs,
                           solve_system, sparse_operator)
-from hmaxwell.hmatrix import compress_dense, far_svds, spectral_norm, to_dense
+from hmaxwell.hmatrix import (compress_dense, far_svds, owned_svds,
+                              spectral_norm, to_dense)
 
 
 @pytest.fixture(scope="module")
@@ -245,14 +246,19 @@ def reference_sweep_row(binv, part, svds, r):
 def test_incremental_sweep_matches_scattered_residual(system_cache, n, kappa):
     """The in-place leaf-order updates give the error of the explicit
     scatter at every rank, for an unsorted rank list with a duplicate, 0,
-    and a rank above the smallest far block's size."""
+    and a rank above the smallest far block's size. The partition owns far
+    blocks with |tau| < |sigma|, |tau| > |sigma| and |tau| = |sigma|, so
+    both the left and the right projection are checked."""
     sysm = system_cache(n, kappa)
     part = build_block_partition(
         build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16), eta=2.0)
     binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
-    svds = far_svds(binv, part, binv.shape[0])[0]  # every factor column
+    svds, mirror = far_svds(binv, part, binv.shape[0])  # every factor column
     r_list = [8, 0, 2, 2, 40]
     assert min(sv.size for _, sv, _ in svds) < 40
+    shapes = {int(np.sign(t.size - s.size))
+              for (t, s), j in zip(part.far, mirror) if j is None}
+    assert shapes == {-1, 0, 1}  # left, right and square projections
     rows = rank_sweep(binv.copy(), part, r_list)
     assert [row.r for row in rows] == sorted(r_list)
     for row in rows:
@@ -367,17 +373,18 @@ def test_far_svds_hold_one_copy_per_mirrored_pair(system_cache):
 
 def test_rank_sweep_adds_no_dense_array(system_cache):
     """The sweep works in its input's storage: at n = 6 (N = 1,206) its
-    traced peak above the input stays below the far-block factors plus half
-    an inverse; a copy of the input would add a whole one. Each factor
-    array counts once: a mirror's factors are views of its partner's."""
+    traced peak above the input stays below the one-sided far-block factors
+    plus half an inverse; a copy of the input would add a whole one. Each
+    owned block counts once, with its sigmas and its shorter side."""
     sysm = system_cache(6)
     part = build_block_partition(
         build_cluster_tree(sysm.mesh, sysm.dofmap), eta=2.0)
     binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
     ranks = [1, 2, 4, 8, 12, 16, 20]
     svds, mirror = far_svds(binv, part, max(ranks))
-    factors = sum(u.nbytes + sv.nbytes + vh.nbytes
-                  for (u, sv, vh), j in zip(svds, mirror) if j is None)
+    factors = sum((u.nbytes if t.size <= s.size else vh.nbytes) + sv.nbytes
+                  for (t, s), (u, sv, vh), j in zip(part.far, svds, mirror)
+                  if j is None)
     tracemalloc.start()
     try:
         rank_sweep(binv, part, ranks)
@@ -389,10 +396,48 @@ def test_rank_sweep_adds_no_dense_array(system_cache):
 
 
 @pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
+def test_rank_sweep_holds_one_side_per_far_pair(system_cache, kappa,
+                                                monkeypatch):
+    """At n = 6, the memory the sweep holds after its first rank's norm,
+    beyond what it held after the norm of A^{-1}, stays below 1.25 x the
+    bytes of r_max shorter-side singular vectors and the sigmas of each
+    owned far block: 399 owned blocks with sum min(|tau|, |sigma|) = 11,045
+    against sum (|tau| + |sigma|) = 25,511, so holding both sides would
+    take about 2.3 x that."""
+    sysm = system_cache(6, kappa)
+    part = build_block_partition(
+        build_cluster_tree(sysm.mesh, sysm.dofmap), eta=2.0)
+    binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
+    ranks = [1, 2, 4, 8, 12, 16, 20]
+    owned = [(t, s) for t, s in part.far if t.id <= s.id]
+    short = sum(min(t.size, s.size) for t, s in owned)
+    assert (len(owned), short) == (399, 11045)
+    assert sum(t.size + s.size for t, s in owned) == 25511
+    # r_max singular vectors of each block's shorter side, float64 sigmas
+    bound = 1.25 * (short * max(ranks) * binv.itemsize + short * 8)
+    traced = []
+
+    def spy(mat, *args, **kwargs):
+        out = spectral_norm(mat, *args, **kwargs)
+        traced.append(tracemalloc.get_traced_memory()[0])
+        return out
+
+    monkeypatch.setattr(inverse_lab, "spectral_norm", spy)
+    tracemalloc.start()
+    try:
+        rank_sweep(binv, part, ranks)
+    finally:
+        tracemalloc.stop()
+    assert len(traced) == len(ranks) + 1
+    assert traced[1] - traced[0] < bound  # traced[0] holds ARPACK's import
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
 def test_rank_sweep_only_reads_the_far_factors(system_cache, kappa,
                                                monkeypatch):
-    """Every array far_svds hands the sweep, a mirror's views included, is
-    bitwise the same after the sweep as when far_svds returned it."""
+    """Every array owned_svds hands the sweep is bitwise the same after the
+    sweep as when owned_svds yielded it, and the sweep draws one SVD per
+    mirrored pair."""
     sysm = system_cache(4, kappa)
     part = build_block_partition(
         build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16), eta=2.0)
@@ -400,13 +445,13 @@ def test_rank_sweep_only_reads_the_far_factors(system_cache, kappa,
     handed = []
 
     def spy(*args, **kwargs):
-        svds, mirror = far_svds(*args, **kwargs)
-        handed.extend((arr, arr.copy()) for entry in svds for arr in entry)
-        return svds, mirror
+        for i, factors in owned_svds(*args, **kwargs):
+            handed.extend((arr, arr.copy()) for arr in factors)
+            yield i, factors
 
-    monkeypatch.setattr(inverse_lab, "far_svds", spy)
+    monkeypatch.setattr(inverse_lab, "owned_svds", spy)
     rank_sweep(binv, part, [1, 2, 4, 8])
-    assert len(handed) == 3 * len(part.far)
+    assert len(handed) == 3 * sum(t.id <= s.id for t, s in part.far)
     assert all(np.array_equal(arr, before) for arr, before in handed)
 
 
