@@ -61,7 +61,7 @@ nodal = build_nodal_space(system)
 G = discrete_gradient(nodal)
 q = rng.standard_normal(G.shape[1])
 tets = region.conforming_tets(system.mesh)
-phi = exact_sequence_recover(system, tets, G @ q)
+phi, _ = exact_sequence_recover(system, tets, G @ q)
 
 rows = np.unique(system.dofmap.edge_to_dof[system.mesh.tet_edges[tets]])
 rows = rows[rows >= 0]

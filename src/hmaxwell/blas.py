@@ -1,0 +1,107 @@
+"""Thread counts of the OpenBLAS libraries loaded in this process.
+
+numpy and scipy each load their own OpenBLAS, each with its own pool of
+worker threads. Most of the package's dense algebra is thousands of small
+calls (far-block SVDs, rank updates, the region SVD, QR and Cholesky
+steps), which run faster on one thread, and handing work from one pool to
+the other stalls. So cli.main runs every verb inside threads(1), and only
+the two kernels whose work is N x N, dense_inverse's LU and getri and the
+Lanczos products of spectral_norm, go back to the counts the libraries
+started with (OPENBLAS_NUM_THREADS, or the core count), through kernel(N),
+and only from N = PARALLEL_MIN on.
+
+The libraries are found on first use, never at import: the shared objects
+named "openblas" in /proc/self/maps, opened with ctypes, that export a
+getter and a setter of the thread count. Where none is found every context
+is a no-op. Each context restores the counts it found, also when the body
+raises.
+"""
+
+import ctypes
+from contextlib import contextmanager
+
+# N from which the N x N kernels run on the starting counts: on a 2-core
+# machine a second thread saves 6% of a dense inverse at N = 512 and 35%
+# at N = 800
+PARALLEL_MIN = 512
+
+# (getter, setter) in the order tried: the scipy-openblas builds that numpy
+# (64-bit integers) and scipy ship, then a plain OpenBLAS
+_SYMBOLS = [(f"{pre}_get_num_threads{suf}", f"{pre}_set_num_threads{suf}")
+            for pre, suf in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                             ("openblas", "64_"), ("openblas", ""))]
+
+_libs = None  # [(path, getter, setter, starting count)], on first use
+_kernel_threads = 1  # most threads an N x N kernel ran on in threads()
+
+
+def _libraries() -> list:
+    global _libs
+    if _libs is None:
+        try:
+            with open("/proc/self/maps", encoding="utf-8") as f:
+                paths = sorted({line.split()[-1] for line in f
+                                if "openblas" in line.lower() and ".so" in line})
+        except OSError:
+            paths = []
+        _libs = []
+        for path in paths:
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for get_name, set_name in _SYMBOLS:
+                get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+                if get is not None and put is not None:
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    put.restype, put.argtypes = None, [ctypes.c_int]
+                    _libs.append((path, get, put, get()))
+                    break
+    return _libs
+
+
+def current() -> dict:
+    """Thread count of each loaded OpenBLAS, by path; empty if none."""
+    return {path: get() for path, get, _, _ in _libraries()}
+
+
+@contextmanager
+def _counts(counts):
+    """Each library on its entry of counts inside; the previous counts after."""
+    libs, before = _libraries(), list(current().values())
+    try:
+        for (_, _, put, _), k in zip(libs, counts):
+            put(k)
+        yield
+    finally:
+        for (_, _, put, _), k in zip(libs, before):
+            put(k)
+
+
+@contextmanager
+def threads(k: int):
+    """Every loaded OpenBLAS on k threads inside. kernel_threads() then
+    reads the most threads an N x N kernel ran on inside this context."""
+    global _kernel_threads
+    outer, _kernel_threads = _kernel_threads, k
+    try:
+        with _counts([k] * len(_libraries())):
+            yield
+    finally:
+        _kernel_threads = outer
+
+
+def kernel(n: int):
+    """For a kernel whose work is n x n: every loaded OpenBLAS inside on its
+    starting count from n = PARALLEL_MIN on, and on one thread below, from
+    wherever it is called, so the kernel's result depends on n alone."""
+    global _kernel_threads
+    counts = [start if n >= PARALLEL_MIN else 1 for *_, start in _libraries()]
+    _kernel_threads = max([_kernel_threads, *counts])
+    return _counts(counts)
+
+
+def kernel_threads() -> int:
+    """The most threads an N x N kernel ran on inside the innermost open
+    threads(k) context, at least k; 1 where no OpenBLAS is found."""
+    return _kernel_threads if _libraries() else 1

@@ -12,9 +12,13 @@ as dense_inverse's conditioning test); 2 config error (also an output
 directory that cannot be created); 3 resource limit (also a failed
 allocation).
 
+Every verb runs with each loaded OpenBLAS on one thread; only the N x N
+kernels widen (blas.kernel), and main restores the thread counts it found
+however the verb ends.
+
 Every run writes its artifacts into a per-experiment subdirectory of
---out together with a manifest (config echo, timings, size counters, peak
-RSS, file checksums).
+--out together with a manifest (config echo, timings, size counters, the
+N x N kernels' BLAS threads, peak RSS, file checksums).
 Data files contain no wall-clock state, so a rerun with the same config
 and seed reproduces them byte for byte.
 """
@@ -32,6 +36,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
+from .blas import kernel_threads, threads
 from .checks import (HARMONIC_CONSTRAINT_TOL, CheckResult, check_bound,
                      check_commuting, check_dual_biorthogonality,
                      check_dual_norm_scaling, check_exact_sequence,
@@ -192,8 +197,10 @@ class Runner:
         return os.path.join(self.outdir, filename)
 
     def finish(self, *paths, system=None, partition=None) -> str:
-        """Write the manifest, with counters: tets, N and nonzeros of A, far
-        and near blocks, C_sp, depth, and the process's peak RSS so far."""
+        """Write the manifest, with counters: tets, N and nonzeros of A; far
+        and near blocks, C_sp, depth and the far-block SVDs, one per
+        mirrored pair of the symmetric A^{-1}; the BLAS threads the N x N
+        kernels ran on, and the process's peak RSS so far."""
         self.phase(None)
         counters = self.manifest.counters
         if system is not None:
@@ -202,7 +209,9 @@ class Runner:
         if partition is not None:
             counters.update(n_far=len(partition.far), n_near=len(partition.near),
                             c_sp=sparsity_constant(partition),
-                            depth=partition.tree.depth)
+                            depth=partition.tree.depth,
+                            far_svds=sum(t.id < s.id for t, s in partition.far))
+        counters["blas_threads"] = kernel_threads()
         # ru_maxrss is in kilobytes on Linux
         counters["peak_rss_mb"] = round(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)
@@ -543,8 +552,9 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        cfg = load_config(args)
-        return COMMANDS[args.verb](Runner(args.verb, cfg), cfg)
+        with threads(1):  # blas.kernel widens the N x N kernels
+            cfg = load_config(args)
+            return COMMANDS[args.verb](Runner(args.verb, cfg), cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -403,7 +403,9 @@ def exact_sequence_recover(system: GalerkinSystem, tets: np.ndarray,
     domain boundary has one, so phi differs from the minimum-norm potential
     by a constant). A block of fields coeffs (N, m) is recovered in one
     solve, giving phi (V, m); both curl-free guards hold each column to its
-    own norm.
+    own norm. Returns (phi, resid): resid is the residual guard's measure
+    per column, ||(incidence @ phi)[rows] - coeffs[rows]|| / ||coeffs[rows]||
+    on the region's DOF rows, 0 for a column that is zero there.
     """
     mesh, dofmap = system.mesh, system.dofmap
     if tets.size == 0:
@@ -424,8 +426,10 @@ def exact_sequence_recover(system: GalerkinSystem, tets: np.ndarray,
                        scale)
     phi = pi_nabla_project(region_nodal_space(system, tets), v)
     resid = np.linalg.norm((system.incidence @ phi)[rows] - v[rows], axis=0)
-    _require_curl_free(resid > 1e-9 * np.maximum(scale, 1e-300), scale)
-    return phi.reshape((mesh.n_vertices,) + coeffs.shape[1:])
+    resid /= np.maximum(scale, 1e-300)
+    _require_curl_free(resid > 1e-9, scale)
+    return (phi.reshape((mesh.n_vertices,) + coeffs.shape[1:]),
+            resid.reshape(coeffs.shape[1:]))
 
 
 def _require_curl_free(failed: np.ndarray, scale: np.ndarray):

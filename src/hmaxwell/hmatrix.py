@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import kernel
 from .cluster import BlockPartition
 
 TILE = 256  # side of the square tiles that symmetric passes work on
@@ -157,7 +158,8 @@ def spectral_norm(mat: np.ndarray, seed: int = 0):
     mat.T when mat is C-ordered, and when complex the real symmetric Takagi
     map [[Re E, Im E], [Im E, -Re E]], whose eigenvalues are +-sigma_i(E)
     (Horn & Johnson, Matrix Analysis, 4.4), applied as one complex product
-    E (x - iy). The Ritz value never exceeds ||mat||_2. The start vector is
+    E (x - iy). The products run under blas.kernel(N). The Ritz value
+    never exceeds ||mat||_2. The start vector is
     drawn from seed, so reruns are byte-identical. A zero or 1 x 1 mat
     (where ARPACK refuses k = 1) is measured exactly; no convergence within
     ARPACK_MAX_ITER steps gives (nan, False, products).
@@ -188,8 +190,9 @@ def spectral_norm(mat: np.ndarray, seed: int = 0):
     op = LinearOperator((size, size), matvec=apply, dtype=np.float64)
     v0 = np.random.default_rng(seed).standard_normal(size)
     try:
-        val = eigsh(op, k=1, which="LM", tol=ARPACK_TOL,
-                    maxiter=ARPACK_MAX_ITER, v0=v0, return_eigenvectors=False)
+        with kernel(dim):  # each product runs over the whole array
+            val = eigsh(op, k=1, which="LM", tol=ARPACK_TOL,
+                        maxiter=ARPACK_MAX_ITER, v0=v0, return_eigenvectors=False)
     except ArpackNoConvergence:
         return float("nan"), False, products
     return float(abs(val[0])), True, products

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .blas import kernel
 from .cluster import BlockPartition, sparsity_constant
 from .fem import GalerkinSystem, apply_dual_functionals, riesz_rhs, solve_system
 from .hmatrix import TILE, far_mirrors, owned_svds, spectral_norm, tile_pairs
@@ -44,7 +45,8 @@ def dense_inverse(op, perm: np.ndarray) -> np.ndarray:
     partial pivoting; the LAPACK 1-norm condition estimate of the factor
     must not exceed 1e12. The dense P A P^T is factored in place and LAPACK
     getri inverts the factor in place (4/3 N^3 flops), so one N x N array
-    is alive from the factorization on. A = A^T, so the inverse B is
+    is alive from the factorization on; both run under blas.kernel(N).
+    A = A^T, so the inverse B is
     replaced in place by (B + B^T)/2, TILE x TILE tiles at a time, and the
     returned inverse equals its transpose bitwise. The residual guard
     max |A A^{-1} - I| runs on that matrix, TILE rows of the CSR P A P^T
@@ -52,17 +54,19 @@ def dense_inverse(op, perm: np.ndarray) -> np.ndarray:
     reduced in place; it must not exceed RESIDUAL_LIMIT."""
     a = op[perm][:, perm]
     anorm = abs(a).sum(axis=0).max()
-    lu, piv = scipy.linalg.lu_factor(a.toarray(order="F"), overwrite_a=True)
-    gecon, getri, getri_lwork = scipy.linalg.get_lapack_funcs(
-        ("gecon", "getri", "getri_lwork"), (lu,))
-    rcond = gecon(lu, anorm, norm="1")[0]
-    if not np.isfinite(rcond) or rcond <= 0 or 1.0 / rcond > 1e12:
-        raise ValueError(
-            f"matrix too ill-conditioned (estimate {1.0 / max(rcond, 1e-300):.3e}); "
-            "kappa may be too close to a discrete eigenvalue, try another kappa or n")
     n = perm.size
-    lwork = int(getri_lwork(n)[0].real)
-    binv, info = getri(lu, piv, lwork=lwork, overwrite_lu=1)  # lu's storage
+    with kernel(n):  # the LU and the inversion: the N x N work
+        lu, piv = scipy.linalg.lu_factor(a.toarray(order="F"), overwrite_a=True)
+        gecon, getri, getri_lwork = scipy.linalg.get_lapack_funcs(
+            ("gecon", "getri", "getri_lwork"), (lu,))
+        rcond = gecon(lu, anorm, norm="1")[0]
+        if not np.isfinite(rcond) or rcond <= 0 or 1.0 / rcond > 1e12:
+            raise ValueError(
+                "matrix too ill-conditioned (estimate "
+                f"{1.0 / max(rcond, 1e-300):.3e}); kappa may be too close to "
+                "a discrete eigenvalue, try another kappa or n")
+        lwork = int(getri_lwork(n)[0].real)
+        binv, info = getri(lu, piv, lwork=lwork, overwrite_lu=1)  # lu's storage
     if info != 0:
         raise ValueError(f"LAPACK getri failed (info {info})")
     for r, c in tile_pairs(n):  # (B + B^T)/2 in place, one tile pair at a time

@@ -5,7 +5,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hmaxwell import assemble_system, build_box_mesh
+from hmaxwell import assemble_system, blas, build_box_mesh
+
+
+@pytest.fixture(autouse=True)
+def blas_threads_restored():
+    """Every test leaves each loaded OpenBLAS on the thread count it found:
+    a leak out of cli.main would slow every later test and falsify the
+    thread count a benchmark run records."""
+    before = blas.current()
+    yield
+    if (after := blas.current()) != before:
+        pytest.fail(f"OpenBLAS thread counts {before} became {after}")
 
 
 @pytest.fixture(scope="session")

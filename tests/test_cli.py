@@ -27,9 +27,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 
-from hmaxwell import (assemble_system, build_block_partition, build_box_mesh,
-                      build_cluster_tree, checks, cli, dense_inverse, fem,
-                      harmonic, sparsity_constant)
+from hmaxwell import (assemble_system, blas, build_block_partition,
+                      build_box_mesh, build_cluster_tree, checks, cli,
+                      dense_inverse, fem, harmonic, hmatrix, sparsity_constant)
 from hmaxwell.cli import OPTIONS, build_parser, build_pipeline, load_config, main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -672,7 +672,7 @@ def test_manifest_counters(tmp_path):
     _, system, _, partition, _ = build_pipeline(cfg)
     counters = man["counters"]
     assert set(counters) == {"N", "nnz_A", "n_tets", "n_far", "n_near", "c_sp",
-                             "depth", "peak_rss_mb"}
+                             "depth", "far_svds", "blas_threads", "peak_rss_mb"}
     assert counters["N"] == system.n_dofs == 26
     assert counters["nnz_A"] == np.count_nonzero(system.A)
     assert counters["n_tets"] == 48
@@ -683,7 +683,61 @@ def test_manifest_counters(tmp_path):
     assert counters["peak_rss_mb"] > 0
     assert main(["mesh-info", "--n", "2", "--out", str(tmp_path), "--name", "m"]) == 0
     man = json.loads((tmp_path / "m" / "manifest.json").read_text())
-    assert set(man["counters"]) == {"peak_rss_mb"}  # no system was built
+    # no system was built, and no BLAS call ran on more than one thread
+    assert man["counters"] == {"blas_threads": 1,
+                               "peak_rss_mb": man["counters"]["peak_rss_mb"]}
+
+
+def test_manifest_counts_far_svds_and_kernel_threads(tmp_path, monkeypatch):
+    """far_svds is the number of far-block SVDs the run took, one per
+    mirrored pair; blas_threads is the count the N x N kernels ran on: 1
+    below N = PARALLEL_MIN (n = 4, N = 316), the starting count from there
+    on (n = 5, N = 604), and 1 everywhere when no OpenBLAS is found. Every
+    data file but the manifest is the same on a rerun."""
+    svds = []
+    truncated_svd = hmatrix.truncated_svd
+    monkeypatch.setattr(hmatrix, "truncated_svd",
+                        lambda *a: svds.append(a) or truncated_svd(*a))
+    start = max(blas.current().values(), default=1)
+    for n, threads in (("4", 1), ("5", start)):
+        svds.clear()
+        files = []
+        for name in ("a", "b"):
+            assert run_cli("rank-sweep", "--n", n, "--ranks", "1,2", "--out",
+                           str(tmp_path), "--name", n + name) == 0
+            files.append(_data_files(str(tmp_path / (n + name))))
+        assert files[0] == files[1]
+        counters = json.loads(
+            (tmp_path / (n + "a") / "manifest.json").read_text())["counters"]
+        assert (counters["N"] >= blas.PARALLEL_MIN) == (n == "5")
+        assert counters["blas_threads"] == threads
+        assert 2 * counters["far_svds"] == counters["n_far"] == len(svds)
+
+
+def test_local_and_small_results_do_not_depend_on_the_thread_count(tmp_path):
+    """caccioppoli and helmholtz at n = 8, and verify below the floor, run
+    every BLAS call on one thread, so their data files are byte-identical
+    whether OPENBLAS_NUM_THREADS is 1 or 2."""
+    if not blas.current():
+        pytest.skip("no OpenBLAS loaded")
+    steps = [["caccioppoli", "--n", "8"], ["helmholtz", "--n", "8"],
+             ["verify", "--n", "3", "--n-leaf", "16", "--kappa-im", "0.5"]]
+    files = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        script = "\n".join(
+            ["from hmaxwell.cli import main"]
+            + [f"assert main({[*step, '--out', str(out), '--name', step[0]]!r})"
+               " == 0" for step in steps])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        files[threads] = {step[0]: _data_files(str(out / step[0]))
+                          for step in steps}
+    assert files["1"] == files["2"]
 
 
 def test_manifest_partition_counters_match_fit(tmp_path):
@@ -769,7 +823,11 @@ def test_traced_benchmark_worker_runs(tmp_path):
          str(tmp_path / "work"), str(tmp_path / "result.json"),
          str(tmp_path / "trace.json")], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads((tmp_path / "result.json").read_text())["failure"] is None
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["failure"] is None
+    # read back after the runs: main left each OpenBLAS on its own count
+    assert result["machine"]["blas_threads"] == {
+        path.rsplit("/", 1)[-1]: k for path, k in blas.current().items()}
     trace = json.loads((tmp_path / "trace.json").read_text())
     names = {span[1] for span in trace["spans"]}
     assert {"fem.assemble_system", "inverse_lab.rank_sweep",

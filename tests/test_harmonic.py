@@ -777,7 +777,7 @@ def test_recover_inverts_the_gradient(sys4, rng):
     for _ in range(5):
         q = rng.standard_normal(ns.free_vertices.size)
         v = G @ q
-        phi = exact_sequence_recover(sys4, tets, v)
+        phi, _ = exact_sequence_recover(sys4, tets, v)
         # gradients agree on the region's interior edges
         g = np.zeros(sys4.n_dofs)
         m = sys4.mesh
@@ -797,7 +797,7 @@ def region_edge_dofs(sysm, region):
 def test_recover_zero_field(sys3):
     region = BoxRegion((0.5, 0.5, 0.5), 0.8)
     tets = region.conforming_tets(sys3.mesh)
-    phi = exact_sequence_recover(sys3, tets, np.zeros(sys3.n_dofs))
+    phi, _ = exact_sequence_recover(sys3, tets, np.zeros(sys3.n_dofs))
     g = phi[sys3.mesh.edges[sys3.dofmap.interior_edges, 1]] \
         - phi[sys3.mesh.edges[sys3.dofmap.interior_edges, 0]]
     assert np.abs(g[region_edge_dofs(sys3, region)]).max() < 1e-14
@@ -823,11 +823,15 @@ def test_recover_block_equals_columns(rng):
         v[:, 2] = 0.0
         if np.iscomplexobj(sysm.A):
             v = v + 1j * (G @ rng.standard_normal((G.shape[1], 4)))
-        phi = exact_sequence_recover(sysm, tets, v)
+        phi, resid = exact_sequence_recover(sysm, tets, v)
         assert phi.shape == (sysm.mesh.n_vertices, 4) and phi.dtype == v.dtype
+        assert resid.shape == (4,) and np.all(resid <= 1e-12)
+        if not np.iscomplexobj(v):
+            assert resid[2] == 0.0  # a zero column reads 0, not 0/0
         for j in range(4):
-            col = exact_sequence_recover(sysm, tets, v[:, j])
+            col, res = exact_sequence_recover(sysm, tets, v[:, j])
             assert np.abs(phi[:, j] - col).max() <= 1e-12 * max(np.abs(col).max(), 1.0)
+            assert res.shape == () and res <= 1e-12
 
 
 def test_recover_block_rejects_one_rotational_column(sys3, rng):
@@ -865,10 +869,14 @@ def test_recover_guard_band(system_cache, n, kappa):
     with pytest.raises(ValueError, match="not curl-free"):
         exact_sequence_recover(sysm, tets, v + 1e-8 * w)
     exact_sequence_recover(sysm, tets, v + 1e-11 * w)
-    phi = exact_sequence_recover(sysm, tets, v)
+    phi, resid = exact_sequence_recover(sysm, tets, v)
     lo, hi = sysm.mesh.edges[sysm.dofmap.interior_edges].T
     err = np.linalg.norm((phi[hi] - phi[lo] - v)[rows], axis=0)
     assert np.all(err <= 1e-12 * np.linalg.norm(v[rows], axis=0))
+    # the returned residual is the guard's, on the same rows, bitwise
+    want = (np.linalg.norm((sysm.incidence @ phi)[rows] - v[rows], axis=0)
+            / np.linalg.norm(v[rows], axis=0))
+    assert same_bits(resid, want)
 
 
 def test_recover_rejects_circulation_around_a_hole(system_cache):
@@ -918,7 +926,7 @@ def test_recover_harmonic_gradient_component(sys4):
     space = harmonic_space(sys4, region, "curl")
     p = helmholtz_report(sys4, region, embedded_basis(space, sys4.n_dofs)[:, 0])["p"]
     v = sys4.incidence @ p
-    phi = exact_sequence_recover(sys4, space.tets, v)
+    phi, _ = exact_sequence_recover(sys4, space.tets, v)
     g = phi[sys4.mesh.edges[sys4.dofmap.interior_edges, 1]] \
         - phi[sys4.mesh.edges[sys4.dofmap.interior_edges, 0]]
     dofs = region_edge_dofs(sys4, region)
