@@ -13,7 +13,7 @@ Two experiments on concentric box pairs:
 import numpy as np
 
 from hmaxwell import assemble_system, build_box_mesh
-from hmaxwell.harmonic import (caccioppoli_ratio, default_pairs,
+from hmaxwell.harmonic import (Region, caccioppoli_ratio, default_pairs,
                                exact_sequence_recover, harmonic_space,
                                helmholtz_report)
 
@@ -25,8 +25,9 @@ print(f"\n{'n':>3} {'variant':>8} {'dim':>6} {'ratio':>12} "
       f"{'normalized':>12} {'inner tets':>11}")
 for n in (4, 6, 8):
     system = assemble_system(build_box_mesh(n), kappa=1.0)
+    region = Region(system, pair.outer)
     for variant in ("curl", "grad"):
-        space = harmonic_space(system, pair.outer, variant)
+        space = harmonic_space(region, variant)
         res = caccioppoli_ratio(space, pair)
         print(f"{n:>3} {variant:>8} {res.dim:>6} {res.ratio:>12.5e} "
               f"{res.normalized:>12.5e} {res.n_inner_tets:>11}")
@@ -35,11 +36,11 @@ for n in (4, 6, 8):
 
 # HELMHOLTZ SPLIT
 system = assemble_system(build_box_mesh(4), kappa=1.0)
-region = default_pairs(system.mesh.length)["interior"].outer
+region = Region(system, default_pairs(system.mesh.length)["interior"].outer)
 rng = np.random.default_rng(0)
 u = rng.standard_normal(system.n_dofs)
 
-rep = helmholtz_report(system, region, u)
+rep = helmholtz_report(region, u)
 print(f"\nlocal split on the outer box, n=4:")
 print(f"  orthogonality residual: {rep['orthogonality_residual']:.3e}")
 print(f"  Pythagoras defect:      {rep['pythagoras_defect']:.3e}")
@@ -49,7 +50,7 @@ print(f"  ||u||, ||z||, ||grad p|| on region: "
 
 # the rotational part z of the split carries no gradient component:
 # splitting it again returns a vanishing potential
-p2 = helmholtz_report(system, region, rep["z"])["p"]
+p2 = helmholtz_report(region, rep["z"])["p"]
 print(f"  potential of the z part: {float(np.abs(p2).max()):.3e}")
 
 # EXACT SEQUENCE
@@ -60,10 +61,9 @@ from hmaxwell.fem import build_nodal_space, discrete_gradient
 nodal = build_nodal_space(system)
 G = discrete_gradient(nodal)
 q = rng.standard_normal(G.shape[1])
-tets = region.conforming_tets(system.mesh)
-phi, _ = exact_sequence_recover(system, tets, G @ q)
+phi, _ = exact_sequence_recover(region.nodal, G @ q)
 
-rows = np.unique(system.dofmap.edge_to_dof[system.mesh.tet_edges[tets]])
+rows = np.unique(system.dofmap.tet_dofs[region.tets])
 rows = rows[rows >= 0]
 dev = float(np.abs((G @ q - G @ phi[~system.mesh.boundary_vertex])[rows]).max())
 print(f"\npotential recovery from a curl-free field: "

@@ -13,10 +13,10 @@ from .fem import (DofMap, DualBasis, GalerkinSystem, NodalSpace,
                   discrete_gradient, dual_basis, dual_norms,
                   pi_nabla_project, region_nodal_space, solve_system)
 from .harmonic import (BoxRegion, CaccioppoliResult, ConcentricPair,
-                       HarmonicSpace, caccioppoli_ratio, constraint_residual,
-                       default_pairs, exact_sequence_recover,
-                       gradient_part_harmonic_check, harmonic_space,
-                       helmholtz_report, tets_inside_box,
+                       HarmonicSpace, Region, caccioppoli_ratio,
+                       constraint_residual, default_pairs,
+                       exact_sequence_recover, gradient_part_harmonic_check,
+                       harmonic_space, helmholtz_report, tets_inside_box,
                        tets_intersecting_box)
 from .hmatrix import (DenseBlock, HMatrix, LowRankBlock, compress_dense,
                       far_svds, matvec, rmatvec, spectral_error, spectral_norm,

@@ -15,7 +15,7 @@ import numpy as np
 from .cluster import BlockPartition, sparsity_constant, tiling_defect
 from .fem import (DualBasis, GalerkinSystem, assemble_system, dual_basis,
                   dual_norms, sparse_operator)
-from .harmonic import (BoxRegion, HarmonicSpace, exact_sequence_recover,
+from .harmonic import (HarmonicSpace, Region, exact_sequence_recover,
                        gradient_part_harmonic_check, helmholtz_report)
 from .hmatrix import TILE
 from .inverse_lab import theorem_transfer_check
@@ -120,11 +120,10 @@ def check_dual_biorthogonality(system: GalerkinSystem, dual: DualBasis,
                                tol: float = TOLERANCES["biorthogonality"]
                                ) -> CheckResult:
     """<lambda_i, Psi_j> = delta_ij, integrated over the carrier tets."""
-    mesh, dofmap = system.mesh, system.dofmap
     t = dual.carrier_tet
     pair = np.einsum("ti,tij->tj", dual.coeffs, system.local.mass[t])
-    dofs = dofmap.edge_to_dof[mesh.tet_edges[t]]
-    expected = dofs == np.arange(dofmap.n_dofs)[:, None]
+    dofs = system.dofmap.tet_dofs[t]
+    expected = dofs == np.arange(system.n_dofs)[:, None]
     worst = float(np.abs(pair - expected)[dofs >= 0].max())
     return CheckResult("dual basis biorthogonality", worst <= tol, worst, tol)
 
@@ -154,12 +153,12 @@ def random_field(system: GalerkinSystem, seed: int = 0) -> np.ndarray:
     return coeffs
 
 
-def check_helmholtz(system: GalerkinSystem, region: BoxRegion,
+def check_helmholtz(region: Region,
                     pythagoras_tol: float = TOLERANCES["pythagoras"],
                     orthogonality_tol: float = TOLERANCES["helmholtz_orthogonality"],
                     seed: int = 0) -> tuple:
     """Pythagoras identity and gradient orthogonality of the local split."""
-    rep = helmholtz_report(system, region, random_field(system, seed))
+    rep = helmholtz_report(region, random_field(region.system, seed))
     ortho = CheckResult("local Helmholtz gradient orthogonality",
                         rep["orthogonality_residual"] <= orthogonality_tol,
                         rep["orthogonality_residual"], orthogonality_tol)
@@ -169,7 +168,7 @@ def check_helmholtz(system: GalerkinSystem, region: BoxRegion,
     return ortho, pyth
 
 
-def check_gradient_part(system: GalerkinSystem, space: HarmonicSpace,
+def check_gradient_part(space: HarmonicSpace,
                         tol: float = TOLERANCES["gradient_part"]) -> CheckResult:
     """Gradient parts of the columns of a curl harmonic space are harmonic
     on its region; the unit columns off O vanish there and are skipped. The
@@ -178,22 +177,22 @@ def check_gradient_part(system: GalerkinSystem, space: HarmonicSpace,
     build, so no N x d block is formed."""
     null, m = space.null, space.null.shape[1]
     on_hit, on_free = space.dofs[space.hit], space.dofs[space.free]
-    d = m + on_free.size
+    d, n = m + on_free.size, space.region.system.n_dofs
 
     def tiles():
         for j in range(0, d, TILE):
-            cols = np.zeros((system.n_dofs, min(TILE, d - j)), dtype=null.dtype)
+            cols = np.zeros((n, min(TILE, d - j)), dtype=null.dtype)
             cols[on_hit, :max(m - j, 0)] = null[:, j:j + TILE]
             k = np.arange(max(m, j), min(d, j + TILE))
             cols[on_free[k - m], k - j] = 1
             yield cols
 
-    worst = gradient_part_harmonic_check(system, space.region, space.tets, tiles())
+    worst = gradient_part_harmonic_check(space.region, tiles())
     return CheckResult("gradient parts of harmonic columns are harmonic",
                        worst <= tol, worst, tol, f"{d} columns, dim {space.dim}")
 
 
-def check_exact_sequence(system: GalerkinSystem, grad, region: BoxRegion,
+def check_exact_sequence(grad, region: Region,
                          tol: float = TOLERANCES["exact_sequence"],
                          seed: int = 0) -> CheckResult:
     """Potentials of discrete gradients are recovered on the region, all
@@ -205,8 +204,7 @@ def check_exact_sequence(system: GalerkinSystem, grad, region: BoxRegion,
         return CheckResult(name, True, 0.0, tol, "no discrete gradient to test")
     q = np.random.default_rng(seed).standard_normal(
         (EXACT_SEQUENCE_INSTANCES, grad.shape[1]))
-    _, resid = exact_sequence_recover(system, region.conforming_tets(system.mesh),
-                                      grad @ q.T)
+    _, resid = exact_sequence_recover(region.nodal, grad @ q.T)
     worst = float(resid.max())
     return CheckResult(name, worst <= tol, worst, tol,
                        f"{EXACT_SEQUENCE_INSTANCES} instances")

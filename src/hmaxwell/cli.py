@@ -9,8 +9,8 @@ non-finite number is a config error from either.
 
 Exit codes: 0 ok; 1 check failure (a failed check, or a numeric guard such
 as dense_inverse's conditioning test); 2 config error (also an output
-directory that cannot be created); 3 resource limit (also a failed
-allocation).
+directory or artifact that cannot be written); 3 resource limit (also a
+failed allocation, or a full disk or quota while writing).
 
 Every verb runs with each loaded OpenBLAS on one thread; only the N x N
 kernels widen (blas.kernel), and main restores the thread counts it found
@@ -24,6 +24,7 @@ and seed reproduces them byte for byte.
 """
 
 import argparse
+import errno
 import json
 import os
 import re
@@ -48,8 +49,8 @@ from .cluster import (build_block_partition, build_cluster_tree,
 from .fem import (assemble_system, build_dof_map, discrete_gradient,
                   dual_basis, dual_norms, matrix_to_coordinate_text,
                   sparse_operator)
-from .harmonic import (caccioppoli_ratio, constraint_residual, default_pairs,
-                       harmonic_space, helmholtz_report)
+from .harmonic import (Region, caccioppoli_ratio, constraint_residual,
+                       default_pairs, harmonic_space, helmholtz_report)
 from .hmatrix import compress_dense, far_svds, hmatrix_manifest
 from .inverse_lab import SweepRow, dense_inverse, fit_decay, rank_sweep
 from .mesh import (build_box_mesh, conformity_report, mesh_to_dict,
@@ -381,9 +382,9 @@ def cmd_caccioppoli(run: Runner, cfg: dict) -> int:
     run.phase("solve")
     out = {"n": system.mesh.n, "h": system.mesh.h, "pairs": {}}
     for label, pair in default_pairs(system.mesh.length).items():
-        entry = {}
+        entry, region = {}, Region(system, pair.outer)
         for variant in ("curl", "grad"):
-            space = harmonic_space(system, pair.outer, variant)
+            space = harmonic_space(region, variant)
             res = caccioppoli_ratio(space, pair)
             entry[variant] = {**asdict(res),
                               "constraint_residual": constraint_residual(space),
@@ -405,7 +406,7 @@ def cmd_helmholtz(run: Runner, cfg: dict) -> int:
     run.phase("solve")
     out = {"n": system.mesh.n, "seed": cfg["seed"], "regions": {}}
     for label, pair in default_pairs(system.mesh.length).items():
-        rep = helmholtz_report(system, pair.outer, coeffs)
+        rep = helmholtz_report(Region(system, pair.outer), coeffs)
         rep = {k: v for k, v in rep.items() if k not in ("z", "p")}
         out["regions"][label] = rep
         print(f"{label}: orthogonality residual = "
@@ -476,14 +477,13 @@ def cmd_verify(run: Runner, cfg: dict) -> int:
                 transfer]
     run.phase("harmonic")
     pairs = default_pairs(system.mesh.length)
-    interior = pairs["interior"].outer
-    results.extend(check_helmholtz(system, interior, tol["pythagoras"],
+    regions = {label: Region(system, pair.outer) for label, pair in pairs.items()}
+    results.extend(check_helmholtz(regions["interior"], tol["pythagoras"],
                                    tol["helmholtz_orthogonality"],
                                    seed=cfg["seed"]))
-    spaces = {label: harmonic_space(system, pair.outer, "curl")
-              for label, pair in pairs.items()}
-    results.append(check_gradient_part(system, spaces["interior"],
-                                       tol["gradient_part"]))
+    spaces = {label: harmonic_space(region, "curl")
+              for label, region in regions.items()}
+    results.append(check_gradient_part(spaces["interior"], tol["gradient_part"]))
     for label, space in spaces.items():
         res = caccioppoli_ratio(space, pairs[label])
         cres = constraint_residual(space)
@@ -492,7 +492,7 @@ def cmd_verify(run: Runner, cfg: dict) -> int:
             cres <= HARMONIC_CONSTRAINT_TOL, cres, HARMONIC_CONSTRAINT_TOL,
             f"dim {space.dim}, ratio {res.ratio:.3e}"))
     run.phase("exact sequence")
-    results.append(check_exact_sequence(system, grad, interior,
+    results.append(check_exact_sequence(grad, regions["interior"],
                                         tol["exact_sequence"], seed=cfg["seed"]))
     run.phase("write")
     code = verdict(results)
@@ -561,6 +561,11 @@ def main(argv=None) -> int:
     except (ResourceLimit, MemoryError) as exc:
         print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
+    except OSError as exc:  # reading the config raised ConfigError: a write
+        full = exc.errno in (errno.ENOSPC, errno.EDQUOT)
+        print(f"{'resource limit: ' if full else ''}cannot write output: {exc}",
+              file=sys.stderr)
+        return 3 if full else 2
     except ValueError as exc:
         # bad config raised ConfigError above: this is a numeric guard
         print(f"check failure: {exc}", file=sys.stderr)

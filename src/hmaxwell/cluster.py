@@ -91,7 +91,7 @@ def build_cluster_tree(mesh: Mesh, dofmap: DofMap, n_leaf: int = 32) -> ClusterT
     mids = mesh.vertices[mesh.edges[dofmap.interior_edges]].mean(axis=1)
     # each DOF's support box: the min/max over the vertex boxes of its tets
     coords = mesh.vertices[mesh.tets]
-    dofs = dofmap.edge_to_dof[mesh.tet_edges]
+    dofs = dofmap.tet_dofs
     tet, slot = np.nonzero(dofs >= 0)
     sup_lo, sup_hi = np.full((n, 3), np.inf), np.full((n, 3), -np.inf)
     np.minimum.at(sup_lo, dofs[tet, slot], coords.min(axis=1)[tet])

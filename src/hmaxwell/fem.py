@@ -26,6 +26,7 @@ from .whitney import ElementTensors, element_tensors
 class DofMap:
     interior_edges: np.ndarray  # (N,) edge ids carrying DOFs, ascending
     edge_to_dof: np.ndarray     # (E,) DOF index or -1 for boundary edges
+    tet_dofs: np.ndarray        # (T, 6) DOF of each tet's local edges, or -1
     n_dofs: int
 
 
@@ -33,7 +34,7 @@ def build_dof_map(mesh: Mesh) -> DofMap:
     ids = np.flatnonzero(~mesh.boundary_edge)
     edge_to_dof = np.full(mesh.n_edges, -1, dtype=np.int64)
     edge_to_dof[ids] = np.arange(ids.size)
-    return DofMap(ids, edge_to_dof, int(ids.size))
+    return DofMap(ids, edge_to_dof, edge_to_dof[mesh.tet_edges], int(ids.size))
 
 
 @dataclass
@@ -90,7 +91,7 @@ def assemble_system(mesh: Mesh, kappa: complex = 1.0) -> GalerkinSystem:
     dofmap = build_dof_map(mesh)
     n = dofmap.n_dofs
     local = element_tensors(mesh.vertices[mesh.tets], mesh.tet_edge_signs)
-    dofs = dofmap.edge_to_dof[mesh.tet_edges]
+    dofs = dofmap.tet_dofs
     kappa = complex(kappa)
     if kappa.imag == 0.0:
         kappa = kappa.real
@@ -235,10 +236,6 @@ def dual_norms(system: GalerkinSystem, dual: DualBasis) -> np.ndarray:
     return np.sqrt(np.einsum("ti,tij,tj->t", c, system.local.mass[dual.carrier_tet], c))
 
 
-def _tet_dofs(system: GalerkinSystem, tets: np.ndarray) -> np.ndarray:
-    return system.dofmap.edge_to_dof[system.mesh.tet_edges[tets]]
-
-
 def apply_dual_functionals(system: GalerkinSystem, dual: DualBasis,
                            indices, u: np.ndarray) -> np.ndarray:
     """<lambda_i, E_h> for i in indices, integrated over the carrier tets.
@@ -250,7 +247,7 @@ def apply_dual_functionals(system: GalerkinSystem, dual: DualBasis,
     """
     idx = np.asarray(indices, dtype=np.int64)
     t = dual.carrier_tet[idx]
-    vals = _gather(u, _tet_dofs(system, t))
+    vals = _gather(u, system.dofmap.tet_dofs[t])
     return np.einsum("pi,pij,pj...->p...", dual.coeffs[idx],
                      system.local.mass[t], vals)
 
@@ -262,7 +259,7 @@ def riesz_rhs(system: GalerkinSystem, dual: DualBasis, indices, b) -> np.ndarray
     t = dual.carrier_tet[idx]
     weights = np.einsum("pij,pj->pi", system.local.mass[t], dual.coeffs[idx])
     local = np.einsum("pi,p...->pi...", weights, np.asarray(b))
-    return _scatter_rows(local, _tet_dofs(system, t), system.n_dofs)
+    return _scatter_rows(local, system.dofmap.tet_dofs[t], system.n_dofs)
 
 
 # region machinery -------------------------------------------------------
@@ -279,7 +276,7 @@ def pi_nabla_project(space: NodalSpace, u: np.ndarray) -> np.ndarray:
     system = space.system
     mesh = system.mesh
     tets = space.tet_ids
-    local = np.einsum("tk...,tkv->tv...", _gather(u, _tet_dofs(system, tets)),
+    local = np.einsum("tk...,tkv->tv...", _gather(u, system.dofmap.tet_dofs[tets]),
                       system.local.grad_mixed[tets])
     rhs = _scatter_rows(local, space.col_of_vertex[mesh.tets[tets]],
                         space.free_vertices.size)
@@ -296,7 +293,7 @@ def assemble_region_matrix(system: GalerkinSystem, tet_ids, kind: str):
     kind is 'mass' or 'curl'."""
     tet_ids = np.asarray(tet_ids, dtype=np.int64)
     local = system.local.mass if kind == "mass" else system.local.curl
-    return scatter(local[tet_ids], _tet_dofs(system, tet_ids), system.n_dofs)
+    return scatter(local[tet_ids], system.dofmap.tet_dofs[tet_ids], system.n_dofs)
 
 
 # matrix dump ------------------------------------------------------------

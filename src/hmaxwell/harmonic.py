@@ -12,12 +12,13 @@ shrink relative to the exact box integrals and the bound stays valid.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .fem import (GalerkinSystem, assemble_region_matrix, pi_nabla_project,
-                  region_nodal_space, scatter, sparse_operator)
+from .fem import (GalerkinSystem, NodalSpace, assemble_region_matrix,
+                  pi_nabla_project, region_nodal_space, scatter, sparse_operator)
 from .mesh import LOCAL_EDGES, Mesh
 
 NULLSPACE_RTOL = 1e-10
@@ -35,14 +36,6 @@ class BoxRegion:
     @property
     def hi(self):
         return np.asarray(self.center, dtype=float) + 0.5 * self.side
-
-    def conforming_tets(self, mesh: Mesh) -> np.ndarray:
-        """Tets whose intersection with the open box has positive volume."""
-        return tets_intersecting_box(mesh, self.lo, self.hi)
-
-    def inside_tets(self, mesh: Mesh) -> np.ndarray:
-        """Tets contained in the closed box."""
-        return tets_inside_box(mesh, self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -125,6 +118,37 @@ def tets_inside_box(mesh: Mesh, lo, hi) -> np.ndarray:
     return np.nonzero(ok)[0]
 
 
+@dataclass
+class Region:
+    """A box on a system's mesh, the one home of what it selects, each part
+    built on first use: tets, the conforming set; nodal, the NodalSpace of
+    those tets; mass, their edge mass matrix (N x N CSR)."""
+    system: GalerkinSystem
+    box: BoxRegion
+
+    @cached_property
+    def tets(self) -> np.ndarray:
+        return tets_intersecting_box(self.system.mesh, self.box.lo, self.box.hi)
+
+    @cached_property
+    def nodal(self) -> NodalSpace:
+        return region_nodal_space(self.system, self.tets)
+
+    @cached_property
+    def mass(self):
+        return assemble_region_matrix(self.system, self.tets, "mass")
+
+    def supported(self, tet_entities: np.ndarray, n: int) -> np.ndarray:
+        """Per entity (tet_entities (T, k) lists each tet's vertices, edges or
+        DOFs, all below n), whether every tet holding it lies in the closed box."""
+        mesh = self.system.mesh
+        outside = np.ones(mesh.n_tets, dtype=bool)
+        outside[tets_inside_box(mesh, self.box.lo, self.box.hi)] = False
+        ok = np.ones(n, dtype=bool)
+        ok[tet_entities[outside]] = False
+        return ok
+
+
 # harmonic spaces ----------------------------------------------------------
 
 @dataclass
@@ -138,10 +162,8 @@ class HarmonicSpace:
     zero off hit; the others are the unit vectors of free = O minus hit, in
     ascending order. Readers build the rows or columns of Z they need, or
     work on its blocks, as the Caccioppoli ratio does."""
-    system: GalerkinSystem
-    region: BoxRegion
+    region: Region
     variant: str                 # "curl" | "grad"
-    tets: np.ndarray             # the region's conforming tets
     dofs: np.ndarray             # O, ascending
     tet_cols: np.ndarray         # (T, k) position in O of each tet's DOFs, or -1
     hit: np.ndarray              # positions in O the constraint rows touch, ascending
@@ -156,19 +178,7 @@ class HarmonicSpace:
         return np.setdiff1d(np.arange(self.dofs.size), self.hit)
 
 
-def _supported_in_box(mesh: Mesh, region: BoxRegion, tet_entities: np.ndarray,
-                      n_entities: int) -> np.ndarray:
-    """Per entity (tet_entities (T, k) lists each tet's vertices, edges or
-    DOFs), whether every tet containing it lies in the closed box."""
-    outside = np.ones(mesh.n_tets, dtype=bool)
-    outside[region.inside_tets(mesh)] = False
-    ok = np.ones(n_entities, dtype=bool)
-    ok[tet_entities[outside]] = False
-    return ok
-
-
-def harmonic_space(system: GalerkinSystem, region: BoxRegion,
-                   variant: str = "curl") -> HarmonicSpace:
+def harmonic_space(region: Region, variant: str = "curl") -> HarmonicSpace:
     """The locally harmonic space on the region, held as in HarmonicSpace.
 
     variant "curl": coefficient vectors u with (A u)_i = 0 for every DOF i
@@ -180,10 +190,9 @@ def harmonic_space(system: GalerkinSystem, region: BoxRegion,
     plus the untouched columns of O as unit vectors; singular values
     within NULLSPACE_RTOL of the largest count as rank.
     """
-    mesh = system.mesh
+    system, mesh = region.system, region.system.mesh
     if variant == "curl":
-        mat = sparse_operator(system)
-        tet_dofs = system.dofmap.edge_to_dof[mesh.tet_edges]
+        mat, tet_dofs = sparse_operator(system), system.dofmap.tet_dofs
     elif variant == "grad":
         nodal = system.nodal
         mat, tet_dofs = nodal.gram, nodal.col_of_vertex[mesh.tets]
@@ -191,9 +200,8 @@ def harmonic_space(system: GalerkinSystem, region: BoxRegion,
         raise ValueError(f"unknown variant {variant!r}")
     n = mat.shape[0]
     # length-(n + 1) arrays: the last slot absorbs the -1 entries of tet_dofs
-    rows = np.flatnonzero(_supported_in_box(mesh, region, tet_dofs, n + 1)[:n])
-    tets = region.conforming_tets(mesh)
-    dofs = np.unique(tet_dofs[tets])
+    rows = np.flatnonzero(region.supported(tet_dofs, n + 1)[:n])
+    dofs = np.unique(tet_dofs[region.tets])
     dofs = dofs[dofs >= 0]
     col = np.full(n + 1, -1, dtype=np.int64)
     col[dofs] = np.arange(dofs.size)
@@ -206,8 +214,8 @@ def harmonic_space(system: GalerkinSystem, region: BoxRegion,
         _, sv, vh = np.linalg.svd(sub, full_matrices=True)
         rank = int(np.sum(sv > NULLSPACE_RTOL * sv[0]))
         null = vh[rank:].conj().T.copy()  # its own array, not a view of vh
-    return HarmonicSpace(system, region, variant, tets, dofs, col[tet_dofs], hit,
-                         null, rows, sub, n - rank)
+    return HarmonicSpace(region, variant, dofs, col[tet_dofs], hit, null, rows,
+                         sub, n - rank)
 
 
 def constraint_residual(space: HarmonicSpace) -> float:
@@ -249,9 +257,8 @@ def caccioppoli_ratio(space: HarmonicSpace,
     sparse region Gram D[free, free] (_whitened_inner_rows), which leaves
     an m x m Schur complement and the d x |I| block the pencil needs.
     """
-    system = space.system
-    inner = pair.inner.inside_tets(system.mesh)
-    outer = space.tets
+    system, outer = space.region.system, space.region.tets
+    inner = tets_inside_box(system.mesh, pair.inner.lo, pair.inner.hi)
     r_out = (1.0 + pair.eps) * pair.r
     w_curl = (system.h / r_out) ** 2
     w_mass = 1.0 / r_out ** 2
@@ -327,19 +334,16 @@ def _whitened_inner_rows(space: HarmonicSpace, den, rows) -> np.ndarray:
 
 # local Helmholtz decomposition ---------------------------------------------
 
-def helmholtz_report(system: GalerkinSystem, region: BoxRegion,
-                     coeffs: np.ndarray) -> dict:
+def helmholtz_report(region: Region, coeffs: np.ndarray) -> dict:
     """Split an edge field into z + grad(p) on the mesh-conforming region:
     grad(p) is its L2(region) projection onto the region's nodal gradients,
     z the remainder. Returns z, the full-length nodal vector p, the squared
     norms, the Pythagoras defect and the orthogonality residual of z."""
+    system, tets, mass = region.system, region.tets, region.mass
     mesh = system.mesh
-    tets = region.conforming_tets(mesh)
-    rns = region_nodal_space(system, tets)
-    p = pi_nabla_project(rns, coeffs)
+    p = pi_nabla_project(region.nodal, coeffs)
     g = system.incidence @ p
     z = coeffs - g
-    mass = assemble_region_matrix(system, tets, "mass")
     verts = np.unique(mesh.tets[tets])
     verts = verts[~mesh.boundary_vertex[verts]]
     grad = (system.incidence.T @ (mass @ z))[verts]
@@ -349,7 +353,7 @@ def helmholtz_report(system: GalerkinSystem, region: BoxRegion,
     scale = max(norm_e2, 1e-300)
     return {
         "n_tets": int(tets.size),
-        "dim_nodal": int(rns.free_vertices.size),
+        "dim_nodal": int(region.nodal.free_vertices.size),
         "orthogonality_residual": float(np.abs(grad).max()) if grad.size else 0.0,
         "norm_e2": norm_e2,
         "norm_z2": norm_z2,
@@ -360,44 +364,39 @@ def helmholtz_report(system: GalerkinSystem, region: BoxRegion,
     }
 
 
-def gradient_part_harmonic_check(system: GalerkinSystem, region: BoxRegion,
-                                 tets: np.ndarray, columns) -> float:
+def gradient_part_harmonic_check(region: Region, columns) -> float:
     """Max |<grad p, grad hat_w>| over interior-supported vertices w, for
     the gradient part p of a discretely L-harmonic column; small values
     confirm that the gradient part is itself discretely harmonic.
 
-    tets is the region's conforming tet set (region.conforming_tets, or
-    the tets of a harmonic space on the region). columns is an iterable of
-    (N, m) blocks, checked one at a time; the result is the max over every
-    column, with the region built and factored once.
+    columns is an iterable of (N, m) blocks, checked one at a time; the
+    result is the max over every column, on the region's one nodal space
+    and mass matrix.
     """
-    mesh = system.mesh
-    rns = region_nodal_space(system, tets)
+    mesh = region.system.mesh
     # vertices whose hat support lies in the box lie in the region too
-    ok = _supported_in_box(mesh, region, mesh.tets, mesh.n_vertices)
+    ok = region.supported(mesh.tets, mesh.n_vertices)
     verts = np.flatnonzero(ok & ~mesh.boundary_vertex)
     if not verts.size:
         return 0.0
-    mass = assemble_region_matrix(system, tets, "mass")
-    inc = system.incidence  # grad p = inc @ p
+    inc = region.system.incidence  # grad p = inc @ p
     worst = 0.0
     for block in columns:
-        grad_p = inc @ pi_nabla_project(rns, block)
-        worst = np.maximum(worst, np.abs((inc.T @ (mass @ grad_p))[verts]).max())
+        grad_p = inc @ pi_nabla_project(region.nodal, block)
+        worst = np.maximum(worst, np.abs((inc.T @ (region.mass @ grad_p))[verts]).max())
     return float(worst)  # np.maximum keeps a NaN
 
 
 # local exact sequence -------------------------------------------------------
 
-def exact_sequence_recover(system: GalerkinSystem, tets: np.ndarray,
-                           coeffs: np.ndarray) -> np.ndarray:
-    """Nodal potential phi with grad(phi) = coeffs on the region's edges.
+def exact_sequence_recover(nodal: NodalSpace, coeffs: np.ndarray) -> tuple:
+    """Nodal potential phi with grad(phi) = coeffs on the nodal space's tets.
 
-    tets is the region's conforming tet set (region.conforming_tets). The
-    input must be discretely curl-free on the region; the region (a
-    box clipped to the domain) is simply connected, so a potential exists
-    by the local exact-sequence property: phi is the region's L2 gradient
-    projection of coeffs (pi_nabla_project). It is a full-length nodal
+    The space is any tet union's (region.nodal for a box), the input must
+    be discretely curl-free there; a box clipped to the domain is simply
+    connected, so a potential exists by the local exact-sequence property:
+    phi is the region's L2 gradient projection of coeffs
+    (pi_nabla_project). It is a full-length nodal
     vector, zero at domain-boundary vertices, off the region and at the
     region's grounded vertex, if any (a region that does not touch the
     domain boundary has one, so phi differs from the minimum-norm potential
@@ -407,12 +406,12 @@ def exact_sequence_recover(system: GalerkinSystem, tets: np.ndarray,
     per column, ||(incidence @ phi)[rows] - coeffs[rows]|| / ||coeffs[rows]||
     on the region's DOF rows, 0 for a column that is zero there.
     """
-    mesh, dofmap = system.mesh, system.dofmap
+    system, tets = nodal.system, nodal.tet_ids
     if tets.size == 0:
         raise ValueError("region contains no tets")
     coeffs = np.asarray(coeffs)
     v = coeffs.reshape(coeffs.shape[0], -1)
-    dofs = dofmap.edge_to_dof[mesh.tet_edges[tets]]
+    dofs = system.dofmap.tet_dofs[tets]
     rows = np.unique(dofs)
     rows = rows[rows >= 0]
     scale = np.linalg.norm(v[rows], axis=0)
@@ -420,15 +419,15 @@ def exact_sequence_recover(system: GalerkinSystem, tets: np.ndarray,
     # coefficients must vanish relative to its Frobenius norm
     keep = dofs >= 0
     curl = system.local.curl[tets] * (keep[:, :, None] & keep[:, None, :])
-    ku = scatter(curl, dofs, dofmap.n_dofs) @ v
+    ku = scatter(curl, dofs, system.n_dofs) @ v
     lim = 1e-10 * np.sqrt(float((curl * curl).sum()))
     _require_curl_free(np.abs(ku).max(axis=0) > lim * np.maximum(scale, 1e-300),
                        scale)
-    phi = pi_nabla_project(region_nodal_space(system, tets), v)
+    phi = pi_nabla_project(nodal, v)
     resid = np.linalg.norm((system.incidence @ phi)[rows] - v[rows], axis=0)
     resid /= np.maximum(scale, 1e-300)
     _require_curl_free(resid > 1e-9, scale)
-    return (phi.reshape((mesh.n_vertices,) + coeffs.shape[1:]),
+    return (phi.reshape((system.mesh.n_vertices,) + coeffs.shape[1:]),
             resid.reshape(coeffs.shape[1:]))
 
 

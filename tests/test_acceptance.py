@@ -24,7 +24,8 @@ from hmaxwell.checks import (check_commuting, check_dual_biorthogonality,
                              check_transfer)
 from hmaxwell.cluster import sparsity_constant, tiling_defect
 from hmaxwell.fem import dual_basis, dual_norms, sparse_operator
-from hmaxwell.harmonic import caccioppoli_ratio, default_pairs, harmonic_space
+from hmaxwell.harmonic import (Region, caccioppoli_ratio, default_pairs,
+                               harmonic_space)
 from hmaxwell.hmatrix import truncated_svd
 from hmaxwell.inverse_lab import dense_inverse, rank_sweep
 
@@ -156,7 +157,7 @@ def test_criterion_6_caccioppoli_constants(baselines):
     for n in (4, 6, 8):
         system = assemble_system(build_box_mesh(n), kappa=1.0)
         for variant in ("curl", "grad"):
-            space = harmonic_space(system, pair.outer, variant)
+            space = harmonic_space(Region(system, pair.outer), variant)
             measured[variant][n] = caccioppoli_ratio(space, pair).normalized
     failures = []
     detail = []
@@ -182,7 +183,8 @@ def test_criterion_7_exact_sequence():
     for n in (3, 4):
         system = assemble_system(build_box_mesh(n), kappa=1.0)
         grad = discrete_gradient(build_nodal_space(system))
-        res = check_exact_sequence(system, grad, region, tol=1e-10, seed=n)
+        res = check_exact_sequence(grad, Region(system, region), tol=1e-10,
+                                   seed=n)
         worst = max(worst, res.measured)
     report(7, worst <= 1e-10,
            f"max potential recovery residual {worst:.3e} (n=3,4)")
@@ -193,11 +195,10 @@ def test_criterion_8_helmholtz_and_gradient_parts():
     system = assemble_system(build_box_mesh(4), kappa=1.0)
     worst_pyth = worst_grad = 0.0
     for label, pair in default_pairs(1.0).items():
-        ortho, pyth = check_helmholtz(system, pair.outer,
-                                      pythagoras_tol=1e-10,
+        region = Region(system, pair.outer)
+        ortho, pyth = check_helmholtz(region, pythagoras_tol=1e-10,
                                       orthogonality_tol=1e-10, seed=11)
-        gpart = check_gradient_part(
-            system, harmonic_space(system, pair.outer, "curl"), tol=1e-9)
+        gpart = check_gradient_part(harmonic_space(region, "curl"), tol=1e-9)
         worst_pyth = max(worst_pyth, pyth.measured, ortho.measured)
         worst_grad = max(worst_grad, gpart.measured)
     passed = worst_pyth <= 1e-10 and worst_grad <= 1e-9

@@ -24,8 +24,8 @@ from hmaxwell.checks import (
     default_tolerances,
 )
 from hmaxwell.fem import build_nodal_space, discrete_gradient, dual_basis
-from hmaxwell.harmonic import (default_pairs, gradient_part_harmonic_check,
-                               harmonic_space)
+from hmaxwell.harmonic import (Region, default_pairs,
+                               gradient_part_harmonic_check, harmonic_space)
 from hmaxwell.hmatrix import TILE
 from hmaxwell.inverse_lab import SweepRow
 from hmaxwell.report import (
@@ -303,17 +303,17 @@ def test_gradient_part_check_works_tile_columns_at_a_time(system_cache):
     stays below two N x m blocks, where one block of all columns peaks near
     five, and its worst equals the one-block check's bitwise."""
     sysm = system_cache(7)
-    space = harmonic_space(sysm, default_pairs(sysm.mesh.length)["interior"].outer,
-                           "curl")
+    space = harmonic_space(
+        Region(sysm, default_pairs(sysm.mesh.length)["interior"].outer), "curl")
     local = local_basis(space)
     m = local.shape[1]
     assert m > 2 * TILE
     block = np.zeros((sysm.n_dofs, m), dtype=local.dtype)
     block[space.dofs] = local
-    want = gradient_part_harmonic_check(sysm, space.region, space.tets, [block])
+    want = gradient_part_harmonic_check(space.region, [block])
     tracemalloc.start()
     try:
-        res = check_gradient_part(sysm, space)
+        res = check_gradient_part(space)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -322,12 +322,13 @@ def test_gradient_part_check_works_tile_columns_at_a_time(system_cache):
 
 
 def test_gradient_part_check_builds_its_region_once(system_cache, monkeypatch):
-    """At n = 6 the interior space has 578 columns, three TILE chunks: the
-    region nodal space and the region mass matrix are built once for all
-    of them, and the worst equals the max of one call per chunk bitwise."""
+    """At n = 6 the interior space has 578 columns, three TILE chunks: on a
+    fresh region, the region nodal space and the region mass matrix are
+    built once for all of them, and the worst equals the max of one call
+    per chunk bitwise."""
     sysm = system_cache(6)
-    space = harmonic_space(sysm, default_pairs(sysm.mesh.length)["interior"].outer,
-                           "curl")
+    box = default_pairs(sysm.mesh.length)["interior"].outer
+    space = harmonic_space(Region(sysm, box), "curl")
     local = local_basis(space)
     m = local.shape[1]
     assert m > 2 * TILE
@@ -335,13 +336,14 @@ def test_gradient_part_check_builds_its_region_once(system_cache, monkeypatch):
     for j in range(0, m, TILE):
         cols = np.zeros((sysm.n_dofs, min(TILE, m - j)), dtype=local.dtype)
         cols[space.dofs] = local[:, j:j + TILE]
-        each.append(gradient_part_harmonic_check(sysm, space.region, space.tets, [cols]))
+        each.append(gradient_part_harmonic_check(space.region, [cols]))
     calls = {"region_nodal_space": 0, "assemble_region_matrix": 0}
     for name in calls:
         def counted(*args, _name=name, _real=getattr(harmonic, name)):
             calls[_name] += 1
             return _real(*args)
         monkeypatch.setattr(harmonic, name, counted)
-    res = check_gradient_part(sysm, space)
+    # the region above already holds both: count the builds on a fresh one
+    res = check_gradient_part(dataclasses.replace(space, region=Region(sysm, box)))
     assert calls == {"region_nodal_space": 1, "assemble_region_matrix": 1}
     assert res.passed and res.measured == max(each)

@@ -6,6 +6,7 @@ entry point.
 """
 
 import csv
+import errno
 import functools
 import gc
 import importlib
@@ -227,6 +228,32 @@ def test_failed_allocation_is_resource_limit(tmp_path, capsys, monkeypatch):
     code = run_cli("mesh-info", "--n", "1", "--out", str(tmp_path))
     assert code == 3
     assert capsys.readouterr().err == "resource limit: out of memory\n"
+
+
+@pytest.mark.parametrize("blocked", ["mesh_info.json", "manifest.json"])
+def test_unwritable_artifact_is_config_error(tmp_path, capsys, blocked):
+    """A directory in the place of an artifact or of the manifest stops the
+    run with exit 2 and one stderr line, not a traceback."""
+    (tmp_path / "m" / blocked).mkdir(parents=True)
+    code = run_cli("mesh-info", "--n", "1", "--out", str(tmp_path), "--name", "m")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("cannot write output: ") and blocked in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("code", [errno.ENOSPC, errno.EDQUOT],
+                         ids=["ENOSPC", "EDQUOT"])
+def test_full_disk_is_resource_limit(tmp_path, capsys, monkeypatch, code):
+    """A write that finds the disk or the quota full exits 3."""
+    def full(path, obj):
+        raise OSError(code, os.strerror(code), path)
+
+    monkeypatch.setattr(cli, "write_json", full)
+    assert run_cli("mesh-info", "--n", "1", "--out", str(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: cannot write output: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_tampered_tolerance_fails_check(tmp_path):
@@ -492,6 +519,27 @@ def test_caccioppoli_builds_the_nodal_space_once(tmp_path, monkeypatch):
     monkeypatch.setattr(fem, "build_nodal_space", counted)
     assert run_cli("caccioppoli", "--n", "4", "--out", str(tmp_path)) == 0
     assert calls == {"build_nodal_space": 1}
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["verify", "--n", "3"], {"tets_intersecting_box": 2, "region_nodal_space": 2}),
+    (["caccioppoli", "--n", "4"], {"tets_intersecting_box": 2,
+                                   "region_nodal_space": 1})])
+def test_each_box_is_selected_once(tmp_path, monkeypatch, argv, want):
+    """One Region per default box: verify runs the tet-box test once per box
+    and builds two nodal spaces, the whole mesh's and the interior box's,
+    which its Helmholtz, gradient-part and exact-sequence checks share;
+    caccioppoli runs one tet-box test per pair for both variants."""
+    calls = Counter()
+    for name in want:
+        def counted(*args, _fn=getattr(harmonic, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        for module in (fem, harmonic):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
+    assert calls == want
 
 
 def test_verify_builds_the_incidence_once(tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hmaxwell import (
     BoxRegion,
     ConcentricPair,
+    Region,
     assemble_system,
     build_box_mesh,
     caccioppoli_ratio,
@@ -28,6 +29,7 @@ from hmaxwell.fem import (
     assemble_region_matrix,
     build_nodal_space,
     discrete_gradient,
+    region_nodal_space,
     scatter,
     solve_system,
 )
@@ -36,6 +38,16 @@ from test_mesh import same_bits
 
 
 # region geometry -----------------------------------------------------------
+
+def conforming(mesh, box):
+    """The box's conforming tets: those meeting the open box in volume."""
+    return tets_intersecting_box(mesh, box.lo, box.hi)
+
+
+def inside(mesh, box):
+    """The box's inside tets: those contained in the closed box."""
+    return tets_inside_box(mesh, box.lo, box.hi)
+
 
 def test_box_region_bounds():
     r = BoxRegion((0.5, 0.5, 0.5), 0.4)
@@ -67,10 +79,9 @@ def test_default_pairs_scale_with_the_box(mesh_cache, length):
         for label, pair in default_pairs(1.0).items():
             for box, want in ((pairs[label].inner, pair.inner),
                               (pairs[label].outer, pair.outer)):
-                assert np.array_equal(box.conforming_tets(scaled),
-                                      want.conforming_tets(unit))
-                assert np.array_equal(box.inside_tets(scaled),
-                                      want.inside_tets(unit))
+                assert np.array_equal(conforming(scaled, box),
+                                      conforming(unit, want))
+                assert np.array_equal(inside(scaled, box), inside(unit, want))
 
 
 def test_inside_tets_by_vertex_membership(mesh_cache):
@@ -251,8 +262,8 @@ def test_batched_tet_box_test_on_default_pairs(mesh_cache):
 def test_conforming_region_contains_the_box(mesh_cache):
     m = mesh_cache(3)
     region = BoxRegion((0.5, 0.5, 0.5), 0.5)
-    conf = region.conforming_tets(m)
-    ins = region.inside_tets(m)
+    conf = conforming(m, region)
+    ins = inside(m, region)
     assert set(ins.tolist()) <= set(conf.tolist())
     assert len(conf) > len(ins)
 
@@ -307,7 +318,7 @@ def test_harmonic_space_constraints(sys4):
     sizes = {"curl": sys4.n_dofs,
              "grad": build_nodal_space(sys4).free_vertices.size}
     for variant in ("curl", "grad"):
-        space = harmonic_space(sys4, region, variant)
+        space = harmonic_space(Region(sys4, region), variant)
         assert space.dim > 0
         assert constraint_residual(space) <= 1e-10
         # columns are orthonormal
@@ -317,14 +328,14 @@ def test_harmonic_space_constraints(sys4):
 
 def test_harmonic_space_without_constraints_is_everything(sys3):
     region = BoxRegion((0.05, 0.05, 0.05), 0.01)  # swallows no support
-    space = harmonic_space(sys3, region, "curl")
+    space = harmonic_space(Region(sys3, region), "curl")
     assert space.dim == sys3.n_dofs
     assert space.constraint_rows.size == 0
 
 
 def test_whole_domain_curl_space_is_trivial(sys3):
     region = BoxRegion((0.5, 0.5, 0.5), 1.0)
-    space = harmonic_space(sys3, region, "curl")
+    space = harmonic_space(Region(sys3, region), "curl")
     assert space.dim == 0
 
 
@@ -332,7 +343,7 @@ def test_constraint_rows_match_support_inclusion(sys4):
     """A row is constrained iff every tet of its edge lies in the closed
     box, recomputed here vertexwise."""
     region = BoxRegion((0.5, 0.5, 0.5), 0.5)
-    space = harmonic_space(sys4, region, "curl")
+    space = harmonic_space(Region(sys4, region), "curl")
     m = sys4.mesh
     rows = set(space.constraint_rows.tolist())
     for d, e in enumerate(sys4.dofmap.interior_edges):
@@ -349,7 +360,7 @@ def test_constraint_rows_match_support_inclusion(sys4):
 
 def test_caccioppoli_empty_basis_ratio_zero(sys3):
     region = BoxRegion((0.5, 0.5, 0.5), 1.0)
-    space = harmonic_space(sys3, region, "curl")  # dim 0
+    space = harmonic_space(Region(sys3, region), "curl")  # dim 0
     res = caccioppoli_ratio(space, default_pairs(sys3.mesh.length)["interior"])
     assert res.ratio == 0.0 and res.normalized == 0.0
     assert res.dim == 0
@@ -358,7 +369,7 @@ def test_caccioppoli_empty_basis_ratio_zero(sys3):
 def test_caccioppoli_n4_inner_box_is_empty(sys4):
     pair = default_pairs(sys4.mesh.length)["interior"]
     assert tets_inside_box(sys4.mesh, pair.inner.lo, pair.inner.hi).size == 0
-    space = harmonic_space(sys4, pair.outer, "curl")
+    space = harmonic_space(Region(sys4, pair.outer), "curl")
     res = caccioppoli_ratio(space, pair)
     assert res.ratio == 0.0
     assert res.n_inner_tets == 0
@@ -367,7 +378,7 @@ def test_caccioppoli_n4_inner_box_is_empty(sys4):
 
 def test_gradients_contribute_nothing_to_curl_numerator(sys3, rng):
     pair = ConcentricPair((0.5, 0.5, 0.5), 0.6, 0.5)
-    inner = pair.inner.inside_tets(sys3.mesh)
+    inner = inside(sys3.mesh, pair.inner)
     assert inner.size > 0
     k_inner = assemble_region_matrix(sys3, inner, "curl")
     ns = build_nodal_space(sys3)
@@ -380,7 +391,7 @@ def test_gradients_contribute_nothing_to_curl_numerator(sys3, rng):
 def test_caccioppoli_positive_on_fine_mesh():
     pair = default_pairs(1.0)["interior"]
     sysm = assemble_system(build_box_mesh(6))
-    space = harmonic_space(sysm, pair.outer, "curl")
+    space = harmonic_space(Region(sysm, pair.outer), "curl")
     res = caccioppoli_ratio(space, pair)
     assert res.ratio > 0.0
     assert abs(res.normalized - res.ratio * pair.eps / (1.0 + pair.eps)) < 1e-12
@@ -399,9 +410,9 @@ def reference_caccioppoli(system, pair, variant):
     it is for every column supported off O)."""
     mesh = system.mesh
     outside = np.ones(mesh.n_tets, dtype=bool)
-    outside[pair.outer.inside_tets(mesh)] = False
-    inner = pair.inner.inside_tets(mesh)
-    outer = pair.outer.conforming_tets(mesh)
+    outside[inside(mesh, pair.outer)] = False
+    inner = inside(mesh, pair.inner)
+    outer = conforming(mesh, pair.outer)
     if variant == "curl":
         mat = system.A
         ok = np.ones(mesh.n_edges, dtype=bool)
@@ -457,7 +468,7 @@ def test_local_space_matches_full_n_reference(system_cache, n, kappa):
     sysm = system_cache(n, kappa)
     for pair in default_pairs(sysm.mesh.length).values():
         for variant in ("curl", "grad"):
-            space = harmonic_space(sysm, pair.outer, variant)
+            space = harmonic_space(Region(sysm, pair.outer), variant)
             mat, rows, dim, normalized = reference_caccioppoli(sysm, pair,
                                                                variant)
             res = caccioppoli_ratio(space, pair)
@@ -490,7 +501,7 @@ def test_local_basis_layout(system_cache, n, kappa):
     sysm = system_cache(n, kappa)
     for pair in default_pairs(sysm.mesh.length).values():
         for variant in ("curl", "grad"):
-            space = harmonic_space(sysm, pair.outer, variant)
+            space = harmonic_space(Region(sysm, pair.outer), variant)
             z = local_basis(space)
             m, free = split_local_basis(space)
             assert np.array_equal(space.hit, np.flatnonzero(
@@ -514,7 +525,7 @@ def test_harmonic_space_holds_only_its_definition(system_cache, kappa, limit):
     pair = default_pairs(sysm.mesh.length)["interior"]
     tracemalloc.start()
     try:
-        space = harmonic_space(sysm, pair.outer, "curl")
+        space = harmonic_space(Region(sysm, pair.outer), "curl")
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -525,8 +536,8 @@ def test_harmonic_space_holds_only_its_definition(system_cache, kappa, limit):
 def region_grams(space, pair):
     """(num on I x I, D on O, I): the inner curl Gram and the weighted outer
     Gram of the pair, numbered in O, and the inner DOFs I."""
-    system = space.system
-    inner = pair.inner.inside_tets(system.mesh)
+    system, outer = space.region.system, space.region.tets
+    inner = inside(system.mesh, pair.inner)
     r_out = (1.0 + pair.eps) * pair.r
     local = system.local
     stiff, mass = ((local.curl, local.mass) if space.variant == "curl"
@@ -534,8 +545,8 @@ def region_grams(space, pair):
     cols, n_o = space.tet_cols, space.dofs.size
     rows = np.unique(cols[inner])
     rows = rows[rows >= 0]
-    den = scatter((system.h / r_out) ** 2 * stiff[space.tets]
-                  + mass[space.tets] / r_out ** 2, cols[space.tets], n_o)
+    den = scatter((system.h / r_out) ** 2 * stiff[outer]
+                  + mass[outer] / r_out ** 2, cols[outer], n_o)
     return scatter(stiff[inner], cols[inner], n_o)[rows][:, rows], den, rows
 
 
@@ -571,7 +582,7 @@ def test_whitened_inner_rows_match_dense_gram(system_cache):
     for kappa in (1.0, 1.0 + 0.5j):
         for sysm, pair in gram_cases(system_cache, kappa):
             for variant in ("curl", "grad"):
-                space = harmonic_space(sysm, pair.outer, variant)
+                space = harmonic_space(Region(sysm, pair.outer), variant)
                 m, free = split_local_basis(space)
                 seen |= {"m = 0"} if m == 0 else set()
                 seen |= {"no unit column"} if free.size == 0 else set()
@@ -616,7 +627,7 @@ def test_outer_gram_that_is_not_positive_definite_raises(system_cache,
     for (sysm, pair), factor in ((interior, "cholesky_banded"),
                                  (aligned, "cholesky")):
         for variant in ("curl", "grad"):
-            space = harmonic_space(sysm, pair.outer, variant)
+            space = harmonic_space(Region(sysm, pair.outer), variant)
             _, den, rows = region_grams(space, pair)
             assert (space.free.size == 0) == (factor == "cholesky")
             _whitened_inner_rows(space, den, rows)
@@ -635,7 +646,7 @@ def test_blockwise_gram_matches_dense_gram_n8(system_cache, kappa):
     sysm = system_cache(8, kappa)
     for pair in default_pairs(sysm.mesh.length).values():
         for variant in ("curl", "grad"):
-            space = harmonic_space(sysm, pair.outer, variant)
+            space = harmonic_space(Region(sysm, pair.outer), variant)
             res = caccioppoli_ratio(space, pair)
             assert res.ratio > 0.0
             assert res.ratio == pytest.approx(
@@ -659,7 +670,7 @@ def test_caccioppoli_forms_no_d_by_d_array(system_cache):
     columns."""
     sysm = system_cache(8)
     pair = default_pairs(sysm.mesh.length)["interior"]
-    space = harmonic_space(sysm, pair.outer, "curl")
+    space = harmonic_space(Region(sysm, pair.outer), "curl")
     d = local_basis(space).shape[1]
     assert d == 1370
     tracemalloc.start()
@@ -677,13 +688,13 @@ def test_caccioppoli_without_constraints_or_unit_columns(system_cache):
     mesh-aligned box [0, 2/3]^3 at n = 6 has constraint rows touching all
     of O, so the basis is N alone, and the ratio matches the dense Gram's."""
     tiny = ConcentricPair((0.3, 0.5, 0.5), 0.1, 1.0)
-    space = harmonic_space(system_cache(3), tiny.outer, "curl")
+    space = harmonic_space(Region(system_cache(3), tiny.outer), "curl")
     assert space.hit.size == 0 and space.constraint_rows.size == 0
     assert constraint_residual(space) == 0.0
     assert caccioppoli_ratio(space, tiny).ratio == 0.0
     aligned = ConcentricPair((1 / 3,) * 3, 1 / 3, 1.0)
     for variant in ("curl", "grad"):
-        space = harmonic_space(system_cache(6), aligned.outer, variant)
+        space = harmonic_space(Region(system_cache(6), aligned.outer), variant)
         m, free = split_local_basis(space)
         assert free.size == 0 and m == local_basis(space).shape[1] > 0
         res = caccioppoli_ratio(space, aligned)
@@ -698,7 +709,7 @@ def test_caccioppoli_without_constraints_or_unit_columns(system_cache):
 def test_helmholtz_on_whole_domain(sys3, rng):
     region = BoxRegion((0.5, 0.5, 0.5), 1.0)
     u = rng.standard_normal(sys3.n_dofs)
-    rep = helmholtz_report(sys3, region, u)
+    rep = helmholtz_report(Region(sys3, region), u)
     assert rep["orthogonality_residual"] <= 1e-10
     assert rep["pythagoras_defect"] <= 1e-10
     assert rep["norm_e2"] > 0
@@ -707,7 +718,7 @@ def test_helmholtz_on_whole_domain(sys3, rng):
 def test_helmholtz_on_sub_box(sys3, rng):
     region = BoxRegion((0.4, 0.5, 0.5), 0.55)
     u = rng.standard_normal(sys3.n_dofs)
-    rep = helmholtz_report(sys3, region, u)
+    rep = helmholtz_report(Region(sys3, region), u)
     assert rep["orthogonality_residual"] <= 1e-10
     assert rep["pythagoras_defect"] <= 1e-10
 
@@ -717,7 +728,7 @@ def test_helmholtz_reproduces_pure_gradients(sys3, rng):
     ns = build_nodal_space(sys3)
     G = discrete_gradient(ns)
     u = G @ rng.standard_normal(ns.free_vertices.size)
-    rep = helmholtz_report(sys3, region, u)
+    rep = helmholtz_report(Region(sys3, region), u)
     z, p = rep["z"], rep["p"]
     assert np.linalg.norm(z) < 1e-10 * np.linalg.norm(u)
     assert np.linalg.norm(sys3.incidence @ p - u) < 1e-10 * np.linalg.norm(u)
@@ -726,8 +737,8 @@ def test_helmholtz_reproduces_pure_gradients(sys3, rng):
 def test_helmholtz_z_part_projects_to_zero(sys3, rng):
     region = BoxRegion((0.5, 0.5, 0.5), 1.0)
     u = rng.standard_normal(sys3.n_dofs)
-    z = helmholtz_report(sys3, region, u)["z"]
-    rep = helmholtz_report(sys3, region, z)
+    z = helmholtz_report(Region(sys3, region), u)["z"]
+    rep = helmholtz_report(Region(sys3, region), z)
     z2, p2 = rep["z"], rep["p"]
     assert np.linalg.norm(sys3.incidence @ p2) < 1e-10 * np.linalg.norm(z)
     assert np.linalg.norm(z2 - z) < 1e-10 * np.linalg.norm(z)
@@ -735,12 +746,12 @@ def test_helmholtz_z_part_projects_to_zero(sys3, rng):
 
 # Lemma-style gradient-part check ---------------------------------------------
 
-def assert_block_is_max_of_columns(sysm, region, block):
+def assert_block_is_max_of_columns(sysm, box, block):
     """One call on a block of columns equals the max of per-column calls."""
-    tets = region.conforming_tets(sysm.mesh)
-    each = [gradient_part_harmonic_check(sysm, region, tets, [block[:, [j]]])
+    region = Region(sysm, box)
+    each = [gradient_part_harmonic_check(region, [block[:, [j]]])
             for j in range(block.shape[1])]
-    whole = gradient_part_harmonic_check(sysm, region, tets, [block])
+    whole = gradient_part_harmonic_check(region, [block])
     assert whole == pytest.approx(max(each), rel=1e-10, abs=1e-15)
     return whole
 
@@ -749,7 +760,7 @@ def test_gradient_parts_of_harmonic_columns(system_cache):
     region = BoxRegion((0.5, 0.5, 0.5), 0.5)
     for kappa in (1.0, 1.0 + 0.5j):
         sysm = system_cache(4, kappa)
-        space = harmonic_space(sysm, region, "curl")
+        space = harmonic_space(Region(sysm, region), "curl")
         cols = embedded_basis(space, sysm.n_dofs)[:, ::max(1, space.dim // 6)]
         assert np.iscomplexobj(cols) == (kappa.imag != 0)
         assert assert_block_is_max_of_columns(sysm, region, cols) <= 1e-9
@@ -771,13 +782,13 @@ def test_gradient_part_negative_control(system_cache, rng):
 
 def test_recover_inverts_the_gradient(sys4, rng):
     region = BoxRegion((0.45, 0.45, 0.45), 0.6)
-    tets = region.conforming_tets(sys4.mesh)
+    nodal = Region(sys4, region).nodal
     ns = build_nodal_space(sys4)
     G = discrete_gradient(ns)
     for _ in range(5):
         q = rng.standard_normal(ns.free_vertices.size)
         v = G @ q
-        phi, _ = exact_sequence_recover(sys4, tets, v)
+        phi, _ = exact_sequence_recover(nodal, v)
         # gradients agree on the region's interior edges
         g = np.zeros(sys4.n_dofs)
         m = sys4.mesh
@@ -788,16 +799,15 @@ def test_recover_inverts_the_gradient(sys4, rng):
 
 
 def region_edge_dofs(sysm, region):
-    conf = region.conforming_tets(sysm.mesh)
-    edges = np.unique(sysm.mesh.tet_edges[conf])
+    edges = np.unique(sysm.mesh.tet_edges[conforming(sysm.mesh, region)])
     dofs = sysm.dofmap.edge_to_dof[edges]
     return dofs[dofs >= 0]
 
 
 def test_recover_zero_field(sys3):
     region = BoxRegion((0.5, 0.5, 0.5), 0.8)
-    tets = region.conforming_tets(sys3.mesh)
-    phi, _ = exact_sequence_recover(sys3, tets, np.zeros(sys3.n_dofs))
+    nodal = Region(sys3, region).nodal
+    phi, _ = exact_sequence_recover(nodal, np.zeros(sys3.n_dofs))
     g = phi[sys3.mesh.edges[sys3.dofmap.interior_edges, 1]] \
         - phi[sys3.mesh.edges[sys3.dofmap.interior_edges, 0]]
     assert np.abs(g[region_edge_dofs(sys3, region)]).max() < 1e-14
@@ -805,10 +815,10 @@ def test_recover_zero_field(sys3):
 
 def test_recover_rejects_rotational_input(sys3, rng):
     region = BoxRegion((0.5, 0.5, 0.5), 0.8)
-    tets = region.conforming_tets(sys3.mesh)
+    nodal = Region(sys3, region).nodal
     u = rng.standard_normal(sys3.n_dofs)
     with pytest.raises(ValueError, match="not curl-free"):
-        exact_sequence_recover(sys3, tets, u)
+        exact_sequence_recover(nodal, u)
 
 
 def test_recover_block_equals_columns(rng):
@@ -817,19 +827,19 @@ def test_recover_block_equals_columns(rng):
     region = BoxRegion((0.45, 0.45, 0.45), 0.6)
     for kappa in (1.0, 1.0 + 0.5j):
         sysm = assemble_system(build_box_mesh(4), kappa=kappa)
-        tets = region.conforming_tets(sysm.mesh)
+        nodal = Region(sysm, region).nodal
         G = discrete_gradient(build_nodal_space(sysm))
         v = G @ rng.standard_normal((G.shape[1], 4))
         v[:, 2] = 0.0
         if np.iscomplexobj(sysm.A):
             v = v + 1j * (G @ rng.standard_normal((G.shape[1], 4)))
-        phi, resid = exact_sequence_recover(sysm, tets, v)
+        phi, resid = exact_sequence_recover(nodal, v)
         assert phi.shape == (sysm.mesh.n_vertices, 4) and phi.dtype == v.dtype
         assert resid.shape == (4,) and np.all(resid <= 1e-12)
         if not np.iscomplexobj(v):
             assert resid[2] == 0.0  # a zero column reads 0, not 0/0
         for j in range(4):
-            col, res = exact_sequence_recover(sysm, tets, v[:, j])
+            col, res = exact_sequence_recover(nodal, v[:, j])
             assert np.abs(phi[:, j] - col).max() <= 1e-12 * max(np.abs(col).max(), 1.0)
             assert res.shape == () and res <= 1e-12
 
@@ -838,13 +848,13 @@ def test_recover_block_rejects_one_rotational_column(sys3, rng):
     """Each column is held to its own norm: one rotational column among
     gradients, even a tiny one, fails the block."""
     region = BoxRegion((0.5, 0.5, 0.5), 0.8)
-    tets = region.conforming_tets(sys3.mesh)
+    nodal = Region(sys3, region).nodal
     G = discrete_gradient(build_nodal_space(sys3))
     v = G @ rng.standard_normal((G.shape[1], 5))
     v[:, 3] = 1e-12 * rng.standard_normal(sys3.n_dofs)
-    exact_sequence_recover(sys3, tets, v[:, [0, 1, 2, 4]])
+    exact_sequence_recover(nodal, v[:, [0, 1, 2, 4]])
     with pytest.raises(ValueError, match="not curl-free"):
-        exact_sequence_recover(sys3, tets, v)
+        exact_sequence_recover(nodal, v)
 
 
 @pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j], ids=["κ=1", "κ=1+0.5i"])
@@ -856,7 +866,7 @@ def test_recover_guard_band(system_cache, n, kappa):
     differences match the gradient on the region's DOF edges to 1e-12."""
     sysm = system_cache(n, kappa)
     region = default_pairs(sysm.mesh.length)["interior"].outer
-    tets = region.conforming_tets(sysm.mesh)
+    nodal = Region(sysm, region).nodal
     rows = region_edge_dofs(sysm, region)
     rng = np.random.default_rng(7)
     G = discrete_gradient(build_nodal_space(sysm))
@@ -867,9 +877,9 @@ def test_recover_guard_band(system_cache, n, kappa):
     w = rng.standard_normal(v.shape)
     w *= np.linalg.norm(v[rows], axis=0) / np.linalg.norm(w[rows], axis=0)
     with pytest.raises(ValueError, match="not curl-free"):
-        exact_sequence_recover(sysm, tets, v + 1e-8 * w)
-    exact_sequence_recover(sysm, tets, v + 1e-11 * w)
-    phi, resid = exact_sequence_recover(sysm, tets, v)
+        exact_sequence_recover(nodal, v + 1e-8 * w)
+    exact_sequence_recover(nodal, v + 1e-11 * w)
+    phi, resid = exact_sequence_recover(nodal, v)
     lo, hi = sysm.mesh.edges[sysm.dofmap.interior_edges].T
     err = np.linalg.norm((phi[hi] - phi[lo] - v)[rows], axis=0)
     assert np.all(err <= 1e-12 * np.linalg.norm(v[rows], axis=0))
@@ -895,10 +905,11 @@ def test_recover_rejects_circulation_around_a_hole(system_cache):
         v = np.zeros(sysm.n_dofs)
         rows = np.unique(sysm.dofmap.edge_to_dof[mesh.tet_edges[tets]])
         v[rows] = np.angle(np.exp(1j * (theta[hi] - theta[lo])))[rows]
+        nodal = region_nodal_space(sysm, tets)
         with pytest.raises(ValueError, match="not simply connected"):
-            exact_sequence_recover(sysm, tets, v)
+            exact_sequence_recover(nodal, v)
         p = np.where(mesh.boundary_vertex, 0.0, theta)
-        exact_sequence_recover(sysm, tets, p[hi] - p[lo])
+        exact_sequence_recover(nodal, p[hi] - p[lo])
 
 
 def test_recover_reuses_the_nodal_solve(system_cache, monkeypatch):
@@ -906,12 +917,12 @@ def test_recover_reuses_the_nodal_solve(system_cache, monkeypatch):
     squares, and the discrete gradient is the column slice of the system's
     one incidence, bitwise."""
     sysm = system_cache(3)
-    tets = BoxRegion((0.5, 0.5, 0.5), 0.8).conforming_tets(sysm.mesh)
+    nodal = Region(sysm, BoxRegion((0.5, 0.5, 0.5), 0.8)).nodal
     G = discrete_gradient(sysm.nodal)
     calls, lstsq = [], np.linalg.lstsq
     monkeypatch.setattr(np.linalg, "lstsq",
                         lambda *a, **k: calls.append(a) or lstsq(*a, **k))
-    exact_sequence_recover(sysm, tets, G @ np.ones(G.shape[1]))
+    exact_sequence_recover(nodal, G @ np.ones(G.shape[1]))
     assert calls == []
     want = sysm.incidence[:, sysm.nodal.free_vertices]
     assert G.shape == want.shape
@@ -923,10 +934,10 @@ def test_recover_harmonic_gradient_component(sys4):
     """The gradient part of a harmonic column is itself curl-free, so the
     potential recovery applies to it on the region."""
     region = BoxRegion((0.5, 0.5, 0.5), 0.5)
-    space = harmonic_space(sys4, region, "curl")
-    p = helmholtz_report(sys4, region, embedded_basis(space, sys4.n_dofs)[:, 0])["p"]
+    space = harmonic_space(Region(sys4, region), "curl")
+    p = helmholtz_report(space.region, embedded_basis(space, sys4.n_dofs)[:, 0])["p"]
     v = sys4.incidence @ p
-    phi, _ = exact_sequence_recover(sys4, space.tets, v)
+    phi, _ = exact_sequence_recover(space.region.nodal, v)
     g = phi[sys4.mesh.edges[sys4.dofmap.interior_edges, 1]] \
         - phi[sys4.mesh.edges[sys4.dofmap.interior_edges, 0]]
     dofs = region_edge_dofs(sys4, region)

@@ -1,7 +1,8 @@
 """Source hygiene of the package, read with ast: every top-level import is
 used by its module, every module-level private name is used somewhere in
-src/, every public name of the lab modules is read outside tests, and every
-public function is named outside tests."""
+src/, every public name of the lab modules is read outside tests, every
+public function is named outside tests, and box tet sets and tet DOFs are
+each read from one module."""
 
 import ast
 from collections import Counter
@@ -94,6 +95,22 @@ def read_names(tree):
             for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))
             and isinstance(node.ctx, ast.Load)}
+
+
+# name -> the one module of src/ that may read it
+HOMES = {"tets_intersecting_box": "harmonic.py", "tets_inside_box": "harmonic.py",
+         "conforming_tets": "harmonic.py", "inside_tets": "harmonic.py",
+         "edge_to_dof": "fem.py"}
+
+
+def test_box_tets_and_tet_dofs_have_one_home():
+    """Only harmonic.py runs the tet-box tests, so a box's tet sets come
+    from its harmonic.Region; only fem.py reads DofMap.edge_to_dof, so a
+    tet's DOFs come from DofMap.tet_dofs."""
+    strays = [f"{module} {name}" for module, tree in MODULES.items()
+              for name in sorted(read_names(tree) & HOMES.keys())
+              if HOMES[name] != module]
+    assert not strays, strays
 
 
 def test_every_public_name_of_the_lab_modules_is_read():
