@@ -15,10 +15,16 @@ named "openblas" in /proc/self/maps, opened with ctypes, that export a
 getter and a setter of the thread count. Where none is found every context
 is a no-op. Each context restores the counts it found, also when the body
 raises.
+
+The module is also the package's one home of ctypes: zsymv binds LAPACK's
+complex symmetric matrix-vector product, which scipy.linalg.get_blas_funcs
+does not offer, from the zsymv capsule of scipy.linalg.cython_lapack, the
+same library kernel(N) sets the threads of.
 """
 
 import ctypes
 from contextlib import contextmanager
+from functools import partial
 
 # N from which the N x N kernels run on the starting counts: on a 2-core
 # machine a second thread saves 6% of a dense inverse at N = 512 and 35%
@@ -33,6 +39,7 @@ _SYMBOLS = [(f"{pre}_get_num_threads{suf}", f"{pre}_set_num_threads{suf}")
 
 _libs = None  # [(path, getter, setter, starting count)], on first use
 _kernel_threads = 1  # most threads an N x N kernel ran on in threads()
+_zsymv_fn = None  # LAPACK zsymv from scipy.linalg.cython_lapack, on first use
 
 
 def _libraries() -> list:
@@ -105,3 +112,43 @@ def kernel_threads() -> int:
     """The most threads an N x N kernel ran on inside the innermost open
     threads(k) context, at least k; 1 where no OpenBLAS is found."""
     return _kernel_threads if _libraries() else 1
+
+
+def _lapack_zsymv():
+    global _zsymv_fn
+    if _zsymv_fn is None:
+        from scipy.linalg import cython_lapack
+
+        capsule = cython_lapack.__pyx_capi__["zsymv"]
+        name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+            ("PyCapsule_GetName", ctypes.pythonapi))
+        pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                    ctypes.c_char_p)(
+            ("PyCapsule_GetPointer", ctypes.pythonapi))
+        address = pointer(capsule, name(capsule))
+        # uplo, n, alpha, a, lda, x, incx, beta, y, incy: all by reference
+        _zsymv_fn = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 10)(address)
+    return _zsymv_fn
+
+
+def zsymv(a, x, y):
+    """A function of no arguments that overwrites y with S x by LAPACK
+    zsymv, where S is the complex symmetric matrix (S = S^T, no conjugate)
+    that the upper triangle of a defines; the strict lower triangle is never
+    read. a is a Fortran-ordered complex128 n x n array, x and y contiguous
+    complex128 arrays of n entries, which the function holds; each call
+    reads x anew. The argument pointers are built here, once."""
+    n = a.shape[0]
+    if not (a.shape == (n, n) and a.dtype.char == "D" and a.flags.f_contiguous
+            and all(v.shape == (n,) and v.dtype.char == "D"
+                    and v.flags.c_contiguous for v in (x, y))):
+        raise ValueError("zsymv needs a Fortran-ordered complex128 n x n "
+                         "array and two contiguous complex128 n-vectors")
+    fn, size, step = _lapack_zsymv(), ctypes.c_int(n), ctypes.c_int(1)
+    alpha, beta = (ctypes.c_double * 2)(1.0, 0.0), (ctypes.c_double * 2)(0.0, 0.0)
+    args = (ctypes.c_char_p(b"U"), ctypes.byref(size), alpha, a.ctypes.data,
+            ctypes.byref(size), x.ctypes.data, ctypes.byref(step), beta,
+            y.ctypes.data, ctypes.byref(step))
+    product = partial(fn, *args)
+    product.buffers = (a, x, y)  # alive while LAPACK may read or write them
+    return product

@@ -121,14 +121,19 @@ def tets_inside_box(mesh: Mesh, lo, hi) -> np.ndarray:
 @dataclass
 class Region:
     """A box on a system's mesh, the one home of what it selects, each part
-    built on first use: tets, the conforming set; nodal, the NodalSpace of
-    those tets; mass, their edge mass matrix (N x N CSR)."""
+    built on first use: tets, the conforming set; inside, the tets in the
+    closed box; nodal, the NodalSpace of the conforming tets; mass, their
+    edge mass matrix (N x N CSR)."""
     system: GalerkinSystem
     box: BoxRegion
 
     @cached_property
     def tets(self) -> np.ndarray:
         return tets_intersecting_box(self.system.mesh, self.box.lo, self.box.hi)
+
+    @cached_property
+    def inside(self) -> np.ndarray:
+        return tets_inside_box(self.system.mesh, self.box.lo, self.box.hi)
 
     @cached_property
     def nodal(self) -> NodalSpace:
@@ -141,9 +146,8 @@ class Region:
     def supported(self, tet_entities: np.ndarray, n: int) -> np.ndarray:
         """Per entity (tet_entities (T, k) lists each tet's vertices, edges or
         DOFs, all below n), whether every tet holding it lies in the closed box."""
-        mesh = self.system.mesh
-        outside = np.ones(mesh.n_tets, dtype=bool)
-        outside[tets_inside_box(mesh, self.box.lo, self.box.hi)] = False
+        outside = np.ones(self.system.mesh.n_tets, dtype=bool)
+        outside[self.inside] = False
         ok = np.ones(n, dtype=bool)
         ok[tet_entities[outside]] = False
         return ok

@@ -3,11 +3,12 @@
 Far (admissible) blocks hold truncated-SVD factors X Y^H with orthonormal
 columns in X, the spectral-norm-optimal rank-r approximation of the block;
 near blocks are stored dense. owned_svds is the one SVD loop over the far
-blocks, with one SVD per mirrored pair of a symmetric matrix (far_mirrors);
-far_svds collects both factor sides of every block from it, and the rank
-sweep keeps one side. spectral_norm is the package's one Lanczos norm, for
-bitwise-symmetric input only, and spectral_error the exact norm of an
-approximation's error.
+blocks, with one SVD per mirrored pair of a symmetric matrix (far_mirrors,
+which makes the package's one full-array symmetry test); far_svds collects
+both factor sides of every block from it, and the rank sweep keeps one
+side. spectral_norm is the package's one Lanczos norm: of the symmetric
+matrix one triangle of its operand defines, so a caller may keep just that
+triangle. spectral_error is the exact norm of an approximation's error.
 
 Every dense matrix this module takes or returns is in the cluster tree's
 leaf order, where each block is the slice of its clusters' spans.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blas import kernel
+from .blas import kernel, zsymv
 from .cluster import BlockPartition
 
 TILE = 256  # side of the square tiles that symmetric passes work on
@@ -58,9 +59,10 @@ def far_svds(dense: np.ndarray, partition: BlockPartition, rank: int):
     """(factors, mirror): truncated_svd(block, rank) of each far block of
     dense, in partition.far order, for the callers that need both sides of
     each block (compression and block-svd). mirror is far_mirrors(dense,
-    partition); a mirror is not factored: its U' = (V^H)^T and V'^H = U^T
-    are views of its partner's factors, so callers only read factors."""
-    mirror = far_mirrors(dense, partition)
+    partition), all None for a dense that is not symmetric; a mirror is not
+    factored: its U' = (V^H)^T and V'^H = U^T are views of its partner's
+    factors, so callers only read factors."""
+    mirror = far_mirrors(dense, partition) or [None] * len(partition.far)
     out = [None] * len(mirror)
     for i, factors in owned_svds(dense, partition, mirror, rank):
         out[i] = factors
@@ -71,13 +73,15 @@ def far_svds(dense: np.ndarray, partition: BlockPartition, rank: int):
     return out, mirror
 
 
-def far_mirrors(dense: np.ndarray, partition: BlockPartition) -> list:
-    """For a bitwise-symmetric dense, the index of the partner (sigma, tau)
-    in partition.far of each far block (tau, sigma) with tau.id > sigma.id,
-    a mirror, whose slice is its partner's transpose. Every other entry,
-    and every entry for any other dense, is None: the block is owned."""
+def far_mirrors(dense: np.ndarray, partition: BlockPartition):
+    """For a bitwise-symmetric square dense, the index of the partner
+    (sigma, tau) in partition.far of each far block (tau, sigma) with
+    tau.id > sigma.id, a mirror, whose slice is its partner's transpose;
+    every other entry is None: the block is owned. An owned block lies on
+    or above the diagonal: tau and sigma are equal or disjoint, and in
+    preorder the lower id's span comes first. For any other dense, None."""
     if not _is_symmetric(dense):
-        return [None] * len(partition.far)
+        return None
     where = {(t.id, s.id): i for i, (t, s) in enumerate(partition.far)}
     return [where.get((s.id, t.id)) if t.id > s.id else None
             for t, s in partition.far]
@@ -149,34 +153,46 @@ def to_dense(h: HMatrix) -> np.ndarray:
     return out
 
 
+def norm_operand(mat: np.ndarray) -> np.ndarray:
+    """The array whose upper triangle spectral_norm(mat) reads: mat, or the
+    Fortran-ordered view mat.T when mat is C-ordered."""
+    return mat.T if mat.flags.c_contiguous else mat
+
+
 def spectral_norm(mat: np.ndarray, seed: int = 0):
-    """||mat||_2 of a bitwise-symmetric square mat (mat == mat.T, no
-    conjugate; any other mat is a ValueError) by ARPACK eigsh (k = 1,
-    largest magnitude) with one BLAS product per step; returns (norm,
-    converged, products). The operator is mat itself when real, by BLAS
-    symv on one triangle of mat, or of the bitwise-equal Fortran-ordered
-    mat.T when mat is C-ordered, and when complex the real symmetric Takagi
-    map [[Re E, Im E], [Im E, -Re E]], whose eigenvalues are +-sigma_i(E)
-    (Horn & Johnson, Matrix Analysis, 4.4), applied as one complex product
-    E (x - iy). The products run under blas.kernel(N). The Ritz value
-    never exceeds ||mat||_2. The start vector is
-    drawn from seed, so reruns are byte-identical. A zero or 1 x 1 mat
-    (where ARPACK refuses k = 1) is measured exactly; no convergence within
+    """||S||_2 of the symmetric square matrix S (S = S^T, no conjugate) that
+    the upper triangle of norm_operand(mat) defines, by ARPACK eigsh
+    (k = 1, largest magnitude) with one product per step; returns (norm,
+    converged, products). The operand's strict lower triangle is never
+    read, and a strided operand is copied to Fortran order; a non-square
+    mat is a ValueError. The operator is S itself when real, by BLAS symv, and when
+    complex the real symmetric Takagi map [[Re S, Im S], [Im S, -Re S]],
+    whose eigenvalues are +-sigma_i(S) (Horn & Johnson, Matrix Analysis,
+    4.4), applied as one product S (x - iy) by LAPACK zsymv. The products
+    run under blas.kernel(N). The Ritz value never exceeds ||S||_2. The
+    start vector is drawn from seed, so reruns are byte-identical. A 1 x 1
+    mat (where ARPACK refuses k = 1) is measured exactly; ARPACK cannot
+    start on a zero S, which the caller skips; no convergence within
     ARPACK_MAX_ITER steps gives (nan, False, products).
     """
-    if not _is_symmetric(mat):
-        raise ValueError("spectral_norm needs a bitwise-symmetric square matrix")
-    if mat.shape[0] < 2 or not mat.any():
+    dim = mat.shape[0]
+    if mat.shape != (dim, dim):
+        raise ValueError("spectral_norm needs a square matrix")
+    if dim < 2:
         return float(np.linalg.norm(mat)), True, 0
     from scipy.linalg import get_blas_funcs
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    dim = mat.shape[0]
     takagi = np.iscomplexobj(mat)
     size = 2 * dim if takagi else dim
     products = 0
-    if not takagi:  # f2py would copy a non-Fortran array on every product
-        fmat = np.asfortranarray(mat.T if mat.flags.c_contiguous else mat, float)
+    # zsymv needs Fortran order, and f2py's symv would copy other arrays
+    # on every product
+    fmat = np.asfortranarray(norm_operand(mat), complex if takagi else float)
+    if takagi:
+        z, w = np.empty(dim, complex), np.empty(dim, complex)
+        product = zsymv(fmat, z, w)  # w = S z
+    else:
         symv = get_blas_funcs("symv", (fmat,))
 
     def apply(v):
@@ -184,13 +200,15 @@ def spectral_norm(mat: np.ndarray, seed: int = 0):
         products += 1
         if not takagi:
             return symv(1.0, fmat, v)
-        w = mat @ (v[:dim] - 1j * v[dim:])  # z = x - iy
+        z.real = v[:dim]  # z = x - iy
+        np.negative(v[dim:], out=z.imag)
+        product()
         return np.concatenate([w.real, w.imag])
 
     op = LinearOperator((size, size), matvec=apply, dtype=np.float64)
     v0 = np.random.default_rng(seed).standard_normal(size)
     try:
-        with kernel(dim):  # each product runs over the whole array
+        with kernel(dim):  # each product runs over a whole triangle
             val = eigsh(op, k=1, which="LM", tol=ARPACK_TOL,
                         maxiter=ARPACK_MAX_ITER, v0=v0, return_eigenvectors=False)
     except ArpackNoConvergence:

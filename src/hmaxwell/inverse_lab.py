@@ -9,17 +9,19 @@ block error into the global bound C_sp * (depth + 1) * max sigma_{r+1},
 which every sweep row is asserted against.
 
 A = A^T with no conjugate, for real and complex kappa, and the sweep uses
-it end to end: dense_inverse returns a bitwise-symmetric A^{-1}, the far
-blocks take one SVD per mirrored pair, each E_r is updated on one block of
-a pair and copied transposed into the other, so it is bitwise symmetric
-(and B_H = B_H^T), and its norm is hmatrix.spectral_norm, a symmetric
-Lanczos norm whose Ritz value stays <= ||E_r||_2.
+it end to end: dense_inverse returns a bitwise-symmetric A^{-1}, which the
+sweep tests once (hmatrix.far_mirrors), the far blocks take one SVD per
+mirrored pair, and each E_r, symmetric like A^{-1} (and B_H = B_H^T), is
+kept on one triangle only, the one its norm reads: hmatrix.spectral_norm,
+a symmetric Lanczos norm whose Ritz value stays <= ||E_r||_2.
 
 One N x N array serves from factorization to the last norm: dense_inverse
-inverts the LU factor in place, and rank_sweep overwrites that inverse
-with E_r. Beside it the sweep holds, per mirrored pair, the sigmas and the
+inverts the LU factor in place, and rank_sweep overwrites that inverse's
+upper triangle with E_r. Beside it the sweep holds, per mirrored pair, the
 shorter side's leading singular vectors, which are all it needs to project
-a block's leading singular triplets out of E_r.
+a block's leading singular triplets out of E_r, and per requested rank the
+tail sum and next sigma that the row's Frobenius bound and block bound
+read.
 
 Every dense matrix this module takes or returns is in the cluster tree's
 leaf order, where the block (tau, sigma) is the slice [tau.span, sigma.span].
@@ -34,7 +36,8 @@ import scipy.linalg
 from .blas import kernel
 from .cluster import BlockPartition, sparsity_constant
 from .fem import GalerkinSystem, apply_dual_functionals, riesz_rhs, solve_system
-from .hmatrix import TILE, far_mirrors, owned_svds, spectral_norm, tile_pairs
+from .hmatrix import (TILE, far_mirrors, norm_operand, owned_svds,
+                      spectral_norm, tile_pairs)
 
 RESIDUAL_LIMIT = 1e-8  # dense_inverse's bound on max |A A^{-1} - I|
 TRANSFER_RHS = 10      # random right-hand sides per transfer-check column cluster
@@ -101,74 +104,90 @@ class SweepRow:
 
 def rank_sweep(binv: np.ndarray, partition: BlockPartition, r_list,
                seed: int = 0) -> list:
-    """One SweepRow per requested rank, in increasing rank order. The sweep
-    consumes binv: on return it holds E_{r_max} for the largest rank swept.
-    A caller that needs A^{-1} afterwards passes a copy.
+    """One SweepRow per requested rank, in increasing rank order. binv must
+    equal its transpose bitwise (hmatrix.far_mirrors tests it; any other
+    binv is a ValueError). The sweep works on err = norm_operand(binv),
+    binv itself or its Fortran-ordered view binv.T, and consumes it: on
+    return the upper triangle of err holds E_{r_max} for the largest rank
+    swept. A caller that needs A^{-1} afterwards passes a copy.
 
     E_r = A^{-1} - B_H is zero on near blocks and U[:, r:] Sigma[r:] V^H[r:]
     on each far block. ||A^{-1}||_2 and the far-block SVDs, one per mirrored
     pair (hmatrix.owned_svds), come first. Of each owned block the sweep
-    keeps every sigma and only the shorter side's first r_max singular
-    vectors, Q = U[:, :r_max] when |tau| <= |sigma|, else V^H[:r_max], and
-    only reads them. Then binv becomes E_0 by zeroing its near blocks, and
-    the step from rank r' to r projects slice r':r of Q out of each far
-    block in place: E -= Q (Q^H E) on the left, E -= (E Q^H) Q on the
-    right, which is the subtraction of (U Sigma V^H)[r':r] because E_{r'} =
-    sum_{j >= r'} sigma_j u_j v_j^H. A block whose rank reaches its size is
-    zeroed, and the sweep adds no N x N array. A mirror is not updated on
-    its own: it receives the transpose of its partner's updated slice, and
-    shares its partner's sigmas, so for the bitwise-symmetric inverse of
-    dense_inverse every E_r is bitwise symmetric, and B_H picks the same
-    subspace in both blocks of a tie. Both norms come from spectral_norm
-    (symmetric Lanczos, never above the true norm, started from seed).
+    keeps its sigma count, at each rank r the tail sum_{j >= r} sigma_j^2
+    and sigma_r, and only the shorter side's first r_max singular vectors,
+    Q = U[:, :r_max] when |tau| <= |sigma|, else V^H[:r_max], and only
+    reads Q. Then err becomes E_0 by zeroing its near blocks on and
+    above the diagonal, and the step from rank r' to r projects slice r':r
+    of Q out of each owned far block in place: E -= Q (Q^H E) on the left,
+    E -= (E Q^H) Q on the right, which is the subtraction of
+    (U Sigma V^H)[r':r] because E_{r'} = sum_{j >= r'} sigma_j u_j v_j^H. A
+    block whose rank reaches its size is zeroed, and the sweep adds no
+    N x N array. Owned blocks lie on or above the diagonal, so the sweep
+    writes E_r on that triangle only, the one spectral_norm reads, and
+    never writes a mirror, which takes its partner's tails and sigmas; B_H
+    picks the same subspace in both blocks of a tie. Both norms come from
+    spectral_norm (symmetric Lanczos, never above the true norm, started
+    from seed), except that an E_r with every far block truncated to its
+    full rank is exactly zero: norm 0, converged, 0 products.
     checks.check_bound judges each row's bound value.
     """
-    norm_b, conv_b, _ = spectral_norm(binv, seed=seed)
+    err = norm_operand(binv)
+    mirror = far_mirrors(err, partition)
+    if mirror is None:
+        raise ValueError("rank_sweep needs a bitwise-symmetric square matrix")
+    norm_b, conv_b, _ = spectral_norm(err, seed=seed)
     scale = sparsity_constant(partition) * (partition.tree.depth + 1)
     ranks = sorted(int(r) for r in r_list)
     r_max = ranks[-1] if ranks else 0
     far = partition.far
-    mirror = far_mirrors(binv, partition)
-    # per far block: the kept side Q, the sigmas, and
-    # tails[i][k] = sum_{j >= k} sigma_j^2; a mirror shares its partner's
-    sides, sigmas, tails = ([None] * len(far) for _ in range(3))
-    for i, (u, sv, vh) in owned_svds(binv, partition, mirror, r_max):
+    # per owned far block: its spans, the kept side Q, whether Q is U, and
+    # its sigma count; per far block (a mirror copies its partner): the
+    # sigma count, and per rank r, with k = min(r, count), the tail
+    # sum_{j >= k} sigma_j^2 and sigma_r, 0 from r = count on
+    owned, sizes = [], np.zeros(len(far), dtype=np.int64)
+    tail2, sig = np.zeros((2, len(ranks), len(far)))
+    for i, (u, sv, vh) in owned_svds(err, partition, mirror, r_max):
         t, s = far[i]
-        sides[i] = u if t.size <= s.size else vh  # the shorter side
-        sigmas[i] = sv
-        tails[i] = np.append(np.cumsum(sv[::-1] ** 2)[::-1], 0.0)
+        left = t.size <= s.size  # keep the shorter side
+        owned.append((t.span, s.span, u if left else vh, left, sv.size))
+        k = np.minimum(ranks, sv.size)
+        tail2[:, i] = np.append(np.cumsum(sv[::-1] ** 2)[::-1], 0.0)[k]
+        sig[:, i] = np.append(sv, 0.0)[k]
+        sizes[i] = sv.size
     for i, j in enumerate(mirror):
         if j is not None:
-            sigmas[i], tails[i] = sigmas[j], tails[j]
-    mirrored = {j for j in mirror if j is not None}
-    err = binv  # E_0 overwrites the inverse
+            tail2[:, i], sig[:, i], sizes[i] = tail2[:, j], sig[:, j], sizes[j]
+    dims = np.array([t.size + s.size for t, s in far], dtype=np.int64)
+    full = int(sizes.max(initial=0))  # E_r = 0 from rank full on
     for t, s in partition.near:
-        err[t.span, s.span] = 0.0
+        if t.id <= s.id:  # on or above the diagonal
+            err[t.span, s.span] = 0.0
     near_scalars = sum(t.size * s.size for t, s in partition.near)
     rows, r_prev = [], 0
-    for r in ranks:
-        sig_next = fro2 = 0.0
-        scalars = near_scalars
-        for i, ((t, s), sv, tail) in enumerate(zip(far, sigmas, tails)):
-            k, k_prev = min(r, sv.size), min(r_prev, sv.size)
-            if k > k_prev and mirror[i] is None:
-                block = err[t.span, s.span]
-                if k == sv.size:
-                    block[...] = 0.0
-                elif t.size <= s.size:  # Q = U[:, k':k]
-                    q = sides[i][:, k_prev:k]
-                    block -= q @ (q.conj().T @ block)
-                else:  # Q = V^H[k':k]
-                    q = sides[i][k_prev:k]
-                    block -= (block @ q.conj().T) @ q
-                if i in mirrored:
-                    err[s.span, t.span] = block.T
-            scalars += k * (t.size + s.size)
-            fro2 += tail[k]
-            if r < sv.size:
-                sig_next = max(sig_next, float(sv[r]))
+    for c, r in enumerate(ranks):
+        for block_rows, block_cols, side, left, size in owned:
+            k, k_prev = min(r, size), min(r_prev, size)
+            if k == k_prev:
+                continue
+            block = err[block_rows, block_cols]
+            if k == size:
+                block[...] = 0.0
+            elif left:  # Q = U[:, k':k]
+                q = side[:, k_prev:k]
+                block -= q @ (q.conj().T @ block)
+            else:  # Q = V^H[k':k]
+                q = side[k_prev:k]
+                block -= (block @ q.conj().T) @ q
         r_prev = r
-        est, conv, products = spectral_norm(err, seed=seed)
+        scalars = near_scalars + int(np.minimum(r, sizes) @ dims)
+        # 0.0, then each block's tail in far order, added one at a time
+        fro2 = np.cumsum(np.append(0.0, tail2[c]))[-1]
+        sig_next = float(sig[c].max(initial=0.0))
+        if r >= full:
+            est, conv, products = 0.0, True, 0
+        else:
+            est, conv, products = spectral_norm(err, seed=seed)
         rows.append(SweepRow(r, est, float(np.sqrt(fro2)), est / norm_b,
                              sig_next, float(scale * sig_next), int(scalars),
                              conv and conv_b, products))

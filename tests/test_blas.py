@@ -1,6 +1,6 @@
 """The BLAS thread switch: threads(k) and kernel(n) on every loaded
 OpenBLAS, and where the CLI runs on how many threads, read from each
-library's own getter at the call sites."""
+library's own getter at the call sites; and the LAPACK zsymv binding."""
 
 import json
 
@@ -201,3 +201,26 @@ def test_without_openblas_every_context_is_a_no_op(tmp_path, monkeypatch):
                      "--out", str(tmp_path), "--name", "s"]) == 0
     counters = json.loads((tmp_path / "s" / "manifest.json").read_text())["counters"]
     assert counters["N"] >= blas.PARALLEL_MIN and counters["blas_threads"] == 1
+
+
+def test_zsymv_reads_one_triangle_and_rereads_its_vector(rng):
+    """blas.zsymv's product is S x for the complex symmetric S the upper
+    triangle defines, to 1e-13, with NaN in the strict lower triangle; one
+    bound product serves every new x written into its vector. Any other
+    layout or dtype is a ValueError, before LAPACK is called."""
+    n = 70
+    a = np.asfortranarray(rng.standard_normal((n, n))
+                          + 1j * rng.standard_normal((n, n)))
+    s = np.triu(a) + np.triu(a, 1).T
+    a[np.tril_indices(n, -1)] = np.nan
+    x, y = np.empty(n, complex), np.empty(n, complex)
+    product = blas.zsymv(a, x, y)
+    for _ in range(3):
+        x[:] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        product()
+        want = s @ x
+        assert np.abs(y - want).max() <= 1e-13 * np.abs(want).max()
+    for bad in ((np.ascontiguousarray(a), x, y), (a.real.copy(order="F"), x, y),
+                (a, x[:-1], y), (a, x, y.real.copy())):
+        with pytest.raises(ValueError, match="zsymv"):
+            blas.zsymv(*bad)

@@ -338,6 +338,18 @@ def test_rank_sweep_artifacts(tmp_path):
         assert abs_err <= fro_upper
 
 
+def test_rank_sweep_past_every_block_rank_reads_zero(tmp_path):
+    """At n = 2 the one leaf holds all 26 DOFs, so there is no far block
+    and every E_r is zero: rank 500 reads abs_err 0 from 0 products, with
+    no Lanczos start on the zero operator."""
+    assert run_cli("rank-sweep", "--n", "2", "--ranks", "500",
+                   "--out", str(tmp_path), "--name", "z") == 0
+    with open(tmp_path / "z" / "sweep.csv", newline="") as f:
+        (row,) = list(csv.DictReader(f))
+    assert (row["r"], float(row["abs_err"]), row["products"]) == ("500", 0.0, "0")
+    assert row["converged"] == "true"
+
+
 def test_rank_sweep_complex_kappa_matches_lapack(tmp_path, truncation_residual):
     """rank-sweep at complex kappa, whose norms go through the Takagi map:
     every rank's rel_err is LAPACK's ||A^{-1} - B_H||_2 / ||A^{-1}||_2 to
@@ -540,6 +552,26 @@ def test_each_box_is_selected_once(tmp_path, monkeypatch, argv, want):
                 monkeypatch.setattr(module, name, counted)
     assert run_cli(*argv, "--out", str(tmp_path)) == 0
     assert calls == want
+
+
+@pytest.mark.parametrize("argv", [["verify", "--n", "3"],
+                                  ["caccioppoli", "--n", "4"]])
+def test_each_region_finds_its_inside_tets_once(tmp_path, monkeypatch, argv):
+    """A Region keeps the tets inside its box: verify's interior curl space
+    and gradient-part check, and caccioppoli's curl and grad spaces on one
+    region, share one inside test per outer box."""
+    boxes = Counter()
+
+    def counted(mesh, lo, hi, _fn=harmonic.tets_inside_box):
+        boxes[tuple(lo), tuple(hi)] += 1
+        return _fn(mesh, lo, hi)
+
+    monkeypatch.setattr(harmonic, "tets_inside_box", counted)
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
+    outer = [(tuple(pair.outer.lo), tuple(pair.outer.hi))
+             for pair in harmonic.default_pairs(1.0).values()]
+    assert len(set(outer)) == 2
+    assert [boxes[box] for box in outer] == [1, 1]
 
 
 def test_verify_builds_the_incidence_once(tmp_path, monkeypatch):

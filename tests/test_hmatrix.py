@@ -121,12 +121,19 @@ def test_spectral_norm_reports_arpack_convergence(rng, monkeypatch):
     assert not converged and np.isnan(est)
 
 
-def test_spectral_norm_picks_lanczos_by_symmetry(rng, monkeypatch):
-    """A bitwise-symmetric square input goes to eigsh, through the Takagi
-    map when complex, and matches the LAPACK 2-norm to 1e-12. Any other
-    input raises ValueError: one ulp off symmetric, a general matrix, a
-    Hermitian one and a non-square one."""
+def test_spectral_norm_picks_lanczos_by_symmetry(rng, monkeypatch,
+                                                system_cache):
+    """Any square input goes to eigsh, through the Takagi map when complex,
+    and gives the LAPACK 2-norm of the symmetric matrix the upper triangle
+    of its Fortran-ordered operand defines, triu(m) + triu(m, 1).T, to
+    1e-12: m itself when F-ordered, m.T when C-ordered. A non-square input
+    is a ValueError, and so is a rank sweep of an inverse one ulp off
+    symmetric, whose one symmetry test is far_mirrors'."""
     import scipy.sparse.linalg as sla
+
+    from hmaxwell import rank_sweep
+    from hmaxwell.fem import sparse_operator
+    from hmaxwell.inverse_lab import dense_inverse
 
     used = []
     eigsh = sla.eigsh
@@ -135,18 +142,26 @@ def test_spectral_norm_picks_lanczos_by_symmetry(rng, monkeypatch):
     n = 300  # more than one 256 x 256 tile
     g = rng.standard_normal((n, n))
     c = g + 1j * rng.standard_normal((n, n))
-    for mat in (g + g.T, c + c.T):
-        used.clear()
-        est, converged, products = spectral_norm(mat, seed=2)
-        assert used == ["eigsh"]
-        assert converged and products > 0
-        assert abs(est - np.linalg.norm(mat, 2)) <= 1e-12 * est
-    off = g + g.T
-    off[3, 290] = np.nextafter(off[3, 290], np.inf)
+    for m in (g, c):
+        for mat, upper in ((np.asfortranarray(m), m), (np.ascontiguousarray(m), m.T)):
+            used.clear()
+            est, converged, products = spectral_norm(mat, seed=2)
+            assert used == ["eigsh"]
+            assert converged and products > 0
+            want = np.linalg.norm(np.triu(upper) + np.triu(upper, 1).T, 2)
+            assert abs(est - want) <= 1e-12 * want
     used.clear()
-    for mat in (off, g, c + c.conj().T, g[:, :250]):
-        with pytest.raises(ValueError, match="symmetric"):
-            spectral_norm(mat, seed=2)
+    with pytest.raises(ValueError, match="square"):
+        spectral_norm(g[:, :250], seed=2)
+    assert used == []
+
+    sysm = system_cache(3)
+    part = build_block_partition(
+        build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16), eta=2.0)
+    binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
+    binv[3, 90] = np.nextafter(binv[3, 90], np.inf)
+    with pytest.raises(ValueError, match="symmetric"):
+        rank_sweep(binv, part, [1, 2])
     assert used == []
 
 

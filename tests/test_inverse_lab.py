@@ -18,7 +18,7 @@ from hmaxwell import (
     rank_sweep,
     theorem_transfer_check,
 )
-from hmaxwell import inverse_lab
+from hmaxwell import hmatrix, inverse_lab
 from hmaxwell.checks import check_transfer
 from hmaxwell.cluster import sparsity_constant
 from hmaxwell.fem import (apply_dual_functionals, build_dof_map, riesz_rhs,
@@ -159,9 +159,10 @@ def test_dense_inverse_rejects_near_singular(mesh_cache):
 
 
 def test_rank_sweep_errors_match_exact_svd(lab3, monkeypatch):
-    """The rows match LAPACK, and the sweep consumes its input: on return
-    it is the last matrix whose norm was taken, E_{r_max}, zero on every
-    near block and bitwise symmetric."""
+    """The rows match LAPACK, and the sweep consumes its Fortran-ordered
+    input: on return it is the last matrix whose norm was taken, and on and
+    above the diagonal it holds E_{r_max}, zero on every near block there
+    and the truncation error of the far blocks to rounding."""
     _, part, binv = lab3
     r_list = [0, 1, 2, 4, 8]
     seen = []
@@ -171,12 +172,14 @@ def test_rank_sweep_errors_match_exact_svd(lab3, monkeypatch):
         return spectral_norm(mat, *args, **kwargs)
 
     monkeypatch.setattr(inverse_lab, "spectral_norm", spy)
-    work = binv.copy()
+    work = binv.copy(order="F")
     rows = rank_sweep(work, part, r_list)
     monkeypatch.undo()
     assert np.array_equal(work, seen[-1])
-    assert all((work[t.span, s.span] == 0).all() for t, s in part.near)
-    assert (work == work.T).all()
+    assert all((work[t.span, s.span] == 0).all() for t, s in part.near
+               if t.id <= s.id)
+    want = binv - to_dense(compress_dense(binv, part, max(r_list)))
+    assert np.abs(np.triu(work) - np.triu(want)).max() <= 1e-12 * np.abs(binv).max()
     assert [row.r for row in rows] == sorted(r_list)
     norm_b = np.linalg.norm(binv, 2)
     for row in rows:
@@ -273,31 +276,76 @@ def test_incremental_sweep_matches_scattered_residual(system_cache, n, kappa):
 
 
 @pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
-def test_every_sweep_error_is_bitwise_symmetric(system_cache, kappa,
-                                                monkeypatch):
-    """Each E_r whose norm the sweep takes equals its transpose bitwise and
-    is the error scattered from the mirrored far_svds to rounding, for an
-    unsorted rank list with a duplicate, 0, and a rank above the smallest
-    far block's size."""
+def test_sweep_errors_live_on_one_triangle(system_cache, kappa, monkeypatch):
+    """The sweep keeps each E_r on the upper triangle of its input's
+    Fortran-ordered operand, the only part spectral_norm reads: a spy that
+    fills the strict lower triangle with NaN at every norm leaves every
+    SweepRow bitwise unchanged, for C- and F-ordered input, an unsorted
+    rank list with a duplicate, 0, and a rank above the smallest far
+    block's size. The upper triangle of each E_r whose norm is taken is the
+    error scattered from the mirrored far_svds to rounding."""
     sysm = system_cache(4, kappa)
     part = build_block_partition(
         build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16), eta=2.0)
     binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
-    seen = []
+    ranks = [8, 0, 2, 2, 40]
+    clean = repr(rank_sweep(binv.copy(), part, ranks))
+    n, seen = binv.shape[0], []
 
-    def spy(mat, *args, **kwargs):
-        seen.append(mat.copy())
+    def poison(mat, *args, **kwargs):
+        assert mat.flags.f_contiguous
+        seen.append(np.triu(mat))
+        mat[np.tril_indices(n, -1)] = np.nan
         return spectral_norm(mat, *args, **kwargs)
 
-    monkeypatch.setattr(inverse_lab, "spectral_norm", spy)
-    rows = rank_sweep(binv.copy(), part, [8, 0, 2, 2, 40])
-    assert np.array_equal(seen[0], binv) and len(seen) == len(rows) + 1
+    monkeypatch.setattr(inverse_lab, "spectral_norm", poison)
+    for order in "CF":
+        seen.clear()
+        rows = rank_sweep(binv.copy(order=order), part, ranks)
+        assert repr(rows) == clean
+        assert np.array_equal(seen[0], np.triu(binv))
+        assert len(seen) == 1 + sum(row.products > 0 for row in rows)
     svds = far_svds(binv, part, binv.shape[0])[0]
     scale = np.abs(binv).max()
-    for row, err in zip(rows, seen[1:]):
-        assert (err == err.T).all()
+    for row, err in zip((row for row in rows if row.products), seen[1:]):
         ref = reference_sweep_row(binv, part, svds, row.r)[0]
-        assert np.abs(err - ref).max() <= 1e-12 * scale
+        assert np.abs(err - np.triu(ref)).max() <= 1e-12 * scale
+
+
+def test_sweep_tests_symmetry_once(system_cache, monkeypatch):
+    """A sweep at n = 4 makes one full-array symmetry test, far_mirrors'
+    on A^{-1}, and none per rank."""
+    sysm = system_cache(4)
+    part = build_block_partition(
+        build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16), eta=2.0)
+    binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
+    calls, test = [], hmatrix._is_symmetric
+    monkeypatch.setattr(hmatrix, "_is_symmetric",
+                        lambda mat: calls.append(1) or test(mat))
+    rows = rank_sweep(binv, part, [1, 2, 4, 8])
+    assert len(calls) == 1 and all(row.products > 0 for row in rows)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
+def test_fully_truncated_error_is_exactly_zero(system_cache, kappa):
+    """From the rank where every far block is truncated to its full rank,
+    E_r is zero: the sweep records norm 0, converged, 0 products, without
+    a Lanczos start on the zero operator. At n = 2 with leaves of 8 DOFs
+    that rank is the largest far block's; with one leaf of all 26 DOFs
+    there is no far block, and E_r is zero from rank 0 on."""
+    sysm = system_cache(2, kappa)
+    for n_leaf in (8, 32):
+        part = build_block_partition(
+            build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=n_leaf), eta=2.0)
+        binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
+        full = max((min(t.size, s.size) for t, s in part.far), default=0)
+        assert (full > 0) == (n_leaf == 8)
+        rows = rank_sweep(binv.copy(), part, [max(full - 1, 0), full, 500])
+        assert (rows[0].abs_err > 0 and rows[0].products > 0) == (full > 0)
+        for row in rows[1:] if full else rows:
+            assert (row.abs_err, row.rel_err, row.fro_upper) == (0.0, 0.0, 0.0)
+            assert row.converged and row.products == 0
+            assert row.max_block_sigma == 0.0
 
 
 @pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])

@@ -1,8 +1,8 @@
 """Source hygiene of the package, read with ast: every top-level import is
 used by its module, every module-level private name is used somewhere in
 src/, every public name of the lab modules is read outside tests, every
-public function is named outside tests, and box tet sets and tet DOFs are
-each read from one module."""
+public function is named outside tests, box tet sets and tet DOFs are
+each read from one module, and foreign-function bindings live in one."""
 
 import ast
 from collections import Counter
@@ -111,6 +111,31 @@ def test_box_tets_and_tet_dofs_have_one_home():
               for name in sorted(read_names(tree) & HOMES.keys())
               if HOMES[name] != module]
     assert not strays, strays
+
+
+def test_foreign_functions_have_one_home():
+    """Only blas.py imports ctypes or reads a Cython __pyx_capi__ capsule
+    table, by attribute or by name, so every binding to a compiled library
+    outside numpy and scipy's Python API sits in one module."""
+    strays = []
+    for module, tree in MODULES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]
+            else:
+                continue
+            strays += [f"{module}:{node.lineno} {name}" for name in names
+                       if (name.split(".")[0] == "ctypes"
+                           or name == "__pyx_capi__") and module != "blas.py"]
+    assert not strays, strays
+    blas_reads = read_names(MODULES["blas.py"])
+    assert {"ctypes", "__pyx_capi__"} <= blas_reads
 
 
 def test_every_public_name_of_the_lab_modules_is_read():
