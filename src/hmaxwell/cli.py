@@ -200,8 +200,8 @@ class Runner:
     def finish(self, *paths, system=None, partition=None) -> str:
         """Write the manifest, with counters: tets, N and nonzeros of A; far
         and near blocks, C_sp, depth and the far-block SVDs, one per
-        mirrored pair of the symmetric A^{-1}; the BLAS threads the N x N
-        kernels ran on, and the process's peak RSS so far."""
+        mirrored pair of the symmetric A^{-1} or far block on its diagonal;
+        the BLAS threads the N x N kernels ran on, and the peak RSS so far."""
         self.phase(None)
         counters = self.manifest.counters
         if system is not None:
@@ -211,7 +211,7 @@ class Runner:
             counters.update(n_far=len(partition.far), n_near=len(partition.near),
                             c_sp=sparsity_constant(partition),
                             depth=partition.tree.depth,
-                            far_svds=sum(t.id < s.id for t, s in partition.far))
+                            far_svds=sum(t.id <= s.id for t, s in partition.far))
         counters["blas_threads"] = kernel_threads()
         # ru_maxrss is in kilobytes on Linux
         counters["peak_rss_mb"] = round(
@@ -383,9 +383,10 @@ def cmd_caccioppoli(run: Runner, cfg: dict) -> int:
     out = {"n": system.mesh.n, "h": system.mesh.h, "pairs": {}}
     for label, pair in default_pairs(system.mesh.length).items():
         entry, region = {}, Region(system, pair.outer)
+        inner = Region(system, pair.inner)
         for variant in ("curl", "grad"):
             space = harmonic_space(region, variant)
-            res = caccioppoli_ratio(space, pair)
+            res = caccioppoli_ratio(space, pair, inner)
             entry[variant] = {**asdict(res),
                               "constraint_residual": constraint_residual(space),
                               "n_constraints": int(space.constraint_rows.size)}

@@ -24,6 +24,7 @@ in the order of its rows and columns in leaf order.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,8 +57,10 @@ class Cluster:
     def is_leaf(self):
         return not self.children
 
+    @cached_property
     def diameter(self):
-        """Euclidean diameter of the midpoint box (admissibility metric)."""
+        """Euclidean diameter of the midpoint box (admissibility metric),
+        computed once per cluster, not once per pair tested."""
         return float(np.linalg.norm(self.mid_hi - self.mid_lo))
 
     def cube_side(self):
@@ -81,7 +84,7 @@ def box_distance(lo1, hi1, lo2, hi2) -> float:
 
 def is_admissible(c1: Cluster, c2: Cluster, eta: float) -> bool:
     d = box_distance(c1.mid_lo, c1.mid_hi, c2.mid_lo, c2.mid_hi)
-    return min(c1.diameter(), c2.diameter()) <= eta * d
+    return min(c1.diameter, c2.diameter) <= eta * d
 
 
 def build_cluster_tree(mesh: Mesh, dofmap: DofMap, n_leaf: int = 32) -> ClusterTree:

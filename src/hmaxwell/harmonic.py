@@ -242,11 +242,12 @@ class CaccioppoliResult:
     hypothesis_satisfied: bool   # h / R < eps / 4
 
 
-def caccioppoli_ratio(space: HarmonicSpace,
-                      pair: ConcentricPair) -> CaccioppoliResult:
+def caccioppoli_ratio(space: HarmonicSpace, pair: ConcentricPair,
+                      inner: Region = None) -> CaccioppoliResult:
     """Worst ratio (energy on the inner box) / (triple norm on the outer
     mesh-conforming region) over the harmonic space. The space's region is
-    the outer region; a measurement of the pair builds it on pair.outer.
+    the outer region; a measurement of the pair builds it on pair.outer,
+    and inner, the Region on pair.inner, unless given (variants share it).
 
     curl variant: |curl u|^2_inner over (h^2/R'^2)|curl u|^2 + (1/R'^2)
     |u|^2 on the outer region, R' = (1+eps)R; grad variant uses nodal
@@ -262,7 +263,7 @@ def caccioppoli_ratio(space: HarmonicSpace,
     an m x m Schur complement and the d x |I| block the pencil needs.
     """
     system, outer = space.region.system, space.region.tets
-    inner = tets_inside_box(system.mesh, pair.inner.lo, pair.inner.hi)
+    inner = (Region(system, pair.inner) if inner is None else inner).inside
     r_out = (1.0 + pair.eps) * pair.r
     w_curl = (system.h / r_out) ** 2
     w_mass = 1.0 / r_out ** 2

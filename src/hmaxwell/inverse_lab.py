@@ -17,11 +17,11 @@ a symmetric Lanczos norm whose Ritz value stays <= ||E_r||_2.
 
 One N x N array serves from factorization to the last norm: dense_inverse
 inverts the LU factor in place, and rank_sweep overwrites that inverse's
-upper triangle with E_r. Beside it the sweep holds, per mirrored pair, the
-shorter side's leading singular vectors, which are all it needs to project
-a block's leading singular triplets out of E_r, and per requested rank the
-tail sum and next sigma that the row's Frobenius bound and block bound
-read.
+upper triangle with E_r. Its dead strict lower triangle takes each
+mirrored pair's shorter-side leading singular vectors, all the sweep needs
+to project a block's leading singular triplets out of E_r; beside it the
+sweep holds per requested rank only the tail sums and next sigmas that the
+row's Frobenius bound and block bound read.
 
 Every dense matrix this module takes or returns is in the cluster tree's
 leaf order, where the block (tau, sigma) is the slice [tau.span, sigma.span].
@@ -36,49 +36,54 @@ import scipy.linalg
 from .blas import kernel
 from .cluster import BlockPartition, sparsity_constant
 from .fem import GalerkinSystem, apply_dual_functionals, riesz_rhs, solve_system
-from .hmatrix import (TILE, far_mirrors, norm_operand, owned_svds,
-                      spectral_norm, tile_pairs)
+from .hmatrix import (far_mirrors, norm_operand, owned_svds, spectral_norm,
+                      tile_pairs)
 
 RESIDUAL_LIMIT = 1e-8  # dense_inverse's bound on max |A A^{-1} - I|
+RESIDUAL_ROWS = 64     # rows of A per chunk of dense_inverse's residual guard
+COND_LIMIT = 1e12      # dense_inverse's bound on the 1-norm condition number
 TRANSFER_RHS = 10      # random right-hand sides per transfer-check column cluster
 
 
 def dense_inverse(op, perm: np.ndarray) -> np.ndarray:
     """P A^{-1} P^T for the CSR A = op and the leaf order perm, by LU with
-    partial pivoting; the LAPACK 1-norm condition estimate of the factor
-    must not exceed 1e12. The dense P A P^T is factored in place and LAPACK
+    partial pivoting. The dense P A P^T is factored in place and LAPACK
     getri inverts the factor in place (4/3 N^3 flops), so one N x N array
     is alive from the factorization on; both run under blas.kernel(N).
-    A = A^T, so the inverse B is
-    replaced in place by (B + B^T)/2, TILE x TILE tiles at a time, and the
-    returned inverse equals its transpose bitwise. The residual guard
-    max |A A^{-1} - I| runs on that matrix, TILE rows of the CSR P A P^T
-    at a time: nnz(A) N flops, and one TILE x N product alive at a time,
-    reduced in place; it must not exceed RESIDUAL_LIMIT."""
+    A = A^T, so the inverse B is replaced in place by (B + B^T)/2, TILE x
+    TILE tiles at a time, which equals its transpose bitwise; the same pass
+    sums |A^{-1}| by columns, and the exact 1-norm condition number must be
+    finite and at most COND_LIMIT. The residual guard max |A A^{-1} - I|
+    takes RESIDUAL_ROWS rows of the CSR P A P^T at a time (nnz(A) N flops,
+    one chunk alive, reduced in place); it must not exceed RESIDUAL_LIMIT."""
     a = op[perm][:, perm]
-    anorm = abs(a).sum(axis=0).max()
     n = perm.size
     with kernel(n):  # the LU and the inversion: the N x N work
-        lu, piv = scipy.linalg.lu_factor(a.toarray(order="F"), overwrite_a=True)
-        gecon, getri, getri_lwork = scipy.linalg.get_lapack_funcs(
-            ("gecon", "getri", "getri_lwork"), (lu,))
-        rcond = gecon(lu, anorm, norm="1")[0]
-        if not np.isfinite(rcond) or rcond <= 0 or 1.0 / rcond > 1e12:
-            raise ValueError(
-                "matrix too ill-conditioned (estimate "
-                f"{1.0 / max(rcond, 1e-300):.3e}); kappa may be too close to "
-                "a discrete eigenvalue, try another kappa or n")
+        lu, piv = scipy.linalg.lu_factor(  # no N x N mask: cond catches NaN
+            a.toarray(order="F"), overwrite_a=True, check_finite=False)
+        getri, getri_lwork = scipy.linalg.get_lapack_funcs(
+            ("getri", "getri_lwork"), (lu,))
         lwork = int(getri_lwork(n)[0].real)
         binv, info = getri(lu, piv, lwork=lwork, overwrite_lu=1)  # lu's storage
     if info != 0:
         raise ValueError(f"LAPACK getri failed (info {info})")
+    col_sums = np.zeros(n)  # of |A^{-1}|
     for r, c in tile_pairs(n):  # (B + B^T)/2 in place, one tile pair at a time
         avg = (binv[r, c] + binv[c, r].T) * 0.5  # addition commutes: bitwise
         binv[r, c] = avg
         binv[c, r] = avg.T
+        mag = np.abs(avg)
+        col_sums[c] += mag.sum(axis=0)
+        if r != c:
+            col_sums[r] += mag.sum(axis=1)
+    cond = abs(a).sum(axis=0).max() * col_sums.max(initial=0.0)
+    if not cond <= COND_LIMIT:  # keeps a NaN out
+        raise ValueError(f"matrix too ill-conditioned (condition number "
+                         f"{cond:.3e}); kappa may be too close to a discrete "
+                         "eigenvalue, try another kappa or n")
     resid = 0.0
-    for j in range(0, n, TILE):
-        res = a[j:j + TILE] @ binv.T  # binv.T: C-ordered, bitwise binv, no copy
+    for j in range(0, n, RESIDUAL_ROWS):
+        res = a[j:j + RESIDUAL_ROWS] @ binv.T  # binv.T: C-ordered, bitwise binv
         diag = np.arange(res.shape[0])
         res[diag, j + diag] -= 1.0
         np.abs(res, out=res)  # in place; a complex res keeps |.| in .real
@@ -116,21 +121,24 @@ def rank_sweep(binv: np.ndarray, partition: BlockPartition, r_list,
     pair (hmatrix.owned_svds), come first. Of each owned block the sweep
     keeps its sigma count, at each rank r the tail sum_{j >= r} sigma_j^2
     and sigma_r, and only the shorter side's first r_max singular vectors,
-    Q = U[:, :r_max] when |tau| <= |sigma|, else V^H[:r_max], and only
-    reads Q. Then err becomes E_0 by zeroing its near blocks on and
-    above the diagonal, and the step from rank r' to r projects slice r':r
-    of Q out of each owned far block in place: E -= Q (Q^H E) on the left,
-    E -= (E Q^H) Q on the right, which is the subtraction of
-    (U Sigma V^H)[r':r] because E_{r'} = sum_{j >= r'} sigma_j u_j v_j^H. A
-    block whose rank reaches its size is zeroed, and the sweep adds no
-    N x N array. Owned blocks lie on or above the diagonal, so the sweep
-    writes E_r on that triangle only, the one spectral_norm reads, and
-    never writes a mirror, which takes its partner's tails and sigmas; B_H
-    picks the same subspace in both blocks of a tie. Both norms come from
-    spectral_norm (symmetric Lanczos, never above the true norm, started
-    from seed), except that an E_r with every far block truncated to its
-    full rank is exactly zero: norm 0, converged, 0 products.
-    checks.check_bound judges each row's bound value.
+    Q = U[:, :r_max] when |tau| <= |sigma|, else V^H[:r_max], which it only
+    reads: Q^T goes to the top left corner of the mirror's slot
+    err[sigma.span, tau.span], which it fits and no later step reads (a
+    block on the diagonal keeps its own Q). Then err becomes E_0 by zeroing
+    its near blocks on and above the diagonal, and the step from rank r' to
+    r projects slice r':r of Q out of each owned far block in place:
+    E -= Q (Q^H E) on the left, E -= (E Q^H) Q on the right, which is the
+    subtraction of (U Sigma V^H)[r':r] because E_{r'} = sum_{j >= r'}
+    sigma_j u_j v_j^H. A block whose rank reaches its size is zeroed, and
+    the sweep adds no N x N array. Owned blocks lie on or above the
+    diagonal, so the sweep writes E_r on that triangle only, the one
+    spectral_norm reads; a mirror takes its partner's tails and sigmas, and
+    B_H picks the same subspace in both blocks of a tie. On return the
+    strict lower triangle of err holds each Q and stale entries of A^{-1}.
+    Both norms come from spectral_norm (symmetric Lanczos, never above the
+    true norm, started from seed), except that an E_r with every far block
+    truncated to its full rank is exactly zero: norm 0, converged, 0
+    products. checks.check_bound judges each row's bound value.
     """
     err = norm_operand(binv)
     mirror = far_mirrors(err, partition)
@@ -150,7 +158,12 @@ def rank_sweep(binv: np.ndarray, partition: BlockPartition, r_list,
     for i, (u, sv, vh) in owned_svds(err, partition, mirror, r_max):
         t, s = far[i]
         left = t.size <= s.size  # keep the shorter side
-        owned.append((t.span, s.span, u if left else vh, left, sv.size))
+        q = u if left else vh
+        if t is not s:  # Q^T into the mirror's dead slot, read back as Q
+            slot = err[s.span, t.span].T[:q.shape[0], :q.shape[1]]
+            slot[...] = q
+            q = slot
+        owned.append((t.span, s.span, q, left, sv.size))
         k = np.minimum(ranks, sv.size)
         tail2[:, i] = np.append(np.cumsum(sv[::-1] ** 2)[::-1], 0.0)[k]
         sig[:, i] = np.append(sv, 0.0)[k]

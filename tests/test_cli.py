@@ -559,7 +559,8 @@ def test_each_box_is_selected_once(tmp_path, monkeypatch, argv, want):
 def test_each_region_finds_its_inside_tets_once(tmp_path, monkeypatch, argv):
     """A Region keeps the tets inside its box: verify's interior curl space
     and gradient-part check, and caccioppoli's curl and grad spaces on one
-    region, share one inside test per outer box."""
+    region, share one inside test per outer box, and caccioppoli's two
+    variants of a pair share one per inner box: four tests in all."""
     boxes = Counter()
 
     def counted(mesh, lo, hi, _fn=harmonic.tets_inside_box):
@@ -568,10 +569,10 @@ def test_each_region_finds_its_inside_tets_once(tmp_path, monkeypatch, argv):
 
     monkeypatch.setattr(harmonic, "tets_inside_box", counted)
     assert run_cli(*argv, "--out", str(tmp_path)) == 0
-    outer = [(tuple(pair.outer.lo), tuple(pair.outer.hi))
-             for pair in harmonic.default_pairs(1.0).values()]
-    assert len(set(outer)) == 2
-    assert [boxes[box] for box in outer] == [1, 1]
+    want = Counter((tuple(box.lo), tuple(box.hi))
+                   for pair in harmonic.default_pairs(1.0).values()
+                   for box in (pair.outer, pair.inner))
+    assert len(want) == 4 and boxes == want
 
 
 def test_verify_builds_the_incidence_once(tmp_path, monkeypatch):
@@ -792,6 +793,15 @@ def test_manifest_counts_far_svds_and_kernel_threads(tmp_path, monkeypatch):
         assert (counters["N"] >= blas.PARALLEL_MIN) == (n == "5")
         assert counters["blas_threads"] == threads
         assert 2 * counters["far_svds"] == counters["n_far"] == len(svds)
+
+
+def test_far_block_on_the_diagonal_counts_its_svd(tmp_path):
+    """At n = 1 the only far block is (root, root), which owns itself: the
+    sweep takes its one SVD, and the manifest counts it."""
+    assert run_cli("rank-sweep", "--n", "1", "--ranks", "0,1",
+                   "--out", str(tmp_path), "--name", "d") == 0
+    counters = json.loads((tmp_path / "d" / "manifest.json").read_text())["counters"]
+    assert counters["n_far"] == counters["far_svds"] == 1
 
 
 def test_local_and_small_results_do_not_depend_on_the_thread_count(tmp_path):

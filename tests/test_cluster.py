@@ -161,6 +161,23 @@ def test_partition_far_and_near_fields(n, eta, tree_and_partition):
         assert not scratch_admissible(t, s, eta)
 
 
+def test_partition_takes_one_diameter_per_cluster(tree_and_partition,
+                                                  monkeypatch):
+    """build_block_partition computes each cluster's midpoint-box diameter
+    once, not twice per pair it tests (12,786 times for 6,393 pairs at
+    n = 8), and gets the same blocks."""
+    mesh, dofmap, _, part = tree_and_partition(5)
+    calls, diameter = [], Cluster.diameter.func
+    spy = functools.cached_property(lambda c: calls.append(c.id) or diameter(c))
+    spy.__set_name__(Cluster, "diameter")
+    monkeypatch.setattr(Cluster, "diameter", spy)
+    tree = build_cluster_tree(mesh, dofmap)
+    again = build_block_partition(tree, eta=2.0)
+    assert sorted(calls) == [c.id for c in tree.clusters]
+    assert ([(t.id, s.id) for t, s in again.far + again.near]
+            == [(t.id, s.id) for t, s in part.far + part.near])
+
+
 def cover_defect(blocks, n_dofs):
     """Pairs (i, j) not covered exactly once, counted on an N x N cover
     array in the original numbering."""

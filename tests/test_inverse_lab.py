@@ -86,9 +86,10 @@ def test_dense_inverse_is_bitwise_symmetric(system_cache, kappa):
 def test_dense_inverse_holds_one_dense_array(system_cache):
     """The factor overwrites the densified A and getri inverts the factor
     in place: the traced peak stays near one N x N array. At n = 7
-    (N = 1,981) the residual guard holds one TILE x N product at a time
-    (peak 1.16 arrays; three N x TILE products alive at once peaked at
-    1.41); solving into a separate identity peaks above two."""
+    (N = 1,981) the residual guard holds one RESIDUAL_ROWS x N product at a
+    time, 1 MB against the inverse's 31 MB, and lu_factor makes no N x N
+    finiteness mask (peak 1.07 arrays; a mask alone is 0.125 of one);
+    solving into a separate identity peaks above two."""
     sysm = system_cache(7)
     op = sparse_operator(sysm)
     perm = build_cluster_tree(sysm.mesh, sysm.dofmap).perm
@@ -99,7 +100,7 @@ def test_dense_inverse_holds_one_dense_array(system_cache):
     finally:
         tracemalloc.stop()
     assert binv.shape[0] == 1981
-    assert peak < 1.2 * binv.nbytes
+    assert peak < 1.1 * binv.nbytes
 
 
 def corrupted(getri):
@@ -145,6 +146,23 @@ def test_dense_inverse_rejects_getri_failure(system_cache, kappa, patch_getri):
     patch_getri(lambda getri: lambda *a, **k: (getri(*a, **k)[0], 1))
     with pytest.raises(ValueError, match=r"getri failed \(info 1\)"):
         dense_inverse(sparse_operator(sysm), np.arange(sysm.n_dofs))
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
+def test_dense_inverse_condition_number_is_exact(system_cache, kappa,
+                                                 monkeypatch):
+    """The guard reads the exact 1-norm condition number: at n = 3 it
+    accepts a limit 1e-12 above numpy's cond(A, 1) and refuses one 1e-12
+    below it, naming the value."""
+    sysm = system_cache(3, kappa)
+    perm = build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16).perm
+    want = np.linalg.cond(sysm.A[perm][:, perm], 1)
+    monkeypatch.setattr(inverse_lab, "COND_LIMIT", want * (1 + 1e-12))
+    dense_inverse(sparse_operator(sysm), perm)
+    monkeypatch.setattr(inverse_lab, "COND_LIMIT", want * (1 - 1e-12))
+    with pytest.raises(ValueError, match="ill-conditioned") as info:
+        dense_inverse(sparse_operator(sysm), perm)
+    assert f"{want:.3e}" in str(info.value)
 
 
 def test_dense_inverse_rejects_near_singular(mesh_cache):
@@ -278,12 +296,13 @@ def test_incremental_sweep_matches_scattered_residual(system_cache, n, kappa):
 @pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
 def test_sweep_errors_live_on_one_triangle(system_cache, kappa, monkeypatch):
     """The sweep keeps each E_r on the upper triangle of its input's
-    Fortran-ordered operand, the only part spectral_norm reads: a spy that
-    fills the strict lower triangle with NaN at every norm leaves every
-    SweepRow bitwise unchanged, for C- and F-ordered input, an unsorted
-    rank list with a duplicate, 0, and a rank above the smallest far
-    block's size. The upper triangle of each E_r whose norm is taken is the
-    error scattered from the mirrored far_svds to rounding."""
+    Fortran-ordered operand, the only part spectral_norm reads: at every
+    norm, a copy whose strict lower triangle is NaN gives the same result
+    bitwise, and every SweepRow is bitwise a clean run's, for C- and
+    F-ordered input, an unsorted rank list with a duplicate, 0, and a rank
+    above the smallest far block's size. The upper triangle of each E_r
+    whose norm is taken is the error scattered from the mirrored far_svds
+    to rounding."""
     sysm = system_cache(4, kappa)
     part = build_block_partition(
         build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16), eta=2.0)
@@ -295,8 +314,11 @@ def test_sweep_errors_live_on_one_triangle(system_cache, kappa, monkeypatch):
     def poison(mat, *args, **kwargs):
         assert mat.flags.f_contiguous
         seen.append(np.triu(mat))
-        mat[np.tril_indices(n, -1)] = np.nan
-        return spectral_norm(mat, *args, **kwargs)
+        dirty = mat.copy(order="F")
+        dirty[np.tril_indices(n, -1)] = np.nan
+        out = spectral_norm(mat, *args, **kwargs)
+        assert repr(spectral_norm(dirty, *args, **kwargs)) == repr(out)
+        return out
 
     monkeypatch.setattr(inverse_lab, "spectral_norm", poison)
     for order in "CF":
@@ -420,10 +442,12 @@ def test_far_svds_hold_one_copy_per_mirrored_pair(system_cache):
 
 
 def test_rank_sweep_adds_no_dense_array(system_cache):
-    """The sweep works in its input's storage: at n = 6 (N = 1,206) its
-    traced peak above the input stays below the one-sided far-block factors
-    plus half an inverse; a copy of the input would add a whole one. Each
-    owned block counts once, with its sigmas and its shorter side."""
+    """The sweep works in its input's storage, the kept singular vectors
+    included: at n = 6 (N = 1,206) its traced peak above the input (0.77
+    MB) stays below the bytes of the one-sided far-block factors (1.8 MB;
+    each owned block counts once, with its sigmas and its shorter side),
+    which holding them beside the input would add; a copy of the input
+    would add 11.6 MB."""
     sysm = system_cache(6)
     part = build_block_partition(
         build_cluster_tree(sysm.mesh, sysm.dofmap), eta=2.0)
@@ -440,18 +464,19 @@ def test_rank_sweep_adds_no_dense_array(system_cache):
     finally:
         tracemalloc.stop()
     assert binv.shape[0] == 1206
-    assert peak < factors + 0.5 * binv.nbytes
+    assert peak < factors
 
 
 @pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
 def test_rank_sweep_holds_one_side_per_far_pair(system_cache, kappa,
                                                 monkeypatch):
     """At n = 6, the memory the sweep holds after its first rank's norm,
-    beyond what it held after the norm of A^{-1}, stays below 1.25 x the
-    bytes of r_max shorter-side singular vectors and the sigmas of each
-    owned far block: 399 owned blocks with sum min(|tau|, |sigma|) = 11,045
-    against sum (|tau| + |sigma|) = 25,511, so holding both sides would
-    take about 2.3 x that."""
+    beyond what it held after the norm of A^{-1}, stays below the bytes of
+    every sigma of each owned far block plus 512 bytes per owned block
+    (0.29 MB): the kept singular vectors live in A^{-1}'s strict lower
+    triangle. 399 owned blocks with sum min(|tau|, |sigma|) = 11,045
+    against sum (|tau| + |sigma|) = 25,511: holding r_max vectors of the
+    shorter side would add 1.8 MB, of both sides 4.1 MB."""
     sysm = system_cache(6, kappa)
     part = build_block_partition(
         build_cluster_tree(sysm.mesh, sysm.dofmap), eta=2.0)
@@ -461,8 +486,7 @@ def test_rank_sweep_holds_one_side_per_far_pair(system_cache, kappa,
     short = sum(min(t.size, s.size) for t, s in owned)
     assert (len(owned), short) == (399, 11045)
     assert sum(t.size + s.size for t, s in owned) == 25511
-    # r_max singular vectors of each block's shorter side, float64 sigmas
-    bound = 1.25 * (short * max(ranks) * binv.itemsize + short * 8)
+    bound = short * 8 + 512 * len(owned)  # float64 sigmas, per-block views
     traced = []
 
     def spy(mat, *args, **kwargs):
@@ -501,6 +525,44 @@ def test_rank_sweep_only_reads_the_far_factors(system_cache, kappa,
     rank_sweep(binv, part, [1, 2, 4, 8])
     assert len(handed) == 3 * sum(t.id <= s.id for t, s in part.far)
     assert all(np.array_equal(arr, before) for arr, before in handed)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
+def test_kept_vectors_live_in_the_mirror_slots(system_cache, kappa,
+                                               monkeypatch):
+    """When the first rank's norm runs, each owned block's mirror slot
+    err[sigma.span, tau.span] holds, transposed in its top left corner,
+    the shorter side owned_svds handed the sweep, bitwise: U[:, :r_max]
+    when |tau| <= |sigma|, else V^H[:r_max]."""
+    sysm = system_cache(4, kappa)
+    part = build_block_partition(
+        build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16), eta=2.0)
+    binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
+    handed, stored = {}, []
+
+    def svds(*args, **kwargs):
+        for i, (u, sv, vh) in owned_svds(*args, **kwargs):
+            t, s = part.far[i]
+            handed[i] = (u if t.size <= s.size else vh).copy()
+            yield i, (u, sv, vh)
+
+    def norm(mat, *args, **kwargs):
+        slots = {}
+        for i, q in handed.items():
+            t, s = part.far[i]
+            slots[i] = mat[s.span, t.span].T[:q.shape[0], :q.shape[1]].copy()
+        stored.append(slots)
+        return spectral_norm(mat, *args, **kwargs)
+
+    monkeypatch.setattr(inverse_lab, "owned_svds", svds)
+    monkeypatch.setattr(inverse_lab, "spectral_norm", norm)
+    rank_sweep(binv.copy(), part, [2, 8])
+    assert len(handed) == sum(t.id < s.id for t, s in part.far) > 0
+    assert handed.keys() == stored[1].keys()
+    for i, q in handed.items():
+        t, s = part.far[i]
+        assert q.shape[1 if t.size <= s.size else 0] == min(8, t.size, s.size)
+        assert np.array_equal(stored[1][i], q)
 
 
 def test_rank_zero_error_is_far_part_norm(lab3):
