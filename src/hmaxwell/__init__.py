@@ -19,8 +19,8 @@ from .harmonic import (BoxRegion, CaccioppoliResult, ConcentricPair,
                        harmonic_space, helmholtz_report, tets_inside_box,
                        tets_intersecting_box)
 from .hmatrix import (DenseBlock, HMatrix, LowRankBlock, compress_dense,
-                      far_svds, matvec, rmatvec, spectral_error, spectral_norm,
-                      to_dense, truncated_svd)
+                      matvec, rmatvec, spectral_error, spectral_norm, to_dense,
+                      truncated_svd)
 from .inverse_lab import (DecayFit, SweepRow, dense_inverse, fit_decay,
                           rank_sweep, theorem_transfer_check)
 from .mesh import (Mesh, build_box_mesh, conformity_report,

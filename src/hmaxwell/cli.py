@@ -51,7 +51,7 @@ from .fem import (assemble_system, build_dof_map, discrete_gradient,
                   sparse_operator)
 from .harmonic import (Region, caccioppoli_ratio, constraint_residual,
                        default_pairs, harmonic_space, helmholtz_report)
-from .hmatrix import compress_dense, far_svds, hmatrix_manifest
+from .hmatrix import compress_dense, hmatrix_manifest
 from .inverse_lab import SweepRow, dense_inverse, fit_decay, rank_sweep
 from .mesh import (build_box_mesh, conformity_report, mesh_to_dict,
                    shape_regularity_constant)
@@ -67,12 +67,14 @@ class ResourceLimit(Exception):
 
 
 def _int(value) -> int:
-    """A decimal string, an int or an integral float; never a bool."""
-    if isinstance(value, str):
-        return int(value)
-    if isinstance(value, bool) or not float(value).is_integer():
+    """A decimal string, an int or an integral float, within int64; never a
+    bool."""
+    if isinstance(value, bool) or not (isinstance(value, str)
+                                       or float(value).is_integer()):
         raise ValueError("not an integer")
-    return int(value)
+    if not -2**63 <= (value := int(value)) < 2**63:
+        raise ValueError("outside int64")
+    return value
 
 
 def _float(value) -> float:
@@ -342,18 +344,17 @@ def cmd_block_svd(run: Runner, cfg: dict) -> int:
         return 0
     run.phase("svd")
     rank = max(cfg["ranks"])
-    factors, _ = far_svds(binv, partition, rank)
+    h = compress_dense(binv, partition, rank)
     blocks = [{"tau": t.id, "sigma": s.id, "rows": t.size, "cols": s.size,
-               "sigma_head": sv[:8],
-               "fit": fit_decay(np.arange(1, sv.size + 1), sv)}
-              for (t, s), (_, sv, _) in zip(partition.far, factors)]
-    h = compress_dense(binv, partition, rank, factors)
+               "sigma_head": b.sigma[:8],
+               "fit": fit_decay(np.arange(1, b.sigma.size + 1), b.sigma)}
+              for (t, s), b in zip(partition.far, h.far)]
     run.phase("write")
     big = max(range(len(blocks)),
               key=lambda i: min(blocks[i]["rows"], blocks[i]["cols"]))
     largest = {key: blocks[big][key] for key in ("tau", "sigma", "rows", "cols")}
     p1 = write_csv(run.path("block_sigmas.csv"), ["k", "sigma"],
-                   list(enumerate(factors[big][1])))
+                   list(enumerate(h.far[big].sigma)))
     p2 = write_json(run.path("blocks.json"), {
         "n": mesh.n,
         "N": system.n_dofs,

@@ -4,11 +4,12 @@ Far (admissible) blocks hold truncated-SVD factors X Y^H with orthonormal
 columns in X, the spectral-norm-optimal rank-r approximation of the block;
 near blocks are stored dense. owned_svds is the one SVD loop over the far
 blocks, with one SVD per mirrored pair of a symmetric matrix (far_mirrors,
-which makes the package's one full-array symmetry test); far_svds collects
-both factor sides of every block from it, and the rank sweep keeps one
-side. spectral_norm is the package's one Lanczos norm: of the symmetric
-matrix one triangle of its operand defines, so a caller may keep just that
-triangle. spectral_error is the exact norm of an approximation's error.
+which makes the package's one full-array symmetry test); compress_dense
+reads both factor sides of every block from it, a mirror its partner's
+transposed, and the rank sweep keeps one side. spectral_norm is the
+package's one Lanczos norm: of the symmetric matrix one triangle of its
+operand defines, so a caller may keep just that triangle. spectral_error
+is the exact norm of an approximation's error.
 
 Every dense matrix this module takes or returns is in the cluster tree's
 leaf order, where each block is the slice of its clusters' spans.
@@ -32,6 +33,7 @@ class LowRankBlock:
     cols: slice
     X: np.ndarray  # (|rows|, r), orthonormal columns
     Y: np.ndarray  # (|cols|, r); the block is X @ Y^H
+    sigma: np.ndarray  # every singular value of the block
 
 
 @dataclass
@@ -53,24 +55,6 @@ def truncated_svd(block: np.ndarray, rank: int):
     """(U[:, :rank], every sigma, V^H[:rank]) of block, factors copied."""
     u, sv, vh = np.linalg.svd(block, full_matrices=False)
     return u[:, :rank].copy(), sv, vh[:rank].copy()
-
-
-def far_svds(dense: np.ndarray, partition: BlockPartition, rank: int):
-    """(factors, mirror): truncated_svd(block, rank) of each far block of
-    dense, in partition.far order, for the callers that need both sides of
-    each block (compression and block-svd). mirror is far_mirrors(dense,
-    partition), all None for a dense that is not symmetric; a mirror is not
-    factored: its U' = (V^H)^T and V'^H = U^T are views of its partner's
-    factors, so callers only read factors."""
-    mirror = far_mirrors(dense, partition) or [None] * len(partition.far)
-    out = [None] * len(mirror)
-    for i, factors in owned_svds(dense, partition, mirror, rank):
-        out[i] = factors
-    for i, j in enumerate(mirror):
-        if j is not None:
-            u, sv, vh = out[j]
-            out[i] = (vh.T, sv, u.T)
-    return out, mirror
 
 
 def far_mirrors(dense: np.ndarray, partition: BlockPartition):
@@ -103,17 +87,25 @@ def owned_svds(dense: np.ndarray, partition: BlockPartition, mirror: list,
         yield i, factors
 
 
-def compress_dense(dense: np.ndarray, partition: BlockPartition, rank: int,
-                   factors: list = None) -> HMatrix:
-    """Replace far blocks by rank-min(rank, dims) truncated SVDs; copy near
-    blocks verbatim. factors, when given, are far_svds(dense, partition, r)[0]
-    with r >= rank."""
+def compress_dense(dense: np.ndarray, partition: BlockPartition,
+                   rank: int) -> HMatrix:
+    """Replace far blocks by rank-min(rank, dims) truncated SVDs from
+    owned_svds; copy near blocks verbatim. A mirror is not factored: its X
+    is a view of its partner's (V^H)^T, its Y is conj(U) Sigma, and it
+    shares its partner's sigma."""
     if rank < 0:
         raise ValueError("rank must be >= 0")
-    factors = far_svds(dense, partition, rank)[0] if factors is None else factors
-    far = [LowRankBlock(t.span, s.span, u[:, :rank],
-                        (vh[:rank].conj().T) * sv[:rank])
-           for (t, s), (u, sv, vh) in zip(partition.far, factors)]
+    mirror = far_mirrors(dense, partition) or [None] * len(partition.far)
+    svds = dict(owned_svds(dense, partition, mirror, rank))
+    far = []
+    for i, ((t, s), j) in enumerate(zip(partition.far, mirror)):
+        if j is None:
+            u, sv, vh = svds[i]
+        else:  # the partner's factors transposed: U' = (V^H)^T, V'^H = U^T
+            pu, sv, pvh = svds[j]
+            u, vh = pvh.T, pu.T
+        far.append(LowRankBlock(t.span, s.span, u[:, :rank],
+                                (vh[:rank].conj().T) * sv[:rank], sv))
     near = [DenseBlock(t.span, s.span, dense[t.span, s.span].copy())
             for t, s in partition.near]
     return HMatrix(dense.shape, far, near, partition)

@@ -58,9 +58,12 @@ class Mesh:
 
 def build_box_mesh(n: int, length: float = 1.0) -> Mesh:
     """Mesh [0, length]^3, length > 0, with n >= 1 subdivisions per axis and
-    6 tets per subcube."""
+    6 tets per subcube. An n whose int64 edge keys, below (n+1)^6, would
+    overflow is a MemoryError before any array is built."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if (n + 1) ** 6 > np.iinfo(np.int64).max:
+        raise MemoryError(f"n = {n}: the mesh's (n+1)^6 edge keys overflow int64")
     if not length > 0:
         raise ValueError("length must be positive")
 

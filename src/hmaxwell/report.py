@@ -125,11 +125,10 @@ def svg_decay_plot(path: str, rs, rel_errs, fit=None) -> str:
     y_lo = float(np.floor(ys.min())) - 0.5
     y_hi = float(np.ceil(ys.max())) + 0.5
     x_lo, x_hi = float(rs.min()), float(rs.max())
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+    x_span = (x_hi - x_lo) or 1.0  # one rank; x_lo + 1.0 rounds to x_lo from 2^53
 
     def sx(x):
-        return _ML + (x - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
+        return _ML + (x - x_lo) / x_span * (_W - _ML - _MR)
 
     def sy(y):
         return _H - _MB - (y - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)

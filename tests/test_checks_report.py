@@ -285,6 +285,14 @@ def test_svg_plot_is_deterministic_and_wellformed(tmp_path):
     assert b"<svg" in p1.read_bytes()
 
 
+def test_svg_plot_of_one_huge_rank_has_finite_coordinates(tmp_path):
+    """A single rank at or above 2^53, where x + 1.0 rounds to x, still
+    gets a nonzero axis span: no coordinate is NaN."""
+    path = tmp_path / "one.svg"
+    svg_decay_plot(path, [2**63 - 1], [0.5])
+    assert "nan" not in path.read_text()
+
+
 def test_svg_plot_with_fit_overlay(tmp_path):
     from hmaxwell import fit_decay
 

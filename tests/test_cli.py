@@ -160,16 +160,21 @@ BAD_VALUES = [
     ("rank-sweep", ["--seed", "-1"]),
     ("assemble", ["--name", "../x"]),
     ("mesh-info", {"name": ".."}),
+    ("rank-sweep", ["--ranks", "99999999999999999999"]),
+    ("rank-sweep", ["--n", "4", "--n-leaf", "16", "--ranks",
+                    "99999999999999999999"]),
+    ("mesh-info", ["--n", "99999999999999999999"]),
+    ("mesh-info", {"n": 2**63}),
 ]
 
 
 @pytest.mark.parametrize("verb, value", BAD_VALUES,
                          ids=[json.dumps(v) for _, v in BAD_VALUES])
 def test_bad_value_is_config_error(tmp_path, monkeypatch, capsys, verb, value):
-    """File values and flag values go through one parser: a non-integral or
-    bool integer, a non-string name or one that is not a single path
-    component, a non-finite number and a negative seed all exit 2 before
-    anything is written."""
+    """File values and flag values go through one parser: a non-integral,
+    bool or beyond-int64 integer, a non-string name or one that is not a
+    single path component, a non-finite number and a negative seed all
+    exit 2 before anything is written."""
     monkeypatch.chdir(tmp_path)
     argv = [verb, "--n", "2"]
     if isinstance(value, dict):
@@ -208,6 +213,18 @@ def test_dense_limit_exceeded_exits_3(tmp_path, capsys):
                    "--out", str(tmp_path))
     assert code == 3
     assert "limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["mesh-info", "--n", "3000"],
+                                  ["mesh-info", "--n", "3000000"],
+                                  ["rank-sweep", "--n", "3000000"]], ids=" ".join)
+def test_mesh_beyond_int64_keys_is_resource_limit(tmp_path, capsys, argv):
+    """An n whose mesh arrays cannot be indexed in int64 is refused before
+    any array is built: exit 3 with one resource limit line."""
+    assert run_cli(*argv, "--out", str(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: ") and "int64" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_uncreatable_output_directory_is_config_error(tmp_path, capsys):
@@ -802,6 +819,25 @@ def test_far_block_on_the_diagonal_counts_its_svd(tmp_path):
                    "--out", str(tmp_path), "--name", "d") == 0
     counters = json.loads((tmp_path / "d" / "manifest.json").read_text())["counters"]
     assert counters["n_far"] == counters["far_svds"] == 1
+
+
+@pytest.mark.parametrize("kappa_im", ["0", "0.5"])
+def test_block_svd_compresses_once(tmp_path, monkeypatch, kappa_im):
+    """block-svd makes one compress_dense call, of (dense, partition, rank),
+    and takes as many LAPACK SVDs as the manifest's far_svds counts: one
+    per mirrored pair."""
+    calls, svds = [], []
+    compress, svd = cli.compress_dense, np.linalg.svd
+    monkeypatch.setattr(cli, "compress_dense",
+                        lambda *a, **k: calls.append((a, k)) or compress(*a, **k))
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: svds.append(1) or svd(*a, **k))
+    assert run_cli("block-svd", "--n", "3", "--n-leaf", "16", "--kappa-im",
+                   kappa_im, "--out", str(tmp_path), "--name", "b") == 0
+    monkeypatch.undo()
+    counters = json.loads((tmp_path / "b" / "manifest.json").read_text())["counters"]
+    assert [(len(a), k) for a, k in calls] == [(3, {})]
+    assert len(svds) == counters["far_svds"] < counters["n_far"]
 
 
 def test_local_and_small_results_do_not_depend_on_the_thread_count(tmp_path):

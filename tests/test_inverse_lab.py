@@ -23,7 +23,7 @@ from hmaxwell.checks import check_transfer
 from hmaxwell.cluster import sparsity_constant
 from hmaxwell.fem import (apply_dual_functionals, build_dof_map, riesz_rhs,
                           solve_system, sparse_operator)
-from hmaxwell.hmatrix import (compress_dense, far_svds, owned_svds,
+from hmaxwell.hmatrix import (compress_dense, far_mirrors, owned_svds,
                               spectral_norm, to_dense)
 
 
@@ -245,15 +245,27 @@ def test_rank_sweep_norm_is_exact_residual_norm(system_cache, kappa,
                                                   rel=1e-12, abs=0.0)
 
 
-def reference_sweep_row(binv, part, svds, r):
+def reference_sweep_row(binv, part, r):
     """E_r written block by block into a zero N x N leaf-order array, and
-    the row's scalars, from the far-block SVDs."""
+    the row's scalars, from one LAPACK SVD of each far block (tau, sigma)
+    with tau.id <= sigma.id; its mirror (sigma, tau) takes the transpose
+    and the same singular values, so that B_H = B_H^T as the sweep defines
+    it."""
     err = np.zeros_like(binv)
     sig = fro2 = 0.0
     scalars = sum(t.size * s.size for t, s in part.near)
-    for (t, s), (u, sv, vh) in zip(part.far, svds):
+    sigmas = {}
+    for t, s in part.far:
+        if t.id <= s.id:
+            u, sv, vh = np.linalg.svd(binv[t.span, s.span], full_matrices=False)
+            k = min(r, sv.size)
+            err[t.span, s.span] = (u[:, k:] * sv[k:]) @ vh[k:]
+            sigmas[t.id, s.id] = sv
+    for t, s in part.far:
+        sv = sigmas[min(t.id, s.id), max(t.id, s.id)]
         k = min(r, sv.size)
-        err[t.span, s.span] = (u[:, k:] * sv[k:]) @ vh[k:]
+        if t.id > s.id:
+            err[t.span, s.span] = err[s.span, t.span].T
         scalars += k * (t.size + s.size)
         fro2 += float(np.sum(sv[k:] ** 2))
         if r < sv.size:
@@ -274,17 +286,14 @@ def test_incremental_sweep_matches_scattered_residual(system_cache, n, kappa):
     part = build_block_partition(
         build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16), eta=2.0)
     binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
-    svds, mirror = far_svds(binv, part, binv.shape[0])  # every factor column
     r_list = [8, 0, 2, 2, 40]
-    assert min(sv.size for _, sv, _ in svds) < 40
-    shapes = {int(np.sign(t.size - s.size))
-              for (t, s), j in zip(part.far, mirror) if j is None}
+    assert min(min(t.size, s.size) for t, s in part.far) < 40
+    shapes = {int(np.sign(t.size - s.size)) for t, s in part.far if t.id <= s.id}
     assert shapes == {-1, 0, 1}  # left, right and square projections
     rows = rank_sweep(binv.copy(), part, r_list)
     assert [row.r for row in rows] == sorted(r_list)
     for row in rows:
-        err, sig, bound, scalars, fro = reference_sweep_row(binv, part, svds,
-                                                            row.r)
+        err, sig, bound, scalars, fro = reference_sweep_row(binv, part, row.r)
         exact = np.linalg.norm(err, 2)
         assert row.abs_err == pytest.approx(exact, rel=1e-10, abs=0.0)
         assert row.max_block_sigma == sig
@@ -301,7 +310,7 @@ def test_sweep_errors_live_on_one_triangle(system_cache, kappa, monkeypatch):
     bitwise, and every SweepRow is bitwise a clean run's, for C- and
     F-ordered input, an unsorted rank list with a duplicate, 0, and a rank
     above the smallest far block's size. The upper triangle of each E_r
-    whose norm is taken is the error scattered from the mirrored far_svds
+    whose norm is taken is the error scattered from per-block LAPACK SVDs
     to rounding."""
     sysm = system_cache(4, kappa)
     part = build_block_partition(
@@ -327,10 +336,9 @@ def test_sweep_errors_live_on_one_triangle(system_cache, kappa, monkeypatch):
         assert repr(rows) == clean
         assert np.array_equal(seen[0], np.triu(binv))
         assert len(seen) == 1 + sum(row.products > 0 for row in rows)
-    svds = far_svds(binv, part, binv.shape[0])[0]
     scale = np.abs(binv).max()
     for row, err in zip((row for row in rows if row.products), seen[1:]):
-        ref = reference_sweep_row(binv, part, svds, row.r)[0]
+        ref = reference_sweep_row(binv, part, row.r)[0]
         assert np.abs(err - np.triu(ref)).max() <= 1e-12 * scale
 
 
@@ -371,37 +379,39 @@ def test_fully_truncated_error_is_exactly_zero(system_cache, kappa):
 
 
 @pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
-def test_mirrored_far_svds_truncate_every_block(system_cache, kappa,
-                                                monkeypatch):
-    """One LAPACK SVD per mirrored pair, and every block's factors, the
-    mirrors' transposed ones included, give orthonormal U, the block's
-    singular values and LAPACK's rank-r truncation error to 1e-12. A
-    mirror's U' and V'^H are views of its partner's V^H and U, no copies."""
+def test_compress_dense_truncates_every_block(system_cache, kappa,
+                                              monkeypatch):
+    """compress_dense takes one LAPACK SVD per mirrored pair, and every far
+    block, the mirrors' included, has orthonormal X, the block's singular
+    values as sigma and LAPACK's rank-r truncation error, each to 1e-12. A
+    mirror shares its partner's sigma, and its X is a view of the V^H its
+    partner's SVD returned, no copy."""
     sysm = system_cache(4, kappa)
     part = build_block_partition(
         build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16), eta=2.0)
     binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
-    rank, calls, svd = 4, [], np.linalg.svd
+    rank, calls, factors = 4, [], []
+    svd, truncated_svd = np.linalg.svd, hmatrix.truncated_svd
     monkeypatch.setattr(np.linalg, "svd",
                         lambda *a, **k: calls.append(1) or svd(*a, **k))
-    svds, mirror = far_svds(binv, part, rank)
+    monkeypatch.setattr(hmatrix, "truncated_svd",
+                        lambda *a: factors.append(truncated_svd(*a)) or factors[-1])
+    h = compress_dense(binv, part, rank)
     monkeypatch.undo()
-    assert len(calls) == sum(t.id <= s.id for t, s in part.far) < len(part.far)
-    assert [(t.id, s.id) for (t, s), j in zip(part.far, mirror)
-            if j is not None] == [(t.id, s.id) for t, s in part.far
-                                  if t.id > s.id]
-    for (t, s), j, (u, sv, vh) in zip(part.far, mirror, svds):
-        if j is not None:
-            assert (part.far[j][0].id, part.far[j][1].id) == (s.id, t.id)
-            pu, psv, pvh = svds[j]
-            assert np.shares_memory(u, pvh) and np.shares_memory(vh, pu)
-            assert sv is psv
-    for (t, s), (u, sv, vh) in zip(part.far, svds):
+    owned = [i for i, (t, s) in enumerate(part.far) if t.id <= s.id]
+    assert len(calls) == len(factors) == len(owned) < len(part.far)
+    factors = dict(zip(owned, factors))
+    where = {(t.id, s.id): i for i, (t, s) in enumerate(part.far)}
+    for (t, s), b in zip(part.far, h.far):
+        if t.id > s.id:
+            j = where[s.id, t.id]
+            assert np.shares_memory(b.X, factors[j][2])
+            assert b.sigma is h.far[j].sigma
         block = binv[t.span, s.span]
         want = svdvals(block)
-        assert np.abs(sv - want).max() <= 1e-12 * want[0]
-        assert np.abs(u.conj().T @ u - np.eye(u.shape[1])).max() <= 1e-12
-        err = np.linalg.norm(block - (u * sv[:rank]) @ vh, 2)
+        assert np.abs(b.sigma - want).max() <= 1e-12 * want[0]
+        assert np.abs(b.X.conj().T @ b.X - np.eye(b.X.shape[1])).max() <= 1e-12
+        err = np.linalg.norm(block - b.X @ b.Y.conj().T, 2)
         expect = want[rank] if rank < want.size else 0.0
         assert abs(err - expect) <= 1e-12 * want[0]
 
@@ -414,49 +424,50 @@ def test_single_far_block_on_the_diagonal(mesh_cache):
         build_cluster_tree(sysm.mesh, sysm.dofmap), eta=2.0)
     assert [(t.id, s.id) for t, s in part.far] == [(0, 0)]
     binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
-    assert far_svds(binv, part, 1)[1] == [None]
+    assert far_mirrors(binv, part) == [None]
     rows = rank_sweep(binv.copy(), part, [0, 1])
     assert rows[0].abs_err == abs(binv[0, 0]) and rows[1].abs_err == 0.0
     assert all(row.converged and row.products == 0 for row in rows)
 
 
-def test_far_svds_hold_one_copy_per_mirrored_pair(system_cache):
-    """far_svds keeps one copy of each mirrored pair's factors: at n = 6 the
-    memory it still holds on return stays within 1.25 x the bytes of the
-    owned entries' factors (sigmas included); transposed copies for the
-    mirrors would roughly double it."""
+def test_compress_dense_holds_one_copy_per_mirrored_pair(system_cache):
+    """compress_dense keeps one truncated copy of each mirrored pair's
+    factors: at n = 6 and rank 20 the memory it still holds on return,
+    beyond its near blocks' copies (3.1 MB), stays within 1.2 x the bytes
+    of every X and Y and the owned sigmas (7.7 MB), a mirror's X counted
+    once, as the V^H of its partner that it views. Factors that were views
+    of LAPACK's full U and V^H would hold 12.4 MB."""
     sysm = system_cache(6)
     part = build_block_partition(
         build_cluster_tree(sysm.mesh, sysm.dofmap), eta=2.0)
     binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
     tracemalloc.start()
     try:
-        svds, mirror = far_svds(binv, part, 20)
+        h = compress_dense(binv, part, 20)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert any(j is not None for j in mirror)
-    owned = sum(u.nbytes + sv.nbytes + vh.nbytes
-                for (u, sv, vh), j in zip(svds, mirror) if j is None)
-    assert held <= 1.25 * owned
+    assert any(t.id > s.id for t, s in part.far)
+    near = sum(b.data.nbytes for b in h.near)
+    factors = sum(b.X.nbytes + b.Y.nbytes for b in h.far) + sum(
+        b.sigma.nbytes for (t, s), b in zip(part.far, h.far) if t.id <= s.id)
+    assert held - near <= 1.2 * factors
 
 
 def test_rank_sweep_adds_no_dense_array(system_cache):
     """The sweep works in its input's storage, the kept singular vectors
     included: at n = 6 (N = 1,206) its traced peak above the input (0.77
     MB) stays below the bytes of the one-sided far-block factors (1.8 MB;
-    each owned block counts once, with its sigmas and its shorter side),
-    which holding them beside the input would add; a copy of the input
-    would add 11.6 MB."""
+    each owned block counts once: its sigmas and r_max vectors of its
+    shorter side), which holding them beside the input would add; a copy
+    of the input would add 11.6 MB."""
     sysm = system_cache(6)
     part = build_block_partition(
         build_cluster_tree(sysm.mesh, sysm.dofmap), eta=2.0)
     binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
     ranks = [1, 2, 4, 8, 12, 16, 20]
-    svds, mirror = far_svds(binv, part, max(ranks))
-    factors = sum((u.nbytes if t.size <= s.size else vh.nbytes) + sv.nbytes
-                  for (t, s), (u, sv, vh), j in zip(part.far, svds, mirror)
-                  if j is None)
+    factors = 8 * sum(short * (min(short, max(ranks)) + 1) for short in
+                      (min(t.size, s.size) for t, s in part.far if t.id <= s.id))
     tracemalloc.start()
     try:
         rank_sweep(binv, part, ranks)

@@ -223,3 +223,11 @@ def test_invalid_sizes_rejected():
         build_box_mesh(0)
     with pytest.raises(ValueError):
         build_box_mesh(3, length=0.0)
+
+
+def test_n_beyond_int64_edge_keys_rejected_before_allocating():
+    """From n = 1448 on, (n+1)^6 exceeds int64 and the edge keys would wrap:
+    the mesh refuses that n with a MemoryError before building any array."""
+    assert 1448 ** 6 <= np.iinfo(np.int64).max < 1449 ** 6
+    with pytest.raises(MemoryError, match="overflow int64"):
+        build_box_mesh(1448)

@@ -1,8 +1,9 @@
 """Source hygiene of the package, read with ast: every top-level import is
 used by its module, every module-level private name is used somewhere in
 src/, every public name of the lab modules is read outside tests, every
-public function is named outside tests, box tet sets and tet DOFs are
-each read from one module, and foreign-function bindings live in one."""
+public function is named outside tests, box tet sets, tet DOFs and
+far-block SVDs are each read from one module, and foreign-function
+bindings live in one."""
 
 import ast
 from collections import Counter
@@ -100,13 +101,14 @@ def read_names(tree):
 # name -> the one module of src/ that may read it
 HOMES = {"tets_intersecting_box": "harmonic.py", "tets_inside_box": "harmonic.py",
          "conforming_tets": "harmonic.py", "inside_tets": "harmonic.py",
-         "edge_to_dof": "fem.py"}
+         "edge_to_dof": "fem.py", "truncated_svd": "hmatrix.py"}
 
 
 def test_box_tets_and_tet_dofs_have_one_home():
     """Only harmonic.py runs the tet-box tests, so a box's tet sets come
     from its harmonic.Region; only fem.py reads DofMap.edge_to_dof, so a
-    tet's DOFs come from DofMap.tet_dofs."""
+    tet's DOFs come from DofMap.tet_dofs; only hmatrix.py reads
+    truncated_svd, so every far-block SVD comes from owned_svds."""
     strays = [f"{module} {name}" for module, tree in MODULES.items()
               for name in sorted(read_names(tree) & HOMES.keys())
               if HOMES[name] != module]
