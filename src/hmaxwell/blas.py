@@ -5,10 +5,10 @@ worker threads. Most of the package's dense algebra is thousands of small
 calls (far-block SVDs, rank updates, the region SVD, QR and Cholesky
 steps), which run faster on one thread, and handing work from one pool to
 the other stalls. So cli.main runs every verb inside threads(1), and only
-the two kernels whose work is N x N, dense_inverse's LU and getri and the
-Lanczos products of spectral_norm, go back to the counts the libraries
-started with (OPENBLAS_NUM_THREADS, or the core count), through kernel(N),
-and only from N = PARALLEL_MIN on.
+the two kernels whose work is N x N, dense_inverse (sytrf, trtri and the
+gemm products of Z^T D^{-1} Z) and the Lanczos products of spectral_norm,
+go back to the counts the libraries started with (OPENBLAS_NUM_THREADS,
+or the core count), through kernel(N), and only from N = PARALLEL_MIN on.
 
 The libraries are found on first use, never at import: the shared objects
 named "openblas" in /proc/self/maps, opened with ctypes, that export a
@@ -16,19 +16,22 @@ getter and a setter of the thread count. Where none is found every context
 is a no-op. Each context restores the counts it found, also when the body
 raises.
 
-The module is also the package's one home of ctypes: zsymv binds LAPACK's
-complex symmetric matrix-vector product, which scipy.linalg.get_blas_funcs
-does not offer, from the zsymv capsule of scipy.linalg.cython_lapack, the
-same library kernel(N) sets the threads of.
+The module is also the package's one home of ctypes. One loader binds
+routines of scipy's OpenBLAS, the pool LAPACK runs on, from the capsules
+of scipy.linalg.cython_blas and cython_lapack: zsymv, which get_blas_funcs
+does not offer, and gemm_tn, gemm on strided slices, which f2py copies and
+numpy's matmul would run on numpy's pool, against scipy's spinning workers.
 """
 
 import ctypes
 from contextlib import contextmanager
 from functools import partial
+from importlib import import_module
 
 # N from which the N x N kernels run on the starting counts: on a 2-core
-# machine a second thread saves 6% of a dense inverse at N = 512 and 35%
-# at N = 800
+# VM, dense_inverse's median on one thread against two (15 alternating
+# pairs) was 6.4 against 6.4 ms at N = 316, 21.4 against 17.2 at 665,
+# 68.5 against 59.0 at 1,206 and 251 against 201 at 1,981
 PARALLEL_MIN = 512
 
 # (getter, setter) in the order tried: the scipy-openblas builds that numpy
@@ -39,7 +42,7 @@ _SYMBOLS = [(f"{pre}_get_num_threads{suf}", f"{pre}_set_num_threads{suf}")
 
 _libs = None  # [(path, getter, setter, starting count)], on first use
 _kernel_threads = 1  # most threads an N x N kernel ran on in threads()
-_zsymv_fn = None  # LAPACK zsymv from scipy.linalg.cython_lapack, on first use
+_fns = {}  # routines of scipy.linalg's Cython capsule tables, on first use
 
 
 def _libraries() -> list:
@@ -114,21 +117,38 @@ def kernel_threads() -> int:
     return _kernel_threads if _libraries() else 1
 
 
-def _lapack_zsymv():
-    global _zsymv_fn
-    if _zsymv_fn is None:
-        from scipy.linalg import cython_lapack
-
-        capsule = cython_lapack.__pyx_capi__["zsymv"]
-        name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+def _capsule(module: str, name: str, nargs: int):
+    """The routine name of scipy.linalg.cython_<module> (blas or lapack),
+    found on first use, as a ctypes function of nargs pointers."""
+    if name not in _fns:
+        table = import_module(f"scipy.linalg.cython_{module}").__pyx_capi__
+        name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
             ("PyCapsule_GetName", ctypes.pythonapi))
         pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
                                     ctypes.c_char_p)(
             ("PyCapsule_GetPointer", ctypes.pythonapi))
-        address = pointer(capsule, name(capsule))
-        # uplo, n, alpha, a, lda, x, incx, beta, y, incy: all by reference
-        _zsymv_fn = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 10)(address)
-    return _zsymv_fn
+        address = pointer(table[name], name_of(table[name]))
+        _fns[name] = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
+    return _fns[name]
+
+
+def gemm_tn(a, b, c, add: bool = False):
+    """c = a^T b, plus c if add (no conjugate), by gemm of scipy's OpenBLAS.
+    a (k x m), b (k x n) and c (m x n) are float64 or complex128 views, one
+    dtype, column-major (unit row stride); c must not overlap a or b."""
+    (k, m), n, views = a.shape, b.shape[1], (a, b, c)
+    lds = [x.strides[1] // x.itemsize for x in views]
+    if not (b.shape[0] == k and c.shape == (m, n) and a.dtype.char in "dD"
+            and a.dtype == b.dtype == c.dtype and all(
+                x.strides[0] == x.itemsize and x.strides[1] % x.itemsize == 0
+                and ld >= max(1, x.shape[0]) for x, ld in zip(views, lds))):
+        raise ValueError("gemm_tn needs column-major (k, m), (k, n) and (m, n) "
+                         "views of one dtype, float64 or complex128")
+    size = [ctypes.byref(ctypes.c_int(v)) for v in (m, n, k, *lds)]
+    _capsule("blas", "zgemm" if a.dtype.char == "D" else "dgemm", 13)(
+        b"T", b"N", *size[:3], (ctypes.c_double * 2)(1.0, 0.0), a.ctypes.data,
+        size[3], b.ctypes.data, size[4], (ctypes.c_double * 2)(add, 0.0),
+        c.ctypes.data, size[5])
 
 
 def zsymv(a, x, y):
@@ -144,7 +164,7 @@ def zsymv(a, x, y):
                     and v.flags.c_contiguous for v in (x, y))):
         raise ValueError("zsymv needs a Fortran-ordered complex128 n x n "
                          "array and two contiguous complex128 n-vectors")
-    fn, size, step = _lapack_zsymv(), ctypes.c_int(n), ctypes.c_int(1)
+    fn, size, step = _capsule("lapack", "zsymv", 10), *map(ctypes.c_int, (n, 1))
     alpha, beta = (ctypes.c_double * 2)(1.0, 0.0), (ctypes.c_double * 2)(0.0, 0.0)
     args = (ctypes.c_char_p(b"U"), ctypes.byref(size), alpha, a.ctypes.data,
             ctypes.byref(size), x.ctypes.data, ctypes.byref(step), beta,

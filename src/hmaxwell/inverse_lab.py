@@ -8,15 +8,17 @@ truncation B_H of the dense inverse. Per block the truncation error is the
 block error into the global bound C_sp * (depth + 1) * max sigma_{r+1},
 which every sweep row is asserted against.
 
-A = A^T with no conjugate, for real and complex kappa, and the sweep uses
-it end to end: dense_inverse returns a bitwise-symmetric A^{-1}, which the
-sweep tests once (hmatrix.far_mirrors), the far blocks take one SVD per
-mirrored pair, and each E_r, symmetric like A^{-1} (and B_H = B_H^T), is
-kept on one triangle only, the one its norm reads: hmatrix.spectral_norm,
-a symmetric Lanczos norm whose Ritz value stays <= ||E_r||_2.
+A = A^T with no conjugate, for real and complex kappa, and the lab uses it
+end to end: dense_inverse inverts A through its symmetric indefinite
+factor L D L^T in about N^3 flops and returns a bitwise-symmetric A^{-1},
+which the sweep tests once (hmatrix.far_mirrors), the far blocks take one
+SVD per mirrored pair, and each E_r, symmetric like A^{-1} (and B_H =
+B_H^T), is kept on one triangle only, the one its norm reads:
+hmatrix.spectral_norm, a symmetric Lanczos norm whose Ritz value stays
+<= ||E_r||_2.
 
 One N x N array serves from factorization to the last norm: dense_inverse
-inverts the LU factor in place, and rank_sweep overwrites that inverse's
+inverts the factor in place, and rank_sweep overwrites that inverse's
 upper triangle with E_r. Its dead strict lower triangle takes each
 mirrored pair's shorter-side leading singular vectors, all the sweep needs
 to project a block's leading singular triplets out of E_r; beside it the
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .blas import kernel
+from .blas import gemm_tn, kernel
 from .cluster import BlockPartition, sparsity_constant
 from .fem import GalerkinSystem, apply_dual_functionals, riesz_rhs, solve_system
 from .hmatrix import (far_mirrors, norm_operand, owned_svds, spectral_norm,
@@ -42,40 +44,55 @@ from .hmatrix import (far_mirrors, norm_operand, owned_svds, spectral_norm,
 RESIDUAL_LIMIT = 1e-8  # dense_inverse's bound on max |A A^{-1} - I|
 RESIDUAL_ROWS = 64     # rows of A per chunk of dense_inverse's residual guard
 COND_LIMIT = 1e12      # dense_inverse's bound on the 1-norm condition number
+PRODUCT_ROWS = 128     # rows per block row of dense_inverse's product Z^T D^{-1} Z
+PANEL_ROWS = 1024      # rows per panel of one such block row
 TRANSFER_RHS = 10      # random right-hand sides per transfer-check column cluster
 
 
 def dense_inverse(op, perm: np.ndarray) -> np.ndarray:
-    """P A^{-1} P^T for the CSR A = op and the leaf order perm, by LU with
-    partial pivoting. The dense P A P^T is factored in place and LAPACK
-    getri inverts the factor in place (4/3 N^3 flops), so one N x N array
-    is alive from the factorization on; both run under blas.kernel(N).
-    A = A^T, so the inverse B is replaced in place by (B + B^T)/2, TILE x
-    TILE tiles at a time, which equals its transpose bitwise; the same pass
-    sums |A^{-1}| by columns, and the exact 1-norm condition number must be
-    finite and at most COND_LIMIT. The residual guard max |A A^{-1} - I|
-    takes RESIDUAL_ROWS rows of the CSR P A P^T at a time (nnz(A) N flops,
-    one chunk alive, reduced in place); it must not exceed RESIDUAL_LIMIT."""
+    """P A^{-1} P^T for the CSR A = op and the leaf order perm, in about N^3
+    flops under blas.kernel(N), one N x N array alive from the factor on:
+    A = A^T, so sytrf factors the dense P A P^T in place as Q L D L^T Q^T,
+    syconv moves the off-diagonals of D's 2 x 2 pivots out, trtri makes
+    Z = L^{-1} and _zt_dinv_z C = Z^T D^{-1} Z on the upper triangle. The
+    pass that sums |A^{-1}| by columns mirrors C, so A^{-1} equals its
+    transpose bitwise; Q's interchanges then go to rows and columns alike.
+    A nonzero LAPACK info is an error; the exact 1-norm condition number
+    must be finite and at most COND_LIMIT. The residual guard, max
+    |A A^{-1} - I| at most RESIDUAL_LIMIT, takes RESIDUAL_ROWS rows of the
+    CSR P A P^T at a time (nnz(A) N flops, one chunk alive, in place)."""
     a = op[perm][:, perm]
     n = perm.size
-    with kernel(n):  # the LU and the inversion: the N x N work
-        lu, piv = scipy.linalg.lu_factor(  # no N x N mask: cond catches NaN
-            a.toarray(order="F"), overwrite_a=True, check_finite=False)
-        getri, getri_lwork = scipy.linalg.get_lapack_funcs(
-            ("getri", "getri_lwork"), (lu,))
-        lwork = int(getri_lwork(n)[0].real)
-        binv, info = getri(lu, piv, lwork=lwork, overwrite_lu=1)  # lu's storage
-    if info != 0:
-        raise ValueError(f"LAPACK getri failed (info {info})")
+    dense = a.toarray(order="F")  # no N x N mask: cond catches NaN
+    sytrf, sytrf_lwork, syconv, trtri = scipy.linalg.get_lapack_funcs(
+        ("sytrf", "sytrf_lwork", "syconv", "trtri"), (dense,))
+    with kernel(n):  # the factor, Z and C: the N x N work
+        lwork = int(sytrf_lwork(n, lower=1)[0].real)
+        ldl, ipiv, info = sytrf(dense, lower=1, lwork=lwork, overwrite_a=1)
+        _lapack_ok("sytrf", info)
+        ldl, off, info = syconv(ldl, ipiv, lower=1, way=0, overwrite_a=1)
+        _lapack_ok("syconv", info)
+        binv, info = trtri(ldl, lower=1, unitdiag=1, overwrite_c=1)
+        _lapack_ok("trtri", info)
+        _zt_dinv_z(binv, ipiv, off)
     col_sums = np.zeros(n)  # of |A^{-1}|
-    for r, c in tile_pairs(n):  # (B + B^T)/2 in place, one tile pair at a time
-        avg = (binv[r, c] + binv[c, r].T) * 0.5  # addition commutes: bitwise
-        binv[r, c] = avg
-        binv[c, r] = avg.T
-        mag = np.abs(avg)
+    for r, c in tile_pairs(n):  # upper triangle to lower, one tile at a time
+        if r == c:
+            tile = binv[r, c]
+            tile[...] = np.triu(tile) + np.triu(tile, 1).T  # + 0.0: exact
+        else:
+            binv[c, r] = binv[r, c].T
+        mag = np.abs(binv[r, c])
         col_sums[c] += mag.sum(axis=0)
         if r != c:
             col_sums[r] += mag.sum(axis=1)
+    i = n - 1
+    while i >= 0:  # rows and columns i and |ipiv[i]| - 1, from the last
+        p = abs(ipiv[i]) - 1
+        if p != i:
+            binv[[i, p]] = binv[[p, i]]
+            binv[:, [i, p]] = binv[:, [p, i]]
+        i -= 1 if ipiv[i] > 0 else 2  # ipiv[i] < 0: a 2 x 2 pivot ends at i
     cond = abs(a).sum(axis=0).max() * col_sums.max(initial=0.0)
     if not cond <= COND_LIMIT:  # keeps a NaN out
         raise ValueError(f"matrix too ill-conditioned (condition number "
@@ -92,6 +109,57 @@ def dense_inverse(op, perm: np.ndarray) -> np.ndarray:
     if not resid <= RESIDUAL_LIMIT:
         raise ValueError(f"inverse residual {resid:.3e} exceeds {RESIDUAL_LIMIT:.1e}")
     return binv
+
+
+def _lapack_ok(name: str, info: int):
+    if info != 0:
+        raise ValueError(f"LAPACK {name} failed (info {info})")
+
+
+def _zt_dinv_z(z: np.ndarray, ipiv: np.ndarray, off: np.ndarray):
+    """C = Z^T D^{-1} Z on the upper triangle of z, which holds Z = L^{-1}
+    below and D's diagonal on it; off[k] = D[k+1, k] where ipiv[k] < 0 starts
+    a 2 x 2 pivot. As Z[:i0, I] = 0, block row I = [i0, i1) of C is the sum
+    of (D^{-1} Z[K, I])^T Z[K, :i1] over panels K from i0 on, when no block
+    splits a 2 x 2 pivot. Its transpose goes to the triangle above Z, unused
+    since sytrf, and the diagonal block, read by this block row alone, last."""
+    n = z.shape[0]
+    ks = np.flatnonzero(ipiv < 0)[::2]  # 2 x 2 pivots: rows k, k + 1
+    d = z.diagonal().copy()
+    dk, dk1, b = d[ks], d[ks + 1], off[ks]
+    d[ks] = d[ks + 1] = 1.0  # may be 0 in a 2 x 2 pivot; replaced below
+    d = 1.0 / d
+    det = dk * dk1 - b * b  # about -b^2: Bunch-Kaufman picks |b| large
+    d[ks], d[ks + 1], b = dk1 / det, dk / det, -b / det
+    split = np.zeros(n + 1, dtype=bool)
+    split[ks + 1] = True  # a block may not start at k + 1
+    for i0, i1 in _blocks(0, n, PRODUCT_ROWS, split):
+        block = z[i0:i1, i0:i1]  # Z's block: unit diagonal, zero above
+        block[...] = np.tril(block, -1)
+        np.fill_diagonal(block, 1.0)
+        diag = np.empty_like(block, order="F")
+        for k0, k1 in _blocks(i0, n, PANEL_ROWS, split):
+            panel = z[k0:k1, i0:i1].copy(order="F")  # D^{-1} Z[K, I]
+            inside = (ks >= k0) & (ks < k1)
+            at, b_at = ks[inside] - k0, b[inside, None]
+            rows, rows1 = panel[at], panel[at + 1]
+            panel *= d[k0:k1, None]
+            panel[at] += b_at * rows1
+            panel[at + 1] += b_at * rows
+            if i0:
+                gemm_tn(z[k0:k1, :i0], panel, z[:i0, i0:i1], k0 > i0)
+            gemm_tn(panel, z[k0:k1, i0:i1], diag, k0 > i0)
+            del panel, rows, rows1  # one panel alive at a time
+        block[...] = diag
+
+
+def _blocks(start: int, n: int, size: int, split: np.ndarray):
+    """[lo, hi) from start to n, about size long, none starting where split."""
+    while start < n:
+        stop = min(start + size, n)
+        stop += split[stop]
+        yield start, stop
+        start = stop
 
 
 @dataclass

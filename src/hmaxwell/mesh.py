@@ -19,6 +19,7 @@ Conventions
   face plane of the box, compared with tolerance 1e-12 * L
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,14 +57,25 @@ class Mesh:
         return self.edges.shape[0]
 
 
+def mesh_bytes(n: int) -> int:
+    """Bytes of the arrays of a Mesh with n subdivisions: V, T and E rows."""
+    edges = 3 * n * (n + 1) ** 2 + 3 * n ** 2 * (n + 1) + n ** 3
+    return 25 * (n + 1) ** 3 + 128 * 6 * n ** 3 + 17 * edges
+
+
 def build_box_mesh(n: int, length: float = 1.0) -> Mesh:
     """Mesh [0, length]^3, length > 0, with n >= 1 subdivisions per axis and
     6 tets per subcube. An n whose int64 edge keys, below (n+1)^6, would
-    overflow is a MemoryError before any array is built."""
+    overflow, or whose mesh_bytes exceed the host's physical memory, is a
+    MemoryError before any array is built."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if (n + 1) ** 6 > np.iinfo(np.int64).max:
         raise MemoryError(f"n = {n}: the mesh's (n+1)^6 edge keys overflow int64")
+    need, have = mesh_bytes(n), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:  # temporaries only add to need
+        raise MemoryError(f"n = {n}: the mesh's arrays need {need / 2**30:.1f} "
+                          f"GiB, more than the {have / 2**30:.1f} GiB of memory")
     if not length > 0:
         raise ValueError("length must be positive")
 

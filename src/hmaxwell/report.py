@@ -119,7 +119,8 @@ def svg_decay_plot(path: str, rs, rel_errs, fit=None) -> str:
     """Self-contained SVG 1.1 plot: measured points (floored at 1e-16) on a
     log10 y axis with the two fitted decay curves overlaid when a fit is
     available."""
-    rs = np.asarray(list(rs), dtype=float)
+    ranks = [int(r) for r in rs]  # the tick labels: a float rounds from 2^53
+    rs = np.asarray(ranks, dtype=float)
     errs = np.maximum(np.asarray(list(rel_errs), dtype=float), 1e-16)
     ys = np.log10(errs)
     y_lo = float(np.floor(ys.min())) - 0.5
@@ -152,12 +153,12 @@ def svg_decay_plot(path: str, rs, rel_errs, fit=None) -> str:
                      f'text-anchor="end" font-family="sans-serif">1e{p}</text>')
         parts.append(f'<line x1="{_fmt(_ML)}" y1="{_fmt(y)}" x2="{_fmt(_W - _MR)}" '
                      f'y2="{_fmt(y)}" stroke="#dddddd" stroke-width="0.5"/>')
-    for r in rs:
+    for r, label in zip(rs, ranks):
         x = sx(r)
         parts.append(f'<line x1="{_fmt(x)}" y1="{_fmt(_H - _MB)}" x2="{_fmt(x)}" '
                      f'y2="{_fmt(_H - _MB + 4)}" stroke="black"/>')
         parts.append(f'<text x="{_fmt(x)}" y="{_fmt(_H - _MB + 18)}" font-size="11" '
-                     f'text-anchor="middle" font-family="sans-serif">{int(r)}</text>')
+                     f'text-anchor="middle" font-family="sans-serif">{label}</text>')
     parts.append(f'<text x="{_W / 2:.0f}" y="{_H - 10}" font-size="12" '
                  f'text-anchor="middle" font-family="sans-serif">block rank r</text>')
     parts.append(f'<text x="16" y="{_H / 2:.0f}" font-size="12" text-anchor="middle" '

@@ -72,16 +72,17 @@ def truncation_residual():
 
 
 @pytest.fixture()
-def patch_getri(monkeypatch):
-    """patch_getri(wrap) makes scipy.linalg.get_lapack_funcs hand out
-    wrap(getri) in place of LAPACK's getri, for the rest of the test."""
-    get = scipy.linalg.get_lapack_funcs
+def patch_lapack(monkeypatch):
+    """patch_lapack(name, wrap) makes scipy.linalg.get_lapack_funcs hand out
+    wrap(f) in place of the LAPACK routine f called name (say "sytrf"), for
+    the rest of the test; patches of several names stack."""
+    def patch(name, wrap):
+        get = scipy.linalg.get_lapack_funcs
 
-    def patch(wrap):
         def patched(names, *args, **kwargs):
             funcs = get(names, *args, **kwargs)
-            return tuple(wrap(f) if name == "getri" else f
-                         for name, f in zip(names, funcs))
+            return tuple(wrap(f) if n == name else f
+                         for n, f in zip(names, funcs))
 
         monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", patched)
 

@@ -1,6 +1,7 @@
 """The BLAS thread switch: threads(k) and kernel(n) on every loaded
 OpenBLAS, and where the CLI runs on how many threads, read from each
-library's own getter at the call sites; and the LAPACK zsymv binding."""
+library's own getter at the call sites; and the LAPACK zsymv and BLAS gemm
+bindings."""
 
 import json
 
@@ -128,32 +129,31 @@ def spy(monkeypatch, owner, name, calls, label):
     monkeypatch.setattr(owner, name, spied)
 
 
-def spy_kernels(monkeypatch, patch_getri, calls):
-    """Spies on the N x N kernels (lu_factor, getri, eigsh) and on the
+def spy_kernels(monkeypatch, patch_lapack, calls):
+    """Spies on the N x N kernels (sytrf, trtri, eigsh) and on the
     far-block SVDs."""
-    spy(monkeypatch, scipy.linalg, "lu_factor", calls, "lu_factor")
     spy(monkeypatch, scipy.sparse.linalg, "eigsh", calls, "eigsh")
     spy(monkeypatch, hmatrix, "truncated_svd", calls, "truncated_svd")
+    for name in ("sytrf", "trtri"):
+        def wrap(f, name=name):
+            def spied(*args, **kwargs):
+                calls.setdefault(name, []).append(max(blas.current().values()))
+                return f(*args, **kwargs)
+            return spied
 
-    def wrap(getri):
-        def spied(*args, **kwargs):
-            calls.setdefault("getri", []).append(max(blas.current().values()))
-            return getri(*args, **kwargs)
-        return spied
-
-    patch_getri(wrap)
+        patch_lapack(name, wrap)
 
 
 @needs_openblas
 def test_rank_sweep_widens_only_the_n_by_n_kernels(tmp_path, monkeypatch,
-                                                   patch_getri):
+                                                   patch_lapack):
     """At n = 8 (N = 3,032) every far-block SVD and every rank update runs on
-    one thread, and lu_factor, getri and eigsh on the starting count. The
+    one thread, and sytrf, trtri and eigsh on the starting count. The
     rank updates of rank r run in rank_sweep between its norms, so the
     count read where each norm starts is theirs."""
     start = max(blas.current().values())
     calls = {}
-    spy_kernels(monkeypatch, patch_getri, calls)
+    spy_kernels(monkeypatch, patch_lapack, calls)
     spy(monkeypatch, inverse_lab, "spectral_norm", calls, "rank_updates")
     assert cli.main(["rank-sweep", "--n", "8", "--ranks", "1,2",
                      "--out", str(tmp_path), "--name", "s"]) == 0
@@ -161,7 +161,7 @@ def test_rank_sweep_widens_only_the_n_by_n_kernels(tmp_path, monkeypatch,
     assert len(calls["truncated_svd"]) == counters["far_svds"] == 1378
     assert set(calls["truncated_svd"]) == {1}
     assert calls["rank_updates"] == [1, 1, 1]  # A^{-1}, then r = 1, 2
-    assert calls["lu_factor"] == calls["getri"] == [start]
+    assert calls["sytrf"] == calls["trtri"] == [start]
     assert calls["eigsh"] == [start] * 3
     assert counters["blas_threads"] == start
 
@@ -170,11 +170,11 @@ def test_rank_sweep_widens_only_the_n_by_n_kernels(tmp_path, monkeypatch,
 @pytest.mark.parametrize("argv", [["verify", "--n", "3", "--n-leaf", "16"],
                                   ["caccioppoli", "--n", "6"]])
 def test_small_and_local_runs_stay_on_one_thread(tmp_path, monkeypatch,
-                                                 patch_getri, argv):
+                                                 patch_lapack, argv):
     """verify at n = 3 (N = 117, below the floor) and the local theory run
     every LAPACK call on one thread."""
     calls = {}
-    spy_kernels(monkeypatch, patch_getri, calls)
+    spy_kernels(monkeypatch, patch_lapack, calls)
     for owner, name in [(np.linalg, "svd"), (np.linalg, "qr"),
                         (np.linalg, "solve"), (scipy.linalg, "eigh"),
                         (scipy.linalg, "cholesky"),
@@ -182,7 +182,7 @@ def test_small_and_local_runs_stay_on_one_thread(tmp_path, monkeypatch,
                         (scipy.linalg, "cho_factor")]:
         spy(monkeypatch, owner, name, calls, name)
     assert cli.main([*argv, "--out", str(tmp_path), "--name", "r"]) == 0
-    want = ({"lu_factor", "getri", "eigsh", "truncated_svd", "svd"}
+    want = ({"sytrf", "trtri", "eigsh", "truncated_svd", "svd"}
             if argv[0] == "verify" else {"svd", "qr", "eigh", "cholesky"})
     assert want <= set(calls)
     assert {k for seen in calls.values() for k in seen} == {1}
@@ -224,3 +224,31 @@ def test_zsymv_reads_one_triangle_and_rereads_its_vector(rng):
                 (a, x[:-1], y), (a, x, y.real.copy())):
         with pytest.raises(ValueError, match="zsymv"):
             blas.zsymv(*bad)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_gemm_tn_writes_slices_in_place(rng, dtype):
+    """blas.gemm_tn(a, b, c) sets the column-major slice c to a^T b, with no
+    conjugate, and adds it to c with add=True, to 1e-13; entries of the
+    array outside c keep their bits. Any other layout, shape or dtype is a
+    ValueError, before BLAS is called."""
+    z = rng.standard_normal((60, 60)).astype(dtype)
+    if dtype is complex:
+        z += 1j * rng.standard_normal((60, 60))
+    z = np.asfortranarray(z)
+    a, b = z[20:, :15], z[20:, 40:47]
+    want = a.T @ b
+    before = z.copy(order="F")
+    blas.gemm_tn(a, b, z[:15, 20:27])
+    assert np.abs(z[:15, 20:27] - want).max() <= 1e-13 * np.abs(want).max()
+    z[:15, 20:27] = before[:15, 20:27]
+    assert np.array_equal(z, before)
+    c = np.asfortranarray(rng.standard_normal((15, 7))).astype(dtype)
+    start = c.copy()
+    blas.gemm_tn(a, b, c, add=True)
+    assert np.abs(c - start - want).max() <= 1e-13 * np.abs(want).max()
+    for bad in ((a.T, b.T, c.T), (np.ascontiguousarray(a), b, c),
+                (a, b, c[:, :-1]), (a, b, c.astype(np.complex64)),
+                (a[:-1], b, c)):
+        with pytest.raises(ValueError, match="gemm_tn"):
+            blas.gemm_tn(*bad)

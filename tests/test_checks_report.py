@@ -287,10 +287,14 @@ def test_svg_plot_is_deterministic_and_wellformed(tmp_path):
 
 def test_svg_plot_of_one_huge_rank_has_finite_coordinates(tmp_path):
     """A single rank at or above 2^53, where x + 1.0 rounds to x, still
-    gets a nonzero axis span: no coordinate is NaN."""
+    gets a nonzero axis span: no coordinate is NaN. Its tick is labelled
+    with the rank itself, not with the float it rounds to."""
     path = tmp_path / "one.svg"
     svg_decay_plot(path, [2**63 - 1], [0.5])
-    assert "nan" not in path.read_text()
+    body = path.read_text()
+    assert "nan" not in body
+    assert ">9223372036854775807</text>" in body
+    assert "9223372036854775808" not in body
 
 
 def test_svg_plot_with_fit_overlay(tmp_path):

@@ -227,6 +227,23 @@ def test_mesh_beyond_int64_keys_is_resource_limit(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_mesh_beyond_memory_is_refused_first(tmp_path, capsys, monkeypatch):
+    """mesh-info --n 1447, the largest n whose edge keys fit int64, needs
+    2,574 GiB of mesh arrays: it is refused from n alone, before the first
+    array (a meshgrid of 22.6 GiB) is asked for, with exit 3 and one
+    resource limit line. n = 8 is built as before."""
+    def no_meshgrid(*args, **kwargs):
+        raise AssertionError("meshgrid called before the size guard")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "meshgrid", no_meshgrid)
+        assert run_cli("mesh-info", "--n", "1447", "--out", str(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: n = 1447: the mesh's arrays need")
+    assert "GiB" in err and len(err.splitlines()) == 1
+    assert run_cli("mesh-info", "--n", "8", "--out", str(tmp_path)) == 0
+
+
 def test_uncreatable_output_directory_is_config_error(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -297,12 +314,16 @@ def test_numeric_guard_is_check_failure(tmp_path, capsys):
     assert "config error" not in err
 
 
-def test_getri_failure_is_check_failure(tmp_path, capsys, patch_getri):
-    """A nonzero getri info ends the run with exit 1, not a matrix."""
-    patch_getri(lambda getri: lambda *a, **k: (getri(*a, **k)[0], 1))
+@pytest.mark.parametrize("routine", ["sytrf", "trtri"])
+def test_lapack_failure_is_check_failure(tmp_path, capsys, patch_lapack,
+                                         routine):
+    """A nonzero info from the factorization or from the triangular inverse
+    ends the run with exit 1, not a matrix."""
+    patch_lapack(routine, lambda f: lambda *a, **k: (*f(*a, **k)[:-1], 1))
     code = run_cli("rank-sweep", "--n", "2", "--out", str(tmp_path))
     assert code == 1
-    assert "check failure: LAPACK getri failed (info 1)" in capsys.readouterr().err
+    assert (f"check failure: LAPACK {routine} failed (info 1)"
+            in capsys.readouterr().err)
 
 
 def test_rank_sweep_bound_violation_exits_1(tmp_path, capsys):

@@ -83,13 +83,45 @@ def test_dense_inverse_is_bitwise_symmetric(system_cache, kappa):
     assert (b == b.T).all()
 
 
+@pytest.mark.parametrize("n, kappa", [(4, 30.0), (5, 12.0), (5, 47 + 1j)])
+def test_dense_inverse_pivots(system_cache, n, kappa, monkeypatch):
+    """Where sytrf interchanges rows and takes 2 x 2 pivots, the inverse is
+    still numpy's inverse of the permuted A to 1e-12 relative, and bitwise
+    symmetric; the factor is checked to have both, so the test cannot pass
+    without them. At kappa = 47 + 1i a 2 x 2 pivot straddles a multiple of
+    PRODUCT_ROWS, so a block row must shift around it. The same holds with
+    blocks of 16 rows and panels of 50, where block rows take several
+    panels and the blocks of both shift around many pivots."""
+    sysm = system_cache(n, kappa)
+    perm = build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16).perm
+    op = sparse_operator(sysm)
+    dense = op[perm][:, perm].toarray()
+    (sytrf,) = scipy.linalg.get_lapack_funcs(("sytrf",), (dense,))
+    _, ipiv, info = sytrf(dense, lower=1)
+    assert info == 0
+    assert (np.abs(ipiv) != np.arange(1, ipiv.size + 1)).sum() >= 20
+    starts = np.flatnonzero(ipiv < 0)[::2]
+    assert starts.size >= 5
+    if kappa == 47 + 1j:
+        assert ((starts + 1) % inverse_lab.PRODUCT_ROWS == 0).any()
+    want = np.linalg.inv(dense)
+    for rows, panel in [(inverse_lab.PRODUCT_ROWS, inverse_lab.PANEL_ROWS),
+                        (16, 50)]:
+        monkeypatch.setattr(inverse_lab, "PRODUCT_ROWS", rows)
+        monkeypatch.setattr(inverse_lab, "PANEL_ROWS", panel)
+        got = dense_inverse(op, perm)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert (got == got.T).all()
+
+
 def test_dense_inverse_holds_one_dense_array(system_cache):
-    """The factor overwrites the densified A and getri inverts the factor
-    in place: the traced peak stays near one N x N array. At n = 7
-    (N = 1,981) the residual guard holds one RESIDUAL_ROWS x N product at a
-    time, 1 MB against the inverse's 31 MB, and lu_factor makes no N x N
-    finiteness mask (peak 1.07 arrays; a mask alone is 0.125 of one);
-    solving into a separate identity peaks above two."""
+    """sytrf factors the densified A in place, trtri inverts L in place and
+    the product writes into the triangle above it: the traced peak stays
+    near one N x N array. At n = 7 (N = 1,981) the product holds one
+    PANEL_ROWS x PRODUCT_ROWS panel at a time, 1 MB against the inverse's
+    31 MB, the residual guard one RESIDUAL_ROWS x N product, 1 MB, and
+    nothing makes an N x N finiteness mask (peak 1.07 arrays; a mask alone
+    is 0.125 of one); solving into a separate identity peaks above two."""
     sysm = system_cache(7)
     op = sparse_operator(sysm)
     perm = build_cluster_tree(sysm.mesh, sysm.dofmap).perm
@@ -103,22 +135,23 @@ def test_dense_inverse_holds_one_dense_array(system_cache):
     assert peak < 1.1 * binv.nbytes
 
 
-def corrupted(getri):
-    """getri whose inverse has one entry off by 1e-5."""
+def corrupted(trtri):
+    """trtri whose Z = L^{-1} has one entry below the diagonal off by 1e-5."""
     def bad(*args, **kwargs):
-        out, info = getri(*args, **kwargs)
-        out[5, 7] += 1e-5
-        return out, info
+        z, info = trtri(*args, **kwargs)
+        z[7, 5] += 1e-5
+        return z, info
     return bad
 
 
 @pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
-def test_dense_inverse_residual_guard(system_cache, kappa, patch_getri,
+def test_dense_inverse_residual_guard(system_cache, kappa, patch_lapack,
                                       monkeypatch):
     """The sparse residual check rejects rounding-level residuals under an
     impossible limit, and at the default limit it catches a corrupted
-    getri, reporting the dense residual max |A sym(B) - I| of the permuted
-    A and the matrix returned, sym(B) = (B + B^T)/2."""
+    factor, reporting the dense residual max |A B - I| of the permuted A
+    and B = Z^T D^{-1} Z from the corrupted Z (at n = 3, sytrf makes no
+    interchange and no 2 x 2 pivot, so D is diagonal)."""
     sysm = system_cache(3, kappa)
     op = sparse_operator(sysm)
     perm = build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16).perm
@@ -128,23 +161,29 @@ def test_dense_inverse_residual_guard(system_cache, kappa, patch_getri,
         with pytest.raises(ValueError, match="inverse residual"):
             dense_inverse(op, perm)
 
-    lu, piv = scipy.linalg.lu_factor(a)
-    (getri,) = scipy.linalg.get_lapack_funcs(("getri",), (lu,))
-    bad = corrupted(getri)(lu, piv)[0]
-    patch_getri(corrupted)
+    sytrf, trtri = scipy.linalg.get_lapack_funcs(("sytrf", "trtri"), (a,))
+    ldl, ipiv, _ = sytrf(a, lower=1)
+    assert (ipiv == np.arange(1, a.shape[0] + 1)).all()
+    z = corrupted(trtri)(ldl, lower=1, unitdiag=1)[0]
+    z = np.tril(z, -1) + np.eye(a.shape[0])
+    bad = z.T @ (z / ldl.diagonal()[:, None])
+    patch_lapack("trtri", corrupted)
     with pytest.raises(ValueError, match="inverse residual") as info:
         dense_inverse(op, perm)
-    dense = np.abs(a @ ((bad + bad.T) / 2) - np.eye(a.shape[0])).max()
+    dense = np.abs(a @ bad - np.eye(a.shape[0])).max()
     reported = float(str(info.value).split()[2])
     assert reported == pytest.approx(dense, rel=1e-3)
 
 
+@pytest.mark.parametrize("routine", ["sytrf", "trtri"])
 @pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
-def test_dense_inverse_rejects_getri_failure(system_cache, kappa, patch_getri):
-    """A nonzero getri info is an error, never a returned matrix."""
+def test_dense_inverse_rejects_lapack_failure(system_cache, kappa, routine,
+                                              patch_lapack):
+    """A nonzero info from the factorization or the triangular inverse is
+    an error, never a returned matrix."""
     sysm = system_cache(3, kappa)
-    patch_getri(lambda getri: lambda *a, **k: (getri(*a, **k)[0], 1))
-    with pytest.raises(ValueError, match=r"getri failed \(info 1\)"):
+    patch_lapack(routine, lambda f: lambda *a, **k: (*f(*a, **k)[:-1], 1))
+    with pytest.raises(ValueError, match=rf"{routine} failed \(info 1\)"):
         dense_inverse(sparse_operator(sysm), np.arange(sysm.n_dofs))
 
 

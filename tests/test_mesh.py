@@ -19,8 +19,8 @@ import pytest
 
 from hmaxwell import build_box_mesh, conformity_report, shape_regularity_constant
 from hmaxwell.fem import build_dof_map
-from hmaxwell.mesh import (_AXIS_ORDERS, LOCAL_EDGES, Mesh, mesh_to_dict,
-                           tet_volumes)
+from hmaxwell.mesh import (_AXIS_ORDERS, LOCAL_EDGES, Mesh, mesh_bytes,
+                           mesh_to_dict, tet_volumes)
 from hmaxwell.report import write_json
 
 
@@ -231,3 +231,13 @@ def test_n_beyond_int64_edge_keys_rejected_before_allocating():
     assert 1448 ** 6 <= np.iinfo(np.int64).max < 1449 ** 6
     with pytest.raises(MemoryError, match="overflow int64"):
         build_box_mesh(1448)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_mesh_bytes_counts_the_mesh_arrays(n, mesh_cache):
+    """mesh_bytes(n), which build_box_mesh weighs against the host's memory
+    before it builds anything, is the bytes of the arrays the mesh holds."""
+    m = mesh_cache(n)
+    arrays = [getattr(m, f.name) for f in dataclasses.fields(Mesh)]
+    assert mesh_bytes(n) == sum(a.nbytes for a in arrays
+                                if isinstance(a, np.ndarray))
