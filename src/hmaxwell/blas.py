@@ -8,7 +8,8 @@ the other stalls. So cli.main runs every verb inside threads(1), and only
 the two kernels whose work is N x N, dense_inverse (sytrf, trtri and the
 gemm products of Z^T D^{-1} Z) and the Lanczos products of spectral_norm,
 go back to the counts the libraries started with (OPENBLAS_NUM_THREADS,
-or the core count), through kernel(N), and only from N = PARALLEL_MIN on.
+or the core count), through kernel(N), and only from N = PARALLEL_MIN on:
+kernel_counts(N), a function of N alone.
 
 The libraries are found on first use, never at import: the shared objects
 named "openblas" in /proc/self/maps, opened with ctypes, that export a
@@ -16,11 +17,12 @@ getter and a setter of the thread count. Where none is found every context
 is a no-op. Each context restores the counts it found, also when the body
 raises.
 
-The module is also the package's one home of ctypes. One loader binds
-routines of scipy's OpenBLAS, the pool LAPACK runs on, from the capsules
-of scipy.linalg.cython_blas and cython_lapack: zsymv, which get_blas_funcs
-does not offer, and gemm_tn, gemm on strided slices, which f2py copies and
-numpy's matmul would run on numpy's pool, against scipy's spinning workers.
+The module is also the package's one home of ctypes and BLAS bindings.
+One loader binds routines of scipy's OpenBLAS, the pool LAPACK runs on,
+from the capsules of scipy.linalg.cython_blas and cython_lapack: symv,
+the symmetric product by dsymv or zsymv (f2py lacks zsymv), and gemm_tn,
+gemm on strided slices, which f2py copies and numpy's matmul would run on
+numpy's pool, against scipy's spinning workers.
 """
 
 import ctypes
@@ -41,7 +43,6 @@ _SYMBOLS = [(f"{pre}_get_num_threads{suf}", f"{pre}_set_num_threads{suf}")
                              ("openblas", "64_"), ("openblas", ""))]
 
 _libs = None  # [(path, getter, setter, starting count)], on first use
-_kernel_threads = 1  # most threads an N x N kernel ran on in threads()
 _fns = {}  # routines of scipy.linalg's Cython capsule tables, on first use
 
 
@@ -88,33 +89,22 @@ def _counts(counts):
             put(k)
 
 
-@contextmanager
 def threads(k: int):
-    """Every loaded OpenBLAS on k threads inside. kernel_threads() then
-    reads the most threads an N x N kernel ran on inside this context."""
-    global _kernel_threads
-    outer, _kernel_threads = _kernel_threads, k
-    try:
-        with _counts([k] * len(_libraries())):
-            yield
-    finally:
-        _kernel_threads = outer
+    """Every loaded OpenBLAS on k threads inside."""
+    return _counts([k] * len(_libraries()))
+
+
+def kernel_counts(n: int) -> list:
+    """The thread count of each loaded OpenBLAS, in the order found, for a
+    kernel whose work is n x n: its starting count from n = PARALLEL_MIN
+    on, 1 below; empty where no OpenBLAS is found."""
+    return [start if n >= PARALLEL_MIN else 1 for *_, start in _libraries()]
 
 
 def kernel(n: int):
-    """For a kernel whose work is n x n: every loaded OpenBLAS inside on its
-    starting count from n = PARALLEL_MIN on, and on one thread below, from
-    wherever it is called, so the kernel's result depends on n alone."""
-    global _kernel_threads
-    counts = [start if n >= PARALLEL_MIN else 1 for *_, start in _libraries()]
-    _kernel_threads = max([_kernel_threads, *counts])
-    return _counts(counts)
-
-
-def kernel_threads() -> int:
-    """The most threads an N x N kernel ran on inside the innermost open
-    threads(k) context, at least k; 1 where no OpenBLAS is found."""
-    return _kernel_threads if _libraries() else 1
+    """Every loaded OpenBLAS on kernel_counts(n) inside, from wherever it is
+    called, so the kernel's result depends on n alone."""
+    return _counts(kernel_counts(n))
 
 
 def _capsule(module: str, name: str, nargs: int):
@@ -151,24 +141,28 @@ def gemm_tn(a, b, c, add: bool = False):
         c.ctypes.data, size[5])
 
 
-def zsymv(a, x, y):
-    """A function of no arguments that overwrites y with S x by LAPACK
-    zsymv, where S is the complex symmetric matrix (S = S^T, no conjugate)
-    that the upper triangle of a defines; the strict lower triangle is never
-    read. a is a Fortran-ordered complex128 n x n array, x and y contiguous
-    complex128 arrays of n entries, which the function holds; each call
-    reads x anew. The argument pointers are built here, once."""
+def symv(a, x, y):
+    """A function of no arguments that overwrites y with S x, where S is the
+    symmetric matrix (S = S^T, no conjugate) that the upper triangle of a
+    defines, by BLAS dsymv for float64 and LAPACK zsymv for complex128; the
+    strict lower triangle is never read. a is a Fortran-ordered n x n
+    array, x and y contiguous n-vectors of a's dtype, which the function
+    holds; each call reads x anew. The argument pointers are built here,
+    once."""
     n = a.shape[0]
-    if not (a.shape == (n, n) and a.dtype.char == "D" and a.flags.f_contiguous
-            and all(v.shape == (n,) and v.dtype.char == "D"
+    if not (a.shape == (n, n) and a.dtype.char in "dD" and a.flags.f_contiguous
+            and all(v.shape == (n,) and v.dtype == a.dtype
                     and v.flags.c_contiguous for v in (x, y))):
-        raise ValueError("zsymv needs a Fortran-ordered complex128 n x n "
-                         "array and two contiguous complex128 n-vectors")
-    fn, size, step = _capsule("lapack", "zsymv", 10), *map(ctypes.c_int, (n, 1))
+        raise ValueError("symv needs a Fortran-ordered float64 or complex128 "
+                         "n x n array and two contiguous n-vectors of its dtype")
+    fn = (_capsule("lapack", "zsymv", 10) if a.dtype.char == "D"
+          else _capsule("blas", "dsymv", 10))
+    size, step = map(ctypes.c_int, (n, 1))
+    # (re, im) pairs; dsymv reads the first entry of each
     alpha, beta = (ctypes.c_double * 2)(1.0, 0.0), (ctypes.c_double * 2)(0.0, 0.0)
     args = (ctypes.c_char_p(b"U"), ctypes.byref(size), alpha, a.ctypes.data,
             ctypes.byref(size), x.ctypes.data, ctypes.byref(step), beta,
             y.ctypes.data, ctypes.byref(step))
     product = partial(fn, *args)
-    product.buffers = (a, x, y)  # alive while LAPACK may read or write them
+    product.buffers = (a, x, y)  # alive while BLAS may read or write them
     return product

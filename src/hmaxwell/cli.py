@@ -37,7 +37,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .blas import kernel_threads, threads
+from .blas import kernel_counts, threads
 from .checks import (HARMONIC_CONSTRAINT_TOL, CheckResult, check_bound,
                      check_commuting, check_dual_biorthogonality,
                      check_dual_norm_scaling, check_exact_sequence,
@@ -201,9 +201,9 @@ class Runner:
 
     def finish(self, *paths, system=None, partition=None) -> str:
         """Write the manifest, with counters: tets, N and nonzeros of A; far
-        and near blocks, C_sp, depth and the far-block SVDs, one per
-        mirrored pair of the symmetric A^{-1} or far block on its diagonal;
-        the BLAS threads the N x N kernels ran on, and the peak RSS so far."""
+        and near blocks, C_sp, depth and the far-block SVDs, one per owned
+        far block; the BLAS threads of the N x N kernels, which a run with
+        a partition ran at its N, and the peak RSS so far."""
         self.phase(None)
         counters = self.manifest.counters
         if system is not None:
@@ -213,8 +213,9 @@ class Runner:
             counters.update(n_far=len(partition.far), n_near=len(partition.near),
                             c_sp=sparsity_constant(partition),
                             depth=partition.tree.depth,
-                            far_svds=sum(t.id <= s.id for t, s in partition.far))
-        counters["blas_threads"] = kernel_threads()
+                            far_svds=partition.mirror.count(None))
+        counters["blas_threads"] = (1 if partition is None else
+                                    max(kernel_counts(partition.n_dofs), default=1))
         # ru_maxrss is in kilobytes on Linux
         counters["peak_rss_mb"] = round(
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1)

@@ -21,6 +21,9 @@ index sets, a permutation of 0..N-1. Every cluster is the range
 is a product of two intervals and a contiguous slice of a dense matrix.
 Cluster.indices is the view perm[start:stop], so a block's DOFs are listed
 in the order of its rows and columns in leaf order.
+
+Admissibility is symmetric, so every far block (tau, sigma) has its mirror
+(sigma, tau); BlockPartition.mirror is the one home of which one is owned.
 """
 
 from dataclasses import dataclass, field
@@ -140,6 +143,10 @@ def build_cluster_tree(mesh: Mesh, dofmap: DofMap, n_leaf: int = 32) -> ClusterT
 
 @dataclass
 class BlockPartition:
+    """The partition of (root, root) by a symmetric test, so each far block
+    (tau, sigma) has its mirror (sigma, tau), its transpose in a symmetric
+    matrix. The owned one has tau.id <= sigma.id and lies on or above the
+    diagonal: tau and sigma are equal or disjoint, the lower id first."""
     far: list    # (Cluster, Cluster) pairs, admissible
     near: list   # (Cluster, Cluster) pairs, both leaves
     eta: float
@@ -148,6 +155,13 @@ class BlockPartition:
     @property
     def n_dofs(self):
         return self.tree.root.size
+
+    @cached_property
+    def mirror(self) -> list:
+        """Per far block (tau, sigma): the index in far of its partner
+        (sigma, tau) if tau.id > sigma.id, a mirror; else None, owned."""
+        where = {(t.id, s.id): i for i, (t, s) in enumerate(self.far)}
+        return [where[s.id, t.id] if t.id > s.id else None for t, s in self.far]
 
 
 def build_block_partition(tree: ClusterTree, eta: float = 2.0) -> BlockPartition:

@@ -2,14 +2,12 @@
 
 Far (admissible) blocks hold truncated-SVD factors X Y^H with orthonormal
 columns in X, the spectral-norm-optimal rank-r approximation of the block;
-near blocks are stored dense. owned_svds is the one SVD loop over the far
-blocks, with one SVD per mirrored pair of a symmetric matrix (far_mirrors,
-which makes the package's one full-array symmetry test); compress_dense
-reads both factor sides of every block from it, a mirror its partner's
-transposed, and the rank sweep keeps one side. spectral_norm is the
-package's one Lanczos norm: of the symmetric matrix one triangle of its
-operand defines, so a caller may keep just that triangle. spectral_error
-is the exact norm of an approximation's error.
+near blocks are stored dense. Every matrix factored here is symmetric, as
+A^{-1} is: far_mirrors, the package's one full-array symmetry test, hands
+back the partition's mirror pairs, and owned_svds, the one SVD loop over
+far blocks, takes one SVD per pair, read by compress_dense (a mirror
+transposes its partner's) and the rank sweep. spectral_norm, the one
+Lanczos norm, reads one triangle; spectral_error is an exact error norm.
 
 Every dense matrix this module takes or returns is in the cluster tree's
 leaf order, where each block is the slice of its clusters' spans.
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blas import kernel, zsymv
+from .blas import kernel, symv
 from .cluster import BlockPartition
 
 TILE = 256  # side of the square tiles that symmetric passes work on
@@ -57,27 +55,24 @@ def truncated_svd(block: np.ndarray, rank: int):
     return u[:, :rank].copy(), sv, vh[:rank].copy()
 
 
-def far_mirrors(dense: np.ndarray, partition: BlockPartition):
-    """For a bitwise-symmetric square dense, the index of the partner
-    (sigma, tau) in partition.far of each far block (tau, sigma) with
-    tau.id > sigma.id, a mirror, whose slice is its partner's transpose;
-    every other entry is None: the block is owned. An owned block lies on
-    or above the diagonal: tau and sigma are equal or disjoint, and in
-    preorder the lower id's span comes first. For any other dense, None."""
-    if not _is_symmetric(dense):
-        return None
-    where = {(t.id, s.id): i for i, (t, s) in enumerate(partition.far)}
-    return [where.get((s.id, t.id)) if t.id > s.id else None
-            for t, s in partition.far]
+def far_mirrors(dense: np.ndarray, partition: BlockPartition) -> list:
+    """partition.mirror, once dense is found square and bitwise symmetric,
+    compared one tile pair at a time: the package's one full-array
+    symmetry test. Any other dense is a ValueError. A mirror's slice of
+    dense is then its partner's transpose."""
+    n = dense.shape[0]
+    if not (dense.shape == (n, n) and all(
+            np.array_equal(dense[r, c], dense[c, r].T) for r, c in tile_pairs(n))):
+        raise ValueError("needs a bitwise-symmetric square matrix")
+    return partition.mirror
 
 
-def owned_svds(dense: np.ndarray, partition: BlockPartition, mirror: list,
-               rank: int):
-    """(i, truncated_svd(block, rank)) for each far block i of dense with
-    mirror[i] None, in partition.far order: the package's one SVD loop over
-    far blocks, one SVD per mirrored pair. A LAPACK failure is a ValueError
-    naming the block."""
-    for i, ((t, s), j) in enumerate(zip(partition.far, mirror)):
+def owned_svds(dense: np.ndarray, partition: BlockPartition, rank: int):
+    """(i, truncated_svd(block, rank)) for each owned far block i of dense,
+    a matrix far_mirrors accepted, in partition.far order: the package's
+    one SVD loop over far blocks, one SVD per mirrored pair. A LAPACK
+    failure is a ValueError naming the block."""
+    for i, ((t, s), j) in enumerate(zip(partition.far, partition.mirror)):
         if j is not None:
             continue
         try:
@@ -89,14 +84,15 @@ def owned_svds(dense: np.ndarray, partition: BlockPartition, mirror: list,
 
 def compress_dense(dense: np.ndarray, partition: BlockPartition,
                    rank: int) -> HMatrix:
-    """Replace far blocks by rank-min(rank, dims) truncated SVDs from
-    owned_svds; copy near blocks verbatim. A mirror is not factored: its X
-    is a view of its partner's (V^H)^T, its Y is conj(U) Sigma, and it
-    shares its partner's sigma."""
+    """Replace the far blocks of the symmetric dense by rank-min(rank, dims)
+    truncated SVDs from owned_svds; copy near blocks verbatim. A dense that
+    far_mirrors refuses is a ValueError. A mirror is not factored: its X is
+    a view of its partner's (V^H)^T, its Y is conj(U) Sigma, and it shares
+    its partner's sigma."""
     if rank < 0:
         raise ValueError("rank must be >= 0")
-    mirror = far_mirrors(dense, partition) or [None] * len(partition.far)
-    svds = dict(owned_svds(dense, partition, mirror, rank))
+    mirror = far_mirrors(dense, partition)
+    svds = dict(owned_svds(dense, partition, rank))
     far = []
     for i, ((t, s), j) in enumerate(zip(partition.far, mirror)):
         if j is None:
@@ -111,10 +107,14 @@ def compress_dense(dense: np.ndarray, partition: BlockPartition,
     return HMatrix(dense.shape, far, near, partition)
 
 
+def _dtype(h: HMatrix, *arrays) -> np.dtype:
+    """The dtype of a product of h's blocks with arrays, at least float64."""
+    return np.result_type(*arrays, *(b.data for b in h.near),
+                          *(b.X for b in h.far), np.float64)
+
+
 def matvec(h: HMatrix, x: np.ndarray) -> np.ndarray:
-    dt = np.result_type(x.dtype, *(b.data.dtype for b in h.near),
-                        *(b.X.dtype for b in h.far), np.float64)
-    y = np.zeros(h.shape[0], dtype=dt)
+    y = np.zeros(h.shape[0], dtype=_dtype(h, x))
     for b in h.far:
         y[b.rows] += b.X @ (b.Y.conj().T @ x[b.cols])
     for b in h.near:
@@ -124,9 +124,7 @@ def matvec(h: HMatrix, x: np.ndarray) -> np.ndarray:
 
 def rmatvec(h: HMatrix, x: np.ndarray) -> np.ndarray:
     """Conjugate-transpose matvec."""
-    dt = np.result_type(x.dtype, *(b.data.dtype for b in h.near),
-                        *(b.X.dtype for b in h.far), np.float64)
-    y = np.zeros(h.shape[1], dtype=dt)
+    y = np.zeros(h.shape[1], dtype=_dtype(h, x))
     for b in h.far:
         y[b.cols] += b.Y @ (b.X.conj().T @ x[b.rows])
     for b in h.near:
@@ -135,9 +133,7 @@ def rmatvec(h: HMatrix, x: np.ndarray) -> np.ndarray:
 
 
 def to_dense(h: HMatrix) -> np.ndarray:
-    dt = np.result_type(*(b.data.dtype for b in h.near),
-                        *(b.X.dtype for b in h.far), np.float64)
-    out = np.zeros(h.shape, dtype=dt)
+    out = np.zeros(h.shape, dtype=_dtype(h))
     for b in h.far:
         out[b.rows, b.cols] = b.X @ b.Y.conj().T
     for b in h.near:
@@ -157,11 +153,11 @@ def spectral_norm(mat: np.ndarray, seed: int = 0):
     (k = 1, largest magnitude) with one product per step; returns (norm,
     converged, products). The operand's strict lower triangle is never
     read, and a strided operand is copied to Fortran order; a non-square
-    mat is a ValueError. The operator is S itself when real, by BLAS symv, and when
+    mat is a ValueError. The operator is S itself when real, and when
     complex the real symmetric Takagi map [[Re S, Im S], [Im S, -Re S]],
     whose eigenvalues are +-sigma_i(S) (Horn & Johnson, Matrix Analysis,
-    4.4), applied as one product S (x - iy) by LAPACK zsymv. The products
-    run under blas.kernel(N). The Ritz value never exceeds ||S||_2. The
+    4.4), applied as one product S (x - iy); either product is one
+    blas.symv, run under blas.kernel(N). The Ritz value never exceeds ||S||_2. The
     start vector is drawn from seed, so reruns are byte-identical. A 1 x 1
     mat (where ARPACK refuses k = 1) is measured exactly; ARPACK cannot
     start on a zero S, which the caller skips; no convergence within
@@ -172,30 +168,26 @@ def spectral_norm(mat: np.ndarray, seed: int = 0):
         raise ValueError("spectral_norm needs a square matrix")
     if dim < 2:
         return float(np.linalg.norm(mat)), True, 0
-    from scipy.linalg import get_blas_funcs
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     takagi = np.iscomplexobj(mat)
-    size = 2 * dim if takagi else dim
+    size, dtype = (2 * dim, complex) if takagi else (dim, float)
     products = 0
-    # zsymv needs Fortran order, and f2py's symv would copy other arrays
-    # on every product
-    fmat = np.asfortranarray(norm_operand(mat), complex if takagi else float)
-    if takagi:
-        z, w = np.empty(dim, complex), np.empty(dim, complex)
-        product = zsymv(fmat, z, w)  # w = S z
-    else:
-        symv = get_blas_funcs("symv", (fmat,))
+    # symv needs Fortran order: a C-ordered mat is read through its transpose
+    fmat = np.asfortranarray(norm_operand(mat), dtype)
+    z, w = np.empty(dim, dtype), np.empty(dim, dtype)
+    product = symv(fmat, z, w)  # w = S z
 
     def apply(v):
         nonlocal products
         products += 1
-        if not takagi:
-            return symv(1.0, fmat, v)
-        z.real = v[:dim]  # z = x - iy
-        np.negative(v[dim:], out=z.imag)
+        if takagi:  # z = x - iy
+            z.real = v[:dim]
+            np.negative(v[dim:], out=z.imag)
+        else:
+            z[:] = v
         product()
-        return np.concatenate([w.real, w.imag])
+        return np.concatenate([w.real, w.imag]) if takagi else w.copy()
 
     op = LinearOperator((size, size), matvec=apply, dtype=np.float64)
     v0 = np.random.default_rng(seed).standard_normal(size)
@@ -214,13 +206,6 @@ def tile_pairs(n: int):
     for i in range(0, n, TILE):
         for j in range(i, n, TILE):
             yield slice(i, i + TILE), slice(j, j + TILE)
-
-
-def _is_symmetric(mat: np.ndarray) -> bool:
-    """mat == mat.T bitwise, compared one tile pair at a time."""
-    n = mat.shape[0]
-    return mat.shape == (n, n) and all(
-        np.array_equal(mat[r, c], mat[c, r].T) for r, c in tile_pairs(n))
 
 
 def spectral_error(dense: np.ndarray, h: HMatrix):

@@ -9,21 +9,11 @@ block error into the global bound C_sp * (depth + 1) * max sigma_{r+1},
 which every sweep row is asserted against.
 
 A = A^T with no conjugate, for real and complex kappa, and the lab uses it
-end to end: dense_inverse inverts A through its symmetric indefinite
-factor L D L^T in about N^3 flops and returns a bitwise-symmetric A^{-1},
-which the sweep tests once (hmatrix.far_mirrors), the far blocks take one
-SVD per mirrored pair, and each E_r, symmetric like A^{-1} (and B_H =
-B_H^T), is kept on one triangle only, the one its norm reads:
-hmatrix.spectral_norm, a symmetric Lanczos norm whose Ritz value stays
-<= ||E_r||_2.
-
-One N x N array serves from factorization to the last norm: dense_inverse
-inverts the factor in place, and rank_sweep overwrites that inverse's
-upper triangle with E_r. Its dead strict lower triangle takes each
-mirrored pair's shorter-side leading singular vectors, all the sweep needs
-to project a block's leading singular triplets out of E_r; beside it the
-sweep holds per requested rank only the tail sums and next sigmas that the
-row's Frobenius bound and block bound read.
+end to end: dense_inverse returns a bitwise-symmetric A^{-1} from the
+symmetric indefinite factor L D L^T, in about N^3 flops; rank_sweep takes
+one SVD per mirrored far pair (BlockPartition.mirror) and keeps each E_r
+on the one triangle its symmetric Lanczos norm reads. One N x N array
+serves from factorization to the last norm.
 
 Every dense matrix this module takes or returns is in the cluster tree's
 leaf order, where the block (tau, sigma) is the slice [tau.span, sigma.span].
@@ -178,11 +168,11 @@ class SweepRow:
 def rank_sweep(binv: np.ndarray, partition: BlockPartition, r_list,
                seed: int = 0) -> list:
     """One SweepRow per requested rank, in increasing rank order. binv must
-    equal its transpose bitwise (hmatrix.far_mirrors tests it; any other
-    binv is a ValueError). The sweep works on err = norm_operand(binv),
-    binv itself or its Fortran-ordered view binv.T, and consumes it: on
-    return the upper triangle of err holds E_{r_max} for the largest rank
-    swept. A caller that needs A^{-1} afterwards passes a copy.
+    equal its transpose bitwise: far_mirrors, the sweep's one symmetry
+    test, refuses any other with a ValueError. The sweep consumes err =
+    norm_operand(binv), binv or its Fortran-ordered view binv.T: on return
+    its upper triangle holds E_{r_max}, for the largest rank swept, so a
+    caller that needs A^{-1} afterwards passes a copy.
 
     E_r = A^{-1} - B_H is zero on near blocks and U[:, r:] Sigma[r:] V^H[r:]
     on each far block. ||A^{-1}||_2 and the far-block SVDs, one per mirrored
@@ -198,10 +188,10 @@ def rank_sweep(binv: np.ndarray, partition: BlockPartition, r_list,
     E -= Q (Q^H E) on the left, E -= (E Q^H) Q on the right, which is the
     subtraction of (U Sigma V^H)[r':r] because E_{r'} = sum_{j >= r'}
     sigma_j u_j v_j^H. A block whose rank reaches its size is zeroed, and
-    the sweep adds no N x N array. Owned blocks lie on or above the
-    diagonal, so the sweep writes E_r on that triangle only, the one
-    spectral_norm reads; a mirror takes its partner's tails and sigmas, and
-    B_H picks the same subspace in both blocks of a tie. On return the
+    the sweep adds no N x N array. Owned blocks (BlockPartition.mirror)
+    lie on or above the diagonal, so the sweep writes E_r there only, the
+    triangle spectral_norm reads; a mirror takes its partner's tails and
+    sigmas, and B_H picks one subspace in both blocks of a tie. On return the
     strict lower triangle of err holds each Q and stale entries of A^{-1}.
     Both norms come from spectral_norm (symmetric Lanczos, never above the
     true norm, started from seed), except that an E_r with every far block
@@ -210,8 +200,6 @@ def rank_sweep(binv: np.ndarray, partition: BlockPartition, r_list,
     """
     err = norm_operand(binv)
     mirror = far_mirrors(err, partition)
-    if mirror is None:
-        raise ValueError("rank_sweep needs a bitwise-symmetric square matrix")
     norm_b, conv_b, _ = spectral_norm(err, seed=seed)
     scale = sparsity_constant(partition) * (partition.tree.depth + 1)
     ranks = sorted(int(r) for r in r_list)
@@ -223,7 +211,7 @@ def rank_sweep(binv: np.ndarray, partition: BlockPartition, r_list,
     # sum_{j >= k} sigma_j^2 and sigma_r, 0 from r = count on
     owned, sizes = [], np.zeros(len(far), dtype=np.int64)
     tail2, sig = np.zeros((2, len(ranks), len(far)))
-    for i, (u, sv, vh) in owned_svds(err, partition, mirror, r_max):
+    for i, (u, sv, vh) in owned_svds(err, partition, r_max):
         t, s = far[i]
         left = t.size <= s.size  # keep the shorter side
         q = u if left else vh
@@ -236,9 +224,8 @@ def rank_sweep(binv: np.ndarray, partition: BlockPartition, r_list,
         tail2[:, i] = np.append(np.cumsum(sv[::-1] ** 2)[::-1], 0.0)[k]
         sig[:, i] = np.append(sv, 0.0)[k]
         sizes[i] = sv.size
-    for i, j in enumerate(mirror):
-        if j is not None:
-            tail2[:, i], sig[:, i], sizes[i] = tail2[:, j], sig[:, j], sizes[j]
+    home = [i if j is None else j for i, j in enumerate(mirror)]
+    tail2, sig, sizes = tail2[:, home], sig[:, home], sizes[home]
     dims = np.array([t.size + s.size for t, s in far], dtype=np.int64)
     full = int(sizes.max(initial=0))  # E_r = 0 from rank full on
     for t, s in partition.near:

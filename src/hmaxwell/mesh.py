@@ -92,7 +92,7 @@ def build_box_mesh(n: int, length: float = 1.0) -> Mesh:
     path = np.pad(np.cumsum(steps, axis=1), ((0, 0), (1, 0), (0, 0)))  # (6, 4, 3)
     corner = lo + path
     tets = ((corner[..., 0] * m + corner[..., 1]) * m + corner[..., 2]).reshape(-1, 4)
-    coords = vertices[tets]  # the flip below permutes edges, so h reads it too
+    coords = vertices[tets]
     flip = np.linalg.det(coords[:, 1:] - coords[:, :1]) < 0  # rows b-a, c-a, d-a
     tets[flip, 2:] = tets[flip, :1:-1]
 
@@ -114,11 +114,18 @@ def build_box_mesh(n: int, length: float = 1.0) -> Mesh:
     # an edge is boundary iff both endpoints lie in one common face plane
     boundary_edge = (on_face[edges[:, 0]] & on_face[edges[:, 1]]).any(axis=1)
 
-    diffs = coords[:, le[:, 0], :] - coords[:, le[:, 1], :]
-    h = float(np.sqrt((diffs ** 2).sum(axis=2)).max())
-
     return Mesh(n, float(length), vertices, tets, edges, tet_edges,
-                tet_edge_signs, boundary_vertex, boundary_edge, h)
+                tet_edge_signs, boundary_vertex, boundary_edge,
+                float(_tet_diameters(vertices, tets).max()))
+
+
+def _tet_diameters(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
+    """Per tet, its longest edge: the tet's diameter. The edge set, and so
+    each length, does not depend on the order of a tet's vertices."""
+    coords = vertices[tets]
+    le = np.array(LOCAL_EDGES)
+    diffs = coords[:, le[:, 0], :] - coords[:, le[:, 1], :]
+    return np.sqrt((diffs ** 2).sum(axis=2)).max(axis=1)
 
 
 def tet_volumes(mesh: Mesh) -> np.ndarray:
@@ -129,10 +136,7 @@ def tet_volumes(mesh: Mesh) -> np.ndarray:
 
 def shape_regularity_constant(mesh: Mesh) -> float:
     """max over tets of diam(T) / |T|^(1/3)."""
-    coords = mesh.vertices[mesh.tets]
-    le = np.array(LOCAL_EDGES)
-    diffs = coords[:, le[:, 0], :] - coords[:, le[:, 1], :]
-    diams = np.sqrt((diffs ** 2).sum(axis=2)).max(axis=1)
+    diams = _tet_diameters(mesh.vertices, mesh.tets)
     return float((diams / np.cbrt(tet_volumes(mesh))).max())
 
 

@@ -1,7 +1,6 @@
 """The BLAS thread switch: threads(k) and kernel(n) on every loaded
 OpenBLAS, and where the CLI runs on how many threads, read from each
-library's own getter at the call sites; and the LAPACK zsymv and BLAS gemm
-bindings."""
+library's own getter at the call sites; and the symv and gemm bindings."""
 
 import json
 
@@ -65,23 +64,26 @@ def test_an_exception_inside_still_restores():
 
 @needs_openblas
 def test_kernel_widens_only_from_the_floor():
-    """kernel(n) runs on the starting counts from n = PARALLEL_MIN on and on
-    one thread below, inside threads(k) or not; kernel_threads() reads the
-    most any kernel ran on inside the innermost threads context."""
+    """kernel(n) runs on kernel_counts(n), the starting counts from n =
+    PARALLEL_MIN on and one thread below, inside threads(k) or not, and
+    kernel_counts(n) depends on n alone, not on the context it is read in."""
     start = blas.current()
-    with blas.kernel(blas.PARALLEL_MIN - 1):
+    below, floor = blas.PARALLEL_MIN - 1, blas.PARALLEL_MIN
+    assert blas.kernel_counts(below) == [1] * len(start)
+    assert blas.kernel_counts(floor) == list(start.values())
+    with blas.kernel(below):
         assert set(blas.current().values()) == {1}
     assert blas.current() == start
     with blas.threads(1):
-        with blas.kernel(blas.PARALLEL_MIN - 1):
+        with blas.kernel(below):
             assert set(blas.current().values()) == {1}
-        assert blas.kernel_threads() == 1
-        with blas.kernel(blas.PARALLEL_MIN):
+        assert blas.kernel_counts(below) == [1] * len(start)
+        with blas.kernel(floor):
             assert blas.current() == start
-            with blas.threads(1):  # an inner context keeps its own record
-                assert blas.kernel_threads() == 1
+            with blas.threads(1):
+                assert blas.kernel_counts(floor) == list(start.values())
         assert set(blas.current().values()) == {1}
-        assert blas.kernel_threads() == max(start.values())
+        assert blas.kernel_counts(floor) == list(start.values())
 
 
 @needs_openblas
@@ -191,39 +193,51 @@ def test_small_and_local_runs_stay_on_one_thread(tmp_path, monkeypatch,
 
 
 def test_without_openblas_every_context_is_a_no_op(tmp_path, monkeypatch):
-    """With no OpenBLAS found, the contexts change nothing, a run goes as
-    before and its manifest reads blas_threads = 1."""
+    """With no OpenBLAS found, the contexts change nothing, kernel_counts
+    names no library, a run goes as before and its manifest reads
+    blas_threads = 1."""
     monkeypatch.setattr(blas, "_libs", [])
     assert blas.current() == {}
     with blas.threads(1), blas.kernel(blas.PARALLEL_MIN):
-        assert blas.kernel_threads() == 1
+        assert blas.current() == {}
+        assert blas.kernel_counts(blas.PARALLEL_MIN) == []
     assert cli.main(["rank-sweep", "--n", "5", "--ranks", "1,2",
                      "--out", str(tmp_path), "--name", "s"]) == 0
     counters = json.loads((tmp_path / "s" / "manifest.json").read_text())["counters"]
     assert counters["N"] >= blas.PARALLEL_MIN and counters["blas_threads"] == 1
 
 
-def test_zsymv_reads_one_triangle_and_rereads_its_vector(rng):
-    """blas.zsymv's product is S x for the complex symmetric S the upper
-    triangle defines, to 1e-13, with NaN in the strict lower triangle; one
-    bound product serves every new x written into its vector. Any other
-    layout or dtype is a ValueError, before LAPACK is called."""
+def test_symv_reads_one_triangle_and_rereads_its_vector(rng):
+    """blas.symv's product is S x for the symmetric S (no conjugate) the
+    upper triangle defines, real or complex, to 1e-13, with NaN in the
+    strict lower triangle; one bound product serves every new x written
+    into its vector. Any other layout or dtype, or vectors of another
+    dtype than the matrix, is a ValueError, before BLAS is called."""
     n = 70
-    a = np.asfortranarray(rng.standard_normal((n, n))
-                          + 1j * rng.standard_normal((n, n)))
-    s = np.triu(a) + np.triu(a, 1).T
-    a[np.tril_indices(n, -1)] = np.nan
-    x, y = np.empty(n, complex), np.empty(n, complex)
-    product = blas.zsymv(a, x, y)
-    for _ in range(3):
-        x[:] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        product()
-        want = s @ x
-        assert np.abs(y - want).max() <= 1e-13 * np.abs(want).max()
-    for bad in ((np.ascontiguousarray(a), x, y), (a.real.copy(order="F"), x, y),
-                (a, x[:-1], y), (a, x, y.real.copy())):
-        with pytest.raises(ValueError, match="zsymv"):
-            blas.zsymv(*bad)
+    for dtype in (float, complex):
+        a = rng.standard_normal((n, n)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.standard_normal((n, n))
+        a = np.asfortranarray(a)
+        s = np.triu(a) + np.triu(a, 1).T
+        a[np.tril_indices(n, -1)] = np.nan
+        x, y = np.empty(n, dtype), np.empty(n, dtype)
+        product = blas.symv(a, x, y)
+        for _ in range(3):
+            x[:] = rng.standard_normal(n)
+            if dtype is complex:
+                x += 1j * rng.standard_normal(n)
+            product()
+            want = s @ x
+            assert np.abs(y - want).max() <= 1e-13 * np.abs(want).max()
+        other = complex if dtype is float else float
+        for bad in ((np.ascontiguousarray(a), x, y),
+                    (a.astype(np.float32 if dtype is float else np.complex64,
+                              order="F"), x, y),
+                    (a, x[:-1], y), (a, x, np.empty(n, other)),
+                    (a, np.empty(n, other), y)):
+            with pytest.raises(ValueError, match="symv"):
+                blas.symv(*bad)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])

@@ -292,3 +292,35 @@ def test_tree_build_is_deterministic(tree_and_partition):
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.mid_lo, b.mid_lo)
         assert a.id == b.id and a.level == b.level
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 8])
+def test_mirror_pairs_each_far_block_with_its_transpose(n, tree_and_partition):
+    """partition.mirror is an involution on the far list: a mirror (tau,
+    sigma), tau.id > sigma.id, names the owned block (sigma, tau), and
+    every owned block is named by at most one mirror, its own transpose.
+    The owned blocks are those with tau.id <= sigma.id, each on or above
+    the diagonal in leaf order; at n = 1 the one far block, (root, root),
+    is owned."""
+    _, _, tree, part = tree_and_partition(n)
+    mirror = part.mirror
+    assert len(mirror) == len(part.far) and part.mirror is mirror  # cached
+    partner = list(range(len(part.far)))
+    for i, ((t, s), j) in enumerate(zip(part.far, mirror)):
+        if j is None:
+            assert t.id <= s.id and t.start <= s.start
+            if t is not s:
+                assert t.stop <= s.start
+            continue
+        assert t.id > s.id and mirror[j] is None
+        assert part.far[j] == (s, t)
+        partner[i], partner[j] = j, i
+    for i, j in enumerate(partner):
+        assert partner[j] == i
+        assert part.far[j] == part.far[i][::-1]
+    owned = sum(t.id <= s.id for t, s in part.far)
+    assert mirror.count(None) == owned
+    assert len(part.far) == 2 * owned - sum(t is s for t, s in part.far)
+    if n == 1:
+        assert [(t.id, s.id) for t, s in part.far] == [(0, 0)]
+        assert mirror == [None]

@@ -50,9 +50,17 @@ def test_truncated_svd_is_eckart_young():
             assert np.allclose(u.conj().T @ u, np.eye(k), atol=1e-12)
 
 
+def symmetric(rng, n, dtype=float):
+    """A random n x n matrix equal to its transpose bitwise (no conjugate)."""
+    g = rng.standard_normal((n, n))
+    if dtype is complex:
+        g = g + 1j * rng.standard_normal((n, n))
+    return g + g.T
+
+
 def test_compress_far_blocks_optimal_near_blocks_verbatim(small_partition, rng):
     part, n = small_partition
-    a = rng.standard_normal((n, n))
+    a = symmetric(rng, n)
     h = compress_dense(a, part, rank=4)
     for (t, s), b in zip(part.far, h.far):
         sub = a[t.span, s.span]
@@ -67,7 +75,7 @@ def test_compress_far_blocks_optimal_near_blocks_verbatim(small_partition, rng):
 
 def test_matvec_agrees_with_dense(small_partition, rng):
     part, n = small_partition
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = symmetric(rng, n, complex)
     h = compress_dense(a, part, rank=3)
     hd = to_dense(h)
     for _ in range(3):
@@ -83,7 +91,7 @@ def test_matvec_agrees_with_dense(small_partition, rng):
 
 def test_spectral_error_matches_exact_norm(small_partition, rng):
     part, n = small_partition
-    a = rng.standard_normal((n, n))
+    a = symmetric(rng, n)
     for r in (1, 4):
         h = compress_dense(a, part, rank=r)
         est, converged = spectral_error(a, h)
@@ -94,7 +102,7 @@ def test_spectral_error_matches_exact_norm(small_partition, rng):
 
 def test_spectral_error_zero_for_exact_representation(small_partition):
     part, n = small_partition
-    a = np.random.default_rng(3).standard_normal((n, n))
+    a = symmetric(np.random.default_rng(3), n)
     h = compress_dense(a, part, rank=10**9)  # full rank everywhere
     est, converged = spectral_error(a, h)
     assert converged
@@ -128,7 +136,7 @@ def test_spectral_norm_picks_lanczos_by_symmetry(rng, monkeypatch,
     of its Fortran-ordered operand defines, triu(m) + triu(m, 1).T, to
     1e-12: m itself when F-ordered, m.T when C-ordered. A non-square input
     is a ValueError, and so is a rank sweep of an inverse one ulp off
-    symmetric, whose one symmetry test is far_mirrors'."""
+    symmetric, whose one symmetry test is far_mirrors."""
     import scipy.sparse.linalg as sla
 
     from hmaxwell import rank_sweep
@@ -195,7 +203,7 @@ def test_manifest_structure(small_partition, rng):
     import json
 
     part, n = small_partition
-    a = rng.standard_normal((n, n))
+    a = symmetric(rng, n)
     h = compress_dense(a, part, rank=2)
     man = hmatrix_manifest(h)
     assert man["shape"] == [n, n]
@@ -209,3 +217,18 @@ def test_compress_rejects_negative_rank(small_partition):
     part, n = small_partition
     with pytest.raises(ValueError):
         compress_dense(np.eye(n), part, rank=-1)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_compress_refuses_a_matrix_one_ulp_off_symmetric(small_partition, rng,
+                                                          dtype):
+    """compress_dense factors only a bitwise-symmetric matrix: one entry one
+    ulp off its mirror's, in a far block, is a ValueError before any SVD."""
+    part, n = small_partition
+    a = symmetric(rng, n, dtype)
+    t, s = next((t, s) for t, s in part.far if t.id > s.id)
+    i, j = t.start, s.start
+    a[i, j] += np.spacing(a[i, j].real)  # one ulp on the real part
+    assert a[i, j] != a[j, i]
+    with pytest.raises(ValueError, match="symmetric"):
+        compress_dense(a, part, rank=2)

@@ -382,17 +382,24 @@ def test_sweep_errors_live_on_one_triangle(system_cache, kappa, monkeypatch):
 
 
 def test_sweep_tests_symmetry_once(system_cache, monkeypatch):
-    """A sweep at n = 4 makes one full-array symmetry test, far_mirrors'
-    on A^{-1}, and none per rank."""
+    """A sweep at n = 4 makes one full-array symmetry test, far_mirrors on
+    A^{-1}, and none per rank: far_mirrors, under either module's name, is
+    called once, and compares each pair of mirrored tiles once."""
     sysm = system_cache(4)
     part = build_block_partition(
         build_cluster_tree(sysm.mesh, sysm.dofmap, n_leaf=16), eta=2.0)
     binv = dense_inverse(sparse_operator(sysm), part.tree.perm)
-    calls, test = [], hmatrix._is_symmetric
-    monkeypatch.setattr(hmatrix, "_is_symmetric",
-                        lambda mat: calls.append(1) or test(mat))
+    calls, compared, test = [], [], hmatrix.far_mirrors
+    for owner in (hmatrix, inverse_lab):
+        monkeypatch.setattr(owner, "far_mirrors",
+                            lambda *a: calls.append(1) or test(*a))
+    equal = np.array_equal
+    monkeypatch.setattr(np, "array_equal",
+                        lambda *a: compared.append(1) or equal(*a))
     rows = rank_sweep(binv, part, [1, 2, 4, 8])
+    monkeypatch.undo()
     assert len(calls) == 1 and all(row.products > 0 for row in rows)
+    assert len(compared) == len(list(hmatrix.tile_pairs(binv.shape[0])))
 
 
 @pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])

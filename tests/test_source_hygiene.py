@@ -3,7 +3,7 @@ used by its module, every module-level private name is used somewhere in
 src/, every public name of the lab modules is read outside tests, every
 public function is named outside tests, box tet sets, tet DOFs and
 far-block SVDs are each read from one module, and foreign-function
-bindings live in one."""
+and BLAS bindings live in one."""
 
 import ast
 from collections import Counter
@@ -116,25 +116,30 @@ def test_box_tets_and_tet_dofs_have_one_home():
 
 
 def test_foreign_functions_have_one_home():
-    """Only blas.py imports ctypes or reads a Cython __pyx_capi__ capsule
-    table, by attribute or by name, so every binding to a compiled library
-    outside numpy and scipy's Python API sits in one module."""
+    """Only blas.py imports ctypes, reads a Cython __pyx_capi__ capsule
+    table or names scipy's get_blas_funcs, by import, attribute, bare name
+    or string, so every binding to a compiled library outside numpy and
+    scipy's LAPACK wrappers sits in one module, and a BLAS routine has one
+    route into the package."""
     strays = []
     for module, tree in MODULES.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
+                names = [node.module or "", *(a.name for a in node.names)]
             elif isinstance(node, ast.Attribute):
                 names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names = [node.value]
             else:
                 continue
             strays += [f"{module}:{node.lineno} {name}" for name in names
                        if (name.split(".")[0] == "ctypes"
-                           or name == "__pyx_capi__") and module != "blas.py"]
+                           or name in ("__pyx_capi__", "get_blas_funcs"))
+                       and module != "blas.py"]
     assert not strays, strays
     blas_reads = read_names(MODULES["blas.py"])
     assert {"ctypes", "__pyx_capi__"} <= blas_reads
