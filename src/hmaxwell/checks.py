@@ -171,10 +171,10 @@ def check_helmholtz(region: Region,
 def check_gradient_part(space: HarmonicSpace,
                         tol: float = TOLERANCES["gradient_part"]) -> CheckResult:
     """Gradient parts of the columns of a curl harmonic space are harmonic
-    on its region; the unit columns off O vanish there and are skipped. The
-    local basis columns, N's on O[hit] and then the unit vectors of O[free],
-    are built at full length and checked TILE at a time on one region
-    build, so no N x d block is formed."""
+    on its region, tested at its hat_vertices; the unit columns off O vanish
+    there and are skipped. The local basis columns, N's on O[hit] and then
+    the unit vectors of O[free], are built at full length and checked TILE
+    at a time on one region build, so no N x d block is formed."""
     null, m = space.null, space.null.shape[1]
     on_hit, on_free = space.dofs[space.hit], space.dofs[space.free]
     d, n = m + on_free.size, space.region.system.n_dofs
@@ -188,8 +188,10 @@ def check_gradient_part(space: HarmonicSpace,
             yield cols
 
     worst = gradient_part_harmonic_check(space.region, tiles())
-    return CheckResult("gradient parts of harmonic columns are harmonic",
-                       worst <= tol, worst, tol, f"{d} columns, dim {space.dim}")
+    tested = space.region.hat_vertices.size
+    return CheckResult("gradient parts of harmonic columns are harmonic", worst <= tol,
+                       worst, tol, f"{d} columns, dim {space.dim}, {tested} vertices tested"
+                       if tested else "no interior-supported vertex to test")
 
 
 def check_exact_sequence(grad, region: Region,

@@ -9,8 +9,8 @@ non-finite number is a config error from either.
 
 Exit codes: 0 ok; 1 check failure (a failed check, or a numeric guard such
 as dense_inverse's conditioning test); 2 config error (also an output
-directory or artifact that cannot be written); 3 resource limit (also a
-failed allocation, or a full disk or quota while writing).
+directory or artifact that cannot be written); 3 resource limit (arrays
+over physical memory, a failed allocation, a full disk or quota on write).
 
 Every verb runs with each loaded OpenBLAS on one thread; only the N x N
 kernels widen (blas.kernel), and main restores the thread counts it found
@@ -59,10 +59,6 @@ from .report import RunManifest, svg_decay_plot, write_csv, write_json
 
 
 class ConfigError(Exception):
-    pass
-
-
-class ResourceLimit(Exception):
     pass
 
 
@@ -130,7 +126,6 @@ OPTIONS = {
     "seed": (_int, 0, "RNG seed"),
     "out": (_text, "runs", "output root directory"),
     "name": (_name, None, "experiment subdirectory name"),
-    "dense_limit": (_int, 8000, "max N for dense inversion"),
     "tolerances": (_tolerances, {}, None),
 }
 
@@ -166,8 +161,7 @@ def load_config(args) -> dict:
             (cfg["eta"] <= 0, "eta must be positive"),
             (cfg["n_leaf"] < 1, "n-leaf must be >= 1"),
             (any(r < 0 for r in cfg["ranks"]), "ranks must be nonnegative"),
-            (cfg["seed"] < 0, "seed must be >= 0"),
-            (cfg["dense_limit"] < 1, "dense limit must be >= 1")):
+            (cfg["seed"] < 0, "seed must be >= 0")):
         if bad:
             raise ConfigError(message)
     return cfg
@@ -235,17 +229,10 @@ def build_system(cfg: dict):
 def build_pipeline(cfg: dict, need_inverse: bool = False):
     """(mesh, system, cluster tree, block partition, dense inverse or None)."""
     system = build_system(cfg)
-    mesh = system.mesh
-    tree = build_cluster_tree(mesh, system.dofmap, n_leaf=cfg["n_leaf"])
+    tree = build_cluster_tree(system.mesh, system.dofmap, n_leaf=cfg["n_leaf"])
     partition = build_block_partition(tree, eta=cfg["eta"])
-    binv = None
-    if need_inverse:
-        if system.n_dofs > cfg["dense_limit"]:
-            raise ResourceLimit(
-                f"N = {system.n_dofs} exceeds the dense limit "
-                f"{cfg['dense_limit']}; raise dense_limit or lower n")
-        binv = dense_inverse(sparse_operator(system), tree.perm)
-    return mesh, system, tree, partition, binv
+    binv = dense_inverse(sparse_operator(system), tree.perm) if need_inverse else None
+    return system.mesh, system, tree, partition, binv
 
 
 def verdict(results) -> int:
@@ -561,7 +548,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ResourceLimit, MemoryError) as exc:
+    except MemoryError as exc:
         print(f"resource limit: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except OSError as exc:  # reading the config raised ConfigError: a write

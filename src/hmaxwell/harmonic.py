@@ -123,7 +123,8 @@ class Region:
     """A box on a system's mesh, the one home of what it selects, each part
     built on first use: tets, the conforming set; inside, the tets in the
     closed box; nodal, the NodalSpace of the conforming tets; mass, their
-    edge mass matrix (N x N CSR)."""
+    edge mass matrix (N x N CSR); hat_vertices, the vertices off the domain
+    boundary whose hat support lies in the closed box, ascending."""
     system: GalerkinSystem
     box: BoxRegion
 
@@ -142,6 +143,12 @@ class Region:
     @cached_property
     def mass(self):
         return assemble_region_matrix(self.system, self.tets, "mass")
+
+    @cached_property
+    def hat_vertices(self) -> np.ndarray:
+        mesh = self.system.mesh
+        return np.flatnonzero(self.supported(mesh.tets, mesh.n_vertices)
+                              & ~mesh.boundary_vertex)
 
     def supported(self, tet_entities: np.ndarray, n: int) -> np.ndarray:
         """Per entity (tet_entities (T, k) lists each tet's vertices, edges or
@@ -370,18 +377,15 @@ def helmholtz_report(region: Region, coeffs: np.ndarray) -> dict:
 
 
 def gradient_part_harmonic_check(region: Region, columns) -> float:
-    """Max |<grad p, grad hat_w>| over interior-supported vertices w, for
+    """Max |<grad p, grad hat_w>| over the region's hat_vertices w, for
     the gradient part p of a discretely L-harmonic column; small values
     confirm that the gradient part is itself discretely harmonic.
 
     columns is an iterable of (N, m) blocks, checked one at a time; the
     result is the max over every column, on the region's one nodal space
-    and mass matrix.
+    and mass matrix, and 0 when the region has no hat vertex.
     """
-    mesh = region.system.mesh
-    # vertices whose hat support lies in the box lie in the region too
-    ok = region.supported(mesh.tets, mesh.n_vertices)
-    verts = np.flatnonzero(ok & ~mesh.boundary_vertex)
+    verts = region.hat_vertices  # in the region too, as their supports are
     if not verts.size:
         return 0.0
     inc = region.system.incidence  # grad p = inc @ p
@@ -420,11 +424,11 @@ def exact_sequence_recover(nodal: NodalSpace, coeffs: np.ndarray) -> tuple:
     rows = np.unique(dofs)
     rows = rows[rows >= 0]
     scale = np.linalg.norm(v[rows], axis=0)
-    # curl-free pre-check: the curl-curl Gram over the region applied to the
-    # coefficients must vanish relative to its Frobenius norm
+    # curl-free pre-check: the region's curl-curl Gram applied to the
+    # coefficients must vanish relative to its kept local entries' norm
     keep = dofs >= 0
     curl = system.local.curl[tets] * (keep[:, :, None] & keep[:, None, :])
-    ku = scatter(curl, dofs, system.n_dofs) @ v
+    ku = assemble_region_matrix(system, tets, "curl") @ v
     lim = 1e-10 * np.sqrt(float((curl * curl).sum()))
     _require_curl_free(np.abs(ku).max(axis=0) > lim * np.maximum(scale, 1e-300),
                        scale)

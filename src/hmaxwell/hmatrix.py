@@ -123,13 +123,9 @@ def matvec(h: HMatrix, x: np.ndarray) -> np.ndarray:
 
 
 def rmatvec(h: HMatrix, x: np.ndarray) -> np.ndarray:
-    """Conjugate-transpose matvec."""
-    y = np.zeros(h.shape[1], dtype=_dtype(h, x))
-    for b in h.far:
-        y[b.cols] += b.Y @ (b.X.conj().T @ x[b.rows])
-    for b in h.near:
-        y[b.cols] += b.data.conj().T @ x[b.rows]
-    return y
+    """Conjugate-transpose matvec: compress_dense builds only h = h^T, so
+    h^H x = conj(h conj(x)), one matvec."""
+    return matvec(h, np.conj(x)).conj()
 
 
 def to_dense(h: HMatrix) -> np.ndarray:

@@ -30,6 +30,7 @@ from .cluster import BlockPartition, sparsity_constant
 from .fem import GalerkinSystem, apply_dual_functionals, riesz_rhs, solve_system
 from .hmatrix import (far_mirrors, norm_operand, owned_svds, spectral_norm,
                       tile_pairs)
+from .mesh import require_memory
 
 RESIDUAL_LIMIT = 1e-8  # dense_inverse's bound on max |A A^{-1} - I|
 RESIDUAL_ROWS = 64     # rows of A per chunk of dense_inverse's residual guard
@@ -50,9 +51,11 @@ def dense_inverse(op, perm: np.ndarray) -> np.ndarray:
     A nonzero LAPACK info is an error; the exact 1-norm condition number
     must be finite and at most COND_LIMIT. The residual guard, max
     |A A^{-1} - I| at most RESIDUAL_LIMIT, takes RESIDUAL_ROWS rows of the
-    CSR P A P^T at a time (nnz(A) N flops, one chunk alive, in place)."""
-    a = op[perm][:, perm]
+    CSR P A P^T at a time (nnz(A) N flops, one chunk alive, in place). An
+    N x N array that require_memory refuses is a MemoryError before it exists."""
     n = perm.size
+    require_memory(n * n * op.dtype.itemsize, f"N = {n}: the inverse's N x N entries")
+    a = op[perm][:, perm]
     dense = a.toarray(order="F")  # no N x N mask: cond catches NaN
     sytrf, sytrf_lwork, syconv, trtri = scipy.linalg.get_lapack_funcs(
         ("sytrf", "sytrf_lwork", "syconv", "trtri"), (dense,))

@@ -1,6 +1,8 @@
 """Shared fixtures. Meshes and assembled systems are expensive enough at
 n >= 4 that the suite builds each size once per session."""
 
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -85,5 +87,18 @@ def patch_lapack(monkeypatch):
                          for n, f in zip(names, funcs))
 
         monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", patched)
+
+    return patch
+
+
+@pytest.fixture()
+def physical_memory(monkeypatch):
+    """physical_memory(nbytes) makes the host report exactly nbytes of
+    physical memory (pages of one byte) for the rest of the test; every
+    other os.sysconf name still reads the host."""
+    def patch(nbytes):
+        real, fake = os.sysconf, {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": nbytes}
+        monkeypatch.setattr(os, "sysconf",
+                            lambda name: fake[name] if name in fake else real(name))
 
     return patch

@@ -192,8 +192,12 @@ def test_criterion_7_exact_sequence():
 
 
 def test_criterion_8_helmholtz_and_gradient_parts():
-    system = assemble_system(build_box_mesh(4), kappa=1.0)
+    """At n = 5, the first size at which both regions have a vertex whose
+    hat support lies in the box (at n = 4 the boundary region has none), so
+    the gradient-part check tests at least one vertex in each."""
+    system = assemble_system(build_box_mesh(5), kappa=1.0)
     worst_pyth = worst_grad = 0.0
+    grads, tested = [], []
     for label, pair in default_pairs(1.0).items():
         region = Region(system, pair.outer)
         ortho, pyth = check_helmholtz(region, pythagoras_tol=1e-10,
@@ -201,11 +205,15 @@ def test_criterion_8_helmholtz_and_gradient_parts():
         gpart = check_gradient_part(harmonic_space(region, "curl"), tol=1e-9)
         worst_pyth = max(worst_pyth, pyth.measured, ortho.measured)
         worst_grad = max(worst_grad, gpart.measured)
-    passed = worst_pyth <= 1e-10 and worst_grad <= 1e-9
+        grads.append(f"{label} {gpart.measured:.3e}")
+        tested.append(region.hat_vertices.size)
+    passed = worst_pyth <= 1e-10 and worst_grad <= 1e-9 and min(tested) >= 1
     report(8, passed, f"Pythagoras/orthogonality {worst_pyth:.3e}, "
-           f"gradient-part residual {worst_grad:.3e} (both regions)")
+           f"gradient-part residuals {', '.join(grads)}, vertices tested "
+           f"{tested}")
     assert worst_pyth <= 1e-10
     assert worst_grad <= 1e-9
+    assert min(tested) >= 1
 
 
 def test_criterion_9_transfer_identity(lab4):

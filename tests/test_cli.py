@@ -208,11 +208,30 @@ def test_flags_override_config_file(tmp_path):
     assert man["config"]["seed"] == 5
 
 
-def test_dense_limit_exceeded_exits_3(tmp_path, capsys):
-    code = run_cli("rank-sweep", "--n", "3", "--dense-limit", "100",
-                   "--out", str(tmp_path))
+def test_dense_limit_exceeded_exits_3(tmp_path, capsys, physical_memory):
+    """With 1 MiB of physical memory the n = 5 mesh (0.1 MB) is built and
+    its 3.5 MB inverse is refused: exit 3, one resource limit line, and no
+    sweep written."""
+    physical_memory(2**20)
+    code = run_cli("rank-sweep", "--n", "5", "--out", str(tmp_path),
+                   "--name", "small")
+    err = capsys.readouterr().err
     assert code == 3
-    assert "limit" in capsys.readouterr().err
+    assert err.startswith("resource limit: N = ")
+    assert "the inverse's N x N entries need" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not (tmp_path / "small" / "sweep.csv").exists()
+
+
+def test_dense_limit_config_key_is_unknown(tmp_path, capsys):
+    """The memory rule is computed, not set: a config file naming the
+    retired dense_limit is an unknown key, exit 2."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dense_limit": 100}))
+    assert run_cli("rank-sweep", "--n", "2", "--config", str(cfg),
+                   "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: unknown config key 'dense_limit'\n"
 
 
 @pytest.mark.parametrize("argv", [["mesh-info", "--n", "3000"],
@@ -438,15 +457,18 @@ def test_dual_basis_check_passes(tmp_path):
                    "--name", "d") == 0
 
 
-def test_runs_that_never_invert_never_form_a(tmp_path, monkeypatch):
+def test_runs_that_never_invert_never_form_a(tmp_path, monkeypatch,
+                                            physical_memory):
     """The local-theory verbs read K, M and kappa only, and a rank sweep
-    over the dense limit (n = 12, N = 10,836) is refused before the 940 MB
-    dense A exists: no read of A, and a small traced peak."""
+    whose inverse exceeds physical memory (n = 12, N = 10,836, 940 MB
+    against 512 MiB) is refused before the dense A exists: no read of A,
+    and a small traced peak."""
     def refuse(system):
         raise AssertionError("dense A formed")
     monkeypatch.setattr(fem.GalerkinSystem, "A", property(refuse))
     for verb in ("caccioppoli", "helmholtz", "dual-basis-check"):
         assert run_cli(verb, "--n", "3", "--out", str(tmp_path)) == 0, verb
+    physical_memory(512 * 2**20)
     tracemalloc.start()
     try:
         code = run_cli("rank-sweep", "--n", "12", "--out", str(tmp_path))
@@ -943,7 +965,7 @@ def test_benchmark_hooks_exist(tmp_path, capsys):
     text = " ".join(capsys.readouterr().out.split())
     assert {tok for tok in text.split() if tok.startswith("--")} == {
         "--help", "--n", "--kappa-re", "--kappa-im", "--eta", "--n-leaf",
-        "--ranks", "--seed", "--out", "--name", "--dense-limit", "--config"}
+        "--ranks", "--seed", "--out", "--name", "--config"}
     for key, (_, default, flag_help) in OPTIONS.items():
         if flag_help is not None:
             if default is not None:

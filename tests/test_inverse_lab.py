@@ -135,6 +135,29 @@ def test_dense_inverse_holds_one_dense_array(system_cache):
     assert peak < 1.1 * binv.nbytes
 
 
+@pytest.mark.parametrize("kappa", [1.0, 1.0 + 0.5j])
+def test_dense_inverse_refuses_what_memory_cannot_hold(system_cache, kappa,
+                                                      physical_memory):
+    """The N x N inverse needs N^2 entries of A's dtype, 8 bytes real and
+    16 complex: with that much physical memory it is formed, and with one
+    byte less it is a MemoryError before any N x N array exists."""
+    sysm = system_cache(5, kappa)
+    op = sparse_operator(sysm)
+    n, perm = op.shape[0], build_cluster_tree(sysm.mesh, sysm.dofmap).perm
+    need = n * n * (16 if isinstance(kappa, complex) else 8)
+    physical_memory(need)
+    assert dense_inverse(op, perm).nbytes == need
+    physical_memory(need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match=f"N = {n}: the inverse's N x N"):
+            dense_inverse(op, perm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * need
+
+
 def corrupted(trtri):
     """trtri whose Z = L^{-1} has one entry below the diagonal off by 1e-5."""
     def bad(*args, **kwargs):

@@ -101,14 +101,16 @@ def read_names(tree):
 # name -> the one module of src/ that may read it
 HOMES = {"tets_intersecting_box": "harmonic.py", "tets_inside_box": "harmonic.py",
          "conforming_tets": "harmonic.py", "inside_tets": "harmonic.py",
-         "edge_to_dof": "fem.py", "truncated_svd": "hmatrix.py"}
+         "edge_to_dof": "fem.py", "truncated_svd": "hmatrix.py", "sysconf": "mesh.py"}
 
 
 def test_box_tets_and_tet_dofs_have_one_home():
     """Only harmonic.py runs the tet-box tests, so a box's tet sets come
     from its harmonic.Region; only fem.py reads DofMap.edge_to_dof, so a
     tet's DOFs come from DofMap.tet_dofs; only hmatrix.py reads
-    truncated_svd, so every far-block SVD comes from owned_svds."""
+    truncated_svd, so every far-block SVD comes from owned_svds; only
+    mesh.py reads os.sysconf, so whether arrays fit in memory is decided by
+    require_memory alone."""
     strays = [f"{module} {name}" for module, tree in MODULES.items()
               for name in sorted(read_names(tree) & HOMES.keys())
               if HOMES[name] != module]
