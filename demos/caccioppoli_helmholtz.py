@@ -17,7 +17,7 @@ from hmaxwell.harmonic import (Region, caccioppoli_ratio, default_pairs,
                                exact_sequence_recover, harmonic_space,
                                helmholtz_report)
 
-pair = default_pairs(1.0)["interior"]
+pair = default_pairs()["interior"]
 print(f"concentric pair at {list(pair.center)}: inner side {pair.r}, "
       f"outer side {pair.r * (1 + pair.eps):.2f}")
 
@@ -36,7 +36,7 @@ for n in (4, 6, 8):
 
 # HELMHOLTZ SPLIT
 system = assemble_system(build_box_mesh(4), kappa=1.0)
-region = Region(system, default_pairs(system.mesh.length)["interior"].outer)
+region = Region(system, default_pairs()["interior"].outer)
 rng = np.random.default_rng(0)
 u = rng.standard_normal(system.n_dofs)
 

@@ -1,11 +1,12 @@
 """Command-line experiment runner.
 
 Verbs: mesh-info, assemble, rank-sweep, block-svd, caccioppoli, helmholtz,
-commuting-check, dual-basis-check, verify. OPTIONS declares every option
-once: parser, default and flag help. A JSON config file can set any option
-(length and tolerances only there); flags win over the file, the file over
-defaults, and one parser reads both, so a non-integral integer or a
-non-finite number is a config error from either.
+commuting-check, dual-basis-check, verify, each on the mesh of the unit
+cube [0, 1]^3, whose coordinates compare to a tolerance of 1e-12. OPTIONS
+declares every option once: parser, default and flag help. A JSON config
+file can set any option (tolerances only there) and no other key; flags
+win over the file, the file over defaults, and one parser reads both, so
+a non-integral integer or a non-finite number is a config error from either.
 
 Exit codes: 0 ok; 1 check failure (a failed check, or a numeric guard such
 as dense_inverse's conditioning test); 2 config error (also an output
@@ -117,7 +118,6 @@ def _tolerances(value) -> dict:
 # set only from the config file. Defaults go through the parser as well.
 OPTIONS = {
     "n": (_int, 3, "subdivisions per axis"),
-    "length": (_float, 1.0, None),
     "kappa_re": (_float, 1.0, "Re(kappa)"),
     "kappa_im": (_float, 0.0, "Im(kappa)"),
     "eta": (_float, 2.0, "admissibility parameter"),
@@ -155,7 +155,6 @@ def load_config(args) -> dict:
             raise ConfigError(f"bad {key} value {value!r}: {exc}") from None
     for bad, message in (
             (cfg["n"] < 1, "n must be >= 1"),
-            (cfg["length"] <= 0, "length must be positive"),
             (cfg["kappa_re"] == 0.0 and cfg["kappa_im"] == 0.0,
              "kappa must be nonzero"),
             (cfg["eta"] <= 0, "eta must be positive"),
@@ -222,7 +221,7 @@ class Runner:
 
 def build_system(cfg: dict):
     """The Galerkin system on the configured mesh."""
-    return assemble_system(build_box_mesh(cfg["n"], cfg["length"]),
+    return assemble_system(build_box_mesh(cfg["n"]),
                            kappa=complex(cfg["kappa_re"], cfg["kappa_im"]))
 
 
@@ -246,11 +245,10 @@ def verdict(results) -> int:
 
 def cmd_mesh_info(run: Runner, cfg: dict) -> int:
     run.phase("build")
-    mesh = build_box_mesh(cfg["n"], cfg["length"])
+    mesh = build_box_mesh(cfg["n"])
     conf = conformity_report(mesh)
     info = {
         "n": mesh.n,
-        "length": mesh.length,
         "h": mesh.h,
         "n_vertices": mesh.n_vertices,
         "n_tets": mesh.n_tets,
@@ -370,7 +368,7 @@ def cmd_caccioppoli(run: Runner, cfg: dict) -> int:
     system = build_system(cfg)
     run.phase("solve")
     out = {"n": system.mesh.n, "h": system.mesh.h, "pairs": {}}
-    for label, pair in default_pairs(system.mesh.length).items():
+    for label, pair in default_pairs().items():
         entry, region = {}, Region(system, pair.outer)
         inner = Region(system, pair.inner)
         for variant in ("curl", "grad"):
@@ -395,7 +393,7 @@ def cmd_helmholtz(run: Runner, cfg: dict) -> int:
     coeffs = random_field(system, cfg["seed"])
     run.phase("solve")
     out = {"n": system.mesh.n, "seed": cfg["seed"], "regions": {}}
-    for label, pair in default_pairs(system.mesh.length).items():
+    for label, pair in default_pairs().items():
         rep = helmholtz_report(Region(system, pair.outer), coeffs)
         rep = {k: v for k, v in rep.items() if k not in ("z", "p")}
         out["regions"][label] = rep
@@ -466,7 +464,7 @@ def cmd_verify(run: Runner, cfg: dict) -> int:
     results += [check_bound(rows, len(partition.far), tol["bound_slack"]),
                 transfer]
     run.phase("harmonic")
-    pairs = default_pairs(system.mesh.length)
+    pairs = default_pairs()
     regions = {label: Region(system, pair.outer) for label, pair in pairs.items()}
     results.extend(check_helmholtz(regions["interior"], tol["pythagoras"],
                                    tol["helmholtz_orthogonality"],

@@ -160,7 +160,8 @@ class NodalSpace:
     is grounded and the columns number the interior vertices in order."""
     system: GalerkinSystem
     tet_ids: np.ndarray
-    free_vertices: np.ndarray   # (nf,) vertex ids carrying unknowns, ascending
+    vertices: np.ndarray        # (nv,) the tets' vertices off the box boundary, ascending
+    free_vertices: np.ndarray   # (nf,) vertices less the grounded one: the unknowns
     col_of_vertex: np.ndarray   # (V,) column or -1
     gram: scipy.sparse.csr_array  # (nf, nf) gradient Gram: stiffness of the hats
 
@@ -181,14 +182,13 @@ def region_nodal_space(system: GalerkinSystem, tet_ids) -> NodalSpace:
     mesh = system.mesh
     tet_ids = np.asarray(tet_ids, dtype=np.int64)
     verts = np.unique(mesh.tets[tet_ids])
-    free = verts[~mesh.boundary_vertex[verts]]
-    if free.size == verts.size and free.size > 0:
-        # region does not touch the box boundary: constants are in the
-        # space, ground the lowest vertex (the gradient is unaffected)
-        free = free[1:]
+    off = verts[~mesh.boundary_vertex[verts]]
+    # a region that does not touch the box boundary holds the constants:
+    # ground its lowest vertex (the gradient is unaffected)
+    free = off[1:] if off.size == verts.size else off
     col = np.full(mesh.n_vertices, -1, dtype=np.int64)
     col[free] = np.arange(free.size)
-    return NodalSpace(system, tet_ids, free, col, scatter(
+    return NodalSpace(system, tet_ids, off, free, col, scatter(
         system.local.nodal_stiffness[tet_ids], col[mesh.tets[tet_ids]], free.size))
 
 

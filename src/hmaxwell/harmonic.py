@@ -19,7 +19,7 @@ import scipy.linalg
 
 from .fem import (GalerkinSystem, NodalSpace, assemble_region_matrix,
                   pi_nabla_project, region_nodal_space, scatter, sparse_operator)
-from .mesh import LOCAL_EDGES, Mesh
+from .mesh import GEOMETRY_TOL, LOCAL_EDGES, Mesh
 
 NULLSPACE_RTOL = 1e-10
 
@@ -53,14 +53,12 @@ class ConcentricPair:
         return BoxRegion(self.center, (1.0 + self.eps) * self.r)
 
 
-def default_pairs(length: float) -> dict:
-    """The two standard experiment geometries on the box [0, length]^3: an
-    interior pair and a boundary-touching pair (boxes sticking out of the
-    domain). Centres and sides scale with length, eps does not."""
+def default_pairs() -> dict:
+    """The two standard experiment geometries on [0, 1]^3: an interior pair
+    and a boundary-touching pair (boxes sticking out of the domain)."""
     return {
-        "interior": ConcentricPair((0.5 * length,) * 3, 0.4 * length, 0.5),
-        "boundary": ConcentricPair((0.1 * length, 0.5 * length, 0.5 * length),
-                                   0.4 * length, 0.5),
+        "interior": ConcentricPair((0.5, 0.5, 0.5), 0.4, 0.5),
+        "boundary": ConcentricPair((0.1, 0.5, 0.5), 0.4, 0.5),
     }
 
 
@@ -78,16 +76,15 @@ def tets_intersecting_box(mesh: Mesh, lo, hi) -> np.ndarray:
     Separating-axis test, batched over all candidate tets, on the 25 axes
     of each tet-box pair: 3 box normals, 4 tet face normals and the 18
     cross products of a tet edge with a box axis. Axes shorter than 1e-14
-    are skipped; the projections must overlap by more than 1e-12 L on every
-    other axis, so touching along a face or edge does not count.
+    are skipped; the projections must overlap by more than GEOMETRY_TOL on
+    every other axis, so touching along a face or edge does not count.
     """
-    tol = 1e-12 * mesh.length
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     coords = mesh.vertices[mesh.tets]              # (T, 4, 3)
     cand = np.nonzero(
-        (coords.min(axis=1) < hi[None, :] - tol).all(axis=1)
-        & (coords.max(axis=1) > lo[None, :] + tol).all(axis=1))[0]
+        (coords.min(axis=1) < hi[None, :] - GEOMETRY_TOL).all(axis=1)
+        & (coords.max(axis=1) > lo[None, :] + GEOMETRY_TOL).all(axis=1))[0]
     half = 0.5 * (hi - lo)
     pts = coords[cand] - 0.5 * (lo + hi)           # (C, 4, 3), box-centred
     box_gap = (np.minimum(half, pts.max(axis=1))
@@ -103,18 +100,18 @@ def tets_intersecting_box(mesh: Mesh, lo, hi) -> np.ndarray:
     proj = axes @ pts.transpose(0, 2, 1)           # (C, 22, 4)
     rad = np.abs(axes) @ half
     gap = np.minimum(rad, proj.max(axis=2)) - np.maximum(-rad, proj.min(axis=2))
-    ok = (box_gap > tol).all(axis=1) & ((gap > tol) | ~live).all(axis=1)
+    ok = ((box_gap > GEOMETRY_TOL).all(axis=1)
+          & ((gap > GEOMETRY_TOL) | ~live).all(axis=1))
     return cand[ok]
 
 
 def tets_inside_box(mesh: Mesh, lo, hi) -> np.ndarray:
-    """Ids of tets whose closure lies in the closed box (to 1e-12 L)."""
-    tol = 1e-12 * mesh.length
+    """Ids of tets whose closure lies in the closed box (to GEOMETRY_TOL)."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     coords = mesh.vertices[mesh.tets]
-    ok = ((coords >= lo[None, None, :] - tol).all(axis=(1, 2))
-          & (coords <= hi[None, None, :] + tol).all(axis=(1, 2)))
+    ok = ((coords >= lo[None, None, :] - GEOMETRY_TOL).all(axis=(1, 2))
+          & (coords <= hi[None, None, :] + GEOMETRY_TOL).all(axis=(1, 2)))
     return np.nonzero(ok)[0]
 
 
@@ -352,13 +349,10 @@ def helmholtz_report(region: Region, coeffs: np.ndarray) -> dict:
     z the remainder. Returns z, the full-length nodal vector p, the squared
     norms, the Pythagoras defect and the orthogonality residual of z."""
     system, tets, mass = region.system, region.tets, region.mass
-    mesh = system.mesh
     p = pi_nabla_project(region.nodal, coeffs)
     g = system.incidence @ p
     z = coeffs - g
-    verts = np.unique(mesh.tets[tets])
-    verts = verts[~mesh.boundary_vertex[verts]]
-    grad = (system.incidence.T @ (mass @ z))[verts]
+    grad = (system.incidence.T @ (mass @ z))[region.nodal.vertices]
     norm_e2 = float(np.real(np.vdot(coeffs, mass @ coeffs)))
     norm_z2 = float(np.real(np.vdot(z, mass @ z)))
     norm_g2 = float(np.real(np.vdot(g, mass @ g)))

@@ -1,7 +1,9 @@
-"""Structured tetrahedral meshes of an axis-aligned box.
+"""Structured tetrahedral meshes of the unit cube [0, 1]^3, the lab's one
+domain: on [0, L]^3, K = K_1 / L and M = L M_1, so A = (K_1 - kappa L^2 M_1) / L
+and a side L at kappa is the unit cube at kappa L^2.
 
-Each of the n^3 subcubes of [0, L]^3 is cut into the six tetrahedra spanned
-by the monotone lattice paths from its lower corner to its upper corner, so
+Each of the n^3 subcubes is cut into the six tetrahedra spanned by the
+monotone lattice paths from its lower corner to its upper corner, so
 every tetrahedron of a subcube contains that subcube's body diagonal. The
 pattern tiles conformingly across subcube interfaces and is self-similar
 under refinement: all tetrahedra are congruent up to reflection and scaling,
@@ -16,7 +18,7 @@ Conventions
 * tet_edges[t, k] is the global id of local edge k (order LOCAL_EDGES) and
   tet_edge_signs[t, k] is +1 when the local direction agrees with the global
 * a vertex (edge) is flagged boundary when it (both its endpoints) lies in a
-  face plane of the box, compared with tolerance 1e-12 * L
+  face plane of the box, compared with tolerance 1e-12 (GEOMETRY_TOL)
 """
 
 import os
@@ -30,11 +32,13 @@ LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # the six monotone paths through a unit cube, as axis orders
 _AXIS_ORDERS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 
+# absolute tolerance of every coordinate comparison on [0, 1]^3
+GEOMETRY_TOL = 1e-12
+
 
 @dataclass
 class Mesh:
     n: int
-    length: float
     vertices: np.ndarray        # (V, 3) float
     tets: np.ndarray            # (T, 4) int, positive orientation
     edges: np.ndarray           # (E, 2) int, lo < hi, lexicographically sorted
@@ -71,21 +75,26 @@ def require_memory(need: int, what: str):
                           f"{have / 2**30:.1f} GiB of memory")
 
 
-def build_box_mesh(n: int, length: float = 1.0) -> Mesh:
-    """Mesh [0, length]^3, length > 0, with n >= 1 subdivisions per axis and
-    6 tets per subcube. An n whose int64 edge keys, below (n+1)^6, would
-    overflow, or whose mesh_bytes require_memory refuses, is a MemoryError
-    before any array is built."""
+def face_planes(points: np.ndarray) -> np.ndarray:
+    """Per point (..., 3), whether it lies in each face plane of [0, 1]^3,
+    x_k = 0 then x_k = 1 for k = 0, 1, 2, to GEOMETRY_TOL: (..., 6) bool."""
+    return np.concatenate([np.abs(points) <= GEOMETRY_TOL,
+                           np.abs(points - 1.0) <= GEOMETRY_TOL], axis=-1)
+
+
+def build_box_mesh(n: int) -> Mesh:
+    """Mesh [0, 1]^3 with n >= 1 subdivisions per axis and 6 tets per
+    subcube. An n whose int64 edge keys, below (n+1)^6, would overflow, or
+    whose mesh_bytes require_memory refuses, is a MemoryError before any
+    array is built."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if (n + 1) ** 6 > np.iinfo(np.int64).max:
         raise MemoryError(f"n = {n}: the mesh's (n+1)^6 edge keys overflow int64")
     require_memory(mesh_bytes(n), f"n = {n}: the mesh's arrays")  # temporaries only add
-    if not length > 0:
-        raise ValueError("length must be positive")
 
     m = n + 1
-    grid = np.arange(m) * (length / n)
+    grid = np.arange(m) * (1.0 / n)  # arange(m) / n rounds some vertices differently
     lattice = np.stack(np.meshgrid(np.arange(m), np.arange(m), np.arange(m),
                                    indexing="ij"), axis=-1).reshape(-1, 3)
     vertices = grid[lattice]
@@ -111,17 +120,14 @@ def build_box_mesh(n: int, length: float = 1.0) -> Mesh:
     tet_edges = inverse.reshape(-1, 6)
     tet_edge_signs = np.where(ends[:, :, 0] < ends[:, :, 1], 1, -1)
 
-    tol = 1e-12 * length
-    # the six face planes kept separate: x=0 and x=L are different planes
-    on_face = np.hstack([np.abs(vertices) <= tol,
-                         np.abs(vertices - length) <= tol])  # (V, 6)
+    # the six face planes kept separate: x=0 and x=1 are different planes
+    on_face = face_planes(vertices)  # (V, 6)
     boundary_vertex = on_face.any(axis=1)
     # an edge is boundary iff both endpoints lie in one common face plane
     boundary_edge = (on_face[edges[:, 0]] & on_face[edges[:, 1]]).any(axis=1)
 
-    return Mesh(n, float(length), vertices, tets, edges, tet_edges,
-                tet_edge_signs, boundary_vertex, boundary_edge,
-                float(_tet_diameters(vertices, tets).max()))
+    return Mesh(n, vertices, tets, edges, tet_edges, tet_edge_signs, boundary_vertex,
+                boundary_edge, float(_tet_diameters(vertices, tets).max()))
 
 
 def _tet_diameters(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
@@ -153,11 +159,8 @@ def conformity_report(mesh: Mesh) -> dict:
     """
     tri = np.sort(mesh.tets[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]], axis=2)
     faces, count = np.unique(tri.reshape(-1, 3), axis=0, return_counts=True)
-    pts = mesh.vertices[faces]  # (F, 3 vertices, 3 coords)
-    tol = 1e-12 * mesh.length
     # a face is boundary when all three vertices lie in one face plane
-    boundary = ((np.abs(pts) <= tol).all(axis=1)
-                | (np.abs(pts - mesh.length) <= tol).all(axis=1)).any(axis=1)
+    boundary = face_planes(mesh.vertices[faces]).all(axis=1).any(axis=1)
     for kind, on, want in (("boundary", boundary, 1), ("interior", ~boundary, 2)):
         bad = np.flatnonzero(on & (count != want))
         if bad.size:
@@ -170,7 +173,6 @@ def conformity_report(mesh: Mesh) -> dict:
 def mesh_to_dict(mesh: Mesh) -> dict:
     return {
         "n": mesh.n,
-        "length": mesh.length,
         "h": mesh.h,
         "vertices": mesh.vertices.tolist(),
         "tets": mesh.tets.tolist(),

@@ -25,11 +25,10 @@ def blas_threads_restored():
 def mesh_cache():
     cache = {}
 
-    def get(n, length=1.0):
-        key = (n, length)
-        if key not in cache:
-            cache[key] = build_box_mesh(n, length)
-        return cache[key]
+    def get(n):
+        if n not in cache:
+            cache[n] = build_box_mesh(n)
+        return cache[n]
 
     return get
 

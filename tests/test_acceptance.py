@@ -152,7 +152,7 @@ def test_criterion_5_dual_basis():
 
 
 def test_criterion_6_caccioppoli_constants(baselines):
-    pair = default_pairs(1.0)["interior"]
+    pair = default_pairs()["interior"]
     measured = {"curl": {}, "grad": {}}
     for n in (4, 6, 8):
         system = assemble_system(build_box_mesh(n), kappa=1.0)
@@ -178,7 +178,7 @@ def test_criterion_6_caccioppoli_constants(baselines):
 
 
 def test_criterion_7_exact_sequence():
-    region = default_pairs(1.0)["interior"].outer
+    region = default_pairs()["interior"].outer
     worst = 0.0
     for n in (3, 4):
         system = assemble_system(build_box_mesh(n), kappa=1.0)
@@ -198,7 +198,7 @@ def test_criterion_8_helmholtz_and_gradient_parts():
     system = assemble_system(build_box_mesh(5), kappa=1.0)
     worst_pyth = worst_grad = 0.0
     grads, tested = [], []
-    for label, pair in default_pairs(1.0).items():
+    for label, pair in default_pairs().items():
         region = Region(system, pair.outer)
         ortho, pyth = check_helmholtz(region, pythagoras_tol=1e-10,
                                       orthogonality_tol=1e-10, seed=11)

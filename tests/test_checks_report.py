@@ -316,7 +316,7 @@ def test_gradient_part_check_works_tile_columns_at_a_time(system_cache):
     five, and its worst equals the one-block check's bitwise."""
     sysm = system_cache(7)
     space = harmonic_space(
-        Region(sysm, default_pairs(sysm.mesh.length)["interior"].outer), "curl")
+        Region(sysm, default_pairs()["interior"].outer), "curl")
     local = local_basis(space)
     m = local.shape[1]
     assert m > 2 * TILE
@@ -339,7 +339,7 @@ def test_gradient_part_check_builds_its_region_once(system_cache, monkeypatch):
     built once for all of them, and the worst equals the max of one call
     per chunk bitwise."""
     sysm = system_cache(6)
-    box = default_pairs(sysm.mesh.length)["interior"].outer
+    box = default_pairs()["interior"].outer
     space = harmonic_space(Region(sysm, box), "curl")
     local = local_basis(space)
     m = local.shape[1]

@@ -151,7 +151,7 @@ BAD_VALUES = [
     ("rank-sweep", {"ranks": [1.5, 2]}),
     ("mesh-info", {"name": 5}),
     ("mesh-info", {"out": 3}),
-    ("mesh-info", {"length": "nan"}),
+    ("mesh-info", {"kappa_im": "nan"}),
     ("commuting-check", {"tolerances": {"commuting": "nan"}}),
     ("assemble", ["--kappa-re", "nan"]),
     ("rank-sweep", ["--kappa-re", "inf"]),
@@ -232,6 +232,18 @@ def test_dense_limit_config_key_is_unknown(tmp_path, capsys):
                    "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err == "config error: unknown config key 'dense_limit'\n"
+
+
+def test_length_config_key_is_unknown(tmp_path, capsys):
+    """The unit cube is the one domain (a side L at kappa is the unit cube
+    at kappa L^2): a config file naming the retired length is an unknown
+    key, exit 2, and nothing is written."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"length": 1.0}))
+    assert run_cli("mesh-info", "--n", "2", "--config", str(cfg),
+                   "--out", str(tmp_path / "runs")) == 2
+    assert capsys.readouterr().err == "config error: unknown config key 'length'\n"
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("argv", [["mesh-info", "--n", "3000"],
@@ -630,7 +642,7 @@ def test_each_region_finds_its_inside_tets_once(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(harmonic, "tets_inside_box", counted)
     assert run_cli(*argv, "--out", str(tmp_path)) == 0
     want = Counter((tuple(box.lo), tuple(box.hi))
-                   for pair in harmonic.default_pairs(1.0).values()
+                   for pair in harmonic.default_pairs().values()
                    for box in (pair.outer, pair.inner))
     assert len(want) == 4 and boxes == want
 
@@ -1002,27 +1014,6 @@ def test_traced_benchmark_worker_runs(tmp_path):
     assert {"fem.assemble_system", "inverse_lab.rank_sweep",
             "harmonic.caccioppoli_ratio"} <= names
     assert trace["counts"]["fem.nnz_A"] > 0
-
-
-@pytest.mark.parametrize("verb", ["caccioppoli", "helmholtz"])
-def test_default_pairs_follow_the_configured_length(tmp_path, verb):
-    """The local experiments' boxes scale with the domain: on [0, 0.05]^3
-    they hold the same tets as on the unit cube, and no outer box is empty."""
-    counts = {}
-    for length in (1.0, 0.05):
-        (tmp_path / "cfg.json").write_text(json.dumps({"length": length}))
-        assert run_cli(verb, "--n", "3", "--config", str(tmp_path / "cfg.json"),
-                       "--out", str(tmp_path), "--name", str(length)) == 0
-        out = json.loads((tmp_path / str(length) / f"{verb}.json").read_text())
-        if verb == "caccioppoli":
-            counts[length] = {label: (e["curl"]["n_outer_tets"],
-                                      e["curl"]["n_inner_tets"])
-                              for label, e in out["pairs"].items()}
-        else:
-            counts[length] = {label: (rep["n_tets"],)
-                              for label, rep in out["regions"].items()}
-    assert counts[0.05] == counts[1.0]
-    assert all(c[0] > 0 for c in counts[1.0].values())
 
 
 @pytest.mark.parametrize("kappa_im", [0.0, -0.0, 0.5])

@@ -59,7 +59,7 @@ def test_box_region_bounds():
 
 
 def test_default_pairs_fit_in_the_cube():
-    pairs = default_pairs(1.0)
+    pairs = default_pairs()
     assert set(pairs) == {"interior", "boundary"}
     inner = pairs["interior"]
     assert np.all(inner.outer.lo >= 0.0) and np.all(inner.outer.hi <= 1.0)
@@ -67,21 +67,6 @@ def test_default_pairs_fit_in_the_cube():
     assert np.any(pairs["boundary"].outer.lo < 0.0)
     assert pairs["interior"] == ConcentricPair((0.5, 0.5, 0.5), 0.4, 0.5)
     assert pairs["boundary"] == ConcentricPair((0.1, 0.5, 0.5), 0.4, 0.5)
-
-
-@pytest.mark.parametrize("length", [0.05, 1.0 / 3.0, 2.5, 100.0])
-def test_default_pairs_scale_with_the_box(mesh_cache, length):
-    """On [0, length]^3 the default boxes hold the same tets as on the
-    unit cube, box faces on mesh planes included."""
-    pairs = default_pairs(length)
-    for n in (1, 2, 3, 4, 5, 8, 10):
-        unit, scaled = mesh_cache(n), mesh_cache(n, length)
-        for label, pair in default_pairs(1.0).items():
-            for box, want in ((pairs[label].inner, pair.inner),
-                              (pairs[label].outer, pair.outer)):
-                assert np.array_equal(conforming(scaled, box),
-                                      conforming(unit, want))
-                assert np.array_equal(inside(scaled, box), inside(unit, want))
 
 
 def test_inside_tets_by_vertex_membership(mesh_cache):
@@ -164,7 +149,7 @@ def _tet_box_overlap(verts, lo, hi, tol):
 def reference_intersecting(mesh, lo, hi):
     """The same candidate prefilter as the batched test, then the
     per-tet reference on each candidate."""
-    tol = 1e-12 * mesh.length
+    tol = 1e-12
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     coords = mesh.vertices[mesh.tets]
     cand = np.nonzero((coords.min(axis=1) < hi - tol).all(axis=1)
@@ -221,10 +206,9 @@ def test_tet_box_test_against_inscribed_ball_lp(mesh_cache, n):
     radius. Random boxes, some sticking out of the cube; every other one is
     snapped to mesh planes: to the grid planes, or with one box edge on a
     diagonal face plane x_j - x_i = m/n, so that tets on the far side of
-    that plane touch the box along a line. A radius between 1e-10 L and
-    1e-7 L would be too close to call and must not occur."""
+    that plane touch the box along a line. A radius between 1e-10 and 1e-7
+    would be too close to call and must not occur."""
     m = mesh_cache(n)
-    length = m.length
     coords = m.vertices[m.tets]
     rng = np.random.default_rng(100 + n)
     ambiguous = 0
@@ -245,14 +229,14 @@ def test_tet_box_test_against_inscribed_ball_lp(mesh_cache, n):
         assert not flagged[misses].any()
         for t in np.flatnonzero(~misses):
             r = inscribed_radius(coords[t], lo, hi)
-            ambiguous += bool(1e-10 * length < r < 1e-7 * length)
-            assert flagged[t] == (r >= 1e-7 * length), (lo, hi, t, r)
+            ambiguous += bool(1e-10 < r < 1e-7)
+            assert flagged[t] == (r >= 1e-7), (lo, hi, t, r)
     assert ambiguous == 0
 
 
 def test_batched_tet_box_test_on_default_pairs(mesh_cache):
     m = mesh_cache(8)
-    for pair in default_pairs(m.length).values():
+    for pair in default_pairs().values():
         for box in (pair.inner, pair.outer):
             got = tets_intersecting_box(m, box.lo, box.hi)
             assert got.size > 0
@@ -361,13 +345,13 @@ def test_constraint_rows_match_support_inclusion(sys4):
 def test_caccioppoli_empty_basis_ratio_zero(sys3):
     region = BoxRegion((0.5, 0.5, 0.5), 1.0)
     space = harmonic_space(Region(sys3, region), "curl")  # dim 0
-    res = caccioppoli_ratio(space, default_pairs(sys3.mesh.length)["interior"])
+    res = caccioppoli_ratio(space, default_pairs()["interior"])
     assert res.ratio == 0.0 and res.normalized == 0.0
     assert res.dim == 0
 
 
 def test_caccioppoli_n4_inner_box_is_empty(sys4):
-    pair = default_pairs(sys4.mesh.length)["interior"]
+    pair = default_pairs()["interior"]
     assert tets_inside_box(sys4.mesh, pair.inner.lo, pair.inner.hi).size == 0
     space = harmonic_space(Region(sys4, pair.outer), "curl")
     res = caccioppoli_ratio(space, pair)
@@ -389,7 +373,7 @@ def test_gradients_contribute_nothing_to_curl_numerator(sys3, rng):
 
 
 def test_caccioppoli_positive_on_fine_mesh():
-    pair = default_pairs(1.0)["interior"]
+    pair = default_pairs()["interior"]
     sysm = assemble_system(build_box_mesh(6))
     space = harmonic_space(Region(sysm, pair.outer), "curl")
     res = caccioppoli_ratio(space, pair)
@@ -466,7 +450,7 @@ def test_local_space_matches_full_n_reference(system_cache, n, kappa):
     columns O of A or the nodal Gram bitwise, those rows vanish off O, and
     the embedded basis is orthonormal."""
     sysm = system_cache(n, kappa)
-    for pair in default_pairs(sysm.mesh.length).values():
+    for pair in default_pairs().values():
         for variant in ("curl", "grad"):
             space = harmonic_space(Region(sysm, pair.outer), variant)
             mat, rows, dim, normalized = reference_caccioppoli(sysm, pair,
@@ -499,7 +483,7 @@ def test_local_basis_layout(system_cache, n, kappa):
     vectors on O minus hit, in ascending order. The space holds N as its
     own C-ordered (|hit|, m) array and only the constraint columns hit."""
     sysm = system_cache(n, kappa)
-    for pair in default_pairs(sysm.mesh.length).values():
+    for pair in default_pairs().values():
         for variant in ("curl", "grad"):
             space = harmonic_space(Region(sysm, pair.outer), variant)
             z = local_basis(space)
@@ -522,7 +506,7 @@ def test_harmonic_space_holds_only_its_definition(system_cache, kappa, limit):
     complex. The dense |O| x d basis and |R| x |O| block held 22.9 and
     45.7 MB."""
     sysm = system_cache(8, kappa)
-    pair = default_pairs(sysm.mesh.length)["interior"]
+    pair = default_pairs()["interior"]
     tracemalloc.start()
     try:
         space = harmonic_space(Region(sysm, pair.outer), "curl")
@@ -568,7 +552,7 @@ def gram_cases(system_cache, kappa):
     pair."""
     return [(system_cache(3, kappa), ConcentricPair((0.3, 0.5, 0.5), 0.1, 1.0)),
             (system_cache(6, kappa), ConcentricPair((1 / 3,) * 3, 1 / 3, 1.0)),
-            (system_cache(8, kappa), default_pairs(1.0)["interior"])]
+            (system_cache(8, kappa), default_pairs()["interior"])]
 
 
 def test_whitened_inner_rows_match_dense_gram(system_cache):
@@ -644,7 +628,7 @@ def test_blockwise_gram_matches_dense_gram_n8(system_cache, kappa):
     matches the max of the dense product with every column, whose unit
     columns meet only zeros."""
     sysm = system_cache(8, kappa)
-    for pair in default_pairs(sysm.mesh.length).values():
+    for pair in default_pairs().values():
         for variant in ("curl", "grad"):
             space = harmonic_space(Region(sysm, pair.outer), variant)
             res = caccioppoli_ratio(space, pair)
@@ -669,7 +653,7 @@ def test_caccioppoli_forms_no_d_by_d_array(system_cache):
     never formed, only its banded corner factor and blocks of m or |I|
     columns."""
     sysm = system_cache(8)
-    pair = default_pairs(sysm.mesh.length)["interior"]
+    pair = default_pairs()["interior"]
     space = harmonic_space(Region(sysm, pair.outer), "curl")
     d = local_basis(space).shape[1]
     assert d == 1370
@@ -721,6 +705,26 @@ def test_helmholtz_on_sub_box(sys3, rng):
     rep = helmholtz_report(Region(sys3, region), u)
     assert rep["orthogonality_residual"] <= 1e-10
     assert rep["pythagoras_defect"] <= 1e-10
+
+
+def test_helmholtz_orthogonality_covers_the_grounded_vertex(system_cache, rng):
+    """The nodal space keeps its region's off-boundary vertices, grounded one
+    included, and helmholtz_report tests z against all their hats: at n = 8
+    the interior pair grounds vertex 91 of 307, the boundary pair none."""
+    sysm = system_cache(8)
+    m = sysm.mesh
+    u = rng.standard_normal(sysm.n_dofs)
+    for label, pair in default_pairs().items():
+        region = Region(sysm, pair.outer)
+        nodal = region.nodal
+        verts = np.unique(m.tets[region.tets])
+        assert np.array_equal(nodal.vertices, verts[~m.boundary_vertex[verts]])
+        grounded = np.setdiff1d(nodal.vertices, nodal.free_vertices)
+        assert (nodal.vertices.size, grounded.tolist()) == {
+            "interior": (307, [91]), "boundary": (177, [])}[label]
+        rep = helmholtz_report(region, u)
+        grad = sysm.incidence.T @ (region.mass @ rep["z"])
+        assert rep["orthogonality_residual"] == np.abs(grad[nodal.vertices]).max()
 
 
 def test_helmholtz_reproduces_pure_gradients(sys3, rng):
@@ -865,7 +869,7 @@ def test_recover_guard_band(system_cache, n, kappa):
     one perturbed by 1e-11 is accepted, and the recovered potential's edge
     differences match the gradient on the region's DOF edges to 1e-12."""
     sysm = system_cache(n, kappa)
-    region = default_pairs(sysm.mesh.length)["interior"].outer
+    region = default_pairs()["interior"].outer
     nodal = Region(sysm, region).nodal
     rows = region_edge_dofs(sysm, region)
     rng = np.random.default_rng(7)

@@ -24,11 +24,11 @@ from hmaxwell.mesh import (_AXIS_ORDERS, LOCAL_EDGES, Mesh, mesh_bytes,
 from hmaxwell.report import write_json
 
 
-def loop_box_mesh(n, length=1.0):
-    """Tet by tet construction of the Kuhn box mesh, with a dict from
-    vertex-pair keys to edge ids: the oracle for build_box_mesh."""
+def loop_box_mesh(n):
+    """Tet by tet construction of the Kuhn mesh of the unit cube, with a
+    dict from vertex-pair keys to edge ids: the oracle for build_box_mesh."""
     m = n + 1
-    grid = np.arange(m) * (length / n)
+    grid = np.arange(m) * (1.0 / n)
     ix, iy, iz = np.meshgrid(np.arange(m), np.arange(m), np.arange(m), indexing="ij")
     vertices = np.column_stack([grid[ix.ravel()], grid[iy.ravel()], grid[iz.ravel()]])
 
@@ -71,16 +71,15 @@ def loop_box_mesh(n, length=1.0):
             tet_edges[t, k] = key_to_id[lo2 * (m ** 3) + hi2]
             tet_edge_signs[t, k] = 1 if va < vb else -1
 
-    tol = 1e-12 * length
-    on_face = np.hstack([np.abs(vertices) <= tol,
-                         np.abs(vertices - length) <= tol])
+    on_face = np.hstack([np.abs(vertices) <= 1e-12,
+                         np.abs(vertices - 1.0) <= 1e-12])
     boundary_vertex = on_face.any(axis=1)
     boundary_edge = (on_face[edges[:, 0]] & on_face[edges[:, 1]]).any(axis=1)
 
     coords = vertices[tets]
     diffs = coords[:, le[:, 0], :] - coords[:, le[:, 1], :]
     h = float(np.sqrt((diffs ** 2).sum(axis=2)).max())
-    return Mesh(n, float(length), vertices, tets, edges, tet_edges,
+    return Mesh(n, vertices, tets, edges, tet_edges,
                 tet_edge_signs, boundary_vertex, boundary_edge, h)
 
 
@@ -89,12 +88,11 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("length", [1.0, 2.5])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_batched_mesh_matches_the_loop_oracle(n, length, tmp_path):
+def test_batched_mesh_matches_the_loop_oracle(n, tmp_path):
     """Every field bitwise equal to the tet-by-tet construction, and the
     written mesh.json byte for byte."""
-    got, want = build_box_mesh(n, length), loop_box_mesh(n, length)
+    got, want = build_box_mesh(n), loop_box_mesh(n)
     for f in dataclasses.fields(Mesh):
         a, b = getattr(got, f.name), getattr(want, f.name)
         assert type(a) is type(b) and same_bits(a, b), f.name
@@ -133,12 +131,11 @@ def test_nonconforming_faces_rejected():
         conformity_report(corner)
 
 
-@pytest.mark.parametrize("n,length", [(1, 1.0), (2, 1.0), (3, 2.5), (4, 1.0)])
-def test_volumes_tile_the_box(n, length, mesh_cache):
-    m = mesh_cache(n, length)
-    vols = tet_volumes(m)
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_volumes_tile_the_box(n, mesh_cache):
+    vols = tet_volumes(mesh_cache(n))
     assert np.all(vols > 0)
-    assert abs(vols.sum() - length**3) < 1e-12 * length**3
+    assert abs(vols.sum() - 1.0) < 1e-12
     # all Kuhn tets are congruent
     assert np.ptp(vols) < 1e-12 * vols[0]
 
@@ -149,10 +146,9 @@ def test_shape_regularity_is_size_independent(n, mesh_cache):
     assert abs(gamma - np.sqrt(3.0) * 6.0 ** (1.0 / 3.0)) < 1e-12
 
 
-@pytest.mark.parametrize("n,length", [(2, 1.0), (5, 1.0), (3, 2.0)])
-def test_mesh_width_is_the_body_diagonal(n, length, mesh_cache):
-    m = mesh_cache(n, length)
-    assert abs(m.h - np.sqrt(3.0) * length / n) < 1e-13
+@pytest.mark.parametrize("n", [2, 5])
+def test_mesh_width_is_the_body_diagonal(n, mesh_cache):
+    assert abs(mesh_cache(n).h - np.sqrt(3.0) / n) < 1e-13
 
 
 def test_body_diagonal_edge_carries_six_tets(mesh_cache):
@@ -163,7 +159,7 @@ def test_body_diagonal_edge_carries_six_tets(mesh_cache):
     assert counts.min() >= 1
     # every diagonal edge (endpoints one grid step apart in all axes)
     # is shared by the 6 tets of its subcube, never more
-    step = m.length / m.n
+    step = 1.0 / m.n
     d = np.abs(m.vertices[m.edges[:, 1]] - m.vertices[m.edges[:, 0]])
     diag = np.all(np.isclose(d, step), axis=1)
     assert diag.sum() == m.n**3
@@ -195,7 +191,7 @@ def test_boundary_flags(n, mesh_cache):
     m = mesh_cache(n)
     on_box = (
         np.isclose(m.vertices, 0.0).any(axis=1)
-        | np.isclose(m.vertices, m.length).any(axis=1)
+        | np.isclose(m.vertices, 1.0).any(axis=1)
     )
     assert np.array_equal(m.boundary_vertex, on_box)
     # an edge is boundary iff both endpoints sit on one of the six planes
@@ -203,7 +199,7 @@ def test_boundary_flags(n, mesh_cache):
         a, b = m.vertices[m.edges[e, 0]], m.vertices[m.edges[e, 1]]
         shared = np.any(
             (np.isclose(a, 0.0) & np.isclose(b, 0.0))
-            | (np.isclose(a, m.length) & np.isclose(b, m.length))
+            | (np.isclose(a, 1.0) & np.isclose(b, 1.0))
         )
         assert m.boundary_edge[e] == shared
 
@@ -221,8 +217,6 @@ def test_single_cube_has_one_interior_edge(mesh_cache):
 def test_invalid_sizes_rejected():
     with pytest.raises(ValueError):
         build_box_mesh(0)
-    with pytest.raises(ValueError):
-        build_box_mesh(3, length=0.0)
 
 
 def test_n_beyond_int64_edge_keys_rejected_before_allocating():

@@ -201,6 +201,28 @@ def test_every_public_function_is_named_outside_tests():
     assert not unnamed, unnamed
 
 
+def test_every_config_only_option_is_set_outside_tests():
+    """An OPTIONS entry of cli whose help is None, set only from the config
+    file, is spelled as a string in bench/*.py or demos/*.py: a config-only
+    knob that no workload, demo or benchmark test sets is API only tests
+    call, like a keyword default only tests override."""
+    root = SRC.parents[1]
+    options = next(node.value for node in MODULES["cli.py"].body
+                   if isinstance(node, ast.Assign)
+                   and [dotted(t) for t in node.targets] == ["OPTIONS"])
+    config_only = [key.value for key, value in zip(options.keys, options.values)
+                   if isinstance(value.elts[2], ast.Constant)
+                   and value.elts[2].value is None]
+    strings = {node.value
+               for folder in ("demos", "bench")
+               for path in sorted((root / folder).glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert config_only, "OPTIONS names no config-only option"
+    unset = [key for key in config_only if key not in strings]
+    assert not unset, unset
+
+
 def test_every_keyword_default_is_set_outside_tests():
     """A parameter with a default, of any function in src/, is set by some
     call in src/, demos/ or bench/*.py, by name or by position; a call
