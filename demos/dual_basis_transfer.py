@@ -6,6 +6,7 @@
 import numpy as np
 
 from hmaxwell import assemble_system, build_block_partition, build_box_mesh, build_cluster_tree
+from hmaxwell.checks import TOLERANCES
 from hmaxwell.fem import (apply_dual_functionals, dual_basis, dual_norms,
                           riesz_rhs, solve_system, sparse_operator)
 from hmaxwell.inverse_lab import (TRANSFER_RHS, dense_inverse,
@@ -48,7 +49,7 @@ print(f"\nn=4: largest admissible pair is {tau.size} x {sigma.size} "
       f"of {len(partition.far)} pairs")
 (worst,) = theorem_transfer_check(system, dual, [tau], sigma, binv, seed=0)
 print(f"max mismatch over {TRANSFER_RHS} random rhs: {worst:.3e} "
-      f"-> {'ok' if worst <= 1e-8 else 'BROKEN'}")
+      f"-> {'ok' if worst <= TOLERANCES['transfer'] else 'BROKEN'}")
 
 # the identity is what makes blockwise compression of A^-1 meaningful:
 # a low-rank approximant of the block is a low-rank approximant of the

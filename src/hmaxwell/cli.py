@@ -1,12 +1,12 @@
 """Command-line experiment runner.
 
 Verbs: mesh-info, assemble, rank-sweep, block-svd, caccioppoli, helmholtz,
-commuting-check, dual-basis-check, verify, each on the mesh of the unit
-cube [0, 1]^3, whose coordinates compare to a tolerance of 1e-12. OPTIONS
-declares every option once: parser, default and flag help. A JSON config
-file can set any option (tolerances only there) and no other key; flags
-win over the file, the file over defaults, and one parser reads both, so
-a non-integral integer or a non-finite number is a config error from either.
+verify, each on the mesh of the unit cube [0, 1]^3, whose coordinates
+compare to a tolerance of 1e-12. OPTIONS declares every option once:
+parser, default and flag help. A JSON config file can set any option
+(tolerances only there) and no other key; flags win over the file, the
+file over defaults, and one parser reads both, so a non-integral integer
+or a non-finite number is a config error from either.
 
 Exit codes: 0 ok; 1 check failure (a failed check, or a numeric guard such
 as dense_inverse's conditioning test); 2 config error (also an output
@@ -48,11 +48,10 @@ from .checks import (HARMONIC_CONSTRAINT_TOL, CheckResult, check_bound,
 from .cluster import (build_block_partition, build_cluster_tree,
                       partition_to_dict, sparsity_constant)
 from .fem import (assemble_system, build_dof_map, discrete_gradient,
-                  dual_basis, dual_norms, matrix_to_coordinate_text,
-                  sparse_operator)
+                  dual_basis, matrix_to_coordinate_text, sparse_operator)
 from .harmonic import (Region, caccioppoli_ratio, constraint_residual,
                        default_pairs, harmonic_space, helmholtz_report)
-from .hmatrix import compress_dense, hmatrix_manifest
+from .hmatrix import far_mirrors, owned_svds
 from .inverse_lab import SweepRow, dense_inverse, fit_decay, rank_sweep
 from .mesh import (build_box_mesh, conformity_report, mesh_to_dict,
                    shape_regularity_constant)
@@ -330,17 +329,20 @@ def cmd_block_svd(run: Runner, cfg: dict) -> int:
         return 0
     run.phase("svd")
     rank = max(cfg["ranks"])
-    h = compress_dense(binv, partition, rank)
+    # a mirror reads its partner's sigma and fit; only owned blocks are SVD'd
+    own = [i if j is None else j for i, j in enumerate(far_mirrors(binv, partition))]
+    svds = dict(owned_svds(binv, partition, rank))
+    fits = {i: fit_decay(np.arange(1, sv.size + 1), sv)
+            for i, (_, sv, _) in svds.items()}
     blocks = [{"tau": t.id, "sigma": s.id, "rows": t.size, "cols": s.size,
-               "sigma_head": b.sigma[:8],
-               "fit": fit_decay(np.arange(1, b.sigma.size + 1), b.sigma)}
-              for (t, s), b in zip(partition.far, h.far)]
+               "sigma_head": svds[i][1][:8], "fit": fits[i]}
+              for (t, s), i in zip(partition.far, own)]
     run.phase("write")
     big = max(range(len(blocks)),
               key=lambda i: min(blocks[i]["rows"], blocks[i]["cols"]))
     largest = {key: blocks[big][key] for key in ("tau", "sigma", "rows", "cols")}
     p1 = write_csv(run.path("block_sigmas.csv"), ["k", "sigma"],
-                   list(enumerate(h.far[big].sigma)))
+                   list(enumerate(svds[own[big]][1])))
     p2 = write_json(run.path("blocks.json"), {
         "n": mesh.n,
         "N": system.n_dofs,
@@ -349,17 +351,17 @@ def cmd_block_svd(run: Runner, cfg: dict) -> int:
         "largest_block": largest,
         "blocks": blocks,
     })
-    p3 = write_json(run.path("hmatrix.json"), hmatrix_manifest(h))
-    p4 = write_json(run.path("partition.json"), partition_to_dict(partition))
-    paths = [p1, p2, p3, p4]
-    for i, blk in enumerate(h.far):  # files in C-order X, Fortran-order Y
-        px, py = run.path(f"block{i:03d}_X.npy"), run.path(f"block{i:03d}_Y.npy")
-        np.save(px, np.ascontiguousarray(blk.X))
-        np.save(py, np.asfortranarray(blk.Y))
-        paths.extend([px, py])
+    p3 = write_json(run.path("partition.json"), partition_to_dict(partition))
+    # per owned block, X = U_k and Y = conj(V_k) Sigma_k, k = min(rank, dims),
+    # each raveled row-major; a mirror's factors are its partner's transposed
+    p4 = run.path("factors.npz")
+    np.savez(p4, owned=np.fromiter(svds, dtype=np.int64),
+             X=np.concatenate([u.ravel() for u, _, _ in svds.values()]),
+             Y=np.concatenate([(vh.conj().T * sv[:vh.shape[0]]).ravel()
+                               for _, sv, vh in svds.values()]))
     print(f"{len(blocks)} admissible blocks, largest "
           f"{largest['rows']}x{largest['cols']}, factors stored at rank {rank}")
-    run.finish(*paths, system=system, partition=partition)
+    run.finish(p1, p2, p3, p4, system=system, partition=partition)
     return 0
 
 
@@ -404,38 +406,6 @@ def cmd_helmholtz(run: Runner, cfg: dict) -> int:
     p1 = write_json(run.path("helmholtz.json"), out)
     run.finish(p1, system=system)
     return 0
-
-
-def cmd_commuting_check(run: Runner, cfg: dict) -> int:
-    run.phase("check")
-    res = check_commuting(tol=cfg["tolerances"]["commuting"], seed=cfg["seed"])
-    code = verdict([res])
-    run.phase("write")
-    p1 = write_json(run.path("commuting.json"), res)
-    run.finish(p1)
-    return code
-
-
-def cmd_dual_basis_check(run: Runner, cfg: dict) -> int:
-    run.phase("assemble")
-    system = build_system(cfg)
-    run.phase("check")
-    dual = dual_basis(system)
-    bio = check_dual_biorthogonality(system, dual,
-                                     cfg["tolerances"]["biorthogonality"])
-    scaling = check_dual_norm_scaling(factor=cfg["tolerances"]["dual_norm_factor"])
-    norms = dual_norms(system, dual)
-    code = verdict([bio, scaling])
-    run.phase("write")
-    p1 = write_json(run.path("dual_basis.json"), {
-        "n": system.mesh.n,
-        "biorthogonality": bio,
-        "norm_scaling": scaling,
-        "max_norm": float(norms.max()),
-        "min_norm": float(norms.min()),
-    })
-    run.finish(p1, system=system)
-    return code
 
 
 def cmd_verify(run: Runner, cfg: dict) -> int:
@@ -507,8 +477,6 @@ COMMANDS = {
     "block-svd": cmd_block_svd,
     "caccioppoli": cmd_caccioppoli,
     "helmholtz": cmd_helmholtz,
-    "commuting-check": cmd_commuting_check,
-    "dual-basis-check": cmd_dual_basis_check,
     "verify": cmd_verify,
 }
 

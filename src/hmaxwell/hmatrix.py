@@ -5,9 +5,11 @@ columns in X, the spectral-norm-optimal rank-r approximation of the block;
 near blocks are stored dense. Every matrix factored here is symmetric, as
 A^{-1} is: far_mirrors, the package's one full-array symmetry test, hands
 back the partition's mirror pairs, and owned_svds, the one SVD loop over
-far blocks, takes one SVD per pair, read by compress_dense (a mirror
-transposes its partner's) and the rank sweep. spectral_norm, the one
-Lanczos norm, reads one triangle; spectral_error is an exact error norm.
+far blocks, takes one SVD per pair, read by block-svd and the rank sweep.
+compress_dense (a mirror transposes its partner's) and the products on
+its HMatrix are read only by tests and the benchmark's tracer.
+spectral_norm, the one Lanczos norm, reads one triangle; spectral_error
+is an exact error norm.
 
 Every dense matrix this module takes or returns is in the cluster tree's
 leaf order, where each block is the slice of its clusters' spans.
@@ -215,18 +217,3 @@ def spectral_error(dense: np.ndarray, h: HMatrix):
         return 0.0, True
     return float(np.linalg.norm(res, 2)), True
 
-
-def hmatrix_manifest(h: HMatrix) -> dict:
-    """JSON-ready description of the block structure and per-block ranks."""
-    return {
-        "shape": list(h.shape),
-        "eta": h.partition.eta,
-        "far": [{
-            "tau": t.id, "sigma": s.id, "rank": int(b.X.shape[1]),
-            "rows": int(b.X.shape[0]), "cols": int(b.Y.shape[0]),
-        } for (t, s), b in zip(h.partition.far, h.far)],
-        "near": [{
-            "tau": t.id, "sigma": s.id,
-            "rows": int(b.data.shape[0]), "cols": int(b.data.shape[1]),
-        } for (t, s), b in zip(h.partition.near, h.near)],
-    }

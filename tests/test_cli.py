@@ -119,7 +119,7 @@ def test_bad_ranks_string_rejected(tmp_path, capsys):
 def test_non_numeric_tolerance_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tolerances": {"commuting": "tight"}}))
-    code = run_cli("commuting-check", "--config", str(cfg), "--out", str(tmp_path))
+    code = run_cli("mesh-info", "--config", str(cfg), "--out", str(tmp_path))
     assert code == 2
     assert "config error" in capsys.readouterr().err
 
@@ -127,7 +127,7 @@ def test_non_numeric_tolerance_is_config_error(tmp_path, capsys):
 def test_misspelt_tolerance_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tolerances": {"comuting": 1e-30}}))
-    code = run_cli("commuting-check", "--config", str(cfg), "--out", str(tmp_path))
+    code = run_cli("mesh-info", "--config", str(cfg), "--out", str(tmp_path))
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err and "comuting" in err
@@ -152,7 +152,7 @@ BAD_VALUES = [
     ("mesh-info", {"name": 5}),
     ("mesh-info", {"out": 3}),
     ("mesh-info", {"kappa_im": "nan"}),
-    ("commuting-check", {"tolerances": {"commuting": "nan"}}),
+    ("mesh-info", {"tolerances": {"commuting": "nan"}}),
     ("assemble", ["--kappa-re", "nan"]),
     ("rank-sweep", ["--kappa-re", "inf"]),
     ("rank-sweep", ["--eta", "nan"]),
@@ -325,10 +325,10 @@ def test_tampered_tolerance_fails_check(tmp_path):
     # an impossible tolerance from the config file must surface as exit 1
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tolerances": {"commuting": 1e-30}}))
-    assert run_cli("commuting-check", "--config", str(cfg),
+    assert run_cli("verify", "--n", "2", "--n-leaf", "8", "--config", str(cfg),
                    "--out", str(tmp_path), "--name", "t") == 1
-    payload = json.loads((tmp_path / "t" / "commuting.json").read_text())
-    assert payload["passed"] is False
+    payload = json.loads((tmp_path / "t" / "verify.json").read_text())
+    assert payload["failures"] == ["commuting diagram on random tets"]
 
 
 def test_numeric_guard_is_check_failure(tmp_path, capsys):
@@ -464,11 +464,6 @@ def test_caccioppoli_and_helmholtz_run(tmp_path):
     assert hel["regions"]["interior"]["pythagoras_defect"] <= 1e-10
 
 
-def test_dual_basis_check_passes(tmp_path):
-    assert run_cli("dual-basis-check", "--n", "2", "--out", str(tmp_path),
-                   "--name", "d") == 0
-
-
 def test_runs_that_never_invert_never_form_a(tmp_path, monkeypatch,
                                             physical_memory):
     """The local-theory verbs read K, M and kappa only, and a rank sweep
@@ -478,7 +473,7 @@ def test_runs_that_never_invert_never_form_a(tmp_path, monkeypatch,
     def refuse(system):
         raise AssertionError("dense A formed")
     monkeypatch.setattr(fem.GalerkinSystem, "A", property(refuse))
-    for verb in ("caccioppoli", "helmholtz", "dual-basis-check"):
+    for verb in ("caccioppoli", "helmholtz"):
         assert run_cli(verb, "--n", "3", "--out", str(tmp_path)) == 0, verb
     physical_memory(512 * 2**20)
     tracemalloc.start()
@@ -500,8 +495,6 @@ def test_runs_that_never_invert_never_form_a(tmp_path, monkeypatch,
                  id="assemble-complex"),
     pytest.param(["caccioppoli", "--n", "3"], id="caccioppoli"),
     pytest.param(["helmholtz", "--n", "3"], id="helmholtz"),
-    pytest.param(["commuting-check", "--n", "3"], id="commuting-check"),
-    pytest.param(["dual-basis-check", "--n", "3"], id="dual-basis-check"),
     pytest.param(["verify", "--n", "3", "--n-leaf", "16"], id="verify"),
     pytest.param(["verify", "--n", "3", "--n-leaf", "16", "--kappa-im", "0.5"],
                  id="verify-complex"),
@@ -683,15 +676,42 @@ def test_verify_without_interior_vertex(tmp_path):
                      "local exact sequence recovery"]
 
 
-def test_block_svd_stores_factors(tmp_path):
-    assert run_cli("block-svd", "--n", "3", "--n-leaf", "16",
-                   "--ranks", "1,2,4", "--out", str(tmp_path),
+BLOCK_SVD_FILES = ["block_sigmas.csv", "blocks.json", "factors.npz",
+                   "manifest.json", "partition.json"]
+
+
+def far_blocks_from_factors(outdir, rank):
+    """X Y^H of every far block in blocks.json's order, rebuilt from
+    factors.npz: each owned block's X (rows x k) and Y (cols x k), k =
+    min(rank, rows, cols), row-major and concatenated in owned order, and
+    each mirror its partner's product transposed; and each owned X."""
+    blocks = json.loads((outdir / "blocks.json").read_text())["blocks"]
+    with np.load(outdir / "factors.npz") as factors:
+        assert sorted(factors.files) == ["X", "Y", "owned"]
+        owned, x_all, y_all = (factors[key] for key in ("owned", "X", "Y"))
+    products, xs, ox, oy = {}, {}, 0, 0
+    for i in owned.tolist():
+        rows, cols = blocks[i]["rows"], blocks[i]["cols"]
+        k = min(rank, rows, cols)
+        x = x_all[ox:ox + rows * k].reshape(rows, k)
+        y = y_all[oy:oy + cols * k].reshape(cols, k)
+        ox, oy = ox + rows * k, oy + cols * k
+        xs[i], products[i] = x, x @ y.conj().T
+    assert (ox, oy) == (x_all.size, y_all.size)
+    where = {(blk["tau"], blk["sigma"]): i for i, blk in enumerate(blocks)}
+    return [products[i] if i in products
+            else products[where[blk["sigma"], blk["tau"]]].T
+            for i, blk in enumerate(blocks)], xs
+
+
+def check_block_svd_files(out, kappa_im):
+    assert run_cli("block-svd", "--n", "3", "--n-leaf", "16", "--kappa-im",
+                   kappa_im, "--ranks", "1,2,4", "--out", str(out),
                    "--name", "b") == 0
-    outdir = tmp_path / "b"
+    outdir = out / "b"
+    assert sorted(p.name for p in outdir.iterdir()) == BLOCK_SVD_FILES
     blocks = json.loads((outdir / "blocks.json").read_text())
     assert blocks["blocks"], "expected admissible blocks at this size"
-    assert (outdir / "block000_X.npy").exists()
-    assert (outdir / "block000_Y.npy").exists()
     for blk in blocks["blocks"]:
         assert set(blk) == {"tau", "sigma", "rows", "cols", "sigma_head", "fit"}
         assert len(blk["sigma_head"]) == min(8, blk["rows"], blk["cols"])
@@ -700,36 +720,38 @@ def test_block_svd_stores_factors(tmp_path):
     first = blocks["blocks"][sizes.index(max(sizes))]
     assert blocks["largest_block"] == {key: first[key]
                                        for key in ("tau", "sigma", "rows", "cols")}
-    system = assemble_system(build_box_mesh(3))
+    system = assemble_system(build_box_mesh(3), kappa=complex(1, float(kappa_im)))
     tree = build_cluster_tree(system.mesh, system.dofmap, n_leaf=16)
+    inverse = np.linalg.inv(system.A)
     tau, sigma = (tree.clusters[first[key]].indices for key in ("tau", "sigma"))
-    want = np.linalg.svd(np.linalg.inv(system.A)[np.ix_(tau, sigma)],
-                         compute_uv=False)
+    want = np.linalg.svd(inverse[np.ix_(tau, sigma)], compute_uv=False)
     table = (outdir / "block_sigmas.csv").read_text().splitlines()
     assert table[0] == "k,sigma"
     got = np.array([float(line.split(",")[1]) for line in table[1:]])
     assert [int(line.split(",")[0]) for line in table[1:]] == list(range(want.size))
     assert np.abs(got - want).max() <= 1e-12 * want[0]
-    # the file format: X in C order with orthonormal columns, Y in Fortran
-    # order, and a mirror's X Y^H is its partner's transposed
-    products = []
-    for i in range(len(blocks["blocks"])):
-        x, y = (np.load(outdir / f"block{i:03d}_{key}.npy") for key in "XY")
-        for key, want_order in (("X", False), ("Y", True)):
-            with open(outdir / f"block{i:03d}_{key}.npy", "rb") as f:
-                assert np.lib.format.read_magic(f) == (1, 0)
-                _, order, _ = np.lib.format.read_array_header_1_0(f)
-            assert order is want_order
+    # factors.npz holds the owned blocks only, X with orthonormal columns;
+    # every far block, mirrors included, is its best rank-4 approximation
+    products, xs = far_blocks_from_factors(outdir, 4)
+    partition = build_block_partition(tree, eta=2.0)
+    assert list(xs) == [i for i, j in enumerate(partition.mirror) if j is None]
+    assert len(xs) < len(products)
+    for x in xs.values():
         assert np.abs(x.conj().T @ x - np.eye(x.shape[1])).max() <= 1e-12
-        products.append(x @ y.conj().T)
-    where = {(blk["tau"], blk["sigma"]): i
-             for i, blk in enumerate(blocks["blocks"])}
-    pairs = [(i, where[s, t]) for (t, s), i in where.items()
-             if t > s and (s, t) in where]
-    assert pairs
-    for i, j in pairs:
-        scale = np.abs(products[j]).max()
-        assert np.abs(products[i] - products[j].T).max() <= 1e-12 * scale
+    for blk, product in zip(blocks["blocks"], products):
+        tau, sigma = (tree.clusters[blk[key]].indices for key in ("tau", "sigma"))
+        block = inverse[np.ix_(tau, sigma)]
+        sv = np.linalg.svd(block, compute_uv=False)
+        tail = sv[4] if sv.size > 4 else 0.0
+        assert abs(np.linalg.norm(block - product, 2) - tail) <= 1e-12 * sv[0]
+
+
+def test_block_svd_stores_factors(tmp_path):
+    """At n = 3, leaf 16, for real and complex kappa: the five files, the
+    blocks' sigma heads and the largest block's singular values against
+    numpy's inverse, and every far block rebuilt from factors.npz."""
+    for kappa_im in ("0", "0.5"):
+        check_block_svd_files(tmp_path / kappa_im, kappa_im)
 
 
 def test_no_far_blocks_is_reported_as_such(tmp_path, capsys):
@@ -878,31 +900,32 @@ def test_far_block_on_the_diagonal_counts_its_svd(tmp_path):
 
 @pytest.mark.parametrize("kappa_im", ["0", "0.5"])
 def test_block_svd_compresses_once(tmp_path, monkeypatch, kappa_im):
-    """block-svd makes one compress_dense call, of (dense, partition, rank),
-    and takes as many LAPACK SVDs as the manifest's far_svds counts: one
-    per mirrored pair."""
-    calls, svds = [], []
-    compress, svd = cli.compress_dense, np.linalg.svd
-    monkeypatch.setattr(cli, "compress_dense",
-                        lambda *a, **k: calls.append((a, k)) or compress(*a, **k))
+    """block-svd never calls compress_dense, and takes as many LAPACK SVDs
+    as the manifest's far_svds counts: one per mirrored pair."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("compress_dense called")
+
+    svds, svd = [], np.linalg.svd
+    monkeypatch.setattr(hmatrix, "compress_dense", refuse)
     monkeypatch.setattr(np.linalg, "svd",
                         lambda *a, **k: svds.append(1) or svd(*a, **k))
     assert run_cli("block-svd", "--n", "3", "--n-leaf", "16", "--kappa-im",
                    kappa_im, "--out", str(tmp_path), "--name", "b") == 0
     monkeypatch.undo()
     counters = json.loads((tmp_path / "b" / "manifest.json").read_text())["counters"]
-    assert [(len(a), k) for a, k in calls] == [(3, {})]
     assert len(svds) == counters["far_svds"] < counters["n_far"]
 
 
 def test_local_and_small_results_do_not_depend_on_the_thread_count(tmp_path):
-    """caccioppoli and helmholtz at n = 8, and verify below the floor, run
-    every BLAS call on one thread, so their data files are byte-identical
-    whether OPENBLAS_NUM_THREADS is 1 or 2."""
+    """caccioppoli and helmholtz at n = 8, and verify and block-svd below
+    the floor, run every BLAS call on one thread, so their data files,
+    factors.npz included, are byte-identical whether OPENBLAS_NUM_THREADS
+    is 1 or 2."""
     if not blas.current():
         pytest.skip("no OpenBLAS loaded")
     steps = [["caccioppoli", "--n", "8"], ["helmholtz", "--n", "8"],
-             ["verify", "--n", "3", "--n-leaf", "16", "--kappa-im", "0.5"]]
+             ["verify", "--n", "3", "--n-leaf", "16", "--kappa-im", "0.5"],
+             ["block-svd", "--n", "4"]]
     files = {}
     for threads in ("1", "2"):
         out = tmp_path / threads

@@ -18,7 +18,6 @@ from hmaxwell import (
 )
 from hmaxwell import hmatrix
 from hmaxwell.fem import build_dof_map
-from hmaxwell.hmatrix import hmatrix_manifest
 
 
 @pytest.fixture(scope="module")
@@ -197,20 +196,6 @@ def test_spectral_norm_reads_every_real_layout_alike(rng):
     finally:
         tracemalloc.stop()
     assert peak < mat.nbytes / 2
-
-
-def test_manifest_structure(small_partition, rng):
-    import json
-
-    part, n = small_partition
-    a = symmetric(rng, n)
-    h = compress_dense(a, part, rank=2)
-    man = hmatrix_manifest(h)
-    assert man["shape"] == [n, n]
-    assert len(man["far"]) == len(part.far)
-    assert len(man["near"]) == len(part.near)
-    json.dumps(man)  # must be serializable as-is
-    assert all(b["rank"] <= 2 for b in man["far"])
 
 
 def test_compress_rejects_negative_rank(small_partition):

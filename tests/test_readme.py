@@ -15,7 +15,7 @@ from hmaxwell.inverse_lab import SweepRow
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 SRC = ROOT / "src" / "hmaxwell"
-ARTIFACT = re.compile(r"(?<![\w./*-])([\w-]+\.(?:csv|json|svg|npy|txt))\b")
+ARTIFACT = re.compile(r"(?<![\w./*-])([\w-]+\.(?:csv|json|svg|npy|npz|txt))\b")
 
 
 def parser_flags() -> set:

@@ -1,8 +1,8 @@
 """Source hygiene of the package, read with ast: every top-level import is
 used by its module, every module-level private name is used somewhere in
 src/, every public name of the lab modules is read outside tests, every
-public function is named outside tests, box tet sets, tet DOFs and
-far-block SVDs are each read from one module, and foreign-function
+public function is named outside tests, box tet sets, tet DOFs,
+far-block SVDs and compress_dense are each read from one module, and foreign-function
 and BLAS bindings live in one."""
 
 import ast
@@ -101,14 +101,16 @@ def read_names(tree):
 # name -> the one module of src/ that may read it
 HOMES = {"tets_intersecting_box": "harmonic.py", "tets_inside_box": "harmonic.py",
          "conforming_tets": "harmonic.py", "inside_tets": "harmonic.py",
-         "edge_to_dof": "fem.py", "truncated_svd": "hmatrix.py", "sysconf": "mesh.py"}
+         "edge_to_dof": "fem.py", "truncated_svd": "hmatrix.py",
+         "compress_dense": "hmatrix.py", "sysconf": "mesh.py"}
 
 
 def test_box_tets_and_tet_dofs_have_one_home():
     """Only harmonic.py runs the tet-box tests, so a box's tet sets come
     from its harmonic.Region; only fem.py reads DofMap.edge_to_dof, so a
     tet's DOFs come from DofMap.tet_dofs; only hmatrix.py reads
-    truncated_svd, so every far-block SVD comes from owned_svds; only
+    truncated_svd, so every far-block SVD comes from owned_svds, and only
+    hmatrix.py names compress_dense, which tests and the tracer call; only
     mesh.py reads os.sysconf, so whether arrays fit in memory is decided by
     require_memory alone."""
     strays = [f"{module} {name}" for module, tree in MODULES.items()
